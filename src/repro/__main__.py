@@ -384,6 +384,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"system:   {label}")
     print(f"requests: {summary.finished}/{summary.total} finished, "
           f"{len(result.aborted)} aborted")
+    if result.stranded:
+        print(f"stranded: {len(result.stranded)} requests left unfinished "
+              f"when the simulator went idle")
     print(f"makespan: {result.makespan:.1f}s simulated")
     print(f"throughput: {throughput_tokens_per_s(result):,.0f} tokens/s")
     print(f"normalized latency  per-token: {summary.per_token * 1000:8.2f} ms")

@@ -121,9 +121,10 @@ class EngineServer:
                 label=f"arrival:{request.request_id}",
             )
         self.sim.run_until_idle()
+        aborted_ids = {r.request_id for r in self.aborted}
         return ServeResult(
             system=self.name,
-            requests=[r for r in self._all_requests if r not in self.aborted],
+            requests=[r for r in self._all_requests if r.request_id not in aborted_ids],
             iteration_stats=self.iteration_stats,
             makespan=self.sim.now,
             aborted=self.aborted,

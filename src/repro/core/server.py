@@ -225,9 +225,24 @@ class LoongServeServer:
         return self._collect_result()
 
     def _collect_result(self) -> ServeResult:
+        aborted_ids = {r.request_id for r in self.aborted}
+        requests = [r for r in self._all_requests if r.request_id not in aborted_ids]
+        stranded = []
+        if self.sim.next_event_time() is None:
+            # The run ended because nothing was left to happen, not at an
+            # event budget: any request still unfinished can never finish.
+            stranded = [r for r in requests if not r.finished]
+            if self.trace.enabled:
+                for request in stranded:
+                    self.trace.audit(
+                        self.sim.now, "stranded", component="server",
+                        replica=self.obs_replica, request=request.request_id,
+                        state=request.state.name,
+                    )
         return ServeResult(
             system=self.name,
-            requests=[r for r in self._all_requests if r not in self.aborted],
+            requests=requests,
+            stranded=stranded,
             scaling_events=self.scaling_events,
             iteration_stats=self.iteration_stats,
             makespan=self.sim.now,

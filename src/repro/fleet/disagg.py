@@ -45,9 +45,18 @@ gated off in the first cut):
   the export will read it) and never moves requests across the pool
   boundary — the controller filters cross-pool moves.
 
-Token-less requests are given synthetic prompt token ids at dispatch so
-the prefix-cache handoff has a key; the ids are unique per request and
-never collide with workload vocabularies.
+The handoff is keyed by the prompt's token ids.  A token-less request
+(a plain length-only trace) is given a synthetic prompt at dispatch:
+one request-unique id, above any workload vocabulary, repeated
+``input_len`` times.  That key is enough because the radix tree asks
+only two things of it.  Different requests must diverge at their first
+token, since children are keyed by first token, so they never share a
+node, a hit, or a split.  One request's key must equal itself position
+by position, so every prefix of it (the clone's adopted extent, the
+decode side's imported copy) matches exactly as far as it reaches.
+Every match, split, export and import length is therefore what
+distinct per-position ids would give, while the prompt costs one
+pointer per token instead of one int object per token.
 """
 
 from __future__ import annotations
@@ -64,14 +73,20 @@ from repro.types import Request
 # Aliases the obs-layer shadow offset so every request-facing view
 # (histograms, blame, explain) agrees on what is internal machinery.
 CLONE_ID_OFFSET = SHADOW_REQUEST_OFFSET
-# Synthetic prompt tokens for token-less requests: unique per (request,
-# position), disjoint from real session vocabularies (which are small).
+# Synthetic prompt ids for token-less requests start here, far above
+# real session vocabularies (which are small).
 _SYNTH_TOKEN_BASE = 1 << 60
 
 
 def _synthetic_tokens(request: Request) -> tuple[int, ...]:
-    base = _SYNTH_TOKEN_BASE + (request.request_id << 22)
-    return tuple(base + i for i in range(request.input_len))
+    """A token-less request's prompt key: its own id, ``input_len`` times.
+
+    Distinct first tokens keep different requests apart in the radix
+    tree, and a repeated id matches itself at every position, so the
+    key behaves exactly like unique per-position ids (see the module
+    docstring) while holding a single int object.
+    """
+    return (_SYNTH_TOKEN_BASE + request.request_id,) * request.input_len
 
 
 class DisaggDispatcher:

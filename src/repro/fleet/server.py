@@ -443,7 +443,9 @@ class FleetResult(ServeResult):
     """Fleet-merged ``ServeResult`` plus the per-replica breakdown.
 
     ``elastic`` carries the control plane's recorder when the run used
-    one (None on static route-once fleets).
+    one (None on static route-once fleets).  ``stranded`` is fleet-wide
+    (the per-replica results leave it empty): a request can strand
+    between the disagg pools, where no replica reports it.
     """
 
     per_replica: list[ServeResult] = field(default_factory=list)
@@ -487,6 +489,11 @@ class FleetServer:
         base = getattr(replicas[0], "name", type(replicas[0]).__name__)
         self.name = name or f"{base} x{len(replicas)} [{self.policy.name}]"
         self._remaining_arrivals = 0
+        # Every request placed this run (trace arrivals and driver
+        # submissions, never shadow clones): the run-end liveness check
+        # reads it, since a request between the disagg pools sits in no
+        # replica's ledger.
+        self._placed: list[Request] = []
         self._controller: FleetController | None = None
         self._obs = None
         # The most recent run's simulator (events_processed, final
@@ -534,6 +541,7 @@ class FleetServer:
         self._remaining_arrivals = len(requests) + (
             driver.total_requests if driver is not None else 0
         )
+        self._placed = []
         controller: FleetController | None = None
         elastic: ElasticStats | None = None
         self._controller = None
@@ -573,6 +581,7 @@ class FleetServer:
                 sim, (lambda now: obs.sample_fleet(self.replicas, now))
             )
         sim.run_until_idle()
+        stranded = self._stranded(sim)
         if obs is not None:
             obs.tracer.finalize(sim.now)
 
@@ -585,6 +594,7 @@ class FleetServer:
             iteration_stats=merged.iteration_stats,
             makespan=merged.makespan,
             aborted=merged.aborted,
+            stranded=stranded,
             cache_stats=merged.cache_stats,
             qos_stats=merged.qos_stats,
             obs=obs,
@@ -600,8 +610,31 @@ class FleetServer:
             return True
         return any(h.outstanding_requests() > 0 for h in self.replicas)
 
+    def _stranded(self, sim: Simulator) -> list[Request]:
+        """Placed requests the run left unfinished after going idle.
+
+        Covers every replica plus the gap between the disagg pools; a
+        run stopped by the event guard is not idle and lists none.
+        """
+        if sim.next_event_time() is not None:
+            return []
+        stranded = [r for r in self._placed if not r.finished]
+        tracer = self._obs.tracer if self._obs is not None else None
+        if stranded and tracer is not None and tracer.enabled:
+            where = {
+                r.request_id: h.replica_id for h in self.replicas for r in h.routed
+            }
+            for request in stranded:
+                tracer.audit(
+                    sim.now, "stranded", component="fleet",
+                    replica=where.get(request.request_id, -1),
+                    request=request.request_id, state=request.state.name,
+                )
+        return stranded
+
     def _place_arrival(self, request: Request, sim: Simulator) -> None:
         """One arrival's placement path (trace and driver submissions)."""
+        self._placed.append(request)
         self._remaining_arrivals -= 1
         if self._controller is not None and self._controller.try_hold_arrival(
             request

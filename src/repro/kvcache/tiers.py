@@ -167,7 +167,7 @@ class TieredKVStore:
         extent = self._best_extension(token_ids, resident_len)
         if extent is None:
             return resident_len
-        return self._usable(extent, token_ids)
+        return common_prefix_len(extent.seq, token_ids)
 
     # -- offload path ---------------------------------------------------------
 
@@ -291,7 +291,7 @@ class TieredKVStore:
         extent = self._best_extension(token_ids, resident_len)
         if extent is None:
             return resident_len, 0.0
-        usable = self._usable(extent, token_ids)
+        usable = common_prefix_len(extent.seq, token_ids)
         seconds = self.pricing.swap_time(
             extent.tokens * self.bytes_per_token, extent.tier
         )
@@ -322,12 +322,12 @@ class TieredKVStore:
             seq = extent.seq
             # An extent whose line diverges at token 0 has usable == 0,
             # which can never win (winning needs usable > resident_len
-            # >= 0) — skip the token-by-token scan.  This is the common
-            # case under multi-session traffic, where most offloaded
-            # extents belong to other sequence lines.
+            # >= 0) — skip the prefix compare.  This is the common case
+            # under multi-session traffic, where most offloaded extents
+            # belong to other sequence lines.
             if not seq or seq[0] != first:
                 continue
-            usable = self._usable(extent, token_ids)
+            usable = common_prefix_len(seq, token_ids)
             if usable > best_usable or (
                 usable == best_usable
                 and best is not None
@@ -337,15 +337,6 @@ class TieredKVStore:
                 best = extent
                 best_usable = usable
         return best
-
-    @staticmethod
-    def _usable(extent: _Extent, token_ids: tuple[int, ...]) -> int:
-        limit = min(len(extent.seq), len(token_ids))
-        k = 0
-        seq = extent.seq
-        while k < limit and seq[k] == token_ids[k]:
-            k += 1
-        return k
 
     # -- invariants -----------------------------------------------------------
 
@@ -377,6 +368,27 @@ class TieredKVStore:
                     f"double residency: spans [{start_a},{end_a}) and "
                     f"[{start_b},{end_b}) overlap on a shared line"
                 )
+
+
+def common_prefix_len(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Length of the longest common prefix of two token tuples.
+
+    Compares whole slices, so the element scan runs in C: one compare
+    when either tuple is a prefix of the other, otherwise a bisection
+    whose slice compares add up to about twice the shorter length.
+    Both arguments must be tuples (a list never equals a tuple).
+    """
+    n = min(len(a), len(b))
+    if a[:n] == b[:n]:
+        return n
+    lo, hi = 0, n  # a[:lo] == b[:lo]; the first mismatch is in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _is_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

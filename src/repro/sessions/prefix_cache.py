@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from repro.kvcache.tiers import common_prefix_len
 from repro.kvcache.unified import UnifiedKVPool
 from repro.types import Request
 
@@ -467,7 +468,8 @@ class PrefixKVCache:
     def _walk(self, tokens: tuple[int, ...]) -> tuple[list[tuple[_Node, int]], int]:
         """Descend along ``tokens``; returns (path of (node, tokens matched
         inside node), total matched).  Only the last path entry may be a
-        partial match."""
+        partial match.  Each edge costs one slice compare, not one
+        Python step per token."""
         path: list[tuple[_Node, int]] = []
         node = self.root
         pos = 0
@@ -476,10 +478,7 @@ class PrefixKVCache:
             if child is None:
                 break
             edge = child.tokens
-            limit = min(len(edge), len(tokens) - pos)
-            k = 0
-            while k < limit and edge[k] == tokens[pos + k]:
-                k += 1
+            k = common_prefix_len(edge, tokens[pos:pos + len(edge)])
             path.append((child, k))
             pos += k
             if k < len(edge):

@@ -249,6 +249,10 @@ class ServeResult:
     carries the run's :class:`repro.obs.observe.Observability` bundle
     (spans, audit log, telemetry) when one was attached; ``None`` keeps
     observability-off runs byte-identical to prior builds.
+    ``stranded`` lists the submitted requests still unfinished (and not
+    aborted) when the simulator went idle: work that could never finish.
+    LoongServe and fleet runs fill it; a run cut at an event budget
+    leaves it empty.
     """
 
     system: str
@@ -257,6 +261,7 @@ class ServeResult:
     iteration_stats: list[BatchStats] = field(default_factory=list)
     makespan: float = 0.0
     aborted: list[Request] = field(default_factory=list)
+    stranded: list[Request] = field(default_factory=list)
     cache_stats: dict[str, float] | None = None
     qos_stats: dict[str, dict[str, float]] | None = None
     obs: object | None = None

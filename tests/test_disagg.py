@@ -64,6 +64,9 @@ class TestDisaggDispatch:
         # The prefill work happened there all the same: the replica's
         # cache adopted every clone's KV and exported it onward.
         assert prefill_side.cache_stats["exported_tokens"] > 0
+        # Synthetic prompts of different requests start with different
+        # ids, so no clone ever matched another request's extent.
+        assert prefill_side.cache_stats["hit_tokens"] == 0
 
     def test_decode_side_recomputes_one_prompt_token(self):
         fleet = disagg_fleet()

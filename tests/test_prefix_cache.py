@@ -1,7 +1,10 @@
 """Unit tests for the radix prefix-KV cache (repro.sessions.prefix_cache)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.kvcache.tiers import TieredKVStore, common_prefix_len
 from repro.kvcache.unified import UnifiedKVPool
 from repro.sessions.prefix_cache import PrefixKVCache
 from repro.types import Request
@@ -251,3 +254,48 @@ class TestStats:
             "imported_tokens", "exported_tokens",
         }
         assert all(v == 0 for v in d.values())
+
+
+def reference_prefix_len(a, b):
+    """Token-by-token longest common prefix (the matcher's reference)."""
+    k = 0
+    while k < min(len(a), len(b)) and a[k] == b[k]:
+        k += 1
+    return k
+
+
+# A 3-symbol alphabet makes imported sequences share prefixes and part
+# mid-edge, so imports split existing extents and queries stop inside one.
+SEQUENCES = st.lists(st.integers(0, 2), min_size=1, max_size=40).map(tuple)
+
+
+class TestMatchingProperty:
+    @settings(max_examples=200)
+    @given(
+        imported=st.lists(SEQUENCES, min_size=1, max_size=8),
+        queries=st.lists(SEQUENCES, max_size=8),
+    )
+    def test_match_is_longest_common_prefix(self, imported, queries):
+        cache = PrefixKVCache(make_pool(slots=1_000))  # roomy: nothing evicts
+        # Whole lines offloaded at start 0: the store drops lines that are
+        # prefixes of others, which never hold the longest match alone.
+        store = TieredKVStore()
+        for now, seq in enumerate(imported):
+            cache.import_prefix(seq, now=float(now))
+            store.offload(seq, 0, now=float(now))
+        assert cache.stats.evicted_tokens == 0
+        store.check_invariants()
+        for query in imported + queries:
+            expected = max(reference_prefix_len(query, seq) for seq in imported)
+            assert cache.peek_match(query) == expected
+            assert store.probe(query, 0) == expected
+            assert max(common_prefix_len(query, seq) for seq in imported) == expected
+
+    @pytest.mark.parametrize("mismatch", [0, 1, 2, 511, 4_095, 4_096, 9_999])
+    def test_helper_finds_a_single_mismatch_in_long_tuples(self, mismatch):
+        base = (7,) * 10_000
+        other = base[:mismatch] + (8,) + base[mismatch + 1:]
+        assert common_prefix_len(base, other) == mismatch
+        assert common_prefix_len(other, base) == mismatch
+        assert common_prefix_len(base, base[:mismatch]) == mismatch
+        assert common_prefix_len((), base) == 0
