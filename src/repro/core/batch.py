@@ -70,7 +70,7 @@ class DecodeBatch:
 
     @property
     def instance_ids(self) -> tuple[int, ...]:
-        return self.group.instance_ids if self.group else ()
+        return self.group.instance_ids if self.group is not None else ()
 
     def min_exec_time(self, now: float) -> float:
         """Shortest elapsed decode time among member requests.
@@ -94,8 +94,11 @@ class DecodeBatch:
 
     def remove_finished(self) -> list[Request]:
         """Drop finished requests; return them."""
-        done = [r for r in self.requests if r.finished]
-        self.requests = [r for r in self.requests if not r.finished]
+        done: list[Request] = []
+        kept: list[Request] = []
+        for request in self.requests:
+            (done if request.finished else kept).append(request)
+        self.requests = kept
         return done
 
     def remove(self, request: Request) -> None:

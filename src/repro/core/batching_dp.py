@@ -83,7 +83,11 @@ def plan_batches(
     tensor_parallel: int,
     optimized: bool = True,
 ) -> BatchPlan:
-    """Split ``requests`` over ``instance_ids`` into DoP-annotated batches."""
+    """Split ``requests`` over ``instance_ids`` into DoP-annotated batches.
+
+    ``predictor`` is the fitted :class:`AnalyticalModel`, or any model
+    with its ``has_strategy``/``predict_sums`` surface.
+    """
     reqs = sorted(requests, key=lambda r: -r.prefill_tokens)
     insts = sorted(instance_ids, key=lambda i: free_slots.get(i, 0))
     n, m = len(reqs), len(insts)
@@ -111,25 +115,40 @@ def plan_batches(
     if not strategies:
         raise ValueError("analytical model has no fitted strategies for this TP degree")
 
-    # Hoisted (α, β, γ) per DoP: the DP calls batch_time O(n²m²) times,
-    # and the attribute/method hops of predict_sums dominated the fill.
-    # The expression below is predict_sums' own, same float-op order, so
-    # the table values are bit-identical.
-    coeffs: dict[int, tuple[float, float, float]] = {}
-    for sp, strategy in strategies.items():
-        fitted = predictor.coefficients(strategy)
-        coeffs[sp] = (fitted.alpha, fitted.beta, fitted.gamma)
+    if isinstance(predictor, AnalyticalModel):
+        # Hoisted (α, β, γ) per DoP: the DP calls batch_time O(n²m²)
+        # times, and the attribute/method hops of predict_sums dominated
+        # the fill.  The expression below is predict_sums' own, same
+        # float-op order, so the table values are bit-identical.
+        coeffs: dict[int, tuple[float, float, float]] = {}
+        for sp, strategy in strategies.items():
+            fitted = predictor.coefficients(strategy)
+            coeffs[sp] = (fitted.alpha, fitted.beta, fitted.gamma)
 
-    def batch_time(j: int, i: int, l: int, k: int) -> float:
-        """T(R[j+1..i], E[l+1..k]); inf when infeasible."""
-        abc = coeffs.get(k - l)
-        if abc is None:
-            return math.inf
-        if need[i] - need[j] > slots[k] - slots[l]:
-            return math.inf
-        total = length_sum[i] - length_sum[j]
-        total_sq = length_sq_sum[i] - length_sq_sum[j]
-        return abc[0] + abc[1] * total + abc[2] * total_sq
+        def batch_time(j: int, i: int, l: int, k: int) -> float:
+            """T(R[j+1..i], E[l+1..k]); inf when infeasible."""
+            abc = coeffs.get(k - l)
+            if abc is None:
+                return math.inf
+            if need[i] - need[j] > slots[k] - slots[l]:
+                return math.inf
+            total = length_sum[i] - length_sum[j]
+            total_sq = length_sq_sum[i] - length_sq_sum[j]
+            return abc[0] + abc[1] * total + abc[2] * total_sq
+
+    else:
+        # Any other predictor (e.g. a roofline oracle) has no coefficients
+        # to hoist; it prices each interval from the same sums.
+        def batch_time(j: int, i: int, l: int, k: int) -> float:
+            """T(R[j+1..i], E[l+1..k]); inf when infeasible."""
+            strategy = strategies.get(k - l)
+            if strategy is None or need[i] - need[j] > slots[k] - slots[l]:
+                return math.inf
+            return predictor.predict_sums(
+                strategy,
+                length_sum[i] - length_sum[j],
+                length_sq_sum[i] - length_sq_sum[j],
+            )
 
     # Small tables are solved exhaustively (exact and still fast); the
     # monotone pruning only engages where the O(n^2 m^2) cost would bite.

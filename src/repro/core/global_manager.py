@@ -102,6 +102,11 @@ class GlobalManager:
     ) -> SchedulePlan:
         """Run dispatching, allocation, batching, and scaling generation."""
         plan = SchedulePlan()
+        if not pending:
+            # Dispatching selects nothing from an empty queue, so a tick
+            # with nothing pending — most ticks of a decode-bound run —
+            # goes straight to step 4b.
+            return self._plan_scale_ups(plan, instances, pool, decode_batches)
         idle = [i for i, inst in instances.items() if inst.is_idle]
         free_slots = pool.free_map()
 
@@ -188,7 +193,16 @@ class GlobalManager:
                 plan.admitted.extend(planned.requests)
             plan.coopted_batches = list(dispatch.coopted_batches)
 
-        # Step 4b — decode scale-up for batches under pressure.
+        return self._plan_scale_ups(plan, instances, pool, decode_batches)
+
+    def _plan_scale_ups(
+        self,
+        plan: SchedulePlan,
+        instances: dict[int, ElasticInstance],
+        pool: UnifiedKVPool,
+        decode_batches: list[DecodeBatch],
+    ) -> SchedulePlan:
+        """Step 4b — decode scale-up for batches under pressure."""
         busy_prefill = {
             i for planned in plan.prefills for i in planned.task.group.instance_ids
         }

@@ -945,8 +945,9 @@ class LoongServeServer:
         masters = self._ensure_decode_memory(batch)
         if masters is None:
             return  # batch drained by preemption
+        contexts = batch.context_lens
         duration = self.cost_model.decode_time(
-            batch.context_lens,
+            contexts,
             batch.instance_ids,
             self.config.tensor_parallel,
             num_masters=len(masters),
@@ -959,9 +960,9 @@ class LoongServeServer:
             BatchStats(
                 iteration=len(self.iteration_stats),
                 phase=Phase.DECODE,
-                batch_size=batch.batch_size,
-                total_tokens=batch.total_context,
-                dop=batch.group.dop if batch.group else 1,
+                batch_size=len(contexts),
+                total_tokens=sum(contexts),
+                dop=batch.group.dop,
                 duration=duration,
                 start_time=self.sim.now,
             )
@@ -1102,24 +1103,25 @@ class LoongServeServer:
             self._adopt_orphans(batch)
             self._request_tick()
             return
+        pools = self.pool.pools
         for request in list(batch.requests):
             request.generated += 1
             self._generated_total += 1
             if request.generated >= request.output_len:
                 self._finish_request(request)
                 continue
+            # The most-free master (the first on ties), as
+            # pick_append_instance picks it.
+            target = max(masters, key=lambda i: pools[i].free)
+            if pools[target].free > 0:
+                self.pool.extend(request.request_id, target, 1)
+                continue
             # The capacity pre-check ran at iteration start; migrations may
             # have filled the masters since, so fall back to any group
             # instance with space, then to preemption.
-            candidates = [i for i in masters if self.pool.pools[i].free > 0]
-            if not candidates:
-                candidates = [
-                    i for i in batch.instance_ids if self.pool.pools[i].free > 0
-                ]
+            candidates = [i for i in batch.instance_ids if pools[i].free > 0]
             if not candidates and self._reclaim_cached(1, list(batch.instance_ids)):
-                candidates = [
-                    i for i in batch.instance_ids if self.pool.pools[i].free > 0
-                ]
+                candidates = [i for i in batch.instance_ids if pools[i].free > 0]
             if candidates:
                 target = pick_append_instance(tuple(candidates), self.pool)
                 self.pool.extend(request.request_id, target, 1)

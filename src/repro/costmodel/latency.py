@@ -121,11 +121,15 @@ class RooflineCostModel:
         # The dataclass is frozen but not slotted, so instance ``__dict__``
         # can hold derived state: one CollectiveModel for the lifetime of
         # the model (it used to be rebuilt on every property access, which
-        # dominated the planner's call counts) and a bounded memo for the
-        # prefill/decode entry points the scheduler hammers with repeating
-        # (lens, group) keys.
+        # dominated the planner's call counts), a bounded exact-key memo
+        # for prefill, which the planners re-price with repeating
+        # (lens, group) keys, and the context-independent decode terms per
+        # (batch size, group, TP, masters) shape — a decode price depends
+        # on the contexts only through their total, so decode needs no
+        # memo keyed on the contexts themselves.
         object.__setattr__(self, "_collectives", CollectiveModel(cluster=self.cluster))
         object.__setattr__(self, "_time_cache", {})
+        object.__setattr__(self, "_decode_shapes", {})
 
     @property
     def collectives(self) -> CollectiveModel:
@@ -266,41 +270,61 @@ class RooflineCostModel:
         ``num_masters`` master instances split the batch's linear layers
         (multi-master distributed decoding, §4.2); all ``sp`` instances
         share the attention over their local KV shards.
+
+        Contexts are ints, so each request's attention FLOPs and KV bytes
+        are exact ints, and their batch sums are a per-model constant
+        times ``Σ(context + 1)``: the price reads the contexts only
+        through their total.  Everything else is cached per (batch size,
+        group, TP, masters) shape, so an iteration costs one ``sum`` plus
+        a few float operations — the same ones, in the same order, as
+        pricing each request separately.  Unlike :meth:`prefill_time`'s
+        exact-key memo, nothing is keyed on the contexts, which change
+        every iteration.
         """
-        insts = self._resolve_instances(instances)
         if not context_lens:
             return 0.0
-        # Same exact-key memo as prefill_time — decode batches re-price
-        # the same (contexts, group, masters) key on every planning tick
-        # between iterations that change the contexts.
-        key = ("d", tuple(context_lens), tuple(insts), tensor_parallel, num_masters)
-        cache = self._time_cache
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+        bs = len(context_lens)
+        group = (
+            tuple(range(instances)) if isinstance(instances, int) else tuple(instances)
+        )
+        key = (bs, group, tensor_parallel, num_masters)
+        shape = self._decode_shapes.get(key)
+        if shape is None:
+            shape = self._decode_shape(bs, list(group), tensor_parallel, num_masters)
+            if len(self._decode_shapes) >= self._CACHE_MAX:
+                self._decode_shapes.clear()
+            self._decode_shapes[key] = shape
+        (attn_per_token, attn_scale, linear_compute, kv_per_token, kv_split,
+         bandwidth, weight_time, tp_comm, exchange, sync, seq_overhead) = shape
+
+        total = sum(context_lens) + bs  # Σ(context + 1), an exact int
+        attn_compute = attn_per_token * total / attn_scale
+        kv_time = (kv_per_token * total / kv_split) / bandwidth
+        roofline = max(linear_compute + attn_compute, weight_time + kv_time)
+        sp_comm = 0.0
+        if exchange is not None:
+            # Query exchange, overlapped with the local attention of
+            # mastered requests.
+            sp_comm = max(exchange * (1 - self.decode_overlap), exchange - attn_compute)
+            sp_comm += sync
+        return roofline + tp_comm + sp_comm + seq_overhead + self.iteration_overhead
+
+    def _decode_shape(
+        self, bs: int, insts: list[int], tp: int, num_masters: int
+    ) -> tuple:
+        """The context-independent terms of :meth:`decode_time`."""
         sp = max(1, len(insts))
-        tp = tensor_parallel
         masters = max(1, min(num_masters, sp))
         gpu = self.cluster.gpu
         m = self.model
-        bs = len(context_lens)
-
-        linear_flops = m.flops_per_token_linear() * bs
-        attn_flops = sum(m.attention_flops(1, c + 1) for c in context_lens)
 
         # Masters split linear work; attention splits across the group.
+        linear_flops = m.flops_per_token_linear() * bs
         linear_compute = linear_flops / (masters * tp * gpu.sustained_flops)
-        attn_compute = attn_flops / (sp * tp * gpu.sustained_flops)
 
         # Each master streams its full weight shard; KV reads split across
         # the group (token-granularity placement keeps shards balanced).
-        kv_bytes = sum(c + 1 for c in context_lens) * m.kv_bytes_per_token
         weight_time = (m.weight_bytes / tp) / gpu.sustained_bandwidth
-        kv_time = (kv_bytes / (sp * tp)) / gpu.sustained_bandwidth
-
-        compute_time = linear_compute + attn_compute
-        memory_time = weight_time + kv_time
-        roofline = max(compute_time, memory_time)
 
         # TP all-reduce on the decode activations (tiny but real).
         coll = self.collectives
@@ -309,23 +333,20 @@ class RooflineCostModel:
             m.num_layers * 2 * coll.tp_allreduce_time(act_bytes, tp) if tp > 1 else 0.0
         )
 
-        # Query exchange between masters and the rest of the group,
-        # overlapped with the local attention of mastered requests.
-        sp_comm = 0.0
+        # Query exchange between masters and the rest of the group.
+        exchange = None
         if sp > 1:
             query_bytes = bs * m.hidden_size * m.dtype_bytes * (sp - 1) / sp
             result_bytes = query_bytes  # partial attention outputs + stats
             per_layer = coll.query_exchange_time(query_bytes, result_bytes, insts, tp)
-            sp_comm = m.num_layers * per_layer
-            sp_comm = max(sp_comm * (1 - self.decode_overlap), sp_comm - attn_compute)
-            sp_comm += m.num_layers * self.layer_sync_overhead
+            exchange = m.num_layers * per_layer
 
-        seq_overhead = self.per_seq_overhead * bs / masters
-        value = roofline + tp_comm + sp_comm + seq_overhead + self.iteration_overhead
-        if len(cache) >= self._CACHE_MAX:
-            cache.clear()
-        cache[key] = value
-        return value
+        return (
+            m.attention_flops(1, 1), sp * tp * gpu.sustained_flops, linear_compute,
+            m.kv_bytes_per_token, sp * tp, gpu.sustained_bandwidth, weight_time,
+            tp_comm, exchange, m.num_layers * self.layer_sync_overhead,
+            self.per_seq_overhead * bs / masters,
+        )
 
     # -- auxiliary costs ---------------------------------------------------
 

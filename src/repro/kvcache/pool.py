@@ -39,7 +39,7 @@ class InstancePool:
 
     @property
     def free(self) -> int:
-        return self.capacity - self.used
+        return self.capacity - self._used
 
     @property
     def requests(self) -> list[int]:

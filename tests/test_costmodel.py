@@ -126,6 +126,117 @@ class TestDecodeRoofline:
         assert cm.decode_time([500] * (bs + 1), 2, 2) > cm.decode_time([500] * bs, 2, 2)
 
 
+def reference_decode_time(cm, context_lens, instances, tensor_parallel, num_masters=1):
+    """The per-request decode price (``decode_time`` before it priced from
+    the context total), kept as the exact reference."""
+    insts = list(range(instances)) if isinstance(instances, int) else list(instances)
+    if not context_lens:
+        return 0.0
+    sp = max(1, len(insts))
+    tp = tensor_parallel
+    masters = max(1, min(num_masters, sp))
+    gpu = cm.cluster.gpu
+    m = cm.model
+    bs = len(context_lens)
+
+    linear_flops = m.flops_per_token_linear() * bs
+    attn_flops = sum(m.attention_flops(1, c + 1) for c in context_lens)
+    linear_compute = linear_flops / (masters * tp * gpu.sustained_flops)
+    attn_compute = attn_flops / (sp * tp * gpu.sustained_flops)
+
+    kv_bytes = sum(c + 1 for c in context_lens) * m.kv_bytes_per_token
+    weight_time = (m.weight_bytes / tp) / gpu.sustained_bandwidth
+    kv_time = (kv_bytes / (sp * tp)) / gpu.sustained_bandwidth
+    roofline = max(linear_compute + attn_compute, weight_time + kv_time)
+
+    coll = cm.collectives
+    act_bytes = bs / masters * m.hidden_size * m.dtype_bytes
+    tp_comm = m.num_layers * 2 * coll.tp_allreduce_time(act_bytes, tp) if tp > 1 else 0.0
+
+    sp_comm = 0.0
+    if sp > 1:
+        query_bytes = bs * m.hidden_size * m.dtype_bytes * (sp - 1) / sp
+        per_layer = coll.query_exchange_time(query_bytes, query_bytes, insts, tp)
+        sp_comm = m.num_layers * per_layer
+        sp_comm = max(sp_comm * (1 - cm.decode_overlap), sp_comm - attn_compute)
+        sp_comm += m.num_layers * cm.layer_sync_overhead
+
+    seq_overhead = cm.per_seq_overhead * bs / masters
+    return roofline + tp_comm + sp_comm + seq_overhead + cm.iteration_overhead
+
+
+@st.composite
+def decode_shapes(draw):
+    """Contexts, a group of 1-8 instances (on a 32-GPU, 4-node cluster,
+    so groups may span nodes), TP, and masters 1..sp."""
+    tp = draw(st.sampled_from([1, 2, 4]))
+    num_instances = 32 // tp
+    group = draw(
+        st.lists(st.integers(0, num_instances - 1), min_size=1, max_size=8, unique=True)
+    )
+    contexts = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=64))
+    masters = draw(st.integers(1, len(group)))
+    return contexts, sorted(group), tp, masters
+
+
+class TestDecodePricing:
+    """``decode_time`` prices from the context total with per-shape cached
+    terms; it must equal the per-request formula to the last bit."""
+
+    @pytest.fixture(scope="class")
+    def cm32(self) -> RooflineCostModel:
+        return RooflineCostModel(
+            cluster=Cluster.homogeneous(num_gpus=32, gpus_per_node=8), model=LWM_7B_1M
+        )
+
+    @given(shape=decode_shapes())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_request_reference(self, cm32, shape):
+        contexts, group, tp, masters = shape
+        expected = reference_decode_time(cm32, contexts, group, tp, masters)
+        for instances in (group, tuple(group)):
+            priced = cm32.decode_time(contexts, instances, tp, num_masters=masters)
+            assert priced == expected
+
+    def test_cross_node_group_matches_reference(self, cm32):
+        """A group spanning nodes exchanges queries over InfiniBand."""
+        for group in ([0, 1], [3, 4]):  # TP 2: four instances per node
+            contexts = [123_456, 7, 999_999]
+            assert cm32.decode_time(contexts, group, 2, num_masters=2) == (
+                reference_decode_time(cm32, contexts, group, 2, 2)
+            )
+        nvlink = cm32.decode_time([500] * 4, [0, 1], 2)
+        assert nvlink < cm32.decode_time([500] * 4, [3, 4], 2)
+
+    def test_int_instances_match_reference(self, cm32):
+        for sp in (1, 2, 4, 8):
+            contexts = [10_000 * sp + i for i in range(sp + 3)]
+            assert cm32.decode_time(contexts, sp, 2, num_masters=sp) == (
+                reference_decode_time(cm32, contexts, sp, 2, sp)
+            )
+
+    def test_repricing_a_shape_after_others_is_unchanged(self):
+        """Shapes that differ in one key field each (batch size, TP,
+        masters, a same-size group over other links) must not share a
+        cache entry, and contexts must never be served from one."""
+        cm = RooflineCostModel(cluster=Cluster.homogeneous(num_gpus=32), model=LWM_7B_1M)
+        shapes = [
+            ([4_096, 77], [0, 1, 2], 2, 2), ([4_096, 77], [0, 1, 2], 2, 1),
+            ([4_096, 77, 5], [0, 1, 2], 2, 2), ([4_096, 77], [2, 3, 4], 2, 2),
+            ([4_096, 77], [0, 1, 2], 4, 2), ([4_096, 77], [0, 1, 2], 1, 2),
+            ([900_000, 1], [0, 1, 2], 2, 2), ([1_000] * 64, list(range(8)), 4, 8),
+        ]
+        expected = [reference_decode_time(cm, *shape) for shape in shapes]
+        assert len(set(expected)) == len(expected)
+        first = [cm.decode_time(c, g, tp, num_masters=m) for c, g, tp, m in shapes]
+        assert first == expected
+        # Re-price in reverse, after every other shape is cached.
+        again = [
+            cm.decode_time(c, g, tp, num_masters=m) for c, g, tp, m in reversed(shapes)
+        ]
+        assert again[::-1] == expected
+
+
 class TestFusedIteration:
     def test_pure_prefill_equals_prefill(self, cm):
         fused = cm.fused_iteration_time([(5_000, 0)], [], [0, 1], 2)

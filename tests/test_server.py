@@ -1,11 +1,15 @@
 """Integration tests for the LoongServe serving loop."""
 
+import hashlib
+
 import pytest
 
 from repro.config import SchedulerConfig, default_config
+from repro.core.batch import DecodeBatch, next_batch_id
 from repro.core.server import LoongServeServer
+from repro.parallel.groups import ParallelGroup
 from repro.types import Phase, RequestState
-from repro.workloads.datasets import LEVAL, SHAREGPT
+from repro.workloads.datasets import LEVAL, MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
 from tests.conftest import make_request
 
@@ -88,6 +92,52 @@ class TestMemoryManagement:
         request = make_request(input_len=100, output_len=50)
         server.run([request])
         assert request.generated == 50
+
+    def test_tokens_land_on_the_first_most_free_master(self):
+        """A decode iteration appends each token where
+        ``pick_append_instance`` would: the master with the most free
+        slots, the first one on ties."""
+        config = default_config()
+        server = LoongServeServer(config)
+        requests = [make_request(input_len=100, output_len=10) for _ in range(3)]
+        for request in requests:
+            server.pool.place(request.request_id, {0: request.input_len})
+        batch = DecodeBatch(
+            batch_id=next_batch_id(),
+            requests=list(requests),
+            group=ParallelGroup((0, 1, 2), tensor_parallel=config.tensor_parallel),
+        )
+        server._on_decode_done(batch, (1, 2))
+        # Masters 1 and 2 start tied: the first token goes to 1, the
+        # second to the now freer 2, the third to 1 on the renewed tie.
+        landed = [server.pool.placement_of(r.request_id) for r in requests]
+        assert landed == [{0: 100, 1: 1}, {0: 100, 2: 1}, {0: 100, 1: 1}]
+
+    def test_full_masters_fall_back_to_the_group_then_preempt(self):
+        """With every master full a token goes to the most-free group
+        instance with room; with the whole group full it is preempted."""
+        config = default_config()
+        server = LoongServeServer(config)
+        server.pool.place(make_request().request_id, {1: config.kv_slots_per_instance})
+        spill, stuck = make_request(output_len=10), make_request(output_len=10)
+        server.pool.place(spill.request_id, {0: 100})
+        server.pool.place(stuck.request_id, {0: 100})
+
+        def decode_once(request, group):
+            batch = DecodeBatch(
+                batch_id=next_batch_id(),
+                requests=[request],
+                group=ParallelGroup(group, tensor_parallel=config.tensor_parallel),
+            )
+            server._on_decode_done(batch, (1,))
+
+        decode_once(spill, (0, 1, 2))
+        assert server.pool.placement_of(spill.request_id) == {0: 100, 2: 1}
+        decode_once(stuck, (1,))
+        assert stuck.state == RequestState.PREEMPTED
+        assert stuck.generated == 0
+        assert server.pending == [stuck]
+        assert server.pool.tokens_of(stuck.request_id) == 0
 
 
 class TestElasticity:
@@ -225,3 +275,42 @@ class TestSchedulerConfigKnobs:
         trace = make_trace(SHAREGPT, rate=10.0, num_requests=30, seed=12)
         result = server.run(trace)
         assert len(result.finished_requests) == 30
+
+
+class TestIterationGolden:
+    """Per-iteration golden gate.  The per-request timeline gates miss an
+    iteration that changes shape without moving a finish time; this one
+    hashes every iteration (phase, batch size, tokens, DoP, duration,
+    start) and every scaling event.  Only update the hashes for an
+    *intentional* scheduling or pricing change."""
+
+    @staticmethod
+    def _digest(server):
+        stats = [
+            (s.phase.value, s.batch_size, s.total_tokens, s.dop,
+             round(s.duration, 9), round(s.start_time, 9))
+            for s in server.iteration_stats
+        ]
+        events = [
+            (round(e.time, 9), e.kind, e.group_before, e.group_after, e.batch_size)
+            for e in server.scaling_events
+        ]
+        return hashlib.md5(repr((stats, events)).encode()).hexdigest()
+
+    def test_iterations_and_scaling_events_are_bit_identical(self):
+        # Mixed preempts (the decode append fallback), ShareGPT scales up.
+        expected = {
+            (MIXED, 8.0, 120): "25670fcea1f94455369b16d6e06c0b78",
+            (SHAREGPT, 40.0, 400): "9b78a758ecf25542d0aca12776735488",
+        }
+        preemptions = scale_ups = 0
+        for (dataset, rate, count), digest in expected.items():
+            trace = make_trace(dataset, rate=rate, num_requests=count, seed=7)
+            server = LoongServeServer(default_config())
+            result = server.run(trace)
+            assert len(result.finished_requests) == count
+            assert self._digest(server) == digest, dataset.name
+            preemptions += sum(r.preemptions for r in trace)
+            scale_ups += sum(e.kind == "scale_up" for e in server.scaling_events)
+        assert preemptions >= 1
+        assert scale_ups >= 1
