@@ -203,17 +203,21 @@ class GlobalManager:
         decode_batches: list[DecodeBatch],
     ) -> SchedulePlan:
         """Step 4b — decode scale-up for batches under pressure."""
-        busy_prefill = {
-            i for planned in plan.prefills for i in planned.task.group.instance_ids
-        }
-        idle_after = [
-            i
-            for i, inst in instances.items()
-            if inst.is_idle and i not in busy_prefill
-        ]
+        idle_after = None  # built at the first batch that may scale up
         for batch in decode_batches:
             if batch.running or batch in plan.coopted_batches or not batch.requests:
                 continue
+            if idle_after is None:
+                busy_prefill = {
+                    i
+                    for planned in plan.prefills
+                    for i in planned.task.group.instance_ids
+                }
+                idle_after = [
+                    i
+                    for i, inst in instances.items()
+                    if inst.is_idle and i not in busy_prefill
+                ]
             decision = plan_scale_up(batch, idle_after, pool, self.config.scheduler)
             if decision is not None:
                 plan.scale_ups.append((batch, decision))

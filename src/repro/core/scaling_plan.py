@@ -166,11 +166,16 @@ def assign_masters(
     """
     if not group_instances:
         raise ValueError("cannot assign masters to an empty group")
-    ranked = sorted(group_instances, key=lambda i: -pool.pools[i].free)
+    if len(group_instances) == 1:
+        return tuple(group_instances)  # the only instance masters every token
+    pools = pool.pools
+    free = {i: pools[i].free for i in group_instances}
+    # Most free first; a stable sort keeps group order on ties.
+    ranked = sorted(group_instances, key=free.__getitem__, reverse=True)
     if not config.enable_multi_master:
         return (ranked[0],)
     share = max(1, -(-batch_size // len(group_instances)))
-    masters = tuple(i for i in ranked if pool.pools[i].free >= share)
+    masters = tuple(i for i in ranked if free[i] >= share)
     return masters or (ranked[0],)
 
 

@@ -19,6 +19,7 @@ from repro.core.scaling_plan import assign_masters, pick_append_instance
 from repro.costmodel.latency import RooflineCostModel
 from repro.kvcache.unified import UnifiedKVPool
 from repro.metrics.qos import QoSLedger
+from repro.parallel.groups import ParallelGroup
 from repro.qos.classes import resolve_qos_class
 from repro.qos.policy import QoSPolicy
 from repro.sessions.prefix_cache import PrefixKVCache
@@ -169,6 +170,9 @@ class LoongServeServer:
         ``max_events`` bounds the number of simulator events processed —
         benchmarks use it to time a fixed-work prefix of a large trace;
         the partial result still reports whatever finished by the cut.
+        A scheduler tick that a quiet replica runs inline at the end of
+        a decode iteration (see :meth:`_on_decode_done`) is part of that
+        iteration's event, not an event of its own.
         """
         self._reset()
         self._all_requests = list(requests)
@@ -424,7 +428,7 @@ class LoongServeServer:
         self._tick_pending = False
         self._drop_impossible_requests()
         self._match_prefixes()
-        if self.qos is not None:
+        if self.qos is not None and self.pending:
             # QoS pipeline: price and admit new arrivals (prefix matches
             # just ran, so the admission bias sees hot prefixes), preempt
             # batch-tier decodes for at-risk top-tier prefills, then
@@ -434,14 +438,21 @@ class LoongServeServer:
             self._qos_preempt_for_deadlines()
             now = self.sim.now
             self.pending.sort(key=lambda r: self.qos.dispatch_key(r, now))
-        prefilling = list(self._prefilling.values())
+        if self.pending:
+            # Only dispatching reads these; an empty queue goes straight
+            # to decode scale-up.
+            avg_decode_latency = self._avg_decode_latency()
+            prefilling = list(self._prefilling.values())
+        else:
+            avg_decode_latency = 0.0
+            prefilling = ()
         plan = self.manager.schedule(
             now=self.sim.now,
             pending=self.pending,
             instances=self.instances,
             pool=self.pool,
             decode_batches=self.decode_batches,
-            avg_decode_latency=self._avg_decode_latency(),
+            avg_decode_latency=avg_decode_latency,
             prefilling_requests=prefilling,
         )
         self._enact(plan)
@@ -653,7 +664,7 @@ class LoongServeServer:
         KV demand fits the pool — the cache only ever occupies memory no
         live request wants.
         """
-        if self.prefix_cache is None:
+        if self.prefix_cache is None or not self.pending:
             return
         for request in self.pending:
             request.cached_prefix_len = self.prefix_cache.match_and_lock(
@@ -893,9 +904,7 @@ class LoongServeServer:
             if self.instances[instance_id].role != InstanceRole.PREFILL:
                 self.instances[instance_id].assign(InstanceRole.DECODE, batch.batch_id)
 
-    def _make_group(self, instance_ids: tuple[int, ...]):
-        from repro.parallel.groups import ParallelGroup
-
+    def _make_group(self, instance_ids: tuple[int, ...]) -> ParallelGroup:
         return ParallelGroup(
             instance_ids=instance_ids, tensor_parallel=self.config.tensor_parallel
         )
@@ -928,13 +937,15 @@ class LoongServeServer:
     def _start_decode_iterations(self) -> None:
         if self._fluid is not None and self._fluid.try_window():
             return  # fluid window scheduled (or holding for quiescence)
+        # Only a running prefill task holds instances in the PREFILL role.
+        prefilling = bool(self._prefilling)
         for batch in list(self.decode_batches):
             if batch.running or batch.group is None:
                 continue
             if not batch.requests:
                 self._remove_batch(batch)
                 continue
-            if any(
+            if prefilling and any(
                 self.instances[i].role == InstanceRole.PREFILL
                 for i in batch.instance_ids
             ):
@@ -967,9 +978,10 @@ class LoongServeServer:
                 start_time=self.sim.now,
             )
         )
+        group = batch.group
         self.sim.call_after(
             duration,
-            self._guarded(lambda: self._on_decode_done(batch, masters)),
+            self._guarded(lambda: self._on_decode_done(batch, masters, group)),
             label="decode_done",
         )
 
@@ -1087,16 +1099,24 @@ class LoongServeServer:
                 request.request_id, "preempted", now, replica=self.obs_replica
             )
 
-    def _on_decode_done(self, batch: DecodeBatch, masters: tuple[int, ...]) -> None:
+    def _on_decode_done(
+        self,
+        batch: DecodeBatch,
+        masters: tuple[int, ...],
+        group: ParallelGroup | None,
+    ) -> None:
+        """Credit one decode iteration; ``group`` is the batch's parallel
+        group when the iteration started."""
         now = self.sim.now
-        # The group may have been shrunk mid-iteration by the allocation
-        # step; appends must land on instances the batch still owns.
-        masters = tuple(i for i in masters if i in batch.instance_ids)
-        if not masters and batch.instance_ids:
-            masters = assign_masters(
-                batch.instance_ids, self.pool, batch.batch_size,
-                self.config.scheduler,
-            )
+        if batch.group is not group:
+            # The allocation step shrank the group mid-iteration; appends
+            # must land on instances the batch still owns.
+            masters = tuple(i for i in masters if i in batch.instance_ids)
+            if not masters and batch.instance_ids:
+                masters = assign_masters(
+                    batch.instance_ids, self.pool, batch.batch_size,
+                    self.config.scheduler,
+                )
         if not masters:
             # Batch lost every instance; orphans are re-homed by the tick.
             batch.running = False
@@ -1133,7 +1153,25 @@ class LoongServeServer:
         batch.running = False
         if not batch.requests:
             self._remove_batch(batch)
-        self._request_tick()
+        if self._can_tick_inline(now):
+            self._tick()
+        else:
+            self._request_tick()
+
+    def _can_tick_inline(self, now: float) -> bool:
+        """True when a tick queued now would be the very next event.
+
+        The replica must be quiet — nothing pending, unvetted or
+        prefilling, and no tick already queued — and no live event on
+        any calendar may be due at ``now``, since one due now could run
+        before the queued tick.  Other replicas' events count too, so
+        sharded and unsharded fleets decide alike.  Running the tick
+        inline is then the same program with one event fewer.
+        """
+        if self._tick_pending or self.pending or self._unvetted or self._prefilling:
+            return False
+        horizon = self.sim.next_global_event_time()
+        return horizon is None or horizon > now
 
     def _finish_request(self, request: Request) -> None:
         request.state = RequestState.FINISHED

@@ -82,6 +82,11 @@ class Simulator:
                 best = t
         return best
 
+    # The simulator's horizon is already global; :class:`ShardClock`
+    # answers the same question for a replica on a shard, so callers
+    # that must see every calendar never probe which clock they hold.
+    next_global_event_time = next_event_time
+
     # ------------------------------------------------------------------
     # Sharded calendars
     # ------------------------------------------------------------------
@@ -312,12 +317,15 @@ class ShardClock:
 
     Quacks like the simulator for the APIs a replica server uses
     (``now`` / ``call_at`` / ``call_after`` / ``stop`` /
-    ``events_processed`` / ``next_event_time``), but schedules onto its
-    own calendar.  :meth:`next_event_time` is the replica-local horizon:
-    the minimum of this shard's head and shard 0's — sound for fluid
-    windows because anything another replica does can only reach this
-    one through a control-plane (shard 0) event, and it automatically
-    bounds windows by the next control tick.
+    ``events_processed`` / ``next_event_time`` /
+    ``next_global_event_time``), but schedules onto its own calendar.
+    :meth:`next_event_time` is the replica-local horizon: the minimum of
+    this shard's head and shard 0's — sound for fluid windows because
+    anything another replica does can only reach this one through a
+    control-plane (shard 0) event, and it automatically bounds windows
+    by the next control tick.  :meth:`next_global_event_time` is the
+    whole simulator's horizon, for decisions that must match the
+    unsharded layout event for event.
     """
 
     __slots__ = ("_sim", "shard_id", "_queue")
@@ -344,6 +352,10 @@ class ShardClock:
         if control is None or own <= control:
             return own
         return control
+
+    def next_global_event_time(self) -> float | None:
+        """The next live event on any shard (:meth:`Simulator.next_event_time`)."""
+        return self._sim.next_event_time()
 
     def call_at(
         self,

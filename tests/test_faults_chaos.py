@@ -14,17 +14,24 @@ must hold under *any* schedule:
   cache) — KV loss and failover leak no slots.
 * **Ledger coherence**: the flight recorder's crash count matches the
   injector's, and the capacity timeline never leaves [0, fleet size].
+* **Prefill roles are tracked**: between any two events, no instance
+  holds the PREFILL role while its server has no request prefilling —
+  the decode loop skips the co-opted-instance scan on that basis.
 
 The ``CI=1`` profile (tests/conftest.py) derandomizes all of this for
 bit-reproducible CI runs.
 """
 
+from contextlib import contextmanager
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.elastic_instance import InstanceRole
 from repro.experiments.systems import make_fleet
 from repro.fleet import FaultPlan, ReplicaFault
 from repro.sessions import make_session_trace
+from repro.sim.events import EventQueue
 from repro.workloads.datasets import SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
 
@@ -88,6 +95,35 @@ def assert_fault_invariants(trace, fleet, result) -> None:
         assert elastic.failovers >= 0
 
 
+def assert_prefill_roles_tracked(fleet) -> None:
+    """No instance holds the PREFILL role unless a prefill is running."""
+    for handle in fleet.replicas:
+        server = handle.server
+        if not server._prefilling:
+            assert all(
+                instance.role is not InstanceRole.PREFILL
+                for instance in server.instances.values()
+            ), f"replica {handle.replica_id}: PREFILL role with nothing prefilling"
+
+
+@contextmanager
+def checked_between_events(check):
+    """Run ``check()`` before every event pop (so after every event) and
+    once more when the run ends."""
+    pop = EventQueue.pop
+
+    def checked_pop(queue):
+        check()
+        return pop(queue)
+
+    EventQueue.pop = checked_pop
+    try:
+        yield
+    finally:
+        EventQueue.pop = pop
+    check()
+
+
 class TestChaosInvariants:
     @given(specs=fault_specs)
     @settings(max_examples=12, deadline=None)
@@ -99,7 +135,8 @@ class TestChaosInvariants:
             "loongserve", replicas=MIXED_FLEET_REPLICAS, router="round-robin",
             requests=MIXED_TRACE, num_gpus=4, steal=True, faults=plan,
         )
-        result = fleet.run(clone_requests(MIXED_TRACE))
+        with checked_between_events(lambda: assert_prefill_roles_tracked(fleet)):
+            result = fleet.run(clone_requests(MIXED_TRACE))
         assert_fault_invariants(MIXED_TRACE, fleet, result)
 
     @given(seed=st.integers(min_value=0, max_value=2**20))
@@ -118,7 +155,8 @@ class TestChaosInvariants:
             autoscale=True, steal=True, migrate_kv=True,
             faults=plan if plan else None,
         )
-        result = fleet.run(clone_requests(SESSION_TRACE))
+        with checked_between_events(lambda: assert_prefill_roles_tracked(fleet)):
+            result = fleet.run(clone_requests(SESSION_TRACE))
         if plan:
             assert_fault_invariants(SESSION_TRACE, fleet, result)
         else:

@@ -107,7 +107,7 @@ class TestMemoryManagement:
             requests=list(requests),
             group=ParallelGroup((0, 1, 2), tensor_parallel=config.tensor_parallel),
         )
-        server._on_decode_done(batch, (1, 2))
+        server._on_decode_done(batch, (1, 2), batch.group)
         # Masters 1 and 2 start tied: the first token goes to 1, the
         # second to the now freer 2, the third to 1 on the renewed tie.
         landed = [server.pool.placement_of(r.request_id) for r in requests]
@@ -129,7 +129,7 @@ class TestMemoryManagement:
                 requests=[request],
                 group=ParallelGroup(group, tensor_parallel=config.tensor_parallel),
             )
-            server._on_decode_done(batch, (1,))
+            server._on_decode_done(batch, (1,), batch.group)
 
         decode_once(spill, (0, 1, 2))
         assert server.pool.placement_of(spill.request_id) == {0: 100, 2: 1}
@@ -299,17 +299,20 @@ class TestIterationGolden:
 
     def test_iterations_and_scaling_events_are_bit_identical(self):
         # Mixed preempts (the decode append fallback), ShareGPT scales up.
+        # The event counts pin which scheduler ticks run inline at the end
+        # of a decode iteration rather than as events of their own.
         expected = {
-            (MIXED, 8.0, 120): "25670fcea1f94455369b16d6e06c0b78",
-            (SHAREGPT, 40.0, 400): "9b78a758ecf25542d0aca12776735488",
+            (MIXED, 8.0, 120): ("25670fcea1f94455369b16d6e06c0b78", 17_977),
+            (SHAREGPT, 40.0, 400): ("9b78a758ecf25542d0aca12776735488", 5_931),
         }
         preemptions = scale_ups = 0
-        for (dataset, rate, count), digest in expected.items():
+        for (dataset, rate, count), (digest, events) in expected.items():
             trace = make_trace(dataset, rate=rate, num_requests=count, seed=7)
             server = LoongServeServer(default_config())
             result = server.run(trace)
             assert len(result.finished_requests) == count
             assert self._digest(server) == digest, dataset.name
+            assert server.sim.events_processed == events, dataset.name
             preemptions += sum(r.preemptions for r in trace)
             scale_ups += sum(e.kind == "scale_up" for e in server.scaling_events)
         assert preemptions >= 1

@@ -128,6 +128,9 @@ class TestHybridTolerance:
         assert h_tokens == d_tokens
         assert abs(hybrid.makespan - discrete.makespan) <= 0.02 * discrete.makespan
         assert hs.sim.events_processed <= ds.sim.events_processed / 5
+        # The same bound in simulated work: every discrete iteration ends
+        # in an event, so this form is never looser.
+        assert hs.sim.events_processed <= len(discrete.iteration_stats) / 5
         assert hs._fluid.windows > 0
 
     def test_mixed_trace_within_tolerance(self):
@@ -238,6 +241,7 @@ class TestFluidWindows:
         # runs fewer, larger batches than the discrete reference.)
         assert stepper.iterations_absorbed >= 0.5 * ds.sim.events_processed
         assert ds.sim.events_processed >= 5 * hs.sim.events_processed
+        assert len(ds.iteration_stats) >= 5 * hs.sim.events_processed
 
     def test_kv_fully_released_after_hybrid_run(self):
         trace = _steady_trace(num_requests=300)

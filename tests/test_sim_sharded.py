@@ -64,6 +64,19 @@ class TestShardClock:
         assert clock_b.next_event_time() == 1.0
         assert sim.next_event_time() == 1.0
 
+    def test_next_global_event_time_sees_every_shard(self):
+        sim = Simulator()
+        clock_a = sim.create_shard()
+        clock_b = sim.create_shard()
+        sim.call_at(5.0, lambda: None)
+        clock_a.call_at(3.0, lambda: None)
+        first = clock_b.call_at(1.0, lambda: None)
+        for clock in (sim, clock_a, clock_b):
+            assert clock.next_global_event_time() == 1.0
+        first.cancel()  # a dead global head falls through to the live one
+        for clock in (sim, clock_a, clock_b):
+            assert clock.next_global_event_time() == 3.0
+
     def test_stop_from_a_shard_action_halts_the_run(self):
         sim = Simulator()
         clock = sim.create_shard()
@@ -197,7 +210,8 @@ def _replay(program, shards: int):
         clock = clocks[target % len(clocks)]
 
         def action():
-            log.append((index, sim.now))
+            # The horizon every layout must agree on, read mid-action.
+            log.append((index, sim.now, clock.next_global_event_time()))
             for child in range(children):
                 child_clock = clocks[(target + child + 1) % len(clocks)]
                 child_clock.call_after(
