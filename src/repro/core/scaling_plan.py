@@ -121,6 +121,30 @@ class ScaleUpDecision:
     reason: str  # "memory" | "compute"
 
 
+def scale_up_reason(
+    batch: DecodeBatch,
+    idle_instances: list[int],
+    group_free: int,
+    config: SchedulerConfig,
+) -> str | None:
+    """Step 4b's trigger: why the batch would scale up, or None.
+
+    ``"memory"`` when the group's ``group_free`` slots cover fewer than
+    :data:`DECODE_HEADROOM_ITERATIONS` iterations of KV growth,
+    ``"compute"`` when the batch reaches the compute-bound size — and
+    either only while an idle instance exists to join.  Firing at some
+    ``group_free``, it fires at every smaller one.  The server's decode
+    windows stop where this fires, so it is the one definition.
+    """
+    if not config.enable_scale_up or not idle_instances or batch.group is None:
+        return None
+    if group_free < DECODE_HEADROOM_ITERATIONS * max(1, batch.tokens_per_iteration()):
+        return "memory"
+    if batch.batch_size >= config.decode_compute_bound_bs:
+        return "compute"
+    return None
+
+
 def plan_scale_up(
     batch: DecodeBatch,
     idle_instances: list[int],
@@ -128,25 +152,20 @@ def plan_scale_up(
     config: SchedulerConfig,
 ) -> ScaleUpDecision | None:
     """Decide whether (and how far) to scale a decode batch up."""
-    if not config.enable_scale_up or not idle_instances or batch.group is None:
-        return None
-
     group_free = sum(pool.pools[i].free for i in batch.instance_ids)
-    per_iteration = max(1, batch.tokens_per_iteration())
-    memory_pressure = group_free < DECODE_HEADROOM_ITERATIONS * per_iteration
-    compute_pressure = batch.batch_size >= config.decode_compute_bound_bs
-
-    if not memory_pressure and not compute_pressure:
+    reason = scale_up_reason(batch, idle_instances, group_free, config)
+    if reason is None:
         return None
 
     candidates = sorted(idle_instances, key=lambda i: -pool.pools[i].free)
-    if memory_pressure:
+    if reason == "memory":
+        target = 2 * DECODE_HEADROOM_ITERATIONS * max(1, batch.tokens_per_iteration())
         added: list[int] = []
         capacity = group_free
         for instance_id in candidates:
             added.append(instance_id)
             capacity += pool.pools[instance_id].free
-            if capacity >= 2 * DECODE_HEADROOM_ITERATIONS * per_iteration:
+            if capacity >= target:
                 break
         return ScaleUpDecision(add_instances=tuple(added), reason="memory")
     return ScaleUpDecision(add_instances=(candidates[0],), reason="compute")

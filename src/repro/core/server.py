@@ -11,11 +11,18 @@ out of memory (the same last-resort rule vLLM uses).
 
 from __future__ import annotations
 
+import heapq
+import math
+
 from repro.config import SystemConfig
 from repro.core.batch import DecodeBatch, next_batch_id
 from repro.core.elastic_instance import ElasticInstance, InstanceRole
 from repro.core.global_manager import GlobalManager, PlannedPrefill, SchedulePlan
-from repro.core.scaling_plan import assign_masters, pick_append_instance
+from repro.core.scaling_plan import (
+    assign_masters,
+    pick_append_instance,
+    scale_up_reason,
+)
 from repro.costmodel.latency import RooflineCostModel
 from repro.kvcache.unified import UnifiedKVPool
 from repro.metrics.qos import QoSLedger
@@ -100,6 +107,18 @@ class LoongServeServer:
         self._decode_latency_sum = 0.0
         self._decode_latency_count = 0
         self._tick_pending = False
+        # The decode calendar: one (end, seq, batch, masters, group)
+        # entry per in-flight decode iteration, keyed exactly as its
+        # calendar event would be (``seq`` drawn from the simulator's
+        # counter when the iteration starts).  Only the head is posted
+        # on the simulator calendar, once; ``_posted_ends`` holds the
+        # seqs already posted there (see _on_decode_wake).
+        self._decode_ends: list[tuple] = []
+        self._posted_ends: set[int] = set()
+        self._in_wake = False
+        # The last full scheduler tick enacted nothing: a precondition
+        # of the quiet fast path (_run_quiet_stretch).
+        self._quiet = False
         self._all_requests: list[Request] = []
         # Exact running sum of ``generated`` over ``_all_requests``,
         # maintained at every token-credit site so telemetry samplers
@@ -167,12 +186,15 @@ class LoongServeServer:
     ) -> ServeResult:
         """Serve a trace to completion and return per-request outcomes.
 
-        ``max_events`` bounds the number of simulator events processed —
-        benchmarks use it to time a fixed-work prefix of a large trace;
+        ``max_events`` bounds the number of simulator events processed;
         the partial result still reports whatever finished by the cut.
-        A scheduler tick that a quiet replica runs inline at the end of
-        a decode iteration (see :meth:`_on_decode_done`) is part of that
-        iteration's event, not an event of its own.
+        An event is not a unit of work: one may carry many decode
+        iterations.  A scheduler tick that runs inline at the end of a
+        decode iteration (see :meth:`_can_tick_inline`) belongs to that
+        iteration, and a decode wake runs every in-flight iteration end
+        of this replica that is due before any other event (see
+        :meth:`_on_decode_wake`).  To time a fixed amount of work, bound
+        the trace, not the events.
         """
         self._reset()
         self._all_requests = list(requests)
@@ -331,6 +353,10 @@ class LoongServeServer:
         self._epoch += 1
         self._tick_pending = False
         self._prefilling.clear()
+        # In-flight iterations die with the instances; their posted
+        # wakes die with the epoch.
+        self._decode_ends.clear()
+        self._posted_ends.clear()
         config = self.config
         self.pool = UnifiedKVPool.create(
             num_instances=config.num_instances,
@@ -455,6 +481,7 @@ class LoongServeServer:
             avg_decode_latency=avg_decode_latency,
             prefilling_requests=prefilling,
         )
+        self._quiet = plan.is_empty
         self._enact(plan)
         self._start_decode_iterations()
 
@@ -978,12 +1005,193 @@ class LoongServeServer:
                 start_time=self.sim.now,
             )
         )
-        group = batch.group
-        self.sim.call_after(
-            duration,
-            self._guarded(lambda: self._on_decode_done(batch, masters, group)),
-            label="decode_done",
+        self._schedule_decode_end(
+            self.sim.now + duration, batch, masters, batch.group
         )
+
+    def _schedule_decode_end(
+        self,
+        end: float,
+        batch: DecodeBatch,
+        masters: tuple[int, ...],
+        group: ParallelGroup,
+    ) -> None:
+        """Enter an in-flight iteration on the decode calendar.
+
+        Its seq is drawn now, where a calendar event would draw it, so
+        it orders exactly as that event.  Outside a wake a new head is
+        posted at once; inside one the wake posts its final head.
+        """
+        seq = self.sim.next_seq()
+        ends = self._decode_ends
+        heapq.heappush(ends, (end, seq, batch, masters, group))
+        if not self._in_wake and ends[0][1] == seq:
+            self._post_decode_head()
+
+    def _post_decode_head(self) -> None:
+        """Post the decode calendar's head under its exact key, once.
+
+        A posted entry is never cancelled: the wake consumes only
+        unposted ends inline (a posted one is never strictly below the
+        global head), and re-posting a key would leave two equal
+        ``(time, priority, seq)`` tuples in a heap.
+        """
+        end, seq = self._decode_ends[0][:2]
+        if seq not in self._posted_ends:
+            self._posted_ends.add(seq)
+            self.sim.call_at(
+                end, self._guarded(self._on_decode_wake),
+                label="decode_done", seq=seq,
+            )
+
+    def _on_decode_wake(self) -> None:
+        """The decode calendar's posted head is due: run it, then every
+        further own end that is the next event of the whole run.
+
+        An end keyed ``(end, 0, seq)`` that sorts strictly below
+        :meth:`~repro.sim.engine.Simulator.next_global_event_key`, within
+        the run's ``until`` and with no stop requested, is what the run
+        loop would pop next, so running it here is the discrete pop
+        order.  The first end always takes the full path, so each wake
+        starts from a full scheduler tick (see :meth:`_run_quiet_stretch`).
+        """
+        ends = self._decode_ends
+        _, seq, batch, masters, group = heapq.heappop(ends)
+        self._posted_ends.remove(seq)
+        sim = self.sim
+        self._in_wake = True
+        self._on_decode_done(batch, masters, group)
+        until = sim.until
+        while ends and not sim.stopped:
+            end, seq, batch, masters, group = ends[0]
+            if until is not None and end > until:
+                break
+            key = sim.next_global_event_key()
+            if key is not None and not (end, 0, seq) < key:
+                break
+            heapq.heappop(ends)
+            sim.advance_to(end)
+            if not self._run_quiet_stretch(batch, masters, group, key, until):
+                self._on_decode_done(batch, masters, group)
+        self._in_wake = False
+        if ends:
+            self._post_decode_head()
+
+    def _run_quiet_stretch(
+        self,
+        batch: DecodeBatch,
+        masters: tuple[int, ...],
+        group: ParallelGroup,
+        next_key: tuple | None,
+        until: float | None,
+    ) -> bool:
+        """Run a quiet batch's consecutive iterations in one tight loop.
+
+        Starts at the end just consumed; returns False, having done
+        nothing, when that end must take the full path.  In discrete
+        mode, on a quiet replica (no tick queued, nothing pending or
+        unvetted, and the last full tick enacted nothing), the tick at
+        each end of a one-instance batch only restarts it: every other
+        idle batch keeps the inputs a full tick just found no scale-up
+        for.  The loop stops before the first end where another event
+        or own end is due at or before it (equal times go to the full
+        path), ``until`` is passed, a request completes, step 4b would
+        fire, the next start would lack master KV, or a prefill has
+        co-opted the instance (the tick would pause the batch).  Each
+        iteration replays its ``BatchStats`` and pricing; the token
+        credits and KV appends (one master) land in bulk.
+        """
+        if (
+            self._fluid is not None
+            or not self._quiet
+            or self._tick_pending
+            or self.pending
+            or self._unvetted
+            or batch.group is not group
+        ):
+            return False
+        ids = group.instance_ids
+        requests = batch.requests
+        if len(ids) != 1 or not requests:
+            return False
+        instance = self.instances[ids[0]]
+        # The instance must still belong to the batch: a co-opting
+        # prefill holds it under its own task id (the tick would pause
+        # the batch), and a batch merged away no longer owns it.
+        if instance.group_id != batch.batch_id:
+            return False
+        bs = len(requests)
+        free = instance.pool.free
+        # Ends the loop may take: the one before the first completion,
+        # and the last whose next start still finds master KV.
+        cap = min(
+            min(r.output_len - r.generated for r in requests) - 1,
+            free // bs - 1,
+        )
+        if cap <= 0:
+            return False
+        scheduler = self.config.scheduler
+        idle = [i for i, inst in self.instances.items() if inst.is_idle]
+        # Step 4b firing at some group_free fires at every smaller one:
+        # clear at the lowest free the loop can reach, it is clear at
+        # every end, and only otherwise is it asked end by end.
+        check_4b = scale_up_reason(batch, idle, free - cap * bs, scheduler) is not None
+        limit = math.inf if next_key is None else next_key[0]
+        ends = self._decode_ends
+        if ends and ends[0][0] < limit:
+            limit = ends[0][0]
+        bound = math.inf if until is None else until
+        decode_time = self.cost_model.decode_time
+        tp = self.config.tensor_parallel
+        num_masters = len(masters)
+        dop = group.dop
+        stats = self.iteration_stats
+        base = [r.current_len for r in requests]
+        total = sum(base)
+        t = last = self.sim.now
+        n = 0
+        while (
+            t < limit
+            and t <= bound
+            and n < cap
+            and not (
+                check_4b
+                and scale_up_reason(batch, idle, free - (n + 1) * bs, scheduler)
+                is not None
+            )
+        ):
+            # Credit the iteration ending at t, then start the next.
+            n += 1
+            total += bs
+            if batch.exec_started_at == 0.0:
+                batch.exec_started_at = t
+            duration = decode_time(
+                [c + n for c in base], ids, tp, num_masters=num_masters
+            )
+            stats.append(
+                BatchStats(
+                    iteration=len(stats),
+                    phase=Phase.DECODE,
+                    batch_size=bs,
+                    total_tokens=total,
+                    dop=dop,
+                    duration=duration,
+                    start_time=t,
+                )
+            )
+            last = t
+            t = t + duration
+        if n == 0:
+            return False
+        extend = self.pool.extend
+        for request in requests:
+            request.generated += n
+            extend(request.request_id, ids[0], n)
+        self._generated_total += n * bs
+        batch.iteration += n
+        self.sim.advance_to(last)
+        self._schedule_decode_end(t, batch, masters, group)
+        return True
 
     def _ensure_decode_memory(self, batch: DecodeBatch) -> tuple[int, ...] | None:
         """Pick masters; merge with a sibling batch or preempt if short.
@@ -1161,17 +1369,33 @@ class LoongServeServer:
     def _can_tick_inline(self, now: float) -> bool:
         """True when a tick queued now would be the very next event.
 
-        The replica must be quiet — nothing pending, unvetted or
-        prefilling, and no tick already queued — and no live event on
-        any calendar may be due at ``now``, since one due now could run
-        before the queued tick.  Other replicas' events count too, so
-        sharded and unsharded fleets decide alike.  Running the tick
-        inline is then the same program with one event fewer.
+        No tick may be queued already, and nothing may be due at
+        ``now``: no live event on any calendar and none of this
+        replica's own in-flight decode ends, since one due now could
+        run before the queued tick.  Other replicas' events count too,
+        so sharded and unsharded fleets decide alike.  Running the tick
+        inline is then the same program with one event fewer — whatever
+        is pending, unvetted or prefilling, because the queued tick
+        would have run next all the same.
         """
-        if self._tick_pending or self.pending or self._unvetted or self._prefilling:
+        if self._tick_pending:
+            return False
+        ends = self._decode_ends
+        if ends and ends[0][0] <= now:
             return False
         horizon = self.sim.next_global_event_time()
         return horizon is None or horizon > now
+
+    def _next_event_time(self) -> float | None:
+        """The replica's horizon: the next event on its clock or its own
+        next in-flight decode end, whichever is sooner (the decode
+        calendar posts only its head)."""
+        horizon = self.sim.next_event_time()
+        if self._decode_ends:
+            end = self._decode_ends[0][0]
+            if horizon is None or end < horizon:
+                return end
+        return horizon
 
     def _finish_request(self, request: Request) -> None:
         request.state = RequestState.FINISHED

@@ -40,6 +40,7 @@ class Simulator:
         self._queue = EventQueue()
         self._now = 0.0
         self._stopped = False
+        self._until: float | None = None
         self._events_processed = 0
         # Sharded layout (armed lazily by create_shard): _shards[0] is
         # the simulator's own queue; _top is a heap of posted per-shard
@@ -64,6 +65,20 @@ class Simulator:
     def events_processed(self) -> int:
         return self._events_processed
 
+    @property
+    def until(self) -> float | None:
+        """The ``until`` bound of the run in progress (None: unbounded).
+
+        A server that runs work of its own inside an event (a decode
+        window) must not run past it: the loop would have stopped there.
+        """
+        return self._until
+
+    @property
+    def stopped(self) -> bool:
+        """True once :meth:`stop` asked the run in progress to exit."""
+        return self._stopped
+
     def next_event_time(self) -> float | None:
         """Timestamp of the next live scheduled event (None when idle).
 
@@ -75,17 +90,40 @@ class Simulator:
         """
         if not self._multi:
             return self._queue.peek_time()
-        best = None
-        for shard in self._shards:
-            t = shard.peek_time()
-            if t is not None and (best is None or t < best):
-                best = t
-        return best
+        head = self._top_head()
+        return None if head is None else head[0]
 
     # The simulator's horizon is already global; :class:`ShardClock`
     # answers the same question for a replica on a shard, so callers
     # that must see every calendar never probe which clock they hold.
     next_global_event_time = next_event_time
+
+    def next_global_event_key(self) -> tuple | None:
+        """Full ``(time, priority, seq)`` key of the next live event on
+        any calendar — the one the run loop pops next (None when idle).
+
+        An event kept off the calendar under key ``k`` would run next
+        exactly when ``k`` sorts below this.
+        """
+        if not self._multi:
+            return self._queue.peek_key()
+        head = self._top_head()
+        return None if head is None else head[:3]
+
+    def next_seq(self) -> int:
+        """Draw a tie-break number from the shared counter (see
+        :meth:`EventQueue.next_seq`); post it later with ``seq=``."""
+        return self._queue.next_seq()
+
+    def advance_to(self, time: float) -> None:
+        """Move the clock forward inside the running event.
+
+        For a caller that runs, inside one event, work it has proved is
+        due before every other event (and within :attr:`until`).
+        """
+        if time < self._now:
+            raise ValueError(f"cannot rewind the clock from {self._now:.6f} to {time:.6f}")
+        self._now = time
 
     # ------------------------------------------------------------------
     # Sharded calendars
@@ -130,11 +168,47 @@ class Simulator:
             self._posted[shard_id] = entry
             heapq.heappush(self._top, entry)
 
-    def _any_live_event(self) -> bool:
-        for shard in self._shards:
-            if shard.peek_time() is not None:
-                return True
-        return False
+    def _top_head(self) -> tuple | None:
+        """The globally next live entry across shards (None when all
+        are drained), dropping stale top-heap entries on the way.
+
+        The top heap holds *candidate* minima.  An entry counts only
+        when it (a) still matches ``_posted`` for its shard — a smaller
+        key posted later supersedes it — and (b) still is the shard's
+        live head — a cancelled head leaves a stale posted key, which is
+        replaced by re-posting the live head.  Every non-empty shard
+        always has a posted entry at or below its live head, so the
+        first entry passing both checks is the global minimum under the
+        exact single-heap (time, priority, seq) order.
+        """
+        top = self._top
+        posted = self._posted
+        heappop, heappush = heapq.heappop, heapq.heappush
+        while top:
+            entry = top[0]
+            sid = entry[3].shard
+            if posted[sid] is not entry:
+                heappop(top)  # superseded by a smaller post
+                continue
+            # Validate against the shard's live head: clear lazily-
+            # cancelled heads, then one identity compare (the top heap
+            # shares the shard heaps' tuples) decides staleness.
+            queue = self._shards[sid]
+            sheap = queue._heap
+            while sheap and sheap[0][3].cancelled:
+                heappop(sheap)[3].popped = True
+                queue._cancelled -= 1
+            if sheap and sheap[0] is entry:
+                return entry
+            # Head was cancelled; drop the stale entry and re-post the
+            # live head so the shard stays covered.
+            heappop(top)
+            posted[sid] = None
+            if sheap:
+                live = sheap[0]
+                posted[sid] = live
+                heappush(top, live)
+        return None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -147,22 +221,27 @@ class Simulator:
         priority: int = 0,
         label: str = "",
         weak: bool = False,
+        seq: int | None = None,
     ) -> Timer:
         """Schedule ``action`` at absolute virtual time ``time``.
 
         ``weak`` events are pure observers: one popped with no other
         live event remaining is discarded instead of run, so it neither
-        advances the clock nor keeps the run alive.
+        advances the clock nor keeps the run alive.  ``seq`` posts the
+        event under a number drawn earlier with :meth:`next_seq`; each
+        drawn number may be posted at most once.
         """
         if time < self._now:
             raise ValueError(f"cannot schedule at {time:.6f}, clock is at {self._now:.6f}")
         if self._multi:
             entry = self._queue.push_entry(
-                time, action, priority=priority, label=label, weak=weak
+                time, action, priority=priority, label=label, weak=weak, seq=seq
             )
             self._notify(0, entry)
             return Timer(event=entry[3], queue=self._queue)
-        event = self._queue.push(time, action, priority=priority, label=label, weak=weak)
+        event = self._queue.push(
+            time, action, priority=priority, label=label, weak=weak, seq=seq
+        )
         return Timer(event=event, queue=self._queue)
 
     def call_after(
@@ -195,8 +274,12 @@ class Simulator:
         ``peek_time`` skips lazily-cancelled heads, so the ``until``
         comparison only ever sees live events: a dead timer beyond the
         bound can neither leave phantom work in the queue nor make the
-        loop break on a timestamp that will never fire.
+        loop break on a timestamp that will never fire.  ``until`` also
+        bounds work an event runs past its own timestamp (a server's
+        decode window reads it as :attr:`until`); ``max_events`` counts
+        events, and one event may carry many decode iterations.
         """
+        self._until = until
         if self._multi:
             return self._run_sharded(until, max_events)
         self._stopped = False
@@ -231,17 +314,8 @@ class Simulator:
         return self._now
 
     def _run_sharded(self, until: float | None, max_events: int | None) -> float:
-        """Sharded run loop: pop the globally-minimal head across shards.
-
-        The top heap holds *candidate* minima.  An entry is executed
-        only when it (a) still matches ``_posted`` for its shard — a
-        smaller key posted later supersedes it — and (b) still matches
-        the shard's live head — a cancelled head leaves a stale posted
-        key, which is replaced by re-posting the live head.  Every
-        non-empty shard always has a posted entry at or below its live
-        head, so an entry passing both checks is the global minimum
-        under the exact single-heap (time, priority, seq) order.
-        """
+        """Sharded run loop: pop the globally-minimal head across shards
+        (:meth:`_top_head`)."""
         self._stopped = False
         processed = 0
         top = self._top
@@ -249,39 +323,15 @@ class Simulator:
         shards = self._shards
         heappop, heappush = heapq.heappop, heapq.heappush
         while not self._stopped:
-            shard_id = -1
-            while top:
-                entry = top[0]
-                event = entry[3]
-                sid = event.shard
-                if posted[sid] is not entry:
-                    heappop(top)  # superseded by a smaller post
-                    continue
-                # Validate against the shard's live head: clear lazily-
-                # cancelled heads, then one identity compare (the top
-                # heap shares the shard heaps' tuples) decides staleness.
-                queue = shards[sid]
-                sheap = queue._heap
-                while sheap and sheap[0][3].cancelled:
-                    heappop(sheap)[3].popped = True
-                    queue._cancelled -= 1
-                if not sheap or sheap[0] is not entry:
-                    # Head was cancelled; drop the stale entry and
-                    # re-post the live head so the shard stays covered.
-                    heappop(top)
-                    posted[sid] = None
-                    if sheap:
-                        live = sheap[0]
-                        posted[sid] = live
-                        heappush(top, live)
-                    continue
-                shard_id = sid
-                break
-            if shard_id < 0:
+            entry = self._top_head()
+            if entry is None:
                 break  # every shard drained
             if until is not None and entry[0] > until:
                 self._now = until
                 break
+            event = entry[3]
+            shard_id = event.shard
+            queue = shards[shard_id]
             heappop(top)
             posted[shard_id] = None
             queue.pop()  # pops this same entry; marks the event popped
@@ -295,7 +345,7 @@ class Simulator:
                 live = sheap[0]
                 posted[shard_id] = live
                 heappush(top, live)
-            if event.weak and not self._any_live_event():
+            if event.weak and self._top_head() is None:
                 continue
             self._now = event.time
             event.action()
@@ -303,7 +353,7 @@ class Simulator:
             processed += 1
             if max_events is not None and processed >= max_events:
                 break
-        if until is not None and self._now < until and not self._any_live_event():
+        if until is not None and self._now < until and self._top_head() is None:
             self._now = until
         return self._now
 
@@ -316,16 +366,21 @@ class ShardClock:
     """One shard's view of a sharded :class:`Simulator`.
 
     Quacks like the simulator for the APIs a replica server uses
-    (``now`` / ``call_at`` / ``call_after`` / ``stop`` /
-    ``events_processed`` / ``next_event_time`` /
-    ``next_global_event_time``), but schedules onto its own calendar.
+    (``now`` / ``call_at`` / ``call_after`` / ``stop`` / ``stopped`` /
+    ``until`` / ``advance_to`` / ``next_seq`` / ``events_processed`` /
+    ``next_event_time`` / ``next_global_event_time`` /
+    ``next_global_event_key``), but schedules onto its own calendar.
     :meth:`next_event_time` is the replica-local horizon: the minimum of
     this shard's head and shard 0's — sound for fluid windows because
     anything another replica does can only reach this one through a
     control-plane (shard 0) event, and it automatically bounds windows
     by the next control tick.  :meth:`next_global_event_time` is the
     whole simulator's horizon, for decisions that must match the
-    unsharded layout event for event.
+    unsharded layout event for event — among them whether a replica
+    may run its next decode iteration inside the current event, which
+    reads :meth:`next_global_event_key`, :attr:`until` and
+    :attr:`stopped` exactly as on the simulator, so both layouts open
+    the same decode windows.
     """
 
     __slots__ = ("_sim", "shard_id", "_queue")
@@ -343,6 +398,14 @@ class ShardClock:
     def events_processed(self) -> int:
         return self._sim._events_processed
 
+    @property
+    def until(self) -> float | None:
+        return self._sim._until
+
+    @property
+    def stopped(self) -> bool:
+        return self._sim._stopped
+
     def next_event_time(self) -> float | None:
         """Replica-local horizon: own head vs the control plane's."""
         own = self._queue.peek_time()
@@ -357,6 +420,16 @@ class ShardClock:
         """The next live event on any shard (:meth:`Simulator.next_event_time`)."""
         return self._sim.next_event_time()
 
+    def next_global_event_key(self) -> tuple | None:
+        """:meth:`Simulator.next_global_event_key`: every shard counts."""
+        return self._sim.next_global_event_key()
+
+    def next_seq(self) -> int:
+        return self._queue.next_seq()
+
+    def advance_to(self, time: float) -> None:
+        self._sim.advance_to(time)
+
     def call_at(
         self,
         time: float,
@@ -364,12 +437,13 @@ class ShardClock:
         priority: int = 0,
         label: str = "",
         weak: bool = False,
+        seq: int | None = None,
     ) -> Timer:
         sim = self._sim
         if time < sim._now:
             raise ValueError(f"cannot schedule at {time:.6f}, clock is at {sim._now:.6f}")
         entry = self._queue.push_entry(
-            time, action, priority=priority, label=label, weak=weak
+            time, action, priority=priority, label=label, weak=weak, seq=seq
         )
         event = entry[3]
         event.shard = self.shard_id

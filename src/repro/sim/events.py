@@ -95,11 +95,16 @@ class EventQueue:
         priority: int = 0,
         label: str = "",
         weak: bool = False,
+        seq: int | None = None,
     ) -> Event:
+        """Schedule ``action``; ``seq`` reuses a number drawn earlier
+        with :meth:`next_seq` instead of drawing a fresh one."""
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
-        event = Event(time, priority, next(self._counter), action, label, weak)
-        heapq.heappush(self._heap, (time, priority, event.seq, event))
+        if seq is None:
+            seq = next(self._counter)
+        event = Event(time, priority, seq, action, label, weak)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
     def push_entry(
@@ -109,6 +114,7 @@ class EventQueue:
         priority: int = 0,
         label: str = "",
         weak: bool = False,
+        seq: int | None = None,
     ) -> _HeapEntry:
         """:meth:`push`, but returns the heap entry tuple itself.
 
@@ -120,10 +126,23 @@ class EventQueue:
         """
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
-        event = Event(time, priority, next(self._counter), action, label, weak)
-        entry = (time, priority, event.seq, event)
+        if seq is None:
+            seq = next(self._counter)
+        event = Event(time, priority, seq, action, label, weak)
+        entry = (time, priority, seq, event)
         heapq.heappush(self._heap, entry)
         return entry
+
+    def next_seq(self) -> int:
+        """Draw the next tie-break number from this queue's counter.
+
+        A caller that keeps events of its own off the calendar (a
+        server's decode calendar) draws their numbers here, at the
+        moment it would have pushed them, and later posts one with
+        ``seq=``: it then orders exactly as an event pushed at the
+        draw would have.
+        """
+        return next(self._counter)
 
     def discard(self, event: Event) -> None:
         """Cancel a scheduled event; it will never run nor count.

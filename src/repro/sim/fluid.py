@@ -28,7 +28,10 @@ A window is bounded conservatively by
   prefill completion, a QoS deadline check — every transient in the
   system is an already-queued event, so the queue head is a sound
   horizon; inside a sharded fleet this is the replica-local horizon,
-  which includes the next control tick),
+  which includes the next control tick), or the server's own next
+  in-flight decode end, whichever is sooner — the server's decode
+  calendar posts only its head on the simulator calendar, so the queue
+  alone would miss the rest (``LoongServeServer._next_event_time``),
 * the first request completion across all batches (completions release
   KV and trigger re-planning, so no window ever glides past one),
 * the first QoS slack-threshold crossing of a top-tier pending request
@@ -189,7 +192,7 @@ class FluidStepper:
         t_end = min(t_end, now + self.max_window_s)
         if backlog_bound < t_end:
             t_end = backlog_bound
-        horizon = server.sim.next_event_time()
+        horizon = server._next_event_time()
         if horizon is not None:
             t_end = min(t_end, horizon)
         budget = t_end - now

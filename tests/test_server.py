@@ -122,6 +122,9 @@ class TestMemoryManagement:
         spill, stuck = make_request(output_len=10), make_request(output_len=10)
         server.pool.place(spill.request_id, {0: 100})
         server.pool.place(stuck.request_id, {0: 100})
+        # An event due now keeps the tick queued, so the preempted
+        # request is still pending when the iteration returns.
+        server.sim.call_at(0.0, lambda: None)
 
         def decode_once(request, group):
             batch = DecodeBatch(
@@ -299,11 +302,12 @@ class TestIterationGolden:
 
     def test_iterations_and_scaling_events_are_bit_identical(self):
         # Mixed preempts (the decode append fallback), ShareGPT scales up.
-        # The event counts pin which scheduler ticks run inline at the end
-        # of a decode iteration rather than as events of their own.
+        # The event counts pin which decode iterations and scheduler
+        # ticks run inside another event (decode windows, inline ticks)
+        # rather than as events of their own.
         expected = {
-            (MIXED, 8.0, 120): ("25670fcea1f94455369b16d6e06c0b78", 17_977),
-            (SHAREGPT, 40.0, 400): ("9b78a758ecf25542d0aca12776735488", 5_931),
+            (MIXED, 8.0, 120): ("25670fcea1f94455369b16d6e06c0b78", 668),
+            (SHAREGPT, 40.0, 400): ("9b78a758ecf25542d0aca12776735488", 2_617),
         }
         preemptions = scale_ups = 0
         for (dataset, rate, count), (digest, events) in expected.items():

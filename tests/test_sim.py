@@ -104,6 +104,36 @@ class TestSimulator:
         timer.cancel()
         assert sim.next_event_time() == 9.0
 
+    def test_a_drawn_seq_posts_in_the_order_of_its_draw(self):
+        """An event posted later under an earlier-drawn seq sorts as if it
+        had been pushed at the draw: before same-time events pushed since."""
+        sim = Simulator()
+        log = []
+        seq = sim.next_seq()
+        sim.call_at(1.0, lambda: log.append("pushed"))
+        assert sim.next_global_event_key() == (1.0, 0, seq + 1)
+        sim.call_at(1.0, lambda: log.append("drawn first"), seq=seq)
+        assert sim.next_global_event_key() == (1.0, 0, seq)
+        sim.run_until_idle()
+        assert log == ["drawn first", "pushed"]
+
+    def test_the_running_event_sees_the_run_bound_and_stop(self):
+        sim = Simulator()
+        seen = []
+        sim.call_at(1.0, lambda: seen.append((sim.until, sim.stopped)))
+        sim.call_at(2.0, lambda: (sim.stop(), seen.append(sim.stopped)))
+        sim.run(until=5.0)
+        assert seen == [(5.0, False), True]
+        sim.run_until_idle()
+        assert sim.until is None and not sim.stopped
+
+    def test_advance_to_moves_forward_only(self):
+        sim = Simulator()
+        sim.advance_to(2.0)
+        assert sim.now == 2.0
+        with pytest.raises(ValueError):
+            sim.advance_to(1.0)
+
     def test_stop_exits_loop(self):
         sim = Simulator()
         seen = []

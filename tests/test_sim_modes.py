@@ -121,15 +121,14 @@ class TestHybridTolerance:
 
     def test_steady_trace_matches_tightly(self):
         trace = _steady_trace()
-        discrete, ds = _run("discrete", trace)
+        discrete, _ = _run("discrete", trace)
         hybrid, hs = _run("hybrid", trace)
         d_tokens = sum(r.generated for r in discrete.requests if r.finished)
         h_tokens = sum(r.generated for r in hybrid.requests if r.finished)
         assert h_tokens == d_tokens
         assert abs(hybrid.makespan - discrete.makespan) <= 0.02 * discrete.makespan
-        assert hs.sim.events_processed <= ds.sim.events_processed / 5
-        # The same bound in simulated work: every discrete iteration ends
-        # in an event, so this form is never looser.
+        # Counted in simulated work, not discrete events: a decode window
+        # runs many discrete iterations inside one event.
         assert hs.sim.events_processed <= len(discrete.iteration_stats) / 5
         assert hs._fluid.windows > 0
 
@@ -235,12 +234,11 @@ class TestFluidWindows:
         _, hs = _run("hybrid", trace)
         stepper = hs._fluid
         assert stepper.windows > 0
-        # Most of the discrete run's events are decode iterations, and
-        # the windows soak up the bulk of them.  (The counts need not
+        # Most of the discrete run's iterations are decode iterations,
+        # and the windows soak up the bulk of them.  (The counts need not
         # reconcile exactly: windows freeze batch membership, so hybrid
         # runs fewer, larger batches than the discrete reference.)
-        assert stepper.iterations_absorbed >= 0.5 * ds.sim.events_processed
-        assert ds.sim.events_processed >= 5 * hs.sim.events_processed
+        assert stepper.iterations_absorbed >= 0.5 * len(ds.iteration_stats)
         assert len(ds.iteration_stats) >= 5 * hs.sim.events_processed
 
     def test_kv_fully_released_after_hybrid_run(self):
@@ -302,7 +300,7 @@ class TestBacklogWindows:
         assert sum(r.generated for r in h_fin) == sum(r.generated for r in d_fin)
         assert abs(hybrid.makespan - discrete.makespan) <= 0.15 * discrete.makespan
         assert hs._fluid.windows > 0
-        assert hs.sim.events_processed < ds.sim.events_processed
+        assert hs.sim.events_processed < len(ds.iteration_stats)
 
     def test_admission_horizon_infinite_without_qos_preemption(self):
         config = default_config(scheduler=SchedulerConfig(sim_mode="hybrid"))

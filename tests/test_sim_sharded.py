@@ -211,7 +211,10 @@ def _replay(program, shards: int):
 
         def action():
             # The horizon every layout must agree on, read mid-action.
-            log.append((index, sim.now, clock.next_global_event_time()))
+            log.append((
+                index, sim.now, clock.next_global_event_time(),
+                clock.next_global_event_key(),
+            ))
             for child in range(children):
                 child_clock = clocks[(target + child + 1) % len(clocks)]
                 child_clock.call_after(
