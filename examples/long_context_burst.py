@@ -18,14 +18,14 @@ from repro import (
     make_trace,
     summarize_latency,
 )
-from repro.sim.trace import TraceRecorder
+from repro.obs import Tracer
 from repro.types import Phase, next_request_id
 from repro.workloads.datasets import SHAREGPT
 
 
 def main() -> None:
     config = default_config()
-    server = LoongServeServer(config, trace=TraceRecorder(enabled=True))
+    server = LoongServeServer(config, trace=Tracer(enabled=True))
 
     chat = make_trace(SHAREGPT, rate=8.0, num_requests=120, seed=3)
     bursts = [

@@ -367,12 +367,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         if args.slo_monitor:
             obs.enable_health()
-        if hasattr(system, "observe"):
-            system.observe(obs)
-        else:
-            # Baseline engines: audit records only (no span/telemetry
-            # instrumentation on their serving loops).
-            system.trace = obs.tracer
+        system.observe(obs)
     if driver is not None:
         result = system.run_driven(driver)
         trace = driver.requests  # realised arrivals, for reporting below
@@ -380,8 +375,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         result = system.run(clone_requests(trace))
     summary = summarize_latency(result)
 
-    label = getattr(system, "name", args.system)
-    print(f"system:   {label}")
+    print(f"system:   {system.name}")
     print(f"requests: {summary.finished}/{summary.total} finished, "
           f"{len(result.aborted)} aborted")
     if result.stranded:
@@ -439,8 +433,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.timeline and args.replicas > 1:
         print("\n(--timeline shows one deployment; rerun without --replicas)")
     elif args.timeline:
-        num_instances = getattr(
-            getattr(system, "config", None), "num_instances", args.num_gpus // 2
+        config = system.config  # None on replicated engine groups
+        num_instances = (
+            config.num_instances if config is not None else args.num_gpus // 2
         )
         print("\n" + occupancy_timeline(result, num_instances))
         util = utilization_summary(result, num_instances)

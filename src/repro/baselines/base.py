@@ -6,19 +6,20 @@ instances for the static hybrid) with one KV pool and one scheduler
 queue.  ``EngineServer`` provides continuous batching with
 preemption-by-recomputation; an :class:`EnginePolicy` decides what each
 iteration executes, which is the only place the baselines differ.
+``EngineGroup`` serves engines on one clock as one fleet replica.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.config import SystemConfig
 from repro.costmodel.latency import RooflineCostModel
 from repro.kvcache.pool import InstancePool
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.types import (
     BatchStats,
     Phase,
@@ -57,10 +58,73 @@ class EnginePolicy(abc.ABC):
         """Build the next iteration from the engine's queues."""
 
 
-class EngineServer:
+class EngineGroup:
+    """Engines on one clock, served as one fleet replica.
+
+    The fleet's replica contract (``repro.fleet.server.ServingReplica``)
+    over ``engines``, in engine order: a lone :class:`EngineServer` is a
+    group of one, DistServe and the replicated baselines group several.
+    Each engine keeps its own ledgers, so observers' cursors stay valid
+    per engine.  No engine has a prefix cache or a QoS ledger, rescales,
+    or can crash.
+    """
+
+    name = "engine group"
+    prefix_cache = None
+    qos_ledger = None
+    engines: Sequence[EngineServer]
+
+    def use_simulator(self, sim: Simulator) -> None:
+        """Reset every engine onto a (shared) clock, so an outer
+        dispatcher — e.g. a fleet router — can drive this system via
+        ``submit`` instead of ``run``."""
+        for engine in self.engines:
+            engine._reset()
+            engine.sim = sim
+
+    def observe(self, obs, replica: int = 0) -> None:
+        """Send the engines' audits to ``obs.tracer``, tagged ``replica``
+        (no spans or telemetry on the baseline serving loop)."""
+        for engine in self.engines:
+            engine.trace = obs.tracer
+            engine.obs_replica = replica
+
+    def queued(self) -> list[Request]:
+        return [r for engine in self.engines for r in engine.waiting]
+
+    def withdraw(self, request: Request) -> bool:
+        """Take a queued request back (it holds no KV yet)."""
+        for engine in self.engines:
+            if request in engine.waiting:
+                engine.waiting.remove(request)
+                return True
+        return False
+
+    def kv_pools(self) -> list[tuple[int, InstancePool]]:
+        return [(i, engine.pool) for i, engine in enumerate(self.engines)]
+
+    def crash(self) -> tuple[list[Request], int]:
+        raise TypeError(f"replica {self.name!r} does not support failure injection")
+
+    def ledgers(self) -> Sequence[EngineServer]:
+        return self.engines
+
+    def decode_batch_size(self) -> int:
+        return sum(len(engine.running) for engine in self.engines)
+
+    def generated_tokens(self) -> int:
+        return sum(engine._generated_total for engine in self.engines)
+
+
+class EngineServer(EngineGroup):
     """One statically-parallelised engine with continuous batching."""
 
     name = "engine"
+    scaling_events = ()  # static parallelism never rescales
+
+    @property
+    def engines(self) -> tuple[EngineServer]:
+        return (self,)
 
     def __init__(
         self,
@@ -72,7 +136,7 @@ class EngineServer:
         num_masters: int = 1,
         max_num_seqs: int = 256,
         name: str | None = None,
-        trace: TraceRecorder | None = None,
+        trace: Tracer | None = None,
     ) -> None:
         self.config = config
         self.policy = policy
@@ -89,7 +153,8 @@ class EngineServer:
         self.num_masters = num_masters
         if name:
             self.name = name
-        self.trace = trace or TraceRecorder(enabled=False)
+        self.trace = trace or Tracer(enabled=False)
+        self.obs_replica = 0
         # Called when a request finishes its prefill but still has tokens
         # to decode; returning True removes it from this engine (used by
         # DistServe's prefill->decode handoff).
@@ -108,6 +173,9 @@ class EngineServer:
         self.iteration_stats: list[BatchStats] = []
         self.busy = False
         self._all_requests: list[Request] = []
+        # Output tokens this engine generated (the telemetry
+        # throughput read), credited where ``generated`` grows.
+        self._generated_total = 0
 
     # -- public API --------------------------------------------------------------
 
@@ -129,10 +197,6 @@ class EngineServer:
             makespan=self.sim.now,
             aborted=self.aborted,
         )
-
-    def use_simulator(self, sim: Simulator) -> None:
-        """Share a simulator with other engines (multi-engine systems)."""
-        self.sim = sim
 
     def inject_running(self, request: Request, preallocated: bool = False) -> None:
         """Admit an already-prefilled request straight into decoding.
@@ -158,7 +222,8 @@ class EngineServer:
             if self.trace.enabled:
                 self.trace.audit(
                     self.sim.now, "abort", component="server",
-                    request=request.request_id, engine=self.name,
+                    replica=self.obs_replica, request=request.request_id,
+                    engine=self.name,
                 )
                 self.trace.end_span(
                     request.request_id, self.sim.now, aborted=True
@@ -252,6 +317,7 @@ class EngineServer:
                     self.prefilling.remove(request)
                 self.pool.allocate(request.request_id, 1)
                 request.generated += 1
+                self._generated_total += 1
                 request.prefill_end = now
                 request.record_first_token(now)
                 if request.generated >= request.output_len:
@@ -265,6 +331,7 @@ class EngineServer:
                     self.running.append(request)
             else:
                 self.prefill_progress[request.request_id] = progress
+        self._generated_total += len(plan.decode_requests)
         for request in plan.decode_requests:
             request.generated += 1
             if request.generated >= request.output_len:
@@ -311,5 +378,6 @@ class EngineServer:
         if self.trace.enabled:
             self.trace.audit(
                 self.sim.now, "preempt", component="server",
-                request=request.request_id,
+                replica=self.obs_replica, request=request.request_id,
             )
+

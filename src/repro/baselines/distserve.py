@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.baselines.base import EngineServer
+from repro.baselines.base import EngineGroup, EngineServer
 from repro.baselines.vllm import PrefillPriorityPolicy
 from repro.config import SystemConfig
 from repro.costmodel.latency import RooflineCostModel
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.types import Request, RequestState, ServeResult
 
 
@@ -40,8 +40,12 @@ class _DecodeEngine(EngineServer):
             self.handoff_pump()
 
 
-class DistServeServer:
-    """Disaggregated serving over one cluster: prefill group + decode group."""
+class DistServeServer(EngineGroup):
+    """Disaggregated serving over one cluster: prefill group + decode group.
+
+    ``engines`` is ``[prefill_engine, decode_engine]``; requests the
+    capacity cap rejects land in the prefill engine's ``aborted`` list.
+    """
 
     name = "DistServe"
 
@@ -49,7 +53,7 @@ class DistServeServer:
         self,
         config: SystemConfig,
         cost_model: RooflineCostModel | None = None,
-        trace: TraceRecorder | None = None,
+        trace: Tracer | None = None,
     ) -> None:
         if config.num_instances != 2:
             raise ValueError(
@@ -60,7 +64,6 @@ class DistServeServer:
         self.cost_model = cost_model or RooflineCostModel(
             cluster=config.cluster, model=config.model
         )
-        self.trace = trace or TraceRecorder(enabled=False)
         self.prefill_engine = EngineServer(
             config=config,
             policy=PrefillPriorityPolicy(),
@@ -68,7 +71,7 @@ class DistServeServer:
             instance_ids=[0],
             kv_slots=config.kv_slots_per_instance,
             name="DistServe-prefill",
-            trace=self.trace,
+            trace=trace,
         )
         self.decode_engine = _DecodeEngine(
             config=config,
@@ -77,26 +80,17 @@ class DistServeServer:
             instance_ids=[1],
             kv_slots=config.kv_slots_per_instance,
             name="DistServe-decode",
-            trace=self.trace,
+            trace=trace,
         )
-        self.aborted: list[Request] = []
+        self.engines = [self.prefill_engine, self.decode_engine]
         self.migrations = 0
         self.migration_seconds = 0.0
         self._handoff_queue: deque[Request] = deque()
 
     def use_simulator(self, sim: Simulator) -> None:
-        """Reset both engines and attach them to a (shared) clock.
-
-        Lets an outer dispatcher — e.g. a fleet router — drive this
-        system via :meth:`submit` instead of :meth:`run`.
-        """
-        self.prefill_engine._reset()
-        self.decode_engine._reset()
-        self.prefill_engine.use_simulator(sim)
-        self.decode_engine.use_simulator(sim)
+        super().use_simulator(sim)
         self.prefill_engine.prefill_complete_hook = self._handoff
         self.decode_engine.handoff_pump = self._pump_handoffs
-        self.aborted = []
         self.migrations = 0
         self.migration_seconds = 0.0
         self._handoff_queue = deque()
@@ -108,20 +102,21 @@ class DistServeServer:
         The longest servable request is capped by both pools: the KV
         must fit the prefill group first and the decode group after.
         """
-        capacity = min(self.prefill_engine.kv_slots, self.decode_engine.kv_slots)
+        prefill = self.prefill_engine
+        capacity = min(prefill.kv_slots, self.decode_engine.kv_slots)
         if request.max_total_len + 1 > capacity:
             request.state = RequestState.FINISHED
-            self.aborted.append(request)
-            if self.trace.enabled:
-                self.trace.audit(
+            prefill.aborted.append(request)
+            trace = prefill.trace
+            if trace.enabled:
+                trace.audit(
                     self._sim.now, "abort", component="server",
-                    request=request.request_id, system=self.name,
+                    replica=prefill.obs_replica, request=request.request_id,
+                    system=self.name,
                 )
-                self.trace.end_span(
-                    request.request_id, self._sim.now, aborted=True
-                )
+                trace.end_span(request.request_id, self._sim.now, aborted=True)
             return
-        self.prefill_engine.submit(request)
+        prefill.submit(request)
 
     def run(self, requests: list[Request]) -> ServeResult:
         sim = Simulator()
@@ -135,11 +130,7 @@ class DistServeServer:
             )
         sim.run_until_idle()
 
-        aborted = (
-            self.aborted
-            + self.prefill_engine.aborted
-            + self.decode_engine.aborted
-        )
+        aborted = self.prefill_engine.aborted + self.decode_engine.aborted
         aborted_ids = {r.request_id for r in aborted}
         return ServeResult(
             system=self.name,

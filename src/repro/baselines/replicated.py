@@ -14,17 +14,22 @@ strongest simple policy, so the comparison is not handicapped.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.baselines.base import EngineServer
+from repro.baselines.base import EngineGroup, EngineServer
 from repro.sim.engine import Simulator
 from repro.types import Request, ServeResult
 
-ServerFactory = Callable[[int], object]
 
+class ReplicatedServer(EngineGroup):
+    """N engines, one queue dispatcher, shared virtual clock.
 
-class ReplicatedServer:
-    """N engines, one queue dispatcher, shared virtual clock."""
+    The engines may differ, so the group has no single deployment
+    ``config`` or ``cost_model``.
+    """
+
+    config = None
+    cost_model = None
 
     def __init__(
         self,
@@ -57,16 +62,6 @@ class ReplicatedServer:
             makespan=sim.now,
             aborted=aborted,
         )
-
-    def use_simulator(self, sim: Simulator) -> None:
-        """Reset every engine and attach them to a (shared) clock.
-
-        Lets an outer dispatcher — e.g. a fleet router — drive this
-        system via :meth:`submit` instead of :meth:`run`.
-        """
-        for engine in self.engines:
-            engine._reset()
-            engine.use_simulator(sim)
 
     def submit(self, request: Request) -> None:
         """External enqueue: dispatch one request to the best engine."""

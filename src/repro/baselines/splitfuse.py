@@ -20,7 +20,7 @@ from typing import Sequence
 from repro.baselines.base import EnginePolicy, EngineServer, IterationPlan
 from repro.config import SystemConfig
 from repro.costmodel.latency import RooflineCostModel
-from repro.sim.trace import TraceRecorder
+from repro.obs.tracer import Tracer
 from repro.types import Request
 
 
@@ -91,7 +91,7 @@ class SplitFuseServer(EngineServer):
         cost_model: RooflineCostModel | None = None,
         crash_input_len: int | None = None,
         name: str = "LightLLM w/ SplitFuse",
-        trace: TraceRecorder | None = None,
+        trace: Tracer | None = None,
     ) -> None:
         if config.num_instances != 1:
             raise ValueError(

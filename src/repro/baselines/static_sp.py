@@ -15,7 +15,7 @@ from repro.baselines.base import EngineServer
 from repro.baselines.vllm import PrefillPriorityPolicy
 from repro.config import SystemConfig
 from repro.costmodel.latency import RooflineCostModel
-from repro.sim.trace import TraceRecorder
+from repro.obs.tracer import Tracer
 
 
 class StaticSPServer(EngineServer):
@@ -26,7 +26,7 @@ class StaticSPServer(EngineServer):
         config: SystemConfig,
         cost_model: RooflineCostModel | None = None,
         name: str | None = None,
-        trace: TraceRecorder | None = None,
+        trace: Tracer | None = None,
     ) -> None:
         sp = config.num_instances
         super().__init__(

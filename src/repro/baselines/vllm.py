@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.baselines.base import EnginePolicy, EngineServer, IterationPlan
 from repro.config import SystemConfig
 from repro.costmodel.latency import RooflineCostModel
-from repro.sim.trace import TraceRecorder
+from repro.obs.tracer import Tracer
 
 
 class PrefillPriorityPolicy(EnginePolicy):
@@ -48,7 +48,7 @@ class VLLMServer(EngineServer):
         config: SystemConfig,
         cost_model: RooflineCostModel | None = None,
         max_batched_tokens: int | None = None,
-        trace: TraceRecorder | None = None,
+        trace: Tracer | None = None,
     ) -> None:
         if config.num_instances != 1:
             raise ValueError(

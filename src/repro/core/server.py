@@ -26,13 +26,13 @@ from repro.core.scaling_plan import (
 from repro.costmodel.latency import RooflineCostModel
 from repro.kvcache.unified import UnifiedKVPool
 from repro.metrics.qos import QoSLedger
+from repro.obs.tracer import Tracer
 from repro.parallel.groups import ParallelGroup
 from repro.qos.classes import resolve_qos_class
 from repro.qos.policy import QoSPolicy
 from repro.sessions.prefix_cache import PrefixKVCache
 from repro.sim.engine import Simulator
 from repro.sim.fluid import FluidStepper
-from repro.sim.trace import TraceRecorder
 from repro.types import (
     BatchStats,
     Phase,
@@ -55,7 +55,7 @@ class LoongServeServer:
         config: SystemConfig,
         cost_model: RooflineCostModel | None = None,
         manager: GlobalManager | None = None,
-        trace: TraceRecorder | None = None,
+        trace: Tracer | None = None,
         qos: QoSPolicy | None = None,
     ) -> None:
         self.config = config
@@ -63,7 +63,7 @@ class LoongServeServer:
             cluster=config.cluster, model=config.model
         )
         self.manager = manager or GlobalManager(config, self.cost_model)
-        self.trace = trace or TraceRecorder(enabled=False)
+        self.trace = trace or Tracer(enabled=False)
         # Observability (repro.obs): :meth:`observe` swaps in a shared
         # Tracer and arms telemetry sampling.  ``obs_replica`` labels
         # this server's spans/audits in fleet runs.  The default (no
@@ -173,7 +173,7 @@ class LoongServeServer:
         if self._obs is not None:
             # Standalone runs _reset() inside run(), after observe():
             # re-arm the fresh store's sinks here (fleet runs arm them
-            # in observe(), which follows prepare()'s _reset).
+            # in observe(), which follows use_simulator()'s _reset).
             store.observe(
                 self._obs.tracer, self._obs.metrics, replica=self.obs_replica
             )
@@ -285,11 +285,10 @@ class LoongServeServer:
         )
 
     def use_simulator(self, sim: Simulator) -> None:
-        """Attach to a shared virtual clock (fleet / multi-system runs).
-
-        Call after :meth:`_reset`; external drivers then enqueue work via
-        :meth:`submit` instead of :meth:`run`.
-        """
+        """Reset to an empty server on a shared virtual clock (fleet /
+        multi-system runs); external drivers then enqueue work via
+        :meth:`submit` instead of :meth:`run`."""
+        self._reset()
         self.sim = sim
 
     def observe(self, obs, replica: int = 0) -> None:
@@ -380,6 +379,41 @@ class LoongServeServer:
         self._unvetted.clear()
         self.decode_batches = []
         return orphans, lost_tokens
+
+    # -- the fleet's replica contract (repro.fleet.server.ServingReplica) ------
+
+    def queued(self) -> list[Request]:
+        """Requests waiting for dispatch, in queue order (do not mutate)."""
+        return self.pending
+
+    def withdraw(self, request: Request) -> bool:
+        """Take a queued request back, undoing :meth:`submit` (its new
+        owner vets it, and speculative prefix-cache pins are dropped)."""
+        if request not in self.pending:
+            return False
+        self.pending.remove(request)
+        if request in self._all_requests:
+            self._all_requests.remove(request)
+            self._generated_total -= request.generated
+        if request in self._unvetted:
+            self._unvetted.remove(request)
+        if self.prefix_cache is not None:
+            self.prefix_cache.release(request.request_id)
+            request.cached_prefix_len = 0
+        return True
+
+    def kv_pools(self):
+        """(instance id, pool) pairs, read live: a crash swaps the pool."""
+        return self.pool.pools.items()
+
+    def ledgers(self) -> tuple[LoongServeServer]:
+        return (self,)
+
+    def decode_batch_size(self) -> int:
+        return sum(batch.batch_size for batch in self.decode_batches)
+
+    def generated_tokens(self) -> int:
+        return self._generated_total
 
     # -- event handlers ----------------------------------------------------------
 

@@ -153,8 +153,7 @@ def _replica_token_rate(server) -> float:
     """Prefill tokens/s one replica sustains, from its own cost model."""
     from repro.qos import prefill_token_rate
 
-    config = getattr(server, "config", None)
-    cost = getattr(server, "cost_model", None)
+    config, cost = server.config, server.cost_model
     if config is None or cost is None:
         raise ValueError(
             "predictive autoscaling needs replicas that expose a cost model "
@@ -170,8 +169,7 @@ def _slo_router_kwargs(server) -> dict:
     shape exposes none — the router then ranks by token work alone)."""
     from repro.metrics.slo import IdealLatencyModel
 
-    config = getattr(server, "config", None)
-    cost = getattr(server, "cost_model", None)
+    config, cost = server.config, server.cost_model
     if config is None or cost is None:
         return {}
     ideal = IdealLatencyModel(
@@ -341,7 +339,7 @@ def make_fleet(
         warmup = autoscale or autoscale_predictive or bool(faults)
     lifecycle = None
     if warmup:
-        config = getattr(servers[0], "config", None)
+        config = servers[0].config
         if config is not None:
             lifecycle = ReplicaLifecycleModel.for_model(
                 config.model, config.tensor_parallel

@@ -95,7 +95,7 @@ class QueueDepthAutoscaler:
         config = self.config
         online = [r for r in replicas if r.online]
         accepting = [r for r in online if not r.draining]
-        warming = any(getattr(r, "warming", False) for r in replicas)
+        warming = any(r.warming for r in replicas)
         if not accepting:  # everything draining/parked: force capacity back
             target = self._unpark_target(replicas)
             return [("unpark", target)] if target is not None else []
@@ -150,11 +150,7 @@ def unpark_target(replicas: Sequence):
         if handle.online and handle.draining:
             return handle
     for handle in replicas:
-        if (
-            not handle.online
-            and not getattr(handle, "warming", False)
-            and not getattr(handle, "crashed", False)
-        ):
+        if not handle.online and not handle.warming and not handle.crashed:
             return handle
     return None
 
@@ -232,22 +228,10 @@ class PredictiveAutoscaler:
 
     @staticmethod
     def _arrived_tokens(replicas: Sequence) -> int:
-        """Cumulative token work routed fleet-wide (the arrival signal).
-
-        Prefers the handles' O(1) ``routed_tokens`` counter (stable
-        across crashes, where the routed *list* shrinks); stub replicas
-        without one fall back to summing the list.
-        """
-        total = 0
-        for handle in replicas:
-            counter = getattr(handle, "routed_tokens", None)
-            if counter is not None:
-                total += counter
-            else:
-                total += sum(
-                    r.input_len + r.output_len for r in handle.routed
-                )
-        return total
+        """Cumulative token work routed fleet-wide (the arrival signal):
+        the handles' O(1) ``routed_tokens`` counters, which stay stable
+        across crashes, where the routed *list* shrinks."""
+        return sum(handle.routed_tokens for handle in replicas)
 
     def forecast_rate(self) -> float:
         """Current smoothed arrival estimate (tokens/s)."""
@@ -285,7 +269,7 @@ class PredictiveAutoscaler:
         # Warming replicas are capacity already in flight: they count
         # toward the provision (no double-unpark) and suppress scale-in
         # (no flap-park the moment they come online).
-        warming = sum(1 for r in replicas if getattr(r, "warming", False))
+        warming = sum(1 for r in replicas if r.warming)
         utilization = demand / len(accepting)
         self.last_signals = {
             "rate": round(self._rate_ewma, 2),

@@ -136,9 +136,7 @@ class ClusterPolicy:
         elif available:
             pool = available
         else:
-            pool = [
-                r for r in replicas if getattr(r, "placeable", True)
-            ] or list(replicas)
+            pool = [r for r in replicas if r.placeable] or list(replicas)
         chosen = self.router.route(request, pool, now)
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
@@ -227,8 +225,6 @@ class FleetController:
 
     def _tick(self) -> None:
         self.stats.control_ticks += 1
-        for handle in self.replicas:
-            handle.refresh_probes()
         self._flush_limbo()
         if self.policy.autoscaler is not None:
             self._autoscale()
@@ -439,7 +435,7 @@ class FleetController:
     def _can_place(self) -> bool:
         """Whether ``policy.place`` has any real candidate: an available
         replica, or the placeable (parked-but-healthy) fallback pool."""
-        return any(getattr(r, "placeable", True) for r in self.replicas)
+        return any(r.placeable for r in self.replicas)
 
     def _failover(self, orphans: list[Request], now: float) -> None:
         """Re-dispatch a dead replica's orphans through the placement
@@ -542,7 +538,7 @@ class FleetController:
         self.stats.record_action(now, action, handle.replica_id)
         lifecycle = self.policy.lifecycle
         warmup = lifecycle.warmup_s if lifecycle is not None else 0.0
-        standby = getattr(handle, "standby", False)
+        standby = handle.standby
         if standby and action == "unpark":
             # Warm standby: the parked replica kept its weights resident,
             # so promotion is instant.  Crash recovery still pays — the

@@ -152,7 +152,7 @@ class DisaggDispatcher:
         self._tracer = obs.tracer if obs is not None else None
         self.inflight = 0
         for handle in self.prefill_pool:
-            if not getattr(handle.server, "prefix_cache", None):
+            if handle.server.prefix_cache is None:
                 raise ValueError(
                     "disaggregated dispatch requires prefix_cache on every "
                     f"replica (replica {handle.replica_id} has none)"
@@ -168,7 +168,7 @@ class DisaggDispatcher:
         if request.token_ids is None:
             request.token_ids = _synthetic_tokens(request)
         src = self._pick(self.prefill_router, request, self.prefill_pool, now)
-        if not getattr(src, "placeable", True):
+        if not src.placeable:
             # The whole prefill pool is down (crashed/warming): a shadow
             # clone would sit in a dead queue.  Skip the two-stage path
             # and let the decode side prefill from scratch.
@@ -260,7 +260,7 @@ class DisaggDispatcher:
             self._deliver(request, dst)
 
     def _deliver(self, request: Request, dst) -> None:
-        if not getattr(dst, "placeable", True):
+        if not dst.placeable:
             # The decode replica crashed (or is still warming) while the
             # original rode the fabric; the imported prefix died in the
             # wipe.  Re-route over whatever decode capacity survives —
@@ -290,12 +290,10 @@ class DisaggDispatcher:
         (the prefill pool never runs decodes); pool purity yields to
         liveness only when the whole decode pool is down.
         """
-        if any(getattr(r, "placeable", True) for r in self.decode_pool):
+        if any(r.placeable for r in self.decode_pool):
             return self._pick(self.decode_router, request, self.decode_pool, now)
         fleet = list(self.prefill_pool) + list(self.decode_pool)
-        candidates = [
-            r for r in fleet if getattr(r, "placeable", True)
-        ] or list(self.decode_pool)
+        candidates = [r for r in fleet if r.placeable] or list(self.decode_pool)
         return self.decode_router.route(request, candidates, now)
 
     def same_pool(self, replica_a: int, replica_b: int) -> bool:
@@ -314,9 +312,7 @@ class DisaggDispatcher:
         elif available:
             candidates = available
         else:
-            candidates = [
-                r for r in pool if getattr(r, "placeable", True)
-            ] or list(pool)
+            candidates = [r for r in pool if r.placeable] or list(pool)
         return router.route(request, candidates, now)
 
     def _audit(self, now: float, kind: str, **payload) -> None:

@@ -35,9 +35,10 @@ design space explored by cluster-serving work:
   deployment's modelled prefill service rate, and place the request on
   the replica leaving it the most slack against its class deadline.
 
-Routers duck-type against :class:`repro.fleet.server.ReplicaHandle`
-(``outstanding_requests`` / ``outstanding_tokens`` / ``kv_free`` /
-``prefix_match_len``), so they are unit-testable with stub replicas.
+Routers read a :class:`repro.fleet.server.ReplicaHandle`'s probe
+surface (``replica_id`` / ``outstanding_requests`` /
+``outstanding_tokens`` / ``kv_free`` / ``prefix_match_len``) and nothing
+else, so a stub declaring those five is a full replica in unit tests.
 
 All tie-breaks end on the replica id, so every policy is deterministic:
 equal-state replicas always resolve to the lowest id.
@@ -197,24 +198,19 @@ class CacheAffinityRouter(Router):
         return min(
             replicas,
             key=lambda r: (
-                -self._match_len(r, request),
+                -r.prefix_match_len(request),
                 -r.kv_free(),
                 r.outstanding_requests(),
                 r.replica_id,
             ),
         )
 
-    @staticmethod
-    def _match_len(replica, request: Request) -> int:
-        probe = getattr(replica, "prefix_match_len", None)
-        return probe(request) if callable(probe) else 0
-
     def probe_scores(
         self, request: Request, replicas: Sequence, now: float
     ) -> list[dict]:
         scores = super().probe_scores(request, replicas, now)
         for score, replica in zip(scores, replicas):
-            score["match"] = self._match_len(replica, request)
+            score["match"] = replica.prefix_match_len(request)
         return scores
 
 
@@ -287,8 +283,7 @@ class SLORouter(Router):
         self, request: Request, replica, now: float, deadline: float
     ) -> float:
         backlog = replica.outstanding_tokens()
-        match = getattr(replica, "prefix_match_len", None)
-        resident = match(request) if callable(match) else 0
+        resident = replica.prefix_match_len(request)
         work = backlog + max(0, request.input_len - resident)
         rate = self.token_rate if self.token_rate else 1.0
         return deadline - now - work / rate - self._ideal_latency(request)

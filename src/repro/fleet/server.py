@@ -17,9 +17,10 @@ session KV *after* arrival — the closed control loop.  With no
 actuators armed, no ticks are scheduled and fleet behaviour is
 bit-identical to pure route-once placement.
 
-``ReplicaHandle`` adapts the heterogeneous server shapes to the uniform
-probe-and-mutation surface the control plane consumes, and rebuilds a
-per-replica :class:`~repro.types.ServeResult` afterwards;
+Every server shape implements :class:`ServingReplica`, the one contract
+the fleet and obs layers read.  ``ReplicaHandle`` keeps the fleet's own
+books on top of it (routed ledger, lifecycle flags, steal counts) and
+rebuilds a per-replica :class:`~repro.types.ServeResult` afterwards;
 ``FleetResult`` is the merged fleet view plus the per-replica breakdown
 the load-imbalance metrics read.
 """
@@ -27,7 +28,7 @@ the load-imbalance metrics read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.fleet.control import DEFAULT_CONTROL_INTERVAL, ClusterPolicy, FleetController
 from repro.fleet.disagg import CLONE_ID_OFFSET
@@ -36,19 +37,73 @@ from repro.metrics.fleet import ElasticStats, merge_serve_results
 from repro.sim.engine import Simulator
 from repro.types import Request, RequestState, ServeResult
 
+if TYPE_CHECKING:
+    from repro.kvcache.pool import InstancePool
+    from repro.metrics.qos import QoSLedger
+    from repro.sessions.prefix_cache import PrefixKVCache
+
+
+@runtime_checkable
+class ServingReplica(Protocol):
+    """What the fleet and obs layers read of one replica's server.
+
+    Implemented by ``LoongServeServer`` and the baselines'
+    ``EngineGroup`` (a lone ``EngineServer`` — vLLM, SplitFuse,
+    DeepSpeed-MII, static SP — or DistServe and the replicated
+    engines).  A shape without a capability says so in its own code:
+    ``prefix_cache``/``qos_ledger`` are None and ``crash()`` raises
+    ``TypeError``.  ``ledgers()`` returns the objects holding the
+    append-only ``finished``/``aborted``/``iteration_stats``/
+    ``scaling_events`` lists, in result order (the server, or a group's
+    engines); observers keep a cursor per list, so no list is ever a
+    fresh concatenation.
+    """
+
+    name: str
+    prefix_cache: PrefixKVCache | None
+    qos_ledger: QoSLedger | None
+
+    def use_simulator(self, sim) -> None:
+        """Reset to an empty server on ``sim``'s clock."""
+
+    def observe(self, obs, replica: int = 0) -> None:
+        """Send spans and audits to ``obs.tracer``, tagged ``replica``."""
+
+    def submit(self, request: Request) -> None: ...
+
+    def queued(self) -> Iterable[Request]:
+        """Requests waiting to start, in queue order."""
+
+    def withdraw(self, request: Request) -> bool:
+        """Undo ``submit`` for a queued request; False if not queued."""
+
+    def kv_pools(self) -> Iterable[tuple[int, InstancePool]]:
+        """``(key, pool)`` per KV pool, read live."""
+
+    def crash(self) -> tuple[list[Request], int]:
+        """Fail atomically: (orphaned requests, lost KV tokens)."""
+
+    def ledgers(self) -> Sequence: ...
+
+    def decode_batch_size(self) -> int: ...
+
+    def generated_tokens(self) -> int:
+        """Running total of output tokens (the throughput read)."""
+
 
 class ReplicaHandle:
-    """Uniform fleet-side view over one replica serving system.
+    """Fleet-side view of one replica: its server plus the fleet's books.
 
     Routers read the *probe* surface (queue depth, KV occupancy, prefix
     matches); the control plane additionally drives the *mutation*
     surface: ``drain``/``park``/``unpark`` for autoscaling,
     ``withdraw``/``accept_stolen`` for work stealing, and
     ``export_prefix``/``import_prefix`` for cross-replica session-KV
-    migration.
+    migration.  Every read of the server goes through
+    :class:`ServingReplica`.
     """
 
-    def __init__(self, replica_id: int, server) -> None:
+    def __init__(self, replica_id: int, server: ServingReplica) -> None:
         self.replica_id = replica_id
         self.server = server
         self.routed: list[Request] = []
@@ -79,11 +134,10 @@ class ReplicaHandle:
         # replica starts parked with weights resident, so an autoscaler
         # promotion skips the weight-load warm-up entirely.
         self.standby = False
-        self._kv_sources: list[tuple[int, object]] | None = None
 
     @property
     def name(self) -> str:
-        return getattr(self.server, "name", type(self.server).__name__)
+        return self.server.name
 
     @property
     def available(self) -> bool:
@@ -105,12 +159,9 @@ class ReplicaHandle:
     # -- lifecycle -----------------------------------------------------------
 
     def prepare(self, sim) -> None:
-        """Reset the replica and attach it to the shared clock (a
-        :class:`Simulator`, or one replica's ``ShardClock`` view of it
-        when the fleet runs sharded calendars)."""
-        reset = getattr(self.server, "_reset", None)
-        if callable(reset):
-            reset()
+        """Reset the replica onto the shared clock (a :class:`Simulator`,
+        or one replica's ``ShardClock`` view of it when the fleet runs
+        sharded calendars)."""
         self.server.use_simulator(sim)
         self.routed = []
         self._active = []
@@ -121,7 +172,6 @@ class ReplicaHandle:
         self.draining = False
         self.crashed = False
         self.warming = False
-        self._kv_sources = None
 
     def submit(self, request: Request) -> None:
         self.routed.append(request)
@@ -165,18 +215,12 @@ class ReplicaHandle:
     def crash(self) -> tuple[list[Request], int]:
         """Kill this replica; returns (orphaned requests, lost KV tokens).
 
-        Delegates the atomic state wipe to the server (which must expose
-        ``crash()`` — the LoongServe shapes do), prunes the orphans from
+        The server wipes its own state atomically (a shape that cannot
+        fail raises ``TypeError``); the handle prunes the orphans from
         the routed ledger so the fleet result cannot double-count them
         after failover, and takes the replica offline until recovery.
         """
-        server_crash = getattr(self.server, "crash", None)
-        if not callable(server_crash):
-            raise TypeError(
-                f"replica {self.name!r} does not support failure injection "
-                f"(its server has no crash())"
-            )
-        orphans, lost_tokens = server_crash()
+        orphans, lost_tokens = self.server.crash()
         orphan_ids = {r.request_id for r in orphans}
         self.routed = [r for r in self.routed if r.request_id not in orphan_ids]
         self._active = []  # every unfinished resident is an orphan now
@@ -184,7 +228,6 @@ class ReplicaHandle:
         self.draining = False
         self.crashed = True
         self.warming = False
-        self.refresh_probes()  # the crash rebuilt the pools underneath
         return orphans, lost_tokens
 
     def begin_warmup(self) -> None:
@@ -220,49 +263,15 @@ class ReplicaHandle:
         self._active = active
         return sum(r.current_len for r in active)
 
-    def _resolve_kv_sources(self) -> list[tuple[int, object]]:
-        """Shape dispatch: (key, pool) pairs exposing ``free``/``capacity``."""
-        pool = getattr(self.server, "pool", None)
-        if pool is not None:
-            if hasattr(pool, "pools"):  # UnifiedKVPool
-                return sorted(pool.pools.items())
-            return [(0, pool)]  # single-engine InstancePool
-        engines = getattr(self.server, "engines", None)
-        if engines:  # ReplicatedServer
-            return [(i, engine.pool) for i, engine in enumerate(engines)]
-        prefill = getattr(self.server, "prefill_engine", None)
-        decode = getattr(self.server, "decode_engine", None)
-        if prefill is not None and decode is not None:  # DistServe
-            return [(0, prefill.pool), (1, decode.pool)]
-        return []
-
-    def kv_sources(self) -> list[tuple[int, object]]:
-        """Resolved per-replica KV pool handles.
-
-        The shape dispatch (and the dict it used to rebuild) runs once,
-        not on every router probe of every arrival; the control loop
-        calls :meth:`refresh_probes` each tick as the invalidation point
-        (replica shapes are static in practice, so this is a safety
-        refresh, not a correctness requirement — ``free`` reads stay
-        live either way).
-        """
-        if self._kv_sources is None:
-            self._kv_sources = self._resolve_kv_sources()
-        return self._kv_sources
-
-    def refresh_probes(self) -> None:
-        """Control-tick invalidation of the cached probe structure."""
-        self._kv_sources = None
-
     def kv_free_map(self) -> dict[int, int]:
-        """Free KV slots per instance/engine, across server shapes."""
-        return {key: pool.free for key, pool in self.kv_sources()}
+        """Free KV slots per instance/engine."""
+        return {key: pool.free for key, pool in self.server.kv_pools()}
 
     def kv_free(self) -> int:
-        return sum(pool.free for _, pool in self.kv_sources())
+        return sum(pool.free for _, pool in self.server.kv_pools())
 
     def kv_capacity(self) -> int:
-        return sum(pool.capacity for _, pool in self.kv_sources())
+        return sum(pool.capacity for _, pool in self.server.kv_pools())
 
     def kv_used_fraction(self) -> float:
         """KV pressure: fraction of this replica's slots in use."""
@@ -274,31 +283,16 @@ class ReplicaHandle:
     def prefix_match_len(self, request: Request) -> int:
         """Longest prompt prefix resident in this replica's prefix-KV
         cache (0 for replicas without one, or token-less requests)."""
-        cache = getattr(self.server, "prefix_cache", None)
+        cache = self.server.prefix_cache
         if cache is None or request.token_ids is None:
             return 0
         return cache.peek_match(request.token_ids)
 
     @property
     def has_prefix_cache(self) -> bool:
-        return getattr(self.server, "prefix_cache", None) is not None
+        return self.server.prefix_cache is not None
 
     # -- work stealing ---------------------------------------------------------
-
-    def _queue_slots(self) -> list[tuple[object, str]]:
-        """Queues on this replica that hold withdrawable requests."""
-        slots: list[tuple[object, str]] = []
-        if hasattr(self.server, "pending"):  # LoongServeServer
-            slots.append((self.server, "pending"))
-        if hasattr(self.server, "waiting"):  # EngineServer shapes
-            slots.append((self.server, "waiting"))
-        prefill = getattr(self.server, "prefill_engine", None)
-        if prefill is not None and hasattr(prefill, "waiting"):  # DistServe
-            slots.append((prefill, "waiting"))
-        for engine in getattr(self.server, "engines", None) or []:
-            if hasattr(engine, "waiting"):  # ReplicatedServer
-                slots.append((engine, "waiting"))
-        return slots
 
     @staticmethod
     def _stealable(request: Request) -> bool:
@@ -315,47 +309,26 @@ class ReplicaHandle:
 
     def queued_requests(self) -> list[Request]:
         """Requests queued here that a steal could relocate."""
-        queued: list[Request] = []
-        for owner, attr in self._queue_slots():
-            queued.extend(r for r in getattr(owner, attr) if self._stealable(r))
-        return queued
+        return [r for r in self.server.queued() if self._stealable(r)]
 
     def withdraw(self, request: Request) -> bool:
         """Remove a still-queued request from this replica entirely.
 
-        Undoes everything ``submit`` caused for a request that never
-        started executing: the queue entry, the server's bookkeeping
-        membership, any prefix-cache pins from speculative matching, and
-        the routed ledger.  Returns False when the request already left
-        the queue (it started prefilling between plan and execution).
+        The server undoes its own side of ``submit`` (queue entry,
+        bookkeeping, prefix-cache pins); the handle drops the request
+        from the routed ledger.  Returns False when the request already
+        left the queue (it started prefilling between plan and
+        execution).
         """
-        if not self._stealable(request):
+        if not self._stealable(request) or not self.server.withdraw(request):
             return False
-        for owner, attr in self._queue_slots():
-            queue = getattr(owner, attr)
-            if request in queue:
-                queue.remove(request)
-                tracked = getattr(owner, "_all_requests", None)
-                if tracked is not None and request in tracked:
-                    tracked.remove(request)
-                # If it was withdrawn before its first tick even vetted
-                # it, the capacity check must not fire here — the new
-                # owner vets it on its own queue.
-                unvetted = getattr(self.server, "_unvetted", None)
-                if unvetted is not None and request in unvetted:
-                    unvetted.remove(request)
-                cache = getattr(self.server, "prefix_cache", None)
-                if cache is not None:
-                    cache.release(request.request_id)
-                    request.cached_prefix_len = 0
-                if request in self.routed:
-                    self.routed.remove(request)
-                    self.routed_tokens -= request.input_len + request.output_len
-                if request in self._active:
-                    self._active.remove(request)
-                self.stolen_out += 1
-                return True
-        return False
+        if request in self.routed:
+            self.routed.remove(request)
+            self.routed_tokens -= request.input_len + request.output_len
+        if request in self._active:
+            self._active.remove(request)
+        self.stolen_out += 1
+        return True
 
     def accept_stolen(self, request: Request) -> None:
         """Enqueue a request withdrawn from an overloaded peer."""
@@ -366,32 +339,32 @@ class ReplicaHandle:
 
     def export_prefix(self, request: Request) -> tuple[int, ...]:
         """Read this replica's resident prefix of ``request`` for handoff."""
-        cache = getattr(self.server, "prefix_cache", None)
+        cache = self.server.prefix_cache
         if cache is None or request.token_ids is None:
             return ()
         return cache.export_prefix(request.token_ids)
 
     def import_prefix(self, token_ids: tuple[int, ...], now: float) -> int:
         """Install a migrated prefix extent; returns tokens placed."""
-        cache = getattr(self.server, "prefix_cache", None)
+        cache = self.server.prefix_cache
         if cache is None:
             return 0
         return cache.import_prefix(token_ids, now)
 
     def note_prefix_export(self, num_tokens: int) -> None:
         """Charge a successful handoff against this side's export ledger."""
-        cache = getattr(self.server, "prefix_cache", None)
+        cache = self.server.prefix_cache
         if cache is not None:
             cache.note_export(num_tokens)
 
     def resident_prefix_sequences(self) -> list[tuple[float, tuple[int, ...]]]:
-        cache = getattr(self.server, "prefix_cache", None)
+        cache = self.server.prefix_cache
         if cache is None:
             return []
         return cache.resident_sequences()
 
     def clear_prefix_cache(self) -> int:
-        cache = getattr(self.server, "prefix_cache", None)
+        cache = self.server.prefix_cache
         if cache is None:
             return 0
         return cache.clear()
@@ -400,42 +373,29 @@ class ReplicaHandle:
 
     def result(self, makespan: float) -> ServeResult:
         """Per-replica ``ServeResult`` over the requests routed here."""
+        server = self.server
+        parts = server.ledgers()
         # Shadow prefill clones (disaggregated dispatch) never appear in
         # the fleet result: their original is delivered elsewhere, so an
         # aborted clone here would double-count the request.
         aborted = [
-            r for r in self._collect("aborted")
+            r for part in parts for r in part.aborted
             if r.request_id < CLONE_ID_OFFSET
         ]
         aborted_ids = {r.request_id for r in aborted}
-        stats = self._collect("iteration_stats")
-        cache = getattr(self.server, "prefix_cache", None)
-        ledger = getattr(self.server, "qos_ledger", None)
+        stats = [s for part in parts for s in part.iteration_stats]
+        cache = server.prefix_cache
+        ledger = server.qos_ledger
         return ServeResult(
             system=self.name,
             requests=[r for r in self.routed if r.request_id not in aborted_ids],
-            scaling_events=self._collect("scaling_events"),
+            scaling_events=[e for part in parts for e in part.scaling_events],
             iteration_stats=sorted(stats, key=lambda s: s.start_time),
             makespan=makespan,
             aborted=aborted,
             cache_stats=cache.stats_dict() if cache is not None else None,
             qos_stats=ledger.as_dict() if ledger is not None else None,
         )
-
-    def _collect(self, attr: str) -> list:
-        collected: list = []
-        for part in self._components():
-            collected.extend(getattr(part, attr, None) or [])
-        return collected
-
-    def _components(self) -> list:
-        parts = [self.server]
-        parts.extend(getattr(self.server, "engines", None) or [])
-        for sub in ("prefill_engine", "decode_engine"):
-            engine = getattr(self.server, sub, None)
-            if engine is not None:
-                parts.append(engine)
-        return parts
 
 
 @dataclass
@@ -457,7 +417,7 @@ class FleetServer:
 
     def __init__(
         self,
-        replicas: Sequence,
+        replicas: Sequence[ServingReplica],
         router: Router | None = None,
         name: str | None = None,
         policy: ClusterPolicy | None = None,
@@ -486,8 +446,9 @@ class FleetServer:
         # queue (bit-identical to the shared heap — same tie-break
         # order); the control plane keeps the simulator's own queue.
         self.sharded = sharded
-        base = getattr(replicas[0], "name", type(replicas[0]).__name__)
-        self.name = name or f"{base} x{len(replicas)} [{self.policy.name}]"
+        self.name = name or (
+            f"{replicas[0].name} x{len(replicas)} [{self.policy.name}]"
+        )
         self._remaining_arrivals = 0
         # Every request placed this run (trace arrivals and driver
         # submissions, never shadow clones): the run-end liveness check
@@ -533,11 +494,7 @@ class FleetServer:
         self.policy.tracer = obs.tracer if obs is not None else None
         if obs is not None:
             for handle in self.replicas:
-                server = handle.server
-                if hasattr(server, "observe"):
-                    server.observe(obs, replica=handle.replica_id)
-                else:
-                    server.trace = obs.tracer
+                handle.server.observe(obs, replica=handle.replica_id)
         self._remaining_arrivals = len(requests) + (
             driver.total_requests if driver is not None else 0
         )

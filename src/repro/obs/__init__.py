@@ -28,7 +28,7 @@ from repro.obs.export import (
 )
 from repro.obs.observe import DEFAULT_TELEMETRY_INTERVAL, Observability
 from repro.obs.telemetry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.tracer import SPAN_PHASES, AuditRecord, Span, TraceRecord, Tracer
+from repro.obs.tracer import SPAN_PHASES, AuditRecord, Span, Tracer
 
 __all__ = [
     "AuditRecord",
@@ -43,7 +43,6 @@ __all__ = [
     "SLOHealthMonitor",
     "SPAN_PHASES",
     "Span",
-    "TraceRecord",
     "Tracer",
     "attribute",
     "diff_blame",

@@ -11,7 +11,8 @@ requires *both* to burn above threshold.
 
 The monitor is a pure observer riding the existing telemetry sampling
 path (fleet control ticks, or the standalone sampler): it reads the
-servers' append-only ``finished``/``aborted`` ledgers through cursors,
+append-only ``finished``/``aborted`` ledgers of every server or engine
+(``ServingReplica.ledgers()``) through cursors,
 maintains per-QoS-class rolling windows of deadline outcomes, publishes
 ``slo.attainment.<cls>`` / ``slo.burn_fast.<cls>`` /
 ``slo.burn_slow.<cls>`` gauges, and emits hysteresis-gated ``slo_alert``
@@ -79,8 +80,8 @@ class SLOHealthMonitor:
         """Clear cursors, windows, and alert state (one monitor = one run)."""
         # (time, met) outcome events per QoS class, time-ordered.
         self._events: dict[str, deque] = {}
-        # High-water marks into the servers' append-only ledgers,
-        # keyed by (id(server), ledger name).
+        # High-water marks into the append-only ledgers, keyed by
+        # (id(owner), ledger name).
         self._cursors: dict[tuple[int, str], int] = {}
         # Alert state machine per class: "ok" or "firing", plus the
         # consecutive-tick streaks feeding the hysteresis gates.
@@ -90,10 +91,11 @@ class SLOHealthMonitor:
 
     # -- tick entry point ------------------------------------------------------
 
-    def observe(self, servers, now: float, tracer=None, metrics=None) -> None:
-        """One control-tick observation over the given server objects."""
-        for server in servers:
-            self._drain(server, now)
+    def observe(self, ledgers, now: float, tracer=None, metrics=None) -> None:
+        """One control-tick observation over the given ledger owners
+        (objects with ``finished`` and ``aborted`` lists)."""
+        for owner in ledgers:
+            self._drain(owner, now)
         horizon = now - self.window_slow
         for cls in sorted(self._events):
             events = self._events[cls]
@@ -107,16 +109,13 @@ class SLOHealthMonitor:
 
     # -- internals -------------------------------------------------------------
 
-    def _drain(self, server, now: float) -> None:
+    def _drain(self, owner, now: float) -> None:
         """Pull newly finished/aborted requests into the class windows."""
-        for ledger, met_of in (
-            ("finished", self._finish_outcome),
-            ("aborted", lambda r: False),
+        for ledger, requests, met_of in (
+            ("finished", owner.finished, self._finish_outcome),
+            ("aborted", owner.aborted, lambda r: False),
         ):
-            requests = getattr(server, ledger, None)
-            if requests is None:
-                continue
-            key = (id(server), ledger)
+            key = (id(owner), ledger)
             start = self._cursors.get(key, 0)
             end = len(requests)
             for i in range(start, end):

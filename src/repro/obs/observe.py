@@ -48,10 +48,11 @@ class Observability:
         # (time, cumulative generated tokens) at the previous sample —
         # the finite difference behind the tokens/s gauge.
         self._last_tokens: tuple[float, float] | None = None
-        # Per-server high-water marks into the append-only ``finished``
-        # lists: each control tick feeds only the newly finished
-        # requests into the latency histograms.  Keyed by id(server) —
-        # one Observability covers one run, so ids are stable.
+        # Per-ledger-owner high-water marks into the append-only
+        # ``finished`` lists: each control tick feeds only the newly
+        # finished requests into the latency histograms.  Keyed by the
+        # owner's id — one Observability covers one run, so ids are
+        # stable.
         self._finished_cursors: dict[int, int] = {}
         # Optional SLO burn-rate monitor (off by default; see
         # :meth:`enable_health`).  When armed it observes on the same
@@ -95,31 +96,31 @@ class Observability:
     def _observe_latencies(self, server, prefix: str) -> None:
         """Feed newly finished requests into the latency histograms.
 
-        ``finished`` is append-only (it even survives a replica crash),
-        so a cursor per server makes each tick O(newly finished): TTFT
-        as first-token minus arrival, and the mean per-token decode
-        latency for requests that decoded past their first token.
+        Each ``finished`` ledger is append-only (it even survives a
+        replica crash), so a cursor per ledger owner makes each tick
+        O(newly finished): TTFT as first-token minus arrival, and the
+        mean per-token decode latency for requests that decoded past
+        their first token.
         """
-        finished = getattr(server, "finished", None)
-        if finished is None:
-            return
-        start = self._finished_cursors.get(id(server), 0)
-        end = len(finished)
-        if end <= start:
-            return
-        ttft = self.metrics.histogram(f"{prefix}.ttft")
-        per_token = self.metrics.histogram(f"{prefix}.per_token_latency")
-        for i in range(start, end):
-            request = finished[i]
-            first = request.first_token_time
-            if first is None or request.request_id >= SHADOW_REQUEST_OFFSET:
-                continue  # internal shadow clones are not arrivals
-            ttft.observe(first - request.arrival_time)
-            if request.generated > 1 and request.finish_time is not None:
-                per_token.observe(
-                    (request.finish_time - first) / (request.generated - 1)
-                )
-        self._finished_cursors[id(server)] = end
+        for part in server.ledgers():
+            finished = part.finished
+            start = self._finished_cursors.get(id(part), 0)
+            end = len(finished)
+            if end <= start:
+                continue
+            ttft = self.metrics.histogram(f"{prefix}.ttft")
+            per_token = self.metrics.histogram(f"{prefix}.per_token_latency")
+            for i in range(start, end):
+                request = finished[i]
+                first = request.first_token_time
+                if first is None or request.request_id >= SHADOW_REQUEST_OFFSET:
+                    continue  # internal shadow clones are not arrivals
+                ttft.observe(first - request.arrival_time)
+                if request.generated > 1 and request.finish_time is not None:
+                    per_token.observe(
+                        (request.finish_time - first) / (request.generated - 1)
+                    )
+            self._finished_cursors[id(part)] = end
 
     def sample_fleet(self, replicas, now: float) -> None:
         """One telemetry sample over a fleet's replica handles."""
@@ -131,17 +132,14 @@ class Observability:
         kv_frac = 0.0
         active = []
         for handle in replicas:
+            server = handle.server
             queued += len(handle.queued_requests())
             outstanding += handle.outstanding_requests()
             active.extend(r for r in handle._active if not r.finished)
             kv_frac += handle.kv_used_fraction()
-            for b in getattr(handle.server, "decode_batches", None) or []:
-                batch += b.batch_size
-            generated = getattr(handle.server, "_generated_total", None)
-            if generated is None:  # non-LoongServe replica shapes
-                generated = sum(r.generated for r in handle.routed)
-            tokens += generated
-            self._observe_latencies(handle.server, "fleet")
+            batch += server.decode_batch_size()
+            tokens += server.generated_tokens()
+            self._observe_latencies(server, "fleet")
         n = len(replicas) or 1
         metrics.gauge("fleet.queue_depth").set(queued)
         metrics.gauge("fleet.outstanding").set(outstanding)
@@ -154,63 +152,39 @@ class Observability:
         self._sample_slack(active, now)
         if self.health is not None:
             self.health.observe(
-                [h.server for h in replicas], now,
+                [part for h in replicas for part in h.server.ledgers()], now,
                 tracer=self.tracer, metrics=metrics,
             )
         metrics.sample(now)
 
     def sample_server(self, server, now: float) -> None:
-        """One telemetry sample over a single serving system."""
+        """One telemetry sample over a single LoongServe server (its
+        standalone ``run``/``run_driven`` arm this sampler)."""
         metrics = self.metrics
-        pending = getattr(server, "pending", None)
-        if pending is None:
-            pending = getattr(server, "waiting", None) or []
+        pending = server.pending
         metrics.gauge("server.queue_depth").set(len(pending))
-        pool = getattr(server, "pool", None)
-        if pool is not None:
-            capacity = getattr(pool, "total_capacity", None)
-            free = getattr(pool, "total_free", None)
-            if capacity is None:
-                capacity, free = pool.capacity, pool.free
-            metrics.gauge("server.kv_used_fraction").set(
-                1.0 - free / capacity if capacity else 0.0
-            )
-        batch = sum(
-            b.batch_size for b in getattr(server, "decode_batches", None) or []
+        pool = server.pool
+        capacity = pool.total_capacity
+        metrics.gauge("server.kv_used_fraction").set(
+            1.0 - pool.total_free / capacity if capacity else 0.0
         )
-        metrics.gauge("server.batch_size").set(batch)
-        tokens = getattr(server, "_generated_total", None)
-        if tokens is None:  # non-LoongServe server shapes keep the scan
-            tokens = sum(r.generated for r in getattr(server, "_all_requests", ()))
-        metrics.gauge("server.tokens_per_s").set(self._tokens_per_s(now, float(tokens)))
-        self._sample_slack(self._live_requests(server, pending), now)
+        metrics.gauge("server.batch_size").set(server.decode_batch_size())
+        metrics.gauge("server.tokens_per_s").set(
+            self._tokens_per_s(now, float(server.generated_tokens()))
+        )
+        # In-flight requests in O(live): queued + prefilling + decoding
+        # are disjoint and cover every unfinished, unaborted request.
+        live = list(pending)
+        live.extend(server._prefilling.values())
+        for decode_batch in server.decode_batches:
+            live.extend(decode_batch.requests)
+        self._sample_slack(live, now)
         self._observe_latencies(server, "server")
         if self.health is not None:
             self.health.observe(
-                [server], now, tracer=self.tracer, metrics=metrics
+                server.ledgers(), now, tracer=self.tracer, metrics=metrics
             )
         metrics.sample(now)
-
-    @staticmethod
-    def _live_requests(server, pending):
-        """In-flight requests in O(live): queued + prefilling + decoding.
-
-        The three sources are disjoint and cover every unfinished,
-        unaborted request, so the slack sample matches the old
-        whole-trace scan without touching requests that already left
-        the system.  Servers without the incremental bookkeeping fall
-        back to that scan.
-        """
-        prefilling = getattr(server, "_prefilling", None)
-        if prefilling is None:
-            return (
-                r for r in getattr(server, "_all_requests", ()) if not r.finished
-            )
-        live = list(pending)
-        live.extend(prefilling.values())
-        for batch in getattr(server, "decode_batches", None) or []:
-            live.extend(batch.requests)
-        return live
 
     # ------------------------------------------------------------------
     # Standalone sampling timer (runs without a FleetController)

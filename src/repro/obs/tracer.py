@@ -18,9 +18,8 @@ Everything is gated on ``enabled``: call sites guard with
 disabled tracer costs one attribute load per site and the default
 off-path reproduces prior builds bit for bit.
 
-This module is dependency-light on purpose (stdlib only): it is
-imported by ``repro.sim.trace`` for back-compat and must not pull in
-the simulator or server layers.
+This module is dependency-light on purpose (stdlib only): the server
+and baseline layers import it, so it must not pull them in.
 """
 
 from __future__ import annotations
@@ -58,10 +57,8 @@ SHADOW_REQUEST_OFFSET = 1 << 40
 class AuditRecord:
     """One structured control-plane decision.
 
-    Field names (``time``/``kind``/``payload``) match the old
-    ``TraceRecord`` so legacy call sites and tests keep working;
-    ``component`` and ``replica`` are the new structure.  A plain
-    ``__slots__`` class rather than a dataclass: tracing-on runs mint
+    ``time``/``kind``/``payload`` say what happened; ``component`` and
+    ``replica`` say where.  A plain ``__slots__`` class rather than a dataclass: tracing-on runs mint
     one of these per control decision, and the slotted five-store
     ``__init__`` is a measurable cut over the generated dataclass one.
     """
@@ -92,10 +89,6 @@ class AuditRecord:
     def __str__(self) -> str:
         args = " ".join(f"{k}={v}" for k, v in self.payload.items())
         return f"[{self.time:10.4f}] {self.kind:<18} {args}"
-
-
-#: Back-compat alias: the old name for an audit record.
-TraceRecord = AuditRecord
 
 
 class Span:
@@ -182,7 +175,11 @@ class Tracer:
         self.records.append(AuditRecord(time, kind, payload, component, replica))
 
     def record(self, time: float, kind: str, **payload) -> None:
-        """Legacy ``TraceRecorder.record`` API (component "legacy")."""
+        """Append an unstructured record (component ``"legacy"``).
+
+        Nothing in the simulator calls it; ``perfbench/layers.py``
+        still wraps it by name.
+        """
         if not self.enabled:
             return
         self.records.append(AuditRecord(time, kind, payload))
@@ -263,7 +260,7 @@ class Tracer:
         self._open.clear()
 
     # ------------------------------------------------------------------
-    # Queries (superset of the old TraceRecorder API)
+    # Queries
     # ------------------------------------------------------------------
 
     def of_kind(self, kind: str) -> list[AuditRecord]:

@@ -9,6 +9,5 @@ the serving logic above it stays readable.
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
-from repro.sim.trace import TraceRecorder
 
-__all__ = ["Event", "EventQueue", "Simulator", "TraceRecorder"]
+__all__ = ["Event", "EventQueue", "Simulator"]

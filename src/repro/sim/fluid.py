@@ -291,10 +291,9 @@ class FluidStepper:
                 )
             )
             if server.trace.enabled:
-                replica = getattr(server, "obs_replica", 0)
                 server.trace.audit(
                     now, "fluid_window", component="scheduler",
-                    replica=replica,
+                    replica=server.obs_replica,
                     batch=batch.batch_id, iterations=n,
                     duration=round(duration, 4),
                 )
@@ -314,7 +313,7 @@ class FluidStepper:
                     windows.append((w_start, w_end, advanced))
                     server.trace.transition(
                         request.request_id, "decode", now,
-                        replica=replica, fluid_windows=windows,
+                        replica=server.obs_replica, fluid_windows=windows,
                     )
             # Snapshot membership: requests joining at exactly the
             # window-end timestamp (a prefill completing there) must not

@@ -56,8 +56,12 @@ def make_request(
 
 
 class StubReplica:
-    """Minimal router-facing replica handle for unit-testing fleet
-    routing policies with fully controllable probe state."""
+    """Minimal replica handle for unit-testing fleet policies.
+
+    Declares what production reads of a ``ReplicaHandle``: the router
+    probes with fully controllable state, plus the lifecycle flags and
+    counters the control plane reads (healthy and online by default).
+    """
 
     def __init__(self, replica_id, outstanding=0, tokens=0, free=0, match=0):
         self.replica_id = replica_id
@@ -65,6 +69,20 @@ class StubReplica:
         self._tokens = tokens
         self._free = free
         self._match = match
+        self.online = True
+        self.draining = False
+        self.crashed = False
+        self.warming = False
+        self.standby = False
+        self.routed_tokens = 0
+
+    @property
+    def available(self):
+        return self.online and not self.draining
+
+    @property
+    def placeable(self):
+        return not self.crashed and not self.warming
 
     def outstanding_requests(self):
         return self._outstanding

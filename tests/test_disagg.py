@@ -106,9 +106,7 @@ class TestDisaggDispatch:
 
     def test_oversized_prompt_falls_back_to_direct_decode(self):
         fleet = disagg_fleet()
-        capacity = sum(
-            pool.capacity for _, pool in fleet.replicas[0].kv_sources()
-        )
+        capacity = fleet.replicas[0].kv_capacity()
         giant = make_trace(SHAREGPT, rate=10.0, num_requests=1, seed=99)[0]
         giant.input_len = capacity + 10
         giant.token_ids = None

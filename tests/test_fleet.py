@@ -17,6 +17,7 @@ from repro.fleet import (
 )
 from repro.metrics.fleet import fleet_load_report, merge_serve_results
 from repro.metrics.latency import summarize_latency
+from repro.sim.engine import Simulator
 from repro.types import Request, RequestState, ServeResult
 from repro.workloads.datasets import MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace, shard_trace
@@ -123,21 +124,17 @@ class TestRouters:
         assert chosen.replica_id == 1
 
     def test_affinity_handles_probe_less_replicas(self):
-        """Replicas without a prefix cache probe score a zero match."""
-
-        class BareStub:
-            def __init__(self, replica_id, free):
-                self.replica_id = replica_id
-                self._free = free
-
-            def kv_free(self):
-                return self._free
-
-            def outstanding_requests(self):
-                return 0
-
-        replicas = [BareStub(0, free=10), BareStub(1, free=50)]
-        chosen = CacheAffinityRouter().route(make_request(), replicas, 0.0)
+        """Replicas without a prefix cache score a zero match (their
+        server says ``prefix_cache is None``) and fall back to least-kv."""
+        replicas = [ReplicaHandle(i, make_system("vllm")) for i in range(2)]
+        sim = Simulator()
+        for handle in replicas:
+            handle.prepare(sim)
+        replicas[0].submit(make_request(input_len=5_000))  # fills some KV
+        request = make_request()
+        request.token_ids = tuple(range(request.input_len))
+        assert [r.prefix_match_len(request) for r in replicas] == [0, 0]
+        chosen = CacheAffinityRouter().route(request, replicas, 0.0)
         assert chosen.replica_id == 1
 
 

@@ -2,8 +2,8 @@
 
 Four contracts pinned here:
 
-* **Tracer semantics** — span merge/split rules, finalize, the audit
-  log, and the legacy ``TraceRecorder`` shim.
+* **Tracer semantics** — span merge/split rules, finalize, and the
+  audit log.
 * **Telemetry** — registry typing, sampling, histogram merge
   associativity (hypothesis), quantiles.
 * **Exporters** — Perfetto trace.json schema validity and the
@@ -41,7 +41,6 @@ from repro.obs import (
     request_story,
     validate_perfetto,
 )
-from repro.sim.trace import TraceRecord, TraceRecorder
 from repro.workloads.datasets import SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
 
@@ -130,19 +129,6 @@ class TestTracer:
         assert [r.time for r in tracer.between(0.5, 2.0)] == [1.0]
         assert len(tracer) == 3 and len(list(tracer)) == 3
         assert "a" in tracer.render()
-
-
-class TestTraceRecorderShim:
-    def test_shim_is_a_tracer(self):
-        rec = TraceRecorder(enabled=True)
-        assert isinstance(rec, Tracer)
-        rec.record(1.0, "scale_up", size=3)
-        assert rec.of_kind("scale_up")[0].payload == {"size": 3}
-        assert rec.records[0].component == "legacy"
-
-    def test_trace_record_alias(self):
-        rec = TraceRecord(time=0.0, kind="x", payload={"a": 1})
-        assert "x" in str(rec) and "a=1" in str(rec)
 
 
 class TestMetricsRegistry:

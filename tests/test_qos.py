@@ -431,26 +431,12 @@ class TestSLORouter:
         assert make_router("slo").name == "slo"
 
 
-class _ScalerReplica(StubReplica):
-    """Stub with the routed ledger and lifecycle flags the predictive
-    autoscaler reads."""
-
-    def __init__(self, replica_id, **kwargs):
-        super().__init__(replica_id, **kwargs)
-        self.routed = []
-        self.online = True
-        self.draining = False
-        self.warming = False
-
-
 class TestPredictiveAutoscaler:
     def _fleet(self, n=3):
-        return [_ScalerReplica(i) for i in range(n)]
+        return [StubReplica(i) for i in range(n)]
 
     def _feed(self, replicas, tokens):
-        replicas[0].routed.append(
-            make_request(input_len=tokens, output_len=1)
-        )
+        replicas[0].routed_tokens += tokens + 1  # input + one output token
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
-from repro.sim.trace import TraceRecorder
+from repro.obs import Tracer
 
 
 class TestEventQueue:
@@ -255,28 +255,30 @@ class TestSimulator:
 
 
 class TestTraceRecorder:
+    """The tracer's audit log, as the simulator's servers write it."""
+
     def test_records_and_filters(self):
-        trace = TraceRecorder()
-        trace.record(1.0, "arrival", request=1)
-        trace.record(2.0, "finish", request=1)
+        trace = Tracer()
+        trace.audit(1.0, "arrival", request=1)
+        trace.audit(2.0, "finish", request=1)
         assert len(trace) == 2
         assert trace.of_kind("arrival")[0].payload["request"] == 1
         assert trace.kinds() == {"arrival", "finish"}
 
     def test_disabled_recorder_is_noop(self):
-        trace = TraceRecorder(enabled=False)
-        trace.record(1.0, "arrival")
+        trace = Tracer(enabled=False)
+        trace.audit(1.0, "arrival")
         assert len(trace) == 0
 
     def test_between_window(self):
-        trace = TraceRecorder()
+        trace = Tracer()
         for t in (1.0, 2.0, 3.0):
-            trace.record(t, "tick")
+            trace.audit(t, "tick")
         assert len(trace.between(1.5, 3.0)) == 1
 
     def test_render_contains_kind(self):
-        trace = TraceRecorder()
-        trace.record(1.0, "scale_up", batch=3)
+        trace = Tracer()
+        trace.audit(1.0, "scale_up", batch=3)
         assert "scale_up" in trace.render()
 
 
