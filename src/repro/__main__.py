@@ -286,14 +286,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.replicas < 2 and args.system not in PREFIX_CACHE_SYSTEMS:
-            print(
-                f"error: single-deployment --closed-loop needs a LoongServe "
-                f"system ({', '.join(PREFIX_CACHE_SYSTEMS)}), got "
-                f"{args.system!r}",
-                file=sys.stderr,
-            )
-            return 2
         from dataclasses import replace as _replace
 
         from repro.sessions import SESSIONS, make_session_workload

@@ -1,4 +1,4 @@
-"""Shared single-engine serving loop for the baseline systems.
+"""Shared engine machinery for the baseline systems.
 
 An *engine* is one statically-parallelised model replica: a fixed set of
 elastic-instance slots (e.g. one TP=8 instance for vLLM, four TP=2
@@ -6,7 +6,15 @@ instances for the static hybrid) with one KV pool and one scheduler
 queue.  ``EngineServer`` provides continuous batching with
 preemption-by-recomputation; an :class:`EnginePolicy` decides what each
 iteration executes, which is the only place the baselines differ.
-``EngineGroup`` serves engines on one clock as one fleet replica.
+``EngineGroup`` serves engines on one clock as one replica: its ``run``
+and ``run_driven`` are the shared serving loop (:mod:`repro.serving`).
+
+An engine never queues a request it can never serve.  ``submit``
+aborts one whose worst case exceeds the pool, or whose prompt the
+policy could never start (:meth:`EnginePolicy.never_admits`), and a
+preempted request that has grown past that is aborted instead of
+requeued.  Every engine abort goes through :meth:`EngineServer.abort`:
+audited, span closed, completion hook fired.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from repro.config import SystemConfig
 from repro.costmodel.latency import RooflineCostModel
 from repro.kvcache.pool import InstancePool
 from repro.obs.tracer import Tracer
+from repro.serving import serve
 from repro.sim.engine import Simulator
 from repro.types import (
     BatchStats,
@@ -57,6 +66,11 @@ class EnginePolicy(abc.ABC):
     def next_iteration(self, engine: EngineServer) -> IterationPlan:
         """Build the next iteration from the engine's queues."""
 
+    def never_admits(self, engine: EngineServer, request: Request) -> bool:
+        """True when no state of ``engine`` would ever start ``request``
+        (one that fits the pool but never passes this policy's gate)."""
+        return False
+
 
 class EngineGroup:
     """Engines on one clock, served as one fleet replica.
@@ -72,7 +86,18 @@ class EngineGroup:
     name = "engine group"
     prefix_cache = None
     qos_ledger = None
+    obs = None  # observe() routes audits only: nothing to sample
     engines: Sequence[EngineServer]
+
+    def run(
+        self, requests: list[Request], max_events: int | None = None
+    ) -> ServeResult:
+        """Serve a trace to completion (:func:`repro.serving.serve`)."""
+        return serve(self, requests, max_events=max_events)
+
+    def run_driven(self, driver) -> ServeResult:
+        """Serve a closed-loop workload driver to completion."""
+        return serve(self, driver=driver)
 
     def use_simulator(self, sim: Simulator) -> None:
         """Reset every engine onto a (shared) clock, so an outer
@@ -172,31 +197,9 @@ class EngineServer(EngineGroup):
         self.aborted: list[Request] = []
         self.iteration_stats: list[BatchStats] = []
         self.busy = False
-        self._all_requests: list[Request] = []
         # Output tokens this engine generated (the telemetry
         # throughput read), credited where ``generated`` grows.
         self._generated_total = 0
-
-    # -- public API --------------------------------------------------------------
-
-    def run(self, requests: list[Request]) -> ServeResult:
-        self._reset()
-        self._all_requests = list(requests)
-        for request in requests:
-            self.sim.call_at(
-                request.arrival_time,
-                self._make_arrival(request),
-                label=f"arrival:{request.request_id}",
-            )
-        self.sim.run_until_idle()
-        aborted_ids = {r.request_id for r in self.aborted}
-        return ServeResult(
-            system=self.name,
-            requests=[r for r in self._all_requests if r.request_id not in aborted_ids],
-            iteration_stats=self.iteration_stats,
-            makespan=self.sim.now,
-            aborted=self.aborted,
-        )
 
     def inject_running(self, request: Request, preallocated: bool = False) -> None:
         """Admit an already-prefilled request straight into decoding.
@@ -213,47 +216,31 @@ class EngineServer(EngineGroup):
 
     # -- queue management ------------------------------------------------------------
 
-    def submit(self, request: Request, now: float | None = None) -> None:
+    def submit(self, request: Request) -> None:
         """External enqueue (used by dispatchers and DistServe's handoff)."""
         if request.max_total_len + 1 > self.kv_slots:
-            request.state = RequestState.FINISHED
-            self.aborted.append(request)
-            self._fire_terminal_hook(request)
-            if self.trace.enabled:
-                self.trace.audit(
-                    self.sim.now, "abort", component="server",
-                    replica=self.obs_replica, request=request.request_id,
-                    engine=self.name,
-                )
-                self.trace.end_span(
-                    request.request_id, self.sim.now, aborted=True
-                )
+            self.abort(request, "exceeds the KV pool")
+            return
+        if self.policy.never_admits(self, request):
+            self.abort(request, "never admitted")
             return
         self.waiting.append(request)
         self.waiting.sort(key=lambda r: r.arrival_time)
         self._maybe_start()
 
-    def _make_arrival(self, request: Request):
-        def _on_arrival() -> None:
-            self.submit(request)
-
-        return _on_arrival
-
-    def admissible(self) -> list[Request]:
-        """Waiting requests that fit free KV right now, FCFS prefix."""
-        admitted: list[Request] = []
-        free = self.pool.free
-        watermark = int(self.kv_slots * self.config.scheduler.watermark_fraction)
-        budget = self.max_num_seqs - len(self.running) - len(self.prefilling)
-        for request in self.waiting:
-            if len(admitted) >= budget:
-                break
-            needed = request.current_len + 1
-            if needed + watermark > free:
-                break
-            admitted.append(request)
-            free -= needed
-        return admitted
+    def abort(self, request: Request, reason: str) -> None:
+        """Drop a request for good (terminal, but flagged): the engines'
+        one abort path, audited with ``reason``."""
+        request.state = RequestState.FINISHED
+        self.aborted.append(request)
+        if self.trace.enabled:
+            now = self.sim.now
+            self.trace.audit(
+                now, "abort", component="server", replica=self.obs_replica,
+                request=request.request_id, engine=self.name, reason=reason,
+            )
+            self.trace.end_span(request.request_id, now, aborted=True)
+        self._fire_terminal_hook(request)
 
     # -- the iteration loop ------------------------------------------------------------
 
@@ -373,11 +360,15 @@ class EngineServer(EngineGroup):
             self.prefilling.remove(request)
         request.state = RequestState.PREEMPTED
         request.preemptions += 1
-        self.waiting.append(request)
-        self.waiting.sort(key=lambda r: r.arrival_time)
         if self.trace.enabled:
             self.trace.audit(
                 self.sim.now, "preempt", component="server",
                 replica=self.obs_replica, request=request.request_id,
             )
+        if self.policy.never_admits(self, request):
+            # Grown past what the queue could ever start again.
+            self.abort(request, "never admitted")
+            return
+        self.waiting.append(request)
+        self.waiting.sort(key=lambda r: r.arrival_time)
 

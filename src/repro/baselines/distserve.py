@@ -26,7 +26,7 @@ from repro.config import SystemConfig
 from repro.costmodel.latency import RooflineCostModel
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Simulator
-from repro.types import Request, RequestState, ServeResult
+from repro.types import Request
 
 
 class _DecodeEngine(EngineServer):
@@ -105,49 +105,9 @@ class DistServeServer(EngineGroup):
         prefill = self.prefill_engine
         capacity = min(prefill.kv_slots, self.decode_engine.kv_slots)
         if request.max_total_len + 1 > capacity:
-            request.state = RequestState.FINISHED
-            prefill.aborted.append(request)
-            trace = prefill.trace
-            if trace.enabled:
-                trace.audit(
-                    self._sim.now, "abort", component="server",
-                    replica=prefill.obs_replica, request=request.request_id,
-                    system=self.name,
-                )
-                trace.end_span(request.request_id, self._sim.now, aborted=True)
+            prefill.abort(request, "exceeds a disaggregated pool")
             return
         prefill.submit(request)
-
-    def run(self, requests: list[Request]) -> ServeResult:
-        sim = Simulator()
-        self.use_simulator(sim)
-
-        for request in requests:
-            sim.call_at(
-                request.arrival_time,
-                self._make_arrival(request),
-                label=f"arrival:{request.request_id}",
-            )
-        sim.run_until_idle()
-
-        aborted = self.prefill_engine.aborted + self.decode_engine.aborted
-        aborted_ids = {r.request_id for r in aborted}
-        return ServeResult(
-            system=self.name,
-            requests=[r for r in requests if r.request_id not in aborted_ids],
-            iteration_stats=(
-                self.prefill_engine.iteration_stats
-                + self.decode_engine.iteration_stats
-            ),
-            makespan=sim.now,
-            aborted=aborted,
-        )
-
-    def _make_arrival(self, request: Request):
-        def _on_arrival() -> None:
-            self.submit(request)
-
-        return _on_arrival
 
     def _handoff(self, request: Request) -> bool:
         """Queue a finished prefill for migration to the decode group."""

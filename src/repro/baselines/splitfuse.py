@@ -61,12 +61,26 @@ class SplitFusePolicy(EnginePolicy):
         # Requests mid-prefill continue first (FCFS among the chunked).
         in_flight = list(engine.prefilling) + list(engine.waiting)
         free = engine.pool.free - len(plan.decode_requests)
+        # A prefill the plan completes claims one more slot for its first
+        # token when the iteration ends, after the slots of the completions
+        # before it (one that finishes on that token gives its own back).
+        # ``owed`` is what the plan must leave free for every completion
+        # planned so far; ``returned`` nets their claims and give-backs.
+        owed = returned = 0
         for request in in_flight:
             if budget <= 0:
                 break
             done = engine.prefill_progress.get(request.request_id, 0)
             remaining = request.current_len - done
-            take = min(budget, remaining, max(0, free))
+            take = min(budget, remaining, max(0, free - owed))
+            if take == remaining:
+                claim = max(owed, 1 - returned)
+                if free - take < claim:
+                    take -= 1  # stop one token short of completing
+                else:
+                    owed = claim
+                    finishes = request.generated + 1 >= request.output_len
+                    returned += request.current_len if finishes else -1
             if take <= 0:
                 continue
             plan.prefill_chunks.append((request, take))
@@ -108,11 +122,8 @@ class SplitFuseServer(EngineServer):
         )
         self.crash_input_len = crash_input_len
 
-    def submit(self, request: Request, now: float | None = None) -> None:
+    def submit(self, request: Request) -> None:
         if self.crash_input_len is not None and request.input_len > self.crash_input_len:
-            from repro.types import RequestState
-
-            request.state = RequestState.FINISHED
-            self.aborted.append(request)
+            self.abort(request, "prompt past the crash limit")
             return
-        super().submit(request, now)
+        super().submit(request)

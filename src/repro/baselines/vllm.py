@@ -14,6 +14,12 @@ from repro.baselines.base import EnginePolicy, EngineServer, IterationPlan
 from repro.config import SystemConfig
 from repro.costmodel.latency import RooflineCostModel
 from repro.obs.tracer import Tracer
+from repro.types import Request
+
+
+def _watermark(engine: EngineServer) -> int:
+    """KV slots an admission must leave free."""
+    return int(engine.kv_slots * engine.config.scheduler.watermark_fraction)
 
 
 class PrefillPriorityPolicy(EnginePolicy):
@@ -23,7 +29,7 @@ class PrefillPriorityPolicy(EnginePolicy):
         self.max_batched_tokens = max_batched_tokens
 
     def next_iteration(self, engine: EngineServer) -> IterationPlan:
-        admissible = engine.admissible()
+        admissible = self._admissible(engine)
         if admissible:
             budget = self.max_batched_tokens
             chosen = []
@@ -38,6 +44,28 @@ class PrefillPriorityPolicy(EnginePolicy):
         if engine.running and engine.free_slots_for_decode():
             return IterationPlan(decode_requests=list(engine.running))
         return IterationPlan()
+
+    def never_admits(self, engine: EngineServer, request: Request) -> bool:
+        # vLLM 0.3.0's AllocStatus.NEVER: even an empty pool cannot take
+        # the prompt and keep the watermark back.
+        return request.current_len + 1 + _watermark(engine) > engine.kv_slots
+
+    @staticmethod
+    def _admissible(engine: EngineServer) -> list[Request]:
+        """Waiting requests that fit free KV right now, FCFS prefix."""
+        admitted: list[Request] = []
+        free = engine.pool.free
+        watermark = _watermark(engine)
+        budget = engine.max_num_seqs - len(engine.running) - len(engine.prefilling)
+        for request in engine.waiting:
+            if len(admitted) >= budget:
+                break
+            needed = request.current_len + 1
+            if needed + watermark > free:
+                break
+            admitted.append(request)
+            free -= needed
+        return admitted
 
 
 class VLLMServer(EngineServer):

@@ -1,6 +1,7 @@
-"""The LoongServe serving loop on the discrete-event simulator.
+"""The LoongServe server on the discrete-event simulator.
 
-``LoongServeServer.run`` replays a workload trace: arrivals enqueue
+``LoongServeServer.run`` replays a workload trace through the shared
+serving loop (:mod:`repro.serving`): arrivals enqueue
 requests, the global manager re-plans on every arrival and iteration
 completion, prefill tasks and decode iterations advance the virtual
 clock by their roofline durations, and the unified KV pool tracks every
@@ -30,6 +31,7 @@ from repro.obs.tracer import Tracer
 from repro.parallel.groups import ParallelGroup
 from repro.qos.classes import resolve_qos_class
 from repro.qos.policy import QoSPolicy
+from repro.serving import serve
 from repro.sessions.prefix_cache import PrefixKVCache
 from repro.sim.engine import Simulator
 from repro.sim.fluid import FluidStepper
@@ -68,7 +70,7 @@ class LoongServeServer:
         # Tracer and arms telemetry sampling.  ``obs_replica`` labels
         # this server's spans/audits in fleet runs.  The default (no
         # bundle, disabled tracer) is the bit-identical baseline.
-        self._obs = None
+        self.obs = None
         self.obs_replica = 0
         # QoS (repro.qos): with a policy armed the scheduler admits by
         # deadline feasibility, orders dispatch earliest-slack-first
@@ -170,12 +172,12 @@ class LoongServeServer:
             ssd_capacity_tokens=scheduler.kv_ssd_tokens,
             bytes_per_token=self.config.model.kv_bytes_per_token,
         )
-        if self._obs is not None:
-            # Standalone runs _reset() inside run(), after observe():
+        if self.obs is not None:
+            # A standalone run resets (use_simulator) after observe():
             # re-arm the fresh store's sinks here (fleet runs arm them
             # in observe(), which follows use_simulator()'s _reset).
             store.observe(
-                self._obs.tracer, self._obs.metrics, replica=self.obs_replica
+                self.obs.tracer, self.obs.metrics, replica=self.obs_replica
             )
         return store
 
@@ -184,105 +186,12 @@ class LoongServeServer:
     def run(
         self, requests: list[Request], max_events: int | None = None
     ) -> ServeResult:
-        """Serve a trace to completion and return per-request outcomes.
-
-        ``max_events`` bounds the number of simulator events processed;
-        the partial result still reports whatever finished by the cut.
-        An event is not a unit of work: one may carry many decode
-        iterations.  A scheduler tick that runs inline at the end of a
-        decode iteration (see :meth:`_can_tick_inline`) belongs to that
-        iteration, and a decode wake runs every in-flight iteration end
-        of this replica that is due before any other event (see
-        :meth:`_on_decode_wake`).  To time a fixed amount of work, bound
-        the trace, not the events.
-        """
-        self._reset()
-        self._all_requests = list(requests)
-        self._generated_total = sum(r.generated for r in requests)
-        # Consecutive requests sharing a timestamp arrive as one event.
-        # Behaviour is identical to per-request events — same pending
-        # order, and the coalesced tick already ran once per timestamp —
-        # but batched front-end traces (many arrivals per tick) stop
-        # paying the event machinery per request.
-        idx = 0
-        total = len(requests)
-        while idx < total:
-            time = requests[idx].arrival_time
-            end = idx + 1
-            while end < total and requests[end].arrival_time == time:
-                end += 1
-            if end - idx == 1:
-                self.sim.call_at(time, self._make_arrival(requests[idx]), label="arrival")
-            else:
-                self.sim.call_at(
-                    time, self._make_group_arrival(requests[idx:end]), label="arrival"
-                )
-            idx = end
-        if self._obs is not None:
-            obs = self._obs
-            obs.arm_standalone_sampler(
-                self.sim, (lambda now: obs.sample_server(self, now))
-            )
-        if max_events is None:
-            self.sim.run_until_idle()
-        else:
-            self.sim.run(max_events=max_events)
-        if self._obs is not None:
-            self._obs.tracer.finalize(self.sim.now)
-        return self._collect_result()
+        """Serve a trace to completion (:func:`repro.serving.serve`)."""
+        return serve(self, requests, max_events=max_events)
 
     def run_driven(self, driver) -> ServeResult:
-        """Serve a closed-loop workload driver to completion.
-
-        The driver (e.g. :class:`repro.sessions.ClosedLoopDriver`)
-        schedules its own submissions on the server's clock — arrival
-        times become run outcomes instead of trace inputs.
-        """
-        self._reset()
-        driver.install(self.sim, self.submit)
-        if self._obs is not None:
-            obs = self._obs
-            obs.arm_standalone_sampler(
-                self.sim, (lambda now: obs.sample_server(self, now))
-            )
-        self.sim.run_until_idle()
-        if self._obs is not None:
-            self._obs.tracer.finalize(self.sim.now)
-        return self._collect_result()
-
-    def _collect_result(self) -> ServeResult:
-        aborted_ids = {r.request_id for r in self.aborted}
-        requests = [r for r in self._all_requests if r.request_id not in aborted_ids]
-        stranded = []
-        if self.sim.next_event_time() is None:
-            # The run ended because nothing was left to happen, not at an
-            # event budget: any request still unfinished can never finish.
-            stranded = [r for r in requests if not r.finished]
-            if self.trace.enabled:
-                for request in stranded:
-                    self.trace.audit(
-                        self.sim.now, "stranded", component="server",
-                        replica=self.obs_replica, request=request.request_id,
-                        state=request.state.name,
-                    )
-        return ServeResult(
-            system=self.name,
-            requests=requests,
-            stranded=stranded,
-            scaling_events=self.scaling_events,
-            iteration_stats=self.iteration_stats,
-            makespan=self.sim.now,
-            aborted=self.aborted,
-            cache_stats=(
-                self.prefix_cache.stats_dict()
-                if self.prefix_cache is not None
-                else None
-            ),
-            qos_stats=(
-                self.qos_ledger.as_dict() if self.qos_ledger is not None else None
-            ),
-            obs=self._obs,
-        )
+        """Serve a closed-loop workload driver to completion."""
+        return serve(self, driver=driver)
 
     def use_simulator(self, sim: Simulator) -> None:
         """Reset to an empty server on a shared virtual clock (fleet /
@@ -295,10 +204,11 @@ class LoongServeServer:
         """Attach an :class:`~repro.obs.observe.Observability` bundle.
 
         Spans and audits from this server land in the bundle's tracer;
-        :meth:`run`/:meth:`run_driven` arm its telemetry sampler.
+        a standalone :meth:`run`/:meth:`run_driven` samples its
+        telemetry.
         Survives :meth:`_reset` — the bundle covers the whole run.
         """
-        self._obs = obs
+        self.obs = obs
         self.trace = obs.tracer
         self.obs_replica = replica
         if self.prefix_cache is not None and self.prefix_cache.tiers is not None:
@@ -416,49 +326,6 @@ class LoongServeServer:
         return self._generated_total
 
     # -- event handlers ----------------------------------------------------------
-
-    def _make_arrival(self, request: Request):
-        def _on_arrival() -> None:
-            self.pending.append(request)
-            self._unvetted.append(request)
-            if self.trace.enabled:
-                now = self.sim.now
-                self.trace.audit(
-                    now, "arrival", component="server",
-                    replica=self.obs_replica, request=request.request_id,
-                )
-                self.trace.transition(
-                    request.request_id, "queued", now, replica=self.obs_replica
-                )
-            self._request_tick()
-
-        return _on_arrival
-
-    def _make_group_arrival(self, group: list[Request]):
-        def _on_group_arrival() -> None:
-            now = self.sim.now
-            pending = self.pending
-            unvetted = self._unvetted
-            trace = self.trace
-            if trace.enabled:
-                replica = self.obs_replica
-                for request in group:
-                    pending.append(request)
-                    unvetted.append(request)
-                    trace.audit(
-                        now, "arrival", component="server", replica=replica,
-                        request=request.request_id,
-                    )
-                    trace.transition(
-                        request.request_id, "queued", now, replica=replica
-                    )
-            else:
-                for request in group:
-                    pending.append(request)
-                    unvetted.append(request)
-            self._request_tick()
-
-        return _on_group_arrival
 
     def _guarded(self, action):
         """Wrap a scheduled callback so it dies with the current epoch.

@@ -18,9 +18,11 @@ actuators armed, no ticks are scheduled and fleet behaviour is
 bit-identical to pure route-once placement.
 
 Every server shape implements :class:`ServingReplica`, the one contract
-the fleet and obs layers read.  ``ReplicaHandle`` keeps the fleet's own
-books on top of it (routed ledger, lifecycle flags, steal counts) and
-rebuilds a per-replica :class:`~repro.types.ServeResult` afterwards;
+the serving loop, the fleet and obs layers read.  ``ReplicaHandle``
+keeps the fleet's own books on top of it (routed ledger, lifecycle
+flags, steal counts) and builds a per-replica
+:class:`~repro.types.ServeResult` afterwards with the serving loop's
+collector (:func:`repro.serving.collect`);
 ``FleetResult`` is the merged fleet view plus the per-replica breakdown
 the load-imbalance metrics read.
 """
@@ -34,34 +36,41 @@ from repro.fleet.control import DEFAULT_CONTROL_INTERVAL, ClusterPolicy, FleetCo
 from repro.fleet.disagg import CLONE_ID_OFFSET
 from repro.fleet.router import Router
 from repro.metrics.fleet import ElasticStats, merge_serve_results
+from repro.serving import collect
 from repro.sim.engine import Simulator
 from repro.types import Request, RequestState, ServeResult
 
 if TYPE_CHECKING:
     from repro.kvcache.pool import InstancePool
     from repro.metrics.qos import QoSLedger
+    from repro.obs.observe import Observability
     from repro.sessions.prefix_cache import PrefixKVCache
 
 
 @runtime_checkable
 class ServingReplica(Protocol):
-    """What the fleet and obs layers read of one replica's server.
+    """What the serving loop, the fleet and the obs layers read of one
+    replica's server.
 
     Implemented by ``LoongServeServer`` and the baselines'
     ``EngineGroup`` (a lone ``EngineServer`` — vLLM, SplitFuse,
     DeepSpeed-MII, static SP — or DistServe and the replicated
     engines).  A shape without a capability says so in its own code:
-    ``prefix_cache``/``qos_ledger`` are None and ``crash()`` raises
-    ``TypeError``.  ``ledgers()`` returns the objects holding the
-    append-only ``finished``/``aborted``/``iteration_stats``/
-    ``scaling_events`` lists, in result order (the server, or a group's
-    engines); observers keep a cursor per list, so no list is ever a
-    fresh concatenation.
+    ``prefix_cache``/``qos_ledger``/``obs`` are None and ``crash()``
+    raises ``TypeError``.  ``obs`` is the bundle ``observe`` attached,
+    whose telemetry a standalone run (:func:`repro.serving.serve`)
+    samples; engine groups only route audits to it.  ``ledgers()``
+    returns the objects holding the append-only ``finished``/
+    ``aborted``/``iteration_stats``/``scaling_events`` lists, in result
+    order (the server, or a group's engines), each with the ``trace``
+    its audits go to, tagged ``obs_replica``; observers keep a cursor
+    per list, so no list is ever a fresh concatenation.
     """
 
     name: str
     prefix_cache: PrefixKVCache | None
     qos_ledger: QoSLedger | None
+    obs: Observability | None
 
     def use_simulator(self, sim) -> None:
         """Reset to an empty server on ``sim``'s clock."""
@@ -373,29 +382,7 @@ class ReplicaHandle:
 
     def result(self, makespan: float) -> ServeResult:
         """Per-replica ``ServeResult`` over the requests routed here."""
-        server = self.server
-        parts = server.ledgers()
-        # Shadow prefill clones (disaggregated dispatch) never appear in
-        # the fleet result: their original is delivered elsewhere, so an
-        # aborted clone here would double-count the request.
-        aborted = [
-            r for part in parts for r in part.aborted
-            if r.request_id < CLONE_ID_OFFSET
-        ]
-        aborted_ids = {r.request_id for r in aborted}
-        stats = [s for part in parts for s in part.iteration_stats]
-        cache = server.prefix_cache
-        ledger = server.qos_ledger
-        return ServeResult(
-            system=self.name,
-            requests=[r for r in self.routed if r.request_id not in aborted_ids],
-            scaling_events=[e for part in parts for e in part.scaling_events],
-            iteration_stats=sorted(stats, key=lambda s: s.start_time),
-            makespan=makespan,
-            aborted=aborted,
-            cache_stats=cache.stats_dict() if cache is not None else None,
-            qos_stats=ledger.as_dict() if ledger is not None else None,
-        )
+        return collect(self.server, self.routed, makespan)
 
 
 @dataclass

@@ -158,8 +158,8 @@ class Observability:
         metrics.sample(now)
 
     def sample_server(self, server, now: float) -> None:
-        """One telemetry sample over a single LoongServe server (its
-        standalone ``run``/``run_driven`` arm this sampler)."""
+        """One telemetry sample over a single LoongServe server (the
+        serving loop, :func:`repro.serving.serve`, arms this sampler)."""
         metrics = self.metrics
         pending = server.pending
         metrics.gauge("server.queue_depth").set(len(pending))

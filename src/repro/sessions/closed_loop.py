@@ -12,8 +12,8 @@ seconds after turn ``t`` *finishes* (or aborts — the client gives up on
 that turn but the conversation goes on).
 
 The driver is transport-agnostic: it schedules submissions on any
-simulator via a ``submit`` callable, so both a single server
-(``LoongServeServer.run_driven``) and a routed fleet
+simulator via a ``submit`` callable, so both a single server of any
+shape (its ``run_driven``) and a routed fleet
 (``FleetServer.run_driven``) can be driven.  Each driver instance is
 single-use — it materialises fresh :class:`~repro.types.Request`
 objects (arrival times are run outcomes, not inputs) and keeps them in

@@ -2,16 +2,21 @@
 
 import pytest
 
+from repro.baselines.base import EngineServer
 from repro.baselines.splitfuse import ideal_chunk_size
+from repro.baselines.vllm import PrefillPriorityPolicy
+from repro.config import default_config
 from repro.experiments.systems import (
     build_distserve,
     build_replicated_tp2,
     build_splitfuse,
     build_static_sp,
     build_vllm,
+    make_system,
 )
+from repro.obs import Observability
 from repro.types import Phase
-from repro.workloads.datasets import LEVAL, SHAREGPT
+from repro.workloads.datasets import LEVAL, MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
 from tests.conftest import make_request
 
@@ -94,6 +99,16 @@ class TestSplitFuse:
         assert ok.finished
         assert too_long in result.aborted
 
+    def test_completing_prefill_keeps_its_first_token_slot(self):
+        """Another request's chunk must not take the slot a prefill the
+        same iteration completes needs for its first token."""
+        server = build_splitfuse()
+        big = make_request(input_len=server.kv_slots - 10, output_len=5)
+        small = make_request(input_len=100, output_len=5, arrival=1.0)
+        result = server.run([big, small])
+        assert big.finish_time is not None and small.finish_time is not None
+        assert result.stranded == [] and server.pool.used == 0
+
 
 class TestDistServe:
     def test_serves_trace(self):
@@ -170,3 +185,104 @@ class TestReplicated:
 
     def test_name_reflects_replication(self):
         assert "x 4" in build_replicated_tp2().name
+
+
+def _engine(kv_slots: int = 1_000) -> EngineServer:
+    """A vLLM-policy engine with a small pool: watermark 20 slots."""
+    config = default_config(num_gpus=8, tensor_parallel=8)
+    return EngineServer(
+        config, PrefillPriorityPolicy(), instance_ids=[0], kv_slots=kv_slots,
+        name="vLLM",
+    )
+
+
+def _observed(server):
+    obs = Observability()
+    server.observe(obs)
+    return obs
+
+
+def _abort_audits(obs):
+    return [(a.payload["request"], a.payload["reason"])
+            for a in obs.tracer.of_kind("abort")]
+
+
+class TestEngineAdmission:
+    """An engine never queues a request it can never admit (vLLM 0.3.0
+    ignores such a sequence as ``AllocStatus.NEVER``)."""
+
+    def test_prompt_inside_the_watermark_is_aborted_at_submit(self):
+        engine = _engine()
+        fits = make_request(input_len=900, output_len=4)
+        # Its worst case fits the pool, but 981 + 20 never fits free KV.
+        never = make_request(input_len=980, output_len=4, arrival=0.1)
+        behind = make_request(input_len=100, output_len=4, arrival=0.2)
+        obs = _observed(engine)
+        result = engine.run([fits, never, behind])
+        assert result.aborted == [never]
+        assert result.requests == [fits, behind]
+        assert all(r.finish_time is not None for r in result.requests)
+        assert _abort_audits(obs) == [(never.request_id, "never admitted")]
+
+    def test_preempted_request_grown_into_the_watermark_is_aborted(self):
+        engine = _engine()
+        old = make_request(input_len=5, output_len=200)
+        # Admitted at 966 + 20 <= 994 free; preempted at 980 resident.
+        grown = make_request(input_len=965, output_len=30, arrival=1e-4)
+        obs = _observed(engine)
+        result = engine.run([old, grown])
+        assert old.finish_time is not None
+        assert result.aborted == [grown] and grown.preemptions == 1
+        assert result.stranded == []
+        assert _abort_audits(obs) == [(grown.request_id, "never admitted")]
+
+    @pytest.mark.parametrize(
+        ("system", "dataset", "num_requests", "seed", "aborted"),
+        [
+            pytest.param("replicated-tp2", LEVAL, 600, 0, 1, id="replicated-leval"),
+            pytest.param("distserve", MIXED, 300, 1, 3, id="distserve-mixed"),
+        ],
+    )
+    def test_no_queue_blocks_behind_an_unadmittable_prompt(
+        self, system, dataset, num_requests, seed, aborted
+    ):
+        """Each run used to leave dozens of requests queued behind one
+        prompt the watermark could never admit, silently."""
+        trace = make_trace(dataset, rate=2.0, num_requests=num_requests, seed=seed)
+        result = make_system(system, requests=trace).run(clone_requests(trace))
+        assert result.stranded == []
+        assert all(r.finish_time is not None for r in result.requests)
+        assert len(result.aborted) == aborted
+
+
+class TestEngineAborts:
+    """Every engine abort is audited once and fires the completion hook."""
+
+    def test_deepspeed_mii_crash_limit(self):
+        trace = clone_requests(make_trace(MIXED, rate=2.0, num_requests=40, seed=3))
+        fired = []
+        for request in trace:
+            request.on_finish = (lambda now, r=request: fired.append(r))
+        server = make_system("deepspeed-mii", requests=trace)
+        obs = _observed(server)
+        result = server.run(trace)
+        assert len(result.aborted) == 14
+        assert _abort_audits(obs) == [
+            (r.request_id, "prompt past the crash limit") for r in result.aborted
+        ]
+        assert len(fired) == len(trace)
+        assert set(map(id, fired)) == set(map(id, trace))
+
+    def test_distserve_capacity_cap(self):
+        server = build_distserve()
+        capped = make_request(
+            input_len=server.decode_engine.kv_slots - 2, output_len=3
+        )
+        fired = []
+        capped.on_finish = fired.append
+        obs = _observed(server)
+        result = server.run([capped])
+        assert result.aborted == [capped] and fired == [0.0]
+        assert _abort_audits(obs) == [
+            (capped.request_id, "exceeds a disaggregated pool")
+        ]

@@ -25,6 +25,7 @@ from repro.core.elastic_instance import InstanceRole
 from repro.core.server import LoongServeServer
 from repro.experiments.systems import make_fleet
 from repro.fleet import FaultPlan, ReplicaFault
+from repro.serving import collect
 from repro.sessions import make_session_trace
 from repro.sim.engine import Simulator
 from repro.types import Request, RequestState
@@ -244,13 +245,14 @@ class TestDecodeWindowsMatchTheWindowlessReference:
         runs = {}
         for server_cls in (LoongServeServer, WindowlessServer):
             server = server_cls(default_config())
+            requests = []
             for instance_id, output_len in ((0, 40), (1, 70)):
                 request = make_request(input_len=1_000, output_len=output_len)
                 request.state = RequestState.DECODING
                 request.generated = 1
                 request.prefill_end = 0.0
                 request.record_first_token(0.0)
-                server._all_requests.append(request)
+                requests.append(request)
                 server.pool.place(request.request_id, {instance_id: request.current_len})
                 batch = DecodeBatch(batch_id=next_batch_id())
                 batch.group = server._make_group((instance_id,))
@@ -259,7 +261,7 @@ class TestDecodeWindowsMatchTheWindowlessReference:
                 server.instances[instance_id].assign(InstanceRole.DECODE, batch.batch_id)
             server._tick()
             server.sim.run_until_idle()
-            record = _record(server._collect_result())
+            record = _record(collect(server, requests, server.sim.now))
             runs[server_cls] = (
                 [row[1:] for row in record["requests"]],
                 {k: v for k, v in record.items() if k != "requests"},

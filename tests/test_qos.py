@@ -639,10 +639,18 @@ class TestClosedLoop:
             ["serve", "--replicas", "2", "--dataset", "sessions",
              "--closed-loop", "-n", "4", "--fault-mtbf", "60"]
         ) == 2
+
+    def test_cli_closed_loop_serves_an_engine(self, capsys):
+        """Every shape has ``run_driven`` now, so one vLLM deployment
+        serves closed-loop sessions too."""
+        from repro.__main__ import main as repro_main
+
         assert repro_main(
             ["serve", "--system", "vllm", "--dataset", "sessions",
-             "--closed-loop", "-n", "4"]
-        ) == 2
+             "--closed-loop", "-n", "12", "--seed", "5"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "system:   vLLM" in out and "stranded" not in out
 
     def test_aborted_turn_still_chains_the_session(self):
         # A turn too large for the replica aborts, but the session's

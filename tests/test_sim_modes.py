@@ -9,6 +9,7 @@ aggregate tolerances on the seeded Mixed / sessions / QoS traces.
 """
 
 import hashlib
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +17,14 @@ from hypothesis import strategies as st
 
 from repro.config import SchedulerConfig, default_config
 from repro.core.server import LoongServeServer
+from repro.experiments.systems import make_system
 from repro.qos import QoSPolicy
 from repro.sessions import make_session_trace
 from repro.sim.fluid import FluidStepper, _max_iterations_within, _stretch_time
 from repro.types import Request
 from repro.workloads.datasets import MIXED
 from repro.workloads.trace_gen import clone_requests, make_trace
+from tests.test_replica_contract import SYSTEMS
 
 
 def _signature(requests):
@@ -76,27 +79,37 @@ class TestModeSwitch:
         )
 
 
+class PerRequestArrivals:
+    """A driver posting one arrival event per request: the uncoalesced
+    reference for the serving loop's grouped arrivals."""
+
+    def __init__(self, requests):
+        self.requests = requests
+
+    def install(self, sim, submit):
+        for request in self.requests:
+            sim.call_at(
+                request.arrival_time, partial(submit, request), label="arrival"
+            )
+
+
+def _clock(server):
+    """The simulator the server's last run used."""
+    return server.ledgers()[0].sim
+
+
 class TestArrivalGrouping:
     """``run()`` coalesces same-timestamp arrivals into one event; the
     outcome must be bit-identical to per-request arrival events."""
 
-    def _grouped_and_ungrouped(self, trace):
-        grouped_server = LoongServeServer(default_config())
+    def _grouped_and_ungrouped(self, trace, system="loongserve"):
+        grouped_server = make_system(system, requests=trace)
         grouped = grouped_server.run(clone_requests(trace))
-
-        ungrouped_server = LoongServeServer(default_config())
-        copies = clone_requests(trace)
-        ungrouped_server._reset()
-        ungrouped_server._all_requests = list(copies)
-        for request in copies:
-            ungrouped_server.sim.call_at(
-                request.arrival_time,
-                ungrouped_server._make_arrival(request),
-                label="arrival",
-            )
-        ungrouped_server.sim.run_until_idle()
-        ungrouped = ungrouped_server._collect_result()
-        return grouped, ungrouped, grouped_server, ungrouped_server
+        ungrouped_server = make_system(system, requests=trace)
+        ungrouped = ungrouped_server.run_driven(
+            PerRequestArrivals(clone_requests(trace))
+        )
+        return grouped, ungrouped, _clock(grouped_server), _clock(ungrouped_server)
 
     def test_clustered_timestamps_identical(self):
         trace = _steady_trace(num_requests=200, cluster=25, interval=5.0,
@@ -105,14 +118,38 @@ class TestArrivalGrouping:
         assert _signature(grouped.requests) == _signature(ungrouped.requests)
         assert grouped.makespan == ungrouped.makespan
         # The grouping is the whole point: fewer arrival events fired.
-        assert gs.sim.events_processed < us.sim.events_processed
+        assert gs.events_processed < us.events_processed
 
     def test_distinct_timestamps_identical(self):
         trace = make_trace(MIXED, rate=4.0, num_requests=30, seed=7)
         grouped, ungrouped, gs, us = self._grouped_and_ungrouped(trace)
         assert _signature(grouped.requests) == _signature(ungrouped.requests)
         # Poisson arrivals never tie, so grouping changes nothing at all.
-        assert gs.sim.events_processed == us.sim.events_processed
+        assert gs.events_processed == us.events_processed
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_every_shape_groups_identically(self, system):
+        trace = _steady_trace(num_requests=60, cluster=12, interval=3.0,
+                              output_len=40)
+        trace.append(Request(request_id=60, input_len=2_000_000,
+                             output_len=4, arrival_time=3.0))  # aborts
+        grouped, ungrouped, gs, us = self._grouped_and_ungrouped(trace, system)
+        assert _outcomes(grouped) == _outcomes(ungrouped)
+        assert [r.request_id for r in grouped.aborted] == [60]
+        assert gs.events_processed < us.events_processed
+
+
+def _outcomes(result):
+    """Everything a run serves, requests named by id."""
+    return (
+        [(r.request_id, r.prefill_start, r.first_token_time, r.finish_time,
+          r.generated, r.preemptions) for r in result.requests],
+        [r.request_id for r in result.aborted],
+        result.stranded,
+        result.iteration_stats,
+        result.scaling_events,
+        result.makespan,
+    )
 
 
 class TestHybridTolerance:
