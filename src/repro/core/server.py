@@ -384,7 +384,16 @@ class LoongServeServer:
         )
         self._quiet = plan.is_empty
         self._enact(plan)
+        queued = len(self.pending)
         self._start_decode_iterations()
+        if len(self.pending) > queued and not (
+            self._prefilling or any(b.running for b in self.decode_batches)
+        ):
+            # Memory preemption re-queued requests after this tick's
+            # dispatch pass, and no iteration is left in flight to tick
+            # again: without a tick now they would wait for an unrelated
+            # arrival, or strand when none comes.
+            self._request_tick()
 
     def _drop_impossible_requests(self) -> None:
         """Abort requests that could never fit even on an empty cluster.

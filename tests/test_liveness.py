@@ -67,6 +67,24 @@ class TestServerLiveness:
         assert [a.payload["request"] for a in audits] == [held.request_id]
         assert audits[0].payload["state"] == "PENDING"
 
+    def test_preempted_with_nothing_in_flight_is_redispatched(self):
+        # Without scale-up, a near-capacity prompt admitted behind L-Eval
+        # traffic outgrows its decode instance; the tick that would
+        # restart it preempts it instead, with nothing else in flight.
+        trace = make_trace(LEVAL, rate=4.0, num_requests=6, seed=0)
+        server = make_system("loongserve-no-scaleup", requests=trace)
+        capacity = max(pool.capacity for _, pool in server.kv_pools())
+        big = make_request(input_len=capacity - 3, output_len=4, arrival=1.0)
+        obs = Observability()
+        server.observe(obs)
+        result = server.run(clone_requests(trace) + [big])
+        assert [a.payload["request"] for a in obs.tracer.of_kind("preempt")] == [
+            big.request_id
+        ]
+        assert result.stranded == []
+        assert big.finish_time is not None
+        assert len(result.finished_requests) == len(trace) + 1
+
     def test_event_budget_cut_is_not_stranding(self, never_dispatch):
         trace = clone_requests(TRACE)
         never_dispatch(trace[3].request_id)
