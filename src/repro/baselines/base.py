@@ -89,11 +89,9 @@ class EngineGroup:
     obs = None  # observe() routes audits only: nothing to sample
     engines: Sequence[EngineServer]
 
-    def run(
-        self, requests: list[Request], max_events: int | None = None
-    ) -> ServeResult:
+    def run(self, requests: list[Request]) -> ServeResult:
         """Serve a trace to completion (:func:`repro.serving.serve`)."""
-        return serve(self, requests, max_events=max_events)
+        return serve(self, requests)
 
     def run_driven(self, driver) -> ServeResult:
         """Serve a closed-loop workload driver to completion."""

@@ -3,8 +3,8 @@
 :func:`serve` runs one :class:`~repro.fleet.server.ServingReplica` —
 LoongServe or a baseline engine group (vLLM, SplitFuse, DeepSpeed-MII,
 static SP, DistServe, replicated engines) — to completion on a fresh
-:class:`~repro.sim.engine.Simulator`, fed by a trace, a closed-loop
-driver, or both.  :func:`collect` builds a replica's
+:class:`~repro.sim.engine.Simulator`, fed by a trace or a closed-loop
+driver.  :func:`collect` builds a replica's
 :class:`~repro.types.ServeResult` from its ledgers; the fleet
 (``repro.fleet.server``) runs its own loop over many replicas and
 builds each one's result with it.
@@ -40,7 +40,7 @@ def serve(
     driver=None,
     max_events: int | None = None,
 ) -> ServeResult:
-    """Serve ``requests`` and/or ``driver`` on ``replica`` to completion.
+    """Serve ``requests`` or ``driver`` on ``replica`` to completion.
 
     Consecutive requests sharing an arrival time arrive as one event
     calling ``submit`` for each in order, which is what one event per

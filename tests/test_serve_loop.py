@@ -8,8 +8,8 @@ Pinned here:
   replaced them: per-request timelines, aborted requests in order,
   iteration stats, scaling events and makespan.
 * **The loop's contract** — start-ordered iteration stats and
-  ``run_driven`` on every shape, a trace and a driver in one run, event
-  budgets, and the observability bundle sampled where a shape has one.
+  ``run_driven`` on every shape, event budgets, and the observability
+  bundle sampled where a shape has one.
 """
 
 import hashlib
@@ -117,18 +117,9 @@ def test_run_driven_serves_every_shape(system):
     assert any(len(session) > 1 for session in turns.values())
 
 
-def test_trace_and_driver_share_one_run():
-    trace = make_trace(SHAREGPT, rate=4.0, num_requests=6, seed=2)
-    driver = ClosedLoopDriver(plan_sessions(rate=2.0, num_sessions=2, seed=3))
-    requests = clone_requests(trace)
-    result = serve(make_system("vllm"), requests, driver=driver)
-    assert result.requests == requests + driver.requests
-    assert all(r.finished for r in result.requests)
-
-
 def test_event_budget_cut_reports_partial_work_and_strands_nothing():
     trace = make_trace(SHAREGPT, rate=10.0, num_requests=12, seed=21)
-    result = make_system("distserve").run(clone_requests(trace), max_events=400)
+    result = serve(make_system("distserve"), clone_requests(trace), max_events=400)
     assert 0 < len(result.finished_requests) < len(trace)
     assert result.stranded == []
 
