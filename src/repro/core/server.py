@@ -119,7 +119,7 @@ class LoongServeServer:
         self._posted_ends: set[int] = set()
         self._in_wake = False
         # The last full scheduler tick enacted nothing: a precondition
-        # of the quiet fast path (_run_quiet_stretch).
+        # of the quiet decode windows (_run_quiet_window).
         self._quiet = False
         self._all_requests: list[Request] = []
         # Exact running sum of ``generated`` over ``_all_requests``,
@@ -963,7 +963,8 @@ class LoongServeServer:
         the run's ``until`` and with no stop requested, is what the run
         loop would pop next, so running it here is the discrete pop
         order.  The first end always takes the full path, so each wake
-        starts from a full scheduler tick (see :meth:`_run_quiet_stretch`).
+        starts from a full scheduler tick; each run of quiet ends after
+        it shares one window (see :meth:`_run_quiet_window`).
         """
         ends = self._decode_ends
         _, seq, batch, masters, group = heapq.heappop(ends)
@@ -973,135 +974,176 @@ class LoongServeServer:
         self._on_decode_done(batch, masters, group)
         until = sim.until
         while ends and not sim.stopped:
-            end, seq, batch, masters, group = ends[0]
+            end, seq = ends[0][:2]
             if until is not None and end > until:
                 break
             key = sim.next_global_event_key()
             if key is not None and not (end, 0, seq) < key:
                 break
-            heapq.heappop(ends)
+            due = self._run_quiet_window(key, until)
+            if due is None:
+                break
+            end, _, batch, masters, group = due
             sim.advance_to(end)
-            if not self._run_quiet_stretch(batch, masters, group, key, until):
-                self._on_decode_done(batch, masters, group)
+            self._on_decode_done(batch, masters, group)
         self._in_wake = False
         if ends:
             self._post_decode_head()
 
-    def _run_quiet_stretch(
-        self,
-        batch: DecodeBatch,
-        masters: tuple[int, ...],
-        group: ParallelGroup,
-        next_key: tuple | None,
-        until: float | None,
-    ) -> bool:
-        """Run a quiet batch's consecutive iterations in one tight loop.
+    def _run_quiet_window(
+        self, key: tuple | None, until: float | None
+    ) -> tuple | None:
+        """Run the due own ends, across every one-instance batch of the
+        replica, in one tight loop.
 
-        Starts at the end just consumed; returns False, having done
-        nothing, when that end must take the full path.  In discrete
-        mode, on a quiet replica (no tick queued, nothing pending or
-        unvetted, and the last full tick enacted nothing), the tick at
-        each end of a one-instance batch only restarts it: every other
-        idle batch keeps the inputs a full tick just found no scale-up
-        for.  The loop stops before the first end where another event
-        or own end is due at or before it (equal times go to the full
-        path), ``until`` is passed, a request completes, step 4b would
-        fire, the next start would lack master KV, or a prefill has
-        co-opted the instance (the tick would pause the batch).  Each
-        iteration replays its ``BatchStats`` and pricing; the token
-        credits and KV appends (one master) land in bulk.
+        Called with the calendar's head due under ``key`` (the next
+        global event key) and ``until``.  In discrete mode, on a quiet
+        replica (no tick queued, nothing pending or unvetted, and the
+        last full tick enacted nothing), the tick at each end of a
+        one-instance batch only restarts it: every other idle batch
+        keeps the inputs a full tick just found no scale-up for.  Nothing
+        posts to any calendar while only such ends run, so these checks,
+        the idle instances and ``key`` hold for the whole window.
+
+        A batch joins at its first end here (:meth:`_join_window`); its
+        later ends pick up from that state.  At each end the batch runs
+        its consecutive iterations while the next one's end still comes
+        before every other event and own end (equal times go to the full
+        path), within ``until``, before its first completion, while the
+        next start finds master KV, and before step 4b would fire.  Then
+        it hands off, drawing its calendar seq in
+        :meth:`_schedule_decode_end` as a full-path start would.  Each
+        iteration is priced from a running context total
+        (:meth:`~repro.costmodel.latency.RooflineCostModel.decode_pricer`)
+        and recorded as a ``BatchStats``; the token credits and KV
+        appends (one master) land in bulk when the window closes, before
+        any full-path end runs.
+
+        Returns the first due end that needs the full path, popped from
+        the calendar, or None once no own end is due.
         """
+        ends = self._decode_ends
         if (
             self._fluid is not None
             or not self._quiet
             or self._tick_pending
             or self.pending
             or self._unvetted
-            or batch.group is not group
         ):
-            return False
+            return heapq.heappop(ends)
+        heappop = heapq.heappop
+        scheduler = self.config.scheduler
+        # Listed at the first join: a head that cannot join never reads it.
+        idle = None
+        horizon = math.inf if key is None else key[0]
+        bound = math.inf if until is None else until
+        stats = self.iteration_stats
+        decode = Phase.DECODE
+        joined: dict[int, list] = {}
+        last = None
+        due = None
+        while ends:
+            entry = ends[0]
+            end, seq, batch, masters, group = entry
+            if end > bound or (key is not None and not (end, 0, seq) < key):
+                break
+            state = joined.get(batch.batch_id)
+            if state is None:
+                if idle is None:
+                    idle = [i for i, inst in self.instances.items() if inst.is_idle]
+                state = self._join_window(batch, masters, group, idle)
+                if state is None:
+                    due = heappop(ends)
+                    break
+                joined[batch.batch_id] = state
+            n, total, _, _, bs, cap, free, check_4b, price, dop = state
+            heappop(ends)
+            limit = ends[0][0] if ends and ends[0][0] < horizon else horizon
+            t = end
+            first = n
+            while (
+                t < limit
+                and t <= bound
+                and n < cap
+                and not (
+                    check_4b
+                    and scale_up_reason(batch, idle, free - (n + 1) * bs, scheduler)
+                    is not None
+                )
+            ):
+                # Credit the iteration ending at t, then start the next.
+                n += 1
+                total += bs
+                duration = price(total + bs)
+                stats.append(BatchStats(len(stats), decode, bs, total, dop, duration, t))
+                last = t
+                t += duration
+            if n == first:
+                due = entry
+                break
+            if batch.exec_started_at == 0.0:
+                batch.exec_started_at = end
+            state[0] = n
+            state[1] = total
+            self._schedule_decode_end(t, batch, masters, group)
+        extend = self.pool.extend
+        for n, _, batch, instance_id, bs, *_ in joined.values():
+            if n:
+                for request in batch.requests:
+                    request.generated += n
+                    extend(request.request_id, instance_id, n)
+                self._generated_total += n * bs
+                batch.iteration += n
+        if last is not None:
+            self.sim.advance_to(last)
+        return due
+
+    def _join_window(
+        self,
+        batch: DecodeBatch,
+        masters: tuple[int, ...],
+        group: ParallelGroup,
+        idle: list[int],
+    ) -> list | None:
+        """A batch's state in a quiet window, or None when its end must
+        take the full path: ``[iterations run, context total, batch,
+        instance, batch size, cap, free slots, step-4b flag, pricer,
+        DoP]``.
+
+        Only a one-instance batch that still owns its instance joins: a
+        co-opting prefill holds the instance under its own task id (the
+        tick would pause the batch), and a batch merged away no longer
+        owns it.  ``cap`` counts the iterations it may run: up to the one
+        before its first completion, and the last whose next start still
+        finds master KV.
+        """
         ids = group.instance_ids
         requests = batch.requests
-        if len(ids) != 1 or not requests:
-            return False
+        if batch.group is not group or len(ids) != 1 or not requests:
+            return None
         instance = self.instances[ids[0]]
-        # The instance must still belong to the batch: a co-opting
-        # prefill holds it under its own task id (the tick would pause
-        # the batch), and a batch merged away no longer owns it.
         if instance.group_id != batch.batch_id:
-            return False
+            return None
         bs = len(requests)
         free = instance.pool.free
-        # Ends the loop may take: the one before the first completion,
-        # and the last whose next start still finds master KV.
         cap = min(
             min(r.output_len - r.generated for r in requests) - 1,
             free // bs - 1,
         )
         if cap <= 0:
-            return False
-        scheduler = self.config.scheduler
-        idle = [i for i, inst in self.instances.items() if inst.is_idle]
+            return None
         # Step 4b firing at some group_free fires at every smaller one:
-        # clear at the lowest free the loop can reach, it is clear at
+        # clear at the lowest free the window can reach, it is clear at
         # every end, and only otherwise is it asked end by end.
-        check_4b = scale_up_reason(batch, idle, free - cap * bs, scheduler) is not None
-        limit = math.inf if next_key is None else next_key[0]
-        ends = self._decode_ends
-        if ends and ends[0][0] < limit:
-            limit = ends[0][0]
-        bound = math.inf if until is None else until
-        decode_time = self.cost_model.decode_time
-        tp = self.config.tensor_parallel
-        num_masters = len(masters)
-        dop = group.dop
-        stats = self.iteration_stats
-        base = [r.current_len for r in requests]
-        total = sum(base)
-        t = last = self.sim.now
-        n = 0
-        while (
-            t < limit
-            and t <= bound
-            and n < cap
-            and not (
-                check_4b
-                and scale_up_reason(batch, idle, free - (n + 1) * bs, scheduler)
-                is not None
-            )
-        ):
-            # Credit the iteration ending at t, then start the next.
-            n += 1
-            total += bs
-            if batch.exec_started_at == 0.0:
-                batch.exec_started_at = t
-            duration = decode_time(
-                [c + n for c in base], ids, tp, num_masters=num_masters
-            )
-            stats.append(
-                BatchStats(
-                    iteration=len(stats),
-                    phase=Phase.DECODE,
-                    batch_size=bs,
-                    total_tokens=total,
-                    dop=dop,
-                    duration=duration,
-                    start_time=t,
-                )
-            )
-            last = t
-            t = t + duration
-        if n == 0:
-            return False
-        extend = self.pool.extend
-        for request in requests:
-            request.generated += n
-            extend(request.request_id, ids[0], n)
-        self._generated_total += n * bs
-        batch.iteration += n
-        self.sim.advance_to(last)
-        self._schedule_decode_end(t, batch, masters, group)
-        return True
+        check_4b = (
+            scale_up_reason(batch, idle, free - cap * bs, self.config.scheduler)
+            is not None
+        )
+        price = self.cost_model.decode_pricer(
+            bs, ids, self.config.tensor_parallel, len(masters)
+        )
+        total = sum(r.current_len for r in requests)
+        return [0, total, batch, ids[0], bs, cap, free, check_4b, price, group.dop]
 
     def _ensure_decode_memory(self, batch: DecodeBatch) -> tuple[int, ...] | None:
         """Pick masters; merge with a sibling batch or preempt if short.

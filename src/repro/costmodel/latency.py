@@ -19,7 +19,7 @@ overhead.  The asymmetries the paper exploits all emerge from this model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.costmodel.comm import CollectiveModel
@@ -123,10 +123,10 @@ class RooflineCostModel:
         # the model (it used to be rebuilt on every property access, which
         # dominated the planner's call counts), a bounded exact-key memo
         # for prefill, which the planners re-price with repeating
-        # (lens, group) keys, and the context-independent decode terms per
-        # (batch size, group, TP, masters) shape — a decode price depends
-        # on the contexts only through their total, so decode needs no
-        # memo keyed on the contexts themselves.
+        # (lens, group) keys, and one decode pricer per (batch size,
+        # group, TP, masters) shape — a decode price depends on the
+        # contexts only through their total, so decode needs no memo
+        # keyed on the contexts themselves.
         object.__setattr__(self, "_collectives", CollectiveModel(cluster=self.cluster))
         object.__setattr__(self, "_time_cache", {})
         object.__setattr__(self, "_decode_shapes", {})
@@ -274,45 +274,48 @@ class RooflineCostModel:
         Contexts are ints, so each request's attention FLOPs and KV bytes
         are exact ints, and their batch sums are a per-model constant
         times ``Σ(context + 1)``: the price reads the contexts only
-        through their total.  Everything else is cached per (batch size,
-        group, TP, masters) shape, so an iteration costs one ``sum`` plus
-        a few float operations — the same ones, in the same order, as
-        pricing each request separately.  Unlike :meth:`prefill_time`'s
-        exact-key memo, nothing is keyed on the contexts, which change
-        every iteration.
+        through their total, which :meth:`decode_pricer` turns into
+        seconds — the same float operations, in the same order, as
+        pricing each request separately.
         """
         if not context_lens:
             return 0.0
         bs = len(context_lens)
+        price = self.decode_pricer(bs, instances, tensor_parallel, num_masters)
+        return price(sum(context_lens) + bs)
+
+    def decode_pricer(
+        self,
+        batch_size: int,
+        instances: Sequence[int] | int,
+        tensor_parallel: int,
+        num_masters: int = 1,
+    ) -> Callable[[int], float]:
+        """The decode price of one (batch size, group, TP, masters) shape,
+        as a function of the batch's ``Σ(context + 1)``.
+
+        Everything that does not depend on the contexts is computed once
+        per shape and cached, so a price costs a few float operations.
+        Unlike :meth:`prefill_time`'s exact-key memo, nothing is keyed on
+        the contexts, which change every iteration: a server's decode
+        window prices each iteration from a running total.
+        """
         group = (
             tuple(range(instances)) if isinstance(instances, int) else tuple(instances)
         )
-        key = (bs, group, tensor_parallel, num_masters)
-        shape = self._decode_shapes.get(key)
-        if shape is None:
-            shape = self._decode_shape(bs, list(group), tensor_parallel, num_masters)
+        key = (batch_size, group, tensor_parallel, num_masters)
+        price = self._decode_shapes.get(key)
+        if price is None:
+            price = self._decode_shape(batch_size, list(group), tensor_parallel, num_masters)
             if len(self._decode_shapes) >= self._CACHE_MAX:
                 self._decode_shapes.clear()
-            self._decode_shapes[key] = shape
-        (attn_per_token, attn_scale, linear_compute, kv_per_token, kv_split,
-         bandwidth, weight_time, tp_comm, exchange, sync, seq_overhead) = shape
-
-        total = sum(context_lens) + bs  # Σ(context + 1), an exact int
-        attn_compute = attn_per_token * total / attn_scale
-        kv_time = (kv_per_token * total / kv_split) / bandwidth
-        roofline = max(linear_compute + attn_compute, weight_time + kv_time)
-        sp_comm = 0.0
-        if exchange is not None:
-            # Query exchange, overlapped with the local attention of
-            # mastered requests.
-            sp_comm = max(exchange * (1 - self.decode_overlap), exchange - attn_compute)
-            sp_comm += sync
-        return roofline + tp_comm + sp_comm + seq_overhead + self.iteration_overhead
+            self._decode_shapes[key] = price
+        return price
 
     def _decode_shape(
         self, bs: int, insts: list[int], tp: int, num_masters: int
-    ) -> tuple:
-        """The context-independent terms of :meth:`decode_time`."""
+    ) -> Callable[[int], float]:
+        """:meth:`decode_pricer`'s price for one shape."""
         sp = max(1, len(insts))
         masters = max(1, min(num_masters, sp))
         gpu = self.cluster.gpu
@@ -321,10 +324,15 @@ class RooflineCostModel:
         # Masters split linear work; attention splits across the group.
         linear_flops = m.flops_per_token_linear() * bs
         linear_compute = linear_flops / (masters * tp * gpu.sustained_flops)
+        attn_per_token = m.attention_flops(1, 1)
+        attn_scale = sp * tp * gpu.sustained_flops
 
         # Each master streams its full weight shard; KV reads split across
         # the group (token-granularity placement keeps shards balanced).
         weight_time = (m.weight_bytes / tp) / gpu.sustained_bandwidth
+        kv_per_token = m.kv_bytes_per_token
+        kv_split = sp * tp
+        bandwidth = gpu.sustained_bandwidth
 
         # TP all-reduce on the decode activations (tiny but real).
         coll = self.collectives
@@ -333,20 +341,30 @@ class RooflineCostModel:
             m.num_layers * 2 * coll.tp_allreduce_time(act_bytes, tp) if tp > 1 else 0.0
         )
 
-        # Query exchange between masters and the rest of the group.
+        # Query exchange between masters and the rest of the group,
+        # overlapped with the local attention of mastered requests.
         exchange = None
         if sp > 1:
             query_bytes = bs * m.hidden_size * m.dtype_bytes * (sp - 1) / sp
             result_bytes = query_bytes  # partial attention outputs + stats
             per_layer = coll.query_exchange_time(query_bytes, result_bytes, insts, tp)
             exchange = m.num_layers * per_layer
+        exposed = 1 - self.decode_overlap
+        sync = m.num_layers * self.layer_sync_overhead
+        seq_overhead = self.per_seq_overhead * bs / masters
+        overhead = self.iteration_overhead
 
-        return (
-            m.attention_flops(1, 1), sp * tp * gpu.sustained_flops, linear_compute,
-            m.kv_bytes_per_token, sp * tp, gpu.sustained_bandwidth, weight_time,
-            tp_comm, exchange, m.num_layers * self.layer_sync_overhead,
-            self.per_seq_overhead * bs / masters,
-        )
+        def price(total: int) -> float:
+            attn_compute = attn_per_token * total / attn_scale
+            kv_time = (kv_per_token * total / kv_split) / bandwidth
+            roofline = max(linear_compute + attn_compute, weight_time + kv_time)
+            sp_comm = 0.0
+            if exchange is not None:
+                sp_comm = max(exchange * exposed, exchange - attn_compute)
+                sp_comm += sync
+            return roofline + tp_comm + sp_comm + seq_overhead + overhead
+
+        return price
 
     # -- auxiliary costs ---------------------------------------------------
 

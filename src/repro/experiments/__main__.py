@@ -39,7 +39,7 @@ def _run_figure10(args: argparse.Namespace) -> None:
     ratios = endtoend.headline_ratios(results)
     print("\nheadline throughput ratios (LoongServe / baseline, best dataset):")
     for name, ratio in sorted(ratios.items()):
-        print(f"  vs {name}: {ratio:.2f}x")
+        print(f"  vs {name}: {report.render_ratio(ratio)}")
     print("paper anchors: up to 3.85x vs chunked prefill, 5.81x vs disaggregation,")
     print("               4.64x vs vLLM")
 
@@ -61,7 +61,7 @@ def _run_figure12(args: argparse.Namespace) -> None:
     ratios = endtoend.figure12_goodput_ratios(results)
     print("\ngoodput improvement over best static parallelism:")
     for zipf, ratio in sorted(ratios.items()):
-        print(f"  Zipf={zipf}: {ratio:.2f}x")
+        print(f"  Zipf={zipf}: {report.render_ratio(ratio)}")
     print("paper anchors: 2.33x / 1.98x / 1.53x at Zipf 1.0 / 1.2 / 1.4")
 
 

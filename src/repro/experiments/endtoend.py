@@ -18,6 +18,7 @@ from repro.metrics.latency import summarize_latency
 from repro.metrics.slo import (
     DEFAULT_SLO_SCALE,
     IdealLatencyModel,
+    goodput_is_censored,
     max_rate_under_slo,
     slo_report,
 )
@@ -63,6 +64,27 @@ class SystemCurve:
             [p.attainment for p in self.points],
             target=target,
         )
+
+    def censored(self, target: float = 0.90) -> bool:
+        """True when :meth:`goodput` is only a lower bound: the sweep's
+        top rate still meets ``target``."""
+        return goodput_is_censored(
+            [p.rate for p in self.points],
+            [p.attainment for p in self.points],
+            target=target,
+        )
+
+
+@dataclass(frozen=True)
+class GoodputRatio:
+    """A ratio of two P90 goodputs, with which side is censored
+    (:meth:`SystemCurve.censored`).  A censored numerator makes the
+    ratio a lower bound, a censored denominator an upper bound, and
+    both leave it unbounded either way."""
+
+    value: float
+    numerator_censored: bool
+    denominator_censored: bool
 
 
 def run_system_at_rate(
@@ -162,15 +184,16 @@ def figure10(
     return results
 
 
-def headline_ratios(results: dict[str, list[SystemCurve]]) -> dict[str, float]:
+def headline_ratios(results: dict[str, list[SystemCurve]]) -> dict[str, GoodputRatio]:
     """Throughput-ratio headlines (§7.2): LoongServe vs. each baseline.
 
     The ratio for a baseline is the best over datasets of
     (LoongServe goodput) / (baseline goodput); infinite ratios (baseline
     never meets the SLO at any swept rate) are reported as the largest
-    finite comparison.
+    finite comparison.  The censoring flags are those of the dataset the
+    ratio came from.
     """
-    ratios: dict[str, float] = {}
+    ratios: dict[str, GoodputRatio] = {}
     for curves in results.values():
         by_name = {c.system: c for c in curves}
         loong = by_name.get("loongserve")
@@ -183,7 +206,10 @@ def headline_ratios(results: dict[str, list[SystemCurve]]) -> dict[str, float]:
             baseline_goodput = curve.goodput()
             if baseline_goodput > 0 and loong_goodput > 0:
                 ratio = loong_goodput / baseline_goodput
-                ratios[name] = max(ratios.get(name, 0.0), ratio)
+                if name not in ratios or ratio > ratios[name].value:
+                    ratios[name] = GoodputRatio(
+                        ratio, loong.censored(), curve.censored()
+                    )
     return ratios
 
 
@@ -267,17 +293,25 @@ def figure12(
     return results
 
 
-def figure12_goodput_ratios(results: dict[float, list[SystemCurve]]) -> dict[float, float]:
-    """LoongServe's P90 goodput over the best static baseline, per Zipf."""
+def figure12_goodput_ratios(
+    results: dict[float, list[SystemCurve]],
+) -> dict[float, GoodputRatio]:
+    """LoongServe's P90 goodput over the best static baseline, per Zipf.
+
+    The best static goodput is a lower bound when any static curve is
+    censored: that baseline's true goodput may exceed every other one.
+    """
     ratios = {}
     for zipf, curves in results.items():
         by_name = {c.system: c for c in curves}
-        loong = by_name["loongserve"].goodput()
-        best_static = max(
-            (c.goodput() for name, c in by_name.items() if name != "loongserve"),
-            default=0.0,
+        loong = by_name["loongserve"]
+        statics = [c for name, c in by_name.items() if name != "loongserve"]
+        best_static = max((c.goodput() for c in statics), default=0.0)
+        ratios[zipf] = GoodputRatio(
+            loong.goodput() / best_static if best_static > 0 else float("inf"),
+            loong.censored(),
+            any(c.censored() for c in statics),
         )
-        ratios[zipf] = loong / best_static if best_static > 0 else float("inf")
     return ratios
 
 
@@ -307,7 +341,8 @@ def figure13a(scale: float = 1.0, seed: int = 13) -> list[SystemCurve]:
 def figure13b(
     duration_s: float = 200.0, rate: float = FIGURE13_FREQUENCY_RATE, seed: int = 13
 ) -> list[int]:
-    """Scale-up operations per 10-second bin at 25 req/s (Figure 13b)."""
+    """Scale-up operations per 10-second bin at ``rate`` req/s, by
+    default ``FIGURE13_FREQUENCY_RATE`` (Figure 13b)."""
     count = int(rate * duration_s)
     trace = make_trace(SHAREGPT, rate=rate, num_requests=count, seed=seed)
     system = make_system("loongserve", requests=trace)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.endtoend import SystemCurve
+from repro.experiments.endtoend import GoodputRatio, SystemCurve
 from repro.experiments.microbench import (
     Figure2Row,
     Figure3Row,
@@ -104,10 +104,28 @@ def render_curves(curves: list[SystemCurve]) -> str:
 
 
 def render_goodput(curves: list[SystemCurve], target: float = 0.90) -> str:
+    """Each curve's goodput; ``≥`` marks a censored one, whose sweep
+    still met the target at its top rate."""
     body = [
-        [curve.system, f"{curve.goodput(target):.2f}"] for curve in curves
+        [
+            curve.system,
+            f"{'≥' if curve.censored(target) else ''}{curve.goodput(target):.2f}",
+        ]
+        for curve in curves
     ]
     return table(["system", "P90 goodput (req/s)"], body)
+
+
+def render_ratio(ratio: GoodputRatio) -> str:
+    """A goodput ratio with the bound its censored sides make it."""
+    text = f"{ratio.value:.2f}x"
+    if ratio.numerator_censored and ratio.denominator_censored:
+        return f"{text} (both goodputs censored: no bound)"
+    if ratio.numerator_censored:
+        return f"≥{text}"
+    if ratio.denominator_censored:
+        return f"≤{text}"
+    return text
 
 
 def render_figure14a(rows: list[Figure14aRow]) -> str:

@@ -117,7 +117,8 @@ def max_rate_under_slo(
     (the highest swept rate whose attainment met the target).
 
     Returns 0.0 when no swept rate meets the target (including the
-    empty sweep).
+    empty sweep).  When the top swept rate still meets it, that rate is
+    returned, and it is only a lower bound (:func:`goodput_is_censored`).
     """
     if len(rates) != len(attainments):
         raise ValueError("rates and attainments must align")
@@ -138,3 +139,22 @@ def max_rate_under_slo(
         return best  # degenerate (flat or re-rising) — do not extrapolate
     fraction = (best_attainment - target) / drop
     return best + fraction * (fail_rate - best)
+
+
+def goodput_is_censored(
+    rates: Sequence[float],
+    attainments: Sequence[float],
+    target: float = 0.90,
+) -> bool:
+    """True when the sweep's top rate still meets ``target``.
+
+    The sweep then never failed past the knee, so
+    :func:`max_rate_under_slo` returns the top rate: a lower bound on
+    the goodput, not a measurement of it.
+    """
+    if len(rates) != len(attainments):
+        raise ValueError("rates and attainments must align")
+    if not rates:
+        return False
+    top = max(rates)
+    return max(a for r, a in zip(rates, attainments) if r == top) >= target

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class Phase(enum.Enum):
@@ -210,9 +211,12 @@ class Request:
         return self.decode_latency / self.output_len
 
 
-@dataclass(frozen=True, slots=True)
-class BatchStats:
-    """Summary of one executed iteration, used for accounting and traces."""
+class BatchStats(NamedTuple):
+    """Summary of one executed iteration, used for accounting and traces.
+
+    A named tuple: immutable, and cheap to build positionally, which a
+    decode window does once per iteration.
+    """
 
     iteration: int
     phase: Phase

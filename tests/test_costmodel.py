@@ -180,8 +180,9 @@ def decode_shapes(draw):
 
 
 class TestDecodePricing:
-    """``decode_time`` prices from the context total with per-shape cached
-    terms; it must equal the per-request formula to the last bit."""
+    """``decode_time`` and ``decode_pricer`` price from the context total
+    with per-shape cached terms; both must equal the per-request formula
+    to the last bit."""
 
     @pytest.fixture(scope="class")
     def cm32(self) -> RooflineCostModel:
@@ -197,6 +198,9 @@ class TestDecodePricing:
         for instances in (group, tuple(group)):
             priced = cm32.decode_time(contexts, instances, tp, num_masters=masters)
             assert priced == expected
+        # The per-shape pricer a decode window calls, on Σ(context + 1).
+        price = cm32.decode_pricer(len(contexts), group, tp, masters)
+        assert price(sum(contexts) + len(contexts)) == expected
 
     def test_cross_node_group_matches_reference(self, cm32):
         """A group spanning nodes exchanges queries over InfiniBand."""

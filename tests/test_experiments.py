@@ -104,7 +104,37 @@ class TestEndToEndHarness:
         ratios = endtoend.headline_ratios(results)
         # LoongServe passes the whole sweep (goodput 2.0); vLLM's knee
         # interpolates to 1.2, so the headline ratio is 2.0 / 1.2.
-        assert ratios["vllm"] == pytest.approx(2.0 / 1.2)
+        assert ratios["vllm"].value == pytest.approx(2.0 / 1.2)
+
+    def test_censored_goodput_is_printed_as_a_bound(self):
+        """A sweep whose top rate still meets the target only bounds the
+        goodput from below; tables and ratios say so, and print the same
+        numbers."""
+        passes = self._curve("loongserve", [(1.0, 1.0), (2.0, 0.95)])
+        knee = self._curve("vllm", [(1.0, 1.0), (2.0, 0.5)])
+        also_passes = self._curve("static-sp", [(1.0, 1.0), (2.0, 0.9)])
+        assert passes.censored() and also_passes.censored()
+        assert not knee.censored()
+        assert not passes.censored(target=0.97)
+        goodputs = report.render_goodput([passes, knee])
+        assert "≥2.00" in goodputs and "≥1.20" not in goodputs and "1.20" in goodputs
+
+        headline = endtoend.headline_ratios({"mixed": [passes, knee, also_passes]})
+        assert report.render_ratio(headline["vllm"]) == "≥1.67x"
+        assert report.render_ratio(headline["static-sp"]) == (
+            "1.00x (both goodputs censored: no bound)"
+        )
+        # Figure 12's denominator is the best static goodput, a lower
+        # bound as soon as any static curve is censored.
+        loong_knee = self._curve("loongserve", [(1.0, 1.0), (2.0, 0.5)])
+        zipf = endtoend.figure12_goodput_ratios({
+            1.0: [loong_knee, knee, also_passes],
+            1.2: [passes, knee],
+            1.4: [loong_knee, knee],
+        })
+        assert report.render_ratio(zipf[1.0]) == "≤0.60x"
+        assert report.render_ratio(zipf[1.2]) == "≥1.67x"
+        assert report.render_ratio(zipf[1.4]) == "1.00x"
 
     @staticmethod
     def _curve(name, points):

@@ -2,17 +2,21 @@
 
 A replica keeps its in-flight decode iterations on a private decode
 calendar and posts only the head on the simulator calendar.  A wake
-runs every own iteration end that is the next event of the whole run,
-a quiet one-instance batch advances consecutive iterations in one tight
-loop, and a decode completion runs its scheduler tick inline when
-nothing else is due at the same instant.  Each of these is the program
-the event-per-iteration scheduling runs, so only the event count may
-fall.
+runs every own iteration end that is the next event of the whole run;
+each run of quiet ends shares one window, which advances every
+one-instance batch of the replica in one tight loop, handing off at
+each end another batch owns and stopping before the first end that
+needs the full path; and a decode completion runs its scheduler tick
+inline when nothing else is due at the same instant.  Each of these is
+the program the event-per-iteration scheduling runs, so only the event
+count may fall.
 
 Every setup here is replayed on :class:`WindowlessServer`, which keeps
 that older scheduling — one calendar event per decode iteration, every
 tick queued — and must match it on per-request outcomes, iteration
-stats, scaling events and makespan.
+stats, scaling events and makespan.  :class:`WindowSpy` records which
+batches each window ran, so the cases built to span several batches
+can show they did.
 """
 
 import pytest
@@ -55,6 +59,28 @@ class WindowlessServer(LoongServeServer):
 
     def _next_event_time(self):
         return self.sim.next_event_time()
+
+
+class WindowSpy(LoongServeServer):
+    """The windowed server, recording each quiet window's hand-offs: the
+    ids of the batches it ran, in order."""
+
+    _window = None
+    windows: tuple = ()
+
+    def _run_quiet_window(self, key, until):
+        self._window = []
+        try:
+            return super()._run_quiet_window(key, until)
+        finally:
+            if self._window:
+                self.windows += (tuple(self._window),)
+            self._window = None
+
+    def _schedule_decode_end(self, end, batch, masters, group) -> None:
+        if self._window is not None:
+            self._window.append(batch.batch_id)
+        super()._schedule_decode_end(end, batch, masters, group)
 
 
 def _record(result) -> dict:
@@ -104,6 +130,55 @@ def _matches_the_reference(trace, sim_mode: str = "discrete", **scheduler):
     assert windowed == reference
     assert events <= reference_events
     return windowed, events, reference_events
+
+
+def _decoding_batches(server, shapes) -> tuple[list[Request], list[int]]:
+    """One one-instance decode batch per ``(instance, input_len,
+    output_len)``, its request one token into its output as a prefill's
+    scale-down leaves it; returns the requests and the batch ids."""
+    requests, batch_ids = [], []
+    for instance_id, input_len, output_len in shapes:
+        request = make_request(input_len=input_len, output_len=output_len)
+        request.state = RequestState.DECODING
+        request.generated = 1
+        request.prefill_end = 0.0
+        request.record_first_token(0.0)
+        server.pool.place(request.request_id, {instance_id: request.current_len})
+        server._all_requests.append(request)
+        server._generated_total += request.generated
+        batch = DecodeBatch(batch_id=next_batch_id())
+        batch.group = server._make_group((instance_id,))
+        batch.admit([request])
+        server.decode_batches.append(batch)
+        server.instances[instance_id].assign(InstanceRole.DECODE, batch.batch_id)
+        requests.append(request)
+        batch_ids.append(batch.batch_id)
+    return requests, batch_ids
+
+
+def _serve_batches(shapes):
+    """Serve :func:`_decoding_batches` windowed and windowless; returns
+    the windowed server, its record (request ids dropped) and batch ids."""
+    runs = {}
+    for server_cls in (WindowSpy, WindowlessServer):
+        server = server_cls(default_config())
+        requests, batch_ids = _decoding_batches(server, shapes)
+        server._tick()
+        server.sim.run_until_idle()
+        record = _record(collect(server, requests, server.sim.now))
+        record["requests"] = [row[1:] for row in record["requests"]]
+        runs[server_cls] = (server, record, batch_ids)
+    (server, windowed, batch_ids), (reference, expected, _) = runs.values()
+    assert windowed == expected
+    assert server.sim.events_processed < reference.sim.events_processed
+    return server, windowed, batch_ids
+
+
+def _relabelled(windows) -> list[tuple[int, ...]]:
+    """:attr:`WindowSpy.windows` with batch ids numbered by first
+    appearance: the process-wide batch counter differs between runs."""
+    labels: dict[int, int] = {}
+    return [tuple(labels.setdefault(b, len(labels)) for b in w) for w in windows]
 
 
 def _steady_trace(num_requests: int) -> list[Request]:
@@ -272,6 +347,105 @@ class TestDecodeWindowsMatchTheWindowlessReference:
         assert windowed[2] < reference[2]
         starts = [row[-1] for row in windowed[1]["iterations"]]
         assert starts[0] == starts[1]  # both batches start together
+
+    def test_a_window_spans_staggered_batches(self):
+        """Three one-instance batches whose ends interleave share one
+        window, handing off at each end.  It stops before the shortest
+        one's completion, and the other two run on in later windows."""
+        server, record, (short, *others) = _serve_batches(
+            [(0, 1_000, 60), (1, 3_000, 200), (2, 7_000, 150)]
+        )
+        spans = [set(window) for window in server.windows]
+        assert max(len(span) for span in spans) == 3
+        first_without = next(i for i, span in enumerate(spans) if short not in span)
+        assert all(short in span for span in spans[:first_without])
+        assert set(others) in spans[first_without:]
+        assert not record["scaling"]
+
+    def test_step_4b_fires_for_one_batch_mid_window(self):
+        """A batch on a nearly full instance runs windowed until step 4b
+        would fire for it; the full path there scales it up onto the idle
+        instance, and the other batches keep their windows."""
+        capacity = default_config().kv_slots_per_instance
+        server, record, (full, *others) = _serve_batches(
+            [(0, capacity - 600, 2_000), (1, 1_000, 5_000), (2, 3_000, 5_000)]
+        )
+        (grown, *scale_up), = record["scaling"]
+        assert scale_up == ["scale_up", (0,), (0, 3), 1]
+        assert any(
+            dop == 2 and start > grown
+            for _, _, _, dop, _, start in record["iterations"]
+        )
+        spans = [set(window) for window in server.windows]
+        assert {full, *others} in spans
+        assert set(others) in spans
+
+    def test_until_stops_a_window_across_batches_then_crash(self):
+        """``run(until=t)`` stops a window that spans three batches exactly
+        where the event loop would, with every batch's credits landed; a
+        crash there leaves nothing in flight."""
+        shapes = [(0, 1_000, 400), (1, 3_000, 500), (2, 7_000, 450)]
+        states = {}
+        for server_cls in (WindowSpy, WindowlessServer):
+            server = server_cls(default_config())
+            requests, _ = _decoding_batches(server, shapes)
+            server._tick()
+            sim = server.sim
+            seen = []
+            for until in (0.5, 1.25, 1.25 + 1e-9, 2.0):
+                sim.run(until=until)
+                seen.append((
+                    sim.now, len(server.iteration_stats),
+                    [r.generated for r in requests], server.pool.total_used,
+                    server.generated_tokens(),
+                ))
+                if server_cls is WindowSpy:
+                    assert len(set(server.windows[-1])) == 3
+            orphans, lost = server.crash()
+            seen.append(([r.generated for r in orphans], lost))
+            assert not server._decode_ends
+            sim.run_until_idle()
+            # Draining pops the dead iterations' guarded events, which
+            # still move the clock: windowless leaves one per batch in
+            # flight, windowed only the posted head, so the drained
+            # clock is not compared.
+            seen.append((len(server.finished), server.pool.total_used))
+            states[server_cls] = (seen, sim.events_processed)
+        (windowed, events), (reference, reference_events) = states.values()
+        assert windowed == reference
+        assert events < reference_events
+        # The 2 s stop caught every request decoding, mid-output.
+        assert all(1 < generated < 400 for generated in windowed[3][2])
+
+    def test_two_replica_fleets_sharded_and_unsharded(self):
+        """On both calendar layouts, each replica's windows span its
+        concurrent batches, and the windows are the same."""
+        trace = make_trace(MIXED, rate=2.0, num_requests=20, seed=1)
+        runs = {}
+        for sharded in (True, False):
+            for server_cls in (WindowSpy, WindowlessServer):
+                fleet = make_fleet(
+                    "loongserve", replicas=2, router="round-robin", sharded=sharded
+                )
+                for handle in fleet.replicas:
+                    handle.server.__class__ = server_cls
+                result = fleet.run(clone_requests(trace))
+                windows = [
+                    getattr(handle.server, "windows", None) for handle in fleet.replicas
+                ]
+                runs[sharded, server_cls] = (
+                    _record(result), fleet.last_sim.events_processed, windows,
+                )
+        records = {key: run[0] for key, run in runs.items()}
+        assert all(record == records[True, WindowSpy] for record in records.values())
+        for sharded in (True, False):
+            events = runs[sharded, WindowSpy][1]
+            assert events < runs[sharded, WindowlessServer][1]
+            assert events == runs[True, WindowSpy][1]
+        windows = [_relabelled(w) for w in runs[True, WindowSpy][2]]
+        assert windows == [_relabelled(w) for w in runs[False, WindowSpy][2]]
+        for replica_windows in windows:
+            assert max(len(set(window)) for window in replica_windows) >= 2
 
     @settings(max_examples=20, deadline=None)
     @given(
