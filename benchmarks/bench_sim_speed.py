@@ -247,7 +247,7 @@ def run_fleet_once(
     t0 = time.perf_counter()
     result = fleet.run(trace)
     wall = time.perf_counter() - t0
-    events = fleet.last_sim.events_processed
+    events = fleet.sim.events_processed
     finished = [r for r in result.requests if r.finished]
     return {
         "sim_mode": sim_mode,

@@ -71,7 +71,7 @@ import argparse
 import math
 import sys
 
-from repro.experiments.systems import CRASHABLE_SYSTEMS, make_fleet, make_system
+from repro.experiments.systems import make_fleet, make_system
 from repro.fleet.router import ROUTERS
 from repro.metrics.fleet import fleet_load_report
 from repro.metrics.latency import summarize_latency
@@ -88,14 +88,19 @@ SYSTEM_CHOICES = [
 ]
 
 
+def _qos_mix(args: argparse.Namespace):
+    """The parsed ``--qos-mix`` (None without one)."""
+    if not args.qos_mix:
+        return None
+    from repro.qos import parse_qos_mix
+
+    return parse_qos_mix(args.qos_mix)
+
+
 def _sample_trace(args: argparse.Namespace):
     """Draw a fresh trace from the selected dataset (single source of the
     sessions-vs-length-distribution dispatch, shared by serve/gen-trace)."""
-    qos_mix = None
-    if getattr(args, "qos_mix", None):
-        from repro.qos import parse_qos_mix
-
-        qos_mix = parse_qos_mix(args.qos_mix)
+    qos_mix = _qos_mix(args)
     if args.dataset == "sessions":
         # Multi-turn conversations: --rate is sessions/s, -n sessions.
         return make_session_trace(
@@ -113,9 +118,6 @@ def _build_trace(args: argparse.Namespace):
     if args.trace:
         return load_trace(args.trace)
     return _sample_trace(args)
-
-
-PREFIX_CACHE_SYSTEMS = ("loongserve", "loongserve-no-scaleup")
 
 
 def _parse_fault_at(value: str) -> tuple[float, int]:
@@ -158,208 +160,119 @@ def _build_fault_plan(args: argparse.Namespace, trace):
     return FaultPlan(faults)
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    if args.replicas < 1:
-        print(f"error: --replicas must be >= 1, got {args.replicas}", file=sys.stderr)
-        return 2
-    if args.prefix_cache and args.system not in PREFIX_CACHE_SYSTEMS:
-        print(
-            f"error: --prefix-cache requires a LoongServe system "
-            f"({', '.join(PREFIX_CACHE_SYSTEMS)}), got {args.system!r}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.migrate_kv and not args.prefix_cache:
-        print(
-            "error: --migrate-kv moves prefix-KV cache extents; "
-            "it requires --prefix-cache",
-            file=sys.stderr,
-        )
-        return 2
-    if args.replicas < 2 and (args.autoscale or args.steal or args.migrate_kv):
-        print(
-            "error: --autoscale/--steal/--migrate-kv need a fleet "
-            "(--replicas >= 2)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.disagg:
-        if not args.prefix_cache:
-            print(
-                "error: --disagg hands prefilled KV between replicas' prefix "
-                "caches; it requires --prefix-cache",
-                file=sys.stderr,
-            )
-            return 2
-        if not 1 <= args.disagg < args.replicas:
-            print(
-                f"error: --disagg {args.disagg} must leave both pools "
-                f"non-empty (--replicas {args.replicas})",
-                file=sys.stderr,
-            )
-            return 2
-    if args.kv_tiers and not args.prefix_cache:
-        print(
-            "error: --kv-tiers offloads prefix-cache extents; "
-            "it requires --prefix-cache",
-            file=sys.stderr,
-        )
-        return 2
-    if args.standby and not (args.autoscale or args.autoscale_predictive):
-        print(
-            "error: --standby replicas start parked; arm --autoscale or "
-            "--autoscale-predictive to ever promote them",
-            file=sys.stderr,
-        )
-        return 2
-    faults_requested = bool(args.fault_at) or args.fault_mtbf is not None
-    if faults_requested and not (
-        math.isfinite(args.fault_downtime) and args.fault_downtime > 0
-    ):
-        print("error: --fault-downtime must be finite and positive",
-              file=sys.stderr)
-        return 2
-    if args.fault_mtbf is not None and not (
-        math.isfinite(args.fault_mtbf) and args.fault_mtbf > 0
-    ):
-        print("error: --fault-mtbf must be finite and positive", file=sys.stderr)
-        return 2
-    if faults_requested and args.replicas < 2:
-        print(
-            "error: --fault-at/--fault-mtbf need a fleet (--replicas >= 2); "
-            "a single crashed replica has no survivors to fail over to",
-            file=sys.stderr,
-        )
-        return 2
-    if faults_requested and args.system not in CRASHABLE_SYSTEMS:
-        print(
-            f"error: failure injection requires a crashable LoongServe system "
-            f"({', '.join(CRASHABLE_SYSTEMS)}), got {args.system!r}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.admission and not args.qos:
-        print("error: --admission requires --qos", file=sys.stderr)
-        return 2
-    if args.qos and args.system not in PREFIX_CACHE_SYSTEMS:
-        print(
-            f"error: --qos requires a LoongServe system "
-            f"({', '.join(PREFIX_CACHE_SYSTEMS)}), got {args.system!r}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.autoscale and args.autoscale_predictive:
-        print(
-            "error: pass at most one of --autoscale / --autoscale-predictive",
-            file=sys.stderr,
-        )
-        return 2
-    if args.replicas < 2 and args.autoscale_predictive:
-        print(
-            "error: --autoscale-predictive needs a fleet (--replicas >= 2)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.qos_mix:
-        from repro.qos import parse_qos_mix
-
-        try:
-            parse_qos_mix(args.qos_mix)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    driver = None
-    if args.closed_loop:
-        if args.dataset != "sessions" or args.trace:
-            print(
-                "error: --closed-loop replays generated sessions with "
-                "arrival feedback; it requires --dataset sessions and no "
-                "--trace",
-                file=sys.stderr,
-            )
-            return 2
-        if args.fault_mtbf is not None:
-            print(
-                "error: --fault-mtbf draws crashes over a static trace's "
-                "arrival span, which a closed-loop run does not have; "
-                "script crashes with --fault-at instead",
-                file=sys.stderr,
-            )
-            return 2
-        from dataclasses import replace as _replace
-
-        from repro.sessions import SESSIONS, make_session_workload
-
-        qos_mix = None
-        if args.qos_mix:
-            from repro.qos import parse_qos_mix
-
-            qos_mix = parse_qos_mix(args.qos_mix)
-        driver = make_session_workload(
-            _replace(SESSIONS, closed_loop=True),
-            rate=args.rate, num_sessions=args.num_requests, seed=args.seed,
-            qos_mix=qos_mix,
-        )
-        trace = []
-    else:
-        trace = _build_trace(args)
-    fault_plan = _build_fault_plan(args, trace) if faults_requested else None
-    if fault_plan is not None and fault_plan.max_replica_id >= args.replicas:
-        print(
-            f"error: --fault-at targets replica {fault_plan.max_replica_id} "
-            f"but the fleet has only {args.replicas} replicas",
-            file=sys.stderr,
-        )
-        return 2
-    if fault_plan is not None and not fault_plan:
-        print(
-            "note: fault schedule is empty (no --fault-at entries and the "
-            "drawn Poisson schedule produced no crashes); running fault-free"
-        )
-        fault_plan = None
-    router_kwargs = {}
-    if args.router == "length-aware" and args.long_threshold is not None:
-        router_kwargs["long_threshold"] = args.long_threshold
-    if args.replicas > 1:
-        system = make_fleet(
-            args.system, replicas=args.replicas, router=args.router,
-            requests=trace, num_gpus=args.num_gpus,
-            prefix_cache=args.prefix_cache,
-            autoscale=args.autoscale, steal=args.steal,
-            migrate_kv=args.migrate_kv,
-            faults=fault_plan,
-            control_interval=args.control_interval,
-            qos=args.qos, admission=args.admission,
-            autoscale_predictive=args.autoscale_predictive,
-            disagg=args.disagg, kv_tiers=args.kv_tiers,
-            standby=args.standby,
-            **router_kwargs,
-        )
-    else:
-        system = make_system(
+def _build_system(args: argparse.Namespace, trace, fault_plan):
+    """One system, or a fleet of ``--replicas`` (any count but 1, so the
+    fleet builder rejects a count below 1)."""
+    if args.replicas == 1:
+        return make_system(
             args.system, requests=trace, num_gpus=args.num_gpus,
             prefix_cache=args.prefix_cache,
             qos=args.qos, admission=args.admission,
             kv_tiers=args.kv_tiers,
         )
-    obs = None
-    if (
-        args.trace_out
-        or args.telemetry_interval is not None
-        or args.slo_monitor
-    ):
-        from repro.obs import DEFAULT_TELEMETRY_INTERVAL, Observability
+    router_kwargs = {}
+    if args.router == "length-aware" and args.long_threshold is not None:
+        router_kwargs["long_threshold"] = args.long_threshold
+    return make_fleet(
+        args.system, replicas=args.replicas, router=args.router,
+        requests=trace, num_gpus=args.num_gpus,
+        prefix_cache=args.prefix_cache,
+        autoscale=args.autoscale, steal=args.steal,
+        migrate_kv=args.migrate_kv,
+        faults=fault_plan,
+        control_interval=args.control_interval,
+        qos=args.qos, admission=args.admission,
+        autoscale_predictive=args.autoscale_predictive,
+        disagg=args.disagg, kv_tiers=args.kv_tiers,
+        standby=args.standby,
+        **router_kwargs,
+    )
 
-        obs = Observability(
-            telemetry_interval=(
-                args.telemetry_interval
-                if args.telemetry_interval is not None
-                else DEFAULT_TELEMETRY_INTERVAL
-            )
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Serve a workload; exits 2 on any option the builders reject."""
+    fleet_flags = [
+        flag
+        for flag, value in (
+            ("--autoscale", args.autoscale),
+            ("--autoscale-predictive", args.autoscale_predictive),
+            ("--steal", args.steal),
+            ("--migrate-kv", args.migrate_kv),
+            ("--disagg", args.disagg),
+            ("--standby", args.standby),
+            ("--fault-at", args.fault_at),
+            ("--fault-mtbf", args.fault_mtbf is not None),
         )
-        if args.slo_monitor:
-            obs.enable_health()
-        system.observe(obs)
+        if value
+    ]
+    if fleet_flags and args.replicas < 2:
+        print(
+            f"error: {'/'.join(fleet_flags)}: fleet only (--replicas >= 2)",
+            file=sys.stderr,
+        )
+        return 2
+    if args.closed_loop and (args.dataset != "sessions" or args.trace):
+        print(
+            "error: --closed-loop replays generated sessions with arrival "
+            "feedback; it requires --dataset sessions and no --trace",
+            file=sys.stderr,
+        )
+        return 2
+    if args.closed_loop and args.fault_mtbf is not None:
+        print(
+            "error: --fault-mtbf draws crashes over a static trace's arrival "
+            "span, which a closed-loop run does not have; script crashes "
+            "with --fault-at instead",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        driver = None
+        if args.closed_loop:
+            from dataclasses import replace as _replace
+
+            from repro.sessions import SESSIONS, make_session_workload
+
+            driver = make_session_workload(
+                _replace(SESSIONS, closed_loop=True),
+                rate=args.rate, num_sessions=args.num_requests, seed=args.seed,
+                qos_mix=_qos_mix(args),
+            )
+            trace = []
+        else:
+            trace = _build_trace(args)
+        fault_plan = None
+        if args.fault_at or args.fault_mtbf is not None:
+            fault_plan = _build_fault_plan(args, trace)
+            if not fault_plan:
+                print(
+                    "note: fault schedule is empty (no --fault-at entries and "
+                    "the drawn Poisson schedule produced no crashes); running "
+                    "fault-free"
+                )
+                fault_plan = None
+        system = _build_system(args, trace, fault_plan)
+        obs = None
+        if (
+            args.trace_out
+            or args.telemetry_interval is not None
+            or args.slo_monitor
+        ):
+            from repro.obs import DEFAULT_TELEMETRY_INTERVAL, Observability
+
+            obs = Observability(
+                telemetry_interval=(
+                    args.telemetry_interval
+                    if args.telemetry_interval is not None
+                    else DEFAULT_TELEMETRY_INTERVAL
+                )
+            )
+            if args.slo_monitor:
+                obs.enable_health()
+            system.observe(obs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if driver is not None:
         result = system.run_driven(driver)
         trace = driver.requests  # realised arrivals, for reporting below
@@ -418,7 +331,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(
             fleet_load_report(
                 result.per_replica,
-                elastic=getattr(result, "elastic", None),
+                elastic=result.elastic,
                 makespan=result.makespan,
             ).render()
         )

@@ -30,9 +30,6 @@ class SchedulerConfig:
     ``max_batch_size`` — cap on concurrent decoding requests per group,
     mirroring the slot-count cap in real systems.
 
-    ``sib_refresh_interval`` — iterations between re-fitting the analytical
-    model from the SIB (the paper refits offline; we refresh periodically).
-
     ``enable_prefix_cache`` — keep finished requests' KV in a radix
     prefix cache (``repro.sessions``) so multi-turn follow-ups prefill
     only their uncached suffix.  Off by default: single-turn behaviour is
@@ -77,7 +74,6 @@ class SchedulerConfig:
     enable_multi_master: bool = True
     enable_prefix_cache: bool = False
     max_cached_tokens: int | None = None
-    sib_refresh_interval: int = 512
     scheduling_overhead_s: float = 0.0005
     sim_mode: str = "discrete"
     fluid_min_iterations: int = 4

@@ -54,7 +54,6 @@ class DecodeBatch:
     group: ParallelGroup | None = None
     iteration: int = 0
     running: bool = False
-    exec_started_at: float = 0.0
 
     @property
     def batch_size(self) -> int:

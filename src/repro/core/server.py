@@ -34,6 +34,7 @@ from repro.qos.policy import QoSPolicy
 from repro.serving import serve
 from repro.sessions.prefix_cache import PrefixKVCache
 from repro.sim.engine import Simulator
+from repro.sim.events import Timer
 from repro.sim.fluid import FluidStepper
 from repro.types import (
     BatchStats,
@@ -151,8 +152,10 @@ class LoongServeServer:
             QoSLedger() if self.qos is not None else None
         )
         # Bumped by crash(): scheduled callbacks from before the crash
-        # must never touch the rebuilt state (see _guarded).
+        # must never touch the rebuilt state (see _post).
         self._epoch = 0
+        # Posted callbacks that have not run yet; crash() cancels them.
+        self._timers: set[Timer] = set()
         # Interference-free decode price per finished (input_len,
         # generated) shape — stamped on the final span for latency
         # forensics (repro.obs.forensics splits decode into ideal vs
@@ -242,11 +245,13 @@ class LoongServeServer:
         orphaned (unfinished) requests for the fleet's failover path to
         re-dispatch, plus the KV tokens lost.
 
-        The epoch bump invalidates every callback the dead server had
-        scheduled (in-flight prefill/decode completions, pending ticks);
-        the rebuilt state is a cold, empty server on the same shared
-        clock, ready to be recovered.  Finished/aborted history and the
-        prefix-cache hit/miss ledger survive — that work happened.
+        Every callback the dead server had posted (in-flight
+        prefill/decode completions, pending ticks, fluid windows) leaves
+        the calendar, so none of them moves the clock; the epoch bump
+        keeps any that ran from touching the rebuilt state, a cold,
+        empty server on the same shared clock, ready to be recovered.
+        Finished/aborted history and the prefix-cache hit/miss ledger
+        survive — that work happened.
         """
         lost_tokens = self.pool.total_used
         orphans = [r for r in self._all_requests if not r.finished]
@@ -260,10 +265,12 @@ class LoongServeServer:
                     replica=self.obs_replica, request=request.request_id,
                 )
         self._epoch += 1
+        for timer in self._timers:
+            timer.cancel()
+        self._timers.clear()
         self._tick_pending = False
         self._prefilling.clear()
-        # In-flight iterations die with the instances; their posted
-        # wakes die with the epoch.
+        # In-flight iterations die with the instances.
         self._decode_ends.clear()
         self._posted_ends.clear()
         config = self.config
@@ -327,29 +334,39 @@ class LoongServeServer:
 
     # -- event handlers ----------------------------------------------------------
 
-    def _guarded(self, action):
-        """Wrap a scheduled callback so it dies with the current epoch.
+    def _post(
+        self,
+        time: float,
+        action,
+        label: str,
+        priority: int = 0,
+        seq: int | None = None,
+    ) -> None:
+        """Post ``action`` on the calendar at ``time``, for :meth:`crash`
+        to cancel.
 
-        A crash rebuilds the server's state in place; completions and
-        ticks scheduled against the old state must become no-ops rather
-        than corrupt the rebuilt one.
+        A crash rebuilds the server's state in place: it takes every
+        callback posted against the old state off the calendar, and the
+        epoch check keeps one from ever touching the rebuilt state.
         """
         epoch = self._epoch
+        timers = self._timers
 
         def _run() -> None:
+            timers.discard(timer)
             if self._epoch == epoch:
                 action()
 
-        return _run
+        timer = self.sim.call_at(
+            time, _run, priority=priority, label=label, seq=seq
+        )
+        timers.add(timer)
 
     def _request_tick(self) -> None:
         if self._tick_pending:
             return
         self._tick_pending = True
-        self.sim.call_at(
-            self.sim.now, self._guarded(self._tick),
-            priority=_TICK_PRIORITY, label="tick",
-        )
+        self._post(self.sim.now, self._tick, "tick", priority=_TICK_PRIORITY)
 
     def _tick(self) -> None:
         self._tick_pending = False
@@ -757,10 +774,12 @@ class LoongServeServer:
                     request.request_id, "prefill", now, replica=replica,
                     **attrs,
                 )
-        self.sim.call_after(
-            planned.start_delay + duration,
-            self._guarded(lambda: self._on_prefill_done(planned)),
-            label="prefill_done",
+        # Summed as call_after(start_delay + duration) would: the other
+        # association rounds differently and moves the goldens.
+        self._post(
+            self.sim.now + (planned.start_delay + duration),
+            lambda: self._on_prefill_done(planned),
+            "prefill_done",
         )
 
     def _on_prefill_done(self, planned: PlannedPrefill) -> None:
@@ -902,8 +921,6 @@ class LoongServeServer:
         )
         batch.running = True
         batch.iteration += 1
-        if batch.exec_started_at == 0.0:
-            batch.exec_started_at = self.sim.now
         self.iteration_stats.append(
             BatchStats(
                 iteration=len(self.iteration_stats),
@@ -949,10 +966,7 @@ class LoongServeServer:
         end, seq = self._decode_ends[0][:2]
         if seq not in self._posted_ends:
             self._posted_ends.add(seq)
-            self.sim.call_at(
-                end, self._guarded(self._on_decode_wake),
-                label="decode_done", seq=seq,
-            )
+            self._post(end, self._on_decode_wake, "decode_done", seq=seq)
 
     def _on_decode_wake(self) -> None:
         """The decode calendar's posted head is due: run it, then every
@@ -1081,8 +1095,6 @@ class LoongServeServer:
             if n == first:
                 due = entry
                 break
-            if batch.exec_started_at == 0.0:
-                batch.exec_started_at = end
             state[0] = n
             state[1] = total
             self._schedule_decode_end(t, batch, masters, group)

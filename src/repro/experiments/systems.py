@@ -282,7 +282,8 @@ def make_fleet(
         raise ValueError(f"need at least one replica, got {replicas}")
     if migrate_kv and not prefix_cache:
         raise ValueError(
-            "migrate_kv moves prefix-KV cache extents; it needs prefix_cache=True"
+            "migrate_kv (--migrate-kv) moves prefix-KV cache extents; it "
+            "needs prefix_cache=True (--prefix-cache)"
         )
     if autoscale and autoscale_predictive:
         raise ValueError(

@@ -87,8 +87,9 @@ class ClusterPolicy:
         # crash recovery and autoscaler unpark).
         self.injector = injector
         self.lifecycle = lifecycle
-        # Armed by FleetServer.observe(): routing decisions are audited
-        # (with per-replica probe scores) when a tracer is attached.
+        # Armed by FleetServer.use_simulator(): routing decisions are
+        # audited (with per-replica probe scores) when a tracer is
+        # attached.
         self.tracer = None
 
     @property

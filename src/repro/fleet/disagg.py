@@ -139,7 +139,8 @@ class DisaggDispatcher:
         )
 
     def reset(self, sim, replicas: Sequence, elastic, obs=None) -> None:
-        """Arm the dispatcher for one fleet run (called by ``_serve``)."""
+        """Arm the dispatcher for one fleet run (called by
+        ``FleetServer.use_simulator``)."""
         if self.num_prefill >= len(replicas):
             raise ValueError(
                 f"num_prefill={self.num_prefill} leaves no decode replicas "

@@ -125,6 +125,8 @@ class FaultPlan:
             raise ValueError("horizon_s must be finite and non-negative")
         if not math.isfinite(mtbf_s) or mtbf_s <= 0:
             raise ValueError("mtbf_s must be finite and positive")
+        if not math.isfinite(downtime_s) or downtime_s <= 0:
+            raise ValueError("downtime_s must be finite and positive")
         rng = random.Random(seed)
         faults: list[ReplicaFault] = []
         for replica_id in range(num_replicas):

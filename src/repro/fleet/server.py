@@ -1,7 +1,7 @@
 """N replica serving systems behind one router on a shared clock.
 
-``FleetServer`` is the fleet-scale counterpart of a single system's
-``run``: every replica (any system built by
+``FleetServer`` serves a workload across replicas on the one serving
+loop, :func:`repro.serving.serve`: every replica (any system built by
 ``repro.experiments.systems.make_system`` — LoongServe, vLLM,
 DistServe, a replicated engine group, …) is reset onto one shared
 :class:`~repro.sim.engine.Simulator`, arrivals fire on that clock, and
@@ -34,9 +34,8 @@ from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkabl
 
 from repro.fleet.control import DEFAULT_CONTROL_INTERVAL, ClusterPolicy, FleetController
 from repro.fleet.disagg import CLONE_ID_OFFSET
-from repro.fleet.router import Router
 from repro.metrics.fleet import ElasticStats, merge_serve_results
-from repro.serving import collect
+from repro.serving import Fleet, collect, serve
 from repro.sim.engine import Simulator
 from repro.types import Request, RequestState, ServeResult
 
@@ -399,23 +398,21 @@ class FleetResult(ServeResult):
     elastic: ElasticStats | None = None
 
 
-class FleetServer:
-    """Serve one workload trace across replicas under a cluster policy."""
+class FleetServer(Fleet):
+    """Serve one workload across replicas under a cluster policy, on the
+    one serving loop (:func:`repro.serving.serve`)."""
 
     def __init__(
         self,
         replicas: Sequence[ServingReplica],
-        router: Router | None = None,
+        policy: ClusterPolicy,
         name: str | None = None,
-        policy: ClusterPolicy | None = None,
         control_interval: float = DEFAULT_CONTROL_INTERVAL,
         sharded: bool = True,
         disagg=None,
     ) -> None:
         if not replicas:
             raise ValueError("need at least one replica")
-        if (router is None) == (policy is None):
-            raise ValueError("pass exactly one of router= or policy=")
         self.replicas = [
             ReplicaHandle(i, server) for i, server in enumerate(replicas)
         ]
@@ -426,27 +423,19 @@ class FleetServer:
         self.disagg = disagg
         if disagg is not None and len(self.replicas) < 2:
             raise ValueError("disaggregated dispatch needs at least 2 replicas")
-        self.policy = policy if policy is not None else ClusterPolicy(router)
-        self.router = self.policy.router  # back-compat alias
+        self.policy = policy
         self.control_interval = control_interval
         # Sharded calendars: each replica schedules on its own event
         # queue (bit-identical to the shared heap — same tie-break
         # order); the control plane keeps the simulator's own queue.
         self.sharded = sharded
-        self.name = name or (
-            f"{replicas[0].name} x{len(replicas)} [{self.policy.name}]"
-        )
-        self._remaining_arrivals = 0
-        # Every request placed this run (trace arrivals and driver
-        # submissions, never shadow clones): the run-end liveness check
-        # reads it, since a request between the disagg pools sits in no
-        # replica's ledger.
-        self._placed: list[Request] = []
+        self.name = name or f"{replicas[0].name} x{len(replicas)} [{policy.name}]"
+        self.obs = None
+        # The current (or last) run's simulator; None before the first.
+        self.sim = None
         self._controller: FleetController | None = None
-        self._obs = None
-        # The most recent run's simulator (events_processed, final
-        # clock) — benchmark instrumentation; None before the first run.
-        self.last_sim = None
+        self._elastic: ElasticStats | None = None
+        self._remaining_arrivals = 0
 
     def observe(self, obs) -> None:
         """Attach an :class:`~repro.obs.observe.Observability` bundle.
@@ -456,11 +445,11 @@ class FleetServer:
         and telemetry samples ride the control ticks (or a standalone
         timer on static fleets).
         """
-        self._obs = obs
+        self.obs = obs
 
     def run(self, requests: list[Request]) -> FleetResult:
         """Serve a trace across the fleet; returns the merged result."""
-        return self._serve(requests, driver=None)
+        return serve(self, requests)
 
     def run_driven(self, driver) -> FleetResult:
         """Serve a closed-loop workload driver across the fleet.
@@ -469,34 +458,33 @@ class FleetServer:
         submits requests on its own schedule — each submission takes the
         same placement path trace arrivals do, limbo-hold included.
         """
-        return self._serve([], driver=driver)
+        return serve(self, driver=driver)
 
-    def _serve(self, requests: list[Request], driver) -> FleetResult:
-        sim = Simulator()
-        self.last_sim = sim
+    # -- what the serving loop reads -----------------------------------------
+
+    def use_simulator(self, sim: Simulator) -> None:
+        """Reset every replica onto ``sim`` (a shard each when
+        ``sharded``), wire the obs bundle, and set up this run's
+        controller and disagg dispatcher; nothing is scheduled yet."""
+        self.sim = sim
         self.policy.reset()
         for handle in self.replicas:
             handle.prepare(sim.create_shard() if self.sharded else sim)
-        obs = self._obs
+        obs = self.obs
         self.policy.tracer = obs.tracer if obs is not None else None
         if obs is not None:
             for handle in self.replicas:
                 handle.server.observe(obs, replica=handle.replica_id)
-        self._remaining_arrivals = len(requests) + (
-            driver.total_requests if driver is not None else 0
-        )
-        self._placed = []
-        controller: FleetController | None = None
-        elastic: ElasticStats | None = None
         self._controller = None
+        self._elastic = None
         if self.policy.has_actuators or self.disagg is not None:
-            elastic = ElasticStats()
+            self._elastic = ElasticStats()
         if self.policy.has_actuators:
-            controller = self._controller = FleetController(
+            self._controller = FleetController(
                 policy=self.policy,
                 replicas=self.replicas,
                 sim=sim,
-                stats=elastic,
+                stats=self._elastic,
                 interval=self.control_interval,
                 work_remaining=self._work_remaining,
                 obs=obs,
@@ -506,31 +494,52 @@ class FleetServer:
             self.disagg.reset(
                 sim=sim,
                 replicas=self.replicas,
-                elastic=elastic,
+                elastic=self._elastic,
                 obs=obs,
             )
-        for request in requests:
-            sim.call_at(
-                request.arrival_time,
-                self._make_arrival(request, sim),
-                label=f"arrival:{request.request_id}",
-            )
-        if driver is not None:
-            driver.install(sim, (lambda req: self._place_arrival(req, sim)))
-        if controller is not None:
-            controller.start()
-        elif obs is not None:
-            # No control loop to ride: sample on a standalone timer.
-            obs.arm_standalone_sampler(
-                sim, (lambda now: obs.sample_fleet(self.replicas, now))
-            )
-        sim.run_until_idle()
-        stranded = self._stranded(sim)
-        if obs is not None:
-            obs.tracer.finalize(sim.now)
 
+    def start(self, arrivals: int, driver) -> None:
+        """Start the control loop, or sample telemetry on a timer when
+        there is none.  The loop keeps ticking while any of the
+        ``arrivals`` trace arrivals or the driver's requests are still
+        to arrive."""
+        self._remaining_arrivals = arrivals + (
+            driver.total_requests if driver is not None else 0
+        )
+        obs = self.obs
+        if self._controller is not None:
+            self._controller.start()
+        elif obs is not None:
+            obs.arm_standalone_sampler(
+                self.sim, (lambda now: obs.sample_fleet(self.replicas, now))
+            )
+
+    def submit(self, request: Request) -> None:
+        """Place one arrival: held in limbo while every replica is dead or
+        warming, else dispatched through disagg or the placement policy."""
+        self._remaining_arrivals -= 1
+        if self._controller is not None and self._controller.try_hold_arrival(
+            request
+        ):
+            return
+        if self.disagg is not None:
+            self.disagg.dispatch(request)
+            return
+        self.policy.place(request, self.replicas, self.sim.now).submit(request)
+
+    def result(self, requests: list[Request]) -> FleetResult:
+        """The merged result, per-replica results and control counters.
+
+        ``stranded`` covers every replica plus the gap between the
+        disagg pools; a run stopped by an event budget lists none.
+        """
+        sim = self.sim
         per_replica = [handle.result(sim.now) for handle in self.replicas]
         merged = merge_serve_results(per_replica, system=self.name)
+        stranded = []
+        if sim.next_event_time() is None:
+            stranded = [r for r in requests if not r.finished]
+            self._audit_stranded(stranded)
         return FleetResult(
             system=merged.system,
             requests=merged.requests,
@@ -541,9 +550,9 @@ class FleetServer:
             stranded=stranded,
             cache_stats=merged.cache_stats,
             qos_stats=merged.qos_stats,
-            obs=obs,
+            obs=self.obs,
             per_replica=per_replica,
-            elastic=elastic,
+            elastic=self._elastic,
         )
 
     def _work_remaining(self) -> bool:
@@ -554,44 +563,16 @@ class FleetServer:
             return True
         return any(h.outstanding_requests() > 0 for h in self.replicas)
 
-    def _stranded(self, sim: Simulator) -> list[Request]:
-        """Placed requests the run left unfinished after going idle.
-
-        Covers every replica plus the gap between the disagg pools; a
-        run stopped by the event guard is not idle and lists none.
-        """
-        if sim.next_event_time() is not None:
-            return []
-        stranded = [r for r in self._placed if not r.finished]
-        tracer = self._obs.tracer if self._obs is not None else None
-        if stranded and tracer is not None and tracer.enabled:
-            where = {
-                r.request_id: h.replica_id for h in self.replicas for r in h.routed
-            }
-            for request in stranded:
-                tracer.audit(
-                    sim.now, "stranded", component="fleet",
-                    replica=where.get(request.request_id, -1),
-                    request=request.request_id, state=request.state.name,
-                )
-        return stranded
-
-    def _place_arrival(self, request: Request, sim: Simulator) -> None:
-        """One arrival's placement path (trace and driver submissions)."""
-        self._placed.append(request)
-        self._remaining_arrivals -= 1
-        if self._controller is not None and self._controller.try_hold_arrival(
-            request
-        ):
-            return  # every replica is dead or warming; limbo holds it
-        if self.disagg is not None:
-            self.disagg.dispatch(request)
+    def _audit_stranded(self, stranded: list[Request]) -> None:
+        """One ``stranded`` audit per request, tagged with the replica it
+        was routed to (-1 between the disagg pools)."""
+        tracer = self.obs.tracer if self.obs is not None else None
+        if not stranded or tracer is None or not tracer.enabled:
             return
-        handle = self.policy.place(request, self.replicas, sim.now)
-        handle.submit(request)
-
-    def _make_arrival(self, request: Request, sim: Simulator):
-        def _on_arrival() -> None:
-            self._place_arrival(request, sim)
-
-        return _on_arrival
+        where = {r.request_id: h.replica_id for h in self.replicas for r in h.routed}
+        for request in stranded:
+            tracer.audit(
+                self.sim.now, "stranded", component="fleet",
+                replica=where.get(request.request_id, -1),
+                request=request.request_id, state=request.state.name,
+            )

@@ -1,20 +1,21 @@
-"""One serving loop for every server shape.
+"""One serving loop for every server shape and for fleets.
 
 :func:`serve` runs one :class:`~repro.fleet.server.ServingReplica` —
 LoongServe or a baseline engine group (vLLM, SplitFuse, DeepSpeed-MII,
-static SP, DistServe, replicated engines) — to completion on a fresh
+static SP, DistServe, replicated engines) — or a :class:`Fleet` of them
+(:class:`~repro.fleet.server.FleetServer`) to completion on a fresh
 :class:`~repro.sim.engine.Simulator`, fed by a trace or a closed-loop
 driver.  :func:`collect` builds a replica's
-:class:`~repro.types.ServeResult` from its ledgers; the fleet
-(``repro.fleet.server``) runs its own loop over many replicas and
-builds each one's result with it.
+:class:`~repro.types.ServeResult` from its ledgers; a fleet builds each
+of its replicas' results with it.
 
 Every run ends with each submitted request finished, aborted, or listed
 in ``ServeResult.stranded``: a run that goes idle with work left says
 which requests can never finish.
 
 This module imports only the simulator and the shared types, so the
-servers in ``repro.core`` and ``repro.baselines`` can delegate to it.
+servers in ``repro.core`` and ``repro.baselines`` and the fleet in
+``repro.fleet`` can delegate to it.
 """
 
 from __future__ import annotations
@@ -34,8 +35,28 @@ _arrival_time = attrgetter("arrival_time")
 _start_time = attrgetter("start_time")
 
 
+class Fleet:
+    """A server that places each arrival on replicas of its own.
+
+    Besides ``use_simulator``, ``submit`` and ``obs``, the loop reads
+    two things of a fleet (:class:`~repro.fleet.server.FleetServer`)
+    that it reads of no replica: :meth:`start`, called once the run's
+    arrivals are posted, and :meth:`result`.
+    """
+
+    def start(self, arrivals: int, driver) -> None:
+        """Start the fleet's own timers: ``arrivals`` trace arrivals are
+        posted and ``driver`` (None without one) is installed."""
+        raise NotImplementedError
+
+    def result(self, requests: list[Request]) -> ServeResult:
+        """The run's result over every request submitted to the fleet,
+        with ``stranded`` filled when the run went idle."""
+        raise NotImplementedError
+
+
 def serve(
-    replica: ServingReplica,
+    replica: ServingReplica | Fleet,
     requests: Iterable[Request] = (),
     driver=None,
     max_events: int | None = None,
@@ -48,7 +69,9 @@ def serve(
     :class:`repro.sessions.ClosedLoopDriver`) schedules its own
     submissions on the run's clock, so their arrival times are run
     outcomes.  A replica with an observability bundle (``obs``) gets
-    its telemetry sampled and its tracer finalized.
+    its telemetry sampled and its tracer finalized; a fleet starts its
+    control loop, or samples its telemetry on a timer, in
+    :meth:`Fleet.start`.
 
     ``max_events`` bounds the simulator events processed; the partial
     result still reports whatever finished by the cut, and strands
@@ -69,7 +92,10 @@ def serve(
 
         driver.install(sim, _submit)
     obs = replica.obs
-    if obs is not None:
+    fleet = isinstance(replica, Fleet)
+    if fleet:
+        replica.start(len(submitted), driver)
+    elif obs is not None:
         obs.arm_standalone_sampler(sim, (lambda now: obs.sample_server(replica, now)))
     if max_events is None:
         sim.run_until_idle()
@@ -77,6 +103,8 @@ def serve(
         sim.run(max_events=max_events)
     if obs is not None:
         obs.tracer.finalize(sim.now)
+    if fleet:
+        return replica.result(submitted)
     result = collect(replica, submitted, sim.now)
     if sim.next_event_time() is None:
         # The run ended because nothing was left to happen, not at an

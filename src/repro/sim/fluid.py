@@ -277,8 +277,6 @@ class FluidStepper:
                 self._bulk_extend(request.request_id, batch, appends)
             batch.running = True
             batch.iteration += n
-            if batch.exec_started_at == 0.0:
-                batch.exec_started_at = now
             server.iteration_stats.append(
                 BatchStats(
                     iteration=len(server.iteration_stats),
@@ -323,10 +321,12 @@ class FluidStepper:
             return False
         self.windows += 1
         self.iterations_absorbed += sum(n for _, n, _ in launched)
-        server.sim.call_after(
-            window_end - now,
-            server._guarded(lambda: self._on_window_done(launched)),
-            label="fluid_done",
+        # Exactly the float call_after(window_end - now) posted at, which
+        # can differ from window_end in the last bit.
+        server._post(
+            now + (window_end - now),
+            lambda: self._on_window_done(launched),
+            "fluid_done",
         )
         return True
 

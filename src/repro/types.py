@@ -255,9 +255,8 @@ class ServeResult:
     observability-off runs byte-identical to prior builds.
     ``stranded`` lists the submitted requests still unfinished (and not
     aborted) when the simulator went idle: work that could never finish.
-    Every run fills it, standalone (:func:`repro.serving.serve`, any
-    server shape) or fleet; a run cut at an event budget leaves it
-    empty.
+    Every run of :func:`repro.serving.serve` fills it, on any server
+    shape or fleet; a run cut at an event budget leaves it empty.
     """
 
     system: str

@@ -10,7 +10,6 @@ from repro.experiments.systems import make_fleet, make_system
 from repro.fleet import (
     AutoscalerConfig,
     ClusterPolicy,
-    FleetServer,
     KVMigrator,
     QueueDepthAutoscaler,
     StealConfig,
@@ -80,17 +79,6 @@ class TestClusterPolicy:
             handle.online = False
         policy = ClusterPolicy(make_router("round-robin"))
         assert policy.place(make_request(), replicas, 0.0) in replicas
-
-    def test_fleet_server_requires_exactly_one_of_router_or_policy(self):
-        servers = [make_system("vllm")]
-        with pytest.raises(ValueError):
-            FleetServer(servers)
-        with pytest.raises(ValueError):
-            FleetServer(
-                servers,
-                router=make_router("round-robin"),
-                policy=ClusterPolicy(make_router("round-robin")),
-            )
 
 
 class TestQueueDepthAutoscaler:

@@ -7,6 +7,7 @@ from repro.fleet import (
     LONG_INPUT_THRESHOLD,
     ROUTERS,
     CacheAffinityRouter,
+    ClusterPolicy,
     FleetServer,
     LeastKVRouter,
     LeastOutstandingRouter,
@@ -223,7 +224,7 @@ class TestFleetServer:
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError):
-            FleetServer([], make_router("round-robin"))
+            FleetServer([], ClusterPolicy(make_router("round-robin")))
         with pytest.raises(ValueError):
             make_fleet(replicas=0)
 

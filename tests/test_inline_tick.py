@@ -48,10 +48,8 @@ class WindowlessServer(LoongServeServer):
     """
 
     def _schedule_decode_end(self, end, batch, masters, group) -> None:
-        self.sim.call_at(
-            end,
-            self._guarded(lambda: self._on_decode_done(batch, masters, group)),
-            label="decode_done",
+        self._post(
+            end, lambda: self._on_decode_done(batch, masters, group), "decode_done"
         )
 
     def _can_tick_inline(self, now: float) -> bool:
@@ -120,7 +118,7 @@ def _serve_fleet(reference: bool, trace, **fleet_kwargs):
             handle.server.__class__ = WindowlessServer
     result = fleet.run(clone_requests(trace))
     assert result.requests, "the fleet served nothing"
-    return _record(result), fleet.last_sim.events_processed
+    return _record(result), fleet.sim.events_processed
 
 
 def _matches_the_reference(trace, sim_mode: str = "discrete", **scheduler):
@@ -383,7 +381,7 @@ class TestDecodeWindowsMatchTheWindowlessReference:
     def test_until_stops_a_window_across_batches_then_crash(self):
         """``run(until=t)`` stops a window that spans three batches exactly
         where the event loop would, with every batch's credits landed; a
-        crash there leaves nothing in flight."""
+        crash there leaves nothing in flight or on the calendar."""
         shapes = [(0, 1_000, 400), (1, 3_000, 500), (2, 7_000, 450)]
         states = {}
         for server_cls in (WindowSpy, WindowlessServer):
@@ -405,17 +403,15 @@ class TestDecodeWindowsMatchTheWindowlessReference:
             seen.append(([r.generated for r in orphans], lost))
             assert not server._decode_ends
             sim.run_until_idle()
-            # Draining pops the dead iterations' guarded events, which
-            # still move the clock: windowless leaves one per batch in
-            # flight, windowed only the posted head, so the drained
-            # clock is not compared.
-            seen.append((len(server.finished), server.pool.total_used))
+            seen.append((sim.now, len(server.finished), server.pool.total_used))
             states[server_cls] = (seen, sim.events_processed)
         (windowed, events), (reference, reference_events) = states.values()
         assert windowed == reference
         assert events < reference_events
-        # The 2 s stop caught every request decoding, mid-output.
+        # The 2 s stop caught every request decoding, mid-output, and
+        # draining the crashed server leaves the clock there.
         assert all(1 < generated < 400 for generated in windowed[3][2])
+        assert windowed[-1][0] == 2.0
 
     def test_two_replica_fleets_sharded_and_unsharded(self):
         """On both calendar layouts, each replica's windows span its
@@ -434,7 +430,7 @@ class TestDecodeWindowsMatchTheWindowlessReference:
                     getattr(handle.server, "windows", None) for handle in fleet.replicas
                 ]
                 runs[sharded, server_cls] = (
-                    _record(result), fleet.last_sim.events_processed, windows,
+                    _record(result), fleet.sim.events_processed, windows,
                 )
         records = {key: run[0] for key, run in runs.items()}
         assert all(record == records[True, WindowSpy] for record in records.values())

@@ -8,8 +8,8 @@ Pinned here:
   replaced them: per-request timelines, aborted requests in order,
   iteration stats, scaling events and makespan.
 * **The loop's contract** — start-ordered iteration stats and
-  ``run_driven`` on every shape, event budgets, and the observability
-  bundle sampled where a shape has one.
+  ``run_driven`` on every shape, event budgets (on a fleet too), and
+  the observability bundle sampled where a shape has one.
 """
 
 import hashlib
@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.systems import make_system
+from repro.experiments.systems import make_fleet, make_system
 from repro.obs import Observability
 from repro.serving import serve
 from repro.sessions import ClosedLoopDriver, plan_sessions
@@ -119,9 +119,10 @@ def test_run_driven_serves_every_shape(system):
 
 def test_event_budget_cut_reports_partial_work_and_strands_nothing():
     trace = make_trace(SHAREGPT, rate=10.0, num_requests=12, seed=21)
-    result = serve(make_system("distserve"), clone_requests(trace), max_events=400)
-    assert 0 < len(result.finished_requests) < len(trace)
-    assert result.stranded == []
+    for system in (make_system("distserve"), make_fleet("loongserve", replicas=2)):
+        result = serve(system, clone_requests(trace), max_events=400)
+        assert 0 < len(result.finished_requests) < len(trace)
+        assert result.stranded == []
 
 
 @pytest.mark.parametrize("system", ["loongserve", "vllm"])

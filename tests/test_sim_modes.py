@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.config import SchedulerConfig, default_config
 from repro.core.server import LoongServeServer
-from repro.experiments.systems import make_system
+from repro.experiments.systems import make_fleet, make_system
 from repro.qos import QoSPolicy
 from repro.sessions import make_session_trace
 from repro.sim.fluid import FluidStepper, _max_iterations_within, _stretch_time
@@ -86,11 +86,28 @@ class PerRequestArrivals:
     def __init__(self, requests):
         self.requests = requests
 
+    @property
+    def total_requests(self) -> int:
+        """Requests still to arrive at the start (a fleet's control loop
+        ticks until they all have)."""
+        return len(self.requests)
+
     def install(self, sim, submit):
         for request in self.requests:
             sim.call_at(
                 request.arrival_time, partial(submit, request), label="arrival"
             )
+
+
+# Fleets the serving loop drives: route-once placement, disagg pools
+# (whose handoffs the elastic counters record), and a control loop that
+# must keep ticking while arrivals remain.
+FLEETS = {
+    "route-once": dict(replicas=2, router="round-robin"),
+    "disagg": dict(replicas=3, disagg=1, prefix_cache=True),
+    "steal-autoscale": dict(replicas=3, router="least-kv", steal=True,
+                            autoscale=True),
+}
 
 
 def _clock(server):
@@ -99,8 +116,9 @@ def _clock(server):
 
 
 class TestArrivalGrouping:
-    """``run()`` coalesces same-timestamp arrivals into one event; the
-    outcome must be bit-identical to per-request arrival events."""
+    """``run()`` coalesces same-timestamp arrivals into one event, on
+    every shape and on fleets; the outcome must be bit-identical to
+    per-request arrival events."""
 
     def _grouped_and_ungrouped(self, trace, system="loongserve"):
         grouped_server = make_system(system, requests=trace)
@@ -137,6 +155,31 @@ class TestArrivalGrouping:
         assert _outcomes(grouped) == _outcomes(ungrouped)
         assert [r.request_id for r in grouped.aborted] == [60]
         assert gs.events_processed < us.events_processed
+
+    @pytest.mark.parametrize("fleet", sorted(FLEETS))
+    def test_every_fleet_groups_identically(self, fleet):
+        trace = _steady_trace(num_requests=60, cluster=12, interval=3.0,
+                              output_len=40)
+        trace.append(Request(request_id=60, input_len=2_000_000,
+                             output_len=4, arrival_time=3.0))  # aborts
+        runs = []
+        for grouped in (True, False):
+            system = make_fleet("loongserve", requests=trace, num_gpus=4,
+                                **FLEETS[fleet])
+            requests = clone_requests(trace)
+            result = (
+                system.run(requests) if grouped
+                else system.run_driven(PerRequestArrivals(requests))
+            )
+            runs.append((result, system.sim.events_processed))
+        (grouped, grouped_events), (ungrouped, ungrouped_events) = runs
+        assert _outcomes(grouped) == _outcomes(ungrouped)
+        assert list(map(_outcomes, grouped.per_replica)) == list(
+            map(_outcomes, ungrouped.per_replica)
+        )
+        assert grouped.elastic == ungrouped.elastic
+        assert [r.request_id for r in grouped.aborted] == [60]
+        assert grouped_events < ungrouped_events
 
 
 def _outcomes(result):

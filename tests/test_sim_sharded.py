@@ -306,8 +306,8 @@ class TestFleetGoldenGates:
             unsharded.requests
         )
         assert sharded.makespan == unsharded.makespan
-        assert sf.last_sim.events_processed == uf.last_sim.events_processed
-        assert sf.last_sim._multi and not uf.last_sim._multi
+        assert sf.sim.events_processed == uf.sim.events_processed
+        assert sf.sim._multi and not uf.sim._multi
 
     def test_elastic_fleet_bit_identical_obs_on(self):
         unsharded, _, uobs = _run_fleet(sharded=False, observe=True)
