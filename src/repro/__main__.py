@@ -116,6 +116,11 @@ def _sample_trace(args: argparse.Namespace):
 
 def _build_trace(args: argparse.Namespace):
     if args.trace:
+        if args.qos_mix:
+            raise ValueError(
+                "--qos-mix tags a generated trace; a --trace file is served "
+                "with the QoS tags it was written with"
+            )
         return load_trace(args.trace)
     return _sample_trace(args)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.config import SystemConfig
-from repro.costmodel.latency import RooflineCostModel
+from repro.costmodel.latency import SCHEDULING_OVERHEAD_S, RooflineCostModel
 from repro.kvcache.pool import InstancePool
 from repro.obs.tracer import Tracer
 from repro.serving import serve
@@ -157,13 +157,11 @@ class EngineServer(EngineGroup):
         instance_ids: list[int] | None = None,
         kv_slots: int | None = None,
         num_masters: int = 1,
-        max_num_seqs: int = 256,
         name: str | None = None,
         trace: Tracer | None = None,
     ) -> None:
         self.config = config
         self.policy = policy
-        self.max_num_seqs = max_num_seqs
         self.cost_model = cost_model or RooflineCostModel(
             cluster=config.cluster, model=config.model
         )
@@ -275,7 +273,7 @@ class EngineServer(EngineGroup):
             self.config.tensor_parallel,
             num_masters=self.num_masters,
         )
-        duration += self.config.scheduler.scheduling_overhead_s
+        duration += SCHEDULING_OVERHEAD_S
         total_tokens = sum(t for t, _ in chunks) + len(decode_contexts)
         self.iteration_stats.append(
             BatchStats(

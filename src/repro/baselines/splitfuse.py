@@ -46,11 +46,10 @@ def ideal_chunk_size(
 class SplitFusePolicy(EnginePolicy):
     """Fuse up to ``chunk_size`` prefill tokens with every decode step."""
 
-    def __init__(self, chunk_size: int, max_prefill_len: int | None = None) -> None:
+    def __init__(self, chunk_size: int) -> None:
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         self.chunk_size = chunk_size
-        self.max_prefill_len = max_prefill_len
 
     def next_iteration(self, engine: EngineServer) -> IterationPlan:
         plan = IterationPlan()

@@ -16,31 +16,27 @@ from repro.costmodel.latency import RooflineCostModel
 from repro.obs.tracer import Tracer
 from repro.types import Request
 
+# Admission limits of the modelled scheduler: the share of KV slots an
+# admission must leave free (the block manager's watermark) and the cap
+# on sequences resident at once (``max_num_seqs``).
+WATERMARK_FRACTION = 0.02
+MAX_NUM_SEQS = 256
+
 
 def _watermark(engine: EngineServer) -> int:
     """KV slots an admission must leave free."""
-    return int(engine.kv_slots * engine.config.scheduler.watermark_fraction)
+    return int(engine.kv_slots * WATERMARK_FRACTION)
 
 
 class PrefillPriorityPolicy(EnginePolicy):
     """vLLM 0.3.0 scheduling: whole-prompt prefills ahead of decodes."""
 
-    def __init__(self, max_batched_tokens: int | None = None) -> None:
-        self.max_batched_tokens = max_batched_tokens
-
     def next_iteration(self, engine: EngineServer) -> IterationPlan:
         admissible = self._admissible(engine)
         if admissible:
-            budget = self.max_batched_tokens
-            chosen = []
-            used = 0
-            for request in admissible:
-                tokens = request.current_len
-                if budget is not None and chosen and used + tokens > budget:
-                    break
-                chosen.append((request, tokens))
-                used += tokens
-            return IterationPlan(prefill_chunks=chosen)
+            return IterationPlan(
+                prefill_chunks=[(r, r.current_len) for r in admissible]
+            )
         if engine.running and engine.free_slots_for_decode():
             return IterationPlan(decode_requests=list(engine.running))
         return IterationPlan()
@@ -56,7 +52,7 @@ class PrefillPriorityPolicy(EnginePolicy):
         admitted: list[Request] = []
         free = engine.pool.free
         watermark = _watermark(engine)
-        budget = engine.max_num_seqs - len(engine.running) - len(engine.prefilling)
+        budget = MAX_NUM_SEQS - len(engine.running) - len(engine.prefilling)
         for request in engine.waiting:
             if len(admitted) >= budget:
                 break
@@ -75,7 +71,6 @@ class VLLMServer(EngineServer):
         self,
         config: SystemConfig,
         cost_model: RooflineCostModel | None = None,
-        max_batched_tokens: int | None = None,
         trace: Tracer | None = None,
     ) -> None:
         if config.num_instances != 1:
@@ -85,7 +80,7 @@ class VLLMServer(EngineServer):
             )
         super().__init__(
             config=config,
-            policy=PrefillPriorityPolicy(max_batched_tokens=max_batched_tokens),
+            policy=PrefillPriorityPolicy(),
             cost_model=cost_model,
             instance_ids=[0],
             num_masters=1,

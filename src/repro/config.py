@@ -44,14 +44,9 @@ class SchedulerConfig:
     iteration and is the bit-identical reference; ``"hybrid"`` lets
     steady-state decode stretches advance in closed form via the fluid
     approximation (``repro.sim.fluid``), falling back to discrete events
-    on any transient.  Aggregate metrics agree within tolerance but
-    per-event traces differ — golden-signature gates require discrete.
-
-    ``fluid_min_iterations`` / ``fluid_max_window_s`` — hybrid-mode
-    window shape: the per-batch average iteration count below which a
-    window is not worth its bookkeeping (the discrete path runs
-    instead), and the wall-clock cap bounding how long batch membership
-    and master sets stay frozen.  Ignored in discrete mode.
+    on any transient (the window bounds are constants of that module).
+    Aggregate metrics agree within tolerance but per-event traces
+    differ — golden-signature gates require discrete.
 
     ``kv_tier_policy`` — arm host/SSD KV offload tiers for the prefix
     cache (``repro.kvcache.tiers``): evicted extents demote into pinned
@@ -68,16 +63,12 @@ class SchedulerConfig:
     decode_compute_bound_bs: int = 128
     prefill_tipping_tokens: int = 8192
     max_batch_size: int = 1024
-    watermark_fraction: float = 0.02
     enable_scale_up: bool = True
     enable_scale_down: bool = True
     enable_multi_master: bool = True
     enable_prefix_cache: bool = False
     max_cached_tokens: int | None = None
-    scheduling_overhead_s: float = 0.0005
     sim_mode: str = "discrete"
-    fluid_min_iterations: int = 4
-    fluid_max_window_s: float = 1.0
     kv_tier_policy: str | None = None
     kv_host_tokens: int = 200_000
     kv_ssd_tokens: int = 1_000_000
@@ -97,14 +88,6 @@ class SchedulerConfig:
                 raise ValueError("kv_tier_policy requires enable_prefix_cache")
             if self.kv_host_tokens < 0 or self.kv_ssd_tokens < 0:
                 raise ValueError("KV tier capacities must be >= 0")
-        if self.fluid_min_iterations < 1:
-            raise ValueError(
-                f"fluid_min_iterations must be >= 1, got {self.fluid_min_iterations}"
-            )
-        if self.fluid_max_window_s <= 0:
-            raise ValueError(
-                f"fluid_max_window_s must be positive, got {self.fluid_max_window_s}"
-            )
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,6 @@ class ElasticInstance:
     def free_slots(self) -> int:
         return self.pool.free
 
-    @property
-    def used_slots(self) -> int:
-        return self.pool.used
-
     def assign(self, role: InstanceRole, group_id: int) -> None:
         if role == InstanceRole.IDLE:
             raise ValueError("use release() to idle an instance")

@@ -24,7 +24,7 @@ from repro.core.scaling_plan import (
     pick_append_instance,
     scale_up_reason,
 )
-from repro.costmodel.latency import RooflineCostModel
+from repro.costmodel.latency import SCHEDULING_OVERHEAD_S, RooflineCostModel
 from repro.kvcache.unified import UnifiedKVPool
 from repro.metrics.qos import QoSLedger
 from repro.obs.tracer import Tracer
@@ -140,13 +140,7 @@ class LoongServeServer:
         # stretches advance in closed form.  None in the default
         # "discrete" mode keeps that path bit-identical.
         self._fluid = (
-            FluidStepper(
-                self,
-                min_iterations=config.scheduler.fluid_min_iterations,
-                max_window_s=config.scheduler.fluid_max_window_s,
-            )
-            if config.scheduler.sim_mode == "hybrid"
-            else None
+            FluidStepper(self) if config.scheduler.sim_mode == "hybrid" else None
         )
         self.qos_ledger: QoSLedger | None = (
             QoSLedger() if self.qos is not None else None
@@ -708,7 +702,7 @@ class LoongServeServer:
             task.group.instance_ids,
             self.config.tensor_parallel,
         )
-        duration += self.config.scheduler.scheduling_overhead_s
+        duration += SCHEDULING_OVERHEAD_S
         swap_debts: list[float] = []
         if self.prefix_cache is not None and self.prefix_cache.tiers is not None:
             # Swap-in debt: extents fetched up from the host/SSD tiers for

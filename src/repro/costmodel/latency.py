@@ -23,7 +23,6 @@ from typing import Callable, Protocol, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.costmodel.comm import CollectiveModel
-from repro.model.flops import decode_flops
 from repro.model.spec import ModelSpec
 
 
@@ -34,6 +33,10 @@ from repro.model.spec import ModelSpec
 HOST_TO_DEVICE_BANDWIDTH = 25e9  # bytes/s per GPU
 REPLICA_INIT_OVERHEAD_S = 0.5
 REPLICA_TEARDOWN_S = 0.2
+
+# Scheduler decision time charged on top of every priced prefill (the
+# LoongServe server) and every engine iteration (the baselines).
+SCHEDULING_OVERHEAD_S = 0.0005
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,7 @@ class ReplicaLifecycleModel:
 
     @classmethod
     def for_model(
-        cls,
-        model: ModelSpec,
-        tensor_parallel: int,
-        host_bandwidth: float = HOST_TO_DEVICE_BANDWIDTH,
-        init_overhead_s: float = REPLICA_INIT_OVERHEAD_S,
-        cooldown_s: float = REPLICA_TEARDOWN_S,
+        cls, model: ModelSpec, tensor_parallel: int
     ) -> "ReplicaLifecycleModel":
         """Warm-up = per-GPU weight shard over PCIe + fixed init.
 
@@ -72,8 +70,8 @@ class ReplicaLifecycleModel:
         parallel (instances also load concurrently), so the shard size —
         not the replica's GPU count — sets the load time.
         """
-        load = (model.weight_bytes / max(1, tensor_parallel)) / host_bandwidth
-        return cls(warmup_s=load + init_overhead_s, cooldown_s=cooldown_s)
+        load = model.weight_bytes / max(1, tensor_parallel) / HOST_TO_DEVICE_BANDWIDTH
+        return cls(warmup_s=load + REPLICA_INIT_OVERHEAD_S)
 
 
 class IterationCostModel(Protocol):
@@ -141,12 +139,6 @@ class RooflineCostModel:
         if isinstance(instances, int):
             return list(range(instances))
         return list(instances)
-
-    def _group_gpus(self, instances: list[int], tensor_parallel: int) -> list[int]:
-        gpus: list[int] = []
-        for inst in instances:
-            gpus.extend(self.cluster.instance_gpus(inst, tensor_parallel))
-        return gpus
 
     # -- prefill -----------------------------------------------------------
 
@@ -391,7 +383,3 @@ class RooflineCostModel:
         gpu = self.cluster.gpu
         weight_time = (self.model.weight_bytes / tensor_parallel) / gpu.sustained_bandwidth
         return weight_time + self.iteration_overhead
-
-    def decode_flops_per_step(self, context_len: int) -> float:
-        """Convenience passthrough for analyses and tests."""
-        return decode_flops(self.model, context_len)

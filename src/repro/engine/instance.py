@@ -98,9 +98,6 @@ class FunctionalInstance:
             return np.zeros(0, dtype=np.int64)
         return np.sort(layers[0].positions)
 
-    def has_request(self, request_id: int) -> bool:
-        return request_id in self._shards and self._shards[request_id][0].num_tokens > 0
-
     def evict(self, request_id: int) -> int:
         """Drop a request's shards; returns tokens freed."""
         layers = self._shards.pop(request_id, None)

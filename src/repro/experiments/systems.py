@@ -186,20 +186,17 @@ def make_fleet(
     router: str = "round-robin",
     requests: Sequence[Request] | None = None,
     num_gpus: int = 8,
-    gpus_per_node: int = 8,
     prefix_cache: bool = False,
     autoscale: bool = False,
     steal: bool = False,
     migrate_kv: bool = False,
     faults=None,
-    warmup: bool | None = None,
     control_interval: float | None = None,
     qos: bool = False,
     admission: bool = False,
     autoscale_predictive: bool = False,
     sim_mode: str = "discrete",
     sharded: bool = True,
-    fluid_max_window_s: float | None = None,
     disagg: int = 0,
     kv_tiers: str | None = None,
     kv_host_tokens: int = 200_000,
@@ -226,11 +223,11 @@ def make_fleet(
     KV lost), orphans fail over through the placement router, and the
     replica recovers after its downtime plus a modelled warm-up.  An
     empty plan is the off switch — no injector is armed at all, so the
-    run stays bit-identical to a fault-free fleet.  ``warmup`` controls
-    the replica lifecycle pricing (weight-loading latency on unpark and
-    crash recovery, cool-down capacity on park); the default arms it
-    exactly when something can change replica lifecycle state
-    (``autoscale``, ``autoscale_predictive``, or ``faults``).
+    run stays bit-identical to a fault-free fleet.  Replica lifecycle
+    pricing (weight-loading latency on unpark and crash recovery,
+    cool-down capacity on park) is armed exactly when something can
+    change replica lifecycle state (``autoscale``,
+    ``autoscale_predictive``, or ``faults``).
 
     QoS (``repro.qos``): ``qos`` arms every replica's scheduler with the
     SLO-class policy (deadline-aware dispatch + batch-tier preemption),
@@ -258,9 +255,7 @@ def make_fleet(
 
     ``sim_mode="hybrid"`` arms every replica's fluid stepper (windows
     engage per replica, bounded by the replica's local event horizon —
-    including the next control tick); ``fluid_max_window_s`` caps window
-    length (shorter windows track the discrete schedule tighter at the
-    cost of more window launches).  ``sharded=False`` funnels every
+    including the next control tick).  ``sharded=False`` funnels every
     replica through one shared event heap (the pre-PR-8 layout; the
     sharded default is bit-identical and faster).
     """
@@ -321,10 +316,9 @@ def make_fleet(
             )
     servers = [
         make_system(system, requests=requests, num_gpus=num_gpus,
-                    gpus_per_node=gpus_per_node, prefix_cache=prefix_cache,
-                    qos=qos, admission=admission, sim_mode=sim_mode,
-                    fluid_max_window_s=fluid_max_window_s,
-                    kv_tiers=kv_tiers, kv_host_tokens=kv_host_tokens,
+                    prefix_cache=prefix_cache, qos=qos, admission=admission,
+                    sim_mode=sim_mode, kv_tiers=kv_tiers,
+                    kv_host_tokens=kv_host_tokens,
                     kv_ssd_tokens=kv_ssd_tokens)
         for _ in range(replicas + standby)
     ]
@@ -336,10 +330,8 @@ def make_fleet(
             model=config.model,
             tensor_parallel=config.tensor_parallel,
         )
-    if warmup is None:
-        warmup = autoscale or autoscale_predictive or bool(faults)
     lifecycle = None
-    if warmup:
+    if autoscale or autoscale_predictive or faults:
         config = servers[0].config
         if config is not None:
             lifecycle = ReplicaLifecycleModel.for_model(
@@ -400,7 +392,6 @@ def make_system(
     qos: bool = False,
     admission: bool = False,
     sim_mode: str = "discrete",
-    fluid_max_window_s: float | None = None,
     kv_tiers: str | None = None,
     kv_host_tokens: int = 200_000,
     kv_ssd_tokens: int = 1_000_000,
@@ -441,17 +432,10 @@ def make_system(
         )
     scheduler = None
     if prefix_cache or sim_mode != "discrete" or kv_tiers is not None:
-        kwargs = {}
-        if fluid_max_window_s is not None:
-            kwargs["fluid_max_window_s"] = fluid_max_window_s
-        if kv_tiers is not None:
-            kwargs.update(
-                kv_tier_policy=kv_tiers,
-                kv_host_tokens=kv_host_tokens,
-                kv_ssd_tokens=kv_ssd_tokens,
-            )
         scheduler = SchedulerConfig(
-            enable_prefix_cache=prefix_cache, sim_mode=sim_mode, **kwargs
+            enable_prefix_cache=prefix_cache, sim_mode=sim_mode,
+            kv_tier_policy=kv_tiers, kv_host_tokens=kv_host_tokens,
+            kv_ssd_tokens=kv_ssd_tokens,
         )
     builders = {
         "loongserve": lambda: build_loongserve(

@@ -47,6 +47,23 @@ _CONTROL_PRIORITY = 9
 _FAULT_PRIORITY = 8
 
 
+def placement_pool(replicas: Sequence) -> Sequence:
+    """The replicas an arrival may be routed over.
+
+    The available ones (online, not draining); if none is, those that
+    could still serve (parked but healthy), and never a crashed or
+    warming one unless nothing else exists.  The original sequence
+    passes through untouched when everyone is available, so a policy
+    with no actuators routes exactly like the bare router.
+    """
+    available = [r for r in replicas if r.available]
+    if len(available) == len(replicas):
+        return replicas
+    if available:
+        return available
+    return [r for r in replicas if r.placeable] or list(replicas)
+
+
 @dataclass
 class _Delivery:
     """A stolen request riding behind its in-flight KV transfer."""
@@ -97,15 +114,14 @@ class ClusterPolicy:
         return any((self.autoscaler, self.stealer, self.migrator, self.injector))
 
     def reset(self) -> None:
-        """Clear any cross-run actuator state (hysteresis counters, the
-        injector's ledger)."""
-        for part in (
-            self.router, self.autoscaler, self.stealer, self.migrator,
-            self.injector,
-        ):
-            reset = getattr(part, "reset", None)
-            if callable(reset):
-                reset()
+        """Clear any cross-run state (the router's cursor, hysteresis
+        counters, the injector's ledger); the stealer and the migrator
+        hold only configuration."""
+        self.router.reset()
+        if self.autoscaler is not None:
+            self.autoscaler.reset()
+        if self.injector is not None:
+            self.injector.reset()
 
     @property
     def name(self) -> str:
@@ -121,23 +137,13 @@ class ClusterPolicy:
         return "".join(parts)
 
     def place(self, request: Request, replicas: Sequence, now: float):
-        """Route one arrival over the replicas accepting placements.
+        """Route one arrival over :func:`placement_pool` of ``replicas``.
 
-        Falls back to the replicas that could still serve (parked but
-        healthy) if every replica is draining or offline — arrivals must
-        land somewhere — but never onto a crashed or warming one; the
-        controller's limbo queue catches the nothing-left case.  Passes
-        the original sequence through untouched when everyone is
-        available, so a policy with no actuators is indistinguishable
-        from the bare router.
+        Arrivals must land somewhere, so an all-draining fleet falls
+        back to its parked-but-healthy replicas; the controller's limbo
+        queue catches the case where every replica is crashed or warming.
         """
-        available = [r for r in replicas if r.available]
-        if len(available) == len(replicas):
-            pool: Sequence = replicas
-        elif available:
-            pool = available
-        else:
-            pool = [r for r in replicas if r.placeable] or list(replicas)
+        pool = placement_pool(replicas)
         chosen = self.router.route(request, pool, now)
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
@@ -272,10 +278,7 @@ class FleetController:
             if tracing:
                 self._audit(
                     "autoscale", replica=handle.replica_id, action=action,
-                    signals=dict(
-                        getattr(self.policy.autoscaler, "last_signals", None)
-                        or {}
-                    ),
+                    signals=dict(self.policy.autoscaler.last_signals),
                 )
             if action == "unpark":
                 if handle.online:

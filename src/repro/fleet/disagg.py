@@ -63,7 +63,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.fleet.router import Router, make_router
+from repro.fleet.control import placement_pool
+from repro.fleet.router import LeastKVRouter, LeastOutstandingRouter, Router
 from repro.kvcache.migration import PrefixHandoff
 from repro.obs.tracer import SHADOW_REQUEST_OFFSET
 from repro.types import Request
@@ -97,29 +98,17 @@ class DisaggDispatcher:
     promotes them).  ``pricing`` is the ``(collectives, model,
     tensor_parallel)`` triple :meth:`PrefixHandoff.cost` prices the
     KV transfer with — the same shape ``KVMigrator.pricing`` exposes.
+    Prefills go to the least-loaded prefill replica, handoffs to the
+    decode replica with the most free KV.
     """
 
-    def __init__(
-        self,
-        num_prefill: int,
-        pricing: tuple,
-        prefill_router: Router | str = "least-outstanding",
-        decode_router: Router | str = "least-kv",
-    ) -> None:
+    def __init__(self, num_prefill: int, pricing: tuple) -> None:
         if num_prefill < 1:
             raise ValueError("disaggregation needs at least 1 prefill replica")
         self.num_prefill = num_prefill
         self.pricing = pricing
-        self.prefill_router = (
-            prefill_router
-            if isinstance(prefill_router, Router)
-            else make_router(prefill_router)
-        )
-        self.decode_router = (
-            decode_router
-            if isinstance(decode_router, Router)
-            else make_router(decode_router)
-        )
+        self.prefill_router = LeastOutstandingRouter()
+        self.decode_router = LeastKVRouter()
         self.sim = None
         self.prefill_pool: Sequence = ()
         self.decode_pool: Sequence = ()
@@ -307,14 +296,7 @@ class DisaggDispatcher:
     def _pick(self, router: Router, request: Request, pool: Sequence, now: float):
         """Route over one pool with the same liveness fallback chain
         :meth:`ClusterPolicy.place` uses for the whole fleet."""
-        available = [r for r in pool if r.available]
-        if len(available) == len(pool):
-            candidates: Sequence = pool
-        elif available:
-            candidates = available
-        else:
-            candidates = [r for r in pool if r.placeable] or list(pool)
-        return router.route(request, candidates, now)
+        return router.route(request, placement_pool(pool), now)
 
     def _audit(self, now: float, kind: str, **payload) -> None:
         tracer = self._tracer

@@ -75,6 +75,9 @@ class Router(abc.ABC):
     def route(self, request: Request, replicas: Sequence, now: float):
         """Return the chosen replica handle (never None; fleet size >= 1)."""
 
+    def reset(self) -> None:
+        """Clear per-run routing state before a fresh fleet run."""
+
     def probe_scores(
         self, request: Request, replicas: Sequence, now: float
     ) -> list[dict]:
@@ -235,19 +238,11 @@ class SLORouter(Router):
 
     name = "slo"
 
-    def __init__(
-        self,
-        ideal=None,
-        token_rate: float | None = None,
-        default_scale: float | None = None,
-    ) -> None:
-        from repro.metrics.slo import DEFAULT_SLO_SCALE, CachedIdealLatency
+    def __init__(self, ideal=None, token_rate: float | None = None) -> None:
+        from repro.metrics.slo import CachedIdealLatency
 
         self.ideal = ideal
         self.token_rate = token_rate
-        self.default_scale = (
-            DEFAULT_SLO_SCALE if default_scale is None else default_scale
-        )
         self._cached_ideal = (
             CachedIdealLatency(ideal) if ideal is not None else None
         )
@@ -289,12 +284,13 @@ class SLORouter(Router):
         return deadline - now - work / rate - self._ideal_latency(request)
 
     def _deadline(self, request: Request) -> float:
+        from repro.metrics.slo import DEFAULT_SLO_SCALE
         from repro.qos.classes import resolve_qos_class
 
         scale = (
             resolve_qos_class(request.qos).deadline_scale
             if request.qos is not None
-            else self.default_scale
+            else DEFAULT_SLO_SCALE
         )
         return request.arrival_time + scale * self._ideal_latency(request)
 

@@ -406,7 +406,6 @@ class FleetServer(Fleet):
         self,
         replicas: Sequence[ServingReplica],
         policy: ClusterPolicy,
-        name: str | None = None,
         control_interval: float = DEFAULT_CONTROL_INTERVAL,
         sharded: bool = True,
         disagg=None,
@@ -429,7 +428,7 @@ class FleetServer(Fleet):
         # queue (bit-identical to the shared heap — same tie-break
         # order); the control plane keeps the simulator's own queue.
         self.sharded = sharded
-        self.name = name or f"{replicas[0].name} x{len(replicas)} [{policy.name}]"
+        self.name = f"{replicas[0].name} x{len(replicas)} [{policy.name}]"
         self.obs = None
         # The current (or last) run's simulator; None before the first.
         self.sim = None

@@ -11,11 +11,10 @@ These are the three columns of Figures 10 and 11.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from repro.types import Request, ServeResult
+from repro.types import ServeResult
 
 
 @dataclass(frozen=True)
@@ -63,10 +62,3 @@ def summarize_latency(result: ServeResult) -> LatencySummary:
         total=len(result.requests),
         per_token_p99=float(np.percentile(per_token, 99)),
     )
-
-
-def mean_normalized_latency(requests: Sequence[Request]) -> float:
-    done = [r for r in requests if r.finished and r.finish_time is not None]
-    if not done:
-        return float("inf")
-    return float(np.mean([r.normalized_latency for r in done]))

@@ -47,13 +47,6 @@ class ParallelGroup:
             tensor_parallel=self.tensor_parallel, sequence_parallel=self.dop
         )
 
-    def with_masters(self, masters: tuple[int, ...]) -> ParallelGroup:
-        return ParallelGroup(
-            instance_ids=self.instance_ids,
-            tensor_parallel=self.tensor_parallel,
-            masters=masters,
-        )
-
     def expanded(self, new_instances: tuple[int, ...]) -> ParallelGroup:
         """Group after scale-up: new instances join without KV migration."""
         overlap = set(new_instances) & set(self.instance_ids)

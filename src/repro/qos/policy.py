@@ -25,7 +25,15 @@ __all__ = ["QoSPolicy"]
 
 
 class QoSPolicy:
-    """Tier registry + deadline model + admission + preemption knobs."""
+    """Tier registry + deadline model + admission + preemption switch."""
+
+    # Deadline preemptions one scheduler tick may enact.
+    max_preemptions_per_tick = 8
+    # A memory-blocked top-tier prefill triggers deadline preemption only
+    # once its remaining slack drops below this fraction of its whole
+    # deadline budget; above it, waiting for decodes to drain naturally
+    # is still safe.
+    preempt_slack_fraction = 0.5
 
     def __init__(
         self,
@@ -34,8 +42,6 @@ class QoSPolicy:
         admission: AdmissionController | None = None,
         preemption: bool = True,
         token_rate: float | None = None,
-        max_preemptions_per_tick: int = 8,
-        preempt_slack_fraction: float = 0.5,
     ) -> None:
         self.ideal = ideal
         self.classes = dict(classes or QOS_CLASSES)
@@ -52,16 +58,6 @@ class QoSPolicy:
                 ideal.tensor_parallel,
             )
         )
-        if max_preemptions_per_tick < 1:
-            raise ValueError("max_preemptions_per_tick must be >= 1")
-        self.max_preemptions_per_tick = max_preemptions_per_tick
-        # A memory-blocked top-tier prefill triggers deadline preemption
-        # only once its remaining slack drops below this fraction of its
-        # whole deadline budget; above it, waiting for decodes to drain
-        # naturally is still safe.
-        if not 0.0 <= preempt_slack_fraction <= 1.0:
-            raise ValueError("preempt_slack_fraction must be in [0, 1]")
-        self.preempt_slack_fraction = preempt_slack_fraction
         self._cached_ideal = CachedIdealLatency(ideal)
 
     @classmethod

@@ -227,10 +227,10 @@ class Timer:
 
     __slots__ = ("event", "queue", "cancelled")
 
-    def __init__(self, event: Event, queue: EventQueue, cancelled: bool = False) -> None:
+    def __init__(self, event: Event, queue: EventQueue) -> None:
         self.event = event
         self.queue = queue
-        self.cancelled = cancelled
+        self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -244,12 +244,3 @@ class Timer:
         from its ledger instead of cancelling events that already ran.
         """
         return not self.cancelled and not self.event.popped
-
-
-def make_noop() -> Callable[[], None]:
-    """A do-nothing action, useful as a wake-up tick."""
-
-    def _noop() -> None:
-        return None
-
-    return _noop

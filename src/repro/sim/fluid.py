@@ -39,7 +39,7 @@ A window is bounded conservatively by
 * KV exhaustion on any batch's instances (the discrete path would start
   preempting; the fluid path stops one iteration short instead).
 
-Windows shorter than ``min_iterations`` per batch fall back to the
+Windows shorter than ``MIN_ITERATIONS`` per batch fall back to the
 discrete path, so sparse/bursty phases run exactly as before.  Hybrid
 mode is an *approximation*: aggregate metrics (goodput, attainment,
 makespan) track the discrete reference within tolerance, but per-event
@@ -53,6 +53,18 @@ import math
 from repro.core.elastic_instance import InstanceRole
 from repro.types import BatchStats, Phase
 
+# Below this per-batch average, the closed-form bookkeeping costs more
+# than the events it saves: the discrete path handles the window.
+MIN_ITERATIONS = 4
+# Per-batch cap on the iterations one window may advance.
+MAX_ITERATIONS = 1_000_000
+# Windows freeze each batch's group membership and master set, so
+# scale-up/merge decisions the discrete path would take between
+# iterations are deferred to the window end.  Capping the window bounds
+# that structural drift while still collapsing tens-to-hundreds of
+# iterations per event.
+MAX_WINDOW_S = 1.0
+
 
 class FluidStepper:
     """Closed-form decode advancement for one server (``sim_mode="hybrid"``).
@@ -62,24 +74,8 @@ class FluidStepper:
     discrete path should run instead.
     """
 
-    def __init__(
-        self,
-        server,
-        min_iterations: int = 4,
-        max_iterations: int = 1_000_000,
-        max_window_s: float = 1.0,
-    ):
+    def __init__(self, server):
         self.server = server
-        # Below this per-batch average, the closed-form bookkeeping costs
-        # more than the events it saves — let the discrete path handle it.
-        self.min_iterations = min_iterations
-        self.max_iterations = max_iterations
-        # Windows freeze each batch's group membership and master set, so
-        # scale-up/merge decisions the discrete path would take between
-        # iterations are deferred to the window end.  Capping the window
-        # bounds that structural drift while still collapsing tens-to-
-        # hundreds of iterations per event.
-        self.max_window_s = max_window_s
         # Telemetry for benchmarks: windows launched and the discrete
         # iterations they replaced.
         self.windows = 0
@@ -164,7 +160,7 @@ class FluidStepper:
             # territory the reference would have avoided.
             n_finish = min(r.output_len - r.generated for r in batch.requests)
             n_kv = server.pool.free_on(list(batch.instance_ids)) // bs - 1
-            cap = min(n_finish, n_kv, self.max_iterations)
+            cap = min(n_finish, n_kv, MAX_ITERATIONS)
             if cap < 1:
                 return False  # KV-starved; discrete preemption logic decides
             contexts = batch.context_lens
@@ -189,7 +185,7 @@ class FluidStepper:
         t_end = min(
             now + _stretch_time(cap, d, s) for _, _, cap, d, s in entries
         )
-        t_end = min(t_end, now + self.max_window_s)
+        t_end = min(t_end, now + MAX_WINDOW_S)
         if backlog_bound < t_end:
             t_end = backlog_bound
         horizon = server._next_event_time()
@@ -204,7 +200,7 @@ class FluidStepper:
                 return False
             total += n
             final.append((batch, n, d_start, slope))
-        if total < self.min_iterations * len(final):
+        if total < MIN_ITERATIONS * len(final):
             return False
 
         return self._launch(final, now)

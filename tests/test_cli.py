@@ -40,6 +40,18 @@ class TestServeCLI:
         out = capsys.readouterr().out
         assert "vLLM" in out
 
+    def test_qos_mix_with_trace_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        assert repro_main(
+            ["gen-trace", "--dataset", "sharegpt", "--rate", "1", "-n", "4",
+             "-o", str(path)]
+        ) == 0
+        code = repro_main(
+            ["serve", "--trace", str(path), "--qos-mix", "interactive:1.0"]
+        )
+        assert code == 2
+        assert "error: --qos-mix tags a generated trace" in capsys.readouterr().err
+
     def test_rejects_unknown_system(self):
         with pytest.raises(SystemExit):
             repro_main(["serve", "--system", "magic"])

@@ -1,10 +1,14 @@
 """Tests for system configuration and derived capacities."""
 
+import inspect
+from dataclasses import fields
+
 import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.gpu import H100_80GB
 from repro.config import SchedulerConfig, SystemConfig, default_config
+from repro.experiments.systems import make_fleet, make_system
 from repro.model.spec import LLAMA2_70B, LWM_7B_1M
 
 
@@ -68,3 +72,32 @@ class TestSystemConfig:
         config = SchedulerConfig()
         with pytest.raises(AttributeError):
             config.max_batch_size = 5  # type: ignore[misc]
+
+
+class TestOptionSurface:
+    """The served system's options, pinned by name: a new knob shows up
+    here as an edit, where review can ask which two callers need it."""
+
+    def test_scheduler_config_fields(self):
+        assert [f.name for f in fields(SchedulerConfig)] == [
+            "decode_compute_bound_bs", "prefill_tipping_tokens",
+            "max_batch_size", "enable_scale_up", "enable_scale_down",
+            "enable_multi_master", "enable_prefix_cache", "max_cached_tokens",
+            "sim_mode", "kv_tier_policy", "kv_host_tokens", "kv_ssd_tokens",
+        ]
+
+    def test_make_system_parameters(self):
+        assert list(inspect.signature(make_system).parameters) == [
+            "name", "requests", "num_gpus", "gpus_per_node", "prefix_cache",
+            "qos", "admission", "sim_mode", "kv_tiers", "kv_host_tokens",
+            "kv_ssd_tokens",
+        ]
+
+    def test_make_fleet_parameters(self):
+        assert list(inspect.signature(make_fleet).parameters) == [
+            "system", "replicas", "router", "requests", "num_gpus",
+            "prefix_cache", "autoscale", "steal", "migrate_kv", "faults",
+            "control_interval", "qos", "admission", "autoscale_predictive",
+            "sim_mode", "sharded", "disagg", "kv_tiers", "kv_host_tokens",
+            "kv_ssd_tokens", "standby", "router_kwargs",
+        ]

@@ -14,6 +14,7 @@ from repro.fleet import (
     FaultInjector,
     FaultPlan,
     FleetController,
+    FleetServer,
     QueueDepthAutoscaler,
     ReplicaFault,
     ReplicaHandle,
@@ -282,9 +283,18 @@ class TestControllerFailover:
         """With warm-up modelling off, a crash recovery must still land
         on the capacity/availability timeline the moment it fires, not a
         control tick later."""
-        _, result = self._run_faulted(
-            FaultPlan.scripted((4.0, 0), downtime_s=5.0), warmup=False,
+        trace = make_trace(MIXED, rate=6.0, num_requests=24, seed=7)
+        fleet = FleetServer(
+            [make_system("loongserve", requests=trace) for _ in range(3)],
+            policy=ClusterPolicy(
+                make_router("round-robin"),
+                injector=FaultInjector(
+                    plan=FaultPlan.scripted((4.0, 0), downtime_s=5.0)
+                ),
+                lifecycle=None,
+            ),
         )
+        result = fleet.run(clone_requests(trace))
         elastic = result.elastic
         assert elastic.warmup_seconds == 0.0
         times = {a: t for t, a, _ in elastic.scaling_log}
@@ -627,7 +637,7 @@ class TestFaultsDisabledGoldenGate:
         trace = make_trace(MIXED, rate=6.0, num_requests=20, seed=3)
         armed = make_fleet(
             "loongserve", replicas=3, router="least-kv", requests=trace,
-            faults=FaultPlan.scripted((1e9, 0)), warmup=False,
+            faults=FaultPlan.scripted((1e9, 0)),
         )
         bare = make_fleet(
             "loongserve", replicas=3, router="least-kv", requests=trace,
