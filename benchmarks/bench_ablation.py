@@ -1,4 +1,4 @@
-"""Ablations of this reproduction's own design choices (DESIGN.md §5).
+"""Ablations of this reproduction's own design choices.
 
 Not paper figures — these quantify decisions the paper makes implicitly:
 planning on the fitted Eq. 7 model vs. a ground-truth oracle, the

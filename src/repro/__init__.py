@@ -22,8 +22,7 @@ Experiments::
 
     python -m repro.experiments figure10
 
-See README.md for the architecture overview and DESIGN.md for the
-paper-to-module map.
+See README.md for the architecture overview and the module layout.
 """
 
 from repro.config import SchedulerConfig, SystemConfig, default_config

@@ -6,9 +6,9 @@
     python -m repro gen-trace --dataset mixed --rate 0.5 -n 100 -o trace.jsonl
 
 Fleet-scale serving shards the trace across N replicas behind a router
-(`round-robin`, `least-outstanding`, `least-kv`, `length-aware`, or
-`affinity`) and reports fleet-aggregated latency, SLO attainment, and
-per-replica load:
+(`round-robin`, `least-outstanding`, `least-kv`, `length-aware`,
+`affinity`, or `slo`) and reports fleet-aggregated latency, SLO
+attainment, and per-replica load:
 
     python -m repro serve --system loongserve --replicas 4 \
         --router least-kv --dataset mixed --rate 20 --num-requests 200

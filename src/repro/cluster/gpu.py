@@ -43,18 +43,6 @@ class GPUSpec:
         """Achievable HBM bytes/s for streaming access."""
         return self.memory_bandwidth * self.memory_efficiency
 
-    def compute_time(self, flops: float) -> float:
-        """Seconds to execute ``flops`` floating point operations."""
-        if flops < 0:
-            raise ValueError("flops must be non-negative")
-        return flops / self.sustained_flops
-
-    def memory_time(self, num_bytes: float) -> float:
-        """Seconds to stream ``num_bytes`` through HBM."""
-        if num_bytes < 0:
-            raise ValueError("bytes must be non-negative")
-        return num_bytes / self.sustained_bandwidth
-
 
 # The paper's testbed GPU (§7.1): A800 is the export variant of the A100 with
 # NVLink capped at 400 GB/s; compute and HBM match the A100 80GB SXM.

@@ -98,20 +98,6 @@ class Topology:
         """Bytes/s between two GPUs (infinite for self-transfers)."""
         return self.link(src, dst).bandwidth
 
-    def min_bandwidth(self, gpus: list[int]) -> float:
-        """Bottleneck pairwise bandwidth inside a set of GPUs.
-
-        Ring collectives (striped attention's KV circulation) run at the
-        speed of the slowest hop; a group spanning two nodes is IB-bound.
-        """
-        if len(gpus) <= 1:
-            return float("inf")
-        result = float("inf")
-        for i, src in enumerate(gpus):
-            for dst in gpus[i + 1 :]:
-                result = min(result, self.bandwidth(src, dst))
-        return result
-
     def spans_nodes(self, gpus: list[int]) -> bool:
         """True when the GPU set crosses a node boundary."""
         nodes = {self.node_of(g) for g in gpus}

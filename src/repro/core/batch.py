@@ -1,8 +1,7 @@
 """Batch abstractions the global manager schedules.
 
 ``PrefillTask`` — one prefill iteration: a set of requests executed on a
-parallel group, carrying the proactive scale-down placement that takes
-effect when the iteration completes (§4.1).
+parallel group.
 
 ``DecodeBatch`` — a long-lived decoding batch bound to a parallel group;
 it runs one iteration per output token and is the unit of elastic
@@ -14,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.parallel.esp import ScaleDownPlan
 from repro.parallel.groups import ParallelGroup
 from repro.types import Request
 
@@ -32,9 +30,6 @@ class PrefillTask:
     batch_id: int
     requests: list[Request]
     group: ParallelGroup
-    scale_down: ScaleDownPlan | None = None
-    started_at: float = 0.0
-    duration: float = 0.0
 
     @property
     def total_tokens(self) -> int:
@@ -52,7 +47,6 @@ class DecodeBatch:
     batch_id: int
     requests: list[Request] = field(default_factory=list)
     group: ParallelGroup | None = None
-    iteration: int = 0
     running: bool = False
 
     @property

@@ -29,7 +29,6 @@ class ElasticInstance:
     pool: InstancePool
     role: InstanceRole = InstanceRole.IDLE
     group_id: int | None = None
-    busy_until: float = 0.0
 
     @property
     def is_idle(self) -> bool:

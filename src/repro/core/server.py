@@ -725,13 +725,9 @@ class LoongServeServer:
                                 request=request.request_id,
                                 seconds=round(debt, 9),
                             )
-        task.started_at = self.sim.now
-        task.duration = duration
 
         for instance_id in task.group.instance_ids:
-            instance = self.instances[instance_id]
-            instance.assign(InstanceRole.PREFILL, task.batch_id)
-            instance.busy_until = self.sim.now + planned.start_delay + duration
+            self.instances[instance_id].assign(InstanceRole.PREFILL, task.batch_id)
 
         self.iteration_stats.append(
             BatchStats(
@@ -914,7 +910,6 @@ class LoongServeServer:
             num_masters=len(masters),
         )
         batch.running = True
-        batch.iteration += 1
         self.iteration_stats.append(
             BatchStats(
                 iteration=len(self.iteration_stats),
@@ -1099,7 +1094,6 @@ class LoongServeServer:
                     request.generated += n
                     extend(request.request_id, instance_id, n)
                 self._generated_total += n * bs
-                batch.iteration += n
         if last is not None:
             self.sim.advance_to(last)
         return due

@@ -8,13 +8,14 @@ Two models live here, mirroring the paper's architecture:
   A800 testbed numbers.
 * ``AnalyticalModel`` (analytical.py) — the paper's Eq. 7 quadratic model
   ``T = α + β·Σlen + γ·Σlen²``, fitted per parallelism strategy by least
-  squares (fitting.py) over profiles stored in the SIB.  The global
-  manager plans with this fitted model, exactly as in §5.5.
+  squares (fitting.py) over profiles stored in the SIB
+  (``repro.core.sib``).  The global manager plans with this fitted
+  model, exactly as in §5.5.
 """
 
 from repro.costmodel.analytical import AnalyticalModel, StrategyCoefficients
 from repro.costmodel.comm import CollectiveModel
-from repro.costmodel.fitting import fit_quadratic, profile_and_fit
+from repro.costmodel.fitting import fit_quadratic
 from repro.costmodel.latency import IterationCostModel, RooflineCostModel
 
 __all__ = [
@@ -24,5 +25,4 @@ __all__ = [
     "RooflineCostModel",
     "StrategyCoefficients",
     "fit_quadratic",
-    "profile_and_fit",
 ]

@@ -2,20 +2,20 @@
 
 The paper trains the (α, β, γ) coefficients of Eq. 7 "by the least square
 method based on a few profiling results".  ``fit_quadratic`` solves the
-normal equations via :func:`numpy.linalg.lstsq`; ``profile_and_fit``
-generates the profiling samples against a ground-truth cost model (the
-roofline model stands in for the real testbed) and fits every requested
-strategy, which is precisely the workflow behind Figure 15.
+normal equations via :func:`numpy.linalg.lstsq`; ``default_profile_grid``
+is the workload grid the profiler sweeps.  The SIB
+(``repro.core.sib.ScalingInformationBase.profile_strategies``) runs that
+grid against the roofline model and fits every strategy from its stored
+samples, which is the workflow behind Figure 15.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.costmodel.analytical import AnalyticalModel, StrategyCoefficients
-from repro.parallel.strategy import ParallelismStrategy
+from repro.costmodel.analytical import StrategyCoefficients
 
 ProfileSample = tuple[Sequence[int], float]
 
@@ -68,21 +68,3 @@ def default_profile_grid(max_len: int = 500_000) -> list[list[int]]:
     grid.append([max_len])
     return grid
 
-
-def profile_and_fit(
-    measure: Callable[[ParallelismStrategy, Sequence[int]], float],
-    strategies: Iterable[ParallelismStrategy],
-    grid: Sequence[Sequence[int]] | None = None,
-    max_len: int = 500_000,
-) -> AnalyticalModel:
-    """Profile ``measure`` over the grid and fit one triple per strategy.
-
-    ``measure(strategy, input_lens)`` plays the role of running the real
-    profiling kernels; the reproduction points it at the roofline model.
-    """
-    workloads = [list(w) for w in (grid or default_profile_grid(max_len))]
-    model = AnalyticalModel()
-    for strategy in strategies:
-        samples = [(w, measure(strategy, w)) for w in workloads]
-        model.set_coefficients(strategy, fit_quadratic(samples))
-    return model

@@ -1,4 +1,4 @@
-"""Ablations of LoongServe's own design choices (DESIGN.md §5).
+"""Ablations of LoongServe's own design choices.
 
 Beyond the paper's figures, these isolate decisions the paper makes
 implicitly:

@@ -7,16 +7,16 @@ configures its baselines on the 8-GPU testbed.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
-from repro.baselines.base import EngineServer
+from repro.baselines.base import EnginePolicy, EngineServer
 from repro.baselines.distserve import DistServeServer
 from repro.baselines.no_scaleup import build_loongserve, build_no_scale_up_loongserve
 from repro.baselines.replicated import ReplicatedServer
-from repro.baselines.splitfuse import SplitFuseServer, ideal_chunk_size
+from repro.baselines.splitfuse import SplitFusePolicy, SplitFuseServer, ideal_chunk_size
 from repro.baselines.static_sp import StaticSPServer
 from repro.baselines.vllm import PrefillPriorityPolicy, VLLMServer
-from repro.config import SchedulerConfig, default_config
+from repro.config import SchedulerConfig, SystemConfig, default_config
 from repro.types import Request
 
 # DeepSpeed-MII crashes ("illegal memory access") past 32K-token prompts
@@ -79,22 +79,36 @@ def build_static_sp(num_gpus: int = 8, gpus_per_node: int = 8) -> StaticSPServer
     return StaticSPServer(config)
 
 
+def _replicated(
+    config: SystemConfig,
+    policy: Callable[[], EnginePolicy],
+    engine_name: str,
+    name: str,
+) -> ReplicatedServer:
+    """One independent single-instance engine per elastic instance of
+    ``config``, each with its own ``policy()``, behind one server."""
+    engines = [
+        EngineServer(
+            config=config,
+            policy=policy(),
+            instance_ids=[i],
+            kv_slots=config.kv_slots_per_instance,
+            name=engine_name,
+        )
+        for i in range(config.num_instances)
+    ]
+    return ReplicatedServer(engines, name=name)
+
+
 def build_replicated_tp2(num_gpus: int = 8, gpus_per_node: int = 8) -> ReplicatedServer:
     """LoongServe w/o ESP (TP=2) x N: independent replicas, no KV sharing."""
     config = default_config(
         num_gpus=num_gpus, tensor_parallel=2, gpus_per_node=gpus_per_node
     )
-    engines = [
-        EngineServer(
-            config=config,
-            policy=PrefillPriorityPolicy(),
-            instance_ids=[i],
-            kv_slots=config.kv_slots_per_instance,
-            name="TP=2 replica",
-        )
-        for i in range(config.num_instances)
-    ]
-    return ReplicatedServer(engines, name=f"LoongServe w/o ESP (TP=2) x {len(engines)}")
+    return _replicated(
+        config, PrefillPriorityPolicy, "TP=2 replica",
+        f"LoongServe w/o ESP (TP=2) x {config.num_instances}",
+    )
 
 
 def build_vllm_per_node(num_gpus: int = 16, gpus_per_node: int = 8) -> ReplicatedServer:
@@ -102,17 +116,7 @@ def build_vllm_per_node(num_gpus: int = 16, gpus_per_node: int = 8) -> Replicate
     config = default_config(
         num_gpus=num_gpus, tensor_parallel=gpus_per_node, gpus_per_node=gpus_per_node
     )
-    engines = [
-        EngineServer(
-            config=config,
-            policy=PrefillPriorityPolicy(),
-            instance_ids=[i],
-            kv_slots=config.kv_slots_per_instance,
-            name="vLLM",
-        )
-        for i in range(config.num_instances)
-    ]
-    return ReplicatedServer(engines, name="vLLM")
+    return _replicated(config, PrefillPriorityPolicy, "vLLM", "vLLM")
 
 
 def build_splitfuse_per_node(
@@ -125,19 +129,10 @@ def build_splitfuse_per_node(
     config = default_config(
         num_gpus=num_gpus, tensor_parallel=gpus_per_node, gpus_per_node=gpus_per_node
     )
-    from repro.baselines.splitfuse import SplitFusePolicy
-
-    engines = [
-        EngineServer(
-            config=config,
-            policy=SplitFusePolicy(chunk_size=chunk),
-            instance_ids=[i],
-            kv_slots=config.kv_slots_per_instance,
-            name="LightLLM w/ SplitFuse",
-        )
-        for i in range(config.num_instances)
-    ]
-    return ReplicatedServer(engines, name="LightLLM w/ SplitFuse")
+    return _replicated(
+        config, lambda: SplitFusePolicy(chunk_size=chunk),
+        "LightLLM w/ SplitFuse", "LightLLM w/ SplitFuse",
+    )
 
 
 # Systems whose servers expose the crash()/recover surface failure

@@ -326,14 +326,20 @@ class FleetController:
 
     def _steal(self) -> None:
         now = self.sim.now
-        moves = self.policy.stealer.plan(
-            self.replicas, now, can_migrate=self.policy.migrator is not None
+        # Stealing never crosses the prefill/decode split: each pool is
+        # planned on its own, with its own per-tick move budget.
+        disagg = self.disagg
+        pools = (
+            (self.replicas,) if disagg is None
+            else (disagg.prefill_pool, disagg.decode_pool)
         )
+        can_migrate = self.policy.migrator is not None
+        moves = [
+            move
+            for pool in pools
+            for move in self.policy.stealer.plan(pool, now, can_migrate=can_migrate)
+        ]
         for move in moves:
-            if self.disagg is not None and not self.disagg.same_pool(
-                move.src.replica_id, move.dst.replica_id
-            ):
-                continue  # stealing never crosses the prefill/decode split
             if not move.src.withdraw(move.request):
                 continue  # started executing between plan and enact
             reprefill = move.reprefill_tokens

@@ -43,7 +43,7 @@ gated off in the first cut):
   pool and prefills from scratch;
 * the work stealer never relocates clones (their KV must finish where
   the export will read it) and never moves requests across the pool
-  boundary — the controller filters cross-pool moves.
+  boundary — the controller plans each pool's steals on their own.
 
 The handoff is keyed by the prompt's token ids.  A token-less request
 (a plain length-only trace) is given a synthetic prompt at dispatch:
@@ -285,11 +285,6 @@ class DisaggDispatcher:
         fleet = list(self.prefill_pool) + list(self.decode_pool)
         candidates = [r for r in fleet if r.placeable] or list(self.decode_pool)
         return self.decode_router.route(request, candidates, now)
-
-    def same_pool(self, replica_a: int, replica_b: int) -> bool:
-        """Whether two replica ids sit on the same side of the
-        prefill/decode split (replicas ``[0, num_prefill)`` prefill)."""
-        return (replica_a < self.num_prefill) == (replica_b < self.num_prefill)
 
     # -- helpers ---------------------------------------------------------------
 

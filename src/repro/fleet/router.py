@@ -5,7 +5,7 @@ the replica that serves it.  Routers are the *placement* component of a
 :class:`~repro.fleet.control.ClusterPolicy`: on a static fleet they are
 the whole policy (requests never move after placement), while the
 control-loop actuators — work stealing, autoscaling, KV migration —
-correct placement afterwards when armed.  Five policies cover the
+correct placement afterwards when armed.  Six policies cover the
 design space explored by cluster-serving work:
 
 * **round-robin** — stateless cycling; the baseline every load balancer

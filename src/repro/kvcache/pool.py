@@ -41,11 +41,6 @@ class InstancePool:
     def free(self) -> int:
         return self.capacity - self._used
 
-    @property
-    def requests(self) -> list[int]:
-        """Request ids holding at least one slot here."""
-        return sorted(self._owned)
-
     def held_by(self, request_id: int) -> int:
         """Slots owned by a request (0 when absent)."""
         return self._owned.get(request_id, 0)

@@ -1,13 +1,13 @@
-"""Transformer model substrate: shapes, FLOP counts, and memory footprints.
+"""Transformer model substrate: shapes and the per-token costs they imply.
 
 The paper serves LWM-1M-Text, which reuses the Llama-2-7B architecture with
-a 1M-token context window (§7.1).  These modules encode the architecture so
-that every cost and capacity the scheduler reasons about is derived from the
-real model shape rather than hard-coded constants.
+a 1M-token context window (§7.1).  ``ModelSpec`` encodes the architecture
+so that every cost and capacity the scheduler reasons about is derived from
+the real model shape rather than hard-coded constants; the roofline cost
+model (``repro.costmodel.latency``) turns its per-token FLOP and byte
+counts into iteration times.
 """
 
-from repro.model.flops import decode_flops, prefill_flops
-from repro.model.memory import decode_read_bytes, kv_cache_bytes
 from repro.model.spec import (
     LLAMA2_13B,
     LLAMA2_70B,
@@ -24,8 +24,4 @@ __all__ = [
     "LWM_7B_1M",
     "MIXTRAL_8X7B",
     "ModelSpec",
-    "decode_flops",
-    "decode_read_bytes",
-    "kv_cache_bytes",
-    "prefill_flops",
 ]

@@ -1,13 +1,9 @@
-"""Parallelism abstractions: TPxSP strategies, ESP groups, scaling plans."""
+"""Parallelism abstractions: TPxSP strategies and ESP groups."""
 
-from repro.parallel.esp import ScaleDownPlan, ScaleUpPlan, ScalingPlan
 from repro.parallel.groups import ParallelGroup
 from repro.parallel.strategy import ParallelismStrategy
 
 __all__ = [
     "ParallelGroup",
     "ParallelismStrategy",
-    "ScaleDownPlan",
-    "ScaleUpPlan",
-    "ScalingPlan",
 ]

@@ -90,10 +90,6 @@ class SessionSpec:
         if self.max_turns < 1:
             raise ValueError(f"max_turns must be >= 1, got {self.max_turns}")
 
-    @property
-    def max_total_len(self) -> int:
-        return self.max_context_len + self.output.maximum
-
 
 SESSIONS = SessionSpec()
 

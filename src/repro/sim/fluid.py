@@ -272,7 +272,6 @@ class FluidStepper:
                 appends = n if (request.output_len - request.generated) > n else n - 1
                 self._bulk_extend(request.request_id, batch, appends)
             batch.running = True
-            batch.iteration += n
             server.iteration_stats.append(
                 BatchStats(
                     iteration=len(server.iteration_stats),

@@ -49,15 +49,11 @@ class LengthDistribution:
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
         return self.input_spec.sample(rng), self.output_spec.sample(rng)
 
-    @property
-    def max_total_len(self) -> int:
-        return self.input_spec.maximum + self.output_spec.maximum
-
 
 # ShareGPT prompts top out at ~2.3K tokens while the long-document
 # datasets (L-Eval, LV-Eval) start at ~2.7K, so this threshold cleanly
 # splits the Mixed workload into its short and long populations (used by
-# length-aware fleet routing and offline trace sharding).
+# length-aware fleet routing).
 LONG_INPUT_THRESHOLD = 2_600
 
 SHAREGPT = LengthDistribution(
@@ -98,10 +94,6 @@ class MixedDistribution:
             input_len = min(input_len, self.max_input_len)
         return input_len, output_len
 
-    @property
-    def max_total_len(self) -> int:
-        return max(c.max_total_len for c in self.components)
-
 
 MIXED = MixedDistribution(name="Mixed", components=(SHAREGPT, LEVAL, LVEVAL))
 
@@ -140,10 +132,6 @@ class ZipfMixed:
         pool = [base.sample(rng) for _ in range(self.pool_size)]
         pool.sort(key=lambda pair: pair[0] + pair[1])
         return pool
-
-    @property
-    def max_total_len(self) -> int:
-        return self.max_input_len + max(s.output_spec.maximum for s in (SHAREGPT, LEVAL, LVEVAL))
 
 
 DATASETS: dict[str, LengthDistribution | MixedDistribution] = {

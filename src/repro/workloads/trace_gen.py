@@ -2,9 +2,7 @@
 
 ``make_trace`` builds a reproducible trace; ``clone_requests`` copies one
 so the same trace can be replayed on several serving systems (servers
-mutate request state in place); ``shard_trace`` statically splits one
-trace into per-replica sub-traces for offline fleet analysis (online
-fleet runs route with live state instead — see ``repro.fleet``).
+mutate request state in place).
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import numpy as np
 
 from repro.types import Request, next_request_id
 from repro.workloads.arrival import PoissonArrivals
-from repro.workloads.datasets import LONG_INPUT_THRESHOLD
 
 
 class LengthSampler(Protocol):
@@ -66,48 +63,6 @@ def make_trace(
 
         assign_qos(requests, qos_mix, seed=seed)
     return requests
-
-
-def shard_trace(
-    requests: Sequence[Request],
-    num_shards: int,
-    policy: str = "round-robin",
-    long_threshold: int = LONG_INPUT_THRESHOLD,
-) -> list[list[Request]]:
-    """Statically split a trace into ``num_shards`` per-replica traces.
-
-    Policies mirror the stateless fleet routers: ``round-robin`` deals
-    requests out in arrival order; ``length-aware`` sends long-input
-    requests (>= ``long_threshold`` tokens) to the first half of the
-    shards and short ones to the rest, balancing each side by running
-    token count.  Every request lands in exactly one shard; arrival
-    order within a shard is preserved.
-    """
-    if num_shards < 1:
-        raise ValueError(f"need at least one shard, got {num_shards}")
-    shards: list[list[Request]] = [[] for _ in range(num_shards)]
-    ordered = sorted(requests, key=lambda r: r.arrival_time)
-    if policy == "round-robin":
-        for position, request in enumerate(ordered):
-            shards[position % num_shards].append(request)
-    elif policy == "length-aware":
-        boundary = max(1, num_shards // 2) if num_shards > 1 else 0
-        loads = [0] * num_shards
-        for request in ordered:
-            if num_shards == 1:
-                candidates = [0]
-            elif request.input_len >= long_threshold:
-                candidates = list(range(boundary))
-            else:
-                candidates = list(range(boundary, num_shards))
-            target = min(candidates, key=lambda i: (loads[i], i))
-            shards[target].append(request)
-            loads[target] += request.input_len + request.output_len
-    else:
-        raise ValueError(
-            f"unknown shard policy {policy!r}; choose round-robin or length-aware"
-        )
-    return shards
 
 
 def clone_requests(requests: Sequence[Request]) -> list[Request]:

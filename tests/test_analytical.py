@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
+from repro.core.sib import ScalingInformationBase
 from repro.costmodel.analytical import AnalyticalModel, StrategyCoefficients
-from repro.costmodel.fitting import default_profile_grid, fit_quadratic, profile_and_fit
+from repro.costmodel.fitting import default_profile_grid, fit_quadratic
 from repro.costmodel.latency import RooflineCostModel
 from repro.model.spec import LWM_7B_1M
 from repro.parallel.strategy import ParallelismStrategy
@@ -108,7 +109,7 @@ class TestProfileAndFit:
                 lens, strategy.sequence_parallel, strategy.tensor_parallel
             )
 
-        fitted = profile_and_fit(measure, [SP4TP2, SP2TP4])
+        fitted = ScalingInformationBase().profile_strategies(cost, [SP4TP2, SP2TP4])
         deviations = []
         for strategy in (SP4TP2, SP2TP4):
             for lens in ([2_000], [30_000], [300_000], [8_000] * 4):

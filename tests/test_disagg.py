@@ -24,11 +24,15 @@ import pytest
 
 from repro.experiments.systems import make_fleet
 from repro.fleet import CLONE_ID_OFFSET, DisaggDispatcher, FaultPlan, ReplicaFault
+from repro.fleet.stealing import WorkStealer
 from repro.obs import Observability
-from repro.workloads.datasets import LEVAL, SHAREGPT
+from repro.workloads.datasets import LEVAL, MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
 
 TRACE = make_trace(SHAREGPT, rate=10.0, num_requests=24, seed=13)
+# A Mixed burst that least-kv spreads unevenly enough over the decode
+# pool for steals to land.
+STEAL_TRACE = make_trace(MIXED, rate=40.0, num_requests=40, seed=7)
 
 
 def disagg_fleet(replicas=3, prefill=1, **kwargs):
@@ -153,27 +157,52 @@ class TestDisaggComposition:
         assert len(set(served)) == len(served)
         assert len(result.finished_requests) + len(result.aborted) == len(trace)
 
-    def test_composes_with_stealing(self):
-        burst = make_trace(LEVAL, rate=40.0, num_requests=32, seed=11)
-        fleet = make_fleet(
-            "loongserve", replicas=4, router="round-robin",
-            requests=burst, num_gpus=4, prefix_cache=True, disagg=1,
+    def steal_fleet(self):
+        return make_fleet(
+            "loongserve", replicas=4, router="least-kv",
+            requests=STEAL_TRACE, num_gpus=4, prefix_cache=True, disagg=1,
             steal=True,
         )
+
+    def test_composes_with_stealing(self):
+        fleet = self.steal_fleet()
         obs = Observability()
         fleet.observe(obs)
-        result = fleet.run(clone_requests(burst))
-        self.assert_served_exactly_once(result, burst)
+        result = fleet.run(clone_requests(STEAL_TRACE))
+        self.assert_served_exactly_once(result, STEAL_TRACE)
         assert not result.aborted
+        steals = [r for r in obs.tracer.records if r.kind == "steal"]
+        assert steals, "the burst landed no steal"
         # Steals stay inside one pool and never touch a shadow clone.
         num_prefill = fleet.disagg.num_prefill
-        for record in obs.tracer.records:
-            if record.kind == "steal":
-                assert record.payload["request"] < CLONE_ID_OFFSET
-                assert (record.payload["src"] < num_prefill) == (
-                    record.payload["dst"] < num_prefill
-                )
+        for record in steals:
+            assert record.payload["request"] < CLONE_ID_OFFSET
+            assert (record.payload["src"] < num_prefill) == (
+                record.payload["dst"] < num_prefill
+            )
         assert fleet.disagg.inflight == 0
+
+    def test_steals_are_planned_within_each_pool(self, monkeypatch):
+        # A prefill replica's queue holds only clones, which are never
+        # stealable, so a fleet-wide plan keeps picking it as the
+        # shallowest destination; each pool must be planned on its own.
+        planned = []
+        plan = WorkStealer.plan
+
+        def spy(stealer, replicas, now, can_migrate=False):
+            moves = plan(stealer, replicas, now, can_migrate=can_migrate)
+            planned.extend(moves)
+            return moves
+
+        monkeypatch.setattr(WorkStealer, "plan", spy)
+        fleet = self.steal_fleet()
+        fleet.run(clone_requests(STEAL_TRACE))
+        assert planned
+        num_prefill = fleet.disagg.num_prefill
+        for move in planned:
+            assert (move.src.replica_id < num_prefill) == (
+                move.dst.replica_id < num_prefill
+            )
 
     def test_decode_crash_reroutes_over_surviving_pool(self):
         plan = FaultPlan([ReplicaFault(time=0.5, replica_id=2, downtime_s=2.0)])
@@ -189,7 +218,7 @@ class TestDisaggComposition:
     def test_prefill_crash_degrades_to_direct_decode(self):
         # Take down the only prefill replica mid-run: orphaned clones and
         # arrivals during the outage both fall back to direct decode.
-        plan = FaultPlan([ReplicaFault(time=0.2, replica_id=0, downtime_s=5.0)])
+        plan = FaultPlan([ReplicaFault(time=0.5, replica_id=0, downtime_s=5.0)])
         fleet = disagg_fleet(faults=plan)
         obs = Observability()
         fleet.observe(obs)
@@ -202,7 +231,17 @@ class TestDisaggComposition:
         assert fallbacks, "prefill-pool outage produced no fallbacks"
         # Fallback requests are real arrivals, each one served.
         finished = {r.request_id for r in result.finished_requests}
-        assert {r.payload["request"] for r in fallbacks} <= finished
+        fallen_back = {r.payload["request"] for r in fallbacks}
+        assert fallen_back <= finished
+        # The crash caught clones mid-prefill; each one's original took
+        # the fallback path.
+        orphaned = {
+            r.payload["request"] - CLONE_ID_OFFSET
+            for r in obs.tracer.records
+            if r.kind == "crash_orphan" and r.payload["request"] >= CLONE_ID_OFFSET
+        }
+        assert orphaned, "the crash orphaned no clone"
+        assert orphaned <= fallen_back
         assert fleet.disagg.inflight == 0
 
 

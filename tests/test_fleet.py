@@ -21,7 +21,7 @@ from repro.metrics.latency import summarize_latency
 from repro.sim.engine import Simulator
 from repro.types import Request, RequestState, ServeResult
 from repro.workloads.datasets import MIXED, SHAREGPT
-from repro.workloads.trace_gen import clone_requests, make_trace, shard_trace
+from repro.workloads.trace_gen import clone_requests, make_trace
 from tests.conftest import StubReplica, make_request
 
 
@@ -272,35 +272,3 @@ class TestFleetMetrics:
         report = fleet_load_report([result_with(100), result_with(100)])
         assert report.token_imbalance == pytest.approx(1.0)
         assert report.request_cv == pytest.approx(0.0)
-
-
-class TestShardTrace:
-    def test_round_robin_shards_evenly(self):
-        trace = make_trace(SHAREGPT, rate=5.0, num_requests=10, seed=27)
-        shards = shard_trace(trace, 3)
-        assert [len(s) for s in shards] == [4, 3, 3]
-        recombined = sorted(r.request_id for shard in shards for r in shard)
-        assert recombined == sorted(r.request_id for r in trace)
-
-    def test_length_aware_shards_split_populations(self):
-        trace = [
-            make_request(input_len=10_000, arrival=0.1 * i) for i in range(4)
-        ] + [make_request(input_len=50, arrival=0.1 * i) for i in range(8)]
-        shards = shard_trace(trace, 4, policy="length-aware")
-        for request in shards[0] + shards[1]:
-            assert request.input_len >= 2_600
-        for request in shards[2] + shards[3]:
-            assert request.input_len < 2_600
-
-    def test_preserves_arrival_order_within_shard(self):
-        trace = make_trace(SHAREGPT, rate=5.0, num_requests=12, seed=28)
-        for shard in shard_trace(trace, 3, policy="length-aware"):
-            arrivals = [r.arrival_time for r in shard]
-            assert arrivals == sorted(arrivals)
-
-    def test_invalid_args_rejected(self):
-        trace = [make_request()]
-        with pytest.raises(ValueError):
-            shard_trace(trace, 0)
-        with pytest.raises(ValueError):
-            shard_trace(trace, 2, policy="magic")

@@ -1,19 +1,7 @@
-"""Unit tests for the model substrate: shapes, FLOPs, memory."""
+"""Unit tests for the model substrate: shapes and per-token costs."""
 
 import pytest
 
-from repro.model.flops import (
-    batch_decode_flops,
-    batch_prefill_flops,
-    decode_flops,
-    prefill_flops,
-)
-from repro.model.memory import (
-    decode_read_bytes,
-    kv_cache_bytes,
-    max_tokens_in_memory,
-    prefill_read_bytes,
-)
 from repro.model.spec import LLAMA2_70B, LWM_7B_1M, AttentionKind, ModelSpec
 
 
@@ -59,52 +47,3 @@ class TestModelSpec:
         f2 = LWM_7B_1M.attention_flops(2000, 1000)
         assert f2 == pytest.approx(4 * f1)
 
-
-class TestFlops:
-    def test_prefill_superlinear_in_length(self):
-        """Doubling the prompt more than doubles prefill FLOPs (attention)."""
-        f1 = prefill_flops(LWM_7B_1M, 10_000)
-        f2 = prefill_flops(LWM_7B_1M, 20_000)
-        assert f2 > 2 * f1
-
-    def test_decode_flops_grow_with_context(self):
-        assert decode_flops(LWM_7B_1M, 10_000) > decode_flops(LWM_7B_1M, 100)
-
-    def test_decode_much_cheaper_than_prefill(self):
-        assert decode_flops(LWM_7B_1M, 1000) < prefill_flops(LWM_7B_1M, 1000) / 100
-
-    def test_batch_flops_sum(self):
-        single = prefill_flops(LWM_7B_1M, 500)
-        assert batch_prefill_flops(LWM_7B_1M, [500, 500]) == pytest.approx(2 * single)
-
-    def test_batch_decode_flops_sum(self):
-        single = decode_flops(LWM_7B_1M, 700)
-        assert batch_decode_flops(LWM_7B_1M, [700] * 3) == pytest.approx(3 * single)
-
-    def test_rejects_nonpositive_input(self):
-        with pytest.raises(ValueError):
-            prefill_flops(LWM_7B_1M, 0)
-
-
-class TestMemory:
-    def test_kv_cache_bytes_linear(self):
-        assert kv_cache_bytes(LWM_7B_1M, 2000) == 2 * kv_cache_bytes(LWM_7B_1M, 1000)
-
-    def test_decode_reads_weights_plus_kv(self):
-        no_kv = decode_read_bytes(LWM_7B_1M, [])
-        with_kv = decode_read_bytes(LWM_7B_1M, [1000])
-        assert no_kv == LWM_7B_1M.weight_bytes
-        assert with_kv == no_kv + kv_cache_bytes(LWM_7B_1M, 1000)
-
-    def test_prefill_reads_grow_with_tokens(self):
-        small = prefill_read_bytes(LWM_7B_1M, [100])
-        large = prefill_read_bytes(LWM_7B_1M, [100_000])
-        assert large > small
-
-    def test_max_tokens_in_memory(self):
-        budget = 10 * LWM_7B_1M.kv_bytes_per_token
-        assert max_tokens_in_memory(LWM_7B_1M, budget) == 10
-
-    def test_max_tokens_rejects_negative(self):
-        with pytest.raises(ValueError):
-            max_tokens_in_memory(LWM_7B_1M, -1)

@@ -1,8 +1,7 @@
-"""Tests for parallelism strategies, groups, and scaling plan structures."""
+"""Tests for parallelism strategies and groups."""
 
 import pytest
 
-from repro.parallel.esp import ScaleDownPlan, ScaleUpPlan
 from repro.parallel.groups import ParallelGroup
 from repro.parallel.strategy import ParallelismStrategy, strategies_for_gpus
 
@@ -81,44 +80,3 @@ class TestParallelGroup:
         assert 1 not in group
         assert len(group) == 2
 
-
-class TestScaleDownPlan:
-    def test_valid_plan(self):
-        plan = ScaleDownPlan(group_before=(0, 1, 2), placement={0: 10, 1: 5})
-        assert plan.group_after == (0, 1)
-        assert plan.released == (2,)
-        assert plan.total_tokens == 15
-        assert plan.migration_tokens == 0
-
-    def test_rejects_empty_placement(self):
-        with pytest.raises(ValueError):
-            ScaleDownPlan(group_before=(0, 1), placement={})
-
-    def test_rejects_outside_group(self):
-        with pytest.raises(ValueError):
-            ScaleDownPlan(group_before=(0, 1), placement={5: 10})
-
-    def test_rejects_negative_tokens(self):
-        with pytest.raises(ValueError):
-            ScaleDownPlan(group_before=(0,), placement={0: -1})
-
-
-class TestScaleUpPlan:
-    def test_valid_plan(self):
-        plan = ScaleUpPlan(
-            group_before=(0,), new_instances=(1, 2), masters_after=(0, 1)
-        )
-        assert plan.group_after == (0, 1, 2)
-        assert plan.migration_tokens == 0
-
-    def test_rejects_overlapping_instances(self):
-        with pytest.raises(ValueError):
-            ScaleUpPlan(group_before=(0,), new_instances=(0,), masters_after=(0,))
-
-    def test_rejects_foreign_masters(self):
-        with pytest.raises(ValueError):
-            ScaleUpPlan(group_before=(0,), new_instances=(1,), masters_after=(9,))
-
-    def test_rejects_no_masters(self):
-        with pytest.raises(ValueError):
-            ScaleUpPlan(group_before=(0,), new_instances=(1,), masters_after=())
