@@ -3,8 +3,8 @@
 The offline environment ships setuptools without the ``wheel`` package, so
 PEP 660 editable installs (which require ``bdist_wheel``) fail.  Keeping a
 ``setup.py`` lets ``pip install -e .`` fall back to the legacy
-``setup.py develop`` path, which works without wheel.  Metadata lives in
-``pyproject.toml``.
+``setup.py develop`` path, which works without wheel.  The package
+metadata is the ``setup()`` call below; there is no ``pyproject.toml``.
 """
 
 from setuptools import find_packages, setup

@@ -36,6 +36,11 @@ class DispatchDecision:
     requests: list[Request] = field(default_factory=list)
     base_instances: list[int] = field(default_factory=list)
     coopted_batches: list[DecodeBatch] = field(default_factory=list)
+    # Phase 1 stopped at the tipping point with requests left, so phase
+    # 2 weighed co-opts by Eq. 2.  Only then can phase 2 admit anything:
+    # after a memory, eviction-avoidance or batch-size stop its first
+    # candidate fails the same gate.
+    tipped: bool = False
 
     @property
     def instances(self) -> list[int]:
@@ -115,6 +120,7 @@ def select_prefill_requests(
         if not exempt and committed_future + future > future_budget:
             break  # would risk a future eviction
         if decision.requests and committed_tokens + request.prefill_tokens > token_budget:
+            decision.tipped = True
             break
         decision.requests.append(request)
         committed_slots += needed
@@ -227,11 +233,22 @@ def _dispatch_gain(
     """Eq. 2: input-latency saved by not waiting for ``batch`` to drain.
 
     ``avg_decode_latency`` is the mean decode-phase time of finished
-    requests (AvgLat_d); the youngest request's elapsed decode time is how
-    much of that wait has already passed.
+    requests (AvgLat_d).
     """
-    wait_estimate = max(0.0, avg_decode_latency - batch.min_exec_time(now))
+    wait = wait_estimate(batch, avg_decode_latency, now)
     gain = 0.0
     for request in extra:
-        gain += wait_estimate / request.prefill_tokens
+        gain += wait / request.prefill_tokens
     return gain
+
+
+def wait_estimate(
+    batch: DecodeBatch, avg_decode_latency: float, now: float
+) -> float:
+    """Eq. 2's wait for ``batch`` to drain: AvgLat_d less the youngest
+    request's elapsed decode time, the part of that wait already passed.
+
+    It never grows with ``now``: once 0 it stays 0 for as long as
+    AvgLat_d holds, and so does every gain priced from it.
+    """
+    return max(0.0, avg_decode_latency - batch.min_exec_time(now))

@@ -53,10 +53,16 @@ class SchedulePlan:
     admitted: list[Request] = field(default_factory=list)
     coopted_batches: list[DecodeBatch] = field(default_factory=list)
     decode_scale_downs: list[tuple[DecodeBatch, int]] = field(default_factory=list)
+    # Dispatching's phase 1 stopped at the tipping point
+    # (:attr:`~repro.core.dispatching.DispatchDecision.tipped`).
+    tipped: bool = False
 
     @property
     def is_empty(self) -> bool:
-        return not self.prefills and not self.scale_ups
+        """The plan enacts nothing: no prefill, no decode scale-up, and no
+        decode scale-down.  Allocation commits a scale-down (and its KV
+        migration) even when the batching DP then places nothing."""
+        return not (self.prefills or self.scale_ups or self.decode_scale_downs)
 
 
 class GlobalManager:
@@ -123,6 +129,7 @@ class GlobalManager:
             now=now,
             prefilling_requests=prefilling_requests,
         )
+        plan.tipped = dispatch.tipped
 
         if not dispatch.is_empty:
             # Step 2 — elastic instance allocation (may commit migrations).

@@ -188,7 +188,23 @@ def assign_masters(
     if len(group_instances) == 1:
         return tuple(group_instances)  # the only instance masters every token
     pools = pool.pools
-    free = {i: pools[i].free for i in group_instances}
+    return masters_by_free(
+        group_instances,
+        {i: pools[i].free for i in group_instances},
+        batch_size,
+        config,
+    )
+
+
+def masters_by_free(
+    group_instances: tuple[int, ...],
+    free: dict[int, int],
+    batch_size: int,
+    config: SchedulerConfig,
+) -> tuple[int, ...]:
+    """:func:`assign_masters`' rule for a multi-instance group, over
+    given free-slot counts (a decode window re-picks masters from its
+    own running counts, before its appends reach the pool)."""
     # Most free first; a stable sort keeps group order on ties.
     ranked = sorted(group_instances, key=free.__getitem__, reverse=True)
     if not config.enable_multi_master:

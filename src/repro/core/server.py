@@ -17,10 +17,12 @@ import math
 
 from repro.config import SystemConfig
 from repro.core.batch import DecodeBatch, next_batch_id
+from repro.core.dispatching import wait_estimate
 from repro.core.elastic_instance import ElasticInstance, InstanceRole
 from repro.core.global_manager import GlobalManager, PlannedPrefill, SchedulePlan
 from repro.core.scaling_plan import (
     assign_masters,
+    masters_by_free,
     pick_append_instance,
     scale_up_reason,
 )
@@ -122,6 +124,10 @@ class LoongServeServer:
         # The last full scheduler tick enacted nothing: a precondition
         # of the quiet decode windows (_run_quiet_window).
         self._quiet = False
+        # ...and the queue it left waiting stays blocked at every end a
+        # window can run (_stays_blocked): windows may open with work
+        # queued.
+        self._blocked = False
         self._all_requests: list[Request] = []
         # Exact running sum of ``generated`` over ``_all_requests``,
         # maintained at every token-credit site so telemetry samplers
@@ -303,6 +309,7 @@ class LoongServeServer:
         if request not in self.pending:
             return False
         self.pending.remove(request)
+        self._blocked = False  # a shorter queue may unblock
         if request in self._all_requests:
             self._all_requests.remove(request)
             self._generated_total -= request.generated
@@ -397,7 +404,13 @@ class LoongServeServer:
         self._enact(plan)
         queued = len(self.pending)
         self._start_decode_iterations()
-        if len(self.pending) > queued and not (
+        requeued = len(self.pending) > queued
+        # Preemption re-queued work after planning: no proof holds.
+        self._blocked = (
+            self._quiet and queued > 0 and not requeued
+            and self._stays_blocked(plan.tipped, avg_decode_latency)
+        )
+        if requeued and not (
             self._prefilling or any(b.running for b in self.decode_batches)
         ):
             # Memory preemption re-queued requests after this tick's
@@ -405,6 +418,55 @@ class LoongServeServer:
             # again: without a tick now they would wait for an unrelated
             # arrival, or strand when none comes.
             self._request_tick()
+
+    def _stays_blocked(self, tipped: bool, avg_decode_latency: float) -> bool:
+        """Whether a quiet tick's queue stays blocked at every end a decode
+        window can run, so each of their ticks would enact nothing too.
+
+        A window only appends decode KV and advances the clock (it stops
+        before any completion, arrival or other event).  With no idle
+        instance, dispatching's memory budget (free slots of the decode
+        instances) then only falls, while its eviction-avoidance budget
+        (that memory less the residents' growth to their caps) and its
+        token budget stay put: phase 1 admits at most a prefix of what
+        it admitted here.  Allocation, which found no decode instance
+        whose KV the others could absorb, finds none as they fill, and
+        the batching DP places nothing on no instance.  Step 4b needs an
+        idle instance.  What remains is phase 2's co-opt
+        (:attr:`~repro.core.dispatching.DispatchDecision.tipped`): Eq.
+        1's cost falls as outputs grow, so a co-opt refused here can
+        fire a few ends later, unless every batch's Eq. 2 wait is
+        already 0.  Only a measured AvgLat_d keeps it there: the
+        warm-up seed reads the contexts a window grows.
+
+        Prefix-cache replicas re-pin and may evict at every tick, and
+        QoS replicas re-admit and re-order, so neither qualifies.  One
+        resident request declaring a cap that covers its output keeps
+        the reserve positive to its completion, so the first request
+        stays under the eviction-avoidance gate.  A preemption after
+        planning drops the proof (:meth:`_tick`), as does a withdrawn
+        request (:meth:`withdraw`).
+        """
+        if self.prefix_cache is not None or self.qos is not None:
+            return False
+        if any(instance.is_idle for instance in self.instances.values()):
+            return False
+        batches = self.decode_batches
+        if not any(
+            r.max_total_len >= r.input_len + r.output_len
+            for batch in batches
+            for r in batch.requests
+        ):
+            return False
+        if not tipped:
+            return True
+        if not self._decode_latency_count:
+            return False
+        now = self.sim.now
+        return all(
+            wait_estimate(batch, avg_decode_latency, now) == 0.0
+            for batch in batches
+        )
 
     def _drop_impossible_requests(self) -> None:
         """Abort requests that could never fit even on an empty cluster.
@@ -996,14 +1058,15 @@ class LoongServeServer:
     def _run_quiet_window(
         self, key: tuple | None, until: float | None
     ) -> tuple | None:
-        """Run the due own ends, across every one-instance batch of the
-        replica, in one tight loop.
+        """Run the due own ends, across the replica's decode batches, in
+        one tight loop.
 
         Called with the calendar's head due under ``key`` (the next
         global event key) and ``until``.  In discrete mode, on a quiet
-        replica (no tick queued, nothing pending or unvetted, and the
-        last full tick enacted nothing), the tick at each end of a
-        one-instance batch only restarts it: every other idle batch
+        replica (no tick queued, nothing unvetted, the last full tick
+        enacted nothing, and any queue it left provably blocked — see
+        :meth:`_stays_blocked`), the tick at each end of a batch that
+        owns its whole group only restarts it: every other idle batch
         keeps the inputs a full tick just found no scale-up for.  Nothing
         posts to any calendar while only such ends run, so these checks,
         the idle instances and ``key`` hold for the whole window.
@@ -1019,8 +1082,10 @@ class LoongServeServer:
         iteration is priced from a running context total
         (:meth:`~repro.costmodel.latency.RooflineCostModel.decode_pricer`)
         and recorded as a ``BatchStats``; the token credits and KV
-        appends (one master) land in bulk when the window closes, before
-        any full-path end runs.
+        appends land in bulk when the window closes, before any
+        full-path end runs.  A one-instance batch runs in the loop
+        below; a multi-instance group re-picks its masters every
+        iteration (:class:`_GroupWindow`).
 
         Returns the first due end that needs the full path, popped from
         the calendar, or None once no own end is due.
@@ -1030,8 +1095,8 @@ class LoongServeServer:
             self._fluid is not None
             or not self._quiet
             or self._tick_pending
-            or self.pending
             or self._unvetted
+            or (self.pending and not self._blocked)
         ):
             return heapq.heappop(ends)
         heappop = heapq.heappop
@@ -1043,6 +1108,7 @@ class LoongServeServer:
         stats = self.iteration_stats
         decode = Phase.DECODE
         joined: dict[int, list] = {}
+        groups: dict[int, _GroupWindow] = {}
         last = None
         due = None
         while ends:
@@ -1050,18 +1116,33 @@ class LoongServeServer:
             end, seq, batch, masters, group = entry
             if end > bound or (key is not None and not (end, 0, seq) < key):
                 break
-            state = joined.get(batch.batch_id)
-            if state is None:
+            batch_id = batch.batch_id
+            state = joined.get(batch_id)
+            if state is None and batch_id not in groups:
                 if idle is None:
                     idle = [i for i, inst in self.instances.items() if inst.is_idle]
                 state = self._join_window(batch, masters, group, idle)
                 if state is None:
                     due = heappop(ends)
                     break
-                joined[batch.batch_id] = state
-            n, total, _, _, bs, cap, free, check_4b, price, dop = state
+                if state.__class__ is list:
+                    joined[batch_id] = state
+                else:
+                    groups[batch_id] = state
+                    state = None
             heappop(ends)
             limit = ends[0][0] if ends and ends[0][0] < horizon else horizon
+            if state is None:
+                window = groups[batch_id]
+                first = window.n
+                t = window.run(end, limit, bound)
+                if window.n == first:
+                    due = entry
+                    break
+                last = window.last
+                self._schedule_decode_end(t, batch, window.masters, group)
+                continue
+            n, total, _, _, bs, cap, free, check_4b, price, dop = state
             t = end
             first = n
             while (
@@ -1094,6 +1175,8 @@ class LoongServeServer:
                     request.generated += n
                     extend(request.request_id, instance_id, n)
                 self._generated_total += n * bs
+        for window in groups.values():
+            self._generated_total += window.land(self.pool)
         if last is not None:
             self.sim.advance_to(last)
         return due
@@ -1104,28 +1187,37 @@ class LoongServeServer:
         masters: tuple[int, ...],
         group: ParallelGroup,
         idle: list[int],
-    ) -> list | None:
+    ) -> list | _GroupWindow | None:
         """A batch's state in a quiet window, or None when its end must
-        take the full path: ``[iterations run, context total, batch,
-        instance, batch size, cap, free slots, step-4b flag, pricer,
-        DoP]``.
+        take the full path.  A one-instance batch's is ``[iterations run,
+        context total, batch, instance, batch size, cap, free slots,
+        step-4b flag, pricer, DoP]``; a multi-instance group's is a
+        :class:`_GroupWindow`.
 
-        Only a one-instance batch that still owns its instance joins: a
-        co-opting prefill holds the instance under its own task id (the
+        Only a batch that still owns every instance of its group joins: a
+        co-opting prefill holds an instance under its own task id (the
         tick would pause the batch), and a batch merged away no longer
-        owns it.  ``cap`` counts the iterations it may run: up to the one
-        before its first completion, and the last whose next start still
-        finds master KV.
+        owns them.  ``cap`` counts the iterations it may run: up to the
+        one before its first completion, and (one instance) the last
+        whose next start still finds master KV — a group checks that
+        start by start, and ``cap`` bounds it by the group's free slots.
         """
         ids = group.instance_ids
         requests = batch.requests
-        if batch.group is not group or len(ids) != 1 or not requests:
+        if batch.group is not group or not requests:
             return None
-        instance = self.instances[ids[0]]
-        if instance.group_id != batch.batch_id:
-            return None
+        if len(ids) == 1:
+            instance = self.instances[ids[0]]
+            if instance.group_id != batch.batch_id:
+                return None
+            free = instance.pool.free
+        else:
+            instances = self.instances
+            if any(instances[i].group_id != batch.batch_id for i in ids):
+                return None
+            pools = self.pool.pools
+            free = sum(pools[i].free for i in ids)
         bs = len(requests)
-        free = instance.pool.free
         cap = min(
             min(r.output_len - r.generated for r in requests) - 1,
             free // bs - 1,
@@ -1139,11 +1231,16 @@ class LoongServeServer:
             scale_up_reason(batch, idle, free - cap * bs, self.config.scheduler)
             is not None
         )
-        price = self.cost_model.decode_pricer(
-            bs, ids, self.config.tensor_parallel, len(masters)
-        )
         total = sum(r.current_len for r in requests)
-        return [0, total, batch, ids[0], bs, cap, free, check_4b, price, group.dop]
+        if len(ids) == 1:
+            price = self.cost_model.decode_pricer(
+                bs, ids, self.config.tensor_parallel, len(masters)
+            )
+            return [0, total, batch, ids[0], bs, cap, free, check_4b, price, group.dop]
+        frees = {i: pools[i].free for i in ids}
+        if sum(frees[i] for i in masters) < bs:
+            return None  # its own appends would spill off the masters
+        return _GroupWindow(self, batch, masters, frees, free, total, cap, check_4b, idle)
 
     def _ensure_decode_memory(self, batch: DecodeBatch) -> tuple[int, ...] | None:
         """Pick masters; merge with a sibling batch or preempt if short.
@@ -1452,3 +1549,128 @@ class LoongServeServer:
                 total += step * remaining
                 count += 1
         return total / count if count else 0.0
+
+
+class _GroupWindow:
+    """A multi-instance decode group's run in a quiet window.
+
+    The batch owns every instance of its group.  Each end credits one
+    token per request, in batch order, to the most-free master (the
+    first on ties), as :meth:`LoongServeServer._on_decode_done` does;
+    each start re-picks the masters as
+    :func:`~repro.core.scaling_plan.assign_masters` would and is priced
+    at that master count.  Both read the window's own free-slot counts,
+    since the appends reach the pool only when the window closes
+    (:meth:`land`).
+    """
+
+    __slots__ = (
+        "batch", "ids", "bs", "masters", "free", "group_free", "total",
+        "cap", "check_4b", "idle", "scheduler", "stats", "dop",
+        "cost_model", "tp", "patterns", "n", "last",
+    )
+
+    def __init__(
+        self,
+        server: LoongServeServer,
+        batch: DecodeBatch,
+        masters: tuple[int, ...],
+        free: dict[int, int],
+        group_free: int,
+        total: int,
+        cap: int,
+        check_4b: bool,
+        idle: list[int],
+    ) -> None:
+        self.batch = batch
+        self.ids = batch.group.instance_ids
+        self.bs = len(batch.requests)
+        self.masters = masters  # of the iteration in flight
+        self.free = free
+        self.group_free = group_free
+        self.total = total
+        self.cap = cap
+        self.check_4b = check_4b
+        self.idle = idle
+        self.scheduler = server.config.scheduler
+        self.stats = server.iteration_stats
+        self.dop = batch.group.dop
+        self.cost_model = server.cost_model
+        self.tp = server.config.tensor_parallel
+        # Each iteration's masters in request order, with how many
+        # iterations credited it: distinct patterns in first-use order.
+        self.patterns: dict[tuple[int, ...], int] = {}
+        self.n = 0
+        self.last = None
+
+    def run(self, t: float, limit: float, bound: float) -> float:
+        """Run the group's consecutive iterations from its end at ``t``
+        (see :meth:`LoongServeServer._run_quiet_window`); returns the end
+        of the last one started."""
+        batch, ids, bs = self.batch, self.ids, self.bs
+        free, masters, patterns = self.free, self.masters, self.patterns
+        n, total = self.n, self.total
+        scheduler, idle = self.scheduler, self.idle
+        while (
+            t < limit
+            and t <= bound
+            and n < self.cap
+            and not (
+                self.check_4b
+                and scale_up_reason(batch, idle, self.group_free - (n + 1) * bs, scheduler)
+                is not None
+            )
+        ):
+            # Credit the iteration ending at t, token by token.
+            if len(masters) == 1:
+                free[masters[0]] -= bs
+                targets = masters * bs
+            else:
+                targets = []
+                for _ in range(bs):
+                    target = max(masters, key=free.__getitem__)
+                    free[target] -= 1
+                    targets.append(target)
+                targets = tuple(targets)
+            following = masters_by_free(ids, free, bs, scheduler)
+            if sum(free[i] for i in following) < bs:
+                # The next start lacks master KV: the full path merges,
+                # reclaims or preempts there.
+                for target in targets:
+                    free[target] += 1
+                break
+            patterns[targets] = patterns.get(targets, 0) + 1
+            n += 1
+            total += bs
+            masters = following
+            price = self.cost_model.decode_pricer(bs, ids, self.tp, len(masters))
+            duration = price(total + bs)
+            self.stats.append(
+                BatchStats(len(self.stats), Phase.DECODE, bs, total, self.dop, duration, t)
+            )
+            self.last = t
+            t += duration
+        self.n, self.total, self.masters = n, total, masters
+        return t
+
+    def land(self, pool: UnifiedKVPool) -> int:
+        """Apply the window's credits to the requests and the pool;
+        returns the tokens credited.
+
+        Each (request, instance) pair gets its total in one append, and
+        the pairs are appended in the order the iterations first touched
+        them (patterns in first-use order, requests in batch order), so
+        every placement, down to the order of its instances, is the one
+        the event-per-iteration program leaves.
+        """
+        n = self.n
+        if not n:
+            return 0
+        requests = self.batch.requests
+        for request in requests:
+            request.generated += n
+        extend = pool.extend
+        for targets, count in self.patterns.items():
+            for request, target in zip(requests, targets):
+                extend(request.request_id, target, count)
+        return n * self.bs

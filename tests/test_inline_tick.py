@@ -11,28 +11,35 @@ inline when nothing else is due at the same instant.  Each of these is
 the program the event-per-iteration scheduling runs, so only the event
 count may fall.
 
+Windows open with work queued when the last tick provably leaves it
+blocked, and multi-instance groups join them, crediting each token to
+the most-free master and re-picking masters every iteration.
+
 Every setup here is replayed on :class:`WindowlessServer`, which keeps
 that older scheduling — one calendar event per decode iteration, every
 tick queued — and must match it on per-request outcomes, iteration
-stats, scaling events and makespan.  :class:`WindowSpy` records which
-batches each window ran, so the cases built to span several batches
-can show they did.
+stats, scaling events and makespan; the group cases also compare every
+request's KV placement at stops inside windows, which no outcome
+record holds.  :class:`WindowSpy` records which batches each window ran,
+whether work was queued, and how many ends took the full path, so the
+cases built to reach a window can show they did.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SchedulerConfig, default_config
 from repro.core.batch import DecodeBatch, next_batch_id
+from repro.core.dispatching import wait_estimate
 from repro.core.elastic_instance import InstanceRole
 from repro.core.server import LoongServeServer
-from repro.experiments.systems import make_fleet
+from repro.experiments.systems import make_fleet, make_system
 from repro.fleet import FaultPlan, ReplicaFault
 from repro.serving import collect
 from repro.sessions import make_session_trace
 from repro.sim.engine import Simulator
-from repro.types import Request, RequestState
+from repro.types import Phase, Request, RequestState
 from repro.workloads.datasets import MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
 from tests.conftest import make_request
@@ -60,11 +67,18 @@ class WindowlessServer(LoongServeServer):
 
 
 class WindowSpy(LoongServeServer):
-    """The windowed server, recording each quiet window's hand-offs: the
-    ids of the batches it ran, in order."""
+    """The windowed server, recording each quiet window's hand-offs (the
+    ids of the batches it ran, in order), those of the windows that ran
+    with work queued, how many hand-offs were of multi-instance groups,
+    and how many decode ends took the full path (and how many of those
+    with work queued)."""
 
     _window = None
     windows: tuple = ()
+    queued_windows: tuple = ()
+    group_hand_offs = 0
+    full_path_ends = 0
+    queued_ends = 0
 
     def _run_quiet_window(self, key, until):
         self._window = []
@@ -73,11 +87,19 @@ class WindowSpy(LoongServeServer):
         finally:
             if self._window:
                 self.windows += (tuple(self._window),)
+                if self.pending:
+                    self.queued_windows += (tuple(self._window),)
             self._window = None
+
+    def _on_decode_done(self, batch, masters, group) -> None:
+        self.full_path_ends += 1
+        self.queued_ends += bool(self.pending)
+        super()._on_decode_done(batch, masters, group)
 
     def _schedule_decode_end(self, end, batch, masters, group) -> None:
         if self._window is not None:
             self._window.append(batch.batch_id)
+            self.group_hand_offs += len(group.instance_ids) > 1
         super()._schedule_decode_end(end, batch, masters, group)
 
 
@@ -100,6 +122,25 @@ def _record(result) -> dict:
         ],
         "makespan": result.makespan,
     }
+
+
+def _assert_same(windowed: dict, reference: dict) -> None:
+    """``windowed == reference`` for two :func:`_record` dicts, failing
+    on the first differing field and row: pytest's own diff of two long
+    records can take minutes."""
+    for field, expected in reference.items():
+        got = windowed[field]
+        if got == expected:
+            continue
+        if isinstance(expected, list):
+            row = next(
+                (i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+                min(len(got), len(expected)),
+            )
+            got = got[row:row + 1], len(windowed[field])
+            expected = expected[row:row + 1], len(reference[field])
+            field = f"{field}[{row}] (row, length)"
+        raise AssertionError(f"{field}: windowed {got} != reference {expected}")
 
 
 def _serve(server_cls, trace, sim_mode: str = "discrete", **scheduler):
@@ -125,51 +166,93 @@ def _matches_the_reference(trace, sim_mode: str = "discrete", **scheduler):
     """Serve ``trace`` both ways; returns (record, events, reference events)."""
     windowed, events = _serve(LoongServeServer, trace, sim_mode, **scheduler)
     reference, reference_events = _serve(WindowlessServer, trace, sim_mode, **scheduler)
-    assert windowed == reference
+    _assert_same(windowed, reference)
     assert events <= reference_events
     return windowed, events, reference_events
 
 
-def _decoding_batches(server, shapes) -> tuple[list[Request], list[int]]:
-    """One one-instance decode batch per ``(instance, input_len,
-    output_len)``, its request one token into its output as a prefill's
-    scale-down leaves it; returns the requests and the batch ids."""
-    requests, batch_ids = [], []
-    for instance_id, input_len, output_len in shapes:
-        request = make_request(input_len=input_len, output_len=output_len)
+def _decode_group(server, instance_ids, members) -> tuple[list[Request], int]:
+    """One decode batch on ``instance_ids``, a request per ``(split,
+    output_len)`` whose KV lies ``split`` (instance -> tokens), one token
+    into its output as a prefill's scale-down leaves it; returns the
+    requests and the batch id."""
+    batch = DecodeBatch(batch_id=next_batch_id())
+    batch.group = server._make_group(tuple(instance_ids))
+    requests = []
+    for split, output_len in members:
+        request = make_request(input_len=sum(split.values()) - 1, output_len=output_len)
         request.state = RequestState.DECODING
         request.generated = 1
         request.prefill_end = 0.0
         request.record_first_token(0.0)
-        server.pool.place(request.request_id, {instance_id: request.current_len})
+        server.pool.place(request.request_id, dict(split))
         server._all_requests.append(request)
         server._generated_total += request.generated
-        batch = DecodeBatch(batch_id=next_batch_id())
-        batch.group = server._make_group((instance_id,))
-        batch.admit([request])
-        server.decode_batches.append(batch)
-        server.instances[instance_id].assign(InstanceRole.DECODE, batch.batch_id)
         requests.append(request)
-        batch_ids.append(batch.batch_id)
+    batch.admit(requests)
+    server.decode_batches.append(batch)
+    for instance_id in instance_ids:
+        server.instances[instance_id].assign(InstanceRole.DECODE, batch.batch_id)
+    return requests, batch.batch_id
+
+
+def _decoding_batches(server, shapes) -> tuple[list[Request], list[int]]:
+    """One one-instance decode batch per ``(instance, input_len,
+    output_len)`` (:func:`_decode_group`); returns the requests and the
+    batch ids."""
+    requests, batch_ids = [], []
+    for instance_id, input_len, output_len in shapes:
+        (request,), batch_id = _decode_group(
+            server, (instance_id,), [({instance_id: input_len + 1}, output_len)]
+        )
+        requests.append(request)
+        batch_ids.append(batch_id)
     return requests, batch_ids
+
+
+def _serve_both(build, stops=(), **scheduler):
+    """Serve the state ``build(server)`` sets up windowed and windowless.
+
+    ``build`` returns the requests to record and what the caller wants
+    back of the windowed run (batch ids, say).  After a first tick each
+    run stops at every time in ``stops``, where the clock, the iteration
+    count and each request's progress and KV placement must agree too;
+    the windowed server's ``stop_spans`` lists, per stop, the batches
+    windowed since the previous one.  Returns the windowed server, its
+    record (request ids dropped) and ``build``'s second value.
+    """
+    runs = {}
+    for server_cls in (WindowSpy, WindowlessServer):
+        server = server_cls(default_config(scheduler=SchedulerConfig(**scheduler)))
+        requests, info = build(server)
+        server._tick()
+        seen, spans = [], []
+        for until in stops:
+            before = len(getattr(server, "windows", ()))
+            server.sim.run(until=until)
+            seen.append((
+                server.sim.now, len(server.iteration_stats),
+                [(r.generated, server.pool.placement_of(r.request_id)) for r in requests],
+            ))
+            spans.append(set().union(*getattr(server, "windows", ())[before:]))
+        server.stop_spans = spans
+        server.sim.run_until_idle()
+        record = _record(collect(server, requests, server.sim.now))
+        record["requests"] = [row[1:] for row in record["requests"]]
+        runs[server_cls] = (server, record, seen, info)
+    (server, windowed, seen, info), (reference, expected, expected_seen, _) = (
+        runs.values()
+    )
+    _assert_same(windowed, expected)
+    assert seen == expected_seen
+    assert server.sim.events_processed < reference.sim.events_processed
+    return server, windowed, info
 
 
 def _serve_batches(shapes):
     """Serve :func:`_decoding_batches` windowed and windowless; returns
     the windowed server, its record (request ids dropped) and batch ids."""
-    runs = {}
-    for server_cls in (WindowSpy, WindowlessServer):
-        server = server_cls(default_config())
-        requests, batch_ids = _decoding_batches(server, shapes)
-        server._tick()
-        server.sim.run_until_idle()
-        record = _record(collect(server, requests, server.sim.now))
-        record["requests"] = [row[1:] for row in record["requests"]]
-        runs[server_cls] = (server, record, batch_ids)
-    (server, windowed, batch_ids), (reference, expected, _) = runs.values()
-    assert windowed == expected
-    assert server.sim.events_processed < reference.sim.events_processed
-    return server, windowed, batch_ids
+    return _serve_both(lambda server: _decoding_batches(server, shapes))
 
 
 def _relabelled(windows) -> list[tuple[int, ...]]:
@@ -443,16 +526,265 @@ class TestDecodeWindowsMatchTheWindowlessReference:
         for replica_windows in windows:
             assert max(len(set(window)) for window in replica_windows) >= 2
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         rate=st.sampled_from([0.3, 2.0, 12.0]),
         num_requests=st.integers(min_value=2, max_value=24),
         switch=st.sampled_from(sorted(SWITCHES)),
+        dataset=st.sampled_from(["ShareGPT", "Mixed"]),
     )
-    def test_random_traces_match(self, seed, rate, num_requests, switch):
-        trace = make_trace(SHAREGPT, rate=rate, num_requests=num_requests, seed=seed)
-        _matches_the_reference(trace, **SWITCHES[switch])
+    def test_random_traces_match(self, seed, rate, num_requests, switch, dataset):
+        """Mixed's long prompts queue behind busy instances and decode on
+        multi-instance groups, so its examples reach windows with work
+        queued and group windows (counted in the hypothesis statistics)."""
+        lengths = {"ShareGPT": SHAREGPT, "Mixed": MIXED}[dataset]
+        trace = make_trace(lengths, rate=rate, num_requests=num_requests, seed=seed)
+        config = default_config(scheduler=SchedulerConfig(**SWITCHES[switch]))
+        server = WindowSpy(config)
+        windowed = _record(server.run(clone_requests(trace)))
+        reference, reference_events = _serve(WindowlessServer, trace, **SWITCHES[switch])
+        _assert_same(windowed, reference)
+        assert server.sim.events_processed <= reference_events
+        if server.queued_windows:
+            event("a window ran with work queued")
+        if server.group_hand_offs:
+            event("a multi-instance group ran in a window")
+
+
+def _filled_batches(server, used, output_len=400) -> list[Request]:
+    """A one-instance decode batch on every instance, its one request
+    holding ``used[i]`` KV slots of instance ``i``."""
+    requests = []
+    for instance_id, tokens in enumerate(used):
+        batch_requests, _ = _decode_group(
+            server, (instance_id,), [({instance_id: tokens}, output_len)]
+        )
+        requests += batch_requests
+    return requests
+
+
+def _two_instance_group(server, free, output_lens) -> tuple[list[Request], int]:
+    """A decode group on instances 0 and 1, leaving ``free`` slots on
+    each; every request's KV is split across both."""
+    capacity = server.config.kv_slots_per_instance
+    n = len(output_lens)
+    shares = []
+    for instance_id in (0, 1):
+        used = capacity - free[instance_id]
+        row = [used // n] * n
+        row[0] += used - sum(row)
+        shares.append(row)
+    members = [
+        ({0: a, 1: b}, output_len)
+        for a, b, output_len in zip(*shares, output_lens)
+    ]
+    return _decode_group(server, (0, 1), members)
+
+
+class ProofSpy(LoongServeServer):
+    """The windowed server, recording each blocked-queue proof it tried:
+    ``(phase 1 tipped, AvgLat_d, held)``."""
+
+    proofs: tuple = ()
+
+    def _stays_blocked(self, tipped, avg_decode_latency):
+        held = super()._stays_blocked(tipped, avg_decode_latency)
+        self.proofs += ((tipped, avg_decode_latency, held),)
+        return held
+
+
+class TestQueuedAndGroupWindows:
+    """Windows open with work queued where the last tick provably left
+    it blocked, and run multi-instance groups, exactly."""
+
+    def test_a_blocked_queue_runs_in_windows(self):
+        """A head needing nearly the whole cluster waits while every
+        instance decodes.  Dispatching stops on memory, which a window
+        only shrinks, so windows run all four batches with the head and
+        a request behind it queued, across completions, until a batch
+        drains and leaves its instance idle."""
+        capacity = default_config().kv_slots_per_instance
+
+        def build(server):
+            requests = []
+            for instance_id, input_len in enumerate((1_000, 3_000, 7_000, 2_000)):
+                members = [
+                    ({instance_id: input_len + 1}, output_len)
+                    for output_len in (90, 200, 310)
+                ]
+                requests += _decode_group(server, (instance_id,), members)[0]
+            head = make_request(input_len=4 * capacity - 30_000, output_len=400)
+            behind = make_request(input_len=2_000, output_len=50)
+            for request in (head, behind):
+                server.submit(request)
+            return requests + [head, behind], None
+
+        server, record, _ = _serve_both(build)
+        spans = [set(window) for window in server.queued_windows]
+        assert len(spans) >= 3  # reopened after the first two completions
+        assert max(len(span) for span in spans) == 4
+        head_start = record["requests"][-2][1]
+        assert head_start > max(row[3] for row in record["requests"][:-2])
+
+    def test_a_coopt_turning_favourable_mid_stall_takes_the_full_path(self):
+        """Phase 1 stops at the tipping point with a measured AvgLat_d
+        far above the batches' decode time: Eq. 2 gains, and Eq. 1's
+        cost falls as the outputs grow, so the co-opt the first tick
+        refuses fires a few ends later.  No window opens with the queue,
+        and the prefill starts long before any decode completes."""
+
+        def build(server):
+            # Each instance holds more than the others have free, so
+            # allocation drains none, and staggered contexts keep the
+            # four batches' ends apart.
+            requests = _filled_batches(server, (165_000, 163_000, 161_000, 167_000))
+            server._decode_latency_sum, server._decode_latency_count = 100.0, 1
+            queued = [make_request(input_len=5_000, output_len=50) for _ in range(2)]
+            for request in queued:
+                server.submit(request)
+            return requests + queued, None
+
+        server, record, _ = _serve_both(build)
+        assert not server.queued_windows
+        coopted_start = min(row[1] for row in record["requests"][4:])
+        assert coopted_start < 0.2 * min(row[3] for row in record["requests"][:4])
+
+    def test_a_warm_up_tick_never_uses_the_gain_0_proof(self):
+        """The AvgLat_d seed reads the contexts a window grows.  Halfway
+        through the outputs every seeded Eq. 2 wait is 0, yet a tick
+        whose phase 1 tipped leaves no proof; with a measured AvgLat_d,
+        equally spent, the same tick does."""
+
+        def build(server, measured=False):
+            requests = _filled_batches(server, (165_000, 163_000, 161_000, 167_000))
+            if measured:
+                server._decode_latency_sum, server._decode_latency_count = 5.0, 1
+            queued = [
+                make_request(input_len=5_000, output_len=50, arrival=8.0)
+                for _ in range(2)
+            ]
+            for request in queued:
+                server.sim.call_at(8.0, lambda r=request: server.submit(r))
+            return requests + queued, None
+
+        for measured in (False, True):
+            server = ProofSpy(default_config())
+            build(server, measured)
+            server._tick()
+            server.sim.run(until=8.0)
+            tipped, avg, held = server.proofs[-1]
+            assert tipped
+            assert all(
+                wait_estimate(batch, avg, 8.0) == 0.0
+                for batch in server.decode_batches
+            )
+            assert held is measured
+        _serve_both(build)
+
+    @pytest.mark.parametrize("switch", sorted(SWITCHES))
+    def test_two_instance_group_with_levelling_masters(self, switch):
+        """A five-request group on instances 0 and 1, one instance busy
+        and one idle.  Tokens go to the more free master until the two
+        level, then alternate, the masters re-picked at every start;
+        step 4b later grows the group onto the idle instance, and the
+        three-instance group runs in windows too.  Every request's KV
+        placement matches at stops inside the windows."""
+
+        def build(server):
+            requests, group_id = _two_instance_group(
+                server, (700, 900), [300, 340, 380, 420, 460]
+            )
+            requests += _decode_group(server, (2,), [({2: 5_001}, 300)])[0]
+            return requests, group_id
+
+        server, record, group_id = _serve_both(
+            build, stops=(1.0, 3.2, 4.0, 5.5), **SWITCHES[switch]
+        )
+        assert all(group_id in span for span in server.stop_spans)
+        grown = [e for e in record["scaling"] if e[1] == "scale_up"]
+        if SWITCHES[switch].get("enable_scale_up", True):
+            assert [e[2:4] for e in grown] == [((0, 1), (0, 1, 2))]
+            assert any(
+                dop == 3 and start > grown[0][0]
+                for _, _, _, dop, _, start in record["iterations"]
+            )
+        else:
+            assert not grown
+
+    @pytest.mark.parametrize("switch", sorted(SWITCHES))
+    def test_two_instance_group_filling_up(self, switch):
+        """A four-request group on instances 0 and 1 with a few dozen free
+        slots each, and no idle instance.  Both fill; once one falls
+        below a master's share the masters change, and when the next
+        start lacks master KV the full path preempts there.  Every
+        request's KV placement matches at stops inside the windows."""
+
+        def build(server):
+            requests, group_id = _two_instance_group(
+                server, (40, 70), [200, 260, 330, 390]
+            )
+            requests += _decode_group(server, (2,), [({2: 5_001}, 300)])[0]
+            requests += _decode_group(server, (3,), [({3: 9_001}, 250)])[0]
+            return requests, group_id
+
+        server, record, group_id = _serve_both(
+            build, stops=(0.1, 0.25, 0.4, 0.6), **SWITCHES[switch]
+        )
+        assert all(group_id in span for span in server.stop_spans)
+        assert sum(row[-1] for row in record["requests"]) == 1  # one preemption
+
+    def test_prefix_cache_and_qos_replicas_open_no_window_with_a_queue(self):
+        """Prefix-cache replicas re-pin (and may evict) and QoS replicas
+        re-admit and re-order at every tick, so with work queued their
+        ends take the full path; the plain replica windows the same
+        trace's queued stretches."""
+        trace = make_trace(MIXED, rate=2.0, num_requests=40, seed=7)
+        for kwargs in ({}, {"prefix_cache": True}, {"qos": True}):
+            records = []
+            for server_cls in (WindowSpy, WindowlessServer):
+                server = make_system("loongserve", **kwargs)
+                server.__class__ = server_cls
+                records.append(_record(server.run(clone_requests(trace))))
+                if server_cls is WindowSpy:
+                    spy = server
+            _assert_same(*records)
+            assert spy.queued_ends > 0
+            assert bool(spy.queued_windows) is not bool(kwargs)
+
+    def test_allocation_without_a_launch_is_not_quiet(self):
+        """Allocation drains a decode instance for a queued request, but
+        the batching DP cannot place it there: the tick launches nothing,
+        yet it committed a KV migration and a decode scale-down, so it
+        is not quiet.  Shaped like two ticks of ``mixed_paper`` (seed 1,
+        episode 5): the request needs 261,122 slots, and the instance
+        drained for it, whose 14,269 tokens the others absorb, has
+        211,382 free."""
+        server = LoongServeServer(default_config())
+        capacity = server.config.kv_slots_per_instance
+        _filled_batches(server, (150_000, 150_000, 150_000, 14_269), output_len=300)
+        request = make_request(input_len=261_121, output_len=100)
+        server.submit(request)
+        server._tick()
+        assert server.pending == [request]
+        assert all(s.phase is Phase.DECODE for s in server.iteration_stats)
+        (drained,) = server.scaling_events
+        assert (drained.kind, drained.group_before, drained.group_after) == (
+            "scale_down", (3,), (),
+        )
+        assert server.pool.pools[3].free == capacity < request.kv_demand
+        assert not server._quiet
+
+    def test_full_path_ends_on_a_fixed_trace(self):
+        """The quiet Mixed trace runs 9,877 decode iterations, of which
+        100 end on the full path; with windows open only on an empty
+        queue and for one-instance batches it was 193 (46 with work
+        queued, 51 of multi-instance groups).  A change that stops a
+        kind of window from opening moves this count."""
+        server = WindowSpy(default_config())
+        result = server.run(clone_requests(QUIET_MIXED))
+        assert sum(s.phase is Phase.DECODE for s in result.iteration_stats) == 9_877
+        assert server.full_path_ends == 100
 
 
 class TestSameInstantCompletions:
