@@ -14,7 +14,7 @@ from repro.experiments.endtoend import FIGURE10_RATES, figure10
 
 
 def _curves_by_name(curves):
-    return {c.system: c for c in curves}
+    return {c.name: c for c in curves}
 
 
 @pytest.mark.parametrize("dataset", ["sharegpt", "leval", "lveval", "mixed"])

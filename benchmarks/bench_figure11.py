@@ -12,7 +12,7 @@ def test_figure11_regenerates(benchmark, bench_scale):
     curves = benchmark.pedantic(
         lambda: figure11(scale=bench_scale), rounds=1, iterations=1
     )
-    by_name = {c.system: c for c in curves}
+    by_name = {c.name: c for c in curves}
     loong = by_name["loongserve"]
     benchmark.extra_info["loongserve_goodput"] = loong.goodput()
     benchmark.extra_info["vllm_goodput"] = by_name["vllm"].goodput()

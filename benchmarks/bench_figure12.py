@@ -19,7 +19,7 @@ def test_figure12_zipf(benchmark, bench_scale, zipf):
         rounds=1,
         iterations=1,
     )
-    curves = {c.system: c for c in result[zipf]}
+    curves = {c.name: c for c in result[zipf]}
     loong = curves["loongserve"].goodput()
     benchmark.extra_info["loongserve_goodput"] = loong
     for name in ("vllm", "static-sp", "replicated-tp2"):

@@ -15,7 +15,7 @@ def test_figure13a_ablation(benchmark, bench_scale):
     curves = benchmark.pedantic(
         lambda: figure13a(scale=bench_scale), rounds=1, iterations=1
     )
-    by_name = {c.system: c for c in curves}
+    by_name = {c.name: c for c in curves}
     full = by_name["loongserve"]
     ablated = by_name["loongserve-no-scaleup"]
     benchmark.extra_info["goodput_with_scaleup"] = full.goodput()
@@ -24,9 +24,9 @@ def test_figure13a_ablation(benchmark, bench_scale):
 
     assert full.goodput() >= ablated.goodput()
     # The full system records scale-up activity at high rates...
-    assert sum(p.scale_up_events for p in full.points) > 0
+    assert sum(p.scale_ups for p in full.points) > 0
     # ...the ablation records none, ever.
-    assert sum(p.scale_up_events for p in ablated.points) == 0
+    assert sum(p.scale_ups for p in ablated.points) == 0
     # Latency at the top swept rate is no worse with scale-up enabled.
     assert full.points[-1].per_token <= ablated.points[-1].per_token * 1.05
 

@@ -40,8 +40,8 @@ def test_qos_protects_interactive_tier_under_overload(benchmark, bench_scale):
     # Scheduling-only ablation already helps; the full stack never does
     # worse than it on the protected tier.
     assert (
-        by_name["qos"].attainment("interactive")
-        >= by_name["priority"].attainment("interactive") - 1e-9
+        by_name["qos"].class_attainment("interactive")
+        >= by_name["priority"].class_attainment("interactive") - 1e-9
     )
 
 

@@ -13,7 +13,13 @@ import time
 
 import numpy as np
 
-from repro.experiments import endtoend, microbench, report
+from repro.experiments import endtoend, harness, microbench, report
+
+
+def _curves(curves) -> None:
+    """A rate sweep's table, then its goodputs."""
+    print(report.render_points(harness.rows(curves), endtoend.CURVE_COLUMNS))
+    print(report.render_goodput(curves))
 
 
 def _run_figure2(args: argparse.Namespace) -> None:
@@ -34,8 +40,7 @@ def _run_figure10(args: argparse.Namespace) -> None:
     results = endtoend.figure10(datasets=args.datasets, scale=args.scale)
     for dataset, curves in results.items():
         print(f"\nFigure 10 — {dataset}")
-        print(report.render_curves(curves))
-        print(report.render_goodput(curves))
+        _curves(curves)
     ratios = endtoend.headline_ratios(results)
     print("\nheadline throughput ratios (LoongServe / baseline, best dataset):")
     for name, ratio in sorted(ratios.items()):
@@ -47,8 +52,7 @@ def _run_figure10(args: argparse.Namespace) -> None:
 def _run_figure11(args: argparse.Namespace) -> None:
     curves = endtoend.figure11(scale=args.scale)
     print("Figure 11 — multi-node (16 GPUs), Mixed workload")
-    print(report.render_curves(curves))
-    print(report.render_goodput(curves))
+    _curves(curves)
     print("\npaper anchors: 1.86x total throughput vs vLLM, 3.37x vs SplitFuse")
 
 
@@ -56,8 +60,7 @@ def _run_figure12(args: argparse.Namespace) -> None:
     results = endtoend.figure12(scale=args.scale)
     for zipf, curves in results.items():
         print(f"\nFigure 12 — Zipf={zipf}")
-        print(report.render_curves(curves))
-        print(report.render_goodput(curves))
+        _curves(curves)
     ratios = endtoend.figure12_goodput_ratios(results)
     print("\ngoodput improvement over best static parallelism:")
     for zipf, ratio in sorted(ratios.items()):
@@ -68,8 +71,7 @@ def _run_figure12(args: argparse.Namespace) -> None:
 def _run_figure13(args: argparse.Namespace) -> None:
     curves = endtoend.figure13a(scale=args.scale)
     print("Figure 13a — SLO attainment with/without elastic scale-up (ShareGPT)")
-    print(report.render_curves(curves))
-    print(report.render_goodput(curves))
+    _curves(curves)
     bins = endtoend.figure13b(duration_s=100.0 * args.scale + 50.0)
     mean_rate = float(np.mean(bins)) if bins else 0.0
     print(f"\nFigure 13b — scale-up ops per 10s bin: {bins}")
@@ -103,7 +105,7 @@ def _run_fleet(args: argparse.Namespace) -> None:
 
     curves = fleet.router_sweep(scale=args.scale)
     print("Fleet — 4x LoongServe replicas, Mixed workload, routing policies")
-    print(fleet.render_fleet_curves(curves))
+    print(report.render_points(harness.rows(curves), fleet.FLEET_COLUMNS))
     advantage = fleet.length_aware_advantage(curves)
     print(
         f"\nlength-aware vs round-robin at {advantage['rate']:.1f} req/s: "
@@ -119,7 +121,7 @@ def _run_sessions(args: argparse.Namespace) -> None:
 
     curves = sessions.session_sweep(scale=args.scale)
     print("Sessions — 4x LoongServe replicas (prefix-KV cache), multi-turn workload")
-    print(sessions.render_session_curves(curves))
+    print(report.render_points(harness.rows(curves), sessions.SESSION_COLUMNS))
     advantage = sessions.affinity_advantage(curves)
     print(
         f"\naffinity vs round-robin at {advantage['rate']:.1f} sessions/s: "
@@ -136,7 +138,7 @@ def _run_elastic_fleet(args: argparse.Namespace) -> None:
 
     mixed = elastic_fleet.bursty_mixed_sweep(scale=args.scale)
     print("Elastic fleet — 4x LoongServe replicas, bursty Mixed workload")
-    print(elastic_fleet.render_elastic_table(mixed))
+    print(report.render_points(mixed, elastic_fleet.ELASTIC_COLUMNS))
     advantage = elastic_fleet.elastic_advantage(mixed)
     print(
         f"\nelastic vs static at equal replica count: "
@@ -147,7 +149,7 @@ def _run_elastic_fleet(args: argparse.Namespace) -> None:
     sessions = elastic_fleet.session_rebalance_sweep(scale=args.scale)
     print("\nElastic fleet — 2x LoongServe replicas (prefix caches), "
           "burst-then-lull Sessions")
-    print(elastic_fleet.render_elastic_table(sessions, with_cache=True))
+    print(report.render_points(sessions, elastic_fleet.ELASTIC_SESSION_COLUMNS))
     preservation = elastic_fleet.migration_hit_preservation(sessions)
     retained = preservation.get("elastic_retention", 0.0)
     dropped = preservation.get("autoscale_retention", 0.0)
@@ -165,7 +167,7 @@ def _run_disagg(args: argparse.Namespace) -> None:
     mixed = disagg.disagg_mixed_sweep(scale=args.scale)
     print("Disaggregation — 4 replicas, bursty chat-heavy Mixed, "
           "monolithic vs 2 prefill + 2 decode")
-    print(disagg.render_disagg_table(mixed))
+    print(report.render_points(mixed, disagg.DISAGG_COLUMNS))
     advantage = disagg.disagg_advantage(mixed)
     print(
         f"\ndisagg vs monolithic on the identical trace: "
@@ -178,7 +180,7 @@ def _run_disagg(args: argparse.Namespace) -> None:
     sessions = disagg.disagg_session_sweep(scale=args.scale)
     print("\nDisaggregation — 4 replicas, multi-turn sessions, "
           "monolithic (affinity) vs 1 prefill + 3 decode")
-    print(disagg.render_disagg_table(sessions))
+    print(report.render_points(sessions, disagg.DISAGG_COLUMNS))
     print("(decode-pool prefix caches keep conversation KV warm across")
     print(" turns; each turn pays one priced prefill->decode handoff)")
 
@@ -192,7 +194,7 @@ def _run_faults(args: argparse.Namespace) -> None:
     points = faults.failover_sweep(scale=1.0)
     print("Faults — 3x LoongServe replicas (prefix caches), long-context "
           "sessions, replica 0 crashes mid-run")
-    print(faults.render_fault_table(points))
+    print(report.render_points(points, faults.FAULT_COLUMNS))
     advantage = faults.failover_advantage(points)
     print(
         f"\nKV-migration failover vs naive re-dispatch after the crash: "
@@ -223,7 +225,10 @@ def _run_qos(args: argparse.Namespace) -> None:
     points = qos.qos_sweep(scale=1.0)
     print("QoS — 3x LoongServe replicas (prefix caches), overloaded "
           "mixed long/short + sessions, three SLO tiers")
-    print(qos.render_qos_table(points))
+    print(report.render_points(points, qos.QOS_COLUMNS))
+    for point in points:
+        print(f"\n[{point.variant}]")
+        print(report.render_class_table(point.outcomes, point.makespan))
     advantage = qos.qos_advantage(points)
     print(
         f"\nfull QoS stack vs FCFS at equal capacity: interactive attainment "

@@ -16,41 +16,21 @@ implicitly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import SchedulerConfig, default_config
 from repro.core import scaling_plan as scaling_plan_module
 from repro.core.global_manager import GlobalManager
 from repro.core.server import LoongServeServer
 from repro.costmodel.latency import RooflineCostModel
-from repro.metrics.latency import summarize_latency
+from repro.experiments.endtoend import reference_ideal_model
+from repro.experiments.harness import Point, compare
 from repro.workloads.datasets import MIXED, SHAREGPT
-from repro.workloads.trace_gen import clone_requests, make_trace
+from repro.workloads.trace_gen import make_trace
 
-
-@dataclass(frozen=True)
-class AblationPoint:
-    """One variant's end-to-end outcome."""
-
-    variant: str
-    per_token: float
-    input_token: float
-    output_token: float
-    finished: int
-    scale_ups: int
-
-
-def _run_server(server: LoongServeServer, trace) -> AblationPoint:
-    result = server.run(clone_requests(trace))
-    summary = summarize_latency(result)
-    return AblationPoint(
-        variant=server.name,
-        per_token=summary.per_token,
-        input_token=summary.input_token,
-        output_token=summary.output_token,
-        finished=summary.finished,
-        scale_ups=sum(1 for e in result.scaling_events if e.kind == "scale_up"),
-    )
+# Each ablation's trace: ``make_trace``'s (rate req/s, requests, seed).
+PLANNING_TRACE = (1.0, 60, 21)
+MULTI_MASTER_TRACE = (40.0, 800, 22)
+HEADROOM_TRACE = (30.0, 600, 23)
+HEADROOMS = (4, 32, 256)  # decode iterations of scale-down headroom
 
 
 class _RooflinePlanner(GlobalManager):
@@ -97,54 +77,60 @@ class _RooflinePlanner(GlobalManager):
         return _Oracle()
 
 
-def planning_model_ablation(
-    rate: float = 1.0, num_requests: int = 60, seed: int = 21
-) -> list[AblationPoint]:
+def planning_model_ablation() -> list[Point]:
     """Fitted Eq. 7 planning vs. roofline-oracle planning."""
-    trace = make_trace(MIXED, rate=rate, num_requests=num_requests, seed=seed)
     config = default_config()
     cost = RooflineCostModel(cluster=config.cluster, model=config.model)
+    variants = {
+        "fitted analytical model (paper)": lambda trace: LoongServeServer(
+            config, cost_model=cost
+        ),
+        "roofline oracle (ideal)": lambda trace: LoongServeServer(
+            config, cost_model=cost, manager=_RooflinePlanner(config, cost)
+        ),
+    }
+    return compare(
+        variants, make_trace(MIXED, *PLANNING_TRACE), reference_ideal_model()
+    )
 
-    fitted = LoongServeServer(config, cost_model=cost)
-    fitted.name = "fitted analytical model (paper)"
-    oracle_manager = _RooflinePlanner(config, cost)
-    oracle = LoongServeServer(config, cost_model=cost, manager=oracle_manager)
-    oracle.name = "roofline oracle (ideal)"
-    return [_run_server(fitted, trace), _run_server(oracle, trace)]
 
-
-def multi_master_ablation(
-    rate: float = 40.0, num_requests: int = 800, seed: int = 22
-) -> list[AblationPoint]:
+def multi_master_ablation() -> list[Point]:
     """Multi-master decoding on vs. off under ShareGPT load."""
-    trace = make_trace(SHAREGPT, rate=rate, num_requests=num_requests, seed=seed)
-    points = []
-    for enabled in (True, False):
-        config = default_config(
-            scheduler=SchedulerConfig(enable_multi_master=enabled)
+
+    def server(enabled: bool):
+        return lambda trace: LoongServeServer(
+            default_config(scheduler=SchedulerConfig(enable_multi_master=enabled))
         )
-        server = LoongServeServer(config)
-        server.name = f"multi-master={'on' if enabled else 'off'}"
-        points.append(_run_server(server, trace))
-    return points
+
+    variants = {
+        f"multi-master={'on' if enabled else 'off'}": server(enabled)
+        for enabled in (True, False)
+    }
+    return compare(
+        variants, make_trace(SHAREGPT, *MULTI_MASTER_TRACE), reference_ideal_model()
+    )
 
 
-def scale_down_headroom_ablation(
-    headrooms: tuple[int, ...] = (4, 32, 256),
-    rate: float = 30.0,
-    num_requests: int = 600,
-    seed: int = 23,
-) -> list[AblationPoint]:
-    """Sensitivity to the proactive scale-down's decode headroom."""
-    trace = make_trace(SHAREGPT, rate=rate, num_requests=num_requests, seed=seed)
-    original = scaling_plan_module.DECODE_HEADROOM_ITERATIONS
-    points = []
-    try:
-        for headroom in headrooms:
+def scale_down_headroom_ablation() -> list[Point]:
+    """Sensitivity to the proactive scale-down's decode headroom.
+
+    Each variant sets the module's headroom as it is built, just before
+    its run; the original value is restored afterwards.
+    """
+
+    def server(headroom: int):
+        def build(trace):
             scaling_plan_module.DECODE_HEADROOM_ITERATIONS = headroom
-            server = LoongServeServer(default_config())
-            server.name = f"headroom={headroom} iterations"
-            points.append(_run_server(server, trace))
+            return LoongServeServer(default_config())
+
+        return build
+
+    original = scaling_plan_module.DECODE_HEADROOM_ITERATIONS
+    try:
+        return compare(
+            {f"headroom={h} iterations": server(h) for h in HEADROOMS},
+            make_trace(SHAREGPT, *HEADROOM_TRACE),
+            reference_ideal_model(),
+        )
     finally:
         scaling_plan_module.DECODE_HEADROOM_ITERATIONS = original
-    return points

@@ -12,13 +12,14 @@ disaggregated decode pool never sees a prompt.
 Goodput follows the DistServe-style phase SLOs rather than one
 end-to-end deadline: a request counts when its TTFT (arrival to first
 token) and its TPOT (mean inter-token time over the decode) both meet
-absolute chat targets.  This is the metric under which phase
+absolute chat targets (``repro.experiments.harness.TTFT_SLO_S`` and
+``TPOT_SLO_S``).  This is the metric under which phase
 interference is visible at all — end-to-end latency averages the stall
 into the decode tail.
 
 Because both fleets serve the *identical* finite trace, the offered
 window is the same on both sides and the gateable comparison is the
-count of SLO-attained requests; ``goodput`` (attained per makespan
+count of SLO-attained requests; phase goodput (attained per makespan
 second) is reported alongside but its denominator carries a few
 milliseconds of final-handoff tail noise at small trace sizes.
 
@@ -36,20 +37,14 @@ Run via ``python -m repro.experiments disagg``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.experiments.systems import make_fleet
+from repro.experiments.endtoend import reference_ideal_model
+from repro.experiments.harness import Point, compare, loongserve_fleet, point_count
 from repro.sessions import SessionSpec, make_session_trace
-from repro.types import ServeResult
 from repro.workloads.arrival import BurstyArrivals
 from repro.workloads.datasets import LEVAL, SHAREGPT, MixedDistribution
-from repro.workloads.trace_gen import clone_requests, make_trace
-
-# Absolute phase SLOs (chat service targets, DistServe-style): first
-# token within 400 ms of arrival, then a steady 40 ms per output token.
-TTFT_SLO_S = 0.4
-TPOT_SLO_S = 0.040
+from repro.workloads.trace_gen import make_trace
 
 # ShareGPT-dominant Mixed with a capped L-Eval long-prompt tail: enough
 # long prefills to stall monolithic decodes, few enough that a small
@@ -61,186 +56,72 @@ CHAT_MIXED = MixedDistribution(
 )
 MIXED_RATE = 12.0
 MIXED_REQUESTS = 240
+MIXED_PREFILL = 2
+MIXED_SEED = 17
 
 SESSION_SPEC = SessionSpec(think_time_mean_s=45.0, mean_turns=3.0)
 SESSION_RATE = 3.0
 SESSION_COUNT = 14
+SESSION_PREFILL = 1
+SESSION_SEED = 11
+
+REPLICAS = 4
+DISAGG_COLUMNS = (
+    "variant", "phase_attained", "phase_goodput", "ttft_p90", "tpot_p90",
+    "handoffs", "handoff_tokens", "tier_offloaded", "tier_swapped_in",
+)
 
 
-@dataclass(frozen=True)
-class DisaggPoint:
-    """One fleet layout's measurements on one scenario."""
-
-    variant: str
-    attained: int
-    total: int
-    goodput: float  # phase-SLO-attained requests per second
-    ttft_p90: float
-    tpot_p90: float
-    makespan: float
-    handoffs: int
-    handoff_tokens: int
-    handoff_seconds: float
-    tier_offloaded: int
-    tier_swapped_in: int
-
-    @classmethod
-    def measure(cls, variant: str, result: ServeResult) -> "DisaggPoint":
-        attained, ttft_p90, tpot_p90 = phase_slo_attainment(result)
-        elastic = getattr(result, "elastic", None)
-        cache = result.cache_stats or {}
-        return cls(
-            variant=variant,
-            attained=attained,
-            total=len(result.requests) + len(result.aborted),
-            goodput=attained / result.makespan if result.makespan else 0.0,
-            ttft_p90=ttft_p90,
-            tpot_p90=tpot_p90,
-            makespan=result.makespan,
-            handoffs=elastic.disagg_handoffs if elastic else 0,
-            handoff_tokens=elastic.disagg_handoff_tokens if elastic else 0,
-            handoff_seconds=elastic.disagg_handoff_seconds if elastic else 0.0,
-            tier_offloaded=int(cache.get("tier_offloaded_tokens", 0)),
-            tier_swapped_in=int(cache.get("tier_swapped_in_tokens", 0)),
-        )
+def _layouts(mono_router: str, prefill: int) -> dict:
+    """The monolithic fleet and the disaggregated one (its first
+    ``prefill`` replicas dedicated to prompts, with tiered KV offload
+    so the run also exercises host/SSD demotion), both with prefix
+    caches."""
+    return {
+        "monolithic": loongserve_fleet(
+            replicas=REPLICAS, router=mono_router, prefix_cache=True
+        ),
+        f"disagg {prefill}p+{REPLICAS - prefill}d": loongserve_fleet(
+            replicas=REPLICAS, router="round-robin", prefix_cache=True,
+            disagg=prefill, kv_tiers="lru",
+        ),
+    }
 
 
-def phase_slo_attainment(
-    result: ServeResult,
-    ttft_slo: float = TTFT_SLO_S,
-    tpot_slo: float = TPOT_SLO_S,
-) -> tuple[int, float, float]:
-    """(requests meeting both phase SLOs, TTFT P90, TPOT P90).
-
-    TTFT is arrival to end of prefill (the first output token); TPOT is
-    the mean inter-token gap over the remaining decode.  Unfinished and
-    aborted requests attain nothing.
-    """
-    attained = 0
-    ttfts: list[float] = []
-    tpots: list[float] = []
-    for request in result.requests:
-        if request.finish_time is None or request.prefill_end is None:
-            continue
-        ttft = request.prefill_end - request.arrival_time
-        steps = max(1, request.output_len - 1)
-        tpot = (request.finish_time - request.prefill_end) / steps
-        ttfts.append(ttft)
-        tpots.append(tpot)
-        if ttft <= ttft_slo and tpot <= tpot_slo:
-            attained += 1
-
-    def p90(values: list[float]) -> float:
-        if not values:
-            return 0.0
-        return sorted(values)[min(len(values) - 1, int(0.9 * len(values)))]
-
-    return attained, p90(ttfts), p90(tpots)
-
-
-def disagg_mixed_sweep(
-    replicas: int = 4,
-    prefill: int = 2,
-    rate: float = MIXED_RATE,
-    num_gpus: int = 8,
-    scale: float = 1.0,
-    seed: int = 17,
-    kv_tiers: str | None = "lru",
-) -> list[DisaggPoint]:
-    """Monolithic vs. disaggregated on bursty chat-heavy Mixed.
-
-    Both fleets get ``replicas`` identical replicas with prefix caches;
-    the disaggregated one dedicates the first ``prefill`` to prompts.
-    ``kv_tiers`` arms tiered offload on the disaggregated fleet so the
-    sweep also exercises host/SSD demotion under cache pressure.
-    """
-    count = max(30, int(MIXED_REQUESTS * scale))
+def disagg_mixed_sweep(scale: float = 1.0) -> list[Point]:
+    """Monolithic vs. disaggregated on bursty chat-heavy Mixed."""
     trace = make_trace(
-        CHAT_MIXED, rate=rate, num_requests=count, seed=seed,
-        arrivals=BurstyArrivals(rate=rate),
+        CHAT_MIXED, rate=MIXED_RATE,
+        num_requests=point_count(MIXED_REQUESTS, scale, 30),
+        seed=MIXED_SEED, arrivals=BurstyArrivals(rate=MIXED_RATE),
     )
-    mono = make_fleet(
-        "loongserve", replicas=replicas, router="round-robin",
-        requests=trace, num_gpus=num_gpus, prefix_cache=True,
+    return compare(
+        _layouts("round-robin", MIXED_PREFILL), trace, reference_ideal_model()
     )
-    disagg = make_fleet(
-        "loongserve", replicas=replicas, router="round-robin",
-        requests=trace, num_gpus=num_gpus, prefix_cache=True,
-        disagg=prefill, kv_tiers=kv_tiers,
-    )
-    return [
-        DisaggPoint.measure("monolithic", mono.run(clone_requests(trace))),
-        DisaggPoint.measure(
-            f"disagg {prefill}p+{replicas - prefill}d",
-            disagg.run(clone_requests(trace)),
-        ),
-    ]
 
 
-def disagg_session_sweep(
-    replicas: int = 4,
-    prefill: int = 1,
-    num_gpus: int = 8,
-    scale: float = 1.0,
-    seed: int = 11,
-    kv_tiers: str | None = "lru",
-) -> list[DisaggPoint]:
+def disagg_session_sweep(scale: float = 1.0) -> list[Point]:
     """Monolithic (affinity-routed) vs. disaggregated on sessions."""
-    count = max(6, int(SESSION_COUNT * scale))
     trace = make_session_trace(
-        SESSION_SPEC, rate=SESSION_RATE, num_sessions=count, seed=seed
+        SESSION_SPEC, rate=SESSION_RATE,
+        num_sessions=point_count(SESSION_COUNT, scale, 6), seed=SESSION_SEED,
     )
-    mono = make_fleet(
-        "loongserve", replicas=replicas, router="affinity",
-        requests=trace, num_gpus=num_gpus, prefix_cache=True,
+    return compare(
+        _layouts("affinity", SESSION_PREFILL), trace, reference_ideal_model()
     )
-    disagg = make_fleet(
-        "loongserve", replicas=replicas, router="round-robin",
-        requests=trace, num_gpus=num_gpus, prefix_cache=True,
-        disagg=prefill, kv_tiers=kv_tiers,
-    )
-    return [
-        DisaggPoint.measure("monolithic", mono.run(clone_requests(trace))),
-        DisaggPoint.measure(
-            f"disagg {prefill}p+{replicas - prefill}d",
-            disagg.run(clone_requests(trace)),
-        ),
-    ]
 
 
-def disagg_advantage(points: Sequence[DisaggPoint]) -> dict[str, float]:
+def disagg_advantage(points: Sequence[Point]) -> dict[str, float]:
     """Headline ratios of one scenario's (monolithic, disagg) pair."""
     mono, disagg = points[0], points[-1]
     return {
-        "attained_delta": float(disagg.attained - mono.attained),
+        "attained_delta": float(disagg.phase_attained - mono.phase_attained),
         "goodput_ratio": (
-            disagg.goodput / mono.goodput if mono.goodput else float("inf")
+            disagg.phase_goodput / mono.phase_goodput
+            if mono.phase_goodput
+            else float("inf")
         ),
         "tpot_p90_ratio": (
             mono.tpot_p90 / disagg.tpot_p90 if disagg.tpot_p90 else float("inf")
         ),
     }
-
-
-def render_disagg_table(points: Sequence[DisaggPoint]) -> str:
-    """Text table: one row per fleet layout."""
-    from repro.experiments.report import table
-
-    headers = ["variant", "attained", "goodput req/s", "ttft p90 s",
-               "tpot p90 ms", "handoffs", "handoff tokens",
-               "tier offl", "tier swap-in"]
-    rows = [
-        [
-            p.variant,
-            f"{p.attained}/{p.total}",
-            f"{p.goodput:.2f}",
-            f"{p.ttft_p90:.3f}",
-            f"{p.tpot_p90 * 1000:.1f}",
-            str(p.handoffs),
-            f"{p.handoff_tokens:,}",
-            f"{p.tier_offloaded:,}",
-            f"{p.tier_swapped_in:,}",
-        ]
-        for p in points
-    ]
-    return table(headers, rows)

@@ -20,16 +20,14 @@ Run via ``python -m repro.experiments elastic-fleet``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.experiments.systems import make_fleet
-from repro.metrics.fleet import ElasticStats
-from repro.metrics.latency import summarize_latency
+from repro.experiments.endtoend import reference_ideal_model
+from repro.experiments.harness import Point, compare, loongserve_fleet, point_count
 from repro.sessions import SessionSpec, make_session_trace
 from repro.workloads.arrival import BurstyArrivals
 from repro.workloads.datasets import MIXED
-from repro.workloads.trace_gen import clone_requests, make_trace
+from repro.workloads.trace_gen import make_trace
 
 # Actuator combinations swept by both scenarios, in presentation order.
 ELASTIC_VARIANTS: dict[str, dict] = {
@@ -42,126 +40,65 @@ ELASTIC_VARIANTS: dict[str, dict] = {
 
 MIXED_RATE = 4.0  # mean req/s into the 4-replica fleet (bursts hit 4x)
 MIXED_REQUESTS = 80
+MIXED_REPLICAS = 4
+MIXED_SEED = 17
 # Dense openers + long think times: the burst-then-lull session shape.
 SESSION_SPEC = SessionSpec(think_time_mean_s=45.0, mean_turns=3.0)
 SESSION_RATE = 3.0
 SESSION_COUNT = 14
+SESSION_REPLICAS = 2
+SESSION_SEED = 11
+
+ELASTIC_COLUMNS = (
+    "variant", "per_token_ms", "p99_ms", "fin_total", "replica_s", "steals",
+    "steal_reprefill", "migrated",
+)
+# The session scenario's prefix caches add the hit rate.
+ELASTIC_SESSION_COLUMNS = ELASTIC_COLUMNS + ("hit_rate",)
 
 
-@dataclass(frozen=True)
-class ElasticPoint:
-    """One variant's measurements on one scenario."""
-
-    variant: str
-    per_token: float
-    per_token_p99: float
-    finished: int
-    total: int
-    hit_rate: float
-    replica_seconds: float
-    stolen: int
-    reprefill_tokens: int
-    migrated_tokens: int
-    parks: int
-    unparks: int
-
-    @classmethod
-    def measure(cls, variant: str, result, replicas: int) -> "ElasticPoint":
-        summary = summarize_latency(result)
-        cache = result.cache_stats or {}
-        cache_total = cache.get("hit_tokens", 0) + cache.get("miss_tokens", 0)
-        elastic: ElasticStats | None = result.elastic
-        if elastic is not None and elastic.capacity_timeline:
-            replica_seconds = elastic.replica_seconds(result.makespan)
-        else:
-            replica_seconds = replicas * result.makespan
-        return cls(
-            variant=variant,
-            per_token=summary.per_token,
-            per_token_p99=summary.per_token_p99,
-            finished=summary.finished,
-            total=summary.total,
-            hit_rate=(
-                cache.get("hit_tokens", 0) / cache_total if cache_total else 0.0
-            ),
-            replica_seconds=replica_seconds,
-            stolen=elastic.stolen_requests if elastic else 0,
-            reprefill_tokens=elastic.steal_reprefill_tokens if elastic else 0,
-            migrated_tokens=elastic.migrated_kv_tokens if elastic else 0,
-            parks=elastic.scale_downs if elastic else 0,
-            unparks=elastic.scale_ups if elastic else 0,
-        )
-
-
-def bursty_mixed_sweep(
-    variants: Sequence[str] = tuple(ELASTIC_VARIANTS),
-    replicas: int = 4,
-    rate: float = MIXED_RATE,
-    num_gpus: int = 8,
-    scale: float = 1.0,
-    seed: int = 17,
-    router: str = "round-robin",
-) -> list[ElasticPoint]:
+def bursty_mixed_sweep(scale: float = 1.0) -> list[Point]:
     """The steal/autoscale scenario (no prefix caches, Mixed lengths).
 
     Variants touching KV migration degrade to their cache-less subset
     here (migration is a session feature), so the table stays square.
     """
-    count = max(20, int(MIXED_REQUESTS * scale))
     trace = make_trace(
-        MIXED, rate=rate, num_requests=count, seed=seed,
-        arrivals=BurstyArrivals(rate=rate),
+        MIXED, rate=MIXED_RATE,
+        num_requests=point_count(MIXED_REQUESTS, scale, 20),
+        seed=MIXED_SEED, arrivals=BurstyArrivals(rate=MIXED_RATE),
     )
-    points = []
-    # Dropping migrate_kv can collapse two variants onto one actuator
-    # set; the simulator is deterministic, so those rows are computed
-    # once and reused instead of re-running an identical fleet.
-    cache: dict[frozenset, object] = {}
-    for variant in variants:
-        kwargs = dict(ELASTIC_VARIANTS[variant])
-        kwargs.pop("migrate_kv", None)  # needs prefix caches; see sessions sweep
-        key = frozenset(kwargs.items())
-        result = cache.get(key)
-        if result is None:
-            fleet = make_fleet(
-                "loongserve", replicas=replicas, router=router,
-                requests=trace, num_gpus=num_gpus, **kwargs,
-            )
-            result = cache[key] = fleet.run(clone_requests(trace))
-        points.append(ElasticPoint.measure(variant, result, replicas))
-    return points
+    variants = {
+        name: loongserve_fleet(
+            replicas=MIXED_REPLICAS, router="round-robin",
+            **{k: v for k, v in actuators.items() if k != "migrate_kv"},
+        )
+        for name, actuators in ELASTIC_VARIANTS.items()
+    }
+    return compare(variants, trace, reference_ideal_model())
 
 
-def session_rebalance_sweep(
-    variants: Sequence[str] = tuple(ELASTIC_VARIANTS),
-    replicas: int = 2,
-    num_gpus: int = 8,
-    scale: float = 1.0,
-    seed: int = 11,
-) -> list[ElasticPoint]:
+def session_rebalance_sweep(scale: float = 1.0) -> list[Point]:
     """The KV-migration scenario: affinity routing + burst-then-lull
     sessions, where scale-in must not orphan conversation KV."""
-    count = max(6, int(SESSION_COUNT * scale))
     trace = make_session_trace(
-        SESSION_SPEC, rate=SESSION_RATE, num_sessions=count, seed=seed
+        SESSION_SPEC, rate=SESSION_RATE,
+        num_sessions=point_count(SESSION_COUNT, scale, 6), seed=SESSION_SEED,
     )
-    points = []
-    for variant in variants:
-        fleet = make_fleet(
-            "loongserve", replicas=replicas, router="affinity",
-            requests=trace, num_gpus=num_gpus, prefix_cache=True,
-            **ELASTIC_VARIANTS[variant],
+    variants = {
+        name: loongserve_fleet(
+            replicas=SESSION_REPLICAS, router="affinity", prefix_cache=True,
+            **actuators,
         )
-        result = fleet.run(clone_requests(trace))
-        points.append(ElasticPoint.measure(variant, result, replicas))
-    return points
+        for name, actuators in ELASTIC_VARIANTS.items()
+    }
+    return compare(variants, trace, reference_ideal_model())
 
 
-def elastic_advantage(points: Sequence[ElasticPoint]) -> dict[str, float]:
+def elastic_advantage(points: Sequence[Point]) -> dict[str, float]:
     """Static-vs-elastic headline ratios on one scenario's points."""
     by_name = {p.variant: p for p in points}
-    static = by_name["static"]
-    best = by_name.get("elastic") or by_name.get("steal") or static
+    static, best = by_name["static"], by_name["elastic"]
     return {
         "per_token_ratio": (
             static.per_token / best.per_token if best.per_token else float("inf")
@@ -179,7 +116,7 @@ def elastic_advantage(points: Sequence[ElasticPoint]) -> dict[str, float]:
     }
 
 
-def migration_hit_preservation(points: Sequence[ElasticPoint]) -> dict[str, float]:
+def migration_hit_preservation(points: Sequence[Point]) -> dict[str, float]:
     """How much of the static affinity hit rate each rebalanced variant
     keeps (the ``elastic`` variant must stay >= 0.8, the PR gate)."""
     by_name = {p.variant: p for p in points}
@@ -188,32 +125,5 @@ def migration_hit_preservation(points: Sequence[ElasticPoint]) -> dict[str, floa
         return {"static_hit_rate": 0.0}
     out = {"static_hit_rate": static_hit}
     for name in ("autoscale", "elastic"):
-        if name in by_name:
-            out[f"{name}_retention"] = by_name[name].hit_rate / static_hit
+        out[f"{name}_retention"] = by_name[name].hit_rate / static_hit
     return out
-
-
-def render_elastic_table(points: Sequence[ElasticPoint], with_cache: bool = False) -> str:
-    """Text table: one row per variant."""
-    from repro.experiments.report import table
-
-    headers = ["variant", "per-tok ms", "p99 ms", "fin/total", "repl-s",
-               "steals", "re-prefill", "migrated"]
-    if with_cache:
-        headers.append("hit-rate")
-    rows = []
-    for p in points:
-        row = [
-            p.variant,
-            f"{p.per_token * 1000:.2f}",
-            f"{p.per_token_p99 * 1000:.2f}",
-            f"{p.finished}/{p.total}",
-            f"{p.replica_seconds:.0f}",
-            str(p.stolen),
-            f"{p.reprefill_tokens:,}",
-            f"{p.migrated_tokens:,}",
-        ]
-        if with_cache:
-            row.append(f"{p.hit_rate:.1%}")
-        rows.append(row)
-    return table(headers, rows)

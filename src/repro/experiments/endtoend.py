@@ -1,32 +1,37 @@
 """End-to-end serving experiments: Figures 10, 11, 12, 13.
 
-Each figure is a rate sweep: generate a Poisson trace per rate, replay it
-on every system, and collect the paper's metrics.  Request counts scale
-with the rate so every run covers a comparable arrival window; the
-``scale`` knob shrinks runs for quick benchmarks.
+Each figure is a rate sweep (:func:`repro.experiments.harness.sweep`):
+a Poisson trace per rate, replayed on every system.  Request counts
+scale with the rate so every run covers a comparable arrival window;
+the ``scale`` knob shrinks runs for quick benchmarks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.costmodel.latency import RooflineCostModel
-from repro.experiments.systems import make_system
-from repro.metrics.latency import summarize_latency
-from repro.metrics.slo import (
-    DEFAULT_SLO_SCALE,
-    IdealLatencyModel,
-    goodput_is_censored,
-    max_rate_under_slo,
-    slo_report,
+from repro.experiments.harness import SystemCurve, rate_traces, sweep
+from repro.experiments.systems import (
+    build_loongserve,
+    build_splitfuse_per_node,
+    build_vllm_per_node,
+    make_system,
 )
+from repro.metrics.slo import IdealLatencyModel
 from repro.metrics.summary import scale_event_histogram
 from repro.model.spec import LWM_7B_1M
-from repro.types import Request
 from repro.workloads.datasets import DATASETS, MIXED, SHAREGPT, ZipfMixed
 from repro.workloads.trace_gen import clone_requests, make_trace
+
+# Columns of every rate-sweep table (``repro.experiments.report.COLUMNS``).
+CURVE_COLUMNS = (
+    "system", "rate_req_s", "per_token_s", "input_s", "output_s", "slo",
+    "finished", "aborted",
+)
 
 
 def reference_ideal_model(num_gpus: int = 8) -> IdealLatencyModel:
@@ -36,43 +41,6 @@ def reference_ideal_model(num_gpus: int = 8) -> IdealLatencyModel:
     return IdealLatencyModel(
         cost_model=cost, tensor_parallel=2, max_instances=num_gpus // 2
     )
-
-
-@dataclass
-class RatePoint:
-    """One (system, rate) measurement."""
-
-    rate: float
-    per_token: float
-    input_token: float
-    output_token: float
-    attainment: float
-    finished: int
-    total: int
-    aborted: int
-    scale_up_events: int = 0
-
-
-@dataclass
-class SystemCurve:
-    system: str
-    points: list[RatePoint] = field(default_factory=list)
-
-    def goodput(self, target: float = 0.90) -> float:
-        return max_rate_under_slo(
-            [p.rate for p in self.points],
-            [p.attainment for p in self.points],
-            target=target,
-        )
-
-    def censored(self, target: float = 0.90) -> bool:
-        """True when :meth:`goodput` is only a lower bound: the sweep's
-        top rate still meets ``target``."""
-        return goodput_is_censored(
-            [p.rate for p in self.points],
-            [p.attainment for p in self.points],
-            target=target,
-        )
 
 
 @dataclass(frozen=True)
@@ -87,59 +55,9 @@ class GoodputRatio:
     denominator_censored: bool
 
 
-def run_system_at_rate(
-    system_name: str,
-    trace: Sequence[Request],
-    rate: float,
-    ideal: IdealLatencyModel,
-    num_gpus: int = 8,
-    gpus_per_node: int = 8,
-    slo_scale: float = DEFAULT_SLO_SCALE,
-) -> RatePoint:
-    """Replay one trace on one system and summarise it."""
-    system = make_system(
-        system_name, requests=trace, num_gpus=num_gpus, gpus_per_node=gpus_per_node
-    )
-    result = system.run(clone_requests(trace))
-    latency = summarize_latency(result)
-    slo = slo_report(result, ideal, scale=slo_scale)
-    scale_ups = sum(1 for e in result.scaling_events if e.kind == "scale_up")
-    return RatePoint(
-        rate=rate,
-        per_token=latency.per_token,
-        input_token=latency.input_token,
-        output_token=latency.output_token,
-        attainment=slo.attainment,
-        finished=latency.finished,
-        total=slo.total,
-        aborted=len(result.aborted),
-        scale_up_events=scale_ups,
-    )
-
-
-def sweep(
-    system_names: Sequence[str],
-    dataset,
-    rates: Sequence[float],
-    requests_per_rate_second: float,
-    seed: int = 7,
-    min_requests: int = 40,
-    num_gpus: int = 8,
-    gpus_per_node: int = 8,
-    scale: float = 1.0,
-) -> list[SystemCurve]:
-    """Rate sweep for several systems over one dataset."""
-    ideal = reference_ideal_model(num_gpus=num_gpus)
-    curves = {name: SystemCurve(system=name) for name in system_names}
-    for rate in rates:
-        count = max(int(min_requests * scale), int(rate * requests_per_rate_second * scale))
-        trace = make_trace(dataset, rate=rate, num_requests=count, seed=seed)
-        for name in system_names:
-            point = run_system_at_rate(
-                name, trace, rate, ideal, num_gpus=num_gpus, gpus_per_node=gpus_per_node
-            )
-            curves[name].points.append(point)
-    return list(curves.values())
+def _systems(names: Sequence[str]) -> dict:
+    """Variants that build each named system on the 8-GPU node."""
+    return {name: partial(make_system, name) for name in names}
 
 
 # -- Figure 10: single-node end-to-end comparison -----------------------------------
@@ -156,12 +74,11 @@ FIGURE10_RATES = {
     "mixed": [0.3, 0.6, 0.9, 1.2],
 }
 FIGURE10_WINDOW_S = 25.0  # arrival window covered per rate point
+FIGURE10_SEED = 7
 
 
 def figure10(
-    datasets: Sequence[str] | None = None,
-    scale: float = 1.0,
-    seed: int = 7,
+    datasets: Sequence[str] | None = None, scale: float = 1.0
 ) -> dict[str, list[SystemCurve]]:
     """The paper's headline comparison (Figure 10).
 
@@ -174,12 +91,12 @@ def figure10(
         if dataset_name == "sharegpt":
             systems.insert(2, "deepspeed-mii")
         results[dataset_name] = sweep(
-            systems,
-            DATASETS[dataset_name],
-            FIGURE10_RATES[dataset_name],
-            requests_per_rate_second=FIGURE10_WINDOW_S,
-            seed=seed,
-            scale=scale,
+            _systems(systems),
+            rate_traces(
+                DATASETS[dataset_name], FIGURE10_RATES[dataset_name],
+                FIGURE10_WINDOW_S, FIGURE10_SEED, scale,
+            ),
+            reference_ideal_model(),
         )
     return results
 
@@ -195,7 +112,7 @@ def headline_ratios(results: dict[str, list[SystemCurve]]) -> dict[str, GoodputR
     """
     ratios: dict[str, GoodputRatio] = {}
     for curves in results.values():
-        by_name = {c.system: c for c in curves}
+        by_name = {c.name: c for c in curves}
         loong = by_name.get("loongserve")
         if loong is None:
             continue
@@ -216,49 +133,27 @@ def headline_ratios(results: dict[str, list[SystemCurve]]) -> dict[str, GoodputR
 # -- Figure 11: multi-node -------------------------------------------------------------
 
 FIGURE11_RATES = [0.2, 0.4, 0.6, 0.8]
+FIGURE11_SEED = 11
+# Baselines deploy one replica per server (the paper's setup).
+FIGURE11_SYSTEMS = {
+    "loongserve": lambda trace: build_loongserve(num_gpus=16, gpus_per_node=8),
+    "vllm": lambda trace: build_vllm_per_node(num_gpus=16, gpus_per_node=8),
+    "splitfuse": lambda trace: build_splitfuse_per_node(
+        trace, num_gpus=16, gpus_per_node=8
+    ),
+}
 
 
-def figure11(scale: float = 1.0, seed: int = 11) -> list[SystemCurve]:
-    """16-GPU Mixed-workload comparison (Figure 11).
-
-    Baselines deploy one replica per server (the paper's setup); the
-    replicated builders live in systems.py and are addressed through
-    dedicated names here.
-    """
-    from repro.experiments import systems as sys_mod
-
-    ideal = reference_ideal_model(num_gpus=16)
-    builders = {
-        "loongserve": lambda trace: sys_mod.build_loongserve(
-            num_gpus=16, gpus_per_node=8
+def figure11(scale: float = 1.0) -> list[SystemCurve]:
+    """16-GPU Mixed-workload comparison (Figure 11), over twice Figure
+    10's arrival window."""
+    return sweep(
+        FIGURE11_SYSTEMS,
+        rate_traces(
+            MIXED, FIGURE11_RATES, 2 * FIGURE10_WINDOW_S, FIGURE11_SEED, scale
         ),
-        "vllm": lambda trace: sys_mod.build_vllm_per_node(num_gpus=16, gpus_per_node=8),
-        "splitfuse": lambda trace: sys_mod.build_splitfuse_per_node(
-            trace, num_gpus=16, gpus_per_node=8
-        ),
-    }
-    curves = {name: SystemCurve(system=name) for name in builders}
-    for rate in FIGURE11_RATES:
-        count = max(int(40 * scale), int(rate * FIGURE10_WINDOW_S * 2 * scale))
-        trace = make_trace(MIXED, rate=rate, num_requests=count, seed=seed)
-        for name, builder in builders.items():
-            system = builder(trace)
-            result = system.run(clone_requests(trace))
-            latency = summarize_latency(result)
-            slo = slo_report(result, ideal)
-            curves[name].points.append(
-                RatePoint(
-                    rate=rate,
-                    per_token=latency.per_token,
-                    input_token=latency.input_token,
-                    output_token=latency.output_token,
-                    attainment=slo.attainment,
-                    finished=latency.finished,
-                    total=slo.total,
-                    aborted=len(result.aborted),
-                )
-            )
-    return list(curves.values())
+        reference_ideal_model(num_gpus=16),
+    )
 
 
 # -- Figure 12: ESP ablation under Zipf length skew ---------------------------------------
@@ -271,26 +166,24 @@ FIGURE12_RATES = {
     1.2: [2.0, 5.0, 10.0, 15.0],
     1.4: [5.0, 15.0, 30.0, 45.0],
 }
+FIGURE12_SEED = 12
 
 
 def figure12(
-    zipf_params: Sequence[float] = (1.0, 1.2, 1.4),
-    scale: float = 1.0,
-    seed: int = 12,
+    zipf_params: Sequence[float] = (1.0, 1.2, 1.4), scale: float = 1.0
 ) -> dict[float, list[SystemCurve]]:
     """P90 goodput of static parallelisms vs. LoongServe (Figure 12)."""
-    results = {}
-    for zipf in zipf_params:
-        dataset = ZipfMixed(name=f"Zipf-{zipf}", zipf=zipf)
-        results[zipf] = sweep(
-            FIGURE12_SYSTEMS,
-            dataset,
-            FIGURE12_RATES[zipf],
-            requests_per_rate_second=FIGURE10_WINDOW_S,
-            seed=seed,
-            scale=scale,
+    return {
+        zipf: sweep(
+            _systems(FIGURE12_SYSTEMS),
+            rate_traces(
+                ZipfMixed(name=f"Zipf-{zipf}", zipf=zipf), FIGURE12_RATES[zipf],
+                FIGURE10_WINDOW_S, FIGURE12_SEED, scale,
+            ),
+            reference_ideal_model(),
         )
-    return results
+        for zipf in zipf_params
+    }
 
 
 def figure12_goodput_ratios(
@@ -303,7 +196,7 @@ def figure12_goodput_ratios(
     """
     ratios = {}
     for zipf, curves in results.items():
-        by_name = {c.system: c for c in curves}
+        by_name = {c.name: c for c in curves}
         loong = by_name["loongserve"]
         statics = [c for name, c in by_name.items() if name != "loongserve"]
         best_static = max((c.goodput() for c in statics), default=0.0)
@@ -319,9 +212,10 @@ def figure12_goodput_ratios(
 
 FIGURE13_RATES = [10.0, 20.0, 30.0, 45.0, 60.0, 80.0]
 FIGURE13_FREQUENCY_RATE = 40.0
+FIGURE13_SEED = 13
 
 
-def figure13a(scale: float = 1.0, seed: int = 13) -> list[SystemCurve]:
+def figure13a(scale: float = 1.0) -> list[SystemCurve]:
     """SLO attainment with and without elastic scale-up (ShareGPT).
 
     Uses a longer arrival window than Figure 10: the no-scale-up penalty
@@ -329,22 +223,21 @@ def figure13a(scale: float = 1.0, seed: int = 13) -> list[SystemCurve]:
     sustained load to build up.
     """
     return sweep(
-        ["loongserve", "loongserve-no-scaleup"],
-        SHAREGPT,
-        FIGURE13_RATES,
-        requests_per_rate_second=2 * FIGURE10_WINDOW_S,
-        seed=seed,
-        scale=scale,
+        _systems(["loongserve", "loongserve-no-scaleup"]),
+        rate_traces(
+            SHAREGPT, FIGURE13_RATES, 2 * FIGURE10_WINDOW_S, FIGURE13_SEED, scale
+        ),
+        reference_ideal_model(),
     )
 
 
 def figure13b(
-    duration_s: float = 200.0, rate: float = FIGURE13_FREQUENCY_RATE, seed: int = 13
+    duration_s: float = 200.0, rate: float = FIGURE13_FREQUENCY_RATE
 ) -> list[int]:
     """Scale-up operations per 10-second bin at ``rate`` req/s, by
     default ``FIGURE13_FREQUENCY_RATE`` (Figure 13b)."""
     count = int(rate * duration_s)
-    trace = make_trace(SHAREGPT, rate=rate, num_requests=count, seed=seed)
+    trace = make_trace(SHAREGPT, rate=rate, num_requests=count, seed=FIGURE13_SEED)
     system = make_system("loongserve", requests=trace)
     result = system.run(clone_requests(trace))
     return scale_event_histogram(

@@ -22,17 +22,13 @@ Run via ``python -m repro.experiments faults``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from repro.experiments.systems import make_fleet
+from repro.experiments.endtoend import reference_ideal_model
+from repro.experiments.harness import Point, compare, loongserve_fleet, point_count
 from repro.fleet.faults import FaultPlan
-from repro.metrics.latency import summarize_latency
 from repro.sessions import SessionSpec, make_session_trace
 from repro.workloads.datasets import LengthSpec
-from repro.workloads.trace_gen import clone_requests
 
 # The failover scenario: *long-context* conversations (the paper's
 # regime) on deliberately small replicas, so prefill is the expensive
@@ -55,134 +51,64 @@ SESSION_SPEC = SessionSpec(
 )
 SESSION_RATE = 3.0
 SESSION_COUNT = 24
+SESSION_SEED = 11
 REPLICAS = 3
 NUM_GPUS = 2  # per replica: one TP=2 instance — prefill-bound on purpose
 CRASH_TIME = 15.0
 DOWNTIME_S = 30.0
 
-# Placement-policy variants compared under the same mid-run crash.
-# "no-fault" is the ceiling; "naive" models a fleet whose failover path
-# is blind re-dispatch (round-robin, no migration); "failover" is the
-# full stack: affinity placement + steal-coupled/drain-rescue KV
-# migration, which doubles as crash redundancy.
-FAULT_VARIANTS: dict[str, dict] = {
-    "no-fault": {"router": "affinity", "steal": True, "migrate_kv": True},
-    "naive": {"router": "round-robin", "faulted": True},
-    "failover": {
-        "router": "affinity", "steal": True, "migrate_kv": True, "faulted": True,
-    },
-}
+# The availability sweep: seeded Poisson crash schedules, tightest MTBF
+# last, each crash down for a shorter window than the scripted one.
+MTBF_VALUES = (240.0, 120.0, 60.0)
+FAULT_SEED = 7
+AVAILABILITY_DOWNTIME_S = 15.0
+
+FAULT_COLUMNS = (
+    "variant", "per_token_ms", "p99_ms", "post_crash_p99_ms", "fin_total",
+    "availability", "lost_kv", "failovers", "failover_reprefill", "hit_rate",
+)
 
 
-@dataclass(frozen=True)
-class FaultPoint:
-    """One variant's measurements on the crash scenario."""
-
-    variant: str
-    per_token: float
-    per_token_p99: float
-    post_crash_p99: float
-    post_crash_mean: float
-    finished: int
-    total: int
-    hit_rate: float
-    availability: float
-    crashes: int
-    lost_kv_tokens: int
-    failovers: int
-    failover_reprefill_tokens: int
-
-    @classmethod
-    def measure(cls, variant: str, result, crash_time: float) -> "FaultPoint":
-        summary = summarize_latency(result)
-        cache = result.cache_stats or {}
-        cache_total = cache.get("hit_tokens", 0) + cache.get("miss_tokens", 0)
-        elastic = result.elastic
-        return cls(
-            variant=variant,
-            per_token=summary.per_token,
-            per_token_p99=summary.per_token_p99,
-            post_crash_p99=post_crash_per_token_p99(result, crash_time),
-            post_crash_mean=post_crash_per_token_mean(result, crash_time),
-            finished=summary.finished,
-            total=summary.total,
-            hit_rate=(
-                cache.get("hit_tokens", 0) / cache_total if cache_total else 0.0
-            ),
-            availability=(
-                elastic.availability(result.makespan) if elastic else 1.0
-            ),
-            crashes=elastic.crashes if elastic else 0,
-            lost_kv_tokens=elastic.lost_kv_tokens if elastic else 0,
-            failovers=elastic.failovers if elastic else 0,
-            failover_reprefill_tokens=(
-                elastic.failover_reprefill_tokens if elastic else 0
-            ),
-        )
+def _fleet(router: str = "affinity", **features):
+    return loongserve_fleet(
+        replicas=REPLICAS, router=router, num_gpus=NUM_GPUS,
+        prefix_cache=True, **features,
+    )
 
 
-def _post_crash_latencies(result, crash_time: float) -> list[float]:
-    return [
-        r.normalized_latency
-        for r in result.finished_requests
-        if r.arrival_time >= crash_time
-    ]
+def _session_trace(scale: float):
+    return make_session_trace(
+        SESSION_SPEC, rate=SESSION_RATE,
+        num_sessions=point_count(SESSION_COUNT, scale, 6), seed=SESSION_SEED,
+    )
 
 
-def post_crash_per_token_p99(result, crash_time: float) -> float:
-    """P99 normalised per-token latency of requests arriving after the
-    crash — the quantity that shows how fast the fleet *recovered* (the
-    orphans' own latency is sunk cost either way)."""
-    latencies = _post_crash_latencies(result, crash_time)
-    if not latencies:
-        return 0.0
-    return float(np.percentile(latencies, 99))
-
-
-def post_crash_per_token_mean(result, crash_time: float) -> float:
-    """Mean normalised per-token latency of post-crash arrivals."""
-    latencies = _post_crash_latencies(result, crash_time)
-    if not latencies:
-        return 0.0
-    return float(np.mean(latencies))
-
-
-def failover_sweep(
-    variants: Sequence[str] = tuple(FAULT_VARIANTS),
-    replicas: int = REPLICAS,
-    num_gpus: int = NUM_GPUS,
-    scale: float = 1.0,
-    seed: int = 11,
-    crash_time: float = CRASH_TIME,
-    downtime_s: float = DOWNTIME_S,
-) -> list[FaultPoint]:
+def failover_sweep(scale: float = 1.0) -> list[Point]:
     """Mid-run crash of replica 0 under each failover policy variant.
+
+    "no-fault" is the ceiling; "naive" models a fleet whose failover
+    path is blind re-dispatch (round-robin, no migration); "failover" is
+    the full stack: affinity placement + steal-coupled/drain-rescue KV
+    migration, which doubles as crash redundancy.
 
     The post-crash P99 gap between ``naive`` and ``failover`` needs the
     fleet under real pressure; below ``scale`` ~0.7 the survivors have
     slack and the tail flattens (the token/availability ledgers stay
     meaningful at any scale).
     """
-    count = max(6, int(SESSION_COUNT * scale))
-    trace = make_session_trace(
-        SESSION_SPEC, rate=SESSION_RATE, num_sessions=count, seed=seed
+    plan = FaultPlan.scripted((CRASH_TIME, 0), downtime_s=DOWNTIME_S)
+    variants = {
+        "no-fault": _fleet(steal=True, migrate_kv=True),
+        "naive": _fleet("round-robin", faults=plan),
+        "failover": _fleet(steal=True, migrate_kv=True, faults=plan),
+    }
+    return compare(
+        variants, _session_trace(scale), reference_ideal_model(NUM_GPUS),
+        crash_time=CRASH_TIME,
     )
-    plan = FaultPlan.scripted((crash_time, 0), downtime_s=downtime_s)
-    points = []
-    for variant in variants:
-        kwargs = dict(FAULT_VARIANTS[variant])
-        faulted = kwargs.pop("faulted", False)
-        fleet = make_fleet(
-            "loongserve", replicas=replicas, requests=trace,
-            num_gpus=num_gpus, prefix_cache=True,
-            faults=plan if faulted else None, **kwargs,
-        )
-        result = fleet.run(clone_requests(trace))
-        points.append(FaultPoint.measure(variant, result, crash_time))
-    return points
 
 
-def failover_advantage(points: Sequence[FaultPoint]) -> dict[str, float]:
+def failover_advantage(points: Sequence[Point]) -> dict[str, float]:
     """Headline ratios: how much better the migration-backed failover
     recovers post-crash tail latency than naive re-dispatch."""
     by_name = {p.variant: p for p in points}
@@ -208,62 +134,23 @@ def failover_advantage(points: Sequence[FaultPoint]) -> dict[str, float]:
     }
 
 
-def availability_sweep(
-    mtbf_values: Sequence[float] = (240.0, 120.0, 60.0),
-    replicas: int = REPLICAS,
-    num_gpus: int = NUM_GPUS,
-    scale: float = 1.0,
-    seed: int = 11,
-    fault_seed: int = 7,
-    downtime_s: float = 15.0,
-) -> list[tuple[float, FaultPoint]]:
+def availability_sweep(scale: float = 1.0) -> list[tuple[float, Point]]:
     """The full failover stack under Poisson crash schedules.
 
     Returns ``(mtbf, point)`` pairs, tightest MTBF last; the horizon is
     the trace's arrival span, so faults always land on live traffic.
     """
-    count = max(6, int(SESSION_COUNT * scale))
-    trace = make_session_trace(
-        SESSION_SPEC, rate=SESSION_RATE, num_sessions=count, seed=seed
-    )
+    trace = _session_trace(scale)
     horizon = max(r.arrival_time for r in trace)
-    points: list[tuple[float, FaultPoint]] = []
-    for mtbf in mtbf_values:
-        plan = FaultPlan.poisson(
-            num_replicas=replicas, horizon_s=horizon, mtbf_s=mtbf,
-            seed=fault_seed, downtime_s=downtime_s,
+    variants = {
+        f"mtbf={mtbf:.0f}s": _fleet(
+            steal=True, migrate_kv=True,
+            faults=FaultPlan.poisson(
+                num_replicas=REPLICAS, horizon_s=horizon, mtbf_s=mtbf,
+                seed=FAULT_SEED, downtime_s=AVAILABILITY_DOWNTIME_S,
+            ),
         )
-        fleet = make_fleet(
-            "loongserve", replicas=replicas, router="affinity",
-            requests=trace, num_gpus=num_gpus, prefix_cache=True,
-            steal=True, migrate_kv=True, faults=plan,
-        )
-        result = fleet.run(clone_requests(trace))
-        points.append((mtbf, FaultPoint.measure(f"mtbf={mtbf:.0f}s", result, 0.0)))
-    return points
-
-
-def render_fault_table(points: Sequence[FaultPoint]) -> str:
-    """Text table: one row per variant."""
-    from repro.experiments.report import table
-
-    rows = [
-        [
-            p.variant,
-            f"{p.per_token * 1000:.2f}",
-            f"{p.per_token_p99 * 1000:.2f}",
-            f"{p.post_crash_p99 * 1000:.2f}",
-            f"{p.finished}/{p.total}",
-            f"{p.availability:.1%}",
-            f"{p.lost_kv_tokens:,}",
-            str(p.failovers),
-            f"{p.failover_reprefill_tokens:,}",
-            f"{p.hit_rate:.1%}",
-        ]
-        for p in points
-    ]
-    return table(
-        ["variant", "per-tok ms", "p99 ms", "post-crash p99 ms", "fin/total",
-         "avail", "lost-kv", "failovers", "re-prefill", "hit-rate"],
-        rows,
-    )
+        for mtbf in MTBF_VALUES
+    }
+    points = compare(variants, trace, reference_ideal_model(NUM_GPUS))
+    return list(zip(MTBF_VALUES, points))

@@ -12,81 +12,38 @@ and the per-replica token imbalance that explains the gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.experiments.endtoend import RatePoint, SystemCurve, reference_ideal_model
-from repro.experiments.systems import make_fleet
-from repro.metrics.fleet import fleet_load_report
-from repro.metrics.latency import summarize_latency
-from repro.metrics.slo import slo_report
+from repro.experiments.endtoend import reference_ideal_model
+from repro.experiments.harness import SystemCurve, loongserve_fleet, rate_traces, sweep
 from repro.workloads.datasets import MIXED
-from repro.workloads.trace_gen import clone_requests, make_trace
 
 FLEET_ROUTERS = ["round-robin", "least-outstanding", "least-kv", "length-aware"]
 # Per-replica rates around one deployment's Mixed knee (Figure 10 swept
 # 0.3-1.2 req/s on 8 GPUs); a 4-replica fleet saturates at ~4x that.
 FLEET_RATES = [2.0, 4.0, 6.0]
 FLEET_WINDOW_S = 25.0
+FLEET_REPLICAS = 4
+FLEET_SEED = 17
+FLEET_COLUMNS = (
+    "router", "rate", "per_token_ms", "input_ms", "output_ms", "attain",
+    "fin_total", "imbalance",
+)
 
 
-@dataclass
-class FleetCurve:
-    """One router's rate sweep plus per-rate load-imbalance stats."""
-
-    router: str
-    curve: SystemCurve
-    token_imbalance: list[float] = field(default_factory=list)
-
-
-def router_sweep(
-    system: str = "loongserve",
-    routers: Sequence[str] = tuple(FLEET_ROUTERS),
-    rates: Sequence[float] = tuple(FLEET_RATES),
-    replicas: int = 4,
-    dataset=MIXED,
-    num_gpus: int = 8,
-    scale: float = 1.0,
-    seed: int = 17,
-    min_requests: int = 40,
-) -> list[FleetCurve]:
-    """Sweep arrival rate for one replica system under each router."""
-    ideal = reference_ideal_model(num_gpus=num_gpus)
-    results = {name: FleetCurve(router=name, curve=SystemCurve(system=name))
-               for name in routers}
-    for rate in rates:
-        count = max(int(min_requests * scale), int(rate * FLEET_WINDOW_S * scale))
-        trace = make_trace(dataset, rate=rate, num_requests=count, seed=seed)
-        for name in routers:
-            fleet = make_fleet(
-                system, replicas=replicas, router=name,
-                requests=trace, num_gpus=num_gpus,
-            )
-            result = fleet.run(clone_requests(trace))
-            latency = summarize_latency(result)
-            slo = slo_report(result, ideal)
-            results[name].curve.points.append(
-                RatePoint(
-                    rate=rate,
-                    per_token=latency.per_token,
-                    input_token=latency.input_token,
-                    output_token=latency.output_token,
-                    attainment=slo.attainment,
-                    finished=latency.finished,
-                    total=slo.total,
-                    aborted=len(result.aborted),
-                    scale_up_events=sum(
-                        1 for e in result.scaling_events if e.kind == "scale_up"
-                    ),
-                )
-            )
-            results[name].token_imbalance.append(
-                fleet_load_report(result.per_replica).token_imbalance
-            )
-    return [results[name] for name in routers]
+def router_sweep(scale: float = 1.0) -> list[SystemCurve]:
+    """Sweep arrival rate for the LoongServe fleet under each router."""
+    return sweep(
+        {
+            router: loongserve_fleet(replicas=FLEET_REPLICAS, router=router)
+            for router in FLEET_ROUTERS
+        },
+        rate_traces(MIXED, FLEET_RATES, FLEET_WINDOW_S, FLEET_SEED, scale),
+        reference_ideal_model(),
+    )
 
 
-def length_aware_advantage(curves: Sequence[FleetCurve]) -> dict[str, float]:
+def length_aware_advantage(curves: Sequence[SystemCurve]) -> dict[str, float]:
     """Headline comparison at the highest swept rate.
 
     Returns the round-robin / length-aware ratios of mean per-token
@@ -94,38 +51,11 @@ def length_aware_advantage(curves: Sequence[FleetCurve]) -> dict[str, float]:
     long-context requests away from short-request replicas paying off
     under pressure (> 1.0 / > 0.0 respectively when length-aware wins).
     """
-    by_name = {c.router: c for c in curves}
-    rr = by_name["round-robin"].curve.points[-1]
-    la = by_name["length-aware"].curve.points[-1]
+    by_name = {c.name: c for c in curves}
+    rr = by_name["round-robin"].points[-1]
+    la = by_name["length-aware"].points[-1]
     return {
         "per_token_ratio": rr.per_token / la.per_token if la.per_token else float("inf"),
         "attainment_delta": la.attainment - rr.attainment,
         "rate": la.rate,
     }
-
-
-def render_fleet_curves(curves: Sequence[FleetCurve]) -> str:
-    """Text table: one row per (router, rate) measurement."""
-    from repro.experiments.report import table
-
-    rows = [
-        [
-            fleet_curve.router,
-            f"{point.rate:.1f}",
-            f"{point.per_token * 1000:.2f}",
-            f"{point.input_token * 1000:.2f}",
-            f"{point.output_token * 1000:.2f}",
-            f"{point.attainment:.1%}",
-            f"{point.finished}/{point.total}",
-            f"{imbalance:.2f}",
-        ]
-        for fleet_curve in curves
-        for point, imbalance in zip(
-            fleet_curve.curve.points, fleet_curve.token_imbalance
-        )
-    ]
-    return table(
-        ["router", "rate", "per-tok ms", "input ms", "output ms",
-         "attain", "fin/total", "imb"],
-        rows,
-    )

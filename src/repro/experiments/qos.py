@@ -29,13 +29,12 @@ grid.  Run via ``python -m repro.experiments qos``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.experiments.endtoend import reference_ideal_model
+from repro.experiments.harness import Point, compare, loongserve_fleet, point_count
 from repro.experiments.systems import make_fleet
-from repro.metrics.latency import summarize_latency
-from repro.metrics.qos import ClassOutcome, per_class_report
+from repro.metrics.qos import per_class_report
 from repro.sessions import (
     ClosedLoopDriver,
     SessionSpec,
@@ -44,7 +43,7 @@ from repro.sessions import (
     tag_session_plans,
 )
 from repro.workloads.datasets import MIXED, LengthSpec
-from repro.workloads.trace_gen import clone_requests, make_trace
+from repro.workloads.trace_gen import make_trace
 
 # Interactive tier: chatty multi-turn sessions with short think times,
 # so turns keep arriving while the fleet is saturated.
@@ -74,34 +73,34 @@ SESSION_RATE = 3.0  # sessions/s
 SINGLES_RATE = 16.0  # requests/s
 SESSION_COUNT = 30
 SINGLES_COUNT = 100
+QOS_SEED = 13
 
 QOS_VARIANTS: dict[str, dict] = {
     "fcfs": {"router": "least-kv"},
     "priority": {"router": "least-kv", "qos": True},
     "qos": {"router": "slo", "qos": True, "admission": True},
 }
+QOS_COLUMNS = (
+    "variant", "interactive", "standard", "batch", "class_goodput",
+    "per_token_ms", "fin_total",
+)
 
 
-def make_qos_trace(
-    scale: float = 1.0,
-    seed: int = 13,
-    session_rate: float = SESSION_RATE,
-    singles_rate: float = SINGLES_RATE,
-):
+def make_qos_trace(scale: float = 1.0):
     """The overloaded three-tier trace: sessions (interactive) merged
     with Mixed singles (standard/batch), sorted by arrival."""
     sessions = make_session_trace(
         QOS_SESSION_SPEC,
-        rate=session_rate,
-        num_sessions=max(6, int(SESSION_COUNT * scale)),
-        seed=seed,
+        rate=SESSION_RATE,
+        num_sessions=point_count(SESSION_COUNT, scale, 6),
+        seed=QOS_SEED,
         qos_mix={"interactive": 1.0},
     )
     singles = make_trace(
         MIXED,
-        rate=singles_rate,
-        num_requests=max(20, int(SINGLES_COUNT * scale)),
-        seed=seed + 1,
+        rate=SINGLES_RATE,
+        num_requests=point_count(SINGLES_COUNT, scale, 20),
+        seed=QOS_SEED + 1,
         max_input_len=MAX_SINGLE_INPUT,
         qos_mix=SINGLES_MIX,
     )
@@ -110,95 +109,45 @@ def make_qos_trace(
     return trace
 
 
-@dataclass(frozen=True)
-class QoSPoint:
-    """One variant's per-class scorecard on the shared trace."""
-
-    variant: str
-    outcomes: dict[str, ClassOutcome]
-    makespan: float
-    per_token: float
-    finished: int
-    total: int
-
-    def attainment(self, qos_class: str) -> float:
-        outcome = self.outcomes.get(qos_class)
-        return outcome.attainment if outcome is not None else 0.0
-
-    @property
-    def total_goodput(self) -> float:
-        """Attained tokens/s summed over every class."""
-        return sum(
-            o.goodput_tokens_per_s(self.makespan) for o in self.outcomes.values()
-        )
-
-
-def qos_sweep(
-    variants: Sequence[str] = tuple(QOS_VARIANTS),
-    replicas: int = REPLICAS,
-    num_gpus: int = NUM_GPUS,
-    scale: float = 1.0,
-    seed: int = 13,
-    session_rate: float = SESSION_RATE,
-    singles_rate: float = SINGLES_RATE,
-) -> list[QoSPoint]:
+def qos_sweep(scale: float = 1.0) -> list[Point]:
     """Serve the shared overloaded trace under each variant."""
-    trace = make_qos_trace(
-        scale=scale, seed=seed,
-        session_rate=session_rate, singles_rate=singles_rate,
+    variants = {
+        name: loongserve_fleet(
+            replicas=REPLICAS, num_gpus=NUM_GPUS, prefix_cache=True, **features
+        )
+        for name, features in QOS_VARIANTS.items()
+    }
+    return compare(
+        variants,
+        make_qos_trace(scale),
+        reference_ideal_model(num_gpus=NUM_GPUS),
     )
-    ideal = reference_ideal_model(num_gpus=num_gpus)
-    points = []
-    for variant in variants:
-        kwargs = dict(QOS_VARIANTS[variant])
-        fleet = make_fleet(
-            "loongserve", replicas=replicas, requests=trace,
-            num_gpus=num_gpus, prefix_cache=True, **kwargs,
-        )
-        result = fleet.run(clone_requests(trace))
-        summary = summarize_latency(result)
-        points.append(
-            QoSPoint(
-                variant=variant,
-                outcomes=per_class_report(result, ideal),
-                makespan=result.makespan,
-                per_token=summary.per_token,
-                finished=summary.finished,
-                total=summary.total + len(result.aborted),
-            )
-        )
-    return points
 
 
-def qos_advantage(points: Sequence[QoSPoint]) -> dict[str, float]:
+def qos_advantage(points: Sequence[Point]) -> dict[str, float]:
     """Headline ratios: full QoS stack vs. the FCFS baseline."""
     by_name = {p.variant: p for p in points}
     fcfs = by_name["fcfs"]
     qos = by_name["qos"]
-    base_attainment = fcfs.attainment("interactive")
+    base_attainment = fcfs.class_attainment("interactive")
     return {
         "interactive_attainment_ratio": (
-            qos.attainment("interactive") / base_attainment
+            qos.class_attainment("interactive") / base_attainment
             if base_attainment
             else float("inf")
         ),
         "interactive_fcfs": base_attainment,
-        "interactive_qos": qos.attainment("interactive"),
+        "interactive_qos": qos.class_attainment("interactive"),
         "goodput_ratio": (
-            qos.total_goodput / fcfs.total_goodput
-            if fcfs.total_goodput
+            qos.class_goodput / fcfs.class_goodput
+            if fcfs.class_goodput
             else float("inf")
         ),
-        "batch_qos": qos.attainment("batch"),
+        "batch_qos": qos.class_attainment("batch"),
     }
 
 
-def closed_loop_attainment(
-    replicas: int = REPLICAS,
-    num_gpus: int = NUM_GPUS,
-    scale: float = 1.0,
-    seed: int = 13,
-) -> dict[str, float]:
+def closed_loop_attainment(scale: float = 1.0) -> dict[str, float]:
     """Interactive sessions under arrival feedback, full QoS stack.
 
     Closed-loop arrivals are the realistic interactive driver: the next
@@ -210,18 +159,18 @@ def closed_loop_attainment(
         plan_sessions(
             QOS_SESSION_SPEC,
             rate=SESSION_RATE,
-            num_sessions=max(6, int(SESSION_COUNT * scale)),
-            seed=seed,
+            num_sessions=point_count(SESSION_COUNT, scale, 6),
+            seed=QOS_SEED,
         ),
         {"interactive": 1.0},
-        seed=seed,
+        seed=QOS_SEED,
     )
     fleet = make_fleet(
-        "loongserve", replicas=replicas, num_gpus=num_gpus,
+        "loongserve", replicas=REPLICAS, num_gpus=NUM_GPUS,
         prefix_cache=True, router="slo", qos=True, admission=True,
     )
     result = fleet.run_driven(ClosedLoopDriver(plans))
-    ideal = reference_ideal_model(num_gpus=num_gpus)
+    ideal = reference_ideal_model(num_gpus=NUM_GPUS)
     outcomes = per_class_report(result, ideal)
     interactive = outcomes.get("interactive")
     return {
@@ -229,32 +178,3 @@ def closed_loop_attainment(
         "submitted": float(interactive.submitted if interactive else 0),
         "finished": float(len(result.finished_requests)),
     }
-
-
-def render_qos_table(points: Sequence[QoSPoint]) -> str:
-    """Summary table (one row per variant) plus per-class breakdowns."""
-    from repro.experiments.report import render_class_table, table
-
-    rows = [
-        [
-            p.variant,
-            f"{p.attainment('interactive'):.1%}",
-            f"{p.attainment('standard'):.1%}",
-            f"{p.attainment('batch'):.1%}",
-            f"{p.total_goodput:,.0f}",
-            f"{p.per_token * 1000:.2f}",
-            f"{p.finished}/{p.total}",
-        ]
-        for p in points
-    ]
-    blocks = [
-        table(
-            ["variant", "interactive", "standard", "batch",
-             "goodput tok/s", "per-tok ms", "fin/total"],
-            rows,
-        )
-    ]
-    for p in points:
-        blocks.append(f"\n[{p.variant}]")
-        blocks.append(render_class_table(p.outcomes, p.makespan))
-    return "\n".join(blocks)

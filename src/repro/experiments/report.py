@@ -7,9 +7,10 @@ paper-reported anchor values for easy side-by-side reading.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
-from repro.experiments.endtoend import GoodputRatio, SystemCurve
+from repro.experiments.endtoend import GoodputRatio
+from repro.experiments.harness import Point, SystemCurve
 from repro.experiments.microbench import (
     Figure2Row,
     Figure3Row,
@@ -22,9 +23,9 @@ from repro.experiments.microbench import (
 def table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     """Align columns; headers underlined.
 
-    The one shared row formatter: every experiment table (figures,
-    fleet/sessions/elastic/fault sweeps, QoS per-class breakdowns)
-    renders through here instead of hand-aligning f-strings.
+    The one shared row formatter: every experiment table (cost-model
+    figures, serving sweeps, QoS per-class breakdowns) renders through
+    here instead of hand-aligning f-strings.
     """
     widths = [len(h) for h in headers]
     for row in rows:
@@ -72,34 +73,71 @@ def render_figure3(rows: list[Figure3Row]) -> str:
     return table(["phase", "BS", "len", *(f"{l} (s)" for l in labels), "best"], body)
 
 
-def render_curves(curves: list[SystemCurve]) -> str:
-    body = []
-    for curve in curves:
-        for point in curve.points:
-            body.append(
-                [
-                    curve.system,
-                    f"{point.rate:.2f}",
-                    f"{point.per_token:.4f}",
-                    f"{point.input_token:.4f}",
-                    f"{point.output_token:.4f}",
-                    f"{point.attainment * 100:.0f}%",
-                    f"{point.finished}/{point.total}",
-                    str(point.aborted),
-                ]
-            )
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1000:.2f}"
+
+
+# Every serving-table column, by name: (header, cell of one point).
+COLUMNS: dict[str, tuple[str, Callable[[Point], str]]] = {
+    # The variant's name, under what its sweep compares.
+    "system": ("system", lambda p: p.variant),
+    "router": ("router", lambda p: p.variant),
+    "variant": ("variant", lambda p: p.variant),
+    # Figures 10-13: rate and the §7.1 latencies in seconds per token.
+    "rate_req_s": ("rate(req/s)", lambda p: f"{p.rate:.2f}"),
+    "per_token_s": ("tok(s/t)", lambda p: f"{p.per_token:.4f}"),
+    "input_s": ("in(s/t)", lambda p: f"{p.input_token:.4f}"),
+    "output_s": ("out(s/t)", lambda p: f"{p.output_token:.4f}"),
+    "slo": ("SLO", lambda p: f"{p.attainment * 100:.0f}%"),
+    "finished": ("finished", lambda p: f"{p.finished}/{p.total}"),
+    "aborted": ("aborted", lambda p: str(p.aborted)),
+    # Fleet sweeps: the same latencies in milliseconds per token.
+    "rate": ("rate", lambda p: f"{p.rate:.1f}"),
+    "per_token_ms": ("per-tok ms", lambda p: _ms(p.per_token)),
+    "input_ms": ("input ms", lambda p: _ms(p.input_token)),
+    "output_ms": ("output ms", lambda p: _ms(p.output_token)),
+    "p99_ms": ("p99 ms", lambda p: _ms(p.per_token_p99)),
+    "attain": ("attain", lambda p: f"{p.attainment:.1%}"),
+    "fin_total": ("fin/total", lambda p: f"{p.finished}/{p.total}"),
+    "imbalance": ("imb", lambda p: f"{p.token_imbalance:.2f}"),
+    "hit_rate": ("hit-rate", lambda p: f"{p.hit_rate:.1%}"),
+    "saved_tokens": ("saved-tok", lambda p: f"{p.saved_tokens:,}"),
+    # Elastic control.
+    "replica_s": ("repl-s", lambda p: f"{p.replica_seconds:.0f}"),
+    "steals": ("steals", lambda p: str(p.stolen)),
+    "steal_reprefill": ("re-prefill", lambda p: f"{p.reprefill_tokens:,}"),
+    "migrated": ("migrated", lambda p: f"{p.migrated_tokens:,}"),
+    # Faults.
+    "post_crash_p99_ms": ("post-crash p99 ms", lambda p: _ms(p.post_crash_p99)),
+    "availability": ("avail", lambda p: f"{p.availability:.1%}"),
+    "lost_kv": ("lost-kv", lambda p: f"{p.lost_kv_tokens:,}"),
+    "failovers": ("failovers", lambda p: str(p.failovers)),
+    "failover_reprefill": (
+        "re-prefill", lambda p: f"{p.failover_reprefill_tokens:,}"
+    ),
+    # Disaggregation: phase SLOs, handoffs and KV tiers.
+    "phase_attained": ("attained", lambda p: f"{p.phase_attained}/{p.total}"),
+    "phase_goodput": ("goodput req/s", lambda p: f"{p.phase_goodput:.2f}"),
+    "ttft_p90": ("ttft p90 s", lambda p: f"{p.ttft_p90:.3f}"),
+    "tpot_p90": ("tpot p90 ms", lambda p: f"{p.tpot_p90 * 1000:.1f}"),
+    "handoffs": ("handoffs", lambda p: str(p.handoffs)),
+    "handoff_tokens": ("handoff tokens", lambda p: f"{p.handoff_tokens:,}"),
+    "tier_offloaded": ("tier offl", lambda p: f"{p.tier_offloaded:,}"),
+    "tier_swapped_in": ("tier swap-in", lambda p: f"{p.tier_swapped_in:,}"),
+    # QoS: per-class attainment and goodput over every class.
+    "interactive": ("interactive", lambda p: f"{p.class_attainment('interactive'):.1%}"),
+    "standard": ("standard", lambda p: f"{p.class_attainment('standard'):.1%}"),
+    "batch": ("batch", lambda p: f"{p.class_attainment('batch'):.1%}"),
+    "class_goodput": ("goodput tok/s", lambda p: f"{p.class_goodput:,.0f}"),
+}
+
+
+def render_points(points: Sequence[Point], columns: Sequence[str]) -> str:
+    """One row per point, with the named :data:`COLUMNS`."""
+    specs = [COLUMNS[name] for name in columns]
     return table(
-        [
-            "system",
-            "rate(req/s)",
-            "tok(s/t)",
-            "in(s/t)",
-            "out(s/t)",
-            "SLO",
-            "finished",
-            "aborted",
-        ],
-        body,
+        [header for header, _ in specs],
+        [[cell(point) for _, cell in specs] for point in points],
     )
 
 
@@ -108,7 +146,7 @@ def render_goodput(curves: list[SystemCurve], target: float = 0.90) -> str:
     still met the target at its top rate."""
     body = [
         [
-            curve.system,
+            curve.name,
             f"{'≥' if curve.censored(target) else ''}{curve.goodput(target):.2f}",
         ]
         for curve in curves

@@ -13,88 +13,55 @@ gap: per-policy prefix hit rate and fleet-wide saved prefill tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.experiments.endtoend import RatePoint, SystemCurve, reference_ideal_model
-from repro.experiments.systems import make_fleet
-from repro.metrics.fleet import fleet_load_report
-from repro.metrics.latency import summarize_latency
-from repro.metrics.slo import slo_report
-from repro.sessions import SESSIONS, SessionSpec, make_session_trace
-from repro.workloads.trace_gen import clone_requests
+from repro.experiments.endtoend import reference_ideal_model
+from repro.experiments.harness import SystemCurve, loongserve_fleet, point_count, sweep
+from repro.sessions import SESSIONS, make_session_trace
 
 SESSION_ROUTERS = ["round-robin", "least-kv", "affinity"]
 # Session arrival rates (sessions/s, each session ~`mean_turns` requests);
 # chosen so a 4-replica fleet moves from relaxed to clearly contended.
 SESSION_RATES = [0.4, 0.8, 1.2]
 SESSION_WINDOW_S = 25.0
+MIN_SESSIONS = 10
+SESSION_REPLICAS = 4
+SESSION_SEED = 11
+SESSION_COLUMNS = (
+    "router", "rate", "per_token_ms", "input_ms", "output_ms", "attain",
+    "fin_total", "hit_rate", "saved_tokens",
+)
 
 
-@dataclass
-class SessionCurve:
-    """One router's rate sweep plus per-rate cache telemetry."""
-
-    router: str
-    curve: SystemCurve
-    hit_rates: list[float] = field(default_factory=list)
-    saved_tokens: list[int] = field(default_factory=list)
-
-
-def session_sweep(
-    system: str = "loongserve",
-    routers: Sequence[str] = tuple(SESSION_ROUTERS),
-    rates: Sequence[float] = tuple(SESSION_RATES),
-    replicas: int = 4,
-    spec: SessionSpec = SESSIONS,
-    num_gpus: int = 8,
-    scale: float = 1.0,
-    seed: int = 11,
-    min_sessions: int = 10,
-) -> list[SessionCurve]:
+def session_sweep(scale: float = 1.0) -> list[SystemCurve]:
     """Sweep session arrival rate under each router, caches armed."""
-    ideal = reference_ideal_model(num_gpus=num_gpus)
-    results = {
-        name: SessionCurve(router=name, curve=SystemCurve(system=name))
-        for name in routers
-    }
-    for rate in rates:
-        count = max(int(min_sessions * scale), int(rate * SESSION_WINDOW_S * scale))
-        trace = make_session_trace(spec, rate=rate, num_sessions=count, seed=seed)
-        for name in routers:
-            fleet = make_fleet(
-                system, replicas=replicas, router=name,
-                requests=trace, num_gpus=num_gpus, prefix_cache=True,
+    traces = (
+        (
+            rate,
+            make_session_trace(
+                SESSIONS,
+                rate=rate,
+                num_sessions=point_count(
+                    rate * SESSION_WINDOW_S, scale, int(MIN_SESSIONS * scale)
+                ),
+                seed=SESSION_SEED,
+            ),
+        )
+        for rate in SESSION_RATES
+    )
+    return sweep(
+        {
+            router: loongserve_fleet(
+                replicas=SESSION_REPLICAS, router=router, prefix_cache=True
             )
-            result = fleet.run(clone_requests(trace))
-            latency = summarize_latency(result)
-            slo = slo_report(result, ideal)
-            results[name].curve.points.append(
-                RatePoint(
-                    rate=rate,
-                    per_token=latency.per_token,
-                    input_token=latency.input_token,
-                    output_token=latency.output_token,
-                    attainment=slo.attainment,
-                    finished=latency.finished,
-                    total=slo.total,
-                    aborted=len(result.aborted),
-                    scale_up_events=sum(
-                        1 for e in result.scaling_events if e.kind == "scale_up"
-                    ),
-                )
-            )
-            report = fleet_load_report(result.per_replica)
-            cache = result.cache_stats or {}
-            total = cache.get("hit_tokens", 0) + cache.get("miss_tokens", 0)
-            results[name].hit_rates.append(
-                cache.get("hit_tokens", 0) / total if total else 0.0
-            )
-            results[name].saved_tokens.append(report.saved_prefill_tokens)
-    return [results[name] for name in routers]
+            for router in SESSION_ROUTERS
+        },
+        traces,
+        reference_ideal_model(),
+    )
 
 
-def affinity_advantage(curves: Sequence[SessionCurve]) -> dict[str, float]:
+def affinity_advantage(curves: Sequence[SystemCurve]) -> dict[str, float]:
     """Headline comparison at the highest swept rate.
 
     Returns round-robin / affinity ratios of mean per-token input
@@ -103,9 +70,9 @@ def affinity_advantage(curves: Sequence[SessionCurve]) -> dict[str, float]:
     the replica holding its KV converts the shared context into saved
     prefill (> 1.0 ratios when affinity wins).
     """
-    by_name = {c.router: c for c in curves}
-    rr = by_name["round-robin"].curve.points[-1]
-    aff = by_name["affinity"].curve.points[-1]
+    by_name = {c.name: c for c in curves}
+    rr = by_name["round-robin"].points[-1]
+    aff = by_name["affinity"].points[-1]
     return {
         "input_token_ratio": (
             rr.input_token / aff.input_token if aff.input_token else float("inf")
@@ -113,37 +80,7 @@ def affinity_advantage(curves: Sequence[SessionCurve]) -> dict[str, float]:
         "per_token_ratio": (
             rr.per_token / aff.per_token if aff.per_token else float("inf")
         ),
-        "affinity_hit_rate": by_name["affinity"].hit_rates[-1],
-        "round_robin_hit_rate": by_name["round-robin"].hit_rates[-1],
+        "affinity_hit_rate": aff.hit_rate,
+        "round_robin_hit_rate": rr.hit_rate,
         "rate": aff.rate,
     }
-
-
-def render_session_curves(curves: Sequence[SessionCurve]) -> str:
-    """Text table: one row per (router, rate) measurement."""
-    from repro.experiments.report import table
-
-    rows = [
-        [
-            session_curve.router,
-            f"{point.rate:.1f}",
-            f"{point.per_token * 1000:.2f}",
-            f"{point.input_token * 1000:.2f}",
-            f"{point.output_token * 1000:.2f}",
-            f"{point.attainment:.1%}",
-            f"{point.finished}/{point.total}",
-            f"{hit_rate:.1%}",
-            f"{saved:,}",
-        ]
-        for session_curve in curves
-        for point, hit_rate, saved in zip(
-            session_curve.curve.points,
-            session_curve.hit_rates,
-            session_curve.saved_tokens,
-        )
-    ]
-    return table(
-        ["router", "rate", "per-tok ms", "input ms", "output ms",
-         "attain", "fin/total", "hit-rate", "saved-tok"],
-        rows,
-    )

@@ -167,15 +167,6 @@ class ElasticStats:
         total += last_online * max(0.0, makespan - last_t)
         return total
 
-    def paid_replica_seconds(self, makespan: float) -> float:
-        """Capacity actually billed: online time plus the warm-up and
-        cool-down work replicas did while *not* serving."""
-        return (
-            self.replica_seconds(makespan)
-            + self.warmup_seconds
-            + self.cooldown_seconds
-        )
-
     def availability(self, makespan: float) -> float:
         """Fraction of peak replica-seconds *not* lost to faults.
 

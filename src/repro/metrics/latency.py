@@ -24,16 +24,11 @@ class LatencySummary:
     per_token: float
     input_token: float
     output_token: float
-    per_token_p90: float
     finished: int
     total: int
     # Deep-tail percentile the elastic-fleet experiments compare on —
     # burst absorption shows up in the worst requests, not the mean.
     per_token_p99: float = float("inf")
-
-    @property
-    def completion_rate(self) -> float:
-        return self.finished / self.total if self.total else 0.0
 
 
 def summarize_latency(result: ServeResult) -> LatencySummary:
@@ -44,7 +39,6 @@ def summarize_latency(result: ServeResult) -> LatencySummary:
             per_token=float("inf"),
             input_token=float("inf"),
             output_token=float("inf"),
-            per_token_p90=float("inf"),
             finished=0,
             total=len(result.requests),
         )
@@ -57,7 +51,6 @@ def summarize_latency(result: ServeResult) -> LatencySummary:
         per_token=float(np.mean(per_token)),
         input_token=float(np.mean(input_token)),
         output_token=float(np.mean(output_token)) if output_token else 0.0,
-        per_token_p90=float(np.percentile(per_token, 90)),
         finished=len(finished),
         total=len(result.requests),
         per_token_p99=float(np.percentile(per_token, 99)),

@@ -18,13 +18,6 @@ def throughput_tokens_per_s(result: ServeResult) -> float:
     return tokens / result.makespan
 
 
-def request_throughput(result: ServeResult) -> float:
-    """Finished requests per second of makespan."""
-    if result.makespan <= 0:
-        return 0.0
-    return len(result.finished_requests) / result.makespan
-
-
 def scale_event_histogram(
     events: Sequence[ScalingEvent],
     kind: str,

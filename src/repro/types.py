@@ -273,9 +273,3 @@ class ServeResult:
     @property
     def finished_requests(self) -> list[Request]:
         return [r for r in self.requests if r.finished]
-
-    @property
-    def completed_fraction(self) -> float:
-        if not self.requests:
-            return 0.0
-        return len(self.finished_requests) / len(self.requests)

@@ -1,14 +1,27 @@
 """Tests for the experiment harness: every figure runs and reproduces the
 paper's qualitative claims at reduced scale."""
 
+import dataclasses
 import math
+from functools import partial
 
 import pytest
 
-from repro.experiments import endtoend, microbench, report
+from repro.experiments import endtoend, harness, microbench, report
 from repro.experiments.systems import make_system
+from repro.fleet.server import FleetResult
+from repro.types import RequestState, ServeResult
 from repro.workloads.datasets import SHAREGPT
 from repro.workloads.trace_gen import make_trace
+from tests.conftest import make_request
+
+
+def make_point(**metrics) -> harness.Point:
+    """A hand-built point: the given metrics, every other one zero."""
+    fields = {f.name: 0 for f in dataclasses.fields(harness.Point)}
+    fields.update(variant="x", outcomes={})
+    fields.update(metrics)
+    return harness.Point(**fields)
 
 
 class TestMicrobenchFigures:
@@ -64,11 +77,13 @@ class TestMicrobenchFigures:
 
 class TestEndToEndHarness:
     def test_sweep_structure(self):
-        curves = endtoend.sweep(
-            ["loongserve", "vllm"], SHAREGPT, rates=[5.0],
-            requests_per_rate_second=4.0, min_requests=10,
+        trace = make_trace(SHAREGPT, rate=5.0, num_requests=20, seed=7)
+        curves = harness.sweep(
+            {name: partial(make_system, name) for name in ["loongserve", "vllm"]},
+            [(5.0, trace)],
+            endtoend.reference_ideal_model(),
         )
-        assert {c.system for c in curves} == {"loongserve", "vllm"}
+        assert {c.name for c in curves} == {"loongserve", "vllm"}
         for curve in curves:
             assert len(curve.points) == 1
             point = curve.points[0]
@@ -76,14 +91,7 @@ class TestEndToEndHarness:
             assert math.isfinite(point.per_token)
 
     def test_goodput_from_curve(self):
-        curve = endtoend.SystemCurve(system="x")
-        for rate, attainment in [(1.0, 1.0), (2.0, 0.5)]:
-            curve.points.append(
-                endtoend.RatePoint(
-                    rate=rate, per_token=0.1, input_token=0.1, output_token=0.1,
-                    attainment=attainment, finished=1, total=1, aborted=0,
-                )
-            )
+        curve = self._curve("x", [(1.0, 1.0), (2.0, 0.5)])
         # Attainment crosses the 0.9 target between the swept rates; the
         # default interpolation recovers the sub-grid crossing.
         assert curve.goodput() == pytest.approx(1.2)
@@ -138,15 +146,37 @@ class TestEndToEndHarness:
 
     @staticmethod
     def _curve(name, points):
-        curve = endtoend.SystemCurve(system=name)
+        curve = harness.SystemCurve(name)
         for rate, attainment in points:
             curve.points.append(
-                endtoend.RatePoint(
+                make_point(
                     rate=rate, per_token=0.1, input_token=0.1, output_token=0.1,
                     attainment=attainment, finished=1, total=1, aborted=0,
                 )
             )
         return curve
+
+    def test_total_counts_aborted_requests(self):
+        """``finished == total`` must mean nothing was lost: an aborted
+        request counts in the total."""
+        done = make_request(input_len=100, output_len=10)
+        done.prefill_start, done.prefill_end, done.finish_time = 0.5, 1.0, 5.0
+        done.generated = 10
+        done.state = RequestState.FINISHED
+        replica = ServeResult(
+            system="x", requests=[done], aborted=[make_request()], makespan=5.0
+        )
+        result = FleetResult(
+            system="fleet", requests=replica.requests, aborted=replica.aborted,
+            makespan=5.0, per_replica=[replica],
+        )
+        point = harness.measure(result, endtoend.reference_ideal_model(), "x")
+        assert point.finished == 1
+        assert point.total == 2
+
+    def test_every_sweep_point_draws_a_request(self):
+        assert harness.point_count(0.4 * 25.0, 0.05, int(10 * 0.05)) == 1
+        assert harness.point_count(80.0 * 25.0, 0.05, int(40 * 0.05)) == 100
 
     def test_make_system_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -180,13 +210,13 @@ class TestReportRendering:
         assert "dev" in text
 
     def test_curves_table_renders(self):
-        curve = endtoend.SystemCurve(system="demo")
+        curve = harness.SystemCurve("demo")
         curve.points.append(
-            endtoend.RatePoint(
-                rate=1.0, per_token=0.1, input_token=0.2, output_token=0.3,
-                attainment=0.99, finished=9, total=10, aborted=1,
+            make_point(
+                variant="demo", rate=1.0, per_token=0.1, input_token=0.2,
+                output_token=0.3, attainment=0.99, finished=9, total=10, aborted=1,
             )
         )
-        text = report.render_curves([curve])
+        text = report.render_points(harness.rows([curve]), endtoend.CURVE_COLUMNS)
         assert "demo" in text and "99%" in text
         assert "P90" in report.render_goodput([curve])

@@ -588,7 +588,6 @@ class TestWarmupAwareAutoscaling:
         controller._park_drained()
         assert not draining.online
         assert stats.cooldown_seconds == pytest.approx(0.7)
-        assert stats.paid_replica_seconds(0.0) == pytest.approx(0.7)
 
 
 class TestFaultsDisabledGoldenGate:

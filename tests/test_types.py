@@ -99,14 +99,6 @@ class TestScalingEvent:
 
 
 class TestServeResult:
-    def test_completed_fraction(self):
-        done = make_request()
-        done.state = RequestState.FINISHED
-        pending = make_request()
-        result = ServeResult(system="x", requests=[done, pending])
-        assert result.completed_fraction == pytest.approx(0.5)
-
     def test_empty_result(self):
         result = ServeResult(system="x")
-        assert result.completed_fraction == 0.0
         assert result.finished_requests == []
