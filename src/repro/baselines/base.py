@@ -129,6 +129,12 @@ class EngineGroup:
     def crash(self) -> tuple[list[Request], int]:
         raise TypeError(f"replica {self.name!r} does not support failure injection")
 
+    def import_prefix(self, token_ids: tuple[int, ...], now: float) -> int:
+        return 0  # no prefix cache
+
+    def clear_prefix_cache(self) -> int:
+        return 0
+
     def ledgers(self) -> Sequence[EngineServer]:
         return self.engines
 

@@ -122,7 +122,10 @@ class LoongServeServer:
         self._posted_ends: set[int] = set()
         self._in_wake = False
         # The last full scheduler tick enacted nothing: a precondition
-        # of the quiet decode windows (_run_quiet_window).
+        # of the quiet decode windows (_run_quiet_window).  It holds
+        # until the next tick, except that a peer's write through the
+        # replica contract (withdraw, crash, import_prefix,
+        # clear_prefix_cache) drops it.
         self._quiet = False
         # ...and the queue it left waiting stays blocked at every end a
         # window can run (_stays_blocked): windows may open with work
@@ -269,6 +272,7 @@ class LoongServeServer:
             timer.cancel()
         self._timers.clear()
         self._tick_pending = False
+        self._quiet = False
         self._prefilling.clear()
         # In-flight iterations die with the instances.
         self._decode_ends.clear()
@@ -309,7 +313,7 @@ class LoongServeServer:
         if request not in self.pending:
             return False
         self.pending.remove(request)
-        self._blocked = False  # a shorter queue may unblock
+        self._quiet = False  # a shorter queue may unblock
         if request in self._all_requests:
             self._all_requests.remove(request)
             self._generated_total -= request.generated
@@ -319,6 +323,23 @@ class LoongServeServer:
             self.prefix_cache.release(request.request_id)
             request.cached_prefix_len = 0
         return True
+
+    def import_prefix(self, token_ids: tuple[int, ...], now: float) -> int:
+        """Install a peer's prefix extent in the prefix cache (KV
+        migration, disaggregated handoff); returns the tokens placed.
+        Its slots, and any extents evicted for them, change the free
+        KV the last tick planned with."""
+        if self.prefix_cache is None:
+            return 0
+        self._quiet = False
+        return self.prefix_cache.import_prefix(token_ids, now)
+
+    def clear_prefix_cache(self) -> int:
+        """Evict every unlocked prefix extent; returns the slots freed."""
+        if self.prefix_cache is None:
+            return 0
+        self._quiet = False
+        return self.prefix_cache.clear()
 
     def kv_pools(self):
         """(instance id, pool) pairs, read live: a crash swaps the pool."""
@@ -444,8 +465,8 @@ class LoongServeServer:
         resident request declaring a cap that covers its output keeps
         the reserve positive to its completion, so the first request
         stays under the eviction-avoidance gate.  A preemption after
-        planning drops the proof (:meth:`_tick`), as does a withdrawn
-        request (:meth:`withdraw`).
+        planning drops the proof (:meth:`_tick`), as does every peer
+        write that drops ``_quiet`` (see :meth:`_run_quiet_window`).
         """
         if self.prefix_cache is not None or self.qos is not None:
             return False
@@ -1027,16 +1048,16 @@ class LoongServeServer:
         :meth:`~repro.sim.engine.Simulator.next_global_event_key`, within
         the run's ``until`` and with no stop requested, is what the run
         loop would pop next, so running it here is the discrete pop
-        order.  The first end always takes the full path, so each wake
-        starts from a full scheduler tick; each run of quiet ends after
-        it shares one window (see :meth:`_run_quiet_window`).
+        order.  The posted head passes these checks (the run loop just
+        popped it), so it is the first end the loop runs.  Each run of
+        quiet ends shares one window (see :meth:`_run_quiet_window`),
+        the head's included when the last tick's proof still holds;
+        every other end takes the full path.
         """
         ends = self._decode_ends
-        _, seq, batch, masters, group = heapq.heappop(ends)
-        self._posted_ends.remove(seq)
+        self._posted_ends.remove(ends[0][1])
         sim = self.sim
         self._in_wake = True
-        self._on_decode_done(batch, masters, group)
         until = sim.until
         while ends and not sim.stopped:
             end, seq = ends[0][:2]
@@ -1067,9 +1088,17 @@ class LoongServeServer:
         enacted nothing, and any queue it left provably blocked — see
         :meth:`_stays_blocked`), the tick at each end of a batch that
         owns its whole group only restarts it: every other idle batch
-        keeps the inputs a full tick just found no scale-up for.  Nothing
-        posts to any calendar while only such ends run, so these checks,
-        the idle instances and ``key`` hold for the whole window.
+        keeps the inputs that tick found no scale-up for.  The proof
+        lasts across events.  Everything the replica runs itself either
+        re-plans (a prefill completion queues a tick, a full-path end
+        ticks) or, like a window, only appends decode KV; a peer reaches
+        the replica only through its contract, where :meth:`submit`
+        leaves work unvetted with a tick queued, and :meth:`withdraw`,
+        :meth:`crash`, :meth:`import_prefix` and
+        :meth:`clear_prefix_cache` drop the proof.  So a wake's posted
+        head joins a window like any later end.  Nothing posts to any
+        calendar while only such ends run, so these checks, the idle
+        instances and ``key`` hold for the whole window.
 
         A batch joins at its first end here (:meth:`_join_window`); its
         later ends pick up from that state.  At each end the batch runs

@@ -197,7 +197,7 @@ def measure(
         output_token=latency.output_token,
         attainment=slo_report(result, ideal).attainment,
         finished=latency.finished,
-        total=len(result.requests) + len(result.aborted),
+        total=latency.total,
         aborted=len(result.aborted),
         scale_ups=sum(1 for e in result.scaling_events if e.kind == "scale_up"),
         makespan=makespan,

@@ -55,8 +55,9 @@ class ServingReplica(Protocol):
     ``EngineGroup`` (a lone ``EngineServer`` — vLLM, SplitFuse,
     DeepSpeed-MII, static SP — or DistServe and the replicated
     engines).  A shape without a capability says so in its own code:
-    ``prefix_cache``/``qos_ledger``/``obs`` are None and ``crash()``
-    raises ``TypeError``.  ``obs`` is the bundle ``observe`` attached,
+    ``prefix_cache``/``qos_ledger``/``obs`` are None, the prefix-cache
+    writes place and free nothing, and ``crash()`` raises
+    ``TypeError``.  ``obs`` is the bundle ``observe`` attached,
     whose telemetry a standalone run (:func:`repro.serving.serve`)
     samples; engine groups only route audits to it.  ``ledgers()``
     returns the objects holding the append-only ``finished``/
@@ -90,6 +91,12 @@ class ServingReplica(Protocol):
 
     def crash(self) -> tuple[list[Request], int]:
         """Fail atomically: (orphaned requests, lost KV tokens)."""
+
+    def import_prefix(self, token_ids: tuple[int, ...], now: float) -> int:
+        """Install a peer's prefix extent; tokens placed (0 without a cache)."""
+
+    def clear_prefix_cache(self) -> int:
+        """Evict every unlocked prefix extent; slots freed (0 without a cache)."""
 
     def ledgers(self) -> Sequence: ...
 
@@ -354,10 +361,7 @@ class ReplicaHandle:
 
     def import_prefix(self, token_ids: tuple[int, ...], now: float) -> int:
         """Install a migrated prefix extent; returns tokens placed."""
-        cache = self.server.prefix_cache
-        if cache is None:
-            return 0
-        return cache.import_prefix(token_ids, now)
+        return self.server.import_prefix(token_ids, now)
 
     def note_prefix_export(self, num_tokens: int) -> None:
         """Charge a successful handoff against this side's export ledger."""
@@ -372,10 +376,7 @@ class ReplicaHandle:
         return cache.resident_sequences()
 
     def clear_prefix_cache(self) -> int:
-        cache = self.server.prefix_cache
-        if cache is None:
-            return 0
-        return cache.clear()
+        return self.server.clear_prefix_cache()
 
     # -- result assembly -----------------------------------------------------
 

@@ -19,7 +19,11 @@ from repro.types import ServeResult
 
 @dataclass(frozen=True)
 class LatencySummary:
-    """Mean and tail statistics of the three normalised latencies."""
+    """Mean and tail statistics of the three normalised latencies.
+
+    ``total`` counts every request the run was given: finished,
+    unfinished and aborted alike.
+    """
 
     per_token: float
     input_token: float
@@ -34,13 +38,14 @@ class LatencySummary:
 def summarize_latency(result: ServeResult) -> LatencySummary:
     """Aggregate a run's finished requests into the paper's metrics."""
     finished = result.finished_requests
+    total = len(result.requests) + len(result.aborted)
     if not finished:
         return LatencySummary(
             per_token=float("inf"),
             input_token=float("inf"),
             output_token=float("inf"),
             finished=0,
-            total=len(result.requests),
+            total=total,
         )
     per_token = [r.normalized_latency for r in finished]
     input_token = [r.normalized_input_latency for r in finished]
@@ -52,6 +57,6 @@ def summarize_latency(result: ServeResult) -> LatencySummary:
         input_token=float(np.mean(input_token)),
         output_token=float(np.mean(output_token)) if output_token else 0.0,
         finished=len(finished),
-        total=len(result.requests),
+        total=total,
         per_token_p99=float(np.percentile(per_token, 99)),
     )

@@ -371,12 +371,16 @@ class ShardClock:
     ``next_event_time`` / ``next_global_event_time`` /
     ``next_global_event_key``), but schedules onto its own calendar.
     :meth:`next_event_time` is the replica-local horizon: the minimum of
-    this shard's head and shard 0's — sound for fluid windows because
-    anything another replica does can only reach this one through a
-    control-plane (shard 0) event, and it automatically bounds windows
-    by the next control tick.  :meth:`next_global_event_time` is the
-    whole simulator's horizon, for decisions that must match the
-    unsharded layout event for event — among them whether a replica
+    this shard's head and shard 0's, so it bounds fluid windows by the
+    next control tick.  It does not see other replicas' events, and not
+    everything another replica does reaches this one through a
+    control-plane (shard 0) event: ``DisaggDispatcher._handoff`` imports
+    a prefix into a decode replica's cache from inside the prefill
+    replica's clone-finish hook, an event on the prefill replica's
+    shard, so a hybrid decode replica's fluid window can run past the
+    import.  :meth:`next_global_event_time` is the whole simulator's
+    horizon, for decisions that must match the unsharded layout event
+    for event — among them whether a replica
     may run its next decode iteration inside the current event, which
     reads :meth:`next_global_event_key`, :attr:`until` and
     :attr:`stopped` exactly as on the simulator, so both layouts open

@@ -17,6 +17,16 @@ class TestServeCLI:
         assert "requests: 10/10 finished" in out
         assert "per-token" in out
 
+    def test_serve_counts_aborted_requests_in_the_total(self, capsys):
+        """Two GPUs cannot hold one of these 20 Mixed prompts: it is
+        aborted, and the total still counts it."""
+        code = repro_main(
+            ["serve", "--dataset", "mixed", "-n", "20", "--num-gpus", "2",
+             "--rate", "1", "--seed", "3"]
+        )
+        assert code == 0
+        assert "requests: 19/20 finished, 1 aborted" in capsys.readouterr().out
+
     def test_serve_with_timeline(self, capsys):
         code = repro_main(
             ["serve", "--dataset", "sharegpt", "--rate", "5", "-n", "5",

@@ -13,7 +13,10 @@ count may fall.
 
 Windows open with work queued when the last tick provably leaves it
 blocked, and multi-instance groups join them, crediting each token to
-the most-free master and re-picking masters every iteration.
+the most-free master and re-picking masters every iteration.  The last
+tick's proof lasts across events, so a wake's posted end joins a window
+too, until a peer writes through the replica contract (``withdraw``,
+``crash``, ``import_prefix``, ``clear_prefix_cache``).
 
 Every setup here is replayed on :class:`WindowlessServer`, which keeps
 that older scheduling — one calendar event per decode iteration, every
@@ -21,8 +24,9 @@ tick queued — and must match it on per-request outcomes, iteration
 stats, scaling events and makespan; the group cases also compare every
 request's KV placement at stops inside windows, which no outcome
 record holds.  :class:`WindowSpy` records which batches each window ran,
-whether work was queued, and how many ends took the full path, so the
-cases built to reach a window can show they did.
+whether work was queued, how many ends took the full path, and whether
+each wake's posted end ran in a window, so the cases built to reach a
+window can show they did.
 """
 
 import pytest
@@ -30,9 +34,11 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SchedulerConfig, default_config
-from repro.core.batch import DecodeBatch, next_batch_id
+from repro.core.batch import DecodeBatch, PrefillTask, next_batch_id
 from repro.core.dispatching import wait_estimate
 from repro.core.elastic_instance import InstanceRole
+from repro.core.global_manager import PlannedPrefill
+from repro.core.scaling_plan import DECODE_HEADROOM_ITERATIONS, PrefillScaleDown
 from repro.core.server import LoongServeServer
 from repro.experiments.systems import make_fleet, make_system
 from repro.fleet import FaultPlan, ReplicaFault
@@ -70,21 +76,41 @@ class WindowSpy(LoongServeServer):
     """The windowed server, recording each quiet window's hand-offs (the
     ids of the batches it ran, in order), those of the windows that ran
     with work queued, how many hand-offs were of multi-instance groups,
-    and how many decode ends took the full path (and how many of those
-    with work queued)."""
+    how many decode ends took the full path (and how many of those with
+    work queued), for each wake its time and whether its posted end ran
+    in a window, and how many prefix imports landed while decode
+    iterations were in flight."""
 
     _window = None
+    _wake = None
     windows: tuple = ()
     queued_windows: tuple = ()
     group_hand_offs = 0
     full_path_ends = 0
     queued_ends = 0
+    wakes: tuple = ()
+    imports_in_flight = 0
+
+    def import_prefix(self, token_ids, now) -> int:
+        placed = super().import_prefix(token_ids, now)
+        self.imports_in_flight += bool(placed and self._decode_ends)
+        return placed
+
+    def _on_decode_wake(self) -> None:
+        self._wake = self.sim.now
+        super()._on_decode_wake()
+
+    def _note_wake(self, windowed: bool) -> None:
+        if self._wake is not None:
+            self.wakes += ((self._wake, windowed),)
+            self._wake = None
 
     def _run_quiet_window(self, key, until):
         self._window = []
         try:
             return super()._run_quiet_window(key, until)
         finally:
+            self._note_wake(bool(self._window))
             if self._window:
                 self.windows += (tuple(self._window),)
                 if self.pending:
@@ -92,6 +118,7 @@ class WindowSpy(LoongServeServer):
             self._window = None
 
     def _on_decode_done(self, batch, masters, group) -> None:
+        self._note_wake(False)
         self.full_path_ends += 1
         self.queued_ends += bool(self.pending)
         super()._on_decode_done(batch, masters, group)
@@ -777,14 +804,148 @@ class TestQueuedAndGroupWindows:
 
     def test_full_path_ends_on_a_fixed_trace(self):
         """The quiet Mixed trace runs 9,877 decode iterations, of which
-        100 end on the full path; with windows open only on an empty
-        queue and for one-instance batches it was 193 (46 with work
-        queued, 51 of multi-instance groups).  A change that stops a
-        kind of window from opening moves this count."""
+        56 end on the full path.  It was 100 while every wake's first
+        end took the full path, and 193 with windows open only on an
+        empty queue and for one-instance batches (46 with work queued,
+        51 of multi-instance groups).  A change that stops a kind of
+        window from opening moves this count."""
         server = WindowSpy(default_config())
         result = server.run(clone_requests(QUIET_MIXED))
         assert sum(s.phase is Phase.DECODE for s in result.iteration_stats) == 9_877
-        assert server.full_path_ends == 100
+        assert server.full_path_ends == 56
+
+
+class TestWakesStartInWindows:
+    """A wake's posted end joins a window while the last full tick's
+    proof holds, however many other events ran since; a peer's write
+    through the replica contract drops the proof."""
+
+    def test_on_a_two_replica_fleet(self):
+        """Each replica's wakes stop at the other's events, yet most of
+        them start in a window, and the fleet serves what the windowless
+        one does."""
+        trace = make_trace(MIXED, rate=2.0, num_requests=20, seed=1)
+        kwargs = dict(replicas=2, router="round-robin")
+        fleet = make_fleet("loongserve", **kwargs)
+        for handle in fleet.replicas:
+            handle.server.__class__ = WindowSpy
+        windowed = _record(fleet.run(clone_requests(trace)))
+        _assert_same(windowed, _serve_fleet(True, trace, **kwargs)[0])
+        for handle in fleet.replicas:
+            in_window = [in_window for _, in_window in handle.server.wakes]
+            assert sum(in_window) > 0.8 * len(in_window)
+
+    @pytest.mark.parametrize(
+        "write", ["withdraw", "crash", "import_prefix", "clear_prefix_cache"]
+    )
+    def test_a_peer_write_sends_the_next_wake_down_the_full_path(self, write):
+        """No-op events every 0.25 s, standing in for other replicas',
+        split a quiet replica's wakes, and each wake's posted end runs
+        in a window until a peer writes through the replica contract at
+        1 s.  The next wake's posted end takes the full path, whose tick
+        proves the replica quiet again, and later wakes window again.
+        ``withdraw`` takes back a queued head that left the queue
+        blocked.  A crash leaves nothing decoding, so a batch starts on
+        the rebuilt replica without a tick: only the crash's drop keeps
+        the dead replica's proof from opening a window for it."""
+        cached = write in ("import_prefix", "clear_prefix_cache")
+        server = WindowSpy(
+            default_config(scheduler=SchedulerConfig(enable_prefix_cache=cached))
+        )
+        capacity = server.config.kv_slots_per_instance
+        _filled_batches(server, (1_000, 3_000, 7_000, 2_000), output_len=2_000)
+        head = make_request(input_len=4 * capacity - 10_000, output_len=400)
+        if write == "withdraw":
+            server.submit(head)
+
+        def peer_write():
+            if write == "withdraw":
+                assert server.withdraw(head)
+            elif write == "crash":
+                server.crash()
+                _filled_batches(server, (1_000,), output_len=2_000)
+                server._start_decode_iterations()
+            elif write == "import_prefix":
+                assert server.import_prefix(tuple(range(100)), server.sim.now) == 100
+            else:
+                server.clear_prefix_cache()
+
+        server._tick()
+        for k in range(1, 9):
+            server.sim.call_at(0.25 * k, peer_write if k == 4 else (lambda: None))
+        server.sim.run(until=2.0)
+        in_window = [in_window for _, in_window in server.wakes]
+        written = sum(time <= 1.0 for time, _ in server.wakes)
+        assert len(in_window) > written + 3
+        assert in_window == [True] * written + [False] + [True] * (
+            len(in_window) - written - 1
+        )
+
+    @pytest.mark.parametrize("sharded", [True, False])
+    def test_prefix_imports_between_wakes_on_a_session_fleet(self, sharded):
+        """KV migration imports session prefixes into replicas with decode
+        iterations in flight, and the autoscaler clears parked replicas'
+        caches; on both calendar layouts the fleet serves what the
+        windowless one does, with most wakes starting in windows."""
+        trace = make_session_trace(rate=4.0, num_sessions=16, seed=11)
+        kwargs = dict(
+            replicas=3, requests=trace, router="affinity", prefix_cache=True,
+            autoscale=True, steal=True, migrate_kv=True, sharded=sharded,
+        )
+        fleet = make_fleet("loongserve", **kwargs)
+        for handle in fleet.replicas:
+            handle.server.__class__ = WindowSpy
+        windowed = _record(fleet.run(clone_requests(trace)))
+        reference, reference_events = _serve_fleet(True, trace, **kwargs)
+        _assert_same(windowed, reference)
+        assert fleet.sim.events_processed < reference_events
+        spies = [handle.server for handle in fleet.replicas]
+        assert sum(spy.imports_in_flight for spy in spies) >= 5
+        in_window = [in_window for spy in spies for _, in_window in spy.wakes]
+        assert sum(in_window) > 0.8 * len(in_window)
+
+    def test_an_import_under_a_paused_batch_headroom_scales_it_up_next_end(self):
+        """The case the import's drop exists for.  A prefill co-opts the
+        one instance of a decode batch, pausing it 40 slots above step
+        4b's headroom of 32; another batch decodes on instance 0, and
+        instances 2 and 3 idle.  An import at 0.5 s takes 25 slots of
+        every instance, so the discrete tick at instance 0's next end
+        scales the paused batch up.  That end takes the full path where
+        the wakes before it ran in windows; a window there would leave
+        the scale-up to the prefill's completion at 1.89 s."""
+
+        def build(server):
+            capacity = server.config.kv_slots_per_instance
+            (decoding,), _ = _decode_group(server, (0,), [({0: 1_001}, 2_000)])
+            prompt = make_request(input_len=30_000, output_len=100)
+            (paused,), _ = _decode_group(
+                server, (1,), [({1: capacity - prompt.kv_demand - 40}, 2_000)]
+            )
+            assert 40 - 25 < DECODE_HEADROOM_ITERATIONS <= 40
+            server._all_requests.append(prompt)
+            server._launch_prefill(PlannedPrefill(
+                task=PrefillTask(
+                    batch_id=next_batch_id(), requests=[prompt],
+                    group=server._make_group((1,)),
+                ),
+                scale_down=PrefillScaleDown(
+                    kept_instances=(1,),
+                    per_request={prompt.request_id: {1: prompt.kv_demand}},
+                ),
+            ))
+            server.sim.call_at(
+                0.5, lambda: server.import_prefix(tuple(range(100)), server.sim.now)
+            )
+            return [decoding, paused, prompt], None
+
+        server, record, _ = _serve_both(build, enable_prefix_cache=True)
+        (scale_up,) = record["scaling"]
+        assert scale_up[1:] == ("scale_up", (1,), (1, 2), 1)
+        first_after = next(time for time, _ in server.wakes if time > 0.5)
+        assert scale_up[0] == first_after
+        before = [in_window for time, in_window in server.wakes if time <= 0.5]
+        assert before and all(before)
+        assert (first_after, False) in server.wakes
 
 
 class TestSameInstantCompletions:
