@@ -13,8 +13,9 @@ Three claims, measured end to end:
   magnitude on steady traces, while matching discrete aggregates within
   tolerance;
 * at fleet scale (16 elastic replicas, bursty Mixed + multi-turn
-  sessions), sharded event calendars keep the discrete path
-  bit-identical to the pre-PR shared-heap layout at wall parity, and
+  sessions), sharded event calendars serve the discrete path's exact
+  outcomes in fewer events than the pre-PR shared-heap layout (each
+  replica runs ahead of the events that cannot touch it), and
   per-replica fluid windows (hybrid inside the fleet, backlog included)
   cut end-to-end wall time by >=3x at identical serving outcomes.
 
@@ -374,7 +375,7 @@ def fleet_bench(scale: dict) -> dict:
         and sharded["makespan"] == unsharded["makespan"]
     )
     print(f"[bench]   wall {sharded['wall_s']}s, "
-          f"{sharded['events_per_sec']} ev/s, bit-identical={identical}")
+          f"{sharded['events_per_sec']} ev/s, same outcomes={identical}")
     print(f"[bench] fleet hybrid, sharded calendars ({label}) ...")
     hybrid = run_forked(
         lambda: run_fleet_once("hybrid", sharded=True, scale=scale)
@@ -505,12 +506,13 @@ def _fleet_quick(sim_mode: str, sharded: bool) -> dict:
 
 
 def test_bench_fleet_sharded_bit_identical():
-    """Sharded calendars replay the shared-heap fleet bit for bit."""
+    """Sharded calendars serve the shared-heap fleet's outcomes bit for
+    bit, in fewer events: each replica runs ahead of the others'."""
     unsharded = _fleet_quick("discrete", sharded=False)
     sharded = _fleet_quick("discrete", sharded=True)
     assert sharded["signature"] == unsharded["signature"]
     assert sharded["makespan"] == unsharded["makespan"]
-    assert sharded["events"] == unsharded["events"]
+    assert sharded["events"] < unsharded["events"]
 
 
 def test_bench_fleet_hybrid_speedup_and_fidelity():

@@ -20,6 +20,9 @@ _batch_ids = itertools.count()
 
 
 def next_batch_id() -> int:
+    """A process-wide unique batch id.  Only identity matters: the ids
+    label obs audits, and on a sharded fleet the draws of replicas that
+    run ahead of each other interleave in no fixed order."""
     return next(_batch_ids)
 
 

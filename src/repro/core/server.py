@@ -1042,17 +1042,24 @@ class LoongServeServer:
 
     def _on_decode_wake(self) -> None:
         """The decode calendar's posted head is due: run it, then every
-        further own end that is the next event of the whole run.
+        further own end that comes before every event that can touch
+        this replica.
 
-        An end keyed ``(end, 0, seq)`` that sorts strictly below
-        :meth:`~repro.sim.engine.Simulator.next_global_event_key`, within
-        the run's ``until`` and with no stop requested, is what the run
-        loop would pop next, so running it here is the discrete pop
-        order.  The posted head passes these checks (the run loop just
-        popped it), so it is the first end the loop runs.  Each run of
-        quiet ends shares one window (see :meth:`_run_quiet_window`),
-        the head's included when the last tick's proof still holds;
-        every other end takes the full path.
+        An end keyed ``(end, 0, seq)`` that sorts strictly below the
+        clock's horizon (:meth:`~repro.sim.engine.ShardClock.horizon_key`:
+        the global key on a standalone server, an unsharded fleet or a
+        replica holding hooked requests; else its own shard's, the
+        control plane's and the hooked replicas' heads), within the
+        run's ``until`` and with no stop requested, runs here in the
+        order the run loop would run it relative to everything that can
+        write to this replica, so every outcome is the discrete one.
+        Other replicas' events may come first in the run loop; they
+        cannot touch this replica, and it runs ahead of them.  The
+        posted head passes these checks (the run loop just popped it),
+        so it is the first end the loop runs.  Each run of quiet ends
+        shares one window (see :meth:`_run_quiet_window`), the head's
+        included when the last tick's proof still holds; every other
+        end takes the full path.
         """
         ends = self._decode_ends
         self._posted_ends.remove(ends[0][1])
@@ -1063,7 +1070,7 @@ class LoongServeServer:
             end, seq = ends[0][:2]
             if until is not None and end > until:
                 break
-            key = sim.next_global_event_key()
+            key = sim.horizon_key()
             if key is not None and not (end, 0, seq) < key:
                 break
             due = self._run_quiet_window(key, until)
@@ -1082,8 +1089,8 @@ class LoongServeServer:
         """Run the due own ends, across the replica's decode batches, in
         one tight loop.
 
-        Called with the calendar's head due under ``key`` (the next
-        global event key) and ``until``.  In discrete mode, on a quiet
+        Called with the calendar's head due under ``key`` (the clock's
+        horizon) and ``until``.  In discrete mode, on a quiet
         replica (no tick queued, nothing unvetted, the last full tick
         enacted nothing, and any queue it left provably blocked — see
         :meth:`_stays_blocked`), the tick at each end of a batch that
@@ -1097,8 +1104,9 @@ class LoongServeServer:
         :meth:`crash`, :meth:`import_prefix` and
         :meth:`clear_prefix_cache` drop the proof.  So a wake's posted
         head joins a window like any later end.  Nothing posts to any
-        calendar while only such ends run, so these checks, the idle
-        instances and ``key`` hold for the whole window.
+        calendar while only such ends run, and nothing ``key`` does not
+        bound can touch the replica, so these checks, the idle instances
+        and ``key`` hold for the whole window.
 
         A batch joins at its first end here (:meth:`_join_window`); its
         later ends pick up from that state.  At each end the batch runs
@@ -1445,27 +1453,32 @@ class LoongServeServer:
             self._request_tick()
 
     def _can_tick_inline(self, now: float) -> bool:
-        """True when a tick queued now would be the very next event.
+        """True when a tick queued now would be the next event that
+        touches this replica.
 
         No tick may be queued already, and nothing may be due at
-        ``now``: no live event on any calendar and none of this
-        replica's own in-flight decode ends, since one due now could
-        run before the queued tick.  Other replicas' events count too,
-        so sharded and unsharded fleets decide alike.  Running the tick
-        inline is then the same program with one event fewer — whatever
-        is pending, unvetted or prefilling, because the queued tick
-        would have run next all the same.
+        ``now``: no live event before the clock's horizon
+        (:meth:`~repro.sim.engine.ShardClock.horizon_key`) and none of
+        this replica's own in-flight decode ends, since one due now
+        could run before the queued tick.  Another replica's event due
+        now keeps the tick queued only if it can touch this replica
+        (the control plane's, or a replica's holding hooked requests),
+        or on an unsharded fleet, whose horizon is global.  Running the
+        tick inline is then the same program with one event fewer —
+        whatever is pending, unvetted or prefilling, because the queued
+        tick would have run before anything that can touch the replica
+        all the same.
         """
         if self._tick_pending:
             return False
         ends = self._decode_ends
         if ends and ends[0][0] <= now:
             return False
-        horizon = self.sim.next_global_event_time()
-        return horizon is None or horizon > now
+        key = self.sim.horizon_key()
+        return key is None or key[0] > now
 
     def _next_event_time(self) -> float | None:
-        """The replica's horizon: the next event on its clock or its own
+        """The replica's fluid horizon: its clock's horizon or its own
         next in-flight decode end, whichever is sooner (the decode
         calendar posts only its head)."""
         horizon = self.sim.next_event_time()

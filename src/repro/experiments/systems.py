@@ -249,10 +249,11 @@ def make_fleet(
     ``autoscale_predictive``).
 
     ``sim_mode="hybrid"`` arms every replica's fluid stepper (windows
-    engage per replica, bounded by the replica's local event horizon —
-    including the next control tick).  ``sharded=False`` funnels every
-    replica through one shared event heap (the pre-PR-8 layout; the
-    sharded default is bit-identical and faster).
+    engage per replica, bounded by the replica's horizon — including the
+    next control tick).  ``sharded=False`` funnels every replica through
+    one shared event heap (the pre-PR-8 layout, whose horizon is global;
+    the sharded default serves identical outcomes in fewer events, and
+    faster).
     """
     from repro.fleet import (
         DEFAULT_CONTROL_INTERVAL,

@@ -121,6 +121,8 @@ class ReplicaHandle:
     def __init__(self, replica_id: int, server: ServingReplica) -> None:
         self.replica_id = replica_id
         self.server = server
+        # The clock the server runs on (see :meth:`prepare`).
+        self._clock = None
         self.routed: list[Request] = []
         # Live subset of ``routed``: finished requests are lazily pruned
         # the next time a probe scans, so ``outstanding_*`` cost tracks
@@ -178,6 +180,7 @@ class ReplicaHandle:
         or one replica's ``ShardClock`` view of it when the fleet runs
         sharded calendars)."""
         self.server.use_simulator(sim)
+        self._clock = sim
         self.routed = []
         self._active = []
         self.routed_tokens = 0
@@ -189,10 +192,12 @@ class ReplicaHandle:
         self.warming = False
 
     def submit(self, request: Request) -> None:
+        """Route ``request`` here.  Every fleet submission passes this
+        method or :meth:`submit_shadow`, so a request's completion hook,
+        which may write to other replicas, marks the replica's clock
+        reaching here (``ShardClock.mark_reaching``)."""
         self.routed.append(request)
-        self._active.append(request)
-        self.routed_tokens += request.input_len + request.output_len
-        self.server.submit(request)
+        self.submit_shadow(request)
 
     def submit_shadow(self, request: Request) -> None:
         """Submit a request that must not appear in the fleet result.
@@ -204,6 +209,8 @@ class ReplicaHandle:
         :meth:`result` reports: each arrival is counted exactly once
         fleet-wide, by the decode replica that serves its real decode.
         """
+        if request.on_finish is not None:
+            self._clock.mark_reaching()
         self._active.append(request)
         self.routed_tokens += request.input_len + request.output_len
         self.server.submit(request)
@@ -426,8 +433,9 @@ class FleetServer(Fleet):
         self.policy = policy
         self.control_interval = control_interval
         # Sharded calendars: each replica schedules on its own event
-        # queue (bit-identical to the shared heap — same tie-break
-        # order); the control plane keeps the simulator's own queue.
+        # queue and runs ahead to its own horizon (the same outcomes as
+        # the shared heap, in fewer events); the control plane keeps the
+        # simulator's own queue.
         self.sharded = sharded
         self.name = f"{replicas[0].name} x{len(replicas)} [{policy.name}]"
         self.obs = None

@@ -12,11 +12,16 @@ Two layouts share one clock discipline:
   drops from O(log total-events) to O(log own-shard events) +
   O(log shards), and each replica's calendar stays cache-local.
 
-Sharding is **bit-identical** to the single calendar: every shard queue
-draws seq numbers from one shared counter, so the global
-``(time, priority, seq)`` order — and therefore the pop order, the
-tie-breaks, and every downstream outcome — is exactly the single-heap
-order (golden-gated in ``tests/test_sim_sharded.py``).
+Every shard queue draws seq numbers from one shared counter, so the run
+loop pops in the single heap's ``(time, priority, seq)`` order.  What a
+sharded run keeps is every **outcome**, not every event: a replica's
+server may run work of its own ahead of other replicas' events, up to
+its horizon (:meth:`ShardClock.horizon_key`), the earliest event that
+can touch it.  Work that cannot be touched runs in the order it would
+have run, so per-request records, iteration stats, scaling events and
+makespan are those of the single calendar, and only the number of
+events falls (golden-gated in ``tests/test_sim_sharded.py`` and
+``tests/test_perfbench_goldens.py``).
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ class Simulator:
 
     Serving systems schedule callbacks with :meth:`call_at` /
     :meth:`call_after`; :meth:`run` drains the calendars in timestamp
-    order.  The clock never goes backwards; scheduling in the past
-    raises.
+    order.  Scheduling in the past raises.  On one calendar the clock
+    never goes backwards; with shards it can step back between
+    replicas that run ahead of each other (see :class:`ShardClock`).
     """
 
     def __init__(self) -> None:
@@ -56,6 +62,19 @@ class Simulator:
         self._multi = False
         self._top: list[tuple] = []
         self._posted: list[tuple | None] = [None]
+        # Which shards' events may write to other replicas: shard 0
+        # always, and a replica's once it holds a request with a
+        # completion hook (ShardClock.mark_reaching).  _reach_queues
+        # lists their calendars, which bound every other replica's
+        # horizon; _running is the shard whose event runs now.
+        self._reaches: list[bool] = [True]
+        self._reach_queues: list[EventQueue] = [self._queue]
+        self._running = 0
+        # The latest time any event reached with advance_to: a replica
+        # running ahead of its peers' events leaves the clock behind it
+        # when the loop pops their earlier events, and a sharded run
+        # ends here.
+        self._high = 0.0
 
     @property
     def now(self) -> float:
@@ -93,22 +112,25 @@ class Simulator:
         head = self._top_head()
         return None if head is None else head[0]
 
-    # The simulator's horizon is already global; :class:`ShardClock`
-    # answers the same question for a replica on a shard, so callers
-    # that must see every calendar never probe which clock they hold.
-    next_global_event_time = next_event_time
-
-    def next_global_event_key(self) -> tuple | None:
+    def horizon_key(self) -> tuple | None:
         """Full ``(time, priority, seq)`` key of the next live event on
         any calendar — the one the run loop pops next (None when idle).
 
-        An event kept off the calendar under key ``k`` would run next
-        exactly when ``k`` sorts below this.
+        A server on this clock (a standalone server, or every replica
+        of an unsharded fleet) may run work it keeps off the calendar
+        under key ``k`` inside the running event exactly when ``k``
+        sorts below this: it is then what the loop would run next.
+        :meth:`ShardClock.horizon_key` answers for a replica on a shard.
         """
         if not self._multi:
             return self._queue.peek_key()
         head = self._top_head()
         return None if head is None else head[:3]
+
+    def mark_reaching(self) -> None:
+        """Nothing to mark: a server on the simulator itself (standalone,
+        or a replica of an unsharded fleet) already reads the global key,
+        and shard 0 bounds every replica's horizon."""
 
     def next_seq(self) -> int:
         """Draw a tie-break number from the shared counter (see
@@ -119,11 +141,14 @@ class Simulator:
         """Move the clock forward inside the running event.
 
         For a caller that runs, inside one event, work it has proved is
-        due before every other event (and within :attr:`until`).
+        due before every event that can touch it (and within
+        :attr:`until`): its clock's :meth:`horizon_key`.
         """
         if time < self._now:
             raise ValueError(f"cannot rewind the clock from {self._now:.6f} to {time:.6f}")
         self._now = time
+        if time > self._high:
+            self._high = time
 
     # ------------------------------------------------------------------
     # Sharded calendars
@@ -145,6 +170,7 @@ class Simulator:
         queue = EventQueue(counter=self._queue._counter)
         self._shards.append(queue)
         self._posted.append(None)
+        self._reaches.append(False)
         shard_id = len(self._shards) - 1
         self._repost(shard_id)
         return ShardClock(self, shard_id, queue)
@@ -234,6 +260,8 @@ class Simulator:
         if time < self._now:
             raise ValueError(f"cannot schedule at {time:.6f}, clock is at {self._now:.6f}")
         if self._multi:
+            if not self._reaches[self._running]:
+                _unreachable_post(self._running, 0)
             entry = self._queue.push_entry(
                 time, action, priority=priority, label=label, weak=weak, seq=seq
             )
@@ -315,7 +343,14 @@ class Simulator:
 
     def _run_sharded(self, until: float | None, max_events: int | None) -> float:
         """Sharded run loop: pop the globally-minimal head across shards
-        (:meth:`_top_head`)."""
+        (:meth:`_top_head`), noting whose event runs.
+
+        Popped times never fall, but the clock can step back: an event
+        whose replica ran ahead (:meth:`advance_to`) leaves it past the
+        head the loop pops next.  The run ends at the latest time any
+        event reached, so a ``stop()`` or ``max_events`` cut leaves the
+        replicas that ran ahead where they are.
+        """
         self._stopped = False
         processed = 0
         top = self._top
@@ -348,11 +383,15 @@ class Simulator:
             if event.weak and self._top_head() is None:
                 continue
             self._now = event.time
+            self._running = shard_id
             event.action()
             self._events_processed += 1
             processed += 1
             if max_events is not None and processed >= max_events:
                 break
+        self._running = 0
+        if self._high > self._now:
+            self._now = self._high
         if until is not None and self._now < until and self._top_head() is None:
             self._now = until
         return self._now
@@ -368,23 +407,35 @@ class ShardClock:
     Quacks like the simulator for the APIs a replica server uses
     (``now`` / ``call_at`` / ``call_after`` / ``stop`` / ``stopped`` /
     ``until`` / ``advance_to`` / ``next_seq`` / ``events_processed`` /
-    ``next_event_time`` / ``next_global_event_time`` /
-    ``next_global_event_key``), but schedules onto its own calendar.
-    :meth:`next_event_time` is the replica-local horizon: the minimum of
-    this shard's head and shard 0's, so it bounds fluid windows by the
-    next control tick.  It does not see other replicas' events, and not
-    everything another replica does reaches this one through a
-    control-plane (shard 0) event: ``DisaggDispatcher._handoff`` imports
-    a prefix into a decode replica's cache from inside the prefill
-    replica's clone-finish hook, an event on the prefill replica's
-    shard, so a hybrid decode replica's fluid window can run past the
-    import.  :meth:`next_global_event_time` is the whole simulator's
-    horizon, for decisions that must match the unsharded layout event
-    for event — among them whether a replica
-    may run its next decode iteration inside the current event, which
-    reads :meth:`next_global_event_key`, :attr:`until` and
-    :attr:`stopped` exactly as on the simulator, so both layouts open
-    the same decode windows.
+    ``next_event_time`` / ``horizon_key``), but schedules onto its own
+    calendar.
+
+    :meth:`horizon_key` is the replica's horizon: the earliest event
+    that can touch it, which bounds the work its server runs ahead
+    inside one event (decode windows, inline ticks, fluid windows).
+    Other replicas reach a replica through two channels only:
+
+    * shard 0, the control plane: arrivals, control ticks, faults,
+      steal and handoff deliveries, telemetry;
+    * the completion hooks of requests it serves (``on_finish``): a
+      disagg prefill clone's ``DisaggDispatcher._handoff`` imports into
+      a decode replica from inside the prefill replica's event, and a
+      closed-loop session's hook posts its next turn on shard 0.
+
+    A replica handed a hooked request is *reaching* for the rest of the
+    run (:meth:`mark_reaching`, called by ``ReplicaHandle.submit``).
+    Every other replica's horizon is the minimum of its own head, shard
+    0's and every reaching shard's; a reaching replica's is the global
+    key, since its hooks write to replicas that must not have run past
+    them.  While a non-reaching replica's event runs, a post to any
+    other calendar raises instead of silently serving a different
+    answer.
+
+    Because a replica runs ahead of its peers' events, the clock can
+    step back between shards: the loop pops a peer's earlier event
+    after a replica advanced past it.  Each replica's own clock never
+    does, and a run ends at the latest time reached; ``stop()`` and
+    ``max_events`` leave the replicas that ran ahead where they are.
     """
 
     __slots__ = ("_sim", "shard_id", "_queue")
@@ -410,23 +461,36 @@ class ShardClock:
     def stopped(self) -> bool:
         return self._sim._stopped
 
+    def horizon_key(self) -> tuple | None:
+        """The ``(time, priority, seq)`` key of the earliest live event
+        that can touch this replica (None when there is none).
+
+        Work kept off the calendar under key ``k`` may run inside the
+        running event exactly when ``k`` sorts below this.
+        """
+        sim = self._sim
+        if sim._reaches[self.shard_id]:
+            return sim.horizon_key()
+        head = self._queue.head()
+        for queue in sim._reach_queues:
+            other = queue.head()
+            if other is not None and (head is None or other < head):
+                head = other
+        return None if head is None else head[:3]
+
     def next_event_time(self) -> float | None:
-        """Replica-local horizon: own head vs the control plane's."""
-        own = self._queue.peek_time()
-        control = self._sim._shards[0].peek_time()
-        if own is None:
-            return control
-        if control is None or own <= control:
-            return own
-        return control
+        """The time of :meth:`horizon_key` (the fluid stepper's bound)."""
+        key = self.horizon_key()
+        return None if key is None else key[0]
 
-    def next_global_event_time(self) -> float | None:
-        """The next live event on any shard (:meth:`Simulator.next_event_time`)."""
-        return self._sim.next_event_time()
-
-    def next_global_event_key(self) -> tuple | None:
-        """:meth:`Simulator.next_global_event_key`: every shard counts."""
-        return self._sim.next_global_event_key()
+    def mark_reaching(self) -> None:
+        """This replica holds a request with a completion hook, whose
+        event may write to other replicas: from now on its horizon is
+        the global key, and its head bounds every other replica's."""
+        sim = self._sim
+        if not sim._reaches[self.shard_id]:
+            sim._reaches[self.shard_id] = True
+            sim._reach_queues.append(self._queue)
 
     def next_seq(self) -> int:
         return self._queue.next_seq()
@@ -446,6 +510,9 @@ class ShardClock:
         sim = self._sim
         if time < sim._now:
             raise ValueError(f"cannot schedule at {time:.6f}, clock is at {sim._now:.6f}")
+        running = sim._running
+        if running != self.shard_id and not sim._reaches[running]:
+            _unreachable_post(running, self.shard_id)
         entry = self._queue.push_entry(
             time, action, priority=priority, label=label, weak=weak, seq=seq
         )
@@ -470,3 +537,15 @@ class ShardClock:
 
     def stop(self) -> None:
         self._sim.stop()
+
+
+def _unreachable_post(running: int, target: int) -> None:
+    """A replica that holds no hooked request wrote to another calendar:
+    its peers' horizons do not cover it, so the run would go wrong
+    silently."""
+    raise RuntimeError(
+        f"an event of shard {running}, which holds no request with a "
+        f"completion hook, posted to shard {target}: a replica reaches "
+        "another only through shard 0 or a completion hook "
+        "(ShardClock.mark_reaching)"
+    )

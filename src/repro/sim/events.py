@@ -195,14 +195,22 @@ class EventQueue:
         sharded run loop needs the whole key so per-shard heads compare
         under the exact single-heap tie-break order.
         """
+        head = self.head()
+        return None if head is None else head[:3]
+
+    def head(self) -> _HeapEntry | None:
+        """The next live event's heap entry, ``(time, priority, seq,
+        event)`` (None when none remain), after the same cleanup.
+
+        Entries compare by key alone (seq numbers are unique), so a
+        replica's horizon takes the minimum of several calendars' heads
+        without building a key for each.
+        """
         heap = self._heap
         while heap and heap[0][3].cancelled:
             heapq.heappop(heap)[3].popped = True
             self._cancelled -= 1
-        if not heap:
-            return None
-        head = heap[0]
-        return (head[0], head[1], head[2])
+        return heap[0] if heap else None
 
     @property
     def cancelled_pending(self) -> int:

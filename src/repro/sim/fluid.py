@@ -27,9 +27,10 @@ A window is bounded conservatively by
 * the next scheduled event (arrival, control tick, fault injection,
   prefill completion, a QoS deadline check — every transient in the
   system is an already-queued event, so the queue head is a sound
-  horizon; inside a sharded fleet this is the replica-local horizon,
-  which includes the next control tick), or the server's own next
-  in-flight decode end, whichever is sooner — the server's decode
+  horizon; inside a sharded fleet this is the replica's horizon,
+  ``ShardClock.horizon_key``, which includes the next control tick and
+  every event of a replica holding hooked requests), or the server's
+  own next in-flight decode end, whichever is sooner — the server's decode
   calendar posts only its head on the simulator calendar, so the queue
   alone would miss the rest (``LoongServeServer._next_event_time``),
 * the first request completion across all batches (completions release

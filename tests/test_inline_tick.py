@@ -18,15 +18,23 @@ tick's proof lasts across events, so a wake's posted end joins a window
 too, until a peer writes through the replica contract (``withdraw``,
 ``crash``, ``import_prefix``, ``clear_prefix_cache``).
 
+"The next event" is the next event that can touch the replica: on a
+sharded fleet, a replica's windows and inline ticks run past other
+replicas' events, unless those replicas hold requests with completion
+hooks (a disagg prefill clone's handoff, a closed-loop session's next
+turn), which may write to it.  So a fleet's event count falls further,
+and sharded and unsharded fleets serve alike with different counts.
+
 Every setup here is replayed on :class:`WindowlessServer`, which keeps
 that older scheduling — one calendar event per decode iteration, every
 tick queued — and must match it on per-request outcomes, iteration
 stats, scaling events and makespan; the group cases also compare every
 request's KV placement at stops inside windows, which no outcome
 record holds.  :class:`WindowSpy` records which batches each window ran,
-whether work was queued, how many ends took the full path, and whether
-each wake's posted end ran in a window, so the cases built to reach a
-window can show they did.
+whether work was queued, how many ends took the full path, whether
+each wake's posted end ran in a window, and how many windows ran past
+another replica's event, so the cases built to reach a window can show
+they did.
 """
 
 import pytest
@@ -43,8 +51,8 @@ from repro.core.server import LoongServeServer
 from repro.experiments.systems import make_fleet, make_system
 from repro.fleet import FaultPlan, ReplicaFault
 from repro.serving import collect
-from repro.sessions import make_session_trace
-from repro.sim.engine import Simulator
+from repro.sessions import ClosedLoopDriver, SessionPlan, make_session_trace, plan_sessions
+from repro.sim.engine import ShardClock, Simulator
 from repro.types import Phase, Request, RequestState
 from repro.workloads.datasets import MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
@@ -72,13 +80,19 @@ class WindowlessServer(LoongServeServer):
         return self.sim.next_event_time()
 
 
+def _all_calendars(sim):
+    """The whole simulator behind a replica's clock."""
+    return sim._sim if isinstance(sim, ShardClock) else sim
+
+
 class WindowSpy(LoongServeServer):
     """The windowed server, recording each quiet window's hand-offs (the
     ids of the batches it ran, in order), those of the windows that ran
     with work queued, how many hand-offs were of multi-instance groups,
     how many decode ends took the full path (and how many of those with
     work queued), for each wake its time and whether its posted end ran
-    in a window, and how many prefix imports landed while decode
+    in a window, how many windows ran past an event on another
+    replica's calendar, and how many prefix imports landed while decode
     iterations were in flight."""
 
     _window = None
@@ -89,6 +103,7 @@ class WindowSpy(LoongServeServer):
     full_path_ends = 0
     queued_ends = 0
     wakes: tuple = ()
+    past_peers = 0
     imports_in_flight = 0
 
     def import_prefix(self, token_ids, now) -> int:
@@ -107,9 +122,13 @@ class WindowSpy(LoongServeServer):
 
     def _run_quiet_window(self, key, until):
         self._window = []
+        # Events on the horizon ``key`` bounds the window by; any other
+        # event due sooner is another replica's.
+        peers = _all_calendars(self.sim).next_event_time()
         try:
             return super()._run_quiet_window(key, until)
         finally:
+            self.past_peers += peers is not None and self.sim.now > peers
             self._note_wake(bool(self._window))
             if self._window:
                 self.windows += (tuple(self._window),)
@@ -179,14 +198,33 @@ def _serve(server_cls, trace, sim_mode: str = "discrete", **scheduler):
     return _record(result), server.sim.events_processed
 
 
-def _serve_fleet(reference: bool, trace, **fleet_kwargs):
+def _run_fleet(server_cls, workload, hooked: bool = False, **fleet_kwargs):
+    """Serve a trace, or closed-loop session plans, on a fleet of
+    ``server_cls`` replicas; returns the record and the fleet.
+
+    ``hooked`` gives every trace request a completion hook that does
+    nothing.  The closed-loop driver draws request ids from a
+    process-wide counter, so its rows go without them."""
     fleet = make_fleet("loongserve", **fleet_kwargs)
-    if reference:
-        for handle in fleet.replicas:
-            handle.server.__class__ = WindowlessServer
-    result = fleet.run(clone_requests(trace))
-    assert result.requests, "the fleet served nothing"
-    return _record(result), fleet.sim.events_processed
+    for handle in fleet.replicas:
+        handle.server.__class__ = server_cls
+    if isinstance(workload[0], SessionPlan):
+        record = _record(fleet.run_driven(ClosedLoopDriver(workload)))
+        record["requests"] = sorted(row[1:] for row in record["requests"])
+    else:
+        requests = clone_requests(workload)
+        for request in requests if hooked else ():
+            request.on_finish = lambda now: None
+        record = _record(fleet.run(requests))
+    assert record["requests"], "the fleet served nothing"
+    return record, fleet
+
+
+def _serve_fleet(reference: bool, trace, **fleet_kwargs):
+    record, fleet = _run_fleet(
+        WindowlessServer if reference else LoongServeServer, trace, **fleet_kwargs
+    )
+    return record, fleet.sim.events_processed
 
 
 def _matches_the_reference(trace, sim_mode: str = "discrete", **scheduler):
@@ -282,13 +320,6 @@ def _serve_batches(shapes):
     return _serve_both(lambda server: _decoding_batches(server, shapes))
 
 
-def _relabelled(windows) -> list[tuple[int, ...]]:
-    """:attr:`WindowSpy.windows` with batch ids numbered by first
-    appearance: the process-wide batch counter differs between runs."""
-    labels: dict[int, int] = {}
-    return [tuple(labels.setdefault(b, len(labels)) for b in w) for w in windows]
-
-
 def _steady_trace(num_requests: int) -> list[Request]:
     """``bench_sim_speed``'s steady trace, 48 requests of 1,024 output
     tokens every 8 s: each cluster's prefills co-opt running batches."""
@@ -323,10 +354,11 @@ class TestInlineTickMatchesTheQueuedTick:
         queued, queued_events = _serve_fleet(True, trace, **kwargs)
         assert inline == queued
         assert inline_events < queued_events
-        # The horizon is global, so both calendar layouts decide alike.
+        # Both calendar layouts serve alike; on the sharded one the
+        # decode pool runs past the other decode replicas' events.
         unsharded, unsharded_events = _serve_fleet(False, trace, sharded=False, **kwargs)
         assert unsharded == inline
-        assert unsharded_events == inline_events
+        assert inline_events < unsharded_events
 
     def test_qos_faults_steal_fleet(self):
         trace = make_session_trace(
@@ -525,7 +557,9 @@ class TestDecodeWindowsMatchTheWindowlessReference:
 
     def test_two_replica_fleets_sharded_and_unsharded(self):
         """On both calendar layouts, each replica's windows span its
-        concurrent batches, and the windows are the same."""
+        concurrent batches.  The sharded layout needs fewer windows and
+        events, since its windows and inline ticks also run past the
+        other replica's events."""
         trace = make_trace(MIXED, rate=2.0, num_requests=20, seed=1)
         runs = {}
         for sharded in (True, False):
@@ -547,11 +581,11 @@ class TestDecodeWindowsMatchTheWindowlessReference:
         for sharded in (True, False):
             events = runs[sharded, WindowSpy][1]
             assert events < runs[sharded, WindowlessServer][1]
-            assert events == runs[True, WindowSpy][1]
-        windows = [_relabelled(w) for w in runs[True, WindowSpy][2]]
-        assert windows == [_relabelled(w) for w in runs[False, WindowSpy][2]]
-        for replica_windows in windows:
-            assert max(len(set(window)) for window in replica_windows) >= 2
+        assert runs[True, WindowSpy][1] < runs[False, WindowSpy][1]
+        for sharded, unsharded in zip(runs[True, WindowSpy][2], runs[False, WindowSpy][2]):
+            assert len(sharded) < len(unsharded)
+            for windows in (sharded, unsharded):
+                assert max(len(set(window)) for window in windows) >= 2
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -821,9 +855,8 @@ class TestWakesStartInWindows:
     through the replica contract drops the proof."""
 
     def test_on_a_two_replica_fleet(self):
-        """Each replica's wakes stop at the other's events, yet most of
-        them start in a window, and the fleet serves what the windowless
-        one does."""
+        """Most of each replica's wakes start in a window, and the fleet
+        serves what the windowless one does."""
         trace = make_trace(MIXED, rate=2.0, num_requests=20, seed=1)
         kwargs = dict(replicas=2, router="round-robin")
         fleet = make_fleet("loongserve", **kwargs)
@@ -833,7 +866,7 @@ class TestWakesStartInWindows:
         _assert_same(windowed, _serve_fleet(True, trace, **kwargs)[0])
         for handle in fleet.replicas:
             in_window = [in_window for _, in_window in handle.server.wakes]
-            assert sum(in_window) > 0.8 * len(in_window)
+            assert sum(in_window) > 0.5 * len(in_window)
 
     @pytest.mark.parametrize(
         "write", ["withdraw", "crash", "import_prefix", "clear_prefix_cache"]
@@ -903,6 +936,10 @@ class TestWakesStartInWindows:
         assert sum(spy.imports_in_flight for spy in spies) >= 5
         in_window = [in_window for spy in spies for _, in_window in spy.wakes]
         assert sum(in_window) > 0.8 * len(in_window)
+        if sharded:
+            # Open-loop requests carry no completion hook: only the
+            # control plane reaches across replicas.
+            assert fleet.sim._reaches == [True, False, False, False]
 
     def test_an_import_under_a_paused_batch_headroom_scales_it_up_next_end(self):
         """The case the import's drop exists for.  A prefill co-opts the
@@ -948,11 +985,91 @@ class TestWakesStartInWindows:
         assert (first_after, False) in server.wakes
 
 
+class TestReplicaLocalHorizons:
+    """A sharded replica runs ahead of every event that cannot touch it:
+    other replicas' events, unless they hold requests with completion
+    hooks.  Every fleet serves what the windowless one does, on both
+    calendar layouts."""
+
+    def test_windows_run_past_the_other_replicas_events(self):
+        """Without completion hooks neither replica can touch the
+        other, so each one's windows run past the other's events."""
+        trace = make_trace(MIXED, rate=2.0, num_requests=20, seed=1)
+        kwargs = dict(replicas=2, router="round-robin")
+        windowed, fleet = _run_fleet(WindowSpy, trace, **kwargs)
+        _assert_same(windowed, _serve_fleet(True, trace, **kwargs)[0])
+        assert fleet.sim._reaches == [True, False, False]
+        for handle in fleet.replicas:
+            assert handle.server.past_peers > 0
+
+    @pytest.mark.parametrize("sharded", [True, False])
+    def test_closed_loop_sessions_fleet(self, sharded):
+        """Each session's next turn chains off its previous turn's
+        completion hook, so every replica reaches, and none runs past
+        another's events."""
+        plans = plan_sessions(rate=4.0, num_sessions=12, seed=6)
+        kwargs = dict(
+            replicas=3, router="affinity", prefix_cache=True, steal=True,
+            sharded=sharded,
+        )
+        windowed, fleet = _run_fleet(WindowSpy, plans, **kwargs)
+        reference, reference_fleet = _run_fleet(WindowlessServer, plans, **kwargs)
+        _assert_same(windowed, reference)
+        assert fleet.sim.events_processed < reference_fleet.sim.events_processed
+        spies = [handle.server for handle in fleet.replicas]
+        assert sum(spy.wakes != () for spy in spies) == 3
+        assert sum(spy.past_peers for spy in spies) == 0
+        if sharded:
+            assert fleet.sim._reaches == [True] * 4
+
+    @pytest.mark.parametrize("sharded", [True, False])
+    def test_disagg_fleet_with_steal_and_faults(self, sharded):
+        """The prefill pool serves hooked clones and reaches; the decode
+        pool runs past its own peers' events, but not the prefill
+        pool's, whose handoffs import into it.  A crash hits each pool."""
+        trace = make_trace(MIXED, rate=10.0, num_requests=40, seed=5)
+        faults = FaultPlan([
+            ReplicaFault(time=2.0, replica_id=0, downtime_s=3.0),
+            ReplicaFault(time=4.0, replica_id=3, downtime_s=2.0),
+        ])
+        kwargs = dict(
+            replicas=5, disagg=2, prefix_cache=True, router="least-kv",
+            steal=True, faults=faults, sharded=sharded,
+        )
+        windowed, fleet = _run_fleet(WindowSpy, trace, **kwargs)
+        reference, reference_fleet = _run_fleet(WindowlessServer, trace, **kwargs)
+        _assert_same(windowed, reference)
+        assert fleet.sim.events_processed < reference_fleet.sim.events_processed
+        assert fleet.policy.injector is not None
+        decode = [handle.server for handle in fleet.replicas[2:]]
+        if sharded:
+            assert fleet.sim._reaches == [True, True, True, False, False, False]
+            assert sum(spy.past_peers for spy in decode) > 0
+        else:
+            assert sum(spy.past_peers for spy in decode) == 0
+
+
+class InlineSpy(LoongServeServer):
+    """The windowed server, counting the ticks it ran inline while an
+    event on another replica's calendar was due at the same instant."""
+
+    contested_inline = 0
+
+    def _can_tick_inline(self, now: float) -> bool:
+        inline = super()._can_tick_inline(now)
+        peers = _all_calendars(self.sim).next_event_time()
+        self.contested_inline += inline and peers is not None and peers <= now
+        return inline
+
+
 class TestSameInstantCompletions:
     """Two replicas serving identical requests finish every decode
-    iteration at the same instant.  Each completion then sees the other
-    replica's event (or its queued tick) due now, so no tick may run
-    inline — in either calendar layout."""
+    iteration at the same instant, and serve alike whether each tick
+    runs inline or queued, on either calendar layout.  Where the twins
+    can touch each other, each completion sees the other replica's
+    event (or its queued tick) due now, so no tick may run inline:
+    always on the unsharded layout, whose horizon is global, and on the
+    sharded one once the requests carry completion hooks."""
 
     @staticmethod
     def _twinned_trace():
@@ -966,19 +1083,35 @@ class TestSameInstantCompletions:
             for twin in (0, 1)
         ]
 
-    def test_coinciding_completions_keep_the_tick_queued(self):
+    def _serve_twins(self, hooked: bool) -> dict:
+        """(record, contested inline ticks) per layout; the record is the
+        one the windowless fleet serves."""
         trace = self._twinned_trace()
         runs = {}
         for sharded in (True, False):
-            kwargs = dict(replicas=2, router="round-robin", num_gpus=4, sharded=sharded)
-            inline = _serve_fleet(False, trace, **kwargs)
-            queued = _serve_fleet(True, trace, **kwargs)
+            kwargs = dict(
+                replicas=2, router="round-robin", num_gpus=4, sharded=sharded,
+                hooked=hooked,
+            )
+            inline, fleet = _run_fleet(InlineSpy, trace, **kwargs)
+            queued, _ = _run_fleet(WindowlessServer, trace, **kwargs)
             assert inline == queued
-            runs[sharded] = inline
-        assert runs[True] == runs[False]
-        record = runs[True][0]
-        finish = {r[0]: r[4] for r in record["requests"]}
+            contested = sum(h.server.contested_inline for h in fleet.replicas)
+            runs[sharded] = (inline, contested)
+        assert runs[True][0] == runs[False][0]
+        finish = {r[0]: r[4] for r in runs[True][0]["requests"]}
         assert all(finish[2 * i] == finish[2 * i + 1] for i in range(len(trace) // 2))
+        return runs
+
+    def test_coinciding_completions_keep_the_tick_queued(self):
+        runs = self._serve_twins(hooked=False)
+        assert runs[False][1] == 0
+        # Sharded, neither twin can touch the other: ticks run inline.
+        assert runs[True][1] > 0
+
+    def test_hooked_twins_keep_the_tick_queued_on_both_layouts(self):
+        runs = self._serve_twins(hooked=True)
+        assert runs[True][1] == runs[False][1] == 0
 
 
 class TestCanTickInline:
@@ -1022,10 +1155,25 @@ class TestCanTickInline:
         assert server._can_tick_inline(0.0)
 
     def test_another_shards_event_due_now_keeps_the_tick_queued(self):
+        """...when that replica holds hooked requests, which may write
+        to this one."""
         sim = Simulator()
         own, other = sim.create_shard(), sim.create_shard()
         server = LoongServeServer(default_config())
         server.use_simulator(own)
         other.call_at(0.0, lambda: None)
-        assert own.next_event_time() is None  # the replica-local view is blind
+        other.mark_reaching()
+        assert not server._can_tick_inline(0.0)
+
+    def test_a_non_reaching_shards_event_due_now_does_not(self):
+        """An event of a replica holding no hooked request cannot touch
+        this one: the tick runs before anything that can."""
+        sim = Simulator()
+        own, other = sim.create_shard(), sim.create_shard()
+        server = LoongServeServer(default_config())
+        server.use_simulator(own)
+        other.call_at(0.0, lambda: None)
+        assert own.horizon_key() is None
+        assert server._can_tick_inline(0.0)
+        sim.call_at(0.0, lambda: None)  # the control plane's does
         assert not server._can_tick_inline(0.0)

@@ -117,10 +117,22 @@ def test_run_driven_serves_every_shape(system):
     assert any(len(session) > 1 for session in turns.values())
 
 
+def _serve_counting_events(system, trace, max_events=None):
+    """:func:`serve`, returning the result and the events processed."""
+    sims = []
+    use_simulator = system.use_simulator
+    system.use_simulator = lambda sim: (sims.append(sim), use_simulator(sim))
+    result = serve(system, clone_requests(trace), max_events=max_events)
+    return result, sims[0].events_processed
+
+
 def test_event_budget_cut_reports_partial_work_and_strands_nothing():
+    """A budget of half the full run's events cuts the run mid-way."""
     trace = make_trace(SHAREGPT, rate=10.0, num_requests=12, seed=21)
-    for system in (make_system("distserve"), make_fleet("loongserve", replicas=2)):
-        result = serve(system, clone_requests(trace), max_events=400)
+    for build in (lambda: make_system("distserve"), lambda: make_fleet("loongserve", replicas=2)):
+        _, events = _serve_counting_events(build(), trace)
+        result, cut = _serve_counting_events(build(), trace, max_events=events // 2)
+        assert cut == events // 2
         assert 0 < len(result.finished_requests) < len(trace)
         assert result.stranded == []
 

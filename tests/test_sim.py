@@ -111,9 +111,9 @@ class TestSimulator:
         log = []
         seq = sim.next_seq()
         sim.call_at(1.0, lambda: log.append("pushed"))
-        assert sim.next_global_event_key() == (1.0, 0, seq + 1)
+        assert sim.horizon_key() == (1.0, 0, seq + 1)
         sim.call_at(1.0, lambda: log.append("drawn first"), seq=seq)
-        assert sim.next_global_event_key() == (1.0, 0, seq)
+        assert sim.horizon_key() == (1.0, 0, seq)
         sim.run_until_idle()
         assert log == ["drawn first", "pushed"]
 

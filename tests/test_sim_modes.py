@@ -338,6 +338,51 @@ class TestFluidWindows:
         assert server._fluid.try_window() is False
 
 
+class ImportSpy(LoongServeServer):
+    """Counts the prefix imports (and their tokens) that land while one
+    of this replica's fluid windows is open, its KV growth already
+    allocated on the premise that no event competes for it."""
+
+    imports = 0
+    inside = 0
+    inside_tokens = 0
+
+    def import_prefix(self, token_ids, now) -> int:
+        placed = super().import_prefix(token_ids, now)
+        self.imports += 1
+        if any(
+            timer.active and timer.event.label == "fluid_done" and timer.event.time > now
+            for timer in self._timers
+        ):
+            self.inside += 1
+            self.inside_tokens += placed
+        return placed
+
+
+class TestHybridFleetHorizon:
+    def test_disagg_imports_never_land_inside_a_fluid_window(self):
+        """A disagg handoff imports into a decode replica from inside a
+        prefill replica's event.  The prefill replicas serve hooked
+        clones, so their events bound every decode replica's fluid
+        windows: no import lands inside one.  (Bounded by its own shard
+        and shard 0 only, 142 of these 200 imports, 3,200,876 tokens,
+        landed inside a window.)"""
+        spies = []
+        for seed in range(4):
+            fleet = make_fleet(
+                "loongserve", replicas=5, disagg=2, prefix_cache=True,
+                router="least-kv", sim_mode="hybrid",
+            )
+            for handle in fleet.replicas:
+                handle.server.__class__ = ImportSpy
+                spies.append(handle.server)
+            fleet.run(clone_requests(make_trace(MIXED, rate=10.0, num_requests=50, seed=seed)))
+        assert sum(spy.imports for spy in spies) == 200
+        assert sum(spy._fluid.windows for spy in spies) > 0
+        assert sum(spy.inside for spy in spies) == 0
+        assert sum(spy.inside_tokens for spy in spies) == 0
+
+
 def _backlogged_trace(num_requests=80, input_len=1024, output_len=300):
     """Everything arrives at t=0: admission is memory-gated, so the
     pending queue stays deep while the first cohorts decode."""

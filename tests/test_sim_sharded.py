@@ -1,24 +1,37 @@
-"""Sharded event calendars stay bit-identical to the single heap.
+"""Sharded event calendars serve exactly what the single heap serves.
 
-The sharded engine (``Simulator.create_shard`` + ``ShardClock``) promises
-the exact single-heap pop order — same ``(time, priority, seq)``
-tie-breaks, same weak/cancelled handling, same final clock — while each
-replica's events sift in a heap of their own.  This module pins that
-promise three ways: unit tests on the coordination machinery, a
-hypothesis differential harness replaying random programs on both
-layouts, and golden-signature gates on elastic fleets (observability on
-and off).
+The sharded engine (``Simulator.create_shard`` + ``ShardClock``) pops in
+the single heap's order — same ``(time, priority, seq)`` tie-breaks,
+same weak/cancelled handling — while each replica's events sift in a
+heap of their own.  A replica's server may also run its own work ahead
+of other replicas' events, up to its horizon
+(``ShardClock.horizon_key``): the earliest event on its own shard, on
+shard 0 (the control plane) or on a shard whose replica holds a request
+with a completion hook.  So a sharded fleet keeps every outcome, not
+every event.  This module pins both promises: unit tests on the
+coordination machinery and the horizon rules, a hypothesis differential
+harness replaying random programs on both layouts, golden-signature
+gates on elastic fleets (observability on and off), and a hypothesis
+property serving random fleet compositions on both layouts.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.systems import make_fleet
+from repro.fleet import FaultPlan
+from repro.fleet.disagg import CLONE_ID_OFFSET
+from repro.obs import Observability
+from repro.sessions import ClosedLoopDriver, make_session_trace, plan_sessions
 from repro.sim.engine import ShardClock, Simulator
-from repro.workloads.datasets import MIXED
+from repro.types import Request
+from repro.workloads.datasets import MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
+from tests.conftest import make_request
 
 
 class TestShardClock:
@@ -59,23 +72,42 @@ class TestShardClock:
         clock_a.call_at(3.0, lambda: None)  # own work
         clock_b.call_at(1.0, lambda: None)  # another replica's work
         # A's horizon sees its own head and the control plane's — not B's:
-        # B can only affect A through a shard-0 event.
+        # B holds no hooked request, so it reaches A only through shard 0.
         assert clock_a.next_event_time() == 3.0
         assert clock_b.next_event_time() == 1.0
         assert sim.next_event_time() == 1.0
 
-    def test_next_global_event_time_sees_every_shard(self):
+    def test_the_horizon_is_the_minimum_of_own_control_and_reaching_shards(self):
+        sim = Simulator()
+        own, reaching, other = (sim.create_shard() for _ in range(3))
+        own.call_at(4.0, lambda: None)
+        reaching.call_at(3.0, lambda: None)
+        other.call_at(1.0, lambda: None)
+        control = sim.call_at(5.0, lambda: None)
+        assert own.horizon_key() == (4.0, 0, 0)  # own head under shard 0's
+        reaching.mark_reaching()
+        assert own.horizon_key() == (3.0, 0, 1)
+        assert other.horizon_key() == (1.0, 0, 2)  # its own head
+        control.cancel()
+        sim.call_at(2.0, lambda: None, priority=1)
+        assert own.horizon_key() == (2.0, 1, 4)
+        assert own.next_event_time() == 2.0
+        # The simulator's key stays global: it sees the other shard too.
+        assert sim.horizon_key() == (1.0, 0, 2)
+
+    def test_a_reaching_shards_horizon_is_the_global_key(self):
         sim = Simulator()
         clock_a = sim.create_shard()
         clock_b = sim.create_shard()
         sim.call_at(5.0, lambda: None)
         clock_a.call_at(3.0, lambda: None)
         first = clock_b.call_at(1.0, lambda: None)
+        clock_a.mark_reaching()
         for clock in (sim, clock_a, clock_b):
-            assert clock.next_global_event_time() == 1.0
+            assert clock.horizon_key() == sim.horizon_key() == (1.0, 0, 2)
         first.cancel()  # a dead global head falls through to the live one
         for clock in (sim, clock_a, clock_b):
-            assert clock.next_global_event_time() == 3.0
+            assert clock.horizon_key() == (3.0, 0, 1)
 
     def test_stop_from_a_shard_action_halts_the_run(self):
         sim = Simulator()
@@ -86,6 +118,71 @@ class TestShardClock:
         sim.run()
         assert log == [1]
         assert sim.now == 1.0
+
+
+class TestHorizons:
+    """Who reaches whom, where the run ends, and the loud violation."""
+
+    @pytest.mark.parametrize("submit", ["submit", "submit_shadow"])
+    def test_a_hooked_submit_through_the_handle_marks_the_replica(self, submit):
+        fleet = make_fleet("loongserve", replicas=2)
+        sim = Simulator()
+        fleet.use_simulator(sim)
+        plain, hooked = fleet.replicas
+        plain.submit(make_request(input_len=100, output_len=4))
+        getattr(hooked, submit)(make_request(input_len=100, output_len=4))
+        assert sim._reaches == [True, False, False]
+        request = make_request(input_len=100, output_len=4)
+        fired = []
+        request.on_finish = fired.append
+        getattr(hooked, submit)(request)
+        assert sim._reaches == [True, False, True]
+        sim.run_until_idle()
+        # The hook fired, and the replica reaches for the rest of the run.
+        assert fired == [request.finish_time]
+        assert sim._reaches == [True, False, True]
+        clock = hooked.server.sim
+        clock.call_at(sim.now + 1.0, lambda: None)
+        plain.server.sim.call_at(sim.now + 0.5, lambda: None)
+        assert clock.horizon_key() == sim.horizon_key()
+
+    def test_a_run_ends_at_the_latest_time_reached(self):
+        sim = Simulator()
+        clock_a, clock_b = sim.create_shard(), sim.create_shard()
+        seen = []
+        clock_a.call_at(1.0, lambda: clock_a.advance_to(5.0))
+        clock_b.call_at(2.0, lambda: seen.append(sim.now))
+        assert sim.run() == 5.0
+        assert seen == [2.0]  # the clock stepped back for B's event
+        assert sim.now == 5.0
+
+    @pytest.mark.parametrize("cut", ["stop", "max_events"])
+    def test_a_cut_leaves_a_replica_that_ran_ahead_where_it_is(self, cut):
+        sim = Simulator()
+        clock_a, clock_b = sim.create_shard(), sim.create_shard()
+        clock_a.call_at(1.0, lambda: clock_a.advance_to(5.0))
+        clock_b.call_at(2.0, (sim.stop if cut == "stop" else lambda: None))
+        clock_b.call_at(3.0, lambda: None)
+        assert sim.run(max_events=2 if cut == "max_events" else None) == 5.0
+        assert sim.run() == 5.0  # B's later event runs behind the clock
+
+    def test_a_non_reaching_shards_post_to_another_calendar_raises(self):
+        for target in ("other", "control"):
+            sim = Simulator()
+            clock_a, clock_b = sim.create_shard(), sim.create_shard()
+            post = clock_b.call_at if target == "other" else sim.call_at
+            clock_a.call_at(1.0, lambda: post(2.0, lambda: None))
+            with pytest.raises(RuntimeError, match="completion hook"):
+                sim.run()
+        # Its own calendar, and any calendar once it reaches, are fine.
+        sim = Simulator()
+        clock_a, clock_b = sim.create_shard(), sim.create_shard()
+        log = []
+        clock_a.call_at(1.0, lambda: clock_a.call_at(1.5, lambda: log.append("own")))
+        clock_b.call_at(2.0, lambda: clock_a.call_at(3.0, lambda: log.append("a")))
+        clock_b.mark_reaching()
+        sim.run()
+        assert log == ["own", "a"]
 
 
 class TestShardedOrdering:
@@ -117,6 +214,7 @@ class TestShardedOrdering:
         sim = Simulator()
         clock_a = sim.create_shard()
         clock_b = sim.create_shard()
+        clock_a.mark_reaching()  # its event posts to B and to shard 0
         log = []
 
         def first():
@@ -201,9 +299,13 @@ _program = st.lists(
 
 def _replay(program, shards: int):
     """Run ``program`` on a simulator with ``shards`` extra calendars
-    (0 = plain single heap) and return the execution log + final clock."""
+    (0 = plain single heap) and return the execution log + final clock.
+    Every shard's events post across calendars, so every shard reaches,
+    and every horizon is the global key."""
     sim = Simulator()
     clocks = [sim] + [sim.create_shard() for _ in range(shards)]
+    for clock in clocks:
+        clock.mark_reaching()
     log = []
 
     def schedule(index, target, time, priority, cancel, weak, children):
@@ -211,10 +313,7 @@ def _replay(program, shards: int):
 
         def action():
             # The horizon every layout must agree on, read mid-action.
-            log.append((
-                index, sim.now, clock.next_global_event_time(),
-                clock.next_global_event_key(),
-            ))
+            log.append((index, sim.now, clock.horizon_key()))
             for child in range(children):
                 child_clock = clocks[(target + child + 1) % len(clocks)]
                 child_clock.call_after(
@@ -281,16 +380,12 @@ def _fleet_signature(requests):
 
 
 def _run_fleet(sharded: bool, observe: bool):
-    from repro.experiments.systems import make_fleet
-
     fleet = make_fleet(
         "loongserve", replicas=4, router="least-kv", num_gpus=4,
         autoscale=True, steal=True, sharded=sharded,
     )
     obs = None
     if observe:
-        from repro.obs import Observability
-
         obs = Observability()
         fleet.observe(obs)
     trace = clone_requests(make_trace(MIXED, rate=4.0, num_requests=60, seed=7))
@@ -306,7 +401,8 @@ class TestFleetGoldenGates:
             unsharded.requests
         )
         assert sharded.makespan == unsharded.makespan
-        assert sf.sim.events_processed == uf.sim.events_processed
+        # Replicas run ahead of each other's events: fewer events.
+        assert sf.sim.events_processed < uf.sim.events_processed
         assert sf.sim._multi and not uf.sim._multi
 
     def test_elastic_fleet_bit_identical_obs_on(self):
@@ -316,7 +412,7 @@ class TestFleetGoldenGates:
             unsharded.requests
         )
         assert sharded.makespan == unsharded.makespan
-        # Identical event sequences observe identically.
+        # The same decisions observe identically.
         assert len(sobs.tracer.spans) == len(uobs.tracer.spans)
         assert len(sobs.tracer.records) == len(uobs.tracer.records)
         assert len(sobs.metrics.sample_times) == len(uobs.metrics.sample_times)
@@ -335,3 +431,121 @@ class TestFleetGoldenGates:
         server = LoongServeServer(default_config())
         server.run(clone_requests(make_trace(MIXED, rate=4.0, num_requests=10, seed=7)))
         assert not server.sim._multi
+
+
+# -- random fleet compositions, both layouts --------------------------------
+
+
+@st.composite
+def _fleet_runs(draw):
+    """A random fleet composition and its workload: ``(make_fleet
+    kwargs, observe, workload)``, where the workload is a trace or a
+    closed-loop session plan list."""
+    replicas = draw(st.integers(min_value=2, max_value=4))
+    prefix_cache = draw(st.booleans())
+    disagg = draw(st.integers(min_value=1, max_value=replicas - 1)) if (
+        prefix_cache and draw(st.booleans())
+    ) else 0
+    qos = draw(st.booleans())
+    faults = None
+    if draw(st.booleans()):
+        faults = FaultPlan.poisson(
+            replicas, horizon_s=40.0, mtbf_s=30.0, downtime_s=4.0,
+            seed=draw(st.integers(min_value=0, max_value=99)),
+        )
+    kwargs = dict(
+        replicas=replicas, num_gpus=draw(st.sampled_from([2, 4])),
+        router=draw(st.sampled_from(
+            ["round-robin", "least-kv"] + (["affinity"] if prefix_cache else [])
+        )),
+        prefix_cache=prefix_cache, disagg=disagg,
+        steal=draw(st.booleans()), autoscale=draw(st.booleans()),
+        migrate_kv=prefix_cache and draw(st.booleans()),
+        kv_tiers="lru" if prefix_cache and draw(st.booleans()) else None,
+        kv_host_tokens=20_000, kv_ssd_tokens=60_000,
+        qos=qos, admission=qos and draw(st.booleans()), faults=faults,
+    )
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    qos_mix = {"interactive": 0.4, "standard": 0.4, "batch": 0.2} if qos else None
+    kind = draw(st.sampled_from(["closed-loop", "sessions", "mixed", "sharegpt"]))
+    if kind == "closed-loop":
+        workload = plan_sessions(rate=3.0, num_sessions=6, seed=seed, qos_mix=qos_mix)
+    elif kind == "sessions":
+        workload = make_session_trace(rate=3.0, num_sessions=6, seed=seed, qos_mix=qos_mix)
+    else:
+        dataset, rate = (MIXED, 2.0) if kind == "mixed" else (SHAREGPT, 20.0)
+        workload = make_trace(dataset, rate=rate, num_requests=16, seed=seed, qos_mix=qos_mix)
+    return kwargs, draw(st.booleans()), workload
+
+
+def _serve_composition(kwargs, observe, workload, sharded):
+    """Serve one composition; returns what both layouts must agree on."""
+    fleet = make_fleet("loongserve", sharded=sharded, **kwargs)
+    obs = None
+    if observe:
+        obs = Observability()
+        fleet.observe(obs)
+    if isinstance(workload[0], Request):
+        result = fleet.run(clone_requests(workload))
+    else:
+        result = fleet.run_driven(ClosedLoopDriver(workload))
+    served = {
+        # Request ids are drawn from a process-wide counter by the
+        # closed-loop driver, so rows go by content.
+        "requests": sorted(
+            (r.session_id or -1, r.turn, r.input_len, r.output_len,
+             r.arrival_time, r.prefill_end or -1.0, r.first_token_time or -1.0,
+             r.finish_time or -1.0, r.generated, r.preemptions)
+            for r in result.requests
+        ),
+        "aborted": len(result.aborted),
+        "stranded": len(result.stranded),
+        "iterations": [
+            (s.phase, s.batch_size, s.total_tokens, s.dop, s.duration, s.start_time)
+            for s in result.iteration_stats
+        ],
+        "scaling": [
+            (e.time, e.kind, e.group_before, e.group_after, e.batch_size)
+            for e in result.scaling_events
+        ],
+        "makespan": result.makespan,
+    }
+    if obs is not None:
+        # Batch labels come from the process-wide batch counter, whose
+        # draws interleave differently when replicas run ahead; request
+        # ids are named by content, as above (a disagg clone by its
+        # original's).
+        names = {
+            r.request_id: (r.session_id, r.turn, r.arrival_time, r.input_len)
+            for r in result.requests + result.aborted
+        }
+
+        def payload(audit):
+            items = dict(audit.payload)
+            items.pop("batch", None)
+            if "request" in items:
+                rid = items["request"]
+                items["request"] = (rid >= CLONE_ID_OFFSET, names.get(rid % CLONE_ID_OFFSET))
+            return tuple(sorted((k, repr(v)) for k, v in items.items()))
+
+        served["audits"] = Counter(
+            (a.time, a.kind, a.component, a.replica, payload(a))
+            for a in obs.tracer.records
+        )
+    return served
+
+
+class TestRandomFleets:
+    @settings(max_examples=25, deadline=None)
+    @given(run=_fleet_runs())
+    def test_sharded_and_unsharded_fleets_serve_alike(self, run):
+        """Closed-loop sessions, disagg pools, steal, autoscale, KV
+        migration, faults, KV tiers, QoS and obs, in random compositions:
+        replicas that run ahead of each other's events serve exactly
+        what the single heap serves."""
+        kwargs, observe, workload = run
+        unsharded = _serve_composition(kwargs, observe, workload, sharded=False)
+        sharded = _serve_composition(kwargs, observe, workload, sharded=True)
+        for field, expected in unsharded.items():
+            assert sharded[field] == expected, field
+        assert unsharded["requests"], "the fleet served nothing"
