@@ -1,28 +1,24 @@
-"""Simulator speed: optimised discrete iterations/sec and hybrid fluid mode.
+"""Simulator speed: iterations/sec, steady traces and fleet calendars.
 
-Three claims, measured end to end:
+Three measurements, each of complete or fixed-budget runs:
 
-* the optimised discrete path (slotted events, incremental server state,
+* the optimised simulator (slotted events, incremental server state,
   memoised cost models, the hoisted batching DP, decode windows) runs
   simulated iterations several times faster than the pre-PR baseline at
   identical semantics — counted in iterations (``len(iteration_stats)``),
   not events, since a decode window runs many iterations in one event;
-* hybrid mode (``sim_mode="hybrid"``, ``repro.sim.fluid``) collapses
-  steady-state decode stretches into closed-form windows, cutting both
-  the event count and the end-to-end wall time by another order of
-  magnitude on steady traces, while matching discrete aggregates within
-  tolerance;
+* steady traces (clusters of uniform long-output requests) served to
+  completion at 10k and 100k requests: wall time, events, iterations
+  and peak RSS, which the per-iteration records dominate;
 * at fleet scale (16 elastic replicas, bursty Mixed + multi-turn
-  sessions), sharded event calendars serve the discrete path's exact
-  outcomes in fewer events than the pre-PR shared-heap layout (each
-  replica runs ahead of the events that cannot touch it), and
-  per-replica fluid windows (hybrid inside the fleet, backlog included)
-  cut end-to-end wall time by >=3x at identical serving outcomes.
+  sessions), sharded event calendars serve the shared-heap layout's
+  exact outcomes in fewer events (each replica runs ahead of the events
+  that cannot touch it).
 
 Run as a script to (re)generate ``BENCH_sim_speed.json``::
 
     PYTHONPATH=src python benchmarks/bench_sim_speed.py [--quick]
-    [--steady-scales 10000,100000,1000000]
+    [--steady-scales 10000,100000]
 
 Each scenario runs in a forked child so ``ru_maxrss`` is a true
 per-scenario peak.  The pre-PR baseline numbers were measured at the
@@ -32,8 +28,8 @@ and rescaled by the calibration microbenchmark when compared on a
 different machine.
 
 Under pytest the module doubles as the CI perf gate: anchors assert the
-discrete path stays ahead of the (calibration-scaled) baseline and that
-hybrid mode keeps its speedup and its fidelity; if a committed
+simulator stays ahead of the (calibration-scaled) baseline and that
+sharded fleets serve the shared heap's outcomes; if a committed
 ``BENCH_sim_speed.json`` is present, a >20% wall-time regression of a
 complete run against it fails (a quiet-dominated single server, and the
 quick fleet scenario).  Every gate times a fixed amount of serving
@@ -53,7 +49,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import SchedulerConfig, default_config
+from repro.config import default_config
 from repro.core.server import LoongServeServer
 from repro.types import Request
 from repro.workloads.datasets import MIXED
@@ -86,27 +82,17 @@ MIXED_BUDGETS = {10_000: 300_000, 100_000: 300_000}
 # completion: about as many iterations as the 30k-event prefix it
 # replaced (17,363 vs 13,634), bounded by work instead of events.
 ANCHOR_TRACE_REQUESTS = 200
-# Steady scales past this run discrete under an event budget and
-# extrapolate the full wall time (events per request is constant in
-# steady state — the smaller scales, run in full, validate the ratio).
-FULL_DISCRETE_LIMIT = 100_000
-DISCRETE_PREFIX_BUDGET = 2_000_000
 
 # Fleet scenario: elastic replicas (autoscale + steal, least-kv router)
 # under bursty Mixed arrivals merged with multi-turn sessions.  The
-# arrival rate is calibrated so the fleet keeps up over a burst cycle —
-# backlog builds during bursts (exercising fluid windows under backlog)
-# and drains between them, so the makespan ends on the quiescent tail
-# and hybrid tracks discrete to the same control tick.
+# arrival rate is calibrated so the fleet keeps up over a burst cycle:
+# backlog builds during bursts and drains between them.
 FLEET_GPUS_PER_REPLICA = 4
 FLEET_RATE = 6.0
 FLEET_SESSION_RATE = 0.3
 FLEET_SEED = 11
 FLEET_FULL = {"replicas": 16, "mixed": 1_000, "sessions": 40}
 FLEET_QUICK = {"replicas": 8, "mixed": 300, "sessions": 20}
-# Makespan drift tolerance for fleet hybrid vs discrete: both calibrated
-# scenarios land on the same control tick (measured drift 0.0%).
-FLEET_DRIFT_TOLERANCE = 0.001
 
 # Complete-run wall-time gates: calibration-scaled wall time may exceed
 # the committed reference by at most this fraction.
@@ -166,9 +152,8 @@ def quiet_trace(num_requests: int) -> list[Request]:
 
 def steady_trace(num_requests: int) -> list[Request]:
     """Clusters of 48 uniform requests every 8 s: the system keeps up,
-    so decode runs in long steady stretches — hybrid mode's home turf.
-    The 1024-token outputs keep decode (the part hybrid collapses)
-    dominant, as in any long-generation steady workload."""
+    so decode runs in long steady stretches.  The 1024-token outputs
+    keep decode dominant, as in any long-generation steady workload."""
     return [
         Request(
             request_id=i,
@@ -221,16 +206,12 @@ def outcome_signature(requests) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-def run_fleet_once(
-    sim_mode: str,
-    sharded: bool,
-    scale: dict,
-) -> dict:
+def run_fleet_once(sharded: bool, scale: dict) -> dict:
     """Serve the fleet scenario once; returns timing plus outcomes.
 
-    ``sharded=False`` is the pre-PR layout (every replica on one shared
-    event heap), still in-tree, so the baseline is measured live rather
-    than rescaled from a recorded number.
+    ``sharded=False`` is the shared-heap layout (every replica on one
+    event heap), kept in-tree as the reference, so it is measured live
+    rather than rescaled from a recorded number.
     """
     from repro.experiments.systems import make_fleet
 
@@ -241,7 +222,6 @@ def run_fleet_once(
         num_gpus=FLEET_GPUS_PER_REPLICA,
         autoscale=True,
         steal=True,
-        sim_mode=sim_mode,
         sharded=sharded,
     )
     trace = clone_requests(fleet_trace(scale["mixed"], scale["sessions"]))
@@ -251,7 +231,6 @@ def run_fleet_once(
     events = fleet.sim.events_processed
     finished = [r for r in result.requests if r.finished]
     return {
-        "sim_mode": sim_mode,
         "sharded": sharded,
         "replicas": scale["replicas"],
         "num_requests": len(trace),
@@ -267,20 +246,18 @@ def run_fleet_once(
 
 
 def run_once(
-    mode: str,
     trace: list[Request],
     max_events: int | None = None,
     observe: bool = False,
 ) -> dict:
-    """Serve ``trace`` once; returns timing plus fidelity aggregates.
+    """Serve ``trace`` once on one server; returns timing plus outcomes.
 
     The trace is cloned first — ``Request`` objects are mutable run
-    state, so back-to-back mode comparisons need fresh copies.
+    state, so back-to-back runs need fresh copies.
     ``observe=True`` arms the full observability stack (spans + audit
     log + telemetry), the tracing-on side of the overhead measurement.
     """
-    config = default_config(scheduler=SchedulerConfig(sim_mode=mode))
-    server = LoongServeServer(config)
+    server = LoongServeServer(default_config())
     obs = None
     if observe:
         from repro.obs import Observability
@@ -293,7 +270,6 @@ def run_once(
     wall = time.perf_counter() - t0
     finished = [r for r in result.requests if r.finished]
     out = {
-        "mode": mode,
         "num_requests": len(trace),
         "events": server.sim.events_processed,
         "iterations": len(result.iteration_stats),
@@ -307,9 +283,6 @@ def run_once(
     }
     if max_events is not None:
         out["event_budget"] = max_events
-    if server._fluid is not None:
-        out["fluid_windows"] = server._fluid.windows
-        out["fluid_iterations_absorbed"] = server._fluid.iterations_absorbed
     if obs is not None:
         out["spans"] = len(obs.tracer.spans)
         out["audit_records"] = len(obs.tracer.records)
@@ -358,32 +331,19 @@ def scaled_baseline(key: str, calibration: float) -> float | None:
 
 
 def fleet_bench(scale: dict) -> dict:
-    """Three-way fleet comparison: pre-PR layout vs sharded vs hybrid."""
+    """The fleet scenario on both calendar layouts: shared heap vs sharded."""
     label = f"{scale['replicas']} replicas, {scale['mixed']}+sessions"
-    print(f"[bench] fleet discrete, shared heap ({label}) ...")
-    unsharded = run_forked(
-        lambda: run_fleet_once("discrete", sharded=False, scale=scale)
-    )
-    print(f"[bench]   wall {unsharded['wall_s']}s, "
-          f"{unsharded['events_per_sec']} ev/s")
-    print(f"[bench] fleet discrete, sharded calendars ({label}) ...")
-    sharded = run_forked(
-        lambda: run_fleet_once("discrete", sharded=True, scale=scale)
-    )
+    print(f"[bench] fleet, shared heap ({label}) ...")
+    unsharded = run_forked(lambda: run_fleet_once(sharded=False, scale=scale))
+    print(f"[bench]   wall {unsharded['wall_s']}s, {unsharded['events']} events")
+    print(f"[bench] fleet, sharded calendars ({label}) ...")
+    sharded = run_forked(lambda: run_fleet_once(sharded=True, scale=scale))
     identical = (
         sharded["signature"] == unsharded["signature"]
         and sharded["makespan"] == unsharded["makespan"]
     )
-    print(f"[bench]   wall {sharded['wall_s']}s, "
-          f"{sharded['events_per_sec']} ev/s, same outcomes={identical}")
-    print(f"[bench] fleet hybrid, sharded calendars ({label}) ...")
-    hybrid = run_forked(
-        lambda: run_fleet_once("hybrid", sharded=True, scale=scale)
-    )
-    drift = abs(hybrid["makespan"] - unsharded["makespan"]) / unsharded["makespan"]
-    speedup = round(unsharded["wall_s"] / hybrid["wall_s"], 2)
-    print(f"[bench]   wall {hybrid['wall_s']}s: x{speedup} vs pre-PR, "
-          f"makespan drift {drift * 100:.3f}%")
+    print(f"[bench]   wall {sharded['wall_s']}s, {sharded['events']} events, "
+          f"same outcomes={identical}")
     return {
         "scenario": {
             "replicas": scale["replicas"],
@@ -393,18 +353,11 @@ def fleet_bench(scale: dict) -> dict:
             "rate": FLEET_RATE,
             "elastic": "autoscale + steal, least-kv router",
         },
-        "discrete_unsharded": unsharded,
-        "discrete_sharded": sharded,
-        "hybrid_sharded": hybrid,
+        "unsharded": unsharded,
+        "sharded": sharded,
         "sharded_bit_identical": identical,
         "sharded_wall_ratio": round(
             unsharded["wall_s"] / sharded["wall_s"], 2
-        ),
-        "hybrid_wall_speedup_vs_unsharded": speedup,
-        "hybrid_makespan_drift": round(drift, 6),
-        "hybrid_outcomes_match": (
-            hybrid["finished"] == unsharded["finished"]
-            and hybrid["generated_tokens"] == unsharded["generated_tokens"]
         ),
     }
 
@@ -415,9 +368,7 @@ def fleet_bench(scale: dict) -> dict:
 def test_bench_discrete_beats_baseline(benchmark, bench_scale):
     """Optimised discrete iterations/sec clears the baseline by a wide margin."""
     trace = mixed_trace(ANCHOR_TRACE_REQUESTS)
-    out = benchmark.pedantic(
-        lambda: run_once("discrete", trace), rounds=1, iterations=1
-    )
+    out = benchmark.pedantic(lambda: run_once(trace), rounds=1, iterations=1)
     calibration = calibration_score()
     benchmark.extra_info.update(out, calibration=calibration)
     floor = scaled_baseline("mixed_10k_iterations_per_sec", calibration)
@@ -428,28 +379,6 @@ def test_bench_discrete_beats_baseline(benchmark, bench_scale):
             f"discrete {out['iterations_per_sec']:.0f} iterations/s under 3x "
             f"the calibration-scaled baseline {floor:.0f} iterations/s"
         )
-
-
-def test_bench_hybrid_speedup_and_fidelity(benchmark, bench_scale):
-    """Hybrid needs >=10x fewer events than discrete iterations and
-    matches discrete aggregates."""
-    trace = steady_trace(2_000)
-    discrete = run_once("discrete", trace)
-    hybrid = benchmark.pedantic(
-        lambda: run_once("hybrid", trace), rounds=1, iterations=1
-    )
-    benchmark.extra_info.update(
-        discrete_events=discrete["events"], hybrid_events=hybrid["events"],
-        discrete_wall=discrete["wall_s"], hybrid_wall=hybrid["wall_s"],
-    )
-    assert hybrid["generated_tokens"] == discrete["generated_tokens"]
-    assert hybrid["finished"] == discrete["finished"]
-    assert abs(hybrid["makespan"] - discrete["makespan"]) <= 0.02 * discrete["makespan"]
-    # Counted in simulated work: a discrete decode window runs many
-    # iterations in one event, so the discrete run's events are no
-    # measure of what hybrid collapses.
-    assert discrete["iterations"] >= 10 * hybrid["events"]
-    assert hybrid["wall_s"] < discrete["wall_s"]
 
 
 def test_bench_disabled_tracer_fast_path():
@@ -495,47 +424,21 @@ def test_bench_disabled_tracer_fast_path():
 _fleet_quick_cache: dict = {}
 
 
-def _fleet_quick(sim_mode: str, sharded: bool) -> dict:
+def _fleet_quick(sharded: bool) -> dict:
     """Quick-scale fleet run, memoised across the anchor tests."""
-    key = (sim_mode, sharded)
-    if key not in _fleet_quick_cache:
-        _fleet_quick_cache[key] = run_fleet_once(
-            sim_mode, sharded=sharded, scale=FLEET_QUICK
-        )
-    return _fleet_quick_cache[key]
+    if sharded not in _fleet_quick_cache:
+        _fleet_quick_cache[sharded] = run_fleet_once(sharded, scale=FLEET_QUICK)
+    return _fleet_quick_cache[sharded]
 
 
 def test_bench_fleet_sharded_bit_identical():
     """Sharded calendars serve the shared-heap fleet's outcomes bit for
     bit, in fewer events: each replica runs ahead of the others'."""
-    unsharded = _fleet_quick("discrete", sharded=False)
-    sharded = _fleet_quick("discrete", sharded=True)
+    unsharded = _fleet_quick(sharded=False)
+    sharded = _fleet_quick(sharded=True)
     assert sharded["signature"] == unsharded["signature"]
     assert sharded["makespan"] == unsharded["makespan"]
     assert sharded["events"] < unsharded["events"]
-
-
-def test_bench_fleet_hybrid_speedup_and_fidelity():
-    """Fleet hybrid beats the pre-PR path >=2.5x at matching outcomes.
-
-    The committed JSON records the full-scale >=3x; the CI anchor
-    asserts 2.5x on the quick scenario (measured ~4.4x) to absorb
-    machine noise.
-    """
-    unsharded = _fleet_quick("discrete", sharded=False)
-    hybrid = _fleet_quick("hybrid", sharded=True)
-    assert hybrid["finished"] == unsharded["finished"]
-    assert hybrid["generated_tokens"] == unsharded["generated_tokens"]
-    drift = abs(hybrid["makespan"] - unsharded["makespan"])
-    assert drift <= FLEET_DRIFT_TOLERANCE * unsharded["makespan"], (
-        f"fleet hybrid makespan {hybrid['makespan']} drifted "
-        f"{drift / unsharded['makespan']:.2%} from discrete "
-        f"{unsharded['makespan']} (tolerance {FLEET_DRIFT_TOLERANCE:.1%})"
-    )
-    assert unsharded["wall_s"] >= 2.5 * hybrid["wall_s"], (
-        f"fleet hybrid wall {hybrid['wall_s']}s is under 2.5x faster than "
-        f"the pre-PR path ({unsharded['wall_s']}s)"
-    )
 
 
 def _committed_section(name: str) -> dict:
@@ -595,7 +498,7 @@ def obs_overhead() -> dict:
         sides = {}
         for observe in ((False, True) if k % 2 == 0 else (True, False)):
             sides[observe] = run_forked(
-                lambda observe=observe: run_once("discrete", trace, observe=observe)
+                lambda observe=observe: run_once(trace, observe=observe)
             )
         off, on = sides[False], sides[True]
         if on["signature"] != off["signature"]:
@@ -616,10 +519,8 @@ def obs_overhead() -> dict:
 
 # The complete runs the wall-time gates time, by gate (section) name.
 WALL_GATE_RUNS = {
-    "wall_gate": lambda: run_once("discrete", quiet_trace(QUIET_TRACE_REQUESTS)),
-    "fleet_wall_gate": lambda: run_fleet_once(
-        "discrete", sharded=True, scale=FLEET_QUICK
-    ),
+    "wall_gate": lambda: run_once(quiet_trace(QUIET_TRACE_REQUESTS)),
+    "fleet_wall_gate": lambda: run_fleet_once(sharded=True, scale=FLEET_QUICK),
 }
 
 
@@ -657,7 +558,7 @@ def generate(quick: bool, steady_scales: list[int]) -> dict:
         "calibration_score": calibration,
         "baseline": dict(BASELINE),
         "events_per_sec": {},
-        "hybrid": {},
+        "steady": {},
     }
 
     mixed_scales = [2_000] if quick else [10_000, 100_000]
@@ -666,7 +567,7 @@ def generate(quick: bool, steady_scales: list[int]) -> dict:
         budget = 30_000 if quick else MIXED_BUDGETS[n]
         print(f"[bench] discrete iterations/sec on {name} (budget {budget}) ...")
         out = run_forked(lambda n=n, budget=budget: run_once(
-            "discrete", mixed_trace(n), max_events=budget))
+            mixed_trace(n), max_events=budget))
         # Only the 10k prefix has a counted seed iteration rate.
         floor = scaled_baseline(f"{name}_iterations_per_sec", calibration)
         if floor is not None:
@@ -676,59 +577,13 @@ def generate(quick: bool, steady_scales: list[int]) -> dict:
         print(f"[bench]   {out['iterations_per_sec']} iterations/s "
               f"(x{out.get('speedup_vs_baseline', '?')} vs baseline)")
 
-    events_per_request = None
     for n in sorted(steady_scales):
-        name = f"steady_{n // 1000}k" if n < 1_000_000 else f"steady_{n // 1_000_000}m"
-        entry = {}
-        print(f"[bench] hybrid full run on {name} ...")
-        entry["hybrid"] = run_forked(lambda n=n: run_once("hybrid", steady_trace(n)))
-        print(f"[bench]   wall {entry['hybrid']['wall_s']}s, "
-              f"{entry['hybrid']['events']} events, "
-              f"rss {entry['hybrid']['peak_rss_mb']} MB")
-        if n <= FULL_DISCRETE_LIMIT or events_per_request is None:
-            print(f"[bench] discrete full run on {name} ...")
-            out = run_forked(lambda n=n: run_once("discrete", steady_trace(n)))
-            events_per_request = out["events"] / out["finished"]
-        else:
-            print(f"[bench] discrete prefix run on {name} "
-                  f"(budget {DISCRETE_PREFIX_BUDGET}) ...")
-            out = run_forked(lambda n=n: run_once(
-                "discrete", steady_trace(n), max_events=DISCRETE_PREFIX_BUDGET))
-            estimated_events = int(events_per_request * n)
-            out["events_extrapolated"] = estimated_events
-            out["wall_s_extrapolated"] = round(
-                estimated_events / out["events_per_sec"], 1
-            )
-            out["extrapolation_basis"] = (
-                f"{events_per_request:.1f} events/request from the largest "
-                f"fully-run scale; wall at measured events/sec"
-            )
-        entry["discrete"] = out
-        print(f"[bench]   wall {out.get('wall_s_extrapolated', out['wall_s'])}s"
-              f"{' (extrapolated)' if 'wall_s_extrapolated' in out else ''}, "
-              f"rss {out['peak_rss_mb']} MB")
-        discrete_wall = out.get("wall_s_extrapolated", out["wall_s"])
-        discrete_events = out.get("events_extrapolated", out["events"])
-        entry["wall_speedup_hybrid_vs_discrete"] = round(
-            discrete_wall / entry["hybrid"]["wall_s"], 2
-        )
-        entry["event_reduction"] = round(
-            discrete_events / entry["hybrid"]["events"], 1
-        )
-        base_eps = scaled_baseline("steady_10k_events_per_sec", calibration)
-        if base_eps is not None:
-            # The baseline replays the identical event sequence as the
-            # (bit-identical) optimised discrete path, so its end-to-end
-            # wall time extrapolates exactly from its measured rate.
-            base_wall = discrete_events / base_eps
-            entry["baseline_wall_s_extrapolated"] = round(base_wall, 1)
-            entry["wall_speedup_hybrid_vs_baseline"] = round(
-                base_wall / entry["hybrid"]["wall_s"], 1
-            )
-        if "wall_s_extrapolated" not in out:
-            drift = abs(entry["hybrid"]["makespan"] - out["makespan"])
-            entry["makespan_drift"] = round(drift / out["makespan"], 4)
-        report["hybrid"][name] = entry
+        name = f"steady_{n // 1000}k"
+        print(f"[bench] full run on {name} ...")
+        out = run_forked(lambda n=n: run_once(steady_trace(n)))
+        report["steady"][name] = out
+        print(f"[bench]   wall {out['wall_s']}s, {out['events']} events, "
+              f"{out['iterations']} iterations, rss {out['peak_rss_mb']} MB")
 
     report["fleet"] = fleet_bench(FLEET_QUICK if quick else FLEET_FULL)
     report.update(wall_gates())
@@ -744,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--steady-scales", default=None,
         help="comma-separated steady-trace sizes (default quick: 2000; "
-             "full: 10000,100000,1000000)",
+             "full: 10000,100000)",
     )
     parser.add_argument(
         "--obs-only", action="store_true",
@@ -762,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.steady_scales is not None:
             scales = [int(s) for s in args.steady_scales.split(",") if s]
         else:
-            scales = [2_000] if args.quick else [10_000, 100_000, 1_000_000]
+            scales = [2_000] if args.quick else [10_000, 100_000]
         report = generate(args.quick, scales)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"[bench] wrote {args.out}")

@@ -40,14 +40,6 @@ class SchedulerConfig:
     live request KV.  ``None`` (default) leaves the cache unbounded,
     preserving prior behaviour.
 
-    ``sim_mode`` — ``"discrete"`` (default) fires one event per decode
-    iteration and is the bit-identical reference; ``"hybrid"`` lets
-    steady-state decode stretches advance in closed form via the fluid
-    approximation (``repro.sim.fluid``), falling back to discrete events
-    on any transient (the window bounds are constants of that module).
-    Aggregate metrics agree within tolerance but per-event traces
-    differ — golden-signature gates require discrete.
-
     ``kv_tier_policy`` — arm host/SSD KV offload tiers for the prefix
     cache (``repro.kvcache.tiers``): evicted extents demote into pinned
     host memory, spill to NVMe under host pressure, and swap back in on
@@ -68,16 +60,11 @@ class SchedulerConfig:
     enable_multi_master: bool = True
     enable_prefix_cache: bool = False
     max_cached_tokens: int | None = None
-    sim_mode: str = "discrete"
     kv_tier_policy: str | None = None
     kv_host_tokens: int = 200_000
     kv_ssd_tokens: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.sim_mode not in ("discrete", "hybrid"):
-            raise ValueError(
-                f"sim_mode must be 'discrete' or 'hybrid', got {self.sim_mode!r}"
-            )
         if self.kv_tier_policy is not None:
             if self.kv_tier_policy not in ("lru", "fifo", "lifo"):
                 raise ValueError(

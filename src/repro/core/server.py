@@ -37,7 +37,6 @@ from repro.serving import serve
 from repro.sessions.prefix_cache import PrefixKVCache
 from repro.sim.engine import Simulator
 from repro.sim.events import Timer
-from repro.sim.fluid import FluidStepper
 from repro.types import (
     BatchStats,
     Phase,
@@ -145,12 +144,6 @@ class LoongServeServer:
         self._fits_capacity: set[int] = set()
         self._unvetted: list[Request] = []
         self._prefilling: dict[int, Request] = {}
-        # Hybrid fluid-flow mode (repro.sim.fluid): steady-state decode
-        # stretches advance in closed form.  None in the default
-        # "discrete" mode keeps that path bit-identical.
-        self._fluid = (
-            FluidStepper(self) if config.scheduler.sim_mode == "hybrid" else None
-        )
         self.qos_ledger: QoSLedger | None = (
             QoSLedger() if self.qos is not None else None
         )
@@ -249,8 +242,8 @@ class LoongServeServer:
         re-dispatch, plus the KV tokens lost.
 
         Every callback the dead server had posted (in-flight
-        prefill/decode completions, pending ticks, fluid windows) leaves
-        the calendar, so none of them moves the clock; the epoch bump
+        prefill/decode completions, pending ticks) leaves the calendar,
+        so none of them moves the clock; the epoch bump
         keeps any that ran from touching the rebuilt state, a cold,
         empty server on the same shared clock, ready to be recovered.
         Finished/aborted history and the prefix-cache hit/miss ledger
@@ -964,8 +957,6 @@ class LoongServeServer:
     # -- decode execution -------------------------------------------------------
 
     def _start_decode_iterations(self) -> None:
-        if self._fluid is not None and self._fluid.try_window():
-            return  # fluid window scheduled (or holding for quiescence)
         # Only a running prefill task holds instances in the PREFILL role.
         prefilling = bool(self._prefilling)
         for batch in list(self.decode_batches):
@@ -1129,8 +1120,7 @@ class LoongServeServer:
         """
         ends = self._decode_ends
         if (
-            self._fluid is not None
-            or not self._quiet
+            not self._quiet
             or self._tick_pending
             or self._unvetted
             or (self.pending and not self._blocked)
@@ -1476,17 +1466,6 @@ class LoongServeServer:
             return False
         key = self.sim.horizon_key()
         return key is None or key[0] > now
-
-    def _next_event_time(self) -> float | None:
-        """The replica's fluid horizon: its clock's horizon or its own
-        next in-flight decode end, whichever is sooner (the decode
-        calendar posts only its head)."""
-        horizon = self.sim.next_event_time()
-        if self._decode_ends:
-            end = self._decode_ends[0][0]
-            if horizon is None or end < horizon:
-                return end
-        return horizon
 
     def _finish_request(self, request: Request) -> None:
         request.state = RequestState.FINISHED

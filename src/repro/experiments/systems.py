@@ -190,7 +190,6 @@ def make_fleet(
     qos: bool = False,
     admission: bool = False,
     autoscale_predictive: bool = False,
-    sim_mode: str = "discrete",
     sharded: bool = True,
     disagg: int = 0,
     kv_tiers: str | None = None,
@@ -248,12 +247,10 @@ def make_fleet(
     autoscaler promotes with zero warm-up (requires ``autoscale`` or
     ``autoscale_predictive``).
 
-    ``sim_mode="hybrid"`` arms every replica's fluid stepper (windows
-    engage per replica, bounded by the replica's horizon — including the
-    next control tick).  ``sharded=False`` funnels every replica through
-    one shared event heap (the pre-PR-8 layout, whose horizon is global;
-    the sharded default serves identical outcomes in fewer events, and
-    faster).
+    ``sharded=False`` funnels every replica through one shared event
+    heap, whose horizon is global.  The sharded default serves identical
+    outcomes in fewer events, and faster; the shared heap is kept as the
+    reference layout the sharded fleets are checked against.
     """
     from repro.fleet import (
         DEFAULT_CONTROL_INTERVAL,
@@ -313,8 +310,7 @@ def make_fleet(
     servers = [
         make_system(system, requests=requests, num_gpus=num_gpus,
                     prefix_cache=prefix_cache, qos=qos, admission=admission,
-                    sim_mode=sim_mode, kv_tiers=kv_tiers,
-                    kv_host_tokens=kv_host_tokens,
+                    kv_tiers=kv_tiers, kv_host_tokens=kv_host_tokens,
                     kv_ssd_tokens=kv_ssd_tokens)
         for _ in range(replicas + standby)
     ]
@@ -387,7 +383,6 @@ def make_system(
     prefix_cache: bool = False,
     qos: bool = False,
     admission: bool = False,
-    sim_mode: str = "discrete",
     kv_tiers: str | None = None,
     kv_host_tokens: int = 200_000,
     kv_ssd_tokens: int = 1_000_000,
@@ -416,22 +411,16 @@ def make_system(
         raise ValueError(
             f"QoS scheduling is only supported on LoongServe systems, not {name!r}"
         )
-    if sim_mode != "discrete" and name != "loongserve":
-        raise ValueError(
-            f"sim_mode={sim_mode!r} (the fluid stepper) is only supported on "
-            f"the 'loongserve' system, not {name!r}"
-        )
     if kv_tiers is not None and name != "loongserve":
         raise ValueError(
             f"kv_tiers (tiered KV offload) is only supported on the "
             f"'loongserve' system, not {name!r}"
         )
     scheduler = None
-    if prefix_cache or sim_mode != "discrete" or kv_tiers is not None:
+    if prefix_cache or kv_tiers is not None:
         scheduler = SchedulerConfig(
-            enable_prefix_cache=prefix_cache, sim_mode=sim_mode,
-            kv_tier_policy=kv_tiers, kv_host_tokens=kv_host_tokens,
-            kv_ssd_tokens=kv_ssd_tokens,
+            enable_prefix_cache=prefix_cache, kv_tier_policy=kv_tiers,
+            kv_host_tokens=kv_host_tokens, kv_ssd_tokens=kv_ssd_tokens,
         )
     builders = {
         "loongserve": lambda: build_loongserve(

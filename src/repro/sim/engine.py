@@ -101,11 +101,11 @@ class Simulator:
     def next_event_time(self) -> float | None:
         """Timestamp of the next live scheduled event (None when idle).
 
-        The fluid stepper bounds its closed-form stretches with this:
-        every transient it must not skip over — an arrival, a control
-        tick, a fault, another batch's completion — is an already-queued
-        event, so stopping at the horizon is conservative.  In sharded
-        mode this is the minimum over every shard.
+        The idle test: the serving loop reads a run that ends with
+        nothing queued as one that ran out of work, not out of its event
+        budget, and the telemetry sampler stops re-arming once nothing
+        else is queued.  In sharded mode this is the minimum over every
+        shard.
         """
         if not self._multi:
             return self._queue.peek_time()
@@ -407,12 +407,11 @@ class ShardClock:
     Quacks like the simulator for the APIs a replica server uses
     (``now`` / ``call_at`` / ``call_after`` / ``stop`` / ``stopped`` /
     ``until`` / ``advance_to`` / ``next_seq`` / ``events_processed`` /
-    ``next_event_time`` / ``horizon_key``), but schedules onto its own
-    calendar.
+    ``horizon_key``), but schedules onto its own calendar.
 
     :meth:`horizon_key` is the replica's horizon: the earliest event
     that can touch it, which bounds the work its server runs ahead
-    inside one event (decode windows, inline ticks, fluid windows).
+    inside one event (decode windows, inline ticks).
     Other replicas reach a replica through two channels only:
 
     * shard 0, the control plane: arrivals, control ticks, faults,
@@ -477,11 +476,6 @@ class ShardClock:
             if other is not None and (head is None or other < head):
                 head = other
         return None if head is None else head[:3]
-
-    def next_event_time(self) -> float | None:
-        """The time of :meth:`horizon_key` (the fluid stepper's bound)."""
-        key = self.horizon_key()
-        return None if key is None else key[0]
 
     def mark_reaching(self) -> None:
         """This replica holds a request with a completion hook, whose

@@ -83,14 +83,13 @@ class TestOptionSurface:
             "decode_compute_bound_bs", "prefill_tipping_tokens",
             "max_batch_size", "enable_scale_up", "enable_scale_down",
             "enable_multi_master", "enable_prefix_cache", "max_cached_tokens",
-            "sim_mode", "kv_tier_policy", "kv_host_tokens", "kv_ssd_tokens",
+            "kv_tier_policy", "kv_host_tokens", "kv_ssd_tokens",
         ]
 
     def test_make_system_parameters(self):
         assert list(inspect.signature(make_system).parameters) == [
             "name", "requests", "num_gpus", "gpus_per_node", "prefix_cache",
-            "qos", "admission", "sim_mode", "kv_tiers", "kv_host_tokens",
-            "kv_ssd_tokens",
+            "qos", "admission", "kv_tiers", "kv_host_tokens", "kv_ssd_tokens",
         ]
 
     def test_make_fleet_parameters(self):
@@ -98,6 +97,6 @@ class TestOptionSurface:
             "system", "replicas", "router", "requests", "num_gpus",
             "prefix_cache", "autoscale", "steal", "migrate_kv", "faults",
             "control_interval", "qos", "admission", "autoscale_predictive",
-            "sim_mode", "sharded", "disagg", "kv_tiers", "kv_host_tokens",
+            "sharded", "disagg", "kv_tiers", "kv_host_tokens",
             "kv_ssd_tokens", "standby", "router_kwargs",
         ]

@@ -57,12 +57,12 @@ from repro.types import Phase, Request, RequestState
 from repro.workloads.datasets import MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
 from tests.conftest import make_request
-from tests.test_sim_modes import _steady_trace as steady_trace
+from tests.test_serve_loop import _steady_trace as steady_trace
 
 
 class WindowlessServer(LoongServeServer):
-    """Reference: one calendar event per decode iteration, every tick
-    queued, and a fluid horizon taken from the calendar alone.
+    """Reference: one calendar event per decode iteration and every
+    tick queued.
 
     Windows are switched off where they start: no iteration ever enters
     the decode calendar, so no wake exists to run one inline.
@@ -75,9 +75,6 @@ class WindowlessServer(LoongServeServer):
 
     def _can_tick_inline(self, now: float) -> bool:
         return False
-
-    def _next_event_time(self):
-        return self.sim.next_event_time()
 
 
 def _all_calendars(sim):
@@ -189,10 +186,8 @@ def _assert_same(windowed: dict, reference: dict) -> None:
         raise AssertionError(f"{field}: windowed {got} != reference {expected}")
 
 
-def _serve(server_cls, trace, sim_mode: str = "discrete", **scheduler):
-    config = default_config(
-        scheduler=SchedulerConfig(sim_mode=sim_mode, **scheduler)
-    )
+def _serve(server_cls, trace, **scheduler):
+    config = default_config(scheduler=SchedulerConfig(**scheduler))
     server = server_cls(config)
     result = server.run(clone_requests(trace))
     return _record(result), server.sim.events_processed
@@ -227,10 +222,10 @@ def _serve_fleet(reference: bool, trace, **fleet_kwargs):
     return record, fleet.sim.events_processed
 
 
-def _matches_the_reference(trace, sim_mode: str = "discrete", **scheduler):
+def _matches_the_reference(trace, **scheduler):
     """Serve ``trace`` both ways; returns (record, events, reference events)."""
-    windowed, events = _serve(LoongServeServer, trace, sim_mode, **scheduler)
-    reference, reference_events = _serve(WindowlessServer, trace, sim_mode, **scheduler)
+    windowed, events = _serve(LoongServeServer, trace, **scheduler)
+    reference, reference_events = _serve(WindowlessServer, trace, **scheduler)
     _assert_same(windowed, reference)
     assert events <= reference_events
     return windowed, events, reference_events
@@ -379,25 +374,12 @@ class TestInlineTickMatchesTheQueuedTick:
         assert inline == queued
         assert inline_events < queued_events
 
-    def test_hybrid_mode(self):
-        _, inline_events, queued_events = _matches_the_reference(QUIET_MIXED, "hybrid")
-        assert inline_events < queued_events
-
 
 class TestDecodeWindowsMatchTheWindowlessReference:
     """Multi-iteration windows replay the event-per-iteration program."""
 
-    @pytest.mark.parametrize("sim_mode", ["discrete", "hybrid"])
-    def test_steady_trace_with_coopted_batches(self, sim_mode):
-        _matches_the_reference(_steady_trace(300), sim_mode)
-
-    def test_fluid_windows_see_unposted_decode_ends(self):
-        """A fluid window's horizon includes the replica's in-flight decode
-        ends that are not on the calendar — here the iteration of a batch
-        whose instances allocation drained mid-flight, which no longer
-        counts as running — as the event-per-iteration calendar did."""
-        record, _, _ = _matches_the_reference(_steady_trace(2_000), "hybrid")
-        assert len(record["iterations"]) == 2_294
+    def test_steady_trace_with_coopted_batches(self):
+        _matches_the_reference(_steady_trace(300))
 
     def test_golden_traces(self):
         mixed, _, _ = _matches_the_reference(GOLDEN_MIXED)

@@ -386,43 +386,3 @@ class TestExplain:
         assert "no telemetry" in diff_telemetry(
             {"samples": {}}, {"samples": {}}
         )
-
-
-class TestFluidSpans:
-    def test_decode_spans_carry_fluid_window_attrs(self):
-        """Hybrid-mode decode spans sub-divide into the fluid windows
-        that advanced them: (window_start, window_end, tokens_advanced)
-        triples, appended live as each window closes."""
-        from repro.config import SchedulerConfig
-        from repro.types import Request
-
-        trace = [
-            Request(request_id=i, input_len=512, output_len=300,
-                    arrival_time=(i // 24) * 8.0)
-            for i in range(120)
-        ]
-        config = default_config(scheduler=SchedulerConfig(sim_mode="hybrid"))
-        server = LoongServeServer(config)
-        obs = Observability()
-        server.observe(obs)
-        server.run(clone_requests(trace))
-        assert server._fluid.windows > 0
-        windowed = [
-            s for s in obs.tracer.spans
-            if s.phase == "decode" and "fluid_windows" in s.attrs
-        ]
-        assert windowed, "no decode span recorded its fluid windows"
-        output_len = {r.request_id: r.output_len for r in trace}
-        for span in windowed:
-            windows = span.attrs["fluid_windows"]
-            assert windows
-            for start, end, advanced in windows:
-                assert start < end
-                assert advanced >= 1
-            # Windows never overshoot the request's declared decode.
-            assert sum(adv for _, _, adv in windows) <= (
-                output_len[span.request_id]
-            )
-            # Consecutive windows of one span move forward in time.
-            starts = [start for start, _, _ in windows]
-            assert starts == sorted(starts)

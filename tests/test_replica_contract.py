@@ -283,7 +283,6 @@ def test_serve_cli_audits_every_abort(system, replicas, tmp_path, capsys):
 CONSUMERS = (
     "fleet/server.py", "fleet/router.py", "fleet/autoscaler.py",
     "fleet/control.py", "fleet/disagg.py", "obs/observe.py", "obs/health.py",
-    "sim/fluid.py",
 )
 PROBE = re.compile(r"\b(getattr|hasattr)\(")
 

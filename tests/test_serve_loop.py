@@ -10,11 +10,15 @@ Pinned here:
 * **The loop's contract** — start-ordered iteration stats and
   ``run_driven`` on every shape, event budgets (on a fleet too), and
   the observability bundle sampled where a shape has one.
+* **Arrival grouping** — same-timestamp arrivals coalesce into one
+  event, on every shape and on fleets, bit-identically to one arrival
+  event per request.
 """
 
 import hashlib
 import math
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -22,6 +26,7 @@ from repro.experiments.systems import make_fleet, make_system
 from repro.obs import Observability
 from repro.serving import serve
 from repro.sessions import ClosedLoopDriver, plan_sessions
+from repro.types import Request
 from repro.workloads.datasets import MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
 from tests.test_replica_contract import SYSTEMS
@@ -147,3 +152,141 @@ def test_observed_run_samples_where_the_shape_can(system):
     result = server.run(clone_requests(TRACES["mixed"][:20]))
     assert (result.obs is obs) == (system == "loongserve")
     assert bool(obs.metrics.sample_times) == (system == "loongserve")
+
+
+def _finished_signature(requests):
+    signature = sorted(
+        (r.input_len, r.output_len, round(r.arrival_time, 9),
+         round(r.prefill_end, 9), round(r.first_token_time, 9),
+         round(r.finish_time, 9), r.preemptions)
+        for r in requests if r.finished
+    )
+    return hashlib.md5(repr(signature).encode()).hexdigest()
+
+
+def _steady_trace(num_requests=600, cluster=48, interval=8.0, output_len=300):
+    return [
+        Request(request_id=i, input_len=512, output_len=output_len,
+                arrival_time=(i // cluster) * interval)
+        for i in range(num_requests)
+    ]
+
+
+class PerRequestArrivals:
+    """A driver posting one arrival event per request: the uncoalesced
+    reference for the serving loop's grouped arrivals."""
+
+    def __init__(self, requests):
+        self.requests = requests
+
+    @property
+    def total_requests(self) -> int:
+        """Requests still to arrive at the start (a fleet's control loop
+        ticks until they all have)."""
+        return len(self.requests)
+
+    def install(self, sim, submit):
+        for request in self.requests:
+            sim.call_at(
+                request.arrival_time, partial(submit, request), label="arrival"
+            )
+
+
+# Fleets the serving loop drives: route-once placement, disagg pools
+# (whose handoffs the elastic counters record), and a control loop that
+# must keep ticking while arrivals remain.
+FLEETS = {
+    "route-once": dict(replicas=2, router="round-robin"),
+    "disagg": dict(replicas=3, disagg=1, prefix_cache=True),
+    "steal-autoscale": dict(replicas=3, router="least-kv", steal=True,
+                            autoscale=True),
+}
+
+
+def _clock(server):
+    """The simulator the server's last run used."""
+    return server.ledgers()[0].sim
+
+
+class TestArrivalGrouping:
+    """``run()`` coalesces same-timestamp arrivals into one event, on
+    every shape and on fleets; the outcome must be bit-identical to
+    per-request arrival events."""
+
+    def _grouped_and_ungrouped(self, trace, system="loongserve"):
+        grouped_server = make_system(system, requests=trace)
+        grouped = grouped_server.run(clone_requests(trace))
+        ungrouped_server = make_system(system, requests=trace)
+        ungrouped = ungrouped_server.run_driven(
+            PerRequestArrivals(clone_requests(trace))
+        )
+        return grouped, ungrouped, _clock(grouped_server), _clock(ungrouped_server)
+
+    def test_clustered_timestamps_identical(self):
+        trace = _steady_trace(num_requests=200, cluster=25, interval=5.0,
+                              output_len=40)
+        grouped, ungrouped, gs, us = self._grouped_and_ungrouped(trace)
+        assert _finished_signature(grouped.requests) == _finished_signature(
+            ungrouped.requests
+        )
+        assert grouped.makespan == ungrouped.makespan
+        # The grouping is the whole point: fewer arrival events fired.
+        assert gs.events_processed < us.events_processed
+
+    def test_distinct_timestamps_identical(self):
+        trace = make_trace(MIXED, rate=4.0, num_requests=30, seed=7)
+        grouped, ungrouped, gs, us = self._grouped_and_ungrouped(trace)
+        assert _finished_signature(grouped.requests) == _finished_signature(
+            ungrouped.requests
+        )
+        # Poisson arrivals never tie, so grouping changes nothing at all.
+        assert gs.events_processed == us.events_processed
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_every_shape_groups_identically(self, system):
+        trace = _steady_trace(num_requests=60, cluster=12, interval=3.0,
+                              output_len=40)
+        trace.append(Request(request_id=60, input_len=2_000_000,
+                             output_len=4, arrival_time=3.0))  # aborts
+        grouped, ungrouped, gs, us = self._grouped_and_ungrouped(trace, system)
+        assert _outcomes(grouped) == _outcomes(ungrouped)
+        assert [r.request_id for r in grouped.aborted] == [60]
+        assert gs.events_processed < us.events_processed
+
+    @pytest.mark.parametrize("fleet", sorted(FLEETS))
+    def test_every_fleet_groups_identically(self, fleet):
+        trace = _steady_trace(num_requests=60, cluster=12, interval=3.0,
+                              output_len=40)
+        trace.append(Request(request_id=60, input_len=2_000_000,
+                             output_len=4, arrival_time=3.0))  # aborts
+        runs = []
+        for grouped in (True, False):
+            system = make_fleet("loongserve", requests=trace, num_gpus=4,
+                                **FLEETS[fleet])
+            requests = clone_requests(trace)
+            result = (
+                system.run(requests) if grouped
+                else system.run_driven(PerRequestArrivals(requests))
+            )
+            runs.append((result, system.sim.events_processed))
+        (grouped, grouped_events), (ungrouped, ungrouped_events) = runs
+        assert _outcomes(grouped) == _outcomes(ungrouped)
+        assert list(map(_outcomes, grouped.per_replica)) == list(
+            map(_outcomes, ungrouped.per_replica)
+        )
+        assert grouped.elastic == ungrouped.elastic
+        assert [r.request_id for r in grouped.aborted] == [60]
+        assert grouped_events < ungrouped_events
+
+
+def _outcomes(result):
+    """Everything a run serves, requests named by id."""
+    return (
+        [(r.request_id, r.prefill_start, r.first_token_time, r.finish_time,
+          r.generated, r.preemptions) for r in result.requests],
+        [r.request_id for r in result.aborted],
+        result.stranded,
+        result.iteration_stats,
+        result.scaling_events,
+        result.makespan,
+    )
