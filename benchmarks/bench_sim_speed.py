@@ -58,21 +58,18 @@ from repro.workloads.trace_gen import clone_requests, make_trace
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_sim_speed.json"
 
-# Events/sec of the seed-commit simulator, fixed event budget, measured
-# on the machine whose calibration score is recorded alongside.  The
-# seed ran one event per decode iteration or tick, so events/sec stood
-# for work; a decode window now runs many iterations in one event, so
-# work is counted in simulated iterations (``len(iteration_stats)``).
-# Replaying the seed commit over the same 300k-event prefix of
-# mixed_10k counts 140,003 iterations (0.466677 per event), so its
+# Speed of the seed-commit simulator, measured on the machine whose
+# calibration score is recorded alongside.  The seed ran one event per
+# decode iteration or tick, so events/sec stood for work: 2544.4 events/s
+# over a fixed 300k-event prefix of mixed_10k.  A decode window now runs
+# many iterations in one event, so work is counted in simulated
+# iterations (``len(iteration_stats)``).  Replaying the seed commit over
+# the same prefix counts 140,003 iterations (0.466677 per event), so its
 # iterations/sec there are 2544.4 x 0.466677.
 BASELINE = {
     "commit": "53aa78d",
     "calibration_score": 22.11,
-    "mixed_10k_events_per_sec": 2544.4,
     "mixed_10k_iterations_per_sec": 1187.4,
-    "mixed_100k_events_per_sec": 2405.9,
-    "steady_10k_events_per_sec": 11367.0,
 }
 
 # Event budgets for the fixed-work events/sec scenarios (matching the

@@ -24,7 +24,6 @@ from repro.baselines.base import EngineGroup, EngineServer
 from repro.baselines.vllm import PrefillPriorityPolicy
 from repro.config import SystemConfig
 from repro.costmodel.latency import RooflineCostModel
-from repro.obs.tracer import Tracer
 from repro.sim.engine import Simulator
 from repro.types import Request
 
@@ -49,21 +48,14 @@ class DistServeServer(EngineGroup):
 
     name = "DistServe"
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        cost_model: RooflineCostModel | None = None,
-        trace: Tracer | None = None,
-    ) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         if config.num_instances != 2:
             raise ValueError(
                 "DistServe splits the cluster into two equal groups; build its "
                 "config with tensor_parallel = num_gpus // 2"
             )
         self.config = config
-        self.cost_model = cost_model or RooflineCostModel(
-            cluster=config.cluster, model=config.model
-        )
+        self.cost_model = RooflineCostModel(cluster=config.cluster, model=config.model)
         self.prefill_engine = EngineServer(
             config=config,
             policy=PrefillPriorityPolicy(),
@@ -71,7 +63,6 @@ class DistServeServer(EngineGroup):
             instance_ids=[0],
             kv_slots=config.kv_slots_per_instance,
             name="DistServe-prefill",
-            trace=trace,
         )
         self.decode_engine = _DecodeEngine(
             config=config,
@@ -80,7 +71,6 @@ class DistServeServer(EngineGroup):
             instance_ids=[1],
             kv_slots=config.kv_slots_per_instance,
             name="DistServe-decode",
-            trace=trace,
         )
         self.engines = [self.prefill_engine, self.decode_engine]
         self.migrations = 0

@@ -9,42 +9,31 @@ walls on ShareGPT-like workloads.
 
 from __future__ import annotations
 
-from repro.config import SchedulerConfig, SystemConfig, default_config
+from repro.config import SchedulerConfig, default_config
 from repro.core.server import LoongServeServer
 
 
 def build_loongserve(
     num_gpus: int = 8,
-    tensor_parallel: int = 2,
     gpus_per_node: int = 8,
     scheduler: SchedulerConfig | None = None,
-    config: SystemConfig | None = None,
 ) -> LoongServeServer:
-    """The paper's LoongServe configuration (§7.1)."""
-    if config is None:
-        config = default_config(
-            num_gpus=num_gpus,
-            tensor_parallel=tensor_parallel,
-            gpus_per_node=gpus_per_node,
-            scheduler=scheduler,
-        )
+    """The paper's LoongServe configuration (§7.1): TP=2 instances."""
+    config = default_config(
+        num_gpus=num_gpus,
+        tensor_parallel=2,
+        gpus_per_node=gpus_per_node,
+        scheduler=scheduler,
+    )
     return LoongServeServer(config)
 
 
 def build_no_scale_up_loongserve(
-    num_gpus: int = 8,
-    tensor_parallel: int = 2,
-    gpus_per_node: int = 8,
-    prefix_cache: bool = False,
+    num_gpus: int = 8, prefix_cache: bool = False
 ) -> LoongServeServer:
     """LoongServe with elastic scale-up disabled (Figure 13 ablation)."""
     scheduler = SchedulerConfig(enable_scale_up=False, enable_prefix_cache=prefix_cache)
-    config = default_config(
-        num_gpus=num_gpus,
-        tensor_parallel=tensor_parallel,
-        gpus_per_node=gpus_per_node,
-        scheduler=scheduler,
-    )
+    config = default_config(num_gpus=num_gpus, tensor_parallel=2, scheduler=scheduler)
     server = LoongServeServer(config)
     server.name = "LoongServe w/o Elastic Scale-up"
     return server

@@ -19,16 +19,15 @@ from typing import Sequence
 
 from repro.baselines.base import EnginePolicy, EngineServer, IterationPlan
 from repro.config import SystemConfig
-from repro.costmodel.latency import RooflineCostModel
-from repro.obs.tracer import Tracer
 from repro.types import Request
 
 
-def ideal_chunk_size(
-    requests: Sequence[Request],
-    minimum: int = 256,
-    maximum: int = 65_536,
-) -> int:
+# The range ideal_chunk_size clamps its chunk to.
+MIN_CHUNK_SIZE = 256
+MAX_CHUNK_SIZE = 65_536
+
+
+def ideal_chunk_size(requests: Sequence[Request]) -> int:
     """SARATHI's P:D-ratio chunk size for a workload.
 
     One decode iteration piggybacks ``chunk`` prefill tokens; matching the
@@ -38,9 +37,9 @@ def ideal_chunk_size(
     total_in = sum(r.input_len for r in requests)
     total_out = sum(r.output_len for r in requests)
     if total_out == 0:
-        return maximum
+        return MAX_CHUNK_SIZE
     chunk = total_in // max(1, total_out)
-    return max(minimum, min(maximum, chunk))
+    return max(MIN_CHUNK_SIZE, min(MAX_CHUNK_SIZE, chunk))
 
 
 class SplitFusePolicy(EnginePolicy):
@@ -101,10 +100,8 @@ class SplitFuseServer(EngineServer):
         self,
         config: SystemConfig,
         chunk_size: int,
-        cost_model: RooflineCostModel | None = None,
         crash_input_len: int | None = None,
         name: str = "LightLLM w/ SplitFuse",
-        trace: Tracer | None = None,
     ) -> None:
         if config.num_instances != 1:
             raise ValueError(
@@ -113,11 +110,9 @@ class SplitFuseServer(EngineServer):
         super().__init__(
             config=config,
             policy=SplitFusePolicy(chunk_size=chunk_size),
-            cost_model=cost_model,
             instance_ids=[0],
             num_masters=1,
             name=name,
-            trace=trace,
         )
         self.crash_input_len = crash_input_len
 

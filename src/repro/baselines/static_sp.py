@@ -14,28 +14,18 @@ from __future__ import annotations
 from repro.baselines.base import EngineServer
 from repro.baselines.vllm import PrefillPriorityPolicy
 from repro.config import SystemConfig
-from repro.costmodel.latency import RooflineCostModel
-from repro.obs.tracer import Tracer
 
 
 class StaticSPServer(EngineServer):
     """One engine spanning every instance at a fixed SP degree."""
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        cost_model: RooflineCostModel | None = None,
-        name: str | None = None,
-        trace: Tracer | None = None,
-    ) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         sp = config.num_instances
         super().__init__(
             config=config,
             policy=PrefillPriorityPolicy(),
-            cost_model=cost_model,
             instance_ids=list(range(sp)),
             kv_slots=config.kv_slots_per_instance * sp,
             num_masters=sp,  # static multi-master: fixed, never adapted
-            name=name or f"LoongServe w/o ESP (TP={config.tensor_parallel}, SP={sp})",
-            trace=trace,
+            name=f"LoongServe w/o ESP (TP={config.tensor_parallel}, SP={sp})",
         )

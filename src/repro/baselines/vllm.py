@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from repro.baselines.base import EnginePolicy, EngineServer, IterationPlan
 from repro.config import SystemConfig
-from repro.costmodel.latency import RooflineCostModel
-from repro.obs.tracer import Tracer
 from repro.types import Request
 
 # Admission limits of the modelled scheduler: the share of KV slots an
@@ -67,12 +65,7 @@ class PrefillPriorityPolicy(EnginePolicy):
 class VLLMServer(EngineServer):
     """vLLM with tensor parallelism over the whole cluster (TP=8 in §7.1)."""
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        cost_model: RooflineCostModel | None = None,
-        trace: Tracer | None = None,
-    ) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         if config.num_instances != 1:
             raise ValueError(
                 "vLLM baseline expects the whole cluster as one TP instance; "
@@ -81,9 +74,7 @@ class VLLMServer(EngineServer):
         super().__init__(
             config=config,
             policy=PrefillPriorityPolicy(),
-            cost_model=cost_model,
             instance_ids=[0],
             num_masters=1,
             name="vLLM",
-            trace=trace,
         )

@@ -63,14 +63,6 @@ class Cluster:
     def num_gpus(self) -> int:
         return self.topology.num_gpus
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def total_memory_bytes(self) -> int:
-        return self.gpu.memory_bytes * self.num_gpus
-
     def instance_gpus(self, instance_id: int, tensor_parallel: int) -> list[int]:
         """Global GPU indices backing one elastic instance.
 

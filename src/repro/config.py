@@ -8,7 +8,7 @@ sequence parallelism 4 on one 8-GPU node, baselines with TP=8, etc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.gpu import A800_80GB, GPUSpec
@@ -119,25 +119,12 @@ class SystemConfig:
             )
         return int(available // self.model.kv_bytes_per_token)
 
-    @property
-    def total_kv_slots(self) -> int:
-        return self.kv_slots_per_instance * self.num_instances
-
-    def with_parallelism(self, tensor_parallel: int, max_sequence_parallel: int) -> SystemConfig:
-        """Return a copy with a different launch-time parallelism layout."""
-        return replace(
-            self,
-            tensor_parallel=tensor_parallel,
-            max_sequence_parallel=max_sequence_parallel,
-        )
-
 
 def default_config(
     num_gpus: int = 8,
     gpu: GPUSpec = A800_80GB,
     model: ModelSpec = LWM_7B_1M,
     tensor_parallel: int = 2,
-    max_sequence_parallel: int | None = None,
     gpus_per_node: int = 8,
     scheduler: SchedulerConfig | None = None,
 ) -> SystemConfig:
@@ -145,15 +132,14 @@ def default_config(
 
     With the defaults this is the §7.1 testbed: one node of eight A800-80GB
     GPUs serving LWM-1M-Text (Llama-2-7B architecture) with TP=2 and up to
-    four elastic instances (ESP degree 4).
+    four elastic instances (ESP degree 4).  Every GPU backs an elastic
+    instance: the ESP degree goes up to ``num_gpus // tensor_parallel``.
     """
     cluster = Cluster.homogeneous(num_gpus=num_gpus, gpu=gpu, gpus_per_node=gpus_per_node)
-    if max_sequence_parallel is None:
-        max_sequence_parallel = num_gpus // tensor_parallel
     return SystemConfig(
         cluster=cluster,
         model=model,
         tensor_parallel=tensor_parallel,
-        max_sequence_parallel=max_sequence_parallel,
+        max_sequence_parallel=num_gpus // tensor_parallel,
         scheduler=scheduler or SchedulerConfig(),
     )

@@ -44,14 +44,6 @@ class PlannedBatch:
     requests: list[Request]
     instance_ids: list[int]
 
-    @property
-    def dop(self) -> int:
-        return len(self.instance_ids)
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(r.input_len for r in self.requests)
-
 
 @dataclass
 class BatchPlan:

@@ -68,15 +68,10 @@ class SchedulePlan:
 class GlobalManager:
     """Stateless-per-tick planner over the server's shared state."""
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        cost_model: RooflineCostModel,
-        sib: ScalingInformationBase | None = None,
-    ) -> None:
+    def __init__(self, config: SystemConfig, cost_model: RooflineCostModel) -> None:
         self.config = config
         self.cost_model = cost_model
-        self.sib = sib or ScalingInformationBase()
+        self.sib = ScalingInformationBase()
         self.predictor: AnalyticalModel = self._bootstrap_predictor()
 
     def _bootstrap_predictor(self) -> AnalyticalModel:

@@ -36,10 +36,6 @@ class PrefillScaleDown:
     kept_instances: tuple[int, ...]
     per_request: dict[int, Placement] = field(default_factory=dict)
 
-    @property
-    def total_tokens(self) -> int:
-        return sum(sum(p.values()) for p in self.per_request.values())
-
 
 def plan_scale_down(
     requests: list[Request],

@@ -60,7 +60,6 @@ class LoongServeServer:
         cost_model: RooflineCostModel | None = None,
         manager: GlobalManager | None = None,
         trace: Tracer | None = None,
-        qos: QoSPolicy | None = None,
     ) -> None:
         self.config = config
         self.cost_model = cost_model or RooflineCostModel(
@@ -74,12 +73,13 @@ class LoongServeServer:
         # bundle, disabled tracer) is the bit-identical baseline.
         self.obs = None
         self.obs_replica = 0
-        # QoS (repro.qos): with a policy armed the scheduler admits by
-        # deadline feasibility, orders dispatch earliest-slack-first
-        # within tier priority, and preempts batch-tier decodes for
-        # at-risk top-tier prefills.  None = pre-QoS behaviour, bit-
-        # identical (asserted by the golden-signature gates).
-        self.qos = qos
+        # QoS (repro.qos): with a policy armed (``make_system`` sets
+        # ``qos``) the scheduler admits by deadline feasibility, orders
+        # dispatch earliest-slack-first within tier priority, and
+        # preempts batch-tier decodes for at-risk top-tier prefills.
+        # None = pre-QoS behaviour, bit-identical (asserted by the
+        # golden-signature gates).
+        self.qos: QoSPolicy | None = None
         self._reset()
 
     def _reset(self) -> None:
@@ -1081,9 +1081,9 @@ class LoongServeServer:
         one tight loop.
 
         Called with the calendar's head due under ``key`` (the clock's
-        horizon) and ``until``.  In discrete mode, on a quiet
-        replica (no tick queued, nothing unvetted, the last full tick
-        enacted nothing, and any queue it left provably blocked — see
+        horizon) and ``until``.  On a quiet replica (no tick queued,
+        nothing unvetted, the last full tick enacted nothing, and any
+        queue it left provably blocked — see
         :meth:`_stays_blocked`), the tick at each end of a batch that
         owns its whole group only restarts it: every other idle batch
         keeps the inputs that tick found no scale-up for.  The proof

@@ -76,17 +76,6 @@ class ScalingInformationBase:
         ).fetchall()
         return [(json.loads(lens), time) for lens, time in rows]
 
-    def sample_count(self, strategy: ParallelismStrategy | None = None) -> int:
-        if strategy is None:
-            (count,) = self._conn.execute("SELECT COUNT(*) FROM profiles").fetchone()
-        else:
-            (count,) = self._conn.execute(
-                "SELECT COUNT(*) FROM profiles"
-                " WHERE tensor_parallel = ? AND sequence_parallel = ?",
-                (strategy.tensor_parallel, strategy.sequence_parallel),
-            ).fetchone()
-        return int(count)
-
     def strategies(self) -> list[ParallelismStrategy]:
         rows = self._conn.execute(
             "SELECT DISTINCT tensor_parallel, sequence_parallel FROM profiles"

@@ -373,13 +373,3 @@ class RooflineCostModel:
             kv_bytes, src_instance, dst_instance, tensor_parallel
         )
 
-    def decode_step_lower_bound(self, tensor_parallel: int) -> float:
-        """Fastest possible decode step (weights read + overhead).
-
-        Useful as the SLO reference scale: the paper sets the SLO to 25x
-        the inference latency, which for decode is bounded below by the
-        weight-streaming time.
-        """
-        gpu = self.cluster.gpu
-        weight_time = (self.model.weight_bytes / tensor_parallel) / gpu.sustained_bandwidth
-        return weight_time + self.iteration_overhead

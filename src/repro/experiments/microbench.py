@@ -14,13 +14,13 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.core.sib import ScalingInformationBase
 from repro.costmodel.latency import RooflineCostModel
-from repro.model.spec import LWM_7B_1M, ModelSpec
+from repro.model.spec import LWM_7B_1M
 from repro.parallel.strategy import ParallelismStrategy
 
 
-def _cost_model(num_gpus: int = 8, model: ModelSpec = LWM_7B_1M) -> RooflineCostModel:
-    cluster = Cluster.homogeneous(num_gpus=num_gpus)
-    return RooflineCostModel(cluster=cluster, model=model)
+def _cost_model() -> RooflineCostModel:
+    """The §7.1 testbed: eight GPUs serving LWM-1M-Text."""
+    return RooflineCostModel(cluster=Cluster.homogeneous(num_gpus=8), model=LWM_7B_1M)
 
 
 # -- Figure 2: scalability of requests vs. TP degree --------------------------------
@@ -38,19 +38,14 @@ class Figure2Row:
     times: dict[int, float] = field(default_factory=dict)  # tp -> seconds
 
     @property
-    def normalized(self) -> dict[int, float]:
-        base = self.times[min(self.times)]
-        return {tp: t / base for tp, t in self.times.items()}
-
-    @property
     def speedup_at_max_tp(self) -> float:
         tps = sorted(self.times)
         return self.times[tps[0]] / self.times[tps[-1]]
 
 
-def figure2(model: ModelSpec = LWM_7B_1M) -> list[Figure2Row]:
+def figure2() -> list[Figure2Row]:
     """Iteration time vs. TP degree, prefill and decode (Figure 2)."""
-    cost = _cost_model(model=model)
+    cost = _cost_model()
     rows: list[Figure2Row] = []
     for grid, phase in [
         (FIGURE2_PREFILL_GRID, "prefill"),
@@ -98,9 +93,9 @@ class Figure3Row:
         return min(self.times, key=self.times.get)
 
 
-def figure3(model: ModelSpec = LWM_7B_1M) -> list[Figure3Row]:
+def figure3() -> list[Figure3Row]:
     """SPxTP vs. pure TP iteration times over the paper's grid (Figure 3)."""
-    cost = _cost_model(model=model)
+    cost = _cost_model()
     rows = []
     for bs, length in FIGURE3_GRID:
         prefill_row = Figure3Row(batch_size=bs, length=length, phase="prefill")
@@ -154,7 +149,7 @@ class Figure14aRow:
         return self.with_reactive / self.plain_prefill - 1.0
 
 
-def figure14a(model: ModelSpec = LWM_7B_1M) -> list[Figure14aRow]:
+def figure14a() -> list[Figure14aRow]:
     """Scale-down overhead (Figure 14a).
 
     Proactive scale-down reuses the prefill's own ring traffic, so its
@@ -162,7 +157,7 @@ def figure14a(model: ModelSpec = LWM_7B_1M) -> list[Figure14aRow]:
     kernel-level bookkeeping).  The reactive alternative pays an explicit
     post-prefill KV migration of half the batch's tokens (DoP 4 -> 2).
     """
-    cost = _cost_model(model=model)
+    cost = _cost_model()
     instances = [0, 1, 2, 3]
     rows = []
     for bs, length in FIGURE14_GRID:
@@ -197,9 +192,9 @@ class Figure14bRow:
         return self.times[1] / self.times[4]
 
 
-def figure14b(model: ModelSpec = LWM_7B_1M) -> list[Figure14bRow]:
+def figure14b() -> list[Figure14bRow]:
     """Multi-master decode overhead/benefit (Figure 14b)."""
-    cost = _cost_model(model=model)
+    cost = _cost_model()
     instances = [0, 1, 2, 3]
     rows = []
     for bs, length in FIGURE14_GRID:
@@ -236,9 +231,9 @@ class Figure15Point:
         return abs(self.predicted - self.measured) / self.measured
 
 
-def figure15(model: ModelSpec = LWM_7B_1M) -> list[Figure15Point]:
+def figure15() -> list[Figure15Point]:
     """Fit the SIB model and compare predictions vs. ground truth (Fig. 15)."""
-    cost = _cost_model(model=model)
+    cost = _cost_model()
     sib = ScalingInformationBase()
     fitted = sib.profile_strategies(cost, FIGURE15_STRATEGIES)
     points = []

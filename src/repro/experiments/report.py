@@ -141,13 +141,13 @@ def render_points(points: Sequence[Point], columns: Sequence[str]) -> str:
     )
 
 
-def render_goodput(curves: list[SystemCurve], target: float = 0.90) -> str:
+def render_goodput(curves: list[SystemCurve]) -> str:
     """Each curve's goodput; ``≥`` marks a censored one, whose sweep
     still met the target at its top rate."""
     body = [
         [
             curve.name,
-            f"{'≥' if curve.censored(target) else ''}{curve.goodput(target):.2f}",
+            f"{'≥' if curve.censored() else ''}{curve.goodput():.2f}",
         ]
         for curve in curves
     ]

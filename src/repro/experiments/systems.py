@@ -24,19 +24,15 @@ from repro.types import Request
 DEEPSPEED_MII_INPUT_LIMIT = 32_768
 
 
-def build_vllm(num_gpus: int = 8, gpus_per_node: int = 8) -> VLLMServer:
+def build_vllm(num_gpus: int = 8) -> VLLMServer:
     """vLLM with TP spanning the whole node (TP=8)."""
-    config = default_config(
-        num_gpus=num_gpus, tensor_parallel=num_gpus, gpus_per_node=gpus_per_node
-    )
-    return VLLMServer(config)
+    return VLLMServer(default_config(num_gpus=num_gpus, tensor_parallel=num_gpus))
 
 
 def build_splitfuse(
     requests: Sequence[Request] | None = None,
     chunk_size: int | None = None,
     num_gpus: int = 8,
-    gpus_per_node: int = 8,
     deepspeed_mii: bool = False,
 ) -> SplitFuseServer:
     """Chunked prefill at TP=8, with SARATHI's oracle chunk size.
@@ -50,9 +46,7 @@ def build_splitfuse(
             chunk_size = 2048
         else:
             chunk_size = ideal_chunk_size(requests)
-    config = default_config(
-        num_gpus=num_gpus, tensor_parallel=num_gpus, gpus_per_node=gpus_per_node
-    )
+    config = default_config(num_gpus=num_gpus, tensor_parallel=num_gpus)
     if deepspeed_mii:
         return SplitFuseServer(
             config,
@@ -63,20 +57,16 @@ def build_splitfuse(
     return SplitFuseServer(config, chunk_size=chunk_size)
 
 
-def build_distserve(num_gpus: int = 8, gpus_per_node: int = 8) -> DistServeServer:
+def build_distserve(num_gpus: int = 8) -> DistServeServer:
     """Prefill-decode disaggregation, DoP 4 + 4 on eight GPUs."""
-    config = default_config(
-        num_gpus=num_gpus, tensor_parallel=num_gpus // 2, gpus_per_node=gpus_per_node
+    return DistServeServer(
+        default_config(num_gpus=num_gpus, tensor_parallel=num_gpus // 2)
     )
-    return DistServeServer(config)
 
 
-def build_static_sp(num_gpus: int = 8, gpus_per_node: int = 8) -> StaticSPServer:
+def build_static_sp(num_gpus: int = 8) -> StaticSPServer:
     """LoongServe w/o ESP: fixed TP=2 x SP=4 hybrid."""
-    config = default_config(
-        num_gpus=num_gpus, tensor_parallel=2, gpus_per_node=gpus_per_node
-    )
-    return StaticSPServer(config)
+    return StaticSPServer(default_config(num_gpus=num_gpus, tensor_parallel=2))
 
 
 def _replicated(
@@ -100,11 +90,9 @@ def _replicated(
     return ReplicatedServer(engines, name=name)
 
 
-def build_replicated_tp2(num_gpus: int = 8, gpus_per_node: int = 8) -> ReplicatedServer:
+def build_replicated_tp2(num_gpus: int = 8) -> ReplicatedServer:
     """LoongServe w/o ESP (TP=2) x N: independent replicas, no KV sharing."""
-    config = default_config(
-        num_gpus=num_gpus, tensor_parallel=2, gpus_per_node=gpus_per_node
-    )
+    config = default_config(num_gpus=num_gpus, tensor_parallel=2)
     return _replicated(
         config, PrefillPriorityPolicy, "TP=2 replica",
         f"LoongServe w/o ESP (TP=2) x {config.num_instances}",
@@ -379,7 +367,6 @@ def make_system(
     name: str,
     requests: Sequence[Request] | None = None,
     num_gpus: int = 8,
-    gpus_per_node: int = 8,
     prefix_cache: bool = False,
     qos: bool = False,
     admission: bool = False,
@@ -423,30 +410,18 @@ def make_system(
             kv_host_tokens=kv_host_tokens, kv_ssd_tokens=kv_ssd_tokens,
         )
     builders = {
-        "loongserve": lambda: build_loongserve(
-            num_gpus=num_gpus, gpus_per_node=gpus_per_node,
-            scheduler=scheduler,
-        ),
+        "loongserve": lambda: build_loongserve(num_gpus=num_gpus, scheduler=scheduler),
         "loongserve-no-scaleup": lambda: build_no_scale_up_loongserve(
-            num_gpus=num_gpus, gpus_per_node=gpus_per_node,
-            prefix_cache=prefix_cache,
+            num_gpus=num_gpus, prefix_cache=prefix_cache,
         ),
-        "vllm": lambda: build_vllm(num_gpus=num_gpus, gpus_per_node=gpus_per_node),
+        "vllm": lambda: build_vllm(num_gpus=num_gpus),
         "deepspeed-mii": lambda: build_splitfuse(
-            requests, num_gpus=num_gpus, gpus_per_node=gpus_per_node, deepspeed_mii=True
+            requests, num_gpus=num_gpus, deepspeed_mii=True
         ),
-        "splitfuse": lambda: build_splitfuse(
-            requests, num_gpus=num_gpus, gpus_per_node=gpus_per_node
-        ),
-        "distserve": lambda: build_distserve(
-            num_gpus=num_gpus, gpus_per_node=gpus_per_node
-        ),
-        "static-sp": lambda: build_static_sp(
-            num_gpus=num_gpus, gpus_per_node=gpus_per_node
-        ),
-        "replicated-tp2": lambda: build_replicated_tp2(
-            num_gpus=num_gpus, gpus_per_node=gpus_per_node
-        ),
+        "splitfuse": lambda: build_splitfuse(requests, num_gpus=num_gpus),
+        "distserve": lambda: build_distserve(num_gpus=num_gpus),
+        "static-sp": lambda: build_static_sp(num_gpus=num_gpus),
+        "replicated-tp2": lambda: build_replicated_tp2(num_gpus=num_gpus),
     }
     try:
         server = builders[name]()

@@ -14,9 +14,7 @@ the placement router, and warm-up-priced recovery.
 """
 
 from repro.fleet.autoscaler import (
-    AutoscalerConfig,
     PredictiveAutoscaler,
-    PredictiveConfig,
     QueueDepthAutoscaler,
     unpark_target,
 )
@@ -33,7 +31,7 @@ from repro.fleet.faults import (
     ReplicaFault,
     reset_for_failover,
 )
-from repro.fleet.migration import KVMigrator, MigrationConfig
+from repro.fleet.migration import KVMigrator
 from repro.fleet.router import (
     LONG_INPUT_THRESHOLD,
     ROUTERS,
@@ -47,14 +45,13 @@ from repro.fleet.router import (
     make_router,
 )
 from repro.fleet.server import FleetResult, FleetServer, ReplicaHandle
-from repro.fleet.stealing import StealConfig, StealMove, WorkStealer
+from repro.fleet.stealing import StealMove, WorkStealer
 
 __all__ = [
     "DEFAULT_CONTROL_INTERVAL",
     "DEFAULT_DOWNTIME_S",
     "LONG_INPUT_THRESHOLD",
     "ROUTERS",
-    "AutoscalerConfig",
     "CLONE_ID_OFFSET",
     "CacheAffinityRouter",
     "ClusterPolicy",
@@ -69,15 +66,12 @@ __all__ = [
     "LeastKVRouter",
     "LeastOutstandingRouter",
     "LengthAwareRouter",
-    "MigrationConfig",
     "PredictiveAutoscaler",
-    "PredictiveConfig",
     "QueueDepthAutoscaler",
     "ReplicaHandle",
     "RoundRobinRouter",
     "Router",
     "SLORouter",
-    "StealConfig",
     "StealMove",
     "WorkStealer",
     "make_router",

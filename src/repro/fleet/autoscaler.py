@@ -11,7 +11,7 @@ Two policies share the actuation surface:
 
 * :class:`QueueDepthAutoscaler` — **reactive**: queue-depth and
   KV-pressure watermarks with hysteresis (a signal must persist for
-  ``hysteresis_ticks`` consecutive ticks, so a single bursty tick
+  ``HYSTERESIS_TICKS`` consecutive ticks, so a single bursty tick
   cannot flap capacity).  It only moves after queues have already
   built.
 * :class:`PredictiveAutoscaler` — **forecast-driven** (the SLO-aware
@@ -27,38 +27,38 @@ Two policies share the actuation surface:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 
-@dataclass(frozen=True)
-class AutoscalerConfig:
-    """Hysteresis thresholds of :class:`QueueDepthAutoscaler`.
+# QueueDepthAutoscaler's watermarks.  Queue depths are mean queued
+# requests per accepting replica; KV fractions are mean used fractions of
+# the replicas' KV pools.  Scale-out triggers when *either* high
+# watermark holds, scale-in only when *both* low watermarks hold —
+# memory pressure without queueing still needs capacity (long-context
+# serving is KV-bound).  A signal must hold for HYSTERESIS_TICKS
+# consecutive ticks before capacity moves.
+HIGH_QUEUE_DEPTH = 3.0
+LOW_QUEUE_DEPTH = 0.5
+HIGH_KV_FRACTION = 0.85
+LOW_KV_FRACTION = 0.55
+HYSTERESIS_TICKS = 2
 
-    ``high_queue_depth``/``low_queue_depth`` are mean queued requests
-    per accepting replica; ``high_kv_fraction``/``low_kv_fraction`` are
-    mean used fractions of the replicas' KV pools.  Scale-out triggers
-    when *either* high watermark holds, scale-in only when *both* low
-    watermarks hold — memory pressure without queueing still needs
-    capacity (long-context serving is KV-bound).
-    """
+# PredictiveAutoscaler's targets.  TARGET_UTILIZATION is the forecast
+# load factor capacity is provisioned for (replicas needed = forecast
+# token rate / replica service rate / target); keeping it below 1 leaves
+# queueing headroom, which is what converts "keeping up" into "meeting
+# deadlines".  Scale-in becomes eligible when the current fleet's
+# forecast utilisation is at most LOW_UTILIZATION, and fires after
+# SCALE_IN_TICKS consecutive such ticks (scale-out needs none: acting
+# early is the policy's whole point).  EWMA_ALPHA weights the newest
+# inter-tick rate observation.
+TARGET_UTILIZATION = 0.70
+LOW_UTILIZATION = 0.40
+EWMA_ALPHA = 0.5
+SCALE_IN_TICKS = 3
 
-    high_queue_depth: float = 3.0
-    low_queue_depth: float = 0.5
-    high_kv_fraction: float = 0.85
-    low_kv_fraction: float = 0.55
-    hysteresis_ticks: int = 2
-    min_online: int = 1
-
-    def __post_init__(self) -> None:
-        if self.low_queue_depth > self.high_queue_depth:
-            raise ValueError("low_queue_depth must not exceed high_queue_depth")
-        if self.low_kv_fraction > self.high_kv_fraction:
-            raise ValueError("low_kv_fraction must not exceed high_kv_fraction")
-        if self.hysteresis_ticks < 1:
-            raise ValueError("hysteresis_ticks must be >= 1")
-        if self.min_online < 1:
-            raise ValueError("min_online must be >= 1")
+# Neither policy drains the fleet below this many accepting replicas.
+MIN_ONLINE = 1
 
 
 class QueueDepthAutoscaler:
@@ -66,19 +66,16 @@ class QueueDepthAutoscaler:
 
     name = "queue-depth"
 
-    def __init__(self, config: AutoscalerConfig | None = None) -> None:
-        self.config = config or AutoscalerConfig()
-        self._hot_ticks = 0
-        self._cold_ticks = 0
-        # Pressure signals behind the most recent decision, for the
-        # control-plane audit log.
-        self.last_signals: dict[str, float] = {}
+    def __init__(self) -> None:
+        self.reset()
 
     def reset(self) -> None:
         """Clear hysteresis state (fresh fleet run)."""
         self._hot_ticks = 0
         self._cold_ticks = 0
-        self.last_signals = {}
+        # Pressure signals behind the most recent decision, for the
+        # control-plane audit log.
+        self.last_signals: dict[str, float] = {}
 
     def decide(self, replicas: Sequence, now: float) -> list[tuple[str, object]]:
         """One control tick's capacity actions: (``"unpark" | "drain"``,
@@ -92,7 +89,6 @@ class QueueDepthAutoscaler:
         it comes online (the cold streak having accumulated the whole
         time it warmed).
         """
-        config = self.config
         online = [r for r in replicas if r.online]
         accepting = [r for r in online if not r.draining]
         warming = any(r.warming for r in replicas)
@@ -104,8 +100,8 @@ class QueueDepthAutoscaler:
         depth = queued / len(accepting)
         kv = sum(r.kv_used_fraction() for r in accepting) / len(accepting)
 
-        overloaded = depth >= config.high_queue_depth or kv >= config.high_kv_fraction
-        underloaded = depth <= config.low_queue_depth and kv <= config.low_kv_fraction
+        overloaded = depth >= HIGH_QUEUE_DEPTH or kv >= HIGH_KV_FRACTION
+        underloaded = depth <= LOW_QUEUE_DEPTH and kv <= LOW_KV_FRACTION
         self._hot_ticks = self._hot_ticks + 1 if overloaded else 0
         self._cold_ticks = self._cold_ticks + 1 if underloaded and not warming else 0
         self.last_signals = {
@@ -115,14 +111,14 @@ class QueueDepthAutoscaler:
             "cold_ticks": self._cold_ticks,
         }
 
-        if self._hot_ticks >= config.hysteresis_ticks:
+        if self._hot_ticks >= HYSTERESIS_TICKS:
             target = self._unpark_target(replicas)
             if target is not None:
                 self._hot_ticks = 0
                 return [("unpark", target)]
         elif (
-            self._cold_ticks >= config.hysteresis_ticks
-            and len(accepting) > config.min_online
+            self._cold_ticks >= HYSTERESIS_TICKS
+            and len(accepting) > MIN_ONLINE
         ):
             victim = min(
                 accepting,
@@ -155,42 +151,6 @@ def unpark_target(replicas: Sequence):
     return None
 
 
-@dataclass(frozen=True)
-class PredictiveConfig:
-    """Knobs of :class:`PredictiveAutoscaler`.
-
-    ``target_utilization`` — the forecast load factor capacity is
-    provisioned for (replicas needed = forecast token rate / replica
-    service rate / target); keeping it below 1 leaves queueing headroom,
-    which is what converts "keeping up" into "meeting deadlines".
-    ``low_utilization`` — forecast utilisation of the *current* fleet
-    below which scale-in becomes eligible.
-    ``ewma_alpha`` — weight of the newest inter-tick rate observation.
-    ``scale_in_ticks`` — consecutive low-forecast ticks before a drain
-    (scale-out needs none: acting early is the policy's whole point).
-    """
-
-    target_utilization: float = 0.70
-    low_utilization: float = 0.40
-    ewma_alpha: float = 0.5
-    scale_in_ticks: int = 3
-    min_online: int = 1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.target_utilization <= 1.0:
-            raise ValueError("target_utilization must be in (0, 1]")
-        if not 0.0 <= self.low_utilization < self.target_utilization:
-            raise ValueError(
-                "low_utilization must be in [0, target_utilization)"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.scale_in_ticks < 1:
-            raise ValueError("scale_in_ticks must be >= 1")
-        if self.min_online < 1:
-            raise ValueError("min_online must be >= 1")
-
-
 class PredictiveAutoscaler:
     """Provision capacity for the forecast arrival rate, not the queue.
 
@@ -201,19 +161,16 @@ class PredictiveAutoscaler:
     (``token_rate``, prefill tokens/s one replica sustains — see
     :func:`repro.qos.admission.prefill_token_rate`).  Scale-out fires
     the moment the desired count exceeds the accepting count; scale-in
-    waits for ``scale_in_ticks`` of agreement, because parking early is
+    waits for ``SCALE_IN_TICKS`` of agreement, because parking early is
     cheap to regret but expensive to undo (warm-up).
     """
 
     name = "predictive"
 
-    def __init__(
-        self, token_rate: float, config: PredictiveConfig | None = None
-    ) -> None:
+    def __init__(self, token_rate: float) -> None:
         if token_rate <= 0:
             raise ValueError(f"token_rate must be positive, got {token_rate}")
         self.token_rate = token_rate
-        self.config = config or PredictiveConfig()
         self.reset()
 
     def reset(self) -> None:
@@ -233,12 +190,7 @@ class PredictiveAutoscaler:
         across crashes, where the routed *list* shrinks."""
         return sum(handle.routed_tokens for handle in replicas)
 
-    def forecast_rate(self) -> float:
-        """Current smoothed arrival estimate (tokens/s)."""
-        return self._rate_ewma or 0.0
-
     def decide(self, replicas: Sequence, now: float) -> list[tuple[str, object]]:
-        config = self.config
         online = [r for r in replicas if r.online]
         accepting = [r for r in online if not r.draining]
         if not accepting:  # everything draining/parked: force capacity back
@@ -257,14 +209,12 @@ class PredictiveAutoscaler:
             self._rate_ewma = instantaneous
         else:
             self._rate_ewma = (
-                config.ewma_alpha * instantaneous
-                + (1.0 - config.ewma_alpha) * self._rate_ewma
+                EWMA_ALPHA * instantaneous + (1.0 - EWMA_ALPHA) * self._rate_ewma
             )
 
         demand = self._rate_ewma / self.token_rate  # replicas at 100% load
         desired = max(
-            config.min_online,
-            min(len(replicas), math.ceil(demand / config.target_utilization)),
+            MIN_ONLINE, min(len(replicas), math.ceil(demand / TARGET_UTILIZATION))
         )
         # Warming replicas are capacity already in flight: they count
         # toward the provision (no double-unpark) and suppress scale-in
@@ -286,13 +236,13 @@ class PredictiveAutoscaler:
             return []
         underloaded = (
             desired < len(accepting)
-            and utilization <= config.low_utilization
+            and utilization <= LOW_UTILIZATION
             and warming == 0
         )
         self._low_ticks = self._low_ticks + 1 if underloaded else 0
         if (
-            self._low_ticks >= config.scale_in_ticks
-            and len(accepting) > config.min_online
+            self._low_ticks >= SCALE_IN_TICKS
+            and len(accepting) > MIN_ONLINE
         ):
             victim = min(
                 accepting,

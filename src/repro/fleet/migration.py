@@ -25,31 +25,17 @@ inter-node fabric (``costmodel.comm.cross_replica_migration_time``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.costmodel.comm import CollectiveModel
 from repro.kvcache.migration import PrefixHandoff
 from repro.model.spec import ModelSpec
 
 
-@dataclass(frozen=True)
-class MigrationConfig:
-    """Knobs of :class:`KVMigrator`.
-
-    ``min_tokens`` — extents smaller than this are not worth a transfer
-    (the destination just re-prefills them).
-    ``drain_budget_tokens`` — cap on rescue traffic when parking a
-    replica; the coldest sequences beyond it are simply dropped.
-    """
-
-    min_tokens: int = 64
-    drain_budget_tokens: int = 200_000
-
-    def __post_init__(self) -> None:
-        if self.min_tokens < 1:
-            raise ValueError("min_tokens must be >= 1")
-        if self.drain_budget_tokens < 0:
-            raise ValueError("drain_budget_tokens must be >= 0")
+# Extents smaller than this are not worth a transfer (the destination
+# just re-prefills them).
+MIN_MIGRATION_TOKENS = 64
+# Cap on rescue traffic when parking a replica; the coldest sequences
+# beyond it are simply dropped.
+DRAIN_BUDGET_TOKENS = 200_000
 
 
 class KVMigrator:
@@ -62,12 +48,10 @@ class KVMigrator:
         collectives: CollectiveModel,
         model: ModelSpec,
         tensor_parallel: int,
-        config: MigrationConfig | None = None,
     ) -> None:
         self.collectives = collectives
         self.model = model
         self.tensor_parallel = tensor_parallel
-        self.config = config or MigrationConfig()
 
     @property
     def pricing(self) -> tuple[CollectiveModel, ModelSpec, int]:
@@ -89,7 +73,7 @@ class KVMigrator:
             return None
         src_match = src.prefix_match_len(request)
         dst_match = dst.prefix_match_len(request)
-        if src_match - dst_match < self.config.min_tokens:
+        if src_match - dst_match < MIN_MIGRATION_TOKENS:
             return None
         tokens = src.export_prefix(request)
         imported = dst.import_prefix(tokens, now)
@@ -122,12 +106,12 @@ class KVMigrator:
         targets = [p for p in peers if p.has_prefix_cache]
         if not targets:
             return []
-        budget = self.config.drain_budget_tokens
+        budget = DRAIN_BUDGET_TOKENS
         handoffs: list[PrefixHandoff] = []
         for _, tokens in src.resident_prefix_sequences():
             if budget <= 0:
                 break
-            if len(tokens) < self.config.min_tokens:
+            if len(tokens) < MIN_MIGRATION_TOKENS:
                 continue
             dst = min(targets, key=lambda p: (-p.kv_free(), p.replica_id))
             imported = dst.import_prefix(tuple(tokens[: budget]), now)

@@ -259,10 +259,6 @@ class SLORouter(Router):
             ),
         )
 
-    def predicted_slack(self, request: Request, replica, now: float) -> float:
-        """Seconds to spare if placed on ``replica`` (public probe)."""
-        return self._slack(request, replica, now, self._deadline(request))
-
     def probe_scores(
         self, request: Request, replicas: Sequence, now: float
     ) -> list[dict]:

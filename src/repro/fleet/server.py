@@ -285,10 +285,6 @@ class ReplicaHandle:
         self._active = active
         return sum(r.current_len for r in active)
 
-    def kv_free_map(self) -> dict[int, int]:
-        """Free KV slots per instance/engine."""
-        return {key: pool.free for key, pool in self.server.kv_pools()}
-
     def kv_free(self) -> int:
         return sum(pool.free for _, pool in self.server.kv_pools())
 

@@ -25,30 +25,15 @@ from typing import Sequence
 from repro.types import Request
 
 
-@dataclass(frozen=True)
-class StealConfig:
-    """Knobs of :class:`WorkStealer`.
-
-    ``min_queue_gap`` — minimum depth difference (requests) between the
-    deepest and shallowest queue before any move is planned; keeps the
-    stealer quiet on balanced fleets.
-    ``max_moves_per_tick`` — per-tick budget, bounding control work.
-    ``affinity_guard_tokens`` — a request whose source-side prefix match
-    exceeds the destination's by more than this stays put unless the
-    migrator can ship the extent along.
-    """
-
-    min_queue_gap: int = 2
-    max_moves_per_tick: int = 4
-    affinity_guard_tokens: int = 256
-
-    def __post_init__(self) -> None:
-        if self.min_queue_gap < 1:
-            raise ValueError("min_queue_gap must be >= 1")
-        if self.max_moves_per_tick < 1:
-            raise ValueError("max_moves_per_tick must be >= 1")
-        if self.affinity_guard_tokens < 0:
-            raise ValueError("affinity_guard_tokens must be >= 0")
+# Minimum depth difference (requests) between the deepest and shallowest
+# queue before any move is planned; keeps the stealer quiet on balanced
+# fleets.
+MIN_QUEUE_GAP = 2
+# Per-tick move budget, bounding control work.
+MAX_MOVES_PER_TICK = 4
+# A request whose source-side prefix match exceeds the destination's by
+# more than this stays put unless the migrator can ship the extent along.
+AFFINITY_GUARD_TOKENS = 256
 
 
 @dataclass(frozen=True)
@@ -82,9 +67,6 @@ class WorkStealer:
 
     name = "queue-gap"
 
-    def __init__(self, config: StealConfig | None = None) -> None:
-        self.config = config or StealConfig()
-
     def plan(
         self, replicas: Sequence, now: float, can_migrate: bool = False
     ) -> list[StealMove]:
@@ -94,13 +76,12 @@ class WorkStealer:
         arrivals — the requests that would wait longest anyway, and the
         smallest FCFS disruption on the source).
         """
-        config = self.config
         available = [r for r in replicas if r.available]
         if len(available) < 2:
             return []
         queues = {r.replica_id: r.queued_requests() for r in available}
         moves: list[StealMove] = []
-        while len(moves) < config.max_moves_per_tick:
+        while len(moves) < MAX_MOVES_PER_TICK:
             src = max(
                 available, key=lambda r: (len(queues[r.replica_id]), -r.replica_id)
             )
@@ -108,7 +89,7 @@ class WorkStealer:
                 available, key=lambda r: (len(queues[r.replica_id]), r.replica_id)
             )
             gap = len(queues[src.replica_id]) - len(queues[dst.replica_id])
-            if src is dst or gap < config.min_queue_gap:
+            if src is dst or gap < MIN_QUEUE_GAP:
                 break
             move = self._pick_victim(queues[src.replica_id], src, dst, can_migrate)
             if move is None:
@@ -125,7 +106,7 @@ class WorkStealer:
             src_match = src.prefix_match_len(request)
             dst_match = dst.prefix_match_len(request)
             orphaned = src_match - dst_match
-            if orphaned > self.config.affinity_guard_tokens and not can_migrate:
+            if orphaned > AFFINITY_GUARD_TOKENS and not can_migrate:
                 continue  # stealing would orphan a hot session prefix
             return StealMove(
                 request=request,

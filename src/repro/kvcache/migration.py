@@ -43,10 +43,6 @@ class MigrationPlan:
 
     steps: list[MigrationStep] = field(default_factory=list)
 
-    @property
-    def total_tokens(self) -> int:
-        return sum(s.num_tokens for s in self.steps)
-
     def is_empty(self) -> bool:
         return not self.steps
 

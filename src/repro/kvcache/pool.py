@@ -41,10 +41,6 @@ class InstancePool:
     def free(self) -> int:
         return self.capacity - self._used
 
-    def held_by(self, request_id: int) -> int:
-        """Slots owned by a request (0 when absent)."""
-        return self._owned.get(request_id, 0)
-
     def allocate(self, request_id: int, num_tokens: int) -> None:
         """Grant ``num_tokens`` additional slots to a request."""
         if num_tokens < 0:

@@ -96,7 +96,6 @@ class TieredKVStore:
         host_capacity_tokens: int = 200_000,
         ssd_capacity_tokens: int = 1_000_000,
         bytes_per_token: float = 0.0,
-        pricing: SwapPricing | None = None,
     ) -> None:
         if policy not in VICTIM_POLICIES:
             raise ValueError(
@@ -108,7 +107,7 @@ class TieredKVStore:
         self.host_capacity_tokens = host_capacity_tokens
         self.ssd_capacity_tokens = ssd_capacity_tokens
         self.bytes_per_token = bytes_per_token
-        self.pricing = pricing if pricing is not None else SwapPricing()
+        self.pricing = SwapPricing()
         self.stats = TierStats()
         self._extents: dict[tuple[int, ...], _Extent] = {}
         self._seqno = itertools.count()

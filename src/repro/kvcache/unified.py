@@ -59,15 +59,14 @@ class UnifiedKVPool:
     def free_map(self) -> dict[int, int]:
         return {i: p.free for i, p in self.pools.items()}
 
-    def can_fit_unified(self, num_tokens: int, instance_ids: list[int] | None = None) -> bool:
+    def can_fit_unified(self, num_tokens: int) -> bool:
         """LoongServe's rule: total free slots suffice, any split allowed."""
-        return self.free_on(instance_ids) >= num_tokens
+        return self.free_on() >= num_tokens
 
-    def can_fit_grouped(self, num_tokens: int, instance_ids: list[int] | None = None) -> bool:
+    def can_fit_grouped(self, num_tokens: int) -> bool:
         """Locality-constrained rule of group-based baselines: the whole
         request must fit inside a single instance (Figure 4)."""
-        ids = self.pools.keys() if instance_ids is None else instance_ids
-        return any(self.pools[i].free >= num_tokens for i in ids)
+        return any(p.free >= num_tokens for p in self.pools.values())
 
     # -- placement lifecycle ---------------------------------------------------
 
@@ -80,9 +79,6 @@ class UnifiedKVPool:
 
     def instances_of(self, request_id: int) -> list[int]:
         return sorted(self._placements.get(request_id, {}))
-
-    def resident_requests(self) -> list[int]:
-        return sorted(self._placements)
 
     def place(self, request_id: int, placement: Placement) -> None:
         """Install a request's KV tokens according to ``placement``.
@@ -211,12 +207,3 @@ class UnifiedKVPool:
                     break
         assert remaining == 0
         return placement
-
-    def fragmentation(self) -> float:
-        """Largest single request placeable under locality constraints,
-        relative to total free memory.  1.0 = no fragmentation."""
-        total = self.total_free
-        if total == 0:
-            return 1.0
-        largest = max(p.free for p in self.pools.values())
-        return largest / total

@@ -17,10 +17,10 @@ Two layers, mirroring the cache-stats pattern:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.metrics.slo import IdealLatencyModel
-from repro.qos.classes import QOS_CLASSES, QoSClass, resolve_qos_class
+from repro.qos.classes import QOS_CLASSES, resolve_qos_class
 from repro.types import Request, ServeResult
 
 __all__ = [
@@ -52,13 +52,6 @@ class QoSLedger:
         name = qos_name if qos_name is not None else self.UNTAGGED
         per_class = self.counters.setdefault(name, {})
         per_class[event] = per_class.get(event, 0) + 1
-
-    def count(self, qos_name: str | None, event: str) -> int:
-        name = qos_name if qos_name is not None else self.UNTAGGED
-        return self.counters.get(name, {}).get(event, 0)
-
-    def total(self, event: str) -> int:
-        return sum(c.get(event, 0) for c in self.counters.values())
 
     def as_dict(self) -> dict[str, dict[str, float]]:
         """Plain nested counters for ``ServeResult.qos_stats``."""
@@ -110,9 +103,7 @@ class ClassOutcome:
 
 
 def per_class_report(
-    result: ServeResult,
-    ideal: IdealLatencyModel,
-    classes: Mapping[str, QoSClass] | None = None,
+    result: ServeResult, ideal: IdealLatencyModel
 ) -> dict[str, ClassOutcome]:
     """Score each class of a run against its own deadline scale.
 
@@ -120,7 +111,6 @@ def per_class_report(
     groups as the standard-semantics ``untagged`` class).  The ledger
     counters come from ``result.qos_stats`` when the run kept one.
     """
-    registry = classes or QOS_CLASSES
     groups: dict[str, list[Request]] = {}
     for request in list(result.requests) + list(result.aborted):
         name = request.qos if request.qos is not None else QoSLedger.UNTAGGED
@@ -129,7 +119,7 @@ def per_class_report(
     outcomes: dict[str, ClassOutcome] = {}
     for name, requests in sorted(groups.items()):
         qos_class = resolve_qos_class(
-            None if name == QoSLedger.UNTAGGED else name, registry
+            None if name == QoSLedger.UNTAGGED else name, QOS_CLASSES
         )
         attained = 0
         attained_tokens = 0

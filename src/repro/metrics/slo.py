@@ -87,15 +87,12 @@ class SLOReport:
         return self.attained / self.total if self.total else 0.0
 
 
-def slo_report(
-    result: ServeResult,
-    ideal: IdealLatencyModel,
-    scale: float = DEFAULT_SLO_SCALE,
-) -> SLOReport:
+def slo_report(result: ServeResult, ideal: IdealLatencyModel) -> SLOReport:
+    """Attainment of the paper's SLO (``DEFAULT_SLO_SCALE`` x ideal)."""
     finished = result.finished_requests
     attained = 0
     for request in finished:
-        if request.end_to_end_latency <= ideal.deadline(request, scale):
+        if request.end_to_end_latency <= ideal.deadline(request):
             attained += 1
     total = len(result.requests) + len(result.aborted)
     return SLOReport(attained=attained, finished=len(finished), total=total)

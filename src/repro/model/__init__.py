@@ -13,12 +13,10 @@ from repro.model.spec import (
     LLAMA2_70B,
     LWM_7B_1M,
     MIXTRAL_8X7B,
-    AttentionKind,
     ModelSpec,
 )
 
 __all__ = [
-    "AttentionKind",
     "LLAMA2_13B",
     "LLAMA2_70B",
     "LWM_7B_1M",

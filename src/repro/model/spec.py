@@ -10,14 +10,7 @@ paper's introduction falls out of these numbers.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class AttentionKind(enum.Enum):
-    MHA = "mha"
-    GQA = "gqa"
-    MQA = "mqa"
 
 
 @dataclass(frozen=True)
@@ -70,14 +63,6 @@ class ModelSpec:
         return self.hidden_size // self.num_heads
 
     @property
-    def attention_kind(self) -> AttentionKind:
-        if self.num_kv_heads == self.num_heads:
-            return AttentionKind.MHA
-        if self.num_kv_heads == 1:
-            return AttentionKind.MQA
-        return AttentionKind.GQA
-
-    @property
     def kv_hidden_size(self) -> int:
         """Width of the K (or V) projection output."""
         return self.num_kv_heads * self.head_dim
@@ -104,15 +89,6 @@ class ModelSpec:
         embeddings = self.vocab_size * h
         head = self.vocab_size * h
         return self.num_layers * per_layer + embeddings + head + h
-
-    @property
-    def active_param_count(self) -> int:
-        """Parameters touched per token (= param_count for dense models)."""
-        h = self.hidden_size
-        inactive_ffn = 3 * h * self.ffn_hidden_size * (
-            self.num_experts - self.experts_per_token
-        )
-        return self.param_count - self.num_layers * inactive_ffn
 
     @property
     def weight_bytes(self) -> int:

@@ -368,10 +368,9 @@ def attribute(source, requests=None) -> BlameReport:
     return BlameReport(blames)
 
 
-def verify_partition(
-    report: BlameReport, tolerance: float = PARTITION_TOLERANCE
-) -> list[tuple[int, float]]:
-    """Requests whose blame does **not** sum to their e2e latency.
+def verify_partition(report: BlameReport) -> list[tuple[int, float]]:
+    """Requests whose blame does **not** sum to their e2e latency (within
+    ``PARTITION_TOLERANCE``).
 
     Returns ``(request_id, error)`` pairs; an empty list is the exact-
     partition invariant holding for the whole run.
@@ -380,7 +379,7 @@ def verify_partition(
     for request_id in sorted(report.requests):
         blame = report.requests[request_id]
         error = abs(blame.blame_total - blame.e2e)
-        if error > tolerance:
+        if error > PARTITION_TOLERANCE:
             bad.append((request_id, error))
     return bad
 

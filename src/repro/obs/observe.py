@@ -32,18 +32,13 @@ _SAMPLE_PRIORITY = 9
 class Observability:
     """Tracer + metrics registry + sampling glue for one run."""
 
-    def __init__(
-        self,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        telemetry_interval: float = DEFAULT_TELEMETRY_INTERVAL,
-    ) -> None:
+    def __init__(self, telemetry_interval: float = DEFAULT_TELEMETRY_INTERVAL) -> None:
         if telemetry_interval <= 0:
             raise ValueError(
                 f"telemetry interval must be positive, got {telemetry_interval}"
             )
-        self.tracer = tracer if tracer is not None else Tracer(enabled=True)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.tracer = Tracer(enabled=True)
+        self.metrics = MetricsRegistry()
         self.telemetry_interval = telemetry_interval
         # (time, cumulative generated tokens) at the previous sample —
         # the finite difference behind the tokens/s gauge.
@@ -59,18 +54,11 @@ class Observability:
         # ticks as the samplers, just before each metrics sample.
         self.health = None
 
-    def enable_health(self, monitor=None):
-        """Arm the SLO burn-rate monitor (see :mod:`repro.obs.health`).
+    def enable_health(self) -> None:
+        """Arm the SLO burn-rate monitor (see :mod:`repro.obs.health`)."""
+        from repro.obs.health import SLOHealthMonitor
 
-        Pass a configured :class:`~repro.obs.health.SLOHealthMonitor`
-        or let this build one with defaults.  Returns the monitor.
-        """
-        if monitor is None:
-            from repro.obs.health import SLOHealthMonitor
-
-            monitor = SLOHealthMonitor()
-        self.health = monitor
-        return monitor
+        self.health = SLOHealthMonitor()
 
     # ------------------------------------------------------------------
     # Samplers

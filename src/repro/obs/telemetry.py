@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 DEFAULT_BOUNDS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0)
 
 _SPARK = "▁▂▃▄▅▆▇█"
+# Characters per rendered sparkline; longer series are bucket-averaged.
+SPARKLINE_WIDTH = 60
 
 
 @dataclass
@@ -83,20 +85,6 @@ class Histogram:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.total += value
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Combine two histograms over identical bounds (associative)."""
-        if self.bounds != other.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds: "
-                f"{self.bounds} vs {other.bounds}"
-            )
-        return Histogram(
-            name=self.name,
-            bounds=self.bounds,
-            counts=[a + b for a, b in zip(self.counts, other.counts)],
-            total=self.total + other.total,
-        )
-
     def quantile(self, q: float) -> float:
         """Upper-bound estimate of the ``q``-quantile (0 <= q <= 1)."""
         if not 0.0 <= q <= 1.0:
@@ -144,8 +132,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, lambda: Gauge(name), Gauge)
 
-    def histogram(self, name: str, bounds: tuple[float, ...] = DEFAULT_BOUNDS) -> Histogram:
-        return self._get(name, lambda: Histogram(name, bounds=bounds), Histogram)
+    def histogram(self, name: str) -> Histogram:
+        return self._get(name, lambda: Histogram(name), Histogram)
 
     def names(self) -> list[str]:
         return sorted(self._metrics)
@@ -163,9 +151,9 @@ class MetricsRegistry:
     # Post-run rendering
     # ------------------------------------------------------------------
 
-    def render_timeline(self, width: int = 60, names: list[str] | None = None) -> str:
+    def render_timeline(self) -> str:
         """ASCII sparkline timeline of every sampled series."""
-        names = names if names is not None else self.names()
+        names = self.names()
         lines = []
         span = ""
         if self.sample_times:
@@ -175,23 +163,24 @@ class MetricsRegistry:
         for name in names:
             points = self.series.get(name, [])
             lines.append(
-                f"  {name:<{label_w}}  {sparkline([v for _, v in points], width)}"
+                f"  {name:<{label_w}}  {sparkline([v for _, v in points])}"
             )
         return "\n".join(lines)
 
 
-def sparkline(values: list[float], width: int = 60) -> str:
-    """Render values as a fixed-width unicode sparkline with min/max."""
+def sparkline(values: list[float]) -> str:
+    """Render values as a ``SPARKLINE_WIDTH``-wide unicode sparkline with
+    min/max."""
     if not values:
         return "(no samples)"
-    if len(values) > width:
+    if len(values) > SPARKLINE_WIDTH:
         # Downsample by bucket-mean so bursts stay visible at any width.
-        step = len(values) / width
+        step = len(values) / SPARKLINE_WIDTH
         values = [
             sum(chunk) / len(chunk)
             for chunk in (
                 values[int(i * step): max(int((i + 1) * step), int(i * step) + 1)]
-                for i in range(width)
+                for i in range(SPARKLINE_WIDTH)
             )
         ]
     lo, hi = min(values), max(values)

@@ -38,10 +38,6 @@ class ParallelGroup:
         return len(self.instance_ids)
 
     @property
-    def num_masters(self) -> int:
-        return len(self.masters)
-
-    @property
     def strategy(self) -> ParallelismStrategy:
         return ParallelismStrategy(
             tensor_parallel=self.tensor_parallel, sequence_parallel=self.dop

@@ -26,11 +26,6 @@ class ParallelismStrategy:
             raise ValueError(f"sequence_parallel must be >= 1, got {self.sequence_parallel}")
 
     @property
-    def world_size(self) -> int:
-        """Total GPUs the strategy occupies."""
-        return self.tensor_parallel * self.sequence_parallel
-
-    @property
     def dop(self) -> int:
         """Degree of parallelism = number of elastic instances."""
         return self.sequence_parallel

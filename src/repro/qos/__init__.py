@@ -19,7 +19,6 @@ policy armed behaviour is bit-identical to the pre-QoS build.
 """
 
 from repro.qos.admission import (
-    AdmissionConfig,
     AdmissionController,
     AdmissionDecision,
     prefill_token_rate,
@@ -43,7 +42,6 @@ __all__ = [
     "INTERACTIVE",
     "QOS_CLASSES",
     "STANDARD",
-    "AdmissionConfig",
     "AdmissionController",
     "AdmissionDecision",
     "QoSClass",

@@ -40,18 +40,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (policy imports us)
     from repro.qos.policy import QoSPolicy
 
 __all__ = [
-    "AdmissionConfig",
     "AdmissionController",
     "AdmissionDecision",
     "prefill_token_rate",
 ]
 
 
+# The representative prompt length the service rate is probed at.
+PROBE_TOKENS = 8192
+
+
 def prefill_token_rate(
-    cost_model,
-    instance_ids: Sequence[int],
-    tensor_parallel: int,
-    probe_tokens: int = 8192,
+    cost_model, instance_ids: Sequence[int], tensor_parallel: int
 ) -> float:
     """Sustained prefill throughput (tokens/s) of one deployment.
 
@@ -60,32 +60,11 @@ def prefill_token_rate(
     control, SLO routing, and predictive autoscaling.
     """
     duration = cost_model.prefill_time(
-        [probe_tokens], list(instance_ids), tensor_parallel
+        [PROBE_TOKENS], list(instance_ids), tensor_parallel
     )
     if duration <= 0:
         return float("inf")
-    return probe_tokens / duration
-
-
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """Knobs of :class:`AdmissionController`.
-
-    ``prefix_bias_scale`` — slack credit for a fully-cached prompt, as a
-    fraction of the request's ideal latency (scaled linearly by the
-    cached fraction; applied only under contention).
-    ``headroom`` — multiplier on the predicted completion before the
-    deadline test (> 1 admits conservatively, < 1 optimistically).
-    """
-
-    prefix_bias_scale: float = 1.0
-    headroom: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.prefix_bias_scale < 0:
-            raise ValueError("prefix_bias_scale must be >= 0")
-        if self.headroom <= 0:
-            raise ValueError("headroom must be positive")
+    return PROBE_TOKENS / duration
 
 
 @dataclass(frozen=True)
@@ -110,10 +89,11 @@ class AdmissionDecision:
 
 
 class AdmissionController:
-    """Predict each arrival's completion; admit, downgrade, or reject."""
+    """Predict each arrival's completion; admit, downgrade, or reject.
 
-    def __init__(self, config: AdmissionConfig | None = None) -> None:
-        self.config = config or AdmissionConfig()
+    Under contention a prompt's cached fraction earns slack credit of
+    that fraction of its ideal latency.
+    """
 
     def decide(
         self,
@@ -128,13 +108,13 @@ class AdmissionController:
         ahead of this request divided by the deployment's service rate).
         """
         ideal_s = policy.ideal_latency(request)
-        predicted = now + self.config.headroom * (wait_s + ideal_s)
+        predicted = now + (wait_s + ideal_s)
         bias = 0.0
         if wait_s > 0 and request.input_len > 0:
             cached_fraction = min(
                 1.0, request.cached_prefix_len / request.input_len
             )
-            bias = self.config.prefix_bias_scale * ideal_s * cached_fraction
+            bias = ideal_s * cached_fraction
         current = resolve_qos_class(request.qos, policy.classes)
         while True:
             deadline = request.arrival_time + current.deadline_scale * ideal_s

@@ -41,22 +41,15 @@ class QoSPolicy:
         classes: Mapping[str, QoSClass] | None = None,
         admission: AdmissionController | None = None,
         preemption: bool = True,
-        token_rate: float | None = None,
     ) -> None:
         self.ideal = ideal
         self.classes = dict(classes or QOS_CLASSES)
         self.admission = admission
         self.preemption = preemption
-        # Prefill tokens/s of the deployment the policy schedules for;
-        # derived from the ideal model's cost model when not given.
-        self.token_rate = (
-            token_rate
-            if token_rate is not None
-            else prefill_token_rate(
-                ideal.cost_model,
-                list(range(ideal.max_instances)),
-                ideal.tensor_parallel,
-            )
+        # Prefill tokens/s of the deployment the policy schedules for,
+        # derived from the ideal model's cost model.
+        self.token_rate = prefill_token_rate(
+            ideal.cost_model, list(range(ideal.max_instances)), ideal.tensor_parallel
         )
         self._cached_ideal = CachedIdealLatency(ideal)
 

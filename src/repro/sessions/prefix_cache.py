@@ -58,17 +58,6 @@ class PrefixCacheStats:
     imported_tokens: int = 0
     exported_tokens: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of prefill-needed tokens served from the cache."""
-        total = self.hit_tokens + self.miss_tokens
-        return self.hit_tokens / total if total else 0.0
-
-    @property
-    def saved_prefill_tokens(self) -> int:
-        """Alias that names the headline quantity: tokens not re-prefilled."""
-        return self.hit_tokens
-
     def as_dict(self) -> dict[str, float]:
         """Plain counters, safe to sum across replicas for fleet views."""
         return {

@@ -396,9 +396,9 @@ class Simulator:
             self._now = until
         return self._now
 
-    def run_until_idle(self, max_events: int = 10_000_000) -> float:
-        """Drain every event; guard against runaway loops."""
-        return self.run(max_events=max_events)
+    def run_until_idle(self) -> float:
+        """Drain every event; stop a runaway loop at ten million events."""
+        return self.run(max_events=10_000_000)
 
 
 class ShardClock:

@@ -212,11 +212,6 @@ class EventQueue:
             self._cancelled -= 1
         return heap[0] if heap else None
 
-    @property
-    def cancelled_pending(self) -> int:
-        """Cancelled events still occupying heap slots."""
-        return self._cancelled
-
     def __len__(self) -> int:
         return len(self._heap)
 

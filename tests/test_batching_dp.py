@@ -80,14 +80,14 @@ class TestPlanBatchesBasics:
         plan = plan_batches([request], [0, 1, 2, 3], {i: 300_000 for i in range(4)},
                             predictor, 2)
         assert len(plan.batches) == 1
-        assert plan.batches[0].dop == 4
+        assert len(plan.batches[0].instance_ids) == 4
 
     def test_tiny_request_avoids_high_dop_overhead(self):
         predictor = make_predictor()
         request = make_request(input_len=10)
         plan = plan_batches([request], [0, 1, 2, 3], {i: 1_000 for i in range(4)},
                             predictor, 2)
-        assert plan.batches[0].dop == 1  # alpha grows with SP
+        assert len(plan.batches[0].instance_ids) == 1  # alpha grows with SP
 
     def test_memory_constraint_respected(self):
         predictor = make_predictor()

@@ -69,11 +69,11 @@ class TestCluster:
     def test_homogeneous_single_node(self):
         cluster = Cluster.homogeneous(num_gpus=8)
         assert cluster.num_gpus == 8
-        assert cluster.num_nodes == 1
+        assert len(cluster.nodes) == 1
 
     def test_homogeneous_two_nodes(self):
         cluster = Cluster.homogeneous(num_gpus=16, gpus_per_node=8)
-        assert cluster.num_nodes == 2
+        assert len(cluster.nodes) == 2
         assert cluster.nodes[1].gpu_ids == tuple(range(8, 16))
 
     def test_instance_gpus_contiguous(self):
@@ -99,7 +99,3 @@ class TestCluster:
         cluster = Cluster.homogeneous(num_gpus=16, gpus_per_node=8)
         bw = cluster.instance_bandwidth(0, 4, tensor_parallel=2)
         assert bw == pytest.approx(2 * cluster.topology.infiniband.bandwidth)
-
-    def test_total_memory(self):
-        cluster = Cluster.homogeneous(num_gpus=8)
-        assert cluster.total_memory_bytes == 8 * 80 * 2**30

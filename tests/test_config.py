@@ -32,7 +32,10 @@ class TestSystemConfig:
         The replication cost is real KV capacity (§2.3 trade-off)."""
         loong = default_config(tensor_parallel=2)
         vllm = default_config(tensor_parallel=8)
-        assert vllm.total_kv_slots > loong.total_kv_slots
+        assert (
+            vllm.kv_slots_per_instance * vllm.num_instances
+            > loong.kv_slots_per_instance * loong.num_instances
+        )
 
     def test_rejects_oversubscribed_parallelism(self):
         cluster = Cluster.homogeneous(num_gpus=8)
@@ -51,16 +54,9 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             _ = config.kv_slots_per_instance
 
-    def test_with_parallelism_copy(self):
-        config = default_config()
-        other = config.with_parallelism(4, 2)
-        assert other.tensor_parallel == 4
-        assert other.num_instances == 2
-        assert config.tensor_parallel == 2  # original untouched
-
     def test_multi_node_defaults(self):
         config = default_config(num_gpus=16, gpus_per_node=8)
-        assert config.cluster.num_nodes == 2
+        assert len(config.cluster.nodes) == 2
         assert config.max_sequence_parallel == 8
         assert config.num_instances == 8
 
@@ -88,7 +84,7 @@ class TestOptionSurface:
 
     def test_make_system_parameters(self):
         assert list(inspect.signature(make_system).parameters) == [
-            "name", "requests", "num_gpus", "gpus_per_node", "prefix_cache",
+            "name", "requests", "num_gpus", "prefix_cache",
             "qos", "admission", "kv_tiers", "kv_host_tokens", "kv_ssd_tokens",
         ]
 
@@ -100,3 +96,28 @@ class TestOptionSurface:
             "sharded", "disagg", "kv_tiers", "kv_host_tokens",
             "kv_ssd_tokens", "standby", "router_kwargs",
         ]
+
+    def test_actuator_parameters(self):
+        """The control-plane actuators take no tuning knobs: their
+        thresholds are module constants."""
+        from repro.fleet import (
+            KVMigrator,
+            PredictiveAutoscaler,
+            QueueDepthAutoscaler,
+            WorkStealer,
+        )
+        from repro.qos import AdmissionController
+
+        assert {
+            cls.__name__: list(inspect.signature(cls).parameters)
+            for cls in (
+                WorkStealer, QueueDepthAutoscaler, PredictiveAutoscaler,
+                KVMigrator, AdmissionController,
+            )
+        } == {
+            "WorkStealer": [],
+            "QueueDepthAutoscaler": [],
+            "PredictiveAutoscaler": ["token_rate"],
+            "KVMigrator": ["collectives", "model", "tensor_parallel"],
+            "AdmissionController": [],
+        }

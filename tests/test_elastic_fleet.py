@@ -8,14 +8,13 @@ import pytest
 
 from repro.experiments.systems import make_fleet, make_system
 from repro.fleet import (
-    AutoscalerConfig,
     ClusterPolicy,
     KVMigrator,
     QueueDepthAutoscaler,
-    StealConfig,
     WorkStealer,
     make_router,
 )
+from repro.fleet import stealing
 from repro.metrics.fleet import ElasticStats, fleet_load_report
 from repro.sessions import SessionSpec, make_session_trace
 from repro.types import RequestState
@@ -83,57 +82,53 @@ class TestClusterPolicy:
 
 class TestQueueDepthAutoscaler:
     def test_hysteresis_delays_action(self):
-        scaler = QueueDepthAutoscaler(AutoscalerConfig(hysteresis_ticks=3))
+        scaler = QueueDepthAutoscaler()
         replicas = [ElasticStub(0, queued=10), ElasticStub(1, queued=10)]
         replicas.append(ElasticStub(2))
         replicas[2].online = False  # parked spare
-        assert scaler.decide(replicas, 0.0) == []
-        assert scaler.decide(replicas, 0.5) == []
-        actions = scaler.decide(replicas, 1.0)
+        assert scaler.decide(replicas, 0.0) == []  # tick 1 of 2
+        actions = scaler.decide(replicas, 0.5)
         assert actions == [("unpark", replicas[2])]
 
     def test_scale_in_prefers_least_loaded_and_respects_min_online(self):
-        config = AutoscalerConfig(hysteresis_ticks=1, min_online=2)
-        scaler = QueueDepthAutoscaler(config)
+        scaler = QueueDepthAutoscaler()
         replicas = [
             ElasticStub(0, tokens=500),
             ElasticStub(1, tokens=10),
             ElasticStub(2, tokens=100),
         ]
-        actions = scaler.decide(replicas, 0.0)
-        assert actions == [("drain", replicas[1])]
+        assert scaler.decide(replicas, 0.0) == []  # tick 1 of 2
+        assert scaler.decide(replicas, 0.5) == [("drain", replicas[1])]
         replicas[1].draining = True
-        # Now only two accepting replicas remain: min_online blocks more.
-        assert scaler.decide(replicas, 0.5) == []
+        assert scaler.decide(replicas, 1.0) == []
+        assert scaler.decide(replicas, 1.5) == [("drain", replicas[2])]
+        replicas[2].draining = True
+        # One accepting replica remains: min_online blocks more.
+        for now in (2.0, 2.5, 3.0):
+            assert scaler.decide(replicas, now) == []
 
     def test_kv_pressure_alone_triggers_scale_out(self):
-        scaler = QueueDepthAutoscaler(AutoscalerConfig(hysteresis_ticks=1))
+        scaler = QueueDepthAutoscaler()
         replicas = [ElasticStub(0, kv_used=0.95), ElasticStub(1)]
         replicas[1].online = False
-        actions = scaler.decide(replicas, 0.0)
+        assert scaler.decide(replicas, 0.0) == []  # tick 1 of 2
+        actions = scaler.decide(replicas, 0.5)
         assert actions == [("unpark", replicas[1])]
 
     def test_unpark_prefers_cancelling_a_drain(self):
-        scaler = QueueDepthAutoscaler(AutoscalerConfig(hysteresis_ticks=1))
+        scaler = QueueDepthAutoscaler()
         draining = ElasticStub(1, queued=0)
         draining.draining = True
         parked = ElasticStub(2)
         parked.online = False
         replicas = [ElasticStub(0, queued=10), draining, parked]
-        assert scaler.decide(replicas, 0.0) == [("unpark", draining)]
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AutoscalerConfig(low_queue_depth=5.0, high_queue_depth=1.0)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(hysteresis_ticks=0)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(min_online=0)
+        assert scaler.decide(replicas, 0.0) == []  # tick 1 of 2
+        assert scaler.decide(replicas, 0.5) == [("unpark", draining)]
 
 
 class TestWorkStealer:
     def test_steals_from_deepest_to_shallowest(self):
-        stealer = WorkStealer(StealConfig(min_queue_gap=2, max_moves_per_tick=10))
+        stealer = WorkStealer()
         replicas = [ElasticStub(0, queued=6), ElasticStub(1, queued=0)]
         moves = stealer.plan(replicas, 0.0)
         assert moves
@@ -142,9 +137,10 @@ class TestWorkStealer:
         assert len(moves) == 3  # 6/0 -> 5/1 -> 4/2 -> 3/3 stops (gap 0 < 2)
 
     def test_respects_move_budget(self):
-        stealer = WorkStealer(StealConfig(max_moves_per_tick=1))
-        replicas = [ElasticStub(0, queued=8), ElasticStub(1)]
-        assert len(stealer.plan(replicas, 0.0)) == 1
+        # Closing this gap would take 1.5x the budget.
+        budget = stealing.MAX_MOVES_PER_TICK
+        replicas = [ElasticStub(0, queued=3 * budget), ElasticStub(1)]
+        assert len(WorkStealer().plan(replicas, 0.0)) == budget
 
     def test_quiet_on_balanced_fleet(self):
         stealer = WorkStealer()
@@ -155,7 +151,7 @@ class TestWorkStealer:
         replicas = [ElasticStub(0, queued=4), ElasticStub(1)]
         hot = {r.request_id: 5_000 for r in replicas[0]._queued}
         replicas[0]._matches = hot
-        stealer = WorkStealer(StealConfig(affinity_guard_tokens=256))
+        stealer = WorkStealer()
         assert stealer.plan(replicas, 0.0, can_migrate=False) == []
         # With the migrator armed the same moves are allowed (the extent
         # travels with the request).
@@ -166,12 +162,6 @@ class TestWorkStealer:
         replicas = [ElasticStub(0, queued=9), ElasticStub(1)]
         replicas[1].online = False
         assert WorkStealer().plan(replicas, 0.0) == []
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            StealConfig(min_queue_gap=0)
-        with pytest.raises(ValueError):
-            StealConfig(max_moves_per_tick=0)
 
 
 class TestReplicaHandleMutation:
@@ -228,7 +218,7 @@ class TestReplicaHandleMutation:
         for name in ("loongserve", "vllm", "distserve", "replicated-tp2"):
             handle = ReplicaHandle(0, make_system(name))
             handle.prepare(Simulator())
-            free = handle.kv_free_map()
+            free = {key: pool.free for key, pool in handle.server.kv_pools()}
             assert handle.kv_free() == sum(free.values())
             assert 0.0 <= handle.kv_used_fraction() <= 1.0
             assert handle.kv_capacity() >= handle.kv_free()
@@ -403,7 +393,7 @@ class TestControlLoopEndToEnd:
         assert migrated.elastic.migrated_kv_tokens > 0
         assert hit_rate(migrated) >= 0.8 * hit_rate(static)
 
-    def test_migration_charges_wall_clock_on_stolen_requests(self):
+    def test_migration_charges_wall_clock_on_stolen_requests(self, monkeypatch):
         """A steal-coupled migration must delay the stolen request's
         re-submission by the modelled transfer time (not teleport KV)."""
         from repro.fleet.control import FleetController
@@ -425,9 +415,11 @@ class TestControlLoopEndToEnd:
         follow_up.arrival_time = sim.now
         src.submit(follow_up)
         config = src.server.config
+        # One queued request on src: steal it at a depth gap of one.
+        monkeypatch.setattr(stealing, "MIN_QUEUE_GAP", 1)
         policy = ClusterPolicy(
             make_router("affinity"),
-            stealer=WorkStealer(StealConfig(min_queue_gap=1)),
+            stealer=WorkStealer(),
             migrator=KVMigrator(
                 collectives=CollectiveModel(cluster=config.cluster),
                 model=config.model,

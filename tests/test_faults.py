@@ -9,7 +9,6 @@ import pytest
 from repro.costmodel.latency import ReplicaLifecycleModel
 from repro.experiments.systems import make_fleet, make_system
 from repro.fleet import (
-    AutoscalerConfig,
     ClusterPolicy,
     FaultInjector,
     FaultPlan,
@@ -18,11 +17,12 @@ from repro.fleet import (
     QueueDepthAutoscaler,
     ReplicaFault,
     ReplicaHandle,
-    StealConfig,
     WorkStealer,
     make_router,
     reset_for_failover,
 )
+from repro.fleet import autoscaler, stealing
+from repro.fleet.autoscaler import HYSTERESIS_TICKS
 from repro.metrics.fleet import ElasticStats
 from repro.sessions import make_session_trace
 from repro.sim.engine import Simulator
@@ -316,7 +316,7 @@ class TestControllerFailover:
 
 
 class TestMidMigrationRescue:
-    def test_destination_crash_rescues_inflight_stolen_request(self):
+    def test_destination_crash_rescues_inflight_stolen_request(self, monkeypatch):
         from repro.costmodel.comm import CollectiveModel
         from repro.fleet import KVMigrator
 
@@ -334,9 +334,11 @@ class TestMidMigrationRescue:
         follow_up.arrival_time = sim.now
         src.submit(follow_up)
         config = src.server.config
+        # One queued request on src: steal it at a depth gap of one.
+        monkeypatch.setattr(stealing, "MIN_QUEUE_GAP", 1)
         policy = ClusterPolicy(
             make_router("affinity"),
-            stealer=WorkStealer(StealConfig(min_queue_gap=1)),
+            stealer=WorkStealer(),
             migrator=KVMigrator(
                 collectives=CollectiveModel(cluster=config.cluster),
                 model=config.model,
@@ -475,21 +477,23 @@ class TestAvailabilityAccounting:
 
 class TestWarmupAwareAutoscaling:
     def test_unpark_target_skips_warming_and_crashed(self):
-        scaler = QueueDepthAutoscaler(AutoscalerConfig(hysteresis_ticks=1))
+        scaler = QueueDepthAutoscaler()
         busy = LifecycleStub(0, queued=10)
         warming = LifecycleStub(1)
         warming.begin_warmup()
         crashed = LifecycleStub(2)
         crashed.online = False
         crashed.crashed = True
-        assert scaler.decide([busy, warming, crashed], 0.0) == []
+        # The second tick is past the hysteresis, yet nothing can wake.
+        for now in (0.0, 0.5):
+            assert scaler.decide([busy, warming, crashed], now) == []
         parked = LifecycleStub(3)
         parked.online = False
-        actions = scaler.decide([busy, warming, crashed, parked], 0.5)
+        actions = scaler.decide([busy, warming, crashed, parked], 1.0)
         assert actions == [("unpark", parked)]
 
     def test_warming_replica_suppresses_scale_in(self):
-        scaler = QueueDepthAutoscaler(AutoscalerConfig(hysteresis_ticks=1))
+        scaler = QueueDepthAutoscaler()
         idle_a, idle_b = LifecycleStub(0), LifecycleStub(1)
         warming = LifecycleStub(2)
         warming.begin_warmup()
@@ -499,16 +503,19 @@ class TestWarmupAwareAutoscaling:
             assert scaler.decide([idle_a, idle_b, warming], now) == []
         assert scaler._cold_ticks == 0
         warming.complete_warmup()
-        assert scaler.decide([idle_a, idle_b, warming], 1.5) != []
+        assert scaler.decide([idle_a, idle_b, warming], 1.5) == []  # tick 1 of 2
+        assert scaler.decide([idle_a, idle_b, warming], 2.0) != []
 
-    def test_unpark_pays_warmup_before_coming_online(self):
+    def test_unpark_pays_warmup_before_coming_online(self, monkeypatch):
         sim = Simulator()
         busy = LifecycleStub(0, queued=10)
         parked = LifecycleStub(1)
         parked.online = False
+        # Unpark on the first hot tick, so the warm-up starts at 0.5 s.
+        monkeypatch.setattr(autoscaler, "HYSTERESIS_TICKS", 1)
         policy = ClusterPolicy(
             make_router("round-robin"),
-            autoscaler=QueueDepthAutoscaler(AutoscalerConfig(hysteresis_ticks=1)),
+            autoscaler=QueueDepthAutoscaler(),
             lifecycle=ReplicaLifecycleModel(warmup_s=2.0, cooldown_s=0.5),
         )
         stats = ElasticStats()
@@ -535,12 +542,10 @@ class TestWarmupAwareAutoscaling:
         busy = LifecycleStub(0, queued=10)
         parked = LifecycleStub(1)
         parked.online = False
-        hysteresis = 2
+        hysteresis = HYSTERESIS_TICKS
         policy = ClusterPolicy(
             make_router("round-robin"),
-            autoscaler=QueueDepthAutoscaler(
-                AutoscalerConfig(hysteresis_ticks=hysteresis)
-            ),
+            autoscaler=QueueDepthAutoscaler(),
             lifecycle=ReplicaLifecycleModel(warmup_s=3.0, cooldown_s=0.0),
         )
         stats = ElasticStats()

@@ -149,7 +149,7 @@ class TestReplicaHandle:
         }
         for name, expected_entries in shapes.items():
             handle = ReplicaHandle(0, make_system(name))
-            free = handle.kv_free_map()
+            free = {key: pool.free for key, pool in handle.server.kv_pools()}
             assert len(free) == expected_entries, name
             assert handle.kv_free() == sum(free.values())
             assert handle.kv_free() > 0

@@ -70,7 +70,7 @@ class TestEvictionMigrationProperties:
             assert sum(pool.pools[t].free for t in targets) < to_move
             return
         # Conservation: the plan moves exactly the vacated occupancy.
-        assert plan.total_tokens == to_move
+        assert sum(step.num_tokens for step in plan.steps) == to_move
         for step in plan.steps:
             assert step.src == vacate
             assert step.src != step.dst
@@ -85,7 +85,7 @@ class TestEvictionMigrationProperties:
         before_used = {i: pool.pools[i].used for i in range(num_instances)}
         before_total = pool.total_used
         before_tokens = {
-            rid: pool.tokens_of(rid) for rid in pool.resident_requests()
+            rid: pool.tokens_of(rid) for rid in range(len(placements))
         }
 
         plan = plan_eviction_migration(pool, vacate, targets)

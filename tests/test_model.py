@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.model.spec import LLAMA2_70B, LWM_7B_1M, AttentionKind, ModelSpec
+from repro.model.spec import LLAMA2_70B, LWM_7B_1M, ModelSpec
 
 
 class TestModelSpec:
@@ -10,7 +10,7 @@ class TestModelSpec:
         assert LWM_7B_1M.hidden_size == 4096
         assert LWM_7B_1M.num_layers == 32
         assert LWM_7B_1M.head_dim == 128
-        assert LWM_7B_1M.attention_kind == AttentionKind.MHA
+        assert LWM_7B_1M.num_kv_heads == LWM_7B_1M.num_heads  # MHA
 
     def test_param_count_close_to_7b(self):
         assert 6.5e9 < LWM_7B_1M.param_count < 7.0e9
@@ -21,7 +21,7 @@ class TestModelSpec:
         assert gib == pytest.approx(488.3, abs=0.5)
 
     def test_gqa_kv_smaller_than_mha(self):
-        assert LLAMA2_70B.attention_kind == AttentionKind.GQA
+        assert 1 < LLAMA2_70B.num_kv_heads < LLAMA2_70B.num_heads  # GQA
         per_hidden_70b = LLAMA2_70B.kv_bytes_per_token / LLAMA2_70B.hidden_size
         per_hidden_7b = LWM_7B_1M.kv_bytes_per_token / LWM_7B_1M.hidden_size
         assert per_hidden_70b < per_hidden_7b

@@ -19,8 +19,6 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.config import default_config
 from repro.core.server import LoongServeServer
@@ -180,42 +178,9 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             h.quantile(1.5)
 
-    def test_histogram_merge_rejects_different_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("a", bounds=(1.0,)).merge(Histogram("b", bounds=(2.0,)))
-
     def test_histogram_bad_counts_rejected(self):
         with pytest.raises(ValueError):
             Histogram("a", bounds=(1.0, 2.0), counts=[0, 0])
-
-    @given(
-        samples=st.lists(
-            st.lists(
-                st.floats(min_value=0.0, max_value=100.0,
-                          allow_nan=False, allow_infinity=False),
-                max_size=20,
-            ),
-            min_size=3, max_size=3,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_merge_is_associative_and_commutative(self, samples):
-        """(a+b)+c == a+(b+c) and a+b == b+a — per-replica histograms
-        roll up into fleet totals in any order."""
-        bounds = (0.5, 5.0, 50.0)
-        hists = []
-        for i, values in enumerate(samples):
-            h = Histogram(f"h{i}", bounds=bounds)
-            for v in values:
-                h.observe(v)
-            hists.append(h)
-        a, b, c = hists
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        swapped = b.merge(a).merge(c)
-        assert left.counts == right.counts == swapped.counts
-        assert left.total == pytest.approx(right.total)
-        assert left.count == a.count + b.count + c.count
 
 
 class TestObservabilityGolden:

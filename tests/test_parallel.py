@@ -10,9 +10,6 @@ class TestStrategy:
     def test_label_matches_paper_naming(self):
         assert ParallelismStrategy(2, 4).label == "SP4TP2"
 
-    def test_world_size(self):
-        assert ParallelismStrategy(2, 4).world_size == 8
-
     def test_dop_is_sp(self):
         assert ParallelismStrategy(2, 3).dop == 3
 

@@ -210,7 +210,7 @@ class TestSimulator:
             timer.cancel()
         queue = sim._queue
         assert len(queue) < 1000  # compaction fired mid-cancellation
-        assert queue.cancelled_pending <= len(queue) // 2 + 1
+        assert queue._cancelled <= len(queue) // 2 + 1
         sim.run_until_idle()
         assert fired == list(range(100))  # order survives the rebuild
         assert sim.events_processed == 100
@@ -233,9 +233,9 @@ class TestSimulator:
         timer = sim.call_at(1.0, lambda: None)
         timer.cancel()
         timer.cancel()
-        assert sim._queue.cancelled_pending == 1
+        assert sim._queue._cancelled == 1
         sim.run_until_idle()
-        assert sim._queue.cancelled_pending == 0
+        assert sim._queue._cancelled == 0
 
     def test_cancel_after_fire_does_not_drift_counter(self):
         """Regression: cancelling timers whose events already ran (the
@@ -246,7 +246,7 @@ class TestSimulator:
         sim.run_until_idle()
         for timer in timers:
             timer.cancel()
-        assert sim._queue.cancelled_pending == 0
+        assert sim._queue._cancelled == 0
         # A queue polluted this way must still behave for live events.
         fired = []
         sim.call_at(2.0, lambda: fired.append("live"))

@@ -64,7 +64,7 @@ class TestShardClock:
         assert log == ["live"]
         assert sim.now == 2.0
 
-    def test_next_event_time_is_the_replica_local_horizon(self):
+    def test_horizon_key_is_the_replica_local_horizon(self):
         sim = Simulator()
         clock_a = sim.create_shard()
         clock_b = sim.create_shard()
