@@ -50,7 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 # Unreached functions at the last audit; a change to it is a deliberate edit.
-RECORDED_UNREACHED = 106
+RECORDED_UNREACHED = 102
 
 QOS_MIX = "interactive:0.3,standard:0.5,batch:0.2"
 
@@ -100,6 +100,12 @@ def serve_runs(tmp: Path) -> list[list[str]]:
         ["serve", "--dataset", "mixed", "--rate", "6", "-n", "20", "--qos",
          "--admission", "--qos-mix", QOS_MIX, "--trace-out",
          str(tmp / "single.jsonl"), "--slo-monitor"],
+        # Error paths: one of these LV-Eval prompts outgrows two GPUs'
+        # pool and is aborted; SplitFuse on two GPUs preempts decodes.
+        ["serve", "--num-gpus", "2", "--dataset", "lveval", "--rate", "1",
+         "-n", "12", "--seed", "1"],
+        ["serve", "--system", "splitfuse", "--num-gpus", "2", "--dataset",
+         "lveval", "--rate", "4", "-n", "24", "--seed", "1"],
     ]
     return runs
 
@@ -156,6 +162,7 @@ def ci_runs(tmp: Path) -> list[tuple[str, list[str], int]]:
                    "--closed-loop", "-n", "8", "--seed", "5", "--prefix-cache",
                    "--router", "affinity", "--steal"], 0),
         ("repro", ["serve", "--replicas", "2", "--disagg", "1"], 2),
+        ("repro", ["serve", "--num-gpus", "1"], 2),
         ("repro", ["gen-trace", "--dataset", "sharegpt", "--rate", "1", "-n", "4",
                    "-o", qos_trace], 0),
         ("repro", ["serve", "--trace", qos_trace, "--qos-mix", "interactive:1.0"], 2),

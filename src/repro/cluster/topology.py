@@ -8,7 +8,8 @@ Two link classes matter for the paper's experiments:
   of aggregate unidirectional node-to-node bandwidth.
 
 The topology answers "what bandwidth and latency does a transfer between
-GPU i and GPU j see", which is all the communication cost model needs.
+GPU i and GPU j see", which is all the communication cost model
+(``repro.costmodel.comm``, which prices every transfer) needs.
 """
 
 from __future__ import annotations
@@ -30,14 +31,6 @@ class Interconnect:
     kind: LinkKind
     bandwidth: float  # bytes per second, unidirectional
     latency: float  # seconds per message (launch + wire latency)
-
-    def transfer_time(self, num_bytes: float) -> float:
-        """Seconds to move ``num_bytes`` across this link."""
-        if num_bytes < 0:
-            raise ValueError("bytes must be non-negative")
-        if num_bytes == 0:
-            return 0.0
-        return self.latency + num_bytes / self.bandwidth
 
 
 # Defaults for the paper's testbed.
@@ -89,10 +82,6 @@ class Topology:
         if self.node_of(src) == self.node_of(dst):
             return self.nvlink
         return self.infiniband
-
-    def transfer_time(self, src: int, dst: int, num_bytes: float) -> float:
-        """Seconds for a point-to-point transfer of ``num_bytes``."""
-        return self.link(src, dst).transfer_time(num_bytes)
 
     def bandwidth(self, src: int, dst: int) -> float:
         """Bytes/s between two GPUs (infinite for self-transfers)."""

@@ -17,28 +17,25 @@ from repro.model.spec import LWM_7B_1M, ModelSpec
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Tunables of the LoongServe global manager (§5).
+    """Options of the LoongServe global manager (§5).
 
-    ``decode_compute_bound_bs`` — batch-size threshold past which the decode
-    phase is treated as compute bound and scale-up is considered (§5.4; the
-    paper profiles this in advance).
+    The profiled thresholds are module constants beside their readers:
+    the compute-bound decode batch size
+    (:data:`repro.core.scaling_plan.DECODE_COMPUTE_BOUND_BS`), the
+    prefill tipping point and the batch-size cap
+    (:data:`repro.core.dispatching.PREFILL_TIPPING_TOKENS`,
+    :data:`~repro.core.dispatching.MAX_BATCH_SIZE`).
 
-    ``prefill_tipping_tokens`` — token count at which a prefill batch stops
-    being memory bound (§5.1's "tipping point"); adding requests past this
-    point only extends execution time.
+    ``enable_scale_up`` — step 4b's elastic scale-up of decode batches
+    (off in the ``loongserve-no-scaleup`` ablation).
 
-    ``max_batch_size`` — cap on concurrent decoding requests per group,
-    mirroring the slot-count cap in real systems.
+    ``enable_multi_master`` — multi-master decoding (§4.2; off in
+    :func:`repro.experiments.ablation.multi_master_ablation`).
 
     ``enable_prefix_cache`` — keep finished requests' KV in a radix
     prefix cache (``repro.sessions``) so multi-turn follow-ups prefill
     only their uncached suffix.  Off by default: single-turn behaviour is
     bit-identical with the cache disabled.
-
-    ``max_cached_tokens`` — KV-slot budget for the prefix cache; inserts
-    beyond it LRU-evict cold extents so cached history can never starve
-    live request KV.  ``None`` (default) leaves the cache unbounded,
-    preserving prior behaviour.
 
     ``kv_tier_policy`` — arm host/SSD KV offload tiers for the prefix
     cache (``repro.kvcache.tiers``): evicted extents demote into pinned
@@ -52,14 +49,9 @@ class SchedulerConfig:
     of the host and SSD tiers (ignored until ``kv_tier_policy`` is set).
     """
 
-    decode_compute_bound_bs: int = 128
-    prefill_tipping_tokens: int = 8192
-    max_batch_size: int = 1024
     enable_scale_up: bool = True
-    enable_scale_down: bool = True
     enable_multi_master: bool = True
     enable_prefix_cache: bool = False
-    max_cached_tokens: int | None = None
     kv_tier_policy: str | None = None
     kv_host_tokens: int = 200_000
     kv_ssd_tokens: int = 1_000_000
@@ -77,23 +69,32 @@ class SchedulerConfig:
                 raise ValueError("KV tier capacities must be >= 0")
 
 
+# Share of the GPU memory left after the weights that holds KV slots;
+# the rest covers activations and buffers.
+KV_MEMORY_FRACTION = 0.70
+
+
 @dataclass(frozen=True)
 class SystemConfig:
-    """Launch-time configuration of a serving system instance."""
+    """Launch-time configuration of a serving system instance.
+
+    Every GPU backs an elastic instance, so the ESP degree goes up to
+    :attr:`num_instances`.
+    """
 
     cluster: Cluster
     model: ModelSpec
     tensor_parallel: int = 2
-    max_sequence_parallel: int = 4
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    kv_memory_fraction: float = 0.70
 
     def __post_init__(self) -> None:
-        gpus_needed = self.tensor_parallel * self.max_sequence_parallel
-        if gpus_needed > self.cluster.num_gpus:
+        tp, gpus = self.tensor_parallel, self.cluster.num_gpus
+        if not 1 <= tp <= gpus:
             raise ValueError(
-                f"TP={self.tensor_parallel} x SP={self.max_sequence_parallel} needs "
-                f"{gpus_needed} GPUs but cluster has {self.cluster.num_gpus}"
+                f"TP={tp} needs {tp} GPUs per instance but the cluster has {gpus}"
+                if tp > gpus
+                else f"TP={tp} gives an instance no GPU: a {gpus}-GPU cluster "
+                "is too small for this system"
             )
 
     @property
@@ -106,12 +107,12 @@ class SystemConfig:
         """Token-granularity KV cache capacity of one elastic instance.
 
         Weights are replicated per instance and sharded TP-ways inside it;
-        the remainder of GPU memory (scaled by ``kv_memory_fraction`` to
-        account for activations/buffers) holds KV slots.
+        the remainder of GPU memory (scaled by :data:`KV_MEMORY_FRACTION`
+        to account for activations/buffers) holds KV slots.
         """
         gpu_bytes = self.cluster.gpu.memory_bytes * self.tensor_parallel
         weight_bytes = self.model.weight_bytes
-        available = (gpu_bytes - weight_bytes) * self.kv_memory_fraction
+        available = (gpu_bytes - weight_bytes) * KV_MEMORY_FRACTION
         if available <= 0:
             raise ValueError(
                 f"model weights ({weight_bytes / 2**30:.1f} GiB) do not fit in "
@@ -132,14 +133,12 @@ def default_config(
 
     With the defaults this is the §7.1 testbed: one node of eight A800-80GB
     GPUs serving LWM-1M-Text (Llama-2-7B architecture) with TP=2 and up to
-    four elastic instances (ESP degree 4).  Every GPU backs an elastic
-    instance: the ESP degree goes up to ``num_gpus // tensor_parallel``.
+    four elastic instances (ESP degree 4).
     """
     cluster = Cluster.homogeneous(num_gpus=num_gpus, gpu=gpu, gpus_per_node=gpus_per_node)
     return SystemConfig(
         cluster=cluster,
         model=model,
         tensor_parallel=tensor_parallel,
-        max_sequence_parallel=num_gpus // tensor_parallel,
         scheduler=scheduler or SchedulerConfig(),
     )

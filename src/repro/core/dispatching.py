@@ -23,10 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.config import SchedulerConfig
 from repro.core.batch import DecodeBatch
 from repro.costmodel.latency import IterationCostModel
 from repro.types import Request
+
+# Prefill tokens per instance at which a batch stops being memory bound
+# (§5.1's tipping point, profiled once per deployment): adding requests
+# past it only extends the iteration.
+PREFILL_TIPPING_TOKENS = 8192
+# Cap on the requests one dispatch admits, mirroring the slot-count cap
+# of real systems.
+MAX_BATCH_SIZE = 1024
 
 
 @dataclass
@@ -61,7 +68,6 @@ def select_prefill_requests(
     decode_batches: list[DecodeBatch],
     predictor: IterationCostModel,
     tensor_parallel: int,
-    config: SchedulerConfig,
     avg_decode_latency: float,
     now: float,
     prefilling_requests: Sequence[Request] = (),
@@ -85,7 +91,7 @@ def select_prefill_requests(
     # will actually execute the prefill — the idle base group.  Decode
     # instances contribute their compute only once co-opted (phase 2),
     # each successful co-opt raising the budget by its group's share.
-    token_budget = config.prefill_tipping_tokens * max(1, len(idle_instances))
+    token_budget = PREFILL_TIPPING_TOKENS * max(1, len(idle_instances))
 
     # Eviction avoidance (§5.1): resident decoding requests (and requests
     # whose prefill is still in flight) will grow to their declared caps;
@@ -110,7 +116,7 @@ def select_prefill_requests(
     queue = list(pending)
     index = 0
     # Phase 1: admit FCFS under the memory budgets and the tipping point.
-    while index < len(queue) and len(decision.requests) < config.max_batch_size:
+    while index < len(queue) and len(decision.requests) < MAX_BATCH_SIZE:
         request = queue[index]
         needed = _slots_needed(request)
         future = request.future_kv_demand
@@ -141,7 +147,7 @@ def select_prefill_requests(
     for batch in sorted(stable_batches, key=lambda b: -_group_free(b, free_slots)):
         if index >= len(queue):
             break
-        coopt_token_budget = token_budget + config.prefill_tipping_tokens * len(
+        coopt_token_budget = token_budget + PREFILL_TIPPING_TOKENS * len(
             batch.instance_ids
         )
         extra: list[Request] = []
@@ -149,7 +155,7 @@ def select_prefill_requests(
         extra_tokens = 0
         extra_future = 0
         while index < len(queue) and (
-            len(decision.requests) + len(extra) < config.max_batch_size
+            len(decision.requests) + len(extra) < MAX_BATCH_SIZE
         ):
             request = queue[index]
             needed = _slots_needed(request)

@@ -50,7 +50,6 @@ class SchedulePlan:
 
     prefills: list[PlannedPrefill] = field(default_factory=list)
     scale_ups: list[tuple[DecodeBatch, ScaleUpDecision]] = field(default_factory=list)
-    admitted: list[Request] = field(default_factory=list)
     coopted_batches: list[DecodeBatch] = field(default_factory=list)
     decode_scale_downs: list[tuple[DecodeBatch, int]] = field(default_factory=list)
     # Dispatching's phase 1 stopped at the tipping point
@@ -80,9 +79,6 @@ class GlobalManager:
             self.config.num_instances * self.config.tensor_parallel,
             self.config.tensor_parallel,
         )
-        strategies = [
-            s for s in strategies if s.sequence_parallel <= self.config.max_sequence_parallel
-        ]
         return self.sib.profile_strategies(
             self.cost_model,
             strategies,
@@ -119,7 +115,6 @@ class GlobalManager:
             decode_batches=decode_batches,
             predictor=self.predictor,
             tensor_parallel=self.config.tensor_parallel,
-            config=self.config.scheduler,
             avg_decode_latency=avg_decode_latency,
             now=now,
             prefilling_requests=prefilling_requests,
@@ -174,7 +169,6 @@ class GlobalManager:
                     group_instances=planned.instance_ids,
                     pool=pool,
                     decode_instances=decode_instances,
-                    config=self.config.scheduler,
                 )
                 group = ParallelGroup(
                     instance_ids=tuple(sorted(planned.instance_ids)),
@@ -192,7 +186,6 @@ class GlobalManager:
                         start_delay=allocation.migration_time,
                     )
                 )
-                plan.admitted.extend(planned.requests)
             plan.coopted_batches = list(dispatch.coopted_batches)
 
         return self._plan_scale_ups(plan, instances, pool, decode_batches)

@@ -8,8 +8,8 @@
   which proactive migration makes free (§4.1).
 * **Scale-up** during decode: triggered when the group's free slots run
   low (memory pressure) or the batch crosses the compute-bound batch-size
-  threshold (profiled in advance; ``SchedulerConfig``).  New instances
-  simply join — no KV moves.
+  threshold (profiled in advance; :data:`DECODE_COMPUTE_BOUND_BS`).  New
+  instances simply join — no KV moves.
 * **Master assignment**: multi-master decoding spreads newly generated KV
   and the linear layers across every group instance that has capacity,
   "as uniform as possible".
@@ -27,6 +27,9 @@ from repro.types import Request
 # Lookahead (iterations) of decode KV growth when sizing scale-down
 # targets and scale-up triggers.
 DECODE_HEADROOM_ITERATIONS = 32
+# Decode batch size past which the phase is compute bound and scale-up
+# is considered (§5.4; the paper profiles it in advance).
+DECODE_COMPUTE_BOUND_BS = 128
 
 
 @dataclass
@@ -42,39 +45,34 @@ def plan_scale_down(
     group_instances: list[int],
     pool: UnifiedKVPool,
     decode_instances: set[int],
-    config: SchedulerConfig,
 ) -> PrefillScaleDown:
     """Choose the decode-phase placement for a prefill batch.
 
     ``group_instances`` is the prefill ESP group; the kept subset must be
     inside it (proactive retention can only keep KV on instances the ring
-    passes through).  When scale-down is disabled the whole group is kept
-    with a balanced split.
+    passes through).
     """
     tokens_needed = sum(r.kv_demand for r in requests)
     headroom = DECODE_HEADROOM_ITERATIONS * len(requests)
 
-    if not config.enable_scale_down:
+    # Preference: decode-hosting instances first (merge-friendly), then
+    # most free slots; take the minimum prefix that fits.
+    ranked = sorted(
+        group_instances,
+        key=lambda i: (i not in decode_instances, -pool.pools[i].free),
+    )
+    kept = []
+    capacity = 0
+    for instance_id in ranked:
+        kept.append(instance_id)
+        capacity += pool.pools[instance_id].free
+        if capacity >= tokens_needed + headroom:
+            break
+    if capacity < tokens_needed:
+        # Headroom is best-effort; the hard requirement is fitting the
+        # prefill KV itself, for which dispatch already checked the whole
+        # group.
         kept = list(group_instances)
-    else:
-        # Preference: decode-hosting instances first (merge-friendly),
-        # then most free slots; take the minimum prefix that fits.
-        ranked = sorted(
-            group_instances,
-            key=lambda i: (i not in decode_instances, -pool.pools[i].free),
-        )
-        kept = []
-        capacity = 0
-        for instance_id in ranked:
-            kept.append(instance_id)
-            capacity += pool.pools[instance_id].free
-            if capacity >= tokens_needed + headroom:
-                break
-        if capacity < tokens_needed:
-            # Headroom is best-effort; the hard requirement is fitting the
-            # prefill KV itself, for which dispatch already checked the
-            # whole group.
-            kept = list(group_instances)
 
     return _place_requests(requests, kept, pool)
 
@@ -136,7 +134,7 @@ def scale_up_reason(
         return None
     if group_free < DECODE_HEADROOM_ITERATIONS * max(1, batch.tokens_per_iteration()):
         return "memory"
-    if batch.batch_size >= config.decode_compute_bound_bs:
+    if batch.batch_size >= DECODE_COMPUTE_BOUND_BS:
         return "compute"
     return None
 

@@ -31,7 +31,7 @@ from repro.kvcache.unified import UnifiedKVPool
 from repro.metrics.qos import QoSLedger
 from repro.obs.tracer import Tracer
 from repro.parallel.groups import ParallelGroup
-from repro.qos.classes import resolve_qos_class
+from repro.qos.classes import QOS_CLASSES, resolve_qos_class
 from repro.qos.policy import QoSPolicy
 from repro.serving import serve
 from repro.sessions.prefix_cache import PrefixKVCache
@@ -94,11 +94,7 @@ class LoongServeServer:
             for i in range(config.num_instances)
         }
         self.prefix_cache: PrefixKVCache | None = (
-            PrefixKVCache(
-                self.pool,
-                max_cached_tokens=config.scheduler.max_cached_tokens,
-                tiers=self._make_tiers(),
-            )
+            PrefixKVCache(self.pool, tiers=self._make_tiers())
             if config.scheduler.enable_prefix_cache
             else None
         )
@@ -286,7 +282,6 @@ class LoongServeServer:
             self.prefix_cache = PrefixKVCache(
                 self.pool,
                 stats=self.prefix_cache.stats,
-                max_cached_tokens=self.prefix_cache.max_cached_tokens,
                 tiers=self.prefix_cache.tiers,
             )
         self.pending = []
@@ -577,7 +572,7 @@ class LoongServeServer:
             wait_s = backlog / qos.token_rate if qos.token_rate > 0 else 0.0
             decision = qos.admission.decide(request, now, wait_s, qos)
             if decision.admitted:
-                workload_class = resolve_qos_class(request.qos, qos.classes)
+                workload_class = resolve_qos_class(request.qos)
                 if decision.qos_class.name != workload_class.name:
                     request.downgraded_to = decision.qos_class.name
                     self.qos_ledger.note(request.qos, "downgraded")
@@ -621,9 +616,7 @@ class LoongServeServer:
         plenty of slack just waits for decodes to finish naturally.
         """
         qos = self.qos
-        if not qos.preemption:
-            return
-        top = min(c.priority for c in qos.classes.values())
+        top = min(c.priority for c in QOS_CLASSES.values())
         now = self.sim.now
         urgent = [
             r for r in self.pending

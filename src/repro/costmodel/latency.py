@@ -38,6 +38,13 @@ REPLICA_TEARDOWN_S = 0.2
 # LoongServe server) and every engine iteration (the baselines).
 SCHEDULING_OVERHEAD_S = 0.0005
 
+# Roofline pricing constants (see RooflineCostModel).
+ITERATION_OVERHEAD_S = 3.0e-3
+LAYER_SYNC_OVERHEAD_S = 8.0e-6
+PER_SEQ_OVERHEAD_S = 2.0e-4
+SP_OVERLAP = 0.90
+DECODE_OVERLAP = 0.80
+
 
 @dataclass(frozen=True)
 class ReplicaLifecycleModel:
@@ -94,25 +101,23 @@ class IterationCostModel(Protocol):
 class RooflineCostModel:
     """Derives iteration times from the cluster and model specs.
 
-    ``iteration_overhead`` covers CUDA launch, scheduling RPC, and Python
-    driver time per iteration; ``layer_sync_overhead`` is the per-layer
-    synchronisation cost sequence parallelism adds when a group has more
-    than one instance.  ``sp_overlap`` / ``decode_overlap`` are the
-    fractions of ring-pass / query-exchange traffic hidden behind attention
-    compute (striped attention and multi-master decoding both overlap
-    communication with computation, §4).
+    :data:`ITERATION_OVERHEAD_S` covers CUDA launch, scheduling RPC, and
+    Python driver time per iteration; :data:`LAYER_SYNC_OVERHEAD_S` is
+    the per-layer synchronisation cost sequence parallelism adds when a
+    group has more than one instance; :data:`PER_SEQ_OVERHEAD_S` is the
+    driver work per sequence in the batch.  :data:`SP_OVERLAP` /
+    :data:`DECODE_OVERLAP` are the fractions of ring-pass /
+    query-exchange traffic hidden behind attention compute (striped
+    attention and multi-master decoding both overlap communication with
+    computation, §4).
     """
 
     cluster: Cluster
     model: ModelSpec
-    iteration_overhead: float = 3.0e-3
-    layer_sync_overhead: float = 8.0e-6
-    per_seq_overhead: float = 2.0e-4
-    sp_overlap: float = 0.90
-    decode_overlap: float = 0.80
 
-    # Memoised results cap — every field above is frozen, so entries
-    # never go stale; the cap only bounds memory on pathological traces.
+    # Memoised results cap — the model is frozen and its pricing
+    # constants are module-level, so entries never go stale; the cap
+    # only bounds memory on pathological traces.
     _CACHE_MAX = 200_000
 
     def __post_init__(self) -> None:
@@ -235,18 +240,18 @@ class RooflineCostModel:
             )
             one_round = coll.ring_pass_time(shard_bytes, insts, tp)
             sp_comm = m.num_layers * (sp - 1) * one_round
-            sp_comm = max(sp_comm * (1 - self.sp_overlap), sp_comm - attn_compute_time)
-            sp_comm += m.num_layers * self.layer_sync_overhead
+            sp_comm = max(sp_comm * (1 - SP_OVERLAP), sp_comm - attn_compute_time)
+            sp_comm += m.num_layers * LAYER_SYNC_OVERHEAD_S
 
         # Per-sequence driver work (batching bookkeeping, sampling,
         # detokenisation) — the serving-era Python/runtime cost that makes
         # very large batches pay a real marginal price.  Masters split it,
         # which is part of what multi-master decoding buys (§4.2).
         batch_seqs = len(prefill_chunks) + len(decode_contexts)
-        seq_overhead = self.per_seq_overhead * batch_seqs / max(1, num_masters)
+        seq_overhead = PER_SEQ_OVERHEAD_S * batch_seqs / max(1, num_masters)
 
         roofline = max(compute_time, memory_time)
-        return roofline + tp_comm + sp_comm + seq_overhead + self.iteration_overhead
+        return roofline + tp_comm + sp_comm + seq_overhead + ITERATION_OVERHEAD_S
 
     # -- decode ------------------------------------------------------------
 
@@ -341,10 +346,10 @@ class RooflineCostModel:
             result_bytes = query_bytes  # partial attention outputs + stats
             per_layer = coll.query_exchange_time(query_bytes, result_bytes, insts, tp)
             exchange = m.num_layers * per_layer
-        exposed = 1 - self.decode_overlap
-        sync = m.num_layers * self.layer_sync_overhead
-        seq_overhead = self.per_seq_overhead * bs / masters
-        overhead = self.iteration_overhead
+        exposed = 1 - DECODE_OVERLAP
+        sync = m.num_layers * LAYER_SYNC_OVERHEAD_S
+        seq_overhead = PER_SEQ_OVERHEAD_S * bs / masters
+        overhead = ITERATION_OVERHEAD_S
 
         def price(total: int) -> float:
             attn_compute = attn_per_token * total / attn_scale

@@ -113,20 +113,16 @@ class SystemCurve:
     name: str
     points: list[Point] = field(default_factory=list)
 
-    def goodput(self, target: float = 0.90) -> float:
+    def goodput(self) -> float:
         return max_rate_under_slo(
-            [p.rate for p in self.points],
-            [p.attainment for p in self.points],
-            target=target,
+            [p.rate for p in self.points], [p.attainment for p in self.points]
         )
 
-    def censored(self, target: float = 0.90) -> bool:
+    def censored(self) -> bool:
         """True when :meth:`goodput` is only a lower bound: the sweep's
-        top rate still meets ``target``."""
+        top rate still meets the goodput target."""
         return goodput_is_censored(
-            [p.rate for p in self.points],
-            [p.attainment for p in self.points],
-            target=target,
+            [p.rate for p in self.points], [p.attainment for p in self.points]
         )
 
 

@@ -66,6 +66,11 @@ __all__ = [
 ]
 
 
+# Share of a fleet's replicas that :class:`LengthAwareRouter` keeps for
+# long-context requests.
+LONG_FRACTION = 0.5
+
+
 class Router(abc.ABC):
     """Chooses the replica that serves one arriving request."""
 
@@ -149,29 +154,23 @@ class LeastKVRouter(Router):
 class LengthAwareRouter(Router):
     """Partition the fleet into long-context and short-request pools.
 
-    The first ``ceil(long_fraction * N)`` replicas serve requests whose
-    input length is at least ``long_threshold`` tokens; the remainder
-    serve the short population.  Within a pool, placement is
-    least-outstanding-tokens, the strongest simple balancer.  With a
-    single replica the split degenerates to plain least-work routing.
+    The first ``round(LONG_FRACTION * N)`` replicas (at least one, and
+    at least one fewer than ``N``) serve requests whose input length is
+    at least ``long_threshold`` tokens; the remainder serve the short
+    population.  Within a pool, placement is least-outstanding-tokens,
+    the strongest simple balancer.  With a single replica the split
+    degenerates to plain least-work routing.
     """
 
     name = "length-aware"
 
-    def __init__(
-        self,
-        long_threshold: int = LONG_INPUT_THRESHOLD,
-        long_fraction: float = 0.5,
-    ) -> None:
-        if not 0.0 < long_fraction < 1.0:
-            raise ValueError(f"long_fraction must be in (0, 1), got {long_fraction}")
+    def __init__(self, long_threshold: int = LONG_INPUT_THRESHOLD) -> None:
         self.long_threshold = long_threshold
-        self.long_fraction = long_fraction
 
     def route(self, request: Request, replicas: Sequence, now: float):
         pool = list(replicas)
         if len(pool) > 1:
-            boundary = max(1, min(len(pool) - 1, round(len(pool) * self.long_fraction)))
+            boundary = max(1, min(len(pool) - 1, round(len(pool) * LONG_FRACTION)))
             if request.input_len >= self.long_threshold:
                 pool = pool[:boundary]
             else:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.metrics.slo import IdealLatencyModel
-from repro.qos.classes import QOS_CLASSES, resolve_qos_class
+from repro.qos.classes import resolve_qos_class
 from repro.types import Request, ServeResult
 
 __all__ = [
@@ -119,7 +119,7 @@ def per_class_report(
     outcomes: dict[str, ClassOutcome] = {}
     for name, requests in sorted(groups.items()):
         qos_class = resolve_qos_class(
-            None if name == QoSLedger.UNTAGGED else name, QOS_CLASSES
+            None if name == QoSLedger.UNTAGGED else name
         )
         attained = 0
         attained_tokens = 0

@@ -17,6 +17,8 @@ from repro.costmodel.latency import RooflineCostModel
 from repro.types import Request, ServeResult
 
 DEFAULT_SLO_SCALE = 25.0
+# Attainment a sweep's rate must reach to count toward P90 goodput.
+GOODPUT_TARGET = 0.90
 
 
 @dataclass(frozen=True)
@@ -99,19 +101,14 @@ def slo_report(result: ServeResult, ideal: IdealLatencyModel) -> SLOReport:
 
 
 def max_rate_under_slo(
-    rates: Sequence[float],
-    attainments: Sequence[float],
-    target: float = 0.90,
-    interpolate: bool = True,
+    rates: Sequence[float], attainments: Sequence[float]
 ) -> float:
-    """P90 goodput: the highest rate at which attainment >= target.
+    """P90 goodput: the highest rate at which attainment >= GOODPUT_TARGET.
 
-    Sweeps quantize the true knee to the swept grid; with
-    ``interpolate`` (the default) the crossing is linearly interpolated
-    between the last passing rate and the first failing rate above it,
-    recovering the sub-grid goodput the sweep actually measured.
-    ``interpolate=False`` restores the historical grid-snapped answer
-    (the highest swept rate whose attainment met the target).
+    Sweeps quantize the true knee to the swept grid, so the crossing is
+    linearly interpolated between the last passing rate and the first
+    failing rate above it, recovering the sub-grid goodput the sweep
+    actually measured.
 
     Returns 0.0 when no swept rate meets the target (including the
     empty sweep).  When the top swept rate still meets it, that rate is
@@ -120,12 +117,10 @@ def max_rate_under_slo(
     if len(rates) != len(attainments):
         raise ValueError("rates and attainments must align")
     points = sorted(zip(rates, attainments))
-    passing = [r for r, a in points if a >= target]
+    passing = [r for r, a in points if a >= GOODPUT_TARGET]
     if not passing:
         return 0.0
     best = max(passing)
-    if not interpolate:
-        return best
     best_attainment = max(a for r, a in points if r == best)
     above = [(r, a) for r, a in points if r > best]
     if not above:
@@ -134,16 +129,14 @@ def max_rate_under_slo(
     drop = best_attainment - fail_attainment
     if drop <= 0:
         return best  # degenerate (flat or re-rising) — do not extrapolate
-    fraction = (best_attainment - target) / drop
+    fraction = (best_attainment - GOODPUT_TARGET) / drop
     return best + fraction * (fail_rate - best)
 
 
 def goodput_is_censored(
-    rates: Sequence[float],
-    attainments: Sequence[float],
-    target: float = 0.90,
+    rates: Sequence[float], attainments: Sequence[float]
 ) -> bool:
-    """True when the sweep's top rate still meets ``target``.
+    """True when the sweep's top rate still meets :data:`GOODPUT_TARGET`.
 
     The sweep then never failed past the knee, so
     :func:`max_rate_under_slo` returns the top rate: a lower bound on
@@ -154,4 +147,4 @@ def goodput_is_censored(
     if not rates:
         return False
     top = max(rates)
-    return max(a for r, a in zip(rates, attainments) if r == top) >= target
+    return max(a for r, a in zip(rates, attainments) if r == top) >= GOODPUT_TARGET

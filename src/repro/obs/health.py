@@ -37,43 +37,23 @@ DEFAULT_WINDOWS = (5.0, 30.0)
 DEFAULT_TARGET = 0.9
 #: Error-budget consumption multiple that pages (on both windows).
 DEFAULT_BURN_THRESHOLD = 2.0
+#: Consecutive breaching ticks that raise an alert.
+HYSTERESIS_UP = 2
+#: Consecutive clear ticks that resolve it.
+HYSTERESIS_DOWN = 3
 
 
 class SLOHealthMonitor:
     """Multi-window, hysteresis-gated SLO burn-rate observer.
 
-    ``hysteresis_up`` consecutive breaching ticks raise an alert;
-    ``hysteresis_down`` consecutive clear ticks resolve it — a single
-    noisy tick in either direction never flaps the state.  Requests
-    without a deadline (no QoS policy armed) carry no SLO and are
-    ignored; aborted requests with a deadline count as misses.
+    :data:`HYSTERESIS_UP` consecutive breaching ticks raise an alert;
+    :data:`HYSTERESIS_DOWN` consecutive clear ticks resolve it — a
+    single noisy tick in either direction never flaps the state.
+    Requests without a deadline (no QoS policy armed) carry no SLO and
+    are ignored; aborted requests with a deadline count as misses.
     """
 
-    def __init__(
-        self,
-        windows: tuple[float, float] = DEFAULT_WINDOWS,
-        target: float = DEFAULT_TARGET,
-        burn_threshold: float = DEFAULT_BURN_THRESHOLD,
-        hysteresis_up: int = 2,
-        hysteresis_down: int = 3,
-    ) -> None:
-        fast, slow = windows
-        if not 0.0 < fast <= slow:
-            raise ValueError(
-                f"windows must satisfy 0 < fast <= slow, got {windows}"
-            )
-        if not 0.0 < target < 1.0:
-            raise ValueError(f"target attainment must be in (0, 1), got {target}")
-        if burn_threshold <= 0.0:
-            raise ValueError(f"burn threshold must be positive, got {burn_threshold}")
-        if hysteresis_up < 1 or hysteresis_down < 1:
-            raise ValueError("hysteresis counts must be >= 1")
-        self.window_fast = fast
-        self.window_slow = slow
-        self.target = target
-        self.burn_threshold = burn_threshold
-        self.hysteresis_up = hysteresis_up
-        self.hysteresis_down = hysteresis_down
+    def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
@@ -96,7 +76,7 @@ class SLOHealthMonitor:
         (objects with ``finished`` and ``aborted`` lists)."""
         for owner in ledgers:
             self._drain(owner, now)
-        horizon = now - self.window_slow
+        horizon = now - DEFAULT_WINDOWS[1]
         for cls in sorted(self._events):
             events = self._events[cls]
             while events and events[0][0] < horizon:
@@ -150,11 +130,12 @@ class SLOHealthMonitor:
     def _burn(self, total: int, misses: int) -> float:
         if total == 0:
             return 0.0
-        return (misses / total) / (1.0 - self.target)
+        return (misses / total) / (1.0 - DEFAULT_TARGET)
 
     def _evaluate(self, cls, events, now, tracer, metrics) -> None:
-        fast_total, fast_miss = self._window_stats(events, now, self.window_fast)
-        slow_total, slow_miss = self._window_stats(events, now, self.window_slow)
+        window_fast, window_slow = DEFAULT_WINDOWS
+        fast_total, fast_miss = self._window_stats(events, now, window_fast)
+        slow_total, slow_miss = self._window_stats(events, now, window_slow)
         burn_fast = self._burn(fast_total, fast_miss)
         burn_slow = self._burn(slow_total, slow_miss)
         attainment = (
@@ -166,15 +147,15 @@ class SLOHealthMonitor:
             metrics.gauge(f"slo.burn_slow.{cls}").set(burn_slow)
         breaching = (
             fast_total > 0
-            and burn_fast >= self.burn_threshold
-            and burn_slow >= self.burn_threshold
+            and burn_fast >= DEFAULT_BURN_THRESHOLD
+            and burn_slow >= DEFAULT_BURN_THRESHOLD
         )
         state = self._state.get(cls, "ok")
         if state == "ok":
             self._breach_streak[cls] = (
                 self._breach_streak.get(cls, 0) + 1 if breaching else 0
             )
-            if self._breach_streak[cls] >= self.hysteresis_up:
+            if self._breach_streak[cls] >= HYSTERESIS_UP:
                 self._state[cls] = "firing"
                 self._clear_streak[cls] = 0
                 self._alert(
@@ -185,7 +166,7 @@ class SLOHealthMonitor:
             self._clear_streak[cls] = (
                 self._clear_streak.get(cls, 0) + 1 if not breaching else 0
             )
-            if self._clear_streak[cls] >= self.hysteresis_down:
+            if self._clear_streak[cls] >= HYSTERESIS_DOWN:
                 self._state[cls] = "ok"
                 self._breach_streak[cls] = 0
                 self._alert(
@@ -202,7 +183,7 @@ class SLOHealthMonitor:
             now, "slo_alert", component="health",
             cls=cls, state=state,
             burn_fast=round(burn_fast, 3), burn_slow=round(burn_slow, 3),
-            attainment=round(attainment, 4), target=self.target,
-            window_fast=self.window_fast, window_slow=self.window_slow,
+            attainment=round(attainment, 4), target=DEFAULT_TARGET,
+            window_fast=DEFAULT_WINDOWS[0], window_slow=DEFAULT_WINDOWS[1],
             requests=total,
         )

@@ -115,7 +115,7 @@ class AdmissionController:
                 1.0, request.cached_prefix_len / request.input_len
             )
             bias = ideal_s * cached_fraction
-        current = resolve_qos_class(request.qos, policy.classes)
+        current = resolve_qos_class(request.qos)
         while True:
             deadline = request.arrival_time + current.deadline_scale * ideal_s
             if predicted <= deadline + bias or current.admission == "always":
@@ -126,13 +126,7 @@ class AdmissionController:
                     predicted_completion=predicted,
                 )
             if current.admission == "downgrade":
-                target = resolve_qos_class(current.downgrade_to, policy.classes)
-                if target.priority <= current.priority:
-                    raise ValueError(
-                        f"downgrade from {current.name!r} to {target.name!r} "
-                        f"does not lower the tier; the chain would not terminate"
-                    )
-                current = target
+                current = resolve_qos_class(current.downgrade_to)
                 continue
             return AdmissionDecision(
                 action="reject",

@@ -18,9 +18,9 @@ contracts.  A :class:`QoSClass` makes that contract explicit:
   ``"downgrade"`` it to ``downgrade_to`` (a looser deadline, lower
   priority), or ``"always"`` admit it regardless (batch work waits).
 
-The three standard tiers cover the design space; experiments may build
-custom registries, but every registry must be priority-consistent
-(downgrades move to a strictly lower tier, so the chain terminates).
+The three standard tiers in :data:`QOS_CLASSES` cover the design
+space.  Each downgrade moves to a strictly lower tier, so every
+downgrade chain terminates.
 """
 
 from __future__ import annotations
@@ -108,18 +108,15 @@ DEFAULT_QOS_MIX: dict[str, float] = {
 }
 
 
-def resolve_qos_class(
-    name: str | None, classes: Mapping[str, QoSClass] | None = None
-) -> QoSClass:
+def resolve_qos_class(name: str | None) -> QoSClass:
     """Map a request's class name to its tier (None -> standard)."""
-    registry = classes or QOS_CLASSES
     if name is None:
         return DEFAULT_CLASS
     try:
-        return registry[name]
+        return QOS_CLASSES[name]
     except KeyError:
         raise ValueError(
-            f"unknown QoS class {name!r}; choose from {sorted(registry)}"
+            f"unknown QoS class {name!r}; choose from {sorted(QOS_CLASSES)}"
         ) from None
 
 

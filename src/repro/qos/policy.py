@@ -1,11 +1,12 @@
 """The QoS policy bundle a server schedules under.
 
 :class:`QoSPolicy` packages everything the core scheduler needs to
-thread SLO classes end-to-end: the tier registry, the no-load ideal
-latency model the deadlines derive from (with a memoised cache — the
-same (input, output) shape prices identically every time), the
-deployment's prefill service rate for queueing-delay estimates, the
-optional admission controller, and the deadline-preemption switch.
+thread the :data:`~repro.qos.classes.QOS_CLASSES` tiers end-to-end: the
+no-load ideal latency model the deadlines derive from (with a memoised
+cache — the same (input, output) shape prices identically every time),
+the deployment's prefill service rate for queueing-delay estimates, and
+the optional admission controller.  Deadline preemption is always
+armed.
 
 One policy instance is immutable state shared across a server's runs;
 all mutable accounting lives in the server's per-run
@@ -14,18 +15,16 @@ all mutable accounting lives in the server's per-run
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.metrics.slo import CachedIdealLatency, IdealLatencyModel
 from repro.qos.admission import AdmissionController, prefill_token_rate
-from repro.qos.classes import QOS_CLASSES, QoSClass, resolve_qos_class
+from repro.qos.classes import QoSClass, resolve_qos_class
 from repro.types import Request
 
 __all__ = ["QoSPolicy"]
 
 
 class QoSPolicy:
-    """Tier registry + deadline model + admission + preemption switch."""
+    """Deadline model + admission over the :data:`QOS_CLASSES` tiers."""
 
     # Deadline preemptions one scheduler tick may enact.
     max_preemptions_per_tick = 8
@@ -38,14 +37,10 @@ class QoSPolicy:
     def __init__(
         self,
         ideal: IdealLatencyModel,
-        classes: Mapping[str, QoSClass] | None = None,
         admission: AdmissionController | None = None,
-        preemption: bool = True,
     ) -> None:
         self.ideal = ideal
-        self.classes = dict(classes or QOS_CLASSES)
         self.admission = admission
-        self.preemption = preemption
         # Prefill tokens/s of the deployment the policy schedules for,
         # derived from the ideal model's cost model.
         self.token_rate = prefill_token_rate(
@@ -59,7 +54,6 @@ class QoSPolicy:
         config,
         cost_model,
         admission: bool = False,
-        **kwargs,
     ) -> "QoSPolicy":
         """Build the policy for one deployment's launch configuration."""
         ideal = IdealLatencyModel(
@@ -70,7 +64,6 @@ class QoSPolicy:
         return cls(
             ideal=ideal,
             admission=AdmissionController() if admission else None,
-            **kwargs,
         )
 
     # -- deadline model --------------------------------------------------------
@@ -78,7 +71,7 @@ class QoSPolicy:
     def qos_class(self, request: Request) -> QoSClass:
         """The tier the request is *currently served* under (downgrades
         renegotiate service; the workload tag stays for reporting)."""
-        return resolve_qos_class(request.effective_qos, self.classes)
+        return resolve_qos_class(request.effective_qos)
 
     def ideal_latency(self, request: Request) -> float:
         """Memoised no-load latency — deadlines, slack, and admission all

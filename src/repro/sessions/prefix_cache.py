@@ -104,7 +104,6 @@ class PrefixKVCache:
         self,
         pool: UnifiedKVPool,
         stats: PrefixCacheStats | None = None,
-        max_cached_tokens: int | None = None,
         tiers=None,
     ) -> None:
         self.pool = pool
@@ -120,12 +119,6 @@ class PrefixKVCache:
         # behaviour, bit-identical.
         self.tiers = tiers
         self._swap_debt: dict[int, float] = {}
-        # Capacity budget: the cache shares the pool with live request KV,
-        # so an unbounded tree would slowly convert serving capacity into
-        # cold history.  When set, every insert is followed by LRU
-        # eviction back under the cap (pinned extents can keep residency
-        # above it transiently — an in-flight prefill still reads them).
-        self.max_cached_tokens = max_cached_tokens
         # A replica crash rebuilds the cache over a fresh pool but keeps
         # the old hit/miss ledger — that serving history happened.
         self.stats = stats if stats is not None else PrefixCacheStats()
@@ -276,7 +269,6 @@ class PrefixKVCache:
         self._resident_tokens += len(tail)
         self.stats.inserted_tokens += len(tail)
         self.release(request_id)
-        self._enforce_budget()
 
     # -- cross-replica migration ----------------------------------------------
 
@@ -349,7 +341,6 @@ class PrefixKVCache:
         if count_import:  # tier swap-ins are local, not cross-replica traffic
             self.stats.imported_tokens += len(tail)
         self.stats.inserted_tokens += len(tail)
-        self._enforce_budget()
         return len(tail)
 
     def resident_sequences(self) -> list[tuple[float, tuple[int, ...]]]:
@@ -379,19 +370,6 @@ class PrefixKVCache:
         return self.evict(self._resident_tokens)
 
     # -- eviction -------------------------------------------------------------
-
-    def _enforce_budget(self) -> None:
-        """LRU-evict back under ``max_cached_tokens`` after an insert.
-
-        The freshly inserted extent carries the newest ``last_access``,
-        so older history is reclaimed first and the new extent survives
-        unless it alone exceeds the budget.
-        """
-        if self.max_cached_tokens is None:
-            return
-        excess = self._resident_tokens - self.max_cached_tokens
-        if excess > 0:
-            self.evict(excess)
 
     def evict(self, num_tokens: int, instance_ids: list[int] | None = None) -> int:
         """Free at least ``num_tokens`` cached slots (LRU leaves first).

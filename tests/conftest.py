@@ -9,13 +9,16 @@ examples.
 
 from __future__ import annotations
 
+import math
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import settings
 
 from repro.cluster.cluster import Cluster
-from repro.config import SystemConfig, default_config
+from repro.cluster.gpu import A800_80GB, GPUSpec
+from repro.config import KV_MEMORY_FRACTION, SystemConfig, default_config
 from repro.costmodel.latency import RooflineCostModel
 from repro.model.spec import LWM_7B_1M
 from repro.types import Request, next_request_id
@@ -38,6 +41,20 @@ def cost_model(cluster8: Cluster) -> RooflineCostModel:
 @pytest.fixture(scope="session")
 def config8() -> SystemConfig:
     return default_config(num_gpus=8, tensor_parallel=2)
+
+
+def gpu_with_kv_slots(slots: int, tensor_parallel: int = 2) -> GPUSpec:
+    """An A800 with just enough memory that one TP-way LWM-7B instance
+    holds ``slots`` KV slots.
+
+    ``SystemConfig.kv_slots_per_instance`` is the only reader of
+    ``memory_bytes``, so every price stays the A800's and only the KV
+    pool shrinks.
+    """
+    model = LWM_7B_1M
+    kv_bytes = (slots + 0.5) * model.kv_bytes_per_token / KV_MEMORY_FRACTION
+    memory = math.ceil((model.weight_bytes + kv_bytes) / tensor_parallel)
+    return replace(A800_80GB, memory_bytes=memory)
 
 
 def make_request(

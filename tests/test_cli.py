@@ -62,6 +62,35 @@ class TestServeCLI:
         assert code == 2
         assert "error: --qos-mix tags a generated trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "system",
+        ["loongserve", "loongserve-no-scaleup", "distserve", "static-sp",
+         "replicated-tp2"],
+    )
+    def test_too_few_gpus_exits_2(self, system, capsys):
+        """A system whose instances span more GPUs than the cluster has
+        is refused before it serves anything."""
+        code = repro_main(
+            ["serve", "--system", system, "--num-gpus", "1",
+             "--dataset", "sharegpt", "--rate", "5", "-n", "5"]
+        )
+        assert code == 2
+        message = (
+            "TP=0 gives an instance no GPU: a 1-GPU cluster"
+            if system == "distserve"  # TP = num_gpus // 2
+            else "TP=2 needs 2 GPUs per instance but the cluster has 1"
+        )
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("system", ["vllm", "splitfuse", "deepspeed-mii"])
+    def test_whole_cluster_tp_serves_on_one_gpu(self, system, capsys):
+        code = repro_main(
+            ["serve", "--system", system, "--num-gpus", "1",
+             "--dataset", "sharegpt", "--rate", "5", "-n", "5"]
+        )
+        assert code == 0
+        assert "requests: 5/5 finished, 0 aborted" in capsys.readouterr().out
+
     def test_rejects_unknown_system(self):
         with pytest.raises(SystemExit):
             repro_main(["serve", "--system", "magic"])

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.gpu import A800_80GB, GPUSpec
 from repro.cluster.topology import LinkKind, Topology
+from repro.costmodel.comm import CollectiveModel
 
 
 class TestGPUSpec:
@@ -39,14 +40,16 @@ class TestTopology:
         assert topo.link(8, 15).kind == LinkKind.NVLINK
 
     def test_self_link_free(self):
-        topo = Topology(num_gpus=8, gpus_per_node=8)
-        assert topo.transfer_time(2, 2, 1e9) == 0.0
+        collectives = CollectiveModel(cluster=Cluster.homogeneous(8))
+        assert collectives.migration_time(1e9, 2, 2, tensor_parallel=2) == 0.0
 
     def test_nvlink_faster_than_ib(self):
-        topo = Topology(num_gpus=16, gpus_per_node=8)
-        intra = topo.transfer_time(0, 1, 1e9)
-        inter = topo.transfer_time(0, 8, 1e9)
-        assert intra < inter
+        # TP=2 on two 8-GPU nodes: instance 1 shares instance 0's node,
+        # instance 4 sits on the other one.
+        collectives = CollectiveModel(cluster=Cluster.homogeneous(16))
+        intra = collectives.migration_time(1e9, 0, 1, tensor_parallel=2)
+        inter = collectives.migration_time(1e9, 0, 4, tensor_parallel=2)
+        assert 0.0 < intra < inter
 
     def test_spans_nodes(self):
         topo = Topology(num_gpus=16, gpus_per_node=8)

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from repro.cluster.cluster import Cluster
 from repro.cluster.topology import Topology
 from repro.costmodel.comm import CollectiveModel
-from repro.costmodel.latency import RooflineCostModel
+from repro.costmodel.latency import (
+    DECODE_OVERLAP,
+    ITERATION_OVERHEAD_S,
+    LAYER_SYNC_OVERHEAD_S,
+    PER_SEQ_OVERHEAD_S,
+    RooflineCostModel,
+)
 from repro.model.spec import LWM_7B_1M
 
 
@@ -94,7 +100,7 @@ class TestPrefillRoofline:
 class TestDecodeRoofline:
     def test_decode_floor_is_weight_read(self, cm):
         weight_read = (cm.model.weight_bytes / 2) / cm.cluster.gpu.sustained_bandwidth
-        assert cm.decode_time([100], 1, 2) >= weight_read + cm.iteration_overhead
+        assert cm.decode_time([100], 1, 2) >= weight_read + ITERATION_OVERHEAD_S
 
     def test_long_context_decode_scales_with_instances(self, cm):
         """Figure 2 bottom: decode gains from DoP only at long context."""
@@ -158,11 +164,11 @@ def reference_decode_time(cm, context_lens, instances, tensor_parallel, num_mast
         query_bytes = bs * m.hidden_size * m.dtype_bytes * (sp - 1) / sp
         per_layer = coll.query_exchange_time(query_bytes, query_bytes, insts, tp)
         sp_comm = m.num_layers * per_layer
-        sp_comm = max(sp_comm * (1 - cm.decode_overlap), sp_comm - attn_compute)
-        sp_comm += m.num_layers * cm.layer_sync_overhead
+        sp_comm = max(sp_comm * (1 - DECODE_OVERLAP), sp_comm - attn_compute)
+        sp_comm += m.num_layers * LAYER_SYNC_OVERHEAD_S
 
-    seq_overhead = cm.per_seq_overhead * bs / masters
-    return roofline + tp_comm + sp_comm + seq_overhead + cm.iteration_overhead
+    seq_overhead = PER_SEQ_OVERHEAD_S * bs / masters
+    return roofline + tp_comm + sp_comm + seq_overhead + ITERATION_OVERHEAD_S
 
 
 @st.composite

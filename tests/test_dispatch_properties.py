@@ -12,9 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
-from repro.config import SchedulerConfig
 from repro.core.batch import DecodeBatch, next_batch_id
-from repro.core.dispatching import select_prefill_requests
+from repro.core.dispatching import PREFILL_TIPPING_TOKENS, select_prefill_requests
 from repro.costmodel.latency import RooflineCostModel
 from repro.model.spec import LWM_7B_1M
 from repro.parallel.groups import ParallelGroup
@@ -64,10 +63,13 @@ batch_request_strategy = st.lists(
 
 
 @given(data=st.data())
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_dispatch_never_exceeds_budgets(predictor, data):
+    # Up to 60,000 free slots per instance, so the memory gate often
+    # leaves room for the tipping point to bind (about a fifth of the
+    # examples tip).
     free_slots = {
-        i: data.draw(st.integers(min_value=0, max_value=20_000), label=f"free{i}")
+        i: data.draw(st.integers(min_value=0, max_value=60_000), label=f"free{i}")
         for i in range(NUM_INSTANCES)
     }
     idle_count = data.draw(st.integers(min_value=0, max_value=NUM_INSTANCES), label="idle")
@@ -84,14 +86,12 @@ def test_dispatch_never_exceeds_budgets(predictor, data):
         make_request(input_len=input_len, output_len=output_len)
         for input_len, output_len in data.draw(pending_strategy, label="pending")
     ]
-    tipping = data.draw(st.integers(min_value=500, max_value=10_000), label="tipping")
     avg = data.draw(
         st.floats(min_value=0.0, max_value=1e9, allow_nan=False), label="avg"
     )
-    config = SchedulerConfig(prefill_tipping_tokens=tipping)
 
     decision = select_prefill_requests(
-        pending, idle, free_slots, batches, predictor, 2, config,
+        pending, idle, free_slots, batches, predictor, 2,
         avg_decode_latency=avg, now=0.0,
     )
 
@@ -107,8 +107,11 @@ def test_dispatch_never_exceeds_budgets(predictor, data):
     # Compute: committed tokens respect the tipping point of the executing
     # group (idle base + co-opted instances).  A single oversized first
     # request is exempt, otherwise an empty system could never start.
-    token_budget = tipping * max(1, len(idle))
-    token_budget += tipping * sum(len(b.instance_ids) for b in decision.coopted_batches)
+    # Pending prompts reach 20,000 tokens each, past the tipping point.
+    token_budget = PREFILL_TIPPING_TOKENS * max(1, len(idle))
+    token_budget += PREFILL_TIPPING_TOKENS * sum(
+        len(b.instance_ids) for b in decision.coopted_batches
+    )
     committed_tokens = sum(r.current_len for r in decision.requests)
     if len(decision.requests) > 1:
         assert committed_tokens <= token_budget

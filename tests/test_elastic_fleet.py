@@ -393,7 +393,7 @@ class TestControlLoopEndToEnd:
         assert migrated.elastic.migrated_kv_tokens > 0
         assert hit_rate(migrated) >= 0.8 * hit_rate(static)
 
-    def test_migration_charges_wall_clock_on_stolen_requests(self, monkeypatch):
+    def test_migration_charges_wall_clock_on_stolen_requests(self):
         """A steal-coupled migration must delay the stolen request's
         re-submission by the modelled transfer time (not teleport KV)."""
         from repro.fleet.control import FleetController
@@ -411,12 +411,14 @@ class TestControlLoopEndToEnd:
             src.submit(request)
         sim.run_until_idle()
 
-        follow_up = clone_requests([r for r in trace if r.turn > 0])[-1]
-        follow_up.arrival_time = sim.now
-        src.submit(follow_up)
+        # Two queued follow-ups on src open the stealer's depth gap; it
+        # takes the tail of the queue.
+        queued = clone_requests([r for r in trace if r.turn > 0])[-2:]
+        for request in queued:
+            request.arrival_time = sim.now
+            src.submit(request)
+        follow_up = queued[-1]
         config = src.server.config
-        # One queued request on src: steal it at a depth gap of one.
-        monkeypatch.setattr(stealing, "MIN_QUEUE_GAP", 1)
         policy = ClusterPolicy(
             make_router("affinity"),
             stealer=WorkStealer(),

@@ -93,10 +93,11 @@ class TestEndToEndHarness:
 
     def test_goodput_from_curve(self):
         curve = self._curve("x", [(1.0, 1.0), (2.0, 0.5)])
-        # Attainment crosses the 0.9 target between the swept rates; the
-        # default interpolation recovers the sub-grid crossing.
+        # Attainment crosses the 0.9 target between the swept rates;
+        # interpolation recovers the sub-grid crossing.
         assert curve.goodput() == pytest.approx(1.2)
-        assert curve.goodput(target=0.95) == pytest.approx(1.1)
+        shallower = self._curve("x", [(1.0, 1.0), (2.0, 0.8)])
+        assert shallower.goodput() == pytest.approx(1.5)
 
     def test_figure13b_histogram_nonempty(self):
         bins = endtoend.figure13b(duration_s=15.0, rate=30.0)
@@ -122,9 +123,9 @@ class TestEndToEndHarness:
         passes = self._curve("loongserve", [(1.0, 1.0), (2.0, 0.95)])
         knee = self._curve("vllm", [(1.0, 1.0), (2.0, 0.5)])
         also_passes = self._curve("static-sp", [(1.0, 1.0), (2.0, 0.9)])
+        just_fails = self._curve("vllm", [(1.0, 1.0), (2.0, 0.89)])
         assert passes.censored() and also_passes.censored()
-        assert not knee.censored()
-        assert not passes.censored(target=0.97)
+        assert not knee.censored() and not just_fails.censored()
         goodputs = report.render_goodput([passes, knee])
         assert "≥2.00" in goodputs and "≥1.20" not in goodputs and "1.20" in goodputs
 

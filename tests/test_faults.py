@@ -21,7 +21,6 @@ from repro.fleet import (
     make_router,
     reset_for_failover,
 )
-from repro.fleet import autoscaler, stealing
 from repro.fleet.autoscaler import HYSTERESIS_TICKS
 from repro.metrics.fleet import ElasticStats
 from repro.sessions import make_session_trace
@@ -316,7 +315,7 @@ class TestControllerFailover:
 
 
 class TestMidMigrationRescue:
-    def test_destination_crash_rescues_inflight_stolen_request(self, monkeypatch):
+    def test_destination_crash_rescues_inflight_stolen_request(self):
         from repro.costmodel.comm import CollectiveModel
         from repro.fleet import KVMigrator
 
@@ -330,12 +329,14 @@ class TestMidMigrationRescue:
             src.submit(request)
         sim.run_until_idle()
 
-        follow_up = clone_requests([r for r in trace if r.turn > 0])[-1]
-        follow_up.arrival_time = sim.now
-        src.submit(follow_up)
+        # Two queued follow-ups on src open the stealer's depth gap; it
+        # takes the tail of the queue.
+        queued = clone_requests([r for r in trace if r.turn > 0])[-2:]
+        for request in queued:
+            request.arrival_time = sim.now
+            src.submit(request)
+        follow_up = queued[-1]
         config = src.server.config
-        # One queued request on src: steal it at a depth gap of one.
-        monkeypatch.setattr(stealing, "MIN_QUEUE_GAP", 1)
         policy = ClusterPolicy(
             make_router("affinity"),
             stealer=WorkStealer(),
@@ -506,13 +507,14 @@ class TestWarmupAwareAutoscaling:
         assert scaler.decide([idle_a, idle_b, warming], 1.5) == []  # tick 1 of 2
         assert scaler.decide([idle_a, idle_b, warming], 2.0) != []
 
-    def test_unpark_pays_warmup_before_coming_online(self, monkeypatch):
+    def test_unpark_pays_warmup_before_coming_online(self):
         sim = Simulator()
         busy = LifecycleStub(0, queued=10)
         parked = LifecycleStub(1)
         parked.online = False
-        # Unpark on the first hot tick, so the warm-up starts at 0.5 s.
-        monkeypatch.setattr(autoscaler, "HYSTERESIS_TICKS", 1)
+        # Control ticks every 0.5 s from 0.5 s; the unpark fires on the
+        # HYSTERESIS_TICKS-th hot tick, and the 2 s warm-up starts there.
+        unpark_at = HYSTERESIS_TICKS * 0.5
         policy = ClusterPolicy(
             make_router("round-robin"),
             autoscaler=QueueDepthAutoscaler(),
@@ -524,11 +526,13 @@ class TestWarmupAwareAutoscaling:
             interval=0.5, work_remaining=lambda: True,
         )
         controller.start()
-        sim.run(until=1.0)
+        sim.run(until=unpark_at - 0.1)
+        assert not parked.warming  # one hot tick short of the hysteresis
+        sim.run(until=unpark_at + 0.1)
         assert parked.warming and not parked.online  # decided, not yet up
-        sim.run(until=2.4)
+        sim.run(until=unpark_at + 1.9)
         assert parked.warming  # 2s warm-up spans four control intervals
-        sim.run(until=2.6)
+        sim.run(until=unpark_at + 2.1)
         assert parked.online and not parked.warming
         assert stats.warmup_seconds == pytest.approx(2.0)
         times = dict((a, t) for t, a, _ in stats.scaling_log)

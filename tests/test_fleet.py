@@ -96,10 +96,6 @@ class TestRouters:
                 make_request(input_len=input_len), replicas, 0.0
             ).replica_id == 0
 
-    def test_length_aware_validates_fraction(self):
-        with pytest.raises(ValueError):
-            LengthAwareRouter(long_fraction=1.5)
-
     def test_length_aware_custom_threshold(self):
         """--long-threshold must move the long/short boundary."""
         replicas = [StubReplica(i) for i in range(4)]

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.gpu import A800_80GB
 from repro.config import SchedulerConfig, default_config
 from repro.core.server import LoongServeServer
 from repro.experiments.systems import make_fleet
@@ -31,6 +32,7 @@ from repro.sessions import make_session_trace
 from repro.sessions.prefix_cache import PrefixKVCache
 from repro.types import Request
 from repro.workloads.trace_gen import clone_requests
+from tests.conftest import gpu_with_kv_slots
 
 # Three disjoint sequence lines (distinct first tokens), 10 tokens each.
 SEQ_A = tuple(range(100, 110))
@@ -147,11 +149,13 @@ class TestCacheIntegration:
         assert cache.take_swap_debt(2) == 0.0  # charged exactly once
 
     def test_swap_in_latency_lands_in_the_prefill(self):
-        """The same three-request trace, with and without a cache cap:
-        the cap (which holds one conversation's extent, not two) demotes
-        conversation A's KV when B's is adopted, so A's second turn must
-        swap it back up — and its finish shifts by exactly the swap time,
-        the only extra work the capped run does on A's critical path."""
+        """The same three-request trace on one TP=2 instance, with the
+        A800's memory and with a GPU that leaves 1,000 KV slots: the
+        small pool holds one conversation's extent, not two, so B's
+        prefill evicts (demotes) conversation A's cached KV, and A's
+        second turn must swap it back up — its finish shifts by exactly
+        the swap time, the only extra work the small pool adds on A's
+        critical path."""
         tokens_a = tuple(range(1000, 1600))
         tokens_b = tuple(range(5000, 5600))
         trace = [
@@ -163,25 +167,26 @@ class TestCacheIntegration:
                     arrival_time=60.0, token_ids=tokens_a),
         ]
 
-        def run(max_cached_tokens):
-            config = default_config(scheduler=SchedulerConfig(
-                enable_prefix_cache=True,
-                max_cached_tokens=max_cached_tokens,
-                kv_tier_policy="lru",
-            ))
+        def run(gpu):
+            config = default_config(
+                num_gpus=2, gpu=gpu,
+                scheduler=SchedulerConfig(
+                    enable_prefix_cache=True, kv_tier_policy="lru"
+                ),
+            )
             server = LoongServeServer(config)
             result = server.run(clone_requests(trace))
             by_id = {r.request_id: r for r in result.requests}
             return by_id, server.prefix_cache.tiers.stats
 
-        pure_hit, pure_stats = run(max_cached_tokens=None)
-        offloaded, offl_stats = run(max_cached_tokens=700)
+        pure_hit, pure_stats = run(A800_80GB)
+        offloaded, offl_stats = run(gpu_with_kv_slots(1_000))
         assert pure_stats.swapped_in_tokens == 0
-        assert offl_stats.swapped_in_tokens > 0
+        assert offl_stats.swapped_in_tokens == 600
         assert offl_stats.swap_in_seconds > 0.0
         # Turn 3 still hits: the swapped-in extent covers its prompt.
         assert offloaded[3].cached_prefix_len == pure_hit[3].cached_prefix_len > 0
-        # Requests 1 and 2 are untouched (eviction happens at adoption).
+        # Requests 1 and 2 are untouched: a demotion delays no prefill.
         assert offloaded[1].finish_time == pure_hit[1].finish_time
         assert offloaded[2].finish_time == pure_hit[2].finish_time
         delta = offloaded[3].finish_time - pure_hit[3].finish_time

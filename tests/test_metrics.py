@@ -113,51 +113,40 @@ class TestSLO:
         b = make_request(input_len=shorter + delta, output_len=output_len)
         assert ideal.deadline(b) >= ideal.deadline(a)
 
-    def test_max_rate_under_slo_grid_snapped(self):
-        rates = [1.0, 2.0, 3.0, 4.0]
-        attainments = [1.0, 0.95, 0.80, 0.40]
-        assert max_rate_under_slo(
-            rates, attainments, target=0.9, interpolate=False
-        ) == 2.0
-
     def test_max_rate_interpolates_the_crossing(self):
         rates = [1.0, 2.0, 3.0, 4.0]
         attainments = [1.0, 0.95, 0.80, 0.40]
         # 0.95 -> 0.80 crosses 0.90 a third of the way from 2.0 to 3.0.
         expected = 2.0 + (0.95 - 0.90) / (0.95 - 0.80) * 1.0
-        assert max_rate_under_slo(rates, attainments, target=0.9) == pytest.approx(
+        assert max_rate_under_slo(rates, attainments) == pytest.approx(
             expected
         )
 
     def test_max_rate_interpolation_between_grid_neighbours(self):
-        value = max_rate_under_slo([1.0, 2.0], [1.0, 0.5], target=0.9)
+        value = max_rate_under_slo([1.0, 2.0], [1.0, 0.5])
         assert 1.0 < value < 2.0
         assert value == pytest.approx(1.2)
 
     def test_max_rate_unsorted_sweep_is_order_independent(self):
         rates = [3.0, 1.0, 4.0, 2.0]
         attainments = [0.80, 1.0, 0.40, 0.95]
-        assert max_rate_under_slo(rates, attainments, target=0.9) == pytest.approx(
-            max_rate_under_slo(
-                sorted(rates), [1.0, 0.95, 0.80, 0.40], target=0.9
-            )
+        assert max_rate_under_slo(rates, attainments) == pytest.approx(
+            max_rate_under_slo(sorted(rates), [1.0, 0.95, 0.80, 0.40])
         )
 
     def test_max_rate_all_passing_has_nothing_to_interpolate(self):
-        assert max_rate_under_slo([1.0, 2.0], [1.0, 0.95], target=0.9) == 2.0
+        assert max_rate_under_slo([1.0, 2.0], [1.0, 0.95]) == 2.0
 
     def test_max_rate_flat_attainment_does_not_extrapolate(self):
         # Attainment equal on both sides of the knee: no meaningful
         # crossing, keep the grid answer.
-        assert max_rate_under_slo([1.0, 2.0], [0.9, 0.9], target=0.9) == 2.0
+        assert max_rate_under_slo([1.0, 2.0], [0.9, 0.9]) == 2.0
 
     def test_max_rate_none_qualify(self):
         assert max_rate_under_slo([1.0], [0.5]) == 0.0
-        assert max_rate_under_slo([1.0], [0.5], interpolate=False) == 0.0
 
     def test_max_rate_empty_sweep(self):
-        assert max_rate_under_slo([], [], target=0.9) == 0.0
-        assert max_rate_under_slo([], [], interpolate=False) == 0.0
+        assert max_rate_under_slo([], []) == 0.0
 
     def test_max_rate_misaligned_raises(self):
         with pytest.raises(ValueError):

@@ -6,18 +6,17 @@ for real — including the conservative dispatch estimate that tries to
 avoid it (§5.1).
 """
 
-from dataclasses import replace
-
 from repro.config import default_config
 from repro.core.server import LoongServeServer
 from repro.types import RequestState
-from tests.conftest import make_request
+from tests.conftest import gpu_with_kv_slots, make_request
 
 
-def tiny_pool_config(fraction: float = 0.004):
-    """Shrink KV memory so a handful of requests exhausts an instance."""
-    config = default_config()
-    return replace(config, kv_memory_fraction=fraction)
+def tiny_pool_config(slots: int = 1_207):
+    """GPUs so small that a handful of requests exhausts an instance."""
+    config = default_config(gpu=gpu_with_kv_slots(slots))
+    assert config.kv_slots_per_instance == slots
+    return config
 
 
 class TestPreemptionPath:

@@ -175,59 +175,10 @@ class TestCapacityBudget:
     def test_unbounded_by_default(self):
         pool = make_pool()
         cache = PrefixKVCache(pool)
-        assert cache.max_cached_tokens is None
         for rid in range(5):
             tokens = [rid * 1000 + t for t in range(40)]
             finished_request(rid, tokens, pool=pool, cache=cache, now=float(rid))
         assert cache.resident_tokens == 5 * 39
-
-    def test_adopt_evicts_lru_back_under_budget(self):
-        pool = make_pool()
-        cache = PrefixKVCache(pool, max_cached_tokens=100)
-        for rid in range(5):
-            tokens = [rid * 1000 + t for t in range(40)]  # 39 resident each
-            finished_request(rid, tokens, pool=pool, cache=cache, now=float(rid))
-        assert cache.resident_tokens <= 100
-        # Newest extents survive; the oldest were reclaimed.
-        assert cache.peek_match(tuple(4000 + t for t in range(39))) == 39
-        assert cache.peek_match(tuple(range(39))) == 0
-        assert cache.stats.evicted_tokens > 0
-
-    def test_budget_caps_pool_usage_for_live_requests(self):
-        # The whole point: cached history cannot starve live KV.
-        pool = make_pool(num_instances=1, slots=200)
-        cache = PrefixKVCache(pool, max_cached_tokens=50)
-        for rid in range(4):
-            tokens = [rid * 1000 + t for t in range(60)]
-            finished_request(rid, tokens, pool=pool, cache=cache, now=float(rid))
-        assert cache.resident_tokens <= 50
-        assert pool.total_free >= 150
-
-    def test_import_respects_budget(self):
-        pool = make_pool()
-        cache = PrefixKVCache(pool, max_cached_tokens=30)
-        assert cache.import_prefix(tuple(range(25)), now=1.0) == 25
-        cache.import_prefix(tuple(1000 + t for t in range(25)), now=2.0)
-        assert cache.resident_tokens <= 30
-        # The fresh import displaced the older extent.
-        assert cache.peek_match(tuple(1000 + t for t in range(25))) == 25
-
-    def test_pinned_extent_survives_budget_eviction(self):
-        pool = make_pool()
-        cache = PrefixKVCache(pool, max_cached_tokens=50)
-        finished_request(1, list(range(40)), pool=pool, cache=cache, now=1.0)
-        pinner = Request(
-            request_id=2, input_len=39, output_len=5,
-            token_ids=tuple(range(39)),
-        )
-        assert cache.match_and_lock(pinner, now=2.0) == 38
-        # Overflowing the budget must not touch the pinned extent even
-        # though it is the LRU-oldest — the newcomer is reclaimed instead.
-        finished_request(3, [900 + t for t in range(21)], pool=pool,
-                         cache=cache, now=3.0)
-        assert cache.resident_tokens <= 50
-        assert cache.peek_match(tuple(range(39))) >= 38
-        cache.release(2)
 
 
 class TestStats:

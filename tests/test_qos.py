@@ -18,7 +18,6 @@ from repro.qos import (
     INTERACTIVE,
     QOS_CLASSES,
     STANDARD,
-    AdmissionController,
     QoSClass,
     QoSPolicy,
     assign_qos,
@@ -35,7 +34,7 @@ from repro.types import ServeResult
 from repro.workloads.datasets import MIXED, SHAREGPT
 from repro.workloads.serialization import records_to_trace, trace_to_records
 from repro.workloads.trace_gen import clone_requests, make_trace
-from tests.conftest import StubReplica, make_request
+from tests.conftest import StubReplica, gpu_with_kv_slots, make_request
 
 QOS_MIX = {"interactive": 0.4, "standard": 0.4, "batch": 0.2}
 
@@ -200,25 +199,16 @@ class TestAdmission:
             hot, now=0.0, wait_s=wait, policy=policy
         ).admitted
 
-    def test_non_lowering_downgrade_chain_raises(self, policy):
-        classes = dict(QOS_CLASSES)
-        classes["interactive"] = replace(
-            INTERACTIVE, downgrade_to="interactive"
-        )
-        bad = QoSPolicy(
-            ideal=policy.ideal,
-            classes=classes,
-            admission=AdmissionController(),
-        )
-        request = make_request(input_len=1_000, output_len=20)
-        request.qos = "interactive"
-        with pytest.raises(ValueError, match="does not lower"):
-            bad.admission.decide(
-                request,
-                now=0.0,
-                wait_s=1e3 * policy.ideal_latency(request),
-                policy=bad,
-            )
+    def test_every_downgrade_chain_lowers_and_ends(self):
+        """Admission walks a class's downgrade chain until a tier admits
+        or rejects; each step must strictly lower the tier, so every
+        chain ends."""
+        for qos_class in QOS_CLASSES.values():
+            current = qos_class
+            while current.admission == "downgrade":
+                target = resolve_qos_class(current.downgrade_to)
+                assert target.priority > current.priority
+                current = target
 
 
 class TestPolicy:
@@ -251,17 +241,17 @@ class TestPolicy:
     def test_downgrade_moves_the_effective_class(self, policy):
         request = make_request(input_len=1_000, output_len=20)
         request.qos = "interactive"
-        assert policy.qos_class(request) is policy.classes["interactive"]
+        assert policy.qos_class(request) is INTERACTIVE
         request.downgraded_to = "standard"
-        assert policy.qos_class(request) is policy.classes["standard"]
+        assert policy.qos_class(request) is STANDARD
         assert request.qos == "interactive"  # the workload tag survives
 
 
 class TestServerScheduling:
-    def _qos_server(self, num_gpus=4, admission=True, **kwargs):
+    def _qos_server(self, num_gpus=4, admission=True):
         server = build_loongserve(num_gpus=num_gpus)
         server.qos = QoSPolicy.for_config(
-            server.config, server.cost_model, admission=admission, **kwargs
+            server.config, server.cost_model, admission=admission
         )
         return server
 
@@ -316,52 +306,52 @@ class TestServerScheduling:
         )
 
     @staticmethod
-    def _memory_pressure_run(preemption: bool):
-        # A deliberately tiny KV pool: two long-decoding batch requests
-        # occupy nearly everything when the interactive request arrives,
-        # so only preempting a batch decode frees the slots in time.
-        config = replace(
-            default_config(num_gpus=4, tensor_parallel=2),
-            kv_memory_fraction=0.002,
+    def _memory_pressure_run(decode_class: str):
+        # A deliberately tiny KV pool: two long decodes tagged
+        # ``decode_class`` occupy nearly everything when the interactive
+        # request arrives, so only preempting one frees the slots in time.
+        config = default_config(
+            num_gpus=4, tensor_parallel=2, gpu=gpu_with_kv_slots(603)
         )
         from repro.core.server import LoongServeServer
 
         server = LoongServeServer(config)
         server.qos = QoSPolicy.for_config(
-            server.config, server.cost_model,
-            admission=False, preemption=preemption,
+            server.config, server.cost_model, admission=False
         )
         pool_slots = config.kv_slots_per_instance * config.num_instances
         batch_output = 300
         batch_input = int(pool_slots * 0.45) - batch_output
         assert batch_input > 0
-        batch_a = make_request(
+        decode_a = make_request(
             input_len=batch_input, output_len=batch_output, arrival=0.0
         )
-        batch_a.qos = "batch"
-        batch_b = make_request(
+        decode_a.qos = decode_class
+        decode_b = make_request(
             input_len=batch_input, output_len=batch_output, arrival=0.0
         )
-        batch_b.qos = "batch"
+        decode_b.qos = decode_class
         interactive = make_request(
             input_len=int(pool_slots * 0.25), output_len=4, arrival=1.0
         )
         interactive.qos = "interactive"
-        result = server.run([batch_a, batch_b, interactive])
+        result = server.run([decode_a, decode_b, interactive])
         assert not result.aborted
         return result, interactive
 
     def test_deadline_preemption_saves_the_interactive_prefill(self):
-        protected, interactive = self._memory_pressure_run(preemption=True)
+        protected, interactive = self._memory_pressure_run("batch")
         assert int(protected.qos_stats["batch"].get("preempted", 0)) >= 1
         assert interactive.finished
         protected_ttft = interactive.first_token_time
 
-        starved, interactive = self._memory_pressure_run(preemption=False)
-        assert "preempted" not in starved.qos_stats.get("batch", {})
+        # Standard-tier decodes are not preemptible: the interactive
+        # prefill waits for one to finish.
+        starved, interactive = self._memory_pressure_run("standard")
+        assert "preempted" not in starved.qos_stats.get("standard", {})
         assert interactive.finished
         # The memory-blocked interactive prefill reaches its first token
-        # materially earlier when the batch decode is preemptible.
+        # materially earlier when the long decodes are preemptible.
         assert protected_ttft < interactive.first_token_time
 
     def test_impossible_abort_counts_in_the_ledger(self):
@@ -379,15 +369,6 @@ class TestServerScheduling:
         assert counters["admitted"] == 1.0
         assert counters["rejected"] == 1.0
         assert len(result.aborted) == 1
-
-    def test_preemption_ledger_off_when_disabled(self):
-        server = self._qos_server(admission=False, preemption=False)
-        trace = make_trace(MIXED, rate=10.0, num_requests=20, seed=6,
-                           max_input_len=20_000, qos_mix=QOS_MIX)
-        result = server.run(clone_requests(trace))
-        # No deadline preemptions planned; memory-pressure preemptions
-        # may still occur and are charged to the victim's class.
-        assert result.qos_stats is not None
 
 
 class TestSLORouter:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet.router import (
+    LONG_FRACTION,
     CacheAffinityRouter,
     LeastKVRouter,
     LeastOutstandingRouter,
@@ -72,7 +73,7 @@ def test_length_aware_ties_break_to_lowest_id_within_pool(states, long):
     lowest id."""
     router = LengthAwareRouter()
     fleet = build_fleet(states)
-    boundary = max(1, min(len(fleet) - 1, round(len(fleet) * router.long_fraction)))
+    boundary = max(1, min(len(fleet) - 1, round(len(fleet) * LONG_FRACTION)))
     pool = fleet[:boundary] if long else fleet[boundary:]
     input_len = router.long_threshold + 1 if long else 1
     chosen = router.route(make_request(input_len=input_len), fleet, now=0.0)
@@ -118,5 +119,5 @@ def test_all_idle_fleet_routes_to_replica_zero(states):
     if len(fleet) == 1:
         assert chosen.replica_id == 0
     else:
-        boundary = max(1, min(len(fleet) - 1, round(len(fleet) * router.long_fraction)))
+        boundary = max(1, min(len(fleet) - 1, round(len(fleet) * LONG_FRACTION)))
         assert chosen.replica_id == boundary  # first replica of the short pool

@@ -6,8 +6,13 @@ from repro.cluster.cluster import Cluster
 from repro.config import SchedulerConfig
 from repro.core.allocation import allocate_instances
 from repro.core.batch import DecodeBatch, next_batch_id
-from repro.core.dispatching import select_prefill_requests
+from repro.core.dispatching import (
+    MAX_BATCH_SIZE,
+    PREFILL_TIPPING_TOKENS,
+    select_prefill_requests,
+)
 from repro.core.scaling_plan import (
+    DECODE_COMPUTE_BOUND_BS,
     assign_masters,
     pick_append_instance,
     plan_scale_down,
@@ -59,7 +64,7 @@ class TestDispatching:
         pending = [make_request(input_len=100) for _ in range(3)]
         decision = select_prefill_requests(
             pending, [0, 1, 2, 3], {i: SLOTS for i in range(4)}, [],
-            predictor, 2, SchedulerConfig(), 0.0, 0.0,
+            predictor, 2, 0.0, 0.0,
         )
         assert [r.request_id for r in decision.requests] == [
             r.request_id for r in pending
@@ -68,26 +73,29 @@ class TestDispatching:
     def test_memory_gate_blocks_oversized(self, predictor):
         pending = [make_request(input_len=5 * SLOTS)]
         decision = select_prefill_requests(
-            pending, [0], {0: SLOTS}, [], predictor, 2,
-            SchedulerConfig(), 0.0, 0.0,
+            pending, [0], {0: SLOTS}, [], predictor, 2, 0.0, 0.0,
         )
         assert decision.is_empty
 
     def test_first_request_bypasses_tipping(self, predictor):
-        pending = [make_request(input_len=50_000)]
+        # Past the four idle instances' joint tipping point on its own.
+        pending = [make_request(input_len=5 * PREFILL_TIPPING_TOKENS)]
         decision = select_prefill_requests(
             pending, [0, 1, 2, 3], {i: SLOTS * 10 for i in range(4)}, [],
-            predictor, 2, SchedulerConfig(prefill_tipping_tokens=1_000), 0.0, 0.0,
+            predictor, 2, 0.0, 0.0,
         )
         assert len(decision.requests) == 1
 
     def test_tipping_limits_batch(self, predictor):
-        pending = [make_request(input_len=4_000) for _ in range(20)]
+        pending = [
+            make_request(input_len=PREFILL_TIPPING_TOKENS // 2) for _ in range(20)
+        ]
         decision = select_prefill_requests(
-            pending, [0], {0: SLOTS * 10}, [], predictor, 2,
-            SchedulerConfig(prefill_tipping_tokens=8_192), 0.0, 0.0,
+            pending, [0], {0: SLOTS * 10}, [], predictor, 2, 0.0, 0.0,
         )
-        assert 1 <= len(decision.requests) < 20
+        # Two halves fill one instance's tipping point exactly.
+        assert len(decision.requests) == 2
+        assert decision.tipped
 
     def test_preemptable_memory_extends_budget(self, predictor):
         """With no idle instances, decode instances' free slots still
@@ -96,7 +104,7 @@ class TestDispatching:
         pending = [make_request(input_len=1_000)]
         decision = select_prefill_requests(
             pending, [], {0: SLOTS, 1: SLOTS, 2: 0, 3: 0}, [batch],
-            predictor, 2, SchedulerConfig(), 0.0, 0.0,
+            predictor, 2, 0.0, 0.0,
         )
         assert len(decision.requests) == 1
 
@@ -107,7 +115,7 @@ class TestDispatching:
                    make_request(input_len=18_000)]
         decision = select_prefill_requests(
             pending, [0, 1], {0: SLOTS, 1: SLOTS, 2: SLOTS, 3: SLOTS}, [batch],
-            predictor, 2, SchedulerConfig(), avg_decode_latency=0.0, now=0.0,
+            predictor, 2, avg_decode_latency=0.0, now=0.0,
         )
         assert batch not in decision.coopted_batches
 
@@ -119,16 +127,15 @@ class TestDispatching:
         pending = [make_request(input_len=3_000) for _ in range(4)]
         decision = select_prefill_requests(
             pending, [0], {0: 5_000, 1: 0, 2: 4_000, 3: 4_000}, [batch],
-            predictor, 2,
-            SchedulerConfig(prefill_tipping_tokens=8_192),
-            avg_decode_latency=1e9, now=0.0,
+            predictor, 2, avg_decode_latency=1e9, now=0.0,
         )
+        assert decision.tipped
         assert batch in decision.coopted_batches
         assert len(decision.requests) == 4
 
     def test_empty_pending(self, predictor):
         decision = select_prefill_requests(
-            [], [0], {0: SLOTS}, [], predictor, 2, SchedulerConfig(), 0.0, 0.0
+            [], [0], {0: SLOTS}, [], predictor, 2, 0.0, 0.0
         )
         assert decision.is_empty
 
@@ -139,19 +146,19 @@ class TestDispatching:
         admission sails past the tipping point (``token_budget``)."""
         b1 = make_decode_batch((1,))
         b2 = make_decode_batch((2,))
-        pending = [make_request(input_len=600, output_len=5) for _ in range(10)]
-        tipping = 1_000
+        pending = [
+            make_request(input_len=PREFILL_TIPPING_TOKENS * 3 // 5, output_len=5)
+            for _ in range(10)
+        ]
         decision = select_prefill_requests(
             pending, [0], {0: 100_000, 1: 100_000, 2: 100_000, 3: 0},
-            [b1, b2], predictor, 2,
-            SchedulerConfig(prefill_tipping_tokens=tipping),
-            avg_decode_latency=1e9, now=0.0,
+            [b1, b2], predictor, 2, avg_decode_latency=1e9, now=0.0,
         )
         assert len(decision.coopted_batches) == 2
         # Joint compute budget: one share for the idle base instance plus
         # one per co-opted instance — the two co-opts may never jointly
         # admit past it.
-        budget = tipping * (
+        budget = PREFILL_TIPPING_TOKENS * (
             1 + sum(len(b.instance_ids) for b in decision.coopted_batches)
         )
         total = sum(r.current_len for r in decision.requests)
@@ -159,16 +166,21 @@ class TestDispatching:
 
     def test_coopt_respects_max_batch_size(self, predictor):
         """Phase 2 admissions count toward the same batch-size cap that
-        phase 1 enforces."""
+        phase 1 enforces: phase 1 tips after 819 ten-token prompts, and
+        the co-opted group's budget would take every one of these, but
+        the cap stops the joint batch first."""
         batch = make_decode_batch((1,))
-        pending = [make_request(input_len=100, output_len=5) for _ in range(10)]
+        pending = [
+            make_request(input_len=10, output_len=5)
+            for _ in range(MAX_BATCH_SIZE + 76)
+        ]
         decision = select_prefill_requests(
             pending, [0], {0: 100_000, 1: 100_000, 2: 0, 3: 0}, [batch],
-            predictor, 2,
-            SchedulerConfig(max_batch_size=2, prefill_tipping_tokens=150),
-            avg_decode_latency=1e9, now=0.0,
+            predictor, 2, avg_decode_latency=1e9, now=0.0,
         )
-        assert len(decision.requests) <= 2
+        assert decision.tipped
+        assert batch in decision.coopted_batches
+        assert len(decision.requests) == MAX_BATCH_SIZE
 
     def test_coopt_memory_gate_stays_hard(self, predictor):
         """Co-opting contributes compute, not memory: phase 2 may never
@@ -177,9 +189,7 @@ class TestDispatching:
         pending = [make_request(input_len=3_000) for _ in range(6)]
         decision = select_prefill_requests(
             pending, [0], {0: 5_000, 1: 0, 2: 4_000, 3: 4_000}, [batch],
-            predictor, 2,
-            SchedulerConfig(prefill_tipping_tokens=8_192),
-            avg_decode_latency=1e9, now=0.0,
+            predictor, 2, avg_decode_latency=1e9, now=0.0,
         )
         committed = sum(r.current_len + 1 for r in decision.requests)
         assert committed <= 13_000  # idle free + preemptable free
@@ -247,40 +257,25 @@ class TestScaleDownPlanning:
     def test_minimum_instances_kept(self):
         pool = make_pool()
         requests = [make_request(input_len=100) for _ in range(3)]
-        plan = plan_scale_down(
-            requests, [0, 1, 2, 3], pool, set(), SchedulerConfig()
-        )
+        plan = plan_scale_down(requests, [0, 1, 2, 3], pool, set())
         assert len(plan.kept_instances) == 1
 
     def test_large_batch_keeps_more(self):
         pool = make_pool()
         requests = [make_request(input_len=SLOTS - 100) for _ in range(3)]
-        plan = plan_scale_down(
-            requests, [0, 1, 2, 3], pool, set(), SchedulerConfig()
-        )
+        plan = plan_scale_down(requests, [0, 1, 2, 3], pool, set())
         assert len(plan.kept_instances) >= 3
 
     def test_prefers_decode_hosting_instances(self):
         pool = make_pool()
         requests = [make_request(input_len=100)]
-        plan = plan_scale_down(
-            requests, [0, 1, 2, 3], pool, {2}, SchedulerConfig()
-        )
+        plan = plan_scale_down(requests, [0, 1, 2, 3], pool, {2})
         assert plan.kept_instances == (2,)
-
-    def test_disabled_scale_down_keeps_group(self):
-        pool = make_pool()
-        requests = [make_request(input_len=100)]
-        plan = plan_scale_down(
-            requests, [0, 1], pool, set(),
-            SchedulerConfig(enable_scale_down=False),
-        )
-        assert plan.kept_instances == (0, 1)
 
     def test_per_request_placement_covers_tokens(self):
         pool = make_pool()
         requests = [make_request(input_len=500), make_request(input_len=300)]
-        plan = plan_scale_down(requests, [0, 1, 2, 3], pool, set(), SchedulerConfig())
+        plan = plan_scale_down(requests, [0, 1, 2, 3], pool, set())
         for request in requests:
             placed = sum(plan.per_request[request.request_id].values())
             assert placed == request.current_len + 1
@@ -289,7 +284,7 @@ class TestScaleDownPlanning:
         pool = make_pool()
         requests = [make_request(input_len=10 * SLOTS)]
         with pytest.raises(ValueError):
-            plan_scale_down(requests, [0], pool, set(), SchedulerConfig())
+            plan_scale_down(requests, [0], pool, set())
 
 
 class TestScaleUpPlanning:
@@ -302,10 +297,8 @@ class TestScaleUpPlanning:
 
     def test_compute_pressure_triggers(self):
         pool = make_pool()
-        batch = make_decode_batch((0,), num_requests=200)
-        decision = plan_scale_up(
-            batch, [1], pool, SchedulerConfig(decode_compute_bound_bs=128)
-        )
+        batch = make_decode_batch((0,), num_requests=DECODE_COMPUTE_BOUND_BS)
+        decision = plan_scale_up(batch, [1], pool, SchedulerConfig())
         assert decision is not None
         assert decision.reason == "compute"
 

@@ -241,23 +241,29 @@ class TestColdStartCoopting:
         """The seeded estimate lets the Eq. 1/2 analysis co-opt a decode
         batch before the first request ever finishes, where the old
         hard-zero average could not."""
-        from repro.config import SchedulerConfig
-        from repro.core.dispatching import select_prefill_requests
+        from repro.core.dispatching import (
+            PREFILL_TIPPING_TOKENS,
+            select_prefill_requests,
+        )
 
         server, batch = self._server_with_decode_batch()
         seeded = server._avg_decode_latency()
-        pending = [make_request(input_len=100) for _ in range(6)]
+        # Two prompts overrun one instance's tipping point.
+        pending = [
+            make_request(input_len=PREFILL_TIPPING_TOKENS * 2 // 3)
+            for _ in range(6)
+        ]
         free = {0: 0, 1: 0, 2: 50_000, 3: 50_000}
-        config = SchedulerConfig(prefill_tipping_tokens=150)
 
         def dispatch(avg):
             return select_prefill_requests(
                 pending, [], free, [batch],
-                server.manager.predictor, 2, config,
+                server.manager.predictor, 2,
                 avg_decode_latency=avg, now=0.0,
             )
 
         cold = dispatch(0.0)
+        assert cold.tipped
         assert not cold.coopted_batches  # zero gain: the old behaviour
         warm = dispatch(seeded)
         assert batch in warm.coopted_batches
@@ -265,13 +271,6 @@ class TestColdStartCoopting:
 
 
 class TestSchedulerConfigKnobs:
-    def test_small_max_batch_size(self):
-        config = default_config(scheduler=SchedulerConfig(max_batch_size=1))
-        server = LoongServeServer(config)
-        trace = make_trace(SHAREGPT, rate=5.0, num_requests=10, seed=11)
-        result = server.run(trace)
-        assert len(result.finished_requests) == 10
-
     def test_multi_master_disabled_still_serves(self):
         config = default_config(scheduler=SchedulerConfig(enable_multi_master=False))
         server = LoongServeServer(config)
