@@ -10,7 +10,8 @@ function under ``src/`` that none of them called:
   check;
 - one ``serve`` per system, per router and per fleet or obs flag;
 - the surfaces ``.claude/skills/verify/SKILL.md`` lists;
-- ``explain`` and ``forensics``, each with and without ``--diff``;
+- ``forensics``: a blame report, a request story, and ``--diff`` both
+  ways round;
 - ``python -m repro.experiments all --scale 0.05``;
 - the serving benchmark's 25 seed-1 episodes
   (``perfbench.workloads.WORKLOADS``), each checked with
@@ -50,7 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 # Unreached functions at the last audit; a change to it is a deliberate edit.
-RECORDED_UNREACHED = 102
+RECORDED_UNREACHED = 100
 
 QOS_MIX = "interactive:0.3,standard:0.5,batch:0.2"
 
@@ -99,7 +100,7 @@ def serve_runs(tmp: Path) -> list[list[str]]:
         fleet + ["--trace-out", str(tmp / "fleet.json")],
         ["serve", "--dataset", "mixed", "--rate", "6", "-n", "20", "--qos",
          "--admission", "--qos-mix", QOS_MIX, "--trace-out",
-         str(tmp / "single.jsonl"), "--slo-monitor"],
+         str(tmp / "single.json"), "--slo-monitor"],
         # Error paths: one of these LV-Eval prompts outgrows two GPUs'
         # pool and is aborted; SplitFuse on two GPUs preempts decodes.
         ["serve", "--num-gpus", "2", "--dataset", "lveval", "--rate", "1",
@@ -137,13 +138,13 @@ def skill_runs(tmp: Path) -> list[list[str]]:
 
 def ci_runs(tmp: Path) -> list[tuple[str, list[str], int]]:
     """Every CLI call in the CI workflow: (module, argv, expected exit)."""
-    trace, run_a, run_b = (str(tmp / n) for n in ("trace.json", "runA.jsonl", "runB.jsonl"))
+    trace, run_a, run_b = (str(tmp / n) for n in ("trace.json", "runA.json", "runB.json"))
     qos_trace = str(tmp / "qos-trace.jsonl")
     return [
         ("repro", ["serve", "-n", "40", "--rate", "20", "--seed", "5",
                    "--replicas", "2", "--router", "least-kv", "--steal",
                    "--trace-out", trace], 0),
-        ("repro.experiments", ["explain", "--trace-in", trace, "--request", "0"], 0),
+        ("repro.experiments", ["forensics", "--trace-in", trace, "--request", "0"], 0),
         ("repro", ["serve", "-n", "60", "--rate", "20", "--seed", "5",
                    "--replicas", "4", "--router", "round-robin", "--prefix-cache",
                    "--disagg", "1", "--steal", "--migrate-kv", "--kv-tiers", "lru",
@@ -154,8 +155,7 @@ def ci_runs(tmp: Path) -> list[tuple[str, list[str], int]]:
                    "--qos", "--qos-mix", QOS_MIX, "--trace-out", run_b], 0),
         ("repro.experiments", ["forensics", "--trace-in", run_a], 0),
         ("repro.experiments", ["forensics", "--trace-in", run_a, "--diff", run_b], 0),
-        ("repro.experiments", ["explain", "--trace-in", run_b, "--diff", run_a], 0),
-        ("repro.experiments", ["explain", "--trace-in", run_a], 0),
+        ("repro.experiments", ["forensics", "--trace-in", run_b, "--diff", run_a], 0),
         ("repro", ["serve", "--system", "vllm", "--dataset", "sessions",
                    "--closed-loop", "-n", "12", "--seed", "5"], 0),
         ("repro", ["serve", "--replicas", "2", "--dataset", "sessions",

@@ -353,17 +353,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"decode {util['decode']:.0%}, idle {util['idle']:.0%}")
     if obs is not None:
         if args.trace_out:
-            from repro.obs import export_jsonl, export_perfetto
+            from repro.obs import export_perfetto
 
-            if args.trace_out.endswith(".jsonl"):
-                lines = export_jsonl(obs, args.trace_out)
-                print(f"\nwrote {lines} observability records to "
-                      f"{args.trace_out} (JSONL)")
-            else:
-                doc = export_perfetto(obs, args.trace_out)
-                print(f"\nwrote {len(doc['traceEvents'])} trace events to "
-                      f"{args.trace_out} (Perfetto; open in ui.perfetto.dev "
-                      f"or chrome://tracing)")
+            doc = export_perfetto(obs, args.trace_out)
+            print(f"\nwrote {len(doc['traceEvents'])} trace events to "
+                  f"{args.trace_out} (Perfetto; open in ui.perfetto.dev "
+                  f"or chrome://tracing)")
             print(f"  spans: {len(obs.tracer.spans)}  "
                   f"audit records: {len(obs.tracer.records)}  "
                   f"telemetry samples: {len(obs.metrics.sample_times)}")
@@ -483,10 +478,10 @@ def main(argv: list[str] | None = None) -> int:
                             "finishes instead of at a pre-generated instant "
                             "(--dataset sessions)")
     serve.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="export the run's observability trace: "
-                            "Chrome/Perfetto trace JSON, or JSONL when PATH "
-                            "ends in .jsonl (arms spans + audit log + "
-                            "telemetry)")
+                       help="export the run's observability trace as "
+                            "Chrome/Perfetto trace JSON (arms spans + audit "
+                            "log + telemetry); `python -m repro.experiments "
+                            "forensics --trace-in PATH` replays it")
     serve.add_argument("--telemetry-interval", type=float, default=None,
                        metavar="SECONDS",
                        help="time-series sampling cadence (default 0.5; with "

@@ -132,12 +132,10 @@ class LoongServeServer:
         # read throughput in O(1) instead of scanning the whole trace
         # each control tick (the dominant tracing-on overhead pre-PR 8).
         self._generated_total = 0
-        # Hot-path caches: request ids already proven to fit the cluster
-        # (capacity is fixed, so the per-tick feasibility scan memoises),
-        # and the requests currently in the PREFILLING state (maintained
-        # incrementally so a tick never scans ``_all_requests``, which
-        # grows with the whole trace).
-        self._fits_capacity: set[int] = set()
+        # Hot-path caches: arrivals not yet checked against the cluster's
+        # (fixed) capacity, and the requests currently in the PREFILLING
+        # state (maintained incrementally so a tick never scans
+        # ``_all_requests``, which grows with the whole trace).
         self._unvetted: list[Request] = []
         self._prefilling: dict[int, Request] = {}
         self.qos_ledger: QoSLedger | None = (
@@ -491,8 +489,7 @@ class LoongServeServer:
         if not self._unvetted:
             return
         capacity = self.pool.total_capacity
-        fits = self._fits_capacity
-        dropped = False
+        dropped = set()
         for request in self._unvetted:
             if request.max_total_len + 1 > capacity:
                 self._abort_request(request)
@@ -502,12 +499,10 @@ class LoongServeServer:
                         replica=self.obs_replica, request=request.request_id,
                         needed=request.max_total_len, capacity=capacity,
                     )
-                dropped = True
-            else:
-                fits.add(request.request_id)
+                dropped.add(id(request))
         self._unvetted.clear()
         if dropped:
-            self.pending = [r for r in self.pending if r.request_id in fits]
+            self.pending = [r for r in self.pending if id(r) not in dropped]
 
     def _abort_request(self, request: Request) -> None:
         """Terminal-abort a queued request (impossible or QoS-rejected)."""

@@ -21,13 +21,13 @@ from repro.parallel.strategy import ParallelismStrategy
 
 
 class ScalingInformationBase:
-    """SQLite-backed store of profiling samples, one row per measurement."""
+    """In-memory SQLite store of profiling samples, one row per measurement."""
 
-    def __init__(self, path: str = ":memory:") -> None:
-        self._conn = sqlite3.connect(path)
+    def __init__(self) -> None:
+        self._conn = sqlite3.connect(":memory:")
         self._conn.execute(
             """
-            CREATE TABLE IF NOT EXISTS profiles (
+            CREATE TABLE profiles (
                 id INTEGER PRIMARY KEY AUTOINCREMENT,
                 tensor_parallel INTEGER NOT NULL,
                 sequence_parallel INTEGER NOT NULL,
@@ -38,10 +38,6 @@ class ScalingInformationBase:
             )
             """
         )
-        self._conn.commit()
-
-    def close(self) -> None:
-        self._conn.close()
 
     def record(
         self,
@@ -63,7 +59,6 @@ class ScalingInformationBase:
                 iteration_time,
             ),
         )
-        self._conn.commit()
 
     def samples(
         self, strategy: ParallelismStrategy

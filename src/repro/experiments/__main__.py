@@ -248,100 +248,43 @@ def _run_qos(args: argparse.Namespace) -> None:
     )
 
 
-def _main_explain(argv: list[str]) -> int:
-    """`python -m repro.experiments explain` — replay an exported trace.
-
-    Reconstructs one request's lifecycle story (spans + the audit
-    records that mention it) from a ``--trace-out`` export, or diffs
-    the telemetry of two runs.  Reads both export formats (Perfetto
-    trace JSON and JSONL).
-    """
-    from repro.obs import diff_telemetry, load_export, request_ids, request_story
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments explain",
-        description="Replay an observability export: one request's story, "
-                    "or a telemetry diff of two runs.",
-    )
-    parser.add_argument("--trace-in", required=True, metavar="PATH",
-                        help="export written by `python -m repro serve "
-                             "--trace-out` (Perfetto JSON or JSONL)")
-    parser.add_argument("--request", type=int, default=None, metavar="ID",
-                        help="reconstruct this request's lifecycle story")
-    parser.add_argument("--diff", default=None, metavar="PATH",
-                        help="second export: print a per-metric telemetry "
-                             "diff plus a latency blame diff (--trace-in vs "
-                             "--diff) instead of a story")
-    parser.add_argument("--top", type=int, default=5, metavar="K",
-                        help="--diff only: list the K most-regressed requests")
-    args = parser.parse_args(argv)
-
-    data = load_export(args.trace_in)
-    if args.diff is not None:
-        import os
-
-        from repro.obs import attribute, diff_blame
-
-        other = load_export(args.diff)
-        label_a = os.path.basename(args.trace_in) or args.trace_in
-        label_b = os.path.basename(args.diff) or args.diff
-        if label_a == label_b:
-            label_a, label_b = args.trace_in, args.diff
-        print(f"telemetry diff: {args.trace_in} vs {args.diff}")
-        print(diff_telemetry(data, other, label_a=label_a, label_b=label_b))
-        blame_a, blame_b = attribute(data), attribute(other)
-        if blame_a.requests and blame_b.requests:
-            print()
-            print(
-                diff_blame(
-                    blame_a, blame_b,
-                    label_a=label_a, label_b=label_b, top=args.top,
-                )
-            )
-        return 0
-    if args.request is None:
-        ids = request_ids(data)
-        print(f"{args.trace_in}: {len(data['spans'])} spans, "
-              f"{len(data['audits'])} audit records, "
-              f"{len(ids)} requests traced")
-        if ids:
-            preview = ", ".join(str(i) for i in ids[:20])
-            more = ", ..." if len(ids) > 20 else ""
-            print(f"request ids: {preview}{more}")
-            print("rerun with --request ID for one request's story")
-        return 0
-    print(request_story(data, args.request))
-    return 0
-
-
 def _main_forensics(argv: list[str]) -> int:
-    """`python -m repro.experiments forensics` — blame a run's latency.
+    """`python -m repro.experiments forensics` — replay an exported trace.
 
-    Builds the exact critical-path blame partition for every finished
-    request in an export and renders the forensics report: per-category
-    totals, per-QoS blame, and ASCII blame timelines for the slowest
-    requests.  With ``--diff``, attributes the latency delta between
-    two runs instead.
+    With no flag, builds the exact critical-path blame partition for
+    every finished request in the export and renders the forensics
+    report: per-category totals, per-QoS blame, and ASCII blame
+    timelines for the slowest requests; exits 1 when a request violates
+    the partition.  ``--request ID`` prints one request's story (its
+    spans and the audit records that mention it) instead, and ``--diff
+    B`` the telemetry diff and the blame diff of the two runs.
     """
+    import os
+
     from repro.obs import (
         attribute,
         diff_blame,
+        diff_telemetry,
         load_export,
         render_report,
+        request_story,
         verify_partition,
     )
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments forensics",
-        description="Critical-path blame attribution for an observability "
-                    "export: where did every request's latency go?",
+        description="Replay an observability export: where did every "
+                    "request's latency go?",
     )
     parser.add_argument("--trace-in", required=True, metavar="PATH",
-                        help="export written by `python -m repro serve "
-                             "--trace-out` (Perfetto JSON or JSONL)")
-    parser.add_argument("--diff", default=None, metavar="PATH",
-                        help="second export: attribute the run-to-run "
-                             "latency delta instead of reporting one run")
+                        help="Perfetto export written by `python -m repro "
+                             "serve --trace-out`")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--request", type=int, default=None, metavar="ID",
+                      help="print this request's lifecycle story instead")
+    mode.add_argument("--diff", default=None, metavar="PATH",
+                      help="second export: print the telemetry diff and the "
+                           "blame diff of the two runs instead")
     parser.add_argument("--top", type=int, default=5, metavar="K",
                         help="how many slowest/most-regressed requests to "
                              "detail (default 5)")
@@ -349,24 +292,29 @@ def _main_forensics(argv: list[str]) -> int:
                         help="blame timeline width in characters (default 60)")
     args = parser.parse_args(argv)
 
-    report_a = attribute(load_export(args.trace_in))
+    obs = load_export(args.trace_in)
+    if args.request is not None:
+        print(request_story(obs, args.request))
+        return 0
+    report = attribute(obs)
     if args.diff is not None:
-        import os
-
-        report_b = attribute(load_export(args.diff))
+        other = load_export(args.diff)
         label_a = os.path.basename(args.trace_in) or args.trace_in
         label_b = os.path.basename(args.diff) or args.diff
         if label_a == label_b:
             label_a, label_b = args.trace_in, args.diff
+        print(f"telemetry diff: {args.trace_in} vs {args.diff}")
+        print(diff_telemetry(obs, other, label_a=label_a, label_b=label_b))
+        print()
         print(
             diff_blame(
-                report_a, report_b,
+                report, attribute(other),
                 label_a=label_a, label_b=label_b, top=args.top,
             )
         )
         return 0
-    print(render_report(report_a, top=args.top, width=args.width))
-    bad = verify_partition(report_a)
+    print(render_report(report, top=args.top, width=args.width))
+    bad = verify_partition(report)
     if bad:
         worst = max(error for _, error in bad)
         print(
@@ -397,17 +345,15 @@ FIGURES = {
 
 def main(argv: list[str] | None = None) -> int:
     raw = sys.argv[1:] if argv is None else argv
-    if raw and raw[0] == "explain":
-        return _main_explain(raw[1:])
     if raw and raw[0] == "forensics":
         return _main_forensics(raw[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate LoongServe paper figures on the simulated "
-                    "substrate (or `explain`/`forensics` an observability "
-                    "export).",
+                    "substrate (or replay an observability export with "
+                    "`forensics`).",
     )
-    parser.add_argument("figure", choices=[*FIGURES, "all", "explain", "forensics"])
+    parser.add_argument("figure", choices=[*FIGURES, "all", "forensics"])
     parser.add_argument(
         "--scale",
         type=float,

@@ -274,7 +274,11 @@ class FleetController:
     def _autoscale(self) -> None:
         now = self.sim.now
         tracing = self._tracer is not None and self._tracer.enabled
-        for action, handle in self.policy.autoscaler.decide(self.replicas, now):
+        # With disaggregation only the decode pool scales and the prefill
+        # pool stays fixed: as with stealing, nothing crosses the split.
+        disagg = self.disagg
+        pool = self.replicas if disagg is None else disagg.decode_pool
+        for action, handle in self.policy.autoscaler.decide(pool, now):
             if tracing:
                 self._audit(
                     "autoscale", replica=handle.replica_id, action=action,
@@ -305,6 +309,10 @@ class FleetController:
                 continue
             if any(d.dst is handle for d in self._deliveries):
                 continue  # a stolen request's KV is still in flight here
+            if self.disagg is not None and any(
+                dst is handle for dst in self.disagg.riding.values()
+            ):
+                continue  # so is a disagg handoff's
             rescued = 0
             if self.policy.migrator is not None:
                 handoffs = self.policy.migrator.rescue_resident(

@@ -72,7 +72,7 @@ from repro.types import Request
 # Clone ids live far above any workload request id so per-replica
 # bookkeeping (pools, locks, spans) never collides with the original.
 # Aliases the obs-layer shadow offset so every request-facing view
-# (histograms, blame, explain) agrees on what is internal machinery.
+# (histograms, blame, request listings) agrees on what is internal machinery.
 CLONE_ID_OFFSET = SHADOW_REQUEST_OFFSET
 # Synthetic prompt ids for token-less requests start here, far above
 # real session vocabularies (which are small).
@@ -119,6 +119,9 @@ class DisaggDispatcher:
         # finished, the original is still riding the fabric), read by
         # ``FleetServer._work_remaining`` so control loops keep ticking.
         self.inflight = 0
+        # The decode replica each priced handoff rides toward, by request
+        # id: the controller must not park one before the delivery lands.
+        self.riding: dict[int, object] = {}
 
     @property
     def name(self) -> str:
@@ -141,6 +144,7 @@ class DisaggDispatcher:
         self.elastic = elastic
         self._tracer = obs.tracer if obs is not None else None
         self.inflight = 0
+        self.riding = {}
         for handle in self.prefill_pool:
             if handle.server.prefix_cache is None:
                 raise ValueError(
@@ -241,6 +245,7 @@ class DisaggDispatcher:
                 src=src.replica_id, tokens=imported,
             )
         if delay > 0.0:
+            self.riding[request.request_id] = dst
             self.sim.call_after(
                 delay,
                 (lambda: self._deliver(request, dst)),
@@ -250,6 +255,7 @@ class DisaggDispatcher:
             self._deliver(request, dst)
 
     def _deliver(self, request: Request, dst) -> None:
+        self.riding.pop(request.request_id, None)
         if not dst.placeable:
             # The decode replica crashed (or is still warming) while the
             # original rode the fabric; the imported prefix died in the

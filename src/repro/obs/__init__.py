@@ -1,26 +1,27 @@
-"""Unified observability: spans, audit log, telemetry, exporters.
+"""Unified observability: spans, audit log, telemetry, the trace file.
 
 See :mod:`repro.obs.tracer` for the span/audit model,
 :mod:`repro.obs.telemetry` for the metrics registry,
 :mod:`repro.obs.observe` for the run-level bundle and samplers,
-:mod:`repro.obs.export`/:mod:`repro.obs.explain` for the Perfetto/JSONL
-exporters and the post-hoc ``explain`` narration,
-:mod:`repro.obs.forensics` for critical-path blame attribution, and
-:mod:`repro.obs.health` for the SLO burn-rate monitor.
+:mod:`repro.obs.export` for the Perfetto trace file and reading it back
+into an :class:`Observability`, :mod:`repro.obs.forensics` for replay
+(critical-path blame attribution, request stories, telemetry diffs),
+and :mod:`repro.obs.health` for the SLO burn-rate monitor.
 """
 
-from repro.obs.explain import diff_telemetry, request_ids, request_story
 from repro.obs.forensics import (
     BlameReport,
     RequestBlame,
     attribute,
     diff_blame,
+    diff_telemetry,
     render_report,
+    request_ids,
+    request_story,
     verify_partition,
 )
 from repro.obs.health import SLOHealthMonitor
 from repro.obs.export import (
-    export_jsonl,
     export_perfetto,
     load_export,
     perfetto_trace,
@@ -47,7 +48,6 @@ __all__ = [
     "attribute",
     "diff_blame",
     "diff_telemetry",
-    "export_jsonl",
     "export_perfetto",
     "load_export",
     "perfetto_trace",

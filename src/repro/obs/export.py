@@ -1,6 +1,6 @@
-"""Trace exporters: Chrome/Perfetto ``trace.json`` and JSONL.
+"""The trace file: Chrome/Perfetto ``trace.json``, written and read back.
 
-The Perfetto export follows the Chrome Trace Event JSON format (the
+The export follows the Chrome Trace Event JSON format (the
 ``traceEvents`` array form), which both ``chrome://tracing`` and
 https://ui.perfetto.dev open directly:
 
@@ -17,8 +17,10 @@ https://ui.perfetto.dev open directly:
   shape — the sampled series only carries their running mean.
 
 Timestamps are microseconds (the format's unit); simulation seconds are
-scaled by 1e6.  ``load_export`` reads either format back into plain
-dicts so :mod:`repro.obs.explain` can replay a run from the file alone.
+scaled by 1e6 and rounded to the nanosecond.  ``load_export`` reads the
+file back into an :class:`~repro.obs.observe.Observability`, so
+:mod:`repro.obs.forensics` replays a run from the file alone exactly as
+it reads a live one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 
 from repro.obs.observe import Observability
-from repro.obs.telemetry import Histogram
+from repro.obs.tracer import AuditRecord, Span
 
 #: pid used for control-plane records not tied to one replica.
 CONTROL_PLANE_PID = 999
@@ -36,19 +38,15 @@ _US = 1_000_000  # seconds -> microseconds
 
 def _histogram_snapshots(obs: Observability) -> list[dict]:
     """Final state of every histogram-typed metric, export-ready."""
-    snapshots = []
-    for name in obs.metrics.names():
-        metric = obs.metrics.get(name)
-        if isinstance(metric, Histogram):
-            snapshots.append(
-                {
-                    "metric": name,
-                    "bounds": list(metric.bounds),
-                    "counts": list(metric.counts),
-                    "total": metric.total,
-                }
-            )
-    return snapshots
+    return [
+        {
+            "metric": name,
+            "bounds": list(histogram.bounds),
+            "counts": list(histogram.counts),
+            "total": histogram.total,
+        }
+        for name, histogram in obs.metrics.histograms().items()
+    ]
 
 
 def _span_event(span) -> dict:
@@ -179,159 +177,56 @@ def export_perfetto(obs: Observability, path: str) -> dict:
     return doc
 
 
-def export_jsonl(obs: Observability, path: str) -> int:
-    """Write one JSON object per line (spans, audits, samples).
-
-    Easier to grep/stream than the Perfetto form; ``load_export`` reads
-    both.  Returns the number of lines written.
-    """
-    obs.tracer.finalize()
-    lines = 0
-    with open(path, "w") as fh:
-        for span in obs.tracer.spans:
-            fh.write(
-                json.dumps(
-                    {
-                        "type": "span",
-                        "request": span.request_id,
-                        "phase": span.phase,
-                        "start": span.start,
-                        "end": span.end,
-                        "replica": span.replica,
-                        "attrs": span.attrs,
-                    }
-                )
-                + "\n"
-            )
-            lines += 1
-        for rec in obs.tracer.records:
-            fh.write(
-                json.dumps(
-                    {
-                        "type": "audit",
-                        "time": rec.time,
-                        "kind": rec.kind,
-                        "component": rec.component,
-                        "replica": rec.replica,
-                        "payload": rec.payload,
-                    }
-                )
-                + "\n"
-            )
-            lines += 1
-        for metric, points in obs.metrics.series.items():
-            for t, v in points:
-                fh.write(
-                    json.dumps(
-                        {"type": "sample", "time": t, "metric": metric, "value": v}
-                    )
-                    + "\n"
-                )
-                lines += 1
-        for snapshot in _histogram_snapshots(obs):
-            fh.write(json.dumps({"type": "histogram", **snapshot}) + "\n")
-            lines += 1
-    return lines
+def _replica(pid: int) -> int:
+    return -1 if pid == CONTROL_PLANE_PID else pid
 
 
-def load_export(path: str) -> dict:
-    """Read a trace export (Perfetto JSON or JSONL) back into dicts.
+def load_export(path: str) -> Observability:
+    """Read a Perfetto export back into an :class:`Observability`.
 
-    Returns ``{"spans": [...], "audits": [...], "samples": {metric:
-    [(t, v), ...]}, "histograms": {metric: snapshot}}`` with
-    spans/audits in the JSONL field shapes.  Exports written before
-    histogram snapshots existed load with ``histograms`` empty.
+    Spans come back as :class:`Span` and audits as :class:`AuditRecord`,
+    in the order the run closed and logged them; each telemetry series
+    and histogram snapshot is restored into the registry, the series'
+    other metrics as gauges holding their last sampled value.  Times
+    carry the export's 1 ns rounding; a span's end is its rounded start
+    plus its rounded duration.
     """
     with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{") and '"traceEvents"' in stripped[:200]:
-        return _load_perfetto(json.loads(text))
-    spans: list[dict] = []
-    audits: list[dict] = []
-    samples: dict[str, list[tuple[float, float]]] = {}
-    histograms: dict[str, dict] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        kind = obj.get("type")
-        if kind == "span":
-            spans.append(obj)
-        elif kind == "audit":
-            audits.append(obj)
-        elif kind == "sample":
-            samples.setdefault(obj["metric"], []).append(
-                (obj["time"], obj["value"])
-            )
-        elif kind == "histogram":
-            histograms[obj["metric"]] = {
-                "bounds": obj["bounds"],
-                "counts": obj["counts"],
-                "total": obj["total"],
-            }
-    return {
-        "spans": spans,
-        "audits": audits,
-        "samples": samples,
-        "histograms": histograms,
-    }
-
-
-def _load_perfetto(doc: dict) -> dict:
-    spans: list[dict] = []
-    audits: list[dict] = []
-    samples: dict[str, list[tuple[float, float]]] = {}
-    histograms: dict[str, dict] = {}
-    for event in doc.get("traceEvents", []):
-        ph = event.get("ph")
-        if ph == "M" and event.get("name") == "histogram":
-            args = event.get("args", {})
-            if "metric" in args:
-                histograms[args["metric"]] = {
-                    "bounds": args.get("bounds", []),
-                    "counts": args.get("counts", []),
-                    "total": args.get("total", 0.0),
-                }
-        elif ph == "X":
-            args = dict(event.get("args", {}))
-            request = args.pop("request", event.get("tid"))
-            pid = event["pid"]
-            spans.append(
-                {
-                    "type": "span",
-                    "request": request,
-                    "phase": event["name"],
-                    "start": event["ts"] / _US,
-                    "end": (event["ts"] + event.get("dur", 0)) / _US,
-                    "replica": -1 if pid == CONTROL_PLANE_PID else pid,
-                    "attrs": args,
-                }
+        events = json.load(fh)["traceEvents"]
+    obs = Observability()
+    tracer, metrics = obs.tracer, obs.metrics
+    series: dict[str, list[tuple[float, float]]] = {}
+    for event in events:
+        ph, name = event["ph"], event["name"]
+        args = dict(event["args"])
+        if ph == "X":
+            ts = event["ts"]
+            tracer.spans.append(
+                Span(
+                    args.pop("request"), name, ts / _US,
+                    (ts + event["dur"]) / _US, _replica(event["pid"]), args,
+                )
             )
         elif ph == "i":
-            args = dict(event.get("args", {}))
-            component = args.pop("component", "legacy")
-            pid = event["pid"]
-            audits.append(
-                {
-                    "type": "audit",
-                    "time": event["ts"] / _US,
-                    "kind": event["name"],
-                    "component": component,
-                    "replica": -1 if pid == CONTROL_PLANE_PID else pid,
-                    "payload": args,
-                }
+            component = args.pop("component")
+            tracer.records.append(
+                AuditRecord(
+                    event["ts"] / _US, name, args, component,
+                    _replica(event["pid"]),
+                )
             )
         elif ph == "C":
-            metric = event["name"]
-            value = event.get("args", {}).get(metric, 0.0)
-            samples.setdefault(metric, []).append((event["ts"] / _US, value))
-    spans.sort(key=lambda s: (s["start"], s["end"]))
-    audits.sort(key=lambda a: a["time"])
-    return {
-        "spans": spans,
-        "audits": audits,
-        "samples": samples,
-        "histograms": histograms,
-    }
+            series.setdefault(name, []).append((event["ts"] / _US, args[name]))
+        elif name == "histogram":
+            histogram = metrics.histogram(args["metric"])
+            histogram.bounds = tuple(args["bounds"])
+            histogram.counts = args["counts"]
+            histogram.total = args["total"]
+    for name, points in series.items():
+        if metrics.get(name) is None:
+            metrics.gauge(name).set(points[-1][1])
+        metrics.series[name] = points
+    metrics.sample_times = sorted(
+        {t for points in series.values() for t, _ in points}
+    )
+    return obs

@@ -1,10 +1,10 @@
-"""Critical-path blame attribution: *where did each request's time go?*
+"""Replaying a run: blame attribution, request stories, telemetry diffs.
 
-End-to-end latency percentiles say a run got slower; they never say
-*why*.  This module decomposes every finished request's end-to-end time
-into an **exact partition** of blame categories — the segments sum to
-the measured latency, so no millisecond is double-counted or silently
-dropped:
+*Where did each request's time go?*  End-to-end latency percentiles
+say a run got slower; they never say *why*.  This module decomposes
+every finished request's end-to-end time into an **exact partition** of
+blame categories — the segments sum to the measured latency, so no
+millisecond is double-counted or silently dropped:
 
 ``queue_wait``
     Admission/scheduling wait (``queued`` spans, including limbo holds
@@ -37,12 +37,16 @@ dropped:
 
 The decomposition consumes the span timeline (:class:`Tracer` spans are
 contiguous by construction: each transition closes the previous span at
-the instant it opens the next), works on a live
-:class:`~repro.obs.observe.Observability`, a bare tracer, or a loaded
-export, and feeds three consumers: aggregate blame tables (per QoS
-class / replica / session), ASCII per-request blame timelines, and
-run-to-run regression diffs (``explain --diff`` and ``python -m
-repro.experiments forensics``).
+the instant it opens the next) and feeds three consumers: per-QoS blame
+tables, ASCII per-request blame timelines, and run-to-run regression
+diffs.  :func:`request_story` narrates one request's lifecycle (spans
+interleaved with every control-plane decision that touched it) and
+:func:`diff_telemetry` compares two runs' sampled series.
+
+:func:`attribute`, :func:`request_ids`, :func:`request_story` and
+:func:`diff_telemetry` read an :class:`~repro.obs.observe.Observability`,
+live or read back from its export by :func:`~repro.obs.export.load_export`;
+``python -m repro.experiments forensics`` drives them on export files.
 """
 
 from __future__ import annotations
@@ -180,24 +184,18 @@ class BlameReport:
                 out[category] = math.fsum(values)
         return out
 
-    def aggregate(self, key: str = "qos") -> dict:
-        """Blame totals grouped by ``qos``, ``replica``, or ``session``.
+    def by_qos(self) -> dict:
+        """Blame totals grouped by effective (post-downgrade) QoS class.
 
-        Returns ``{group: {"count": n, "e2e": total_s, "segments":
-        {category: total_s}}}``.  QoS groups use the effective (post-
-        downgrade) class; requests without the key fall into a default
-        bucket (``"default"`` / ``-1`` / ``None`` respectively).
+        Returns ``{cls: {"count": n, "e2e": total_s, "segments":
+        {category: total_s}}}``; untagged requests group as
+        ``"default"``.
         """
-        if key not in ("qos", "replica", "session"):
-            raise ValueError(f"unknown aggregation key {key!r}")
-        default = {"qos": "default", "replica": -1, "session": None}[key]
         groups: dict = {}
         for blame in self.requests.values():
-            group = getattr(blame, key)
-            if group is None:
-                group = default
             bucket = groups.setdefault(
-                group, {"count": 0, "e2e": 0.0, "segments": {}}
+                "default" if blame.qos is None else blame.qos,
+                {"count": 0, "e2e": 0.0, "segments": {}},
             )
             bucket["count"] += 1
             bucket["e2e"] += blame.e2e
@@ -218,107 +216,44 @@ class BlameReport:
 # ----------------------------------------------------------------------
 
 
-def _normalize_spans(source) -> list[tuple]:
-    """Coerce any span source into (request, phase, start, end, replica,
-    attrs) tuples.
-
-    Accepts an :class:`~repro.obs.observe.Observability`, a
-    :class:`~repro.obs.tracer.Tracer`, a :func:`~repro.obs.export.load_export`
-    dict, or a plain iterable of spans (objects or JSONL dicts).  Live
-    tracers are finalized first so straggler spans carry their
-    ``open`` tag instead of silently vanishing.
-    """
-    tracer = getattr(source, "tracer", None)
-    if tracer is not None:
-        source = tracer
-    if hasattr(source, "finalize"):
-        source.finalize()
-    spans = getattr(source, "spans", None)
-    if spans is None and isinstance(source, dict):
-        spans = source.get("spans", [])
-    if spans is None:
-        spans = source
-    out = []
-    for span in spans:
-        if isinstance(span, dict):
-            out.append(
-                (
-                    span["request"], span["phase"],
-                    span["start"], span["end"],
-                    span.get("replica", 0), span.get("attrs") or {},
-                )
-            )
-        else:
-            out.append(
-                (
-                    span.request_id, span.phase,
-                    span.start, span.end, span.replica, span.attrs,
-                )
-            )
-    return out
-
-
-def attribute(source, requests=None) -> BlameReport:
+def attribute(obs) -> BlameReport:
     """Build the exact blame partition for every finished request.
 
-    ``source`` is any span source :func:`_normalize_spans` accepts.
-    ``requests`` optionally supplies the served
-    :class:`~repro.core.request.Request` objects: their
-    ``arrival_time``/``finish_time`` become the authoritative
-    end-to-end window (any lead/tail the spans miss lands in
-    ``unattributed``) and their QoS/session fields backfill exports
-    that predate the span attributes.
-
-    Shadow prefill clones (disaggregated pipeline) and requests with
-    synthesised span ends (``open=True`` — still in flight at shutdown)
-    are excluded: blame is defined over completed lifecycles.
+    ``obs`` is a live :class:`~repro.obs.observe.Observability` or one
+    :func:`~repro.obs.export.load_export` read back; a live tracer is
+    finalized first so straggler spans carry their ``open`` tag.  Blame
+    is defined over completed lifecycles: shadow prefill clones
+    (disaggregated pipeline) and requests whose last span is tagged
+    ``aborted`` or ``open`` (still in flight at shutdown) are skipped.
+    A request's window runs from its first span's start to its last
+    span's end.
     """
-    by_request: dict[int, list[tuple]] = {}
-    skip: set[int] = set()
-    for span in _normalize_spans(source):
-        request_id = span[0]
-        if request_id >= SHADOW_REQUEST_OFFSET:
-            continue
-        if span[5].get("open"):
-            skip.add(request_id)
-        by_request.setdefault(request_id, []).append(span)
-
-    windows: dict[int, tuple] = {}
-    if requests is not None:
-        for request in requests:
-            windows[request.request_id] = (
-                request.arrival_time,
-                request.finish_time,
-                getattr(request, "effective_qos", None),
-                getattr(request, "session_id", None),
-            )
+    obs.tracer.finalize()
+    by_request: dict[int, list] = {}
+    for span in obs.tracer.spans:
+        if span.request_id < SHADOW_REQUEST_OFFSET:
+            by_request.setdefault(span.request_id, []).append(span)
 
     blames: dict[int, RequestBlame] = {}
     for request_id, spans in by_request.items():
-        if request_id in skip:
+        spans.sort(key=lambda s: (s.start, s.end))
+        last = spans[-1]
+        if last.attrs.get("aborted") or last.attrs.get("open"):
             continue
-        spans.sort(key=lambda s: (s[2], s[3]))
-        arrival, finish, qos, session = windows.get(
-            request_id, (None, None, None, None)
-        )
-        if windows and request_id not in windows:
-            continue  # spans for a request the caller says wasn't served
-        if finish is None and windows:
-            continue  # aborted: no end-to-end latency to partition
-        start = spans[0][2] if arrival is None else min(arrival, spans[0][2])
-        end = spans[-1][3] if finish is None else finish
-
+        qos = session = None
         raw: list[tuple[str, float]] = []
         ideal_attr = 0.0
-        cursor = start
-        for _, phase, s_start, s_end, _, attrs in spans:
-            if s_start > cursor:
-                raw.append(("unattributed", s_start - cursor))
-                cursor = s_start
-            seg = s_end - cursor
+        cursor = start = spans[0].start
+        for span in spans:
+            attrs = span.attrs
+            if span.start > cursor:
+                raw.append(("unattributed", span.start - cursor))
+                cursor = span.start
+            seg = span.end - cursor
             if seg <= 0.0:
                 continue
-            cursor = s_end
+            cursor = span.end
+            phase = span.phase
             if phase == "prefill":
                 swap = min(max(attrs.get("swap_s", 0.0), 0.0), seg)
                 if swap > 0.0:
@@ -343,8 +278,6 @@ def attribute(source, requests=None) -> BlameReport:
                 qos = attrs.get("qos")
             if session is None:
                 session = attrs.get("session")
-        if end > cursor:
-            raw.append(("unattributed", end - cursor))
 
         # Split decode against the ideal recipe: the ideal budget is
         # consumed front-to-back, the excess is contention stretch.
@@ -363,7 +296,7 @@ def attribute(source, requests=None) -> BlameReport:
                 pieces.append(("decode_stretch", seconds - take))
 
         blames[request_id] = RequestBlame(
-            request_id, qos, session, spans[-1][4], start, end, pieces
+            request_id, qos, session, last.replica, start, last.end, pieces
         )
     return BlameReport(blames)
 
@@ -441,7 +374,7 @@ def render_report(
         )
     )
 
-    by_qos = report.aggregate("qos")
+    by_qos = report.by_qos()
     if len(by_qos) > 1 or "default" not in by_qos:
         lines.extend(["", "blame by QoS class"])
         rows = []
@@ -558,4 +491,163 @@ def diff_blame(
             )
     elif common:
         lines.extend(["", "no regressed requests among matched ids"])
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Request stories and telemetry diffs
+# ----------------------------------------------------------------------
+
+#: Audit payload keys that name a request — used to pull the decisions
+#: that touched a given request into its story.
+_REQUEST_KEYS = ("request", "victim", "beneficiary")
+
+
+def request_ids(obs) -> list[int]:
+    """Every *served* request id with at least one span.
+
+    Shadow prefill clones are internal machinery, not arrivals, so they
+    are filtered here; :func:`request_story` still narrates one if its
+    offset id is asked for explicitly.
+    """
+    return sorted(
+        {
+            span.request_id
+            for span in obs.tracer.spans
+            if span.request_id < SHADOW_REQUEST_OFFSET
+        }
+    )
+
+
+def request_story(obs, request_id: int) -> str:
+    """One request's lifecycle as a chronological timeline.
+
+    Its spans and the audit records that mention it are merged into one
+    time-ordered narrative.
+    """
+    spans = obs.tracer.spans_for(request_id)
+    audits = [
+        record
+        for record in obs.tracer.records
+        if any(record.payload.get(key) == request_id for key in _REQUEST_KEYS)
+    ]
+    if not spans and not audits:
+        known = request_ids(obs)
+        hint = (
+            f" (trace has requests {known[0]}..{known[-1]})" if known else ""
+        )
+        return f"request {request_id}: not found in trace{hint}"
+
+    events: list[tuple[float, int, str]] = []
+    for span in spans:
+        extra = (
+            "  " + " ".join(f"{k}={v}" for k, v in span.attrs.items())
+            if span.attrs
+            else ""
+        )
+        where = (
+            f"replica-{span.replica}" if span.replica >= 0 else "control-plane"
+        )
+        events.append(
+            (
+                span.start,
+                1,
+                f"[{span.start:10.4f} → {span.end:10.4f}] "
+                f"{span.phase:<10} @{where}"
+                f"  ({span.duration:.4f}s){extra}",
+            )
+        )
+    for audit in audits:
+        payload = " ".join(f"{k}={v}" for k, v in audit.payload.items())
+        where = f"replica-{audit.replica}" if audit.replica >= 0 else "fleet"
+        events.append(
+            (
+                audit.time,
+                0,
+                f"[{audit.time:10.4f}]              • "
+                f"{audit.kind:<16} {audit.component}@{where}  {payload}",
+            )
+        )
+    events.sort(key=lambda e: (e[0], e[1]))
+
+    total = sum(span.duration for span in spans)
+    phases: dict[str, float] = {}
+    for span in spans:
+        phases[span.phase] = phases.get(span.phase, 0.0) + span.duration
+    breakdown = "  ".join(f"{k}={v:.4f}s" for k, v in sorted(phases.items()))
+    header = (
+        f"request {request_id}: {len(spans)} spans over {total:.4f}s, "
+        f"{len(audits)} control-plane decisions\n  {breakdown}"
+    )
+    return header + "\n" + "\n".join(f"  {line}" for _, _, line in events)
+
+
+def _series_stats(points: list) -> tuple[float, float]:
+    values = [v for _, v in points]
+    if not values:
+        return 0.0, 0.0
+    return sum(values) / len(values), max(values)
+
+
+def diff_telemetry(a, b, label_a: str = "A", label_b: str = "B") -> str:
+    """Side-by-side comparison of two runs' telemetry.
+
+    Histogram-typed metrics (``server.ttft``, ``server.per_token_latency``,
+    …) are compared from their histograms — count, true mean, and tail
+    quantiles — instead of the sampled series, whose points are
+    *running means*: averaging those again produced a misleading
+    mean-of-means that over-weighted the early, emptier samples.
+    """
+    hist_a, hist_b = a.metrics.histograms(), b.metrics.histograms()
+    hist_names = sorted(set(hist_a) & set(hist_b))
+    series_a, series_b = a.metrics.series, b.metrics.series
+    metrics = sorted((set(series_a) | set(series_b)) - set(hist_names))
+    if not metrics and not hist_names:
+        return "no telemetry series in either run"
+    lines = []
+    if metrics:
+        width = max(len(m) for m in metrics)
+        lines.append(
+            f"{'metric':<{width}}  {label_a + ' mean':>12} {label_b + ' mean':>12} "
+            f"{'Δ mean':>9}  {label_a + ' max':>12} {label_b + ' max':>12}"
+        )
+        for metric in metrics:
+            mean_a, max_a = _series_stats(series_a.get(metric, []))
+            mean_b, max_b = _series_stats(series_b.get(metric, []))
+            if mean_a:
+                delta = f"{(mean_b - mean_a) / abs(mean_a) * 100:+8.1f}%"
+            else:
+                delta = "     n/a"
+            lines.append(
+                f"{metric:<{width}}  {mean_a:>12.4g} {mean_b:>12.4g} {delta:>9}  "
+                f"{max_a:>12.4g} {max_b:>12.4g}"
+            )
+    if hist_names:
+        if metrics:
+            lines.append("")
+        width = max(len(m) for m in hist_names)
+        lines.append(
+            f"{'distribution':<{width}}  {'stat':<5} "
+            f"{label_a:>12} {label_b:>12} {'Δ':>9}"
+        )
+        for metric in hist_names:
+            ha, hb = hist_a[metric], hist_b[metric]
+            stats = [
+                ("count", float(ha.count), float(hb.count)),
+                ("mean", ha.value, hb.value),
+                ("p50", ha.quantile(0.5), hb.quantile(0.5)),
+                ("p90", ha.quantile(0.9), hb.quantile(0.9)),
+                ("p99", ha.quantile(0.99), hb.quantile(0.99)),
+            ]
+            for i, (stat, va, vb) in enumerate(stats):
+                name = metric if i == 0 else ""
+                if va and va == vb:
+                    delta = "        ="
+                elif va:
+                    delta = f"{(vb - va) / abs(va) * 100:+8.1f}%"
+                else:
+                    delta = "     n/a"
+                lines.append(
+                    f"{name:<{width}}  {stat:<5} {va:>12.4g} {vb:>12.4g} {delta:>9}"
+                )
     return "\n".join(lines)

@@ -141,6 +141,14 @@ class MetricsRegistry:
     def get(self, name: str) -> Counter | Gauge | Histogram | None:
         return self._metrics.get(name)
 
+    def histograms(self) -> dict[str, Histogram]:
+        """The histogram-typed instruments by name, in name order."""
+        return {
+            name: self._metrics[name]
+            for name in self.names()
+            if isinstance(self._metrics[name], Histogram)
+        }
+
     def sample(self, now: float) -> None:
         """Append every instrument's current value to its series."""
         self.sample_times.append(now)

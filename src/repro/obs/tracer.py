@@ -49,7 +49,7 @@ SPAN_PHASES = (
 #: Request ids at or above this offset belong to internal *shadow*
 #: requests (the disaggregated dispatcher's prefill clones), not to
 #: arrivals.  Request-facing views — latency histograms, blame
-#: attribution, ``explain`` request listings — filter them out.
+#: attribution, forensics request listings — filter them out.
 #: ``repro.fleet.disagg.CLONE_ID_OFFSET`` aliases this constant.
 SHADOW_REQUEST_OFFSET = 1 << 40
 

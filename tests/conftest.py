@@ -72,6 +72,53 @@ def make_request(
     )
 
 
+def assert_fleet_invariants(trace, fleet, result) -> None:
+    """The invariants every fleet run keeps, whatever crashed or was
+    rejected.
+
+    * Exactly-once: every trace request ends on exactly one replica's
+      ledger, finished or aborted; nothing is lost or duplicated.
+    * Token conservation: each finished request generated exactly its
+      declared output, and no request both finished and aborted.
+    * Pool occupancy: every replica's KV pool holds exactly its prefix
+      cache's resident tokens (zero without a cache), so crashes,
+      failovers, preemptions, rejections and migrations leak no slot.
+    * Ledger coherence: the capacity timeline stays within the fleet,
+      and with faults armed the flight recorder's crash count matches
+      the injector's.
+    """
+    served = [
+        r.request_id
+        for replica in result.per_replica
+        for r in replica.requests + replica.aborted
+    ]
+    assert sorted(served) == sorted(r.request_id for r in trace)
+    assert len(set(served)) == len(served)
+    aborted = {r.request_id for r in result.aborted}
+    for request in result.finished_requests:
+        assert request.generated == request.output_len
+        assert request.request_id not in aborted
+    assert len(result.finished_requests) + len(aborted) == len(trace)
+    for handle in fleet.replicas:
+        server = handle.server
+        cache = server.prefix_cache
+        expected = cache.resident_tokens if cache is not None else 0
+        assert server.pool.total_used == expected
+    elastic = result.elastic
+    if elastic is None:
+        return
+    assert all(
+        0 <= online <= len(fleet.replicas)
+        for _, online in elastic.capacity_timeline
+    )
+    injector = fleet.policy.injector
+    if injector is not None:
+        assert elastic.crashes == len(injector.injected)
+        assert elastic.crashes + len(injector.skipped) <= len(injector.plan)
+        assert elastic.lost_kv_tokens >= 0
+        assert elastic.failovers >= 0
+
+
 class StubReplica:
     """Minimal replica handle for unit-testing fleet policies.
 

@@ -26,6 +26,7 @@ from repro.experiments.systems import make_fleet
 from repro.fleet import CLONE_ID_OFFSET, DisaggDispatcher, FaultPlan, ReplicaFault
 from repro.fleet.stealing import WorkStealer
 from repro.obs import Observability
+from repro.workloads.arrival import BurstyArrivals
 from repro.workloads.datasets import LEVAL, MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
 
@@ -203,6 +204,38 @@ class TestDisaggComposition:
             assert (move.src.replica_id < num_prefill) == (
                 move.dst.replica_id < num_prefill
             )
+
+    def test_autoscaling_parks_no_replica_a_handoff_reaches(self):
+        """With disaggregation the autoscaler scales the decode pool
+        alone and never parks a replica a handoff is riding toward, so
+        no decode submission lands on a parked replica (where its work
+        would go unbilled) and the prefill pool never parks."""
+        trace = make_trace(
+            MIXED, rate=1.0, num_requests=120, seed=0,
+            arrivals=BurstyArrivals(rate=1.0),
+        )
+        fleet = make_fleet(
+            "loongserve", replicas=5, router="least-kv", requests=trace,
+            prefix_cache=True, disagg=1, autoscale=True,
+        )
+        obs = Observability()
+        fleet.observe(obs)
+        result = fleet.run(clone_requests(trace))
+        self.assert_served_exactly_once(result, trace)
+        num_prefill = fleet.disagg.num_prefill
+        parked: set[int] = set()
+        deliveries = 0
+        for record in obs.tracer.records:
+            if record.kind == "park":
+                assert record.replica >= num_prefill
+                parked.add(record.replica)
+            elif record.kind == "online":
+                parked.discard(record.replica)
+            elif record.kind == "arrival" and record.replica >= num_prefill:
+                deliveries += 1
+                assert record.replica not in parked, record.payload
+        assert deliveries == len(trace)
+        assert result.elastic.scale_downs > 0, "nothing was parked"
 
     def test_decode_crash_reroutes_over_surviving_pool(self):
         plan = FaultPlan([ReplicaFault(time=0.5, replica_id=2, downtime_s=2.0)])

@@ -34,6 +34,7 @@ from repro.sessions import make_session_trace
 from repro.sim.events import EventQueue
 from repro.workloads.datasets import SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
+from tests.conftest import assert_fleet_invariants
 
 # Small-but-real workloads, generated once: every example clones them.
 MIXED_FLEET_REPLICAS = 3
@@ -61,38 +62,10 @@ def scripted_plan(specs) -> FaultPlan:
 
 
 def assert_fault_invariants(trace, fleet, result) -> None:
-    served = [
-        r.request_id
-        for replica in result.per_replica
-        for r in replica.requests + replica.aborted
-    ]
-    # Exactly-once: nothing lost, nothing duplicated.
-    assert sorted(served) == sorted(r.request_id for r in trace)
-    assert len(set(served)) == len(served)
+    """The shared fleet invariants, with nothing aborted: a crash never
+    turns work away."""
+    assert_fleet_invariants(trace, fleet, result)
     assert not result.aborted
-    # Token conservation: all work completed, exactly as declared.
-    assert len(result.finished_requests) == len(trace)
-    for request in result.finished_requests:
-        assert request.generated == request.output_len
-    # Pool occupancy: no slot leaked through crash, failover, or
-    # migration — whatever remains resident belongs to a prefix cache.
-    for handle in fleet.replicas:
-        server = handle.server
-        cache = getattr(server, "prefix_cache", None)
-        expected = cache.resident_tokens if cache is not None else 0
-        assert server.pool.total_used == expected
-    # Ledger coherence.
-    elastic = result.elastic
-    if elastic is not None:
-        injector = fleet.policy.injector
-        assert elastic.crashes == len(injector.injected)
-        assert elastic.crashes + len(injector.skipped) <= len(injector.plan)
-        assert all(
-            0 <= online <= len(fleet.replicas)
-            for _, online in elastic.capacity_timeline
-        )
-        assert elastic.lost_kv_tokens >= 0
-        assert elastic.failovers >= 0
 
 
 def assert_prefill_roles_tracked(fleet) -> None:

@@ -32,10 +32,12 @@ from repro.obs import (
     SLOHealthMonitor,
     attribute,
     diff_blame,
+    diff_telemetry,
+    export_perfetto,
+    load_export,
     render_report,
     verify_partition,
 )
-from repro.obs.explain import diff_telemetry
 from repro.obs.forensics import CATEGORIES, GLYPHS
 from repro.obs.tracer import SHADOW_REQUEST_OFFSET, Tracer
 from repro.workloads.datasets import MIXED, SHAREGPT
@@ -69,8 +71,9 @@ def signature(result):
 
 
 def assert_exact_partition(obs, result):
-    """Every finished request is blamed and its segments partition e2e."""
-    report = attribute(obs, requests=result.finished_requests)
+    """Every finished request is blamed, and nothing else, and its
+    segments partition e2e = finish - arrival."""
+    report = attribute(obs)
     finished = {
         r.request_id
         for r in result.finished_requests
@@ -149,18 +152,43 @@ class TestBlamePartitionChaos:
         assert "disagg_prefill" in totals
         assert "decode_ideal" in totals
 
+    def test_admission_rejections_are_not_blamed(self, tmp_path):
+        """Admission rejects a fifth of an overloaded interactive-heavy
+        Mixed trace.  A rejected arrival's last span ends in an abort,
+        so blame covers exactly the finished requests, on the live
+        run and on its export read back alike."""
+        trace = make_trace(
+            MIXED, rate=40.0, num_requests=120, seed=5,
+            qos_mix={"interactive": 0.8, "standard": 0.1, "batch": 0.1},
+        )
+        fleet = make_fleet(
+            "loongserve", replicas=2, router="least-kv", requests=trace,
+            num_gpus=4, qos=True, admission=True,
+        )
+        obs = Observability()
+        fleet.observe(obs)
+        result = fleet.run(clone_requests(trace))
+        assert result.aborted, "admission rejected nothing"
+        live = assert_exact_partition(obs, result)
+        path = tmp_path / "run.json"
+        export_perfetto(obs, path)
+        loaded = attribute(load_export(path))
+        assert set(loaded.requests) == set(live.requests)
+        assert verify_partition(loaded) == []
+
     def test_clone_offset_aliases_shadow_offset(self):
         assert CLONE_ID_OFFSET == SHADOW_REQUEST_OFFSET
 
 
 class TestBlameAttributionUnits:
     def test_basic_lifecycle_split(self):
-        tracer = Tracer(enabled=True)
+        obs = Observability()
+        tracer = obs.tracer
         tracer.transition(1, "queued", 0.0, replica=0)
         tracer.transition(1, "prefill", 1.0, replica=0)
         tracer.transition(1, "decode", 3.0, replica=0)
         tracer.end_span(1, 7.0, ideal_decode_s=2.5)
-        report = attribute(tracer)
+        report = attribute(obs)
         blame = report.requests[1]
         assert blame.segments == pytest.approx({
             "queue_wait": 1.0,
@@ -173,77 +201,71 @@ class TestBlameAttributionUnits:
         assert blame.dominant() == "decode_ideal"
 
     def test_swap_debt_splits_out_of_prefill(self):
-        tracer = Tracer(enabled=True)
+        obs = Observability()
+        tracer = obs.tracer
         tracer.transition(2, "queued", 0.0, replica=1)
         tracer.transition(2, "prefill", 1.0, replica=1, swap_s=0.5)
         tracer.transition(2, "decode", 3.0, replica=1)
         tracer.end_span(2, 4.0, ideal_decode_s=1.0)
-        blame = attribute(tracer).requests[2]
+        blame = attribute(obs).requests[2]
         assert blame.segments["tier_swap_in"] == pytest.approx(0.5)
         assert blame.segments["prefill_compute"] == pytest.approx(1.5)
 
     def test_gaps_land_in_unattributed(self):
-        tracer = Tracer(enabled=True)
+        obs = Observability()
+        tracer = obs.tracer
         tracer.transition(3, "queued", 0.0, replica=0)
         tracer.end_span(3, 1.0)
         tracer.transition(3, "decode", 2.0, replica=0)
         tracer.end_span(3, 3.0)
-        blame = attribute(tracer).requests[3]
+        blame = attribute(obs).requests[3]
         assert blame.segments["unattributed"] == pytest.approx(1.0)
-        assert verify_partition(attribute(tracer)) == []
+        assert verify_partition(attribute(obs)) == []
 
-    def test_request_window_is_authoritative(self):
-        """A finish time past the last span extends the partition with
-        unattributed tail instead of silently shrinking e2e."""
-
-        class _Req:
-            request_id = 4
-            arrival_time = 0.0
-            finish_time = 5.0
-            effective_qos = "interactive"
-            session_id = None
-
-        tracer = Tracer(enabled=True)
-        tracer.transition(4, "queued", 0.0, replica=0)
-        tracer.transition(4, "decode", 1.0, replica=0)
-        tracer.end_span(4, 4.0)
-        report = attribute(tracer, requests=[_Req()])
-        blame = report.requests[4]
-        assert blame.e2e == pytest.approx(5.0)
-        assert blame.segments["unattributed"] == pytest.approx(1.0)
-        assert blame.qos == "interactive"
-        assert verify_partition(report) == []
+    def test_aborted_lifecycle_excluded(self):
+        """A request whose last span ends in an abort has no end-to-end
+        latency to partition, however long it queued."""
+        obs = Observability()
+        tracer = obs.tracer
+        tracer.transition(4, "queued", 0.0, replica=0, qos="interactive")
+        tracer.end_span(4, 2.0, aborted=True)
+        tracer.transition(7, "queued", 0.0, replica=0, qos="interactive")
+        tracer.end_span(7, 3.0)
+        assert set(attribute(obs).requests) == {7}
+        assert attribute(obs).requests[7].qos == "interactive"
 
     def test_disagg_stages_and_clone_filtering(self):
-        tracer = Tracer(enabled=True)
+        obs = Observability()
+        tracer = obs.tracer
         tracer.transition(5, "disagg_handoff", 0.0, replica=0, stage="prefill")
         tracer.transition(5, "disagg_handoff", 1.0, replica=2, stage="transfer")
         tracer.transition(5, "decode", 1.5, replica=2)
         tracer.end_span(5, 2.5)
         tracer.transition(5 + SHADOW_REQUEST_OFFSET, "queued", 0.0, replica=0)
         tracer.end_span(5 + SHADOW_REQUEST_OFFSET, 1.0)
-        report = attribute(tracer)
+        report = attribute(obs)
         assert set(report.requests) == {5}
         blame = report.requests[5]
         assert blame.segments["disagg_prefill"] == pytest.approx(1.0)
         assert blame.segments["disagg_transfer"] == pytest.approx(0.5)
 
     def test_open_spans_excluded(self):
-        tracer = Tracer(enabled=True)
-        tracer.transition(6, "queued", 0.0, replica=0)
-        tracer.finalize(9.0)
-        assert 6 not in attribute(tracer).requests
+        obs = Observability()
+        obs.tracer.transition(6, "queued", 0.0, replica=0)
+        obs.tracer.finalize(9.0)
+        assert 6 not in attribute(obs).requests
 
 
 class TestForensicsRendering:
     def _report(self):
-        tracer = Tracer(enabled=True)
+        obs = Observability()
+        tracer = obs.tracer
         for rid, stretch in ((1, 1.0), (2, 4.0)):
             tracer.transition(rid, "queued", 0.0, replica=0, qos="standard")
             tracer.transition(rid, "prefill", 1.0, replica=0)
             tracer.transition(rid, "decode", 2.0, replica=0)
             tracer.end_span(rid, 2.0 + 1.0 + stretch, ideal_decode_s=1.0)
-        return attribute(tracer)
+        return attribute(obs)
 
     def test_render_report_sections(self):
         text = render_report(self._report(), top=2)
@@ -264,34 +286,31 @@ class TestForensicsRendering:
     def test_diff_blame_attributes_regression(self):
         base, new = self._report(), self._report()
         # Regress request 1 in the new run by stretching decode.
-        tracer = Tracer(enabled=True)
+        obs = Observability()
+        tracer = obs.tracer
         tracer.transition(1, "queued", 0.0, replica=0)
         tracer.transition(1, "prefill", 1.0, replica=0)
         tracer.transition(1, "decode", 2.0, replica=0)
         tracer.end_span(1, 9.0, ideal_decode_s=1.0)
-        new.requests[1] = attribute(tracer).requests[1]
+        new.requests[1] = attribute(obs).requests[1]
         text = diff_blame(base, new, "A", "B", top=3)
         assert "blame diff" in text
         assert "#1" in text
         assert "biggest mover: decode_stretch" in text
 
     def test_diff_telemetry_histogram_section(self):
-        """Histogram-typed metrics diff from snapshots (count/mean/tails),
-        not from re-averaged running-mean series points."""
-        snap = {"bounds": (1.0, 2.0), "counts": [1, 1, 0], "total": 2.4}
-        a = {
-            "samples": {"fleet.ttft": [(1.0, 1.2)], "g": [(1.0, 3.0)]},
-            "histograms": {"fleet.ttft": dict(snap)},
-        }
-        b = {
-            "samples": {"fleet.ttft": [(1.0, 9.9)], "g": [(1.0, 4.0)]},
-            "histograms": {
-                "fleet.ttft": {
-                    "bounds": (1.0, 2.0), "counts": [0, 2, 2], "total": 8.0,
-                }
-            },
-        }
-        text = diff_telemetry(a, b)
+        """Histogram-typed metrics diff from the histograms (count/mean/
+        tails), not from re-averaged running-mean series points."""
+        runs = []
+        for ttft, g in (((0.5, 1.9), 3.0), ((1.5, 2.0, 4.0, 4.5), 4.0)):
+            obs = Observability()
+            histogram = obs.metrics.histogram("fleet.ttft")
+            for value in ttft:
+                histogram.observe(value)
+            obs.metrics.gauge("g").set(g)
+            obs.metrics.sample(1.0)
+            runs.append(obs)
+        text = diff_telemetry(*runs)
         assert "distribution" in text
         assert "p99" in text
         scalar_section = text.split("distribution")[0]

@@ -1,4 +1,4 @@
-"""Observability layer: tracer, telemetry, exporters, explain, golden gate.
+"""Observability layer: tracer, telemetry, the trace file, stories, golden gate.
 
 Four contracts pinned here:
 
@@ -6,9 +6,9 @@ Four contracts pinned here:
   audit log.
 * **Telemetry** — registry typing, sampling, histogram merge
   associativity (hypothesis), quantiles.
-* **Exporters** — Perfetto trace.json schema validity and the
-  JSONL/Perfetto round trip through :func:`repro.obs.load_export`,
-  feeding the ``explain`` narration.
+* **The trace file** — Perfetto trace.json schema validity, and the
+  round trip through :func:`repro.obs.load_export` back into an
+  :class:`~repro.obs.Observability` that request stories read.
 * **Golden gate** — running with the full observability stack armed
   changes *nothing* about the serving outcome (identical per-request
   finish times), and fleet telemetry samples ride the control ticks
@@ -31,7 +31,6 @@ from repro.obs import (
     SPAN_PHASES,
     Tracer,
     diff_telemetry,
-    export_jsonl,
     export_perfetto,
     load_export,
     perfetto_trace,
@@ -276,49 +275,68 @@ class TestExporters:
             {"traceEvents": [{"ph": "X", "name": "x", "pid": 0, "ts": -5.0}]}
         )
 
-    def test_round_trip_both_formats(self, tmp_path):
-        obs = _observed_server_run()
-        p_json = tmp_path / "trace.json"
-        p_jsonl = tmp_path / "trace.jsonl"
-        export_perfetto(obs, p_json)
-        lines = export_jsonl(obs, p_jsonl)
-        histograms = [
-            name for name in obs.metrics.names()
-            if isinstance(obs.metrics.get(name), Histogram)
-        ]
-        assert lines == (
-            len(obs.tracer.spans) + len(obs.tracer.records)
-            + sum(len(s) for s in obs.metrics.series.values())
-            + len(histograms)
+    def test_round_trip_restores_the_observability(self, tmp_path):
+        """The export reads back as the live run's spans, audits, series
+        and histograms, up to the export's 1 ns time rounding (a span's
+        end is two rounded stamps, its start plus its duration)."""
+        fleet = make_fleet(
+            "loongserve", replicas=2, router="least-kv",
+            requests=TRACE, num_gpus=4, steal=True, autoscale=True,
         )
-        a = load_export(p_json)
-        b = load_export(p_jsonl)
+        obs = Observability()
+        fleet.observe(obs)
+        fleet.run(clone_requests(TRACE))
+        path = tmp_path / "trace.json"
+        export_perfetto(obs, path)
+        loaded = load_export(path)
 
-        def key(s):
-            return (s["request"], s["start"], s["end"], s["phase"])
+        def as_json(value):
+            return json.loads(json.dumps(value))
 
-        spans_a = sorted(a["spans"], key=key)
-        spans_b = sorted(b["spans"], key=key)
-        assert len(spans_a) == len(spans_b) == len(obs.tracer.spans)
-        for sa, sb in zip(spans_a, spans_b):
-            assert (sa["request"], sa["phase"], sa["replica"]) == (
-                sb["request"], sb["phase"], sb["replica"],
+        live_spans, spans = obs.tracer.spans, loaded.tracer.spans
+        assert len(spans) == len(live_spans)
+        for live, span in zip(live_spans, spans):
+            assert (span.request_id, span.phase, span.replica) == (
+                live.request_id, live.phase, live.replica,
             )
-            # Perfetto timestamps are quantised to nanoseconds on export.
-            assert sa["start"] == pytest.approx(sb["start"], abs=1e-9)
-            assert sa["end"] == pytest.approx(sb["end"], abs=1e-8)
-        assert len(a["audits"]) == len(b["audits"]) == len(obs.tracer.records)
-        assert set(a["samples"]) == set(b["samples"]) == set(obs.metrics.series)
-        assert set(a["histograms"]) == set(b["histograms"]) == set(histograms)
-        for name in histograms:
-            assert a["histograms"][name] == b["histograms"][name]
+            assert span.attrs == as_json(live.attrs)
+            assert span.start == pytest.approx(live.start, abs=1e-9)
+            assert span.end == pytest.approx(live.end, abs=2e-9)
+        live_records, records = obs.tracer.records, loaded.tracer.records
+        assert len(records) == len(live_records)
+        assert {r.component for r in records} >= {"router", "control"}
+        for live, record in zip(live_records, records):
+            assert (record.kind, record.component, record.replica) == (
+                live.kind, live.component, live.replica,
+            )
+            assert record.payload == as_json(live.payload)
+            assert record.time == pytest.approx(live.time, abs=1e-9)
+        live_series = {k: v for k, v in obs.metrics.series.items() if v}
+        assert loaded.metrics.series.keys() == live_series.keys()
+        for name, points in live_series.items():
+            restored = loaded.metrics.series[name]
+            assert [v for _, v in restored] == [v for _, v in points]
+            assert [t for t, _ in restored] == pytest.approx(
+                [t for t, _ in points], abs=1e-9
+            )
+        assert loaded.metrics.sample_times == pytest.approx(
+            obs.metrics.sample_times, abs=1e-9
+        )
+        histograms = loaded.metrics.histograms()
+        assert histograms.keys() == obs.metrics.histograms().keys()
+        assert histograms, "the run recorded no latency histogram"
+        for name, live in obs.metrics.histograms().items():
+            restored = histograms[name]
+            assert (restored.bounds, restored.counts, restored.total) == (
+                live.bounds, live.counts, live.total,
+            )
 
     def test_exported_phases_stay_in_taxonomy(self, tmp_path):
         obs = _observed_server_run()
-        path = tmp_path / "t.jsonl"
-        export_jsonl(obs, path)
-        data = load_export(path)
-        assert {s["phase"] for s in data["spans"]} <= set(SPAN_PHASES)
+        path = tmp_path / "t.json"
+        export_perfetto(obs, path)
+        loaded = load_export(path)
+        assert {s.phase for s in loaded.tracer.spans} <= set(SPAN_PHASES)
 
 
 class TestExplain:
@@ -326,28 +344,28 @@ class TestExplain:
         obs = _observed_server_run()
         path = tmp_path / "t.json"
         export_perfetto(obs, path)
-        data = load_export(path)
-        ids = request_ids(data)
+        loaded = load_export(path)
+        ids = request_ids(loaded)
         assert ids == sorted(r.request_id for r in TRACE)
-        story = request_story(data, ids[0])
+        story = request_story(loaded, ids[0])
         assert f"request {ids[0]}:" in story
         assert "queued" in story and "decode" in story
         assert "arrival" in story and "finish" in story
 
-    def test_story_handles_unknown_request(self, tmp_path):
-        obs = _observed_server_run()
-        path = tmp_path / "t.jsonl"
-        export_jsonl(obs, path)
-        story = request_story(load_export(path), 10_000_000)
+    def test_story_handles_unknown_request(self):
+        story = request_story(_observed_server_run(), 10_000_000)
         lo = min(r.request_id for r in TRACE)
         hi = max(r.request_id for r in TRACE)
         assert "not found" in story and f"{lo}..{hi}" in story
 
     def test_diff_telemetry_reports_deltas(self):
-        a = {"samples": {"m": [(0.0, 1.0), (1.0, 3.0)]}}
-        b = {"samples": {"m": [(0.0, 2.0), (1.0, 6.0)]}}
-        out = diff_telemetry(a, b, label_a="left", label_b="right")
+        runs = []
+        for values in ((1.0, 3.0), (2.0, 6.0)):
+            obs = Observability()
+            for t, value in enumerate(values):
+                obs.metrics.gauge("m").set(value)
+                obs.metrics.sample(float(t))
+            runs.append(obs)
+        out = diff_telemetry(*runs, label_a="left", label_b="right")
         assert "m" in out and "+100.0%" in out
-        assert "no telemetry" in diff_telemetry(
-            {"samples": {}}, {"samples": {}}
-        )
+        assert "no telemetry" in diff_telemetry(Observability(), Observability())

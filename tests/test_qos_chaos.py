@@ -25,6 +25,7 @@ from repro.experiments.systems import make_fleet
 from repro.fleet import FaultPlan, ReplicaFault
 from repro.sessions import make_session_trace
 from repro.workloads.trace_gen import clone_requests
+from tests.conftest import assert_fleet_invariants
 
 REPLICAS = 3
 QOS_MIX = {"interactive": 0.4, "standard": 0.4, "batch": 0.2}
@@ -60,23 +61,11 @@ def signature(result):
 
 
 def assert_qos_fault_invariants(trace, fleet, result) -> None:
-    served = [
-        r.request_id
-        for replica in result.per_replica
-        for r in replica.requests + replica.aborted
-    ]
-    # Exactly-once: nothing lost, nothing duplicated — rejections are
-    # terminal outcomes, not disappearances.
-    assert sorted(served) == sorted(r.request_id for r in trace)
-    assert len(set(served)) == len(served)
-    # Token conservation: finished requests produced exactly their
-    # declared output; everything else was rejected by admission.
-    rejected = {r.request_id for r in result.aborted}
-    for request in result.finished_requests:
-        assert request.generated == request.output_len
-        assert request.request_id not in rejected
-    assert len(result.finished_requests) + len(rejected) == len(trace)
-    # Ledger reconciliation, fleet-wide and crash-proof.
+    """The shared fleet invariants (a rejection is a terminal abort, not
+    a disappearance), plus the fleet-summed QoS ledgers reconciling
+    crash-proof: submitted = admitted + rejected, each request counted
+    once, and every abort a rejection."""
+    assert_fleet_invariants(trace, fleet, result)
     stats = result.qos_stats
     assert stats is not None
     submitted = sum(int(c.get("submitted", 0)) for c in stats.values())
@@ -84,22 +73,7 @@ def assert_qos_fault_invariants(trace, fleet, result) -> None:
     ledger_rejected = sum(int(c.get("rejected", 0)) for c in stats.values())
     assert submitted == len(trace)
     assert submitted == admitted + ledger_rejected
-    assert ledger_rejected == len(rejected)
-    # Pool occupancy: preemption, rejection, crash, and migration leak
-    # no KV slots.
-    for handle in fleet.replicas:
-        server = handle.server
-        cache = getattr(server, "prefix_cache", None)
-        expected = cache.resident_tokens if cache is not None else 0
-        assert server.pool.total_used == expected
-    # Flight-recorder coherence.
-    elastic = result.elastic
-    if elastic is not None and fleet.policy.injector is not None:
-        assert elastic.crashes == len(fleet.policy.injector.injected)
-        assert all(
-            0 <= online <= len(fleet.replicas)
-            for _, online in elastic.capacity_timeline
-        )
+    assert ledger_rejected == len(result.aborted)
 
 
 @given(specs=fault_specs)

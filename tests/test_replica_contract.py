@@ -17,7 +17,6 @@ Pinned here:
 """
 
 import hashlib
-import json
 import re
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import repro
 from repro.__main__ import main as repro_main
 from repro.experiments.systems import CRASHABLE_SYSTEMS, make_fleet, make_system
 from repro.fleet.server import ReplicaHandle, ServingReplica
-from repro.obs import Observability
+from repro.obs import Observability, load_export
 from repro.sim.engine import Simulator
 from repro.workloads.datasets import MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
@@ -264,7 +263,7 @@ def test_abort_audited_once_per_aborted_request(system):
 @pytest.mark.parametrize("system", list(ABORT_SETUPS))
 def test_serve_cli_audits_every_abort(system, replicas, tmp_path, capsys):
     n, rate, seed = ABORT_SETUPS[system]
-    path = tmp_path / "run.jsonl"
+    path = tmp_path / "run.json"
     assert repro_main(
         ["serve", "--system", system, "--dataset", "mixed", "--rate", str(rate),
          "-n", str(n), "--seed", str(seed), "--replicas", str(replicas),
@@ -272,10 +271,7 @@ def test_serve_cli_audits_every_abort(system, replicas, tmp_path, capsys):
     ) == 0
     aborted = int(re.search(r"(\d+) aborted", capsys.readouterr().out).group(1))
     assert aborted >= 1
-    audits = [json.loads(line) for line in path.read_text().splitlines()]
-    assert sum(
-        1 for a in audits if a["type"] == "audit" and a["kind"] == "abort"
-    ) == aborted
+    assert len(load_export(path).tracer.of_kind("abort")) == aborted
 
 
 # -- no probes -------------------------------------------------------------------
@@ -283,6 +279,7 @@ def test_serve_cli_audits_every_abort(system, replicas, tmp_path, capsys):
 CONSUMERS = (
     "fleet/server.py", "fleet/router.py", "fleet/autoscaler.py",
     "fleet/control.py", "fleet/disagg.py", "obs/observe.py", "obs/health.py",
+    "obs/export.py", "obs/forensics.py",
 )
 PROBE = re.compile(r"\b(getattr|hasattr)\(")
 

@@ -1,8 +1,5 @@
 """Tests for the Scaling Information Base (SQLite profiling store)."""
 
-import os
-import tempfile
-
 from repro.cluster.cluster import Cluster
 from repro.core.sib import ScalingInformationBase
 from repro.costmodel.latency import RooflineCostModel
@@ -32,16 +29,6 @@ class TestRecordAndQuery:
         sib.record(SP4, [10], 0.01)
         sib.record(SP2, [10], 0.01)
         assert sib.strategies() == [SP2, SP4]
-
-    def test_persists_to_file(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "sib.sqlite")
-            sib = ScalingInformationBase(path)
-            sib.record(SP2, [512], 0.02)
-            sib.close()
-            reopened = ScalingInformationBase(path)
-            assert reopened.samples(SP2) == [([512], 0.02)]
-            reopened.close()
 
 
 class TestFitting:
