@@ -17,6 +17,10 @@ function under ``src/`` that none of them called:
   (``perfbench.workloads.WORKLOADS``), each checked with
   ``perfbench.outcomes.request_ledger``.
 
+Each entry point starts from the process-wide id counters a fresh
+``python -m`` starts from (``COUNTERS``), so a CLI call that names a
+request by id (``forensics --request 0``) finds the one its serve drew.
+
 Tests and benchmarks are not entry points: a function only they call is
 what this audit exists to find.  A function counts as reached when a
 code object with its file and first line (its first decorator's line,
@@ -39,7 +43,9 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import importlib
 import io
+import itertools
 import os
 import runpy
 import sys
@@ -51,9 +57,21 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 # Unreached functions at the last audit; a change to it is a deliberate edit.
+# At 100 of 879 since the entry points start from fresh id counters:
+# ``forensics --request 0`` now finds its request, so ``Span.duration``
+# (read by the story) is reached and ``request_ids`` (the not-found
+# hint) is not.
 RECORDED_UNREACHED = 100
 
 QOS_MIX = "interactive:0.3,standard:0.5,batch:0.2"
+
+# The process-wide id counters, (module, name): each starts at 0 in a
+# new process.
+COUNTERS = (
+    ("repro.types", "_request_ids"),
+    ("repro.core.batch", "_batch_ids"),
+    ("repro.sessions.workload", "_session_ids"),
+)
 
 # The CLI's choices, spelled out: importing ``repro`` before the hook is
 # armed would hide the calls its modules make at import time.
@@ -227,6 +245,12 @@ def steps(tmp: Path) -> list[tuple[str, object]]:
     return out
 
 
+def fresh_counters() -> None:
+    """Restart every id counter in ``COUNTERS`` at 0."""
+    for module, name in COUNTERS:
+        setattr(importlib.import_module(module), name, itertools.count())
+
+
 def reached_code(tmp: Path) -> set:
     """The code objects called while every entry point ran."""
     codes: set = set()
@@ -242,6 +266,7 @@ def reached_code(tmp: Path) -> set:
         threading.setprofile(hook)
         try:
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                fresh_counters()
                 step()
         except BaseException:
             sys.stderr.write(f"entry point failed: {label}\n{sink.getvalue()}")

@@ -86,24 +86,12 @@ def allocate_instances(
         if not drainable:
             break
         e_min = drainable[0]
-        current = predictor.prefill_time(input_lens, decision.instances, tensor_parallel)
-        expanded = predictor.prefill_time(
-            input_lens, decision.instances + [e_min], tensor_parallel
+        gain = _growth_gain(input_lens, decision.instances, e_min, predictor, tensor_parallel)
+        cost = _growth_cost(
+            input_lens, e_min, decision.instances, pool, stable_batches,
+            collectives, model, tensor_parallel,
         )
-        speedup = max(0.0, current - expanded)
-        gain = sum(speedup / n for n in input_lens)
-
-        held_tokens = pool.pools[e_min].used
-        cost = 0.0
-        if held_tokens > 0:
-            targets = _migration_targets(e_min, decision.instances, stable_batches)
-            bandwidth = _avg_bandwidth(e_min, targets, collectives, tensor_parallel)
-            if bandwidth <= 0:
-                break
-            volume_bytes = held_tokens * model.kv_bytes_per_token
-            cost = sum((volume_bytes / bandwidth) / n for n in input_lens)
-
-        if gain <= cost:
+        if cost is None or gain <= cost:
             break
         if not _drain_instance(
             e_min, decision, pool, stable_batches, collectives, model, tensor_parallel
@@ -111,6 +99,77 @@ def allocate_instances(
             break
 
     return decision
+
+
+def growth_refused(
+    requests: Sequence[Request],
+    instances: list[int],
+    pool: UnifiedKVPool,
+    decode_batches: list[DecodeBatch],
+    predictor: IterationCostModel,
+    collectives: CollectiveModel,
+    model: ModelSpec,
+    tensor_parallel: int,
+) -> bool:
+    """Whether Move 3 refuses every drainable instance for ``requests`` on
+    ``instances``, not only the fewest-used one it asks.
+
+    Eq. 4's cost grows with the drained instance's KV and Eq. 3's gain
+    does not read it, and KV the other decode instances cannot absorb
+    stays so as they fill, so the refusal holds while decode KV only
+    grows, whichever instance becomes the fewest-used.
+    """
+    input_lens = [r.prefill_tokens for r in requests]
+    pools = pool.pools
+    for instance_id in _drainable_instances(pool, decode_batches, instances):
+        targets = _migration_targets(instance_id, instances, decode_batches)
+        if pools[instance_id].used > sum(pools[t].free for t in targets):
+            continue  # no drain: plan_eviction_migration finds no room
+        gain = _growth_gain(input_lens, instances, instance_id, predictor, tensor_parallel)
+        cost = _growth_cost(
+            input_lens, instance_id, instances, pool, decode_batches,
+            collectives, model, tensor_parallel,
+        )
+        if cost is not None and gain > cost:
+            return False
+    return True
+
+
+def _growth_gain(
+    input_lens: list[int],
+    instances: list[int],
+    e_min: int,
+    predictor: IterationCostModel,
+    tensor_parallel: int,
+) -> float:
+    """Eq. 3: prefill speedup per input token from adding ``e_min``."""
+    current = predictor.prefill_time(input_lens, instances, tensor_parallel)
+    expanded = predictor.prefill_time(input_lens, instances + [e_min], tensor_parallel)
+    speedup = max(0.0, current - expanded)
+    return sum(speedup / n for n in input_lens)
+
+
+def _growth_cost(
+    input_lens: list[int],
+    e_min: int,
+    instances: list[int],
+    pool: UnifiedKVPool,
+    decode_batches: list[DecodeBatch],
+    collectives: CollectiveModel,
+    model: ModelSpec,
+    tensor_parallel: int,
+) -> float | None:
+    """Eq. 4: migration time per input token for draining ``e_min``, or
+    None when it holds KV and has no bandwidth to move it over."""
+    held_tokens = pool.pools[e_min].used
+    if held_tokens == 0:
+        return 0.0
+    targets = _migration_targets(e_min, instances, decode_batches)
+    bandwidth = _avg_bandwidth(e_min, targets, collectives, tensor_parallel)
+    if bandwidth <= 0:
+        return None
+    volume_bytes = held_tokens * model.kv_bytes_per_token
+    return sum((volume_bytes / bandwidth) / n for n in input_lens)
 
 
 def _preemption_candidates(

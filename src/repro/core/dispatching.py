@@ -16,11 +16,15 @@ scanning FCFS under two families of constraints:
   only when the Eq. 2 gain (input latency saved for the extra requests)
   exceeds the Eq. 1 cost (output latency inflicted on the paused decode
   batch).
+
+When the tick enacts nothing, :func:`refusal_bound` says for how many of
+each decode batch's own iteration ends that answer holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 from repro.core.batch import DecodeBatch
@@ -34,6 +38,10 @@ PREFILL_TIPPING_TOKENS = 8192
 # Cap on the requests one dispatch admits, mirroring the slot-count cap
 # of real systems.
 MAX_BATCH_SIZE = 1024
+# A co-opt whose Eq. 2 gain comes this close to its Eq. 1 cost, relative
+# to both, counts as firing when bounding a refusal: far above the float
+# rounding of either sum.
+TIE_MARGIN = 1e-9
 
 
 @dataclass
@@ -48,6 +56,9 @@ class DispatchDecision:
     # after a memory, eviction-avoidance or batch-size stop its first
     # candidate fails the same gate.
     tipped: bool = False
+    # What phase 1 left of the memory, eviction-avoidance and token
+    # budgets: the room phase 2's extra requests fill.
+    room: tuple[int, int, int] = (0, 0, 0)
 
     @property
     def instances(self) -> list[int]:
@@ -134,7 +145,12 @@ def select_prefill_requests(
         committed_tokens += request.prefill_tokens
         index += 1
 
-    if index >= len(queue):
+    decision.room = (
+        memory_budget - committed_slots,
+        future_budget - committed_future,
+        token_budget - committed_tokens,
+    )
+    if not decision.tipped:
         return decision
 
     # Phase 2: consider co-opting decode groups' compute for more
@@ -143,36 +159,19 @@ def select_prefill_requests(
     # slots are already inside ``memory_budget``/``future_budget``, so the
     # hard memory and eviction-avoidance gates stay unchanged; what the
     # paused group adds is its instances' compute, which raises the
-    # tipping-point budget by the group's share.
+    # tipping-point budget by the group's share.  Each round gates its
+    # candidate against what earlier co-opts admitted (stale counts would
+    # let successive co-opts push the joint batch past the tipping point
+    # and the eviction-avoidance reserve).
+    slots, future, tokens = decision.room
     for batch in sorted(stable_batches, key=lambda b: -_group_free(b, free_slots)):
         if index >= len(queue):
             break
-        coopt_token_budget = token_budget + PREFILL_TIPPING_TOKENS * len(
-            batch.instance_ids
+        share = PREFILL_TIPPING_TOKENS * len(batch.instance_ids)
+        extra = _extra_requests(
+            queue, index, MAX_BATCH_SIZE - len(decision.requests),
+            slots, future, tokens + share,
         )
-        extra: list[Request] = []
-        extra_slots = 0
-        extra_tokens = 0
-        extra_future = 0
-        while index < len(queue) and (
-            len(decision.requests) + len(extra) < MAX_BATCH_SIZE
-        ):
-            request = queue[index]
-            needed = _slots_needed(request)
-            future = request.future_kv_demand
-            if committed_slots + extra_slots + needed > memory_budget:
-                break
-            if committed_future + extra_future + future > future_budget:
-                break  # would risk a future eviction
-            if (
-                decision.requests or extra
-            ) and committed_tokens + extra_tokens + request.prefill_tokens > coopt_token_budget:
-                break  # past the enlarged tipping point
-            extra.append(request)
-            extra_slots += needed
-            extra_tokens += request.prefill_tokens
-            extra_future += future
-            index += 1
         if not extra:
             continue
 
@@ -182,23 +181,39 @@ def select_prefill_requests(
 
         cost = _preemption_cost(batch, iter_time)
         gain = _dispatch_gain(extra, batch, avg_decode_latency, now)
-        if gain > cost:
-            decision.requests.extend(extra)
-            decision.coopted_batches.append(batch)
-            # All three commitment counters advance, so the next co-opt
-            # candidate is gated against what this round actually admitted
-            # (stale token/future counts would let successive co-opts push
-            # the joint batch past the tipping point and the eviction-
-            # avoidance reserve).
-            committed_slots += extra_slots
-            committed_tokens += extra_tokens
-            committed_future += extra_future
-            token_budget = coopt_token_budget  # the group's compute now counts
-        else:
-            index -= len(extra)  # put them back; FCFS order preserved
-            break
+        if gain <= cost:
+            break  # FCFS: nothing passes the refused requests
+        decision.requests.extend(extra)
+        decision.coopted_batches.append(batch)
+        index += len(extra)
+        slots -= sum(_slots_needed(r) for r in extra)
+        future -= sum(r.future_kv_demand for r in extra)
+        tokens += share - sum(r.prefill_tokens for r in extra)
 
     return decision
+
+
+def _extra_requests(
+    queue: Sequence[Request],
+    start: int,
+    seats: int,
+    slots: int,
+    future: int,
+    tokens: int,
+) -> list[Request]:
+    """Phase 2's FCFS scan from ``queue[start]``: the requests that fit in
+    ``slots`` KV slots, ``future`` eviction-avoidance reserve and
+    ``tokens`` prefill tokens, at most ``seats`` of them.  Less room
+    admits a prefix of what more admits."""
+    extra: list[Request] = []
+    for request in islice(queue, start, start + seats):
+        slots -= _slots_needed(request)
+        future -= request.future_kv_demand
+        tokens -= request.prefill_tokens
+        if slots < 0 or future < 0 or tokens < 0:
+            break
+        extra.append(request)
+    return extra
 
 
 def _slots_needed(request: Request) -> int:
@@ -258,3 +273,106 @@ def wait_estimate(
     AvgLat_d holds, and so does every gain priced from it.
     """
     return max(0.0, avg_decode_latency - batch.min_exec_time(now))
+
+
+def refusal_bound(
+    decision: DispatchDecision,
+    pending: Sequence[Request],
+    decode_batches: list[DecodeBatch],
+    predictor: IterationCostModel,
+    tensor_parallel: int,
+    avg_decode_latency: float,
+    now: float,
+    measured: bool,
+) -> dict[int, int] | None:
+    """How long a dispatch whose tick enacted nothing keeps its answer
+    while decode iterations only run: by batch id, the first of the
+    batch's own iteration ends from now at which a re-run could admit
+    something (batches left out are unbounded), or None when no end is
+    covered.  ``measured`` says AvgLat_d is measured, not the warm-up
+    seed, which reads the contexts the iterations grow.
+
+    Between re-runs only decode KV is appended and the clock advances:
+    the memory budget falls by the slots appended, the eviction-avoidance
+    budget by at most as many, and the token budget stays, so phase 1
+    admits a prefix of what it admitted here, and phase 2 runs only if
+    phase 1 again tips with the same set.  One resident whose declared
+    cap covers its output keeps the reserve positive until it completes,
+    so the first request stays under the eviction-avoidance gate.  With
+    an idle instance, allocation and the batching DP see phase 1's set,
+    so it must stay whole: the windows' appends must fit in the slots
+    phase 1 left.  Each candidate's extra set then shrinks to a prefix
+    of the one scanned here, Eq. 2's wait only falls, and Eq. 1's cost
+    changes only at the batch's own ends, where each request's
+    ``generated`` grows by one: a co-opt through batch ``b`` can first
+    fire at the first end ``k`` at which, for some prefix ``E_j``,
+    ``wait_b * sum(1 / p for p in E_j)`` exceeds ``T_j * sum(1 /
+    max(1, g + k) for g in b)``.  A co-opt that could fire now gives no
+    bound at all: the ``_group_free`` order may put it first at any
+    re-run.  Every batch is checked, so that order does not matter.
+    """
+    if decision.coopted_batches or not any(
+        r.max_total_len >= r.input_len + r.output_len
+        for batch in decode_batches
+        for r in batch.requests
+    ):
+        return None
+    admitted = decision.requests
+    slots, future, tokens = decision.room
+    holds: dict[int, int] = {}
+    if admitted and decision.base_instances:
+        ends = min(slots, future) // sum(b.batch_size for b in decode_batches) + 1
+        if ends < 1:
+            return None
+        holds = dict.fromkeys((b.batch_id for b in decode_batches), ends)
+    if not decision.tipped:
+        return holds
+    if not measured:
+        return None
+    start = len(admitted)
+    lens = [r.prefill_tokens for r in admitted]
+    for batch in decode_batches:
+        wait = wait_estimate(batch, avg_decode_latency, now)
+        if wait == 0.0:
+            continue  # no gain, now or later
+        extra = _extra_requests(
+            pending, start, MAX_BATCH_SIZE - start, slots, future,
+            tokens + PREFILL_TIPPING_TOKENS * len(batch.instance_ids),
+        )
+        if not extra:
+            continue
+        instances = decision.instances + list(batch.instance_ids)
+        # Eq. 2's sum over Eq. 1's iteration time, best over the prefixes.
+        inverse = best = 0.0
+        for request in extra:
+            inverse += 1 / request.prefill_tokens
+            lens.append(request.prefill_tokens)
+            best = max(best, inverse / predictor.prefill_time(lens, instances, tensor_parallel))
+        del lens[start:]
+        ends = _first_favourable_end(batch, wait * best * (1 + TIE_MARGIN))
+        if ends == 0:
+            return None
+        holds[batch.batch_id] = min(ends, holds.get(batch.batch_id, ends))
+    return holds
+
+
+def _first_favourable_end(batch: DecodeBatch, target: float) -> int:
+    """The first own end ``k >= 0`` of ``batch`` at which ``sum(1 /
+    max(1, generated + k))`` over its requests falls below ``target``
+    (> 0).  The sum only falls with ``k`` and is at most ``batch_size /
+    k``, so bisect up to the first ``k`` past ``batch_size / target``."""
+    generated = [r.generated for r in batch.requests]
+
+    def below(k: int) -> bool:
+        return sum(1 / max(1, g + k) for g in generated) < target
+
+    if below(0):
+        return 0
+    lo, hi = 0, int(len(generated) / target) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.config import SystemConfig
-from repro.core.allocation import allocate_instances
+from repro.core.allocation import allocate_instances, growth_refused
 from repro.core.batch import DecodeBatch, PrefillTask, next_batch_id
 from repro.core.batching_dp import plan_batches
-from repro.core.dispatching import select_prefill_requests
+from repro.core.dispatching import refusal_bound, select_prefill_requests
 from repro.core.elastic_instance import ElasticInstance
 from repro.core.scaling_plan import (
     PrefillScaleDown,
@@ -52,9 +52,12 @@ class SchedulePlan:
     scale_ups: list[tuple[DecodeBatch, ScaleUpDecision]] = field(default_factory=list)
     coopted_batches: list[DecodeBatch] = field(default_factory=list)
     decode_scale_downs: list[tuple[DecodeBatch, int]] = field(default_factory=list)
-    # Dispatching's phase 1 stopped at the tipping point
-    # (:attr:`~repro.core.dispatching.DispatchDecision.tipped`).
-    tipped: bool = False
+    # How long an empty plan holds while decode iterations only run: by
+    # batch id, the first of the batch's own iteration ends from now at
+    # which a re-run could enact something (batches left out are
+    # unbounded), or None when no end is covered.  Step 4b is left to
+    # the caller, which sees each end's free slots.
+    holds: dict[int, int] | None = None
 
     @property
     def is_empty(self) -> bool:
@@ -96,14 +99,26 @@ class GlobalManager:
         decode_batches: list[DecodeBatch],
         avg_decode_latency: float,
         prefilling_requests: Sequence[Request] = (),
+        bound: bool = False,
+        measured: bool = False,
     ) -> SchedulePlan:
-        """Run dispatching, allocation, batching, and scaling generation."""
+        """Run dispatching, allocation, batching, and scaling generation.
+
+        An empty plan says how long it holds (:attr:`SchedulePlan.holds`):
+        with nothing pending, at every end; with work queued, only when
+        ``bound`` (the caller changes nothing but decode KV and the clock
+        between re-runs), as :func:`~repro.core.dispatching.refusal_bound`
+        finds, ``measured`` saying AvgLat_d is no warm-up seed.
+        """
         plan = SchedulePlan()
         if not pending:
             # Dispatching selects nothing from an empty queue, so a tick
             # with nothing pending — most ticks of a decode-bound run —
             # goes straight to step 4b.
-            return self._plan_scale_ups(plan, instances, pool, decode_batches)
+            plan = self._plan_scale_ups(plan, instances, pool, decode_batches)
+            if plan.is_empty:
+                plan.holds = {}
+            return plan
         idle = [i for i, inst in instances.items() if inst.is_idle]
         free_slots = pool.free_map()
 
@@ -119,7 +134,6 @@ class GlobalManager:
             now=now,
             prefilling_requests=prefilling_requests,
         )
-        plan.tipped = dispatch.tipped
 
         if not dispatch.is_empty:
             # Step 2 — elastic instance allocation (may commit migrations).
@@ -188,7 +202,19 @@ class GlobalManager:
                 )
             plan.coopted_batches = list(dispatch.coopted_batches)
 
-        return self._plan_scale_ups(plan, instances, pool, decode_batches)
+        plan = self._plan_scale_ups(plan, instances, pool, decode_batches)
+        if bound and plan.is_empty:
+            plan.holds = refusal_bound(
+                dispatch, pending, decode_batches, self.predictor,
+                self.config.tensor_parallel, avg_decode_latency, now, measured,
+            )
+            if plan.holds is not None and dispatch.requests and idle and not growth_refused(
+                dispatch.requests, dispatch.instances, pool, decode_batches,
+                self.predictor, self.cost_model.collectives, self.config.model,
+                self.config.tensor_parallel,
+            ):
+                plan.holds = None  # Move 3 may drain the next fewest-used instance
+        return plan
 
     def _plan_scale_ups(
         self,

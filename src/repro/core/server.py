@@ -17,7 +17,6 @@ import math
 
 from repro.config import SystemConfig
 from repro.core.batch import DecodeBatch, next_batch_id
-from repro.core.dispatching import wait_estimate
 from repro.core.elastic_instance import ElasticInstance, InstanceRole
 from repro.core.global_manager import GlobalManager, PlannedPrefill, SchedulePlan
 from repro.core.scaling_plan import (
@@ -116,16 +115,15 @@ class LoongServeServer:
         self._decode_ends: list[tuple] = []
         self._posted_ends: set[int] = set()
         self._in_wake = False
-        # The last full scheduler tick enacted nothing: a precondition
-        # of the quiet decode windows (_run_quiet_window).  It holds
+        # How long the last full scheduler tick's empty plan holds, the
+        # precondition of the quiet decode windows (_run_quiet_window):
+        # by batch id, the ``generated`` of the batch's first request
+        # past which its next end must take the full path (batches left
+        # out are unbounded); None when no end is covered.  It holds
         # until the next tick, except that a peer's write through the
         # replica contract (withdraw, crash, import_prefix,
         # clear_prefix_cache) drops it.
-        self._quiet = False
-        # ...and the queue it left waiting stays blocked at every end a
-        # window can run (_stays_blocked): windows may open with work
-        # queued.
-        self._blocked = False
+        self._holds: dict[int, int] | None = None
         self._all_requests: list[Request] = []
         # Exact running sum of ``generated`` over ``_all_requests``,
         # maintained at every token-credit site so telemetry samplers
@@ -259,7 +257,7 @@ class LoongServeServer:
             timer.cancel()
         self._timers.clear()
         self._tick_pending = False
-        self._quiet = False
+        self._holds = None
         self._prefilling.clear()
         # In-flight iterations die with the instances.
         self._decode_ends.clear()
@@ -299,7 +297,7 @@ class LoongServeServer:
         if request not in self.pending:
             return False
         self.pending.remove(request)
-        self._quiet = False  # a shorter queue may unblock
+        self._holds = None  # a shorter queue may unblock
         if request in self._all_requests:
             self._all_requests.remove(request)
             self._generated_total -= request.generated
@@ -317,14 +315,14 @@ class LoongServeServer:
         KV the last tick planned with."""
         if self.prefix_cache is None:
             return 0
-        self._quiet = False
+        self._holds = None
         return self.prefix_cache.import_prefix(token_ids, now)
 
     def clear_prefix_cache(self) -> int:
         """Evict every unlocked prefix extent; returns the slots freed."""
         if self.prefix_cache is None:
             return 0
-        self._quiet = False
+        self._holds = None
         return self.prefix_cache.clear()
 
     def kv_pools(self):
@@ -406,17 +404,27 @@ class LoongServeServer:
             decode_batches=self.decode_batches,
             avg_decode_latency=avg_decode_latency,
             prefilling_requests=prefilling,
+            # Prefix-cache replicas re-pin and may evict, and QoS replicas
+            # re-admit and re-order, at every tick: no refusal holds.
+            bound=self.prefix_cache is None and self.qos is None,
+            measured=self._decode_latency_count > 0,
         )
-        self._quiet = plan.is_empty
         self._enact(plan)
-        queued = len(self.pending)
+        queued, batches = len(self.pending), len(self.decode_batches)
         self._start_decode_iterations()
         requeued = len(self.pending) > queued
-        # Preemption re-queued work after planning: no proof holds.
-        self._blocked = (
-            self._quiet and queued > 0 and not requeued
-            and self._stays_blocked(plan.tipped, avg_decode_latency)
-        )
+        holds = plan.holds
+        if holds is None or (
+            self.pending and (requeued or len(self.decode_batches) < batches)
+        ):
+            # A preemption, merge or release after planning drops the bound.
+            self._holds = None
+        else:
+            self._holds = {
+                batch.batch_id: batch.requests[0].generated + holds[batch.batch_id] - 1
+                for batch in self.decode_batches
+                if batch.batch_id in holds
+            }
         if requeued and not (
             self._prefilling or any(b.running for b in self.decode_batches)
         ):
@@ -425,55 +433,6 @@ class LoongServeServer:
             # again: without a tick now they would wait for an unrelated
             # arrival, or strand when none comes.
             self._request_tick()
-
-    def _stays_blocked(self, tipped: bool, avg_decode_latency: float) -> bool:
-        """Whether a quiet tick's queue stays blocked at every end a decode
-        window can run, so each of their ticks would enact nothing too.
-
-        A window only appends decode KV and advances the clock (it stops
-        before any completion, arrival or other event).  With no idle
-        instance, dispatching's memory budget (free slots of the decode
-        instances) then only falls, while its eviction-avoidance budget
-        (that memory less the residents' growth to their caps) and its
-        token budget stay put: phase 1 admits at most a prefix of what
-        it admitted here.  Allocation, which found no decode instance
-        whose KV the others could absorb, finds none as they fill, and
-        the batching DP places nothing on no instance.  Step 4b needs an
-        idle instance.  What remains is phase 2's co-opt
-        (:attr:`~repro.core.dispatching.DispatchDecision.tipped`): Eq.
-        1's cost falls as outputs grow, so a co-opt refused here can
-        fire a few ends later, unless every batch's Eq. 2 wait is
-        already 0.  Only a measured AvgLat_d keeps it there: the
-        warm-up seed reads the contexts a window grows.
-
-        Prefix-cache replicas re-pin and may evict at every tick, and
-        QoS replicas re-admit and re-order, so neither qualifies.  One
-        resident request declaring a cap that covers its output keeps
-        the reserve positive to its completion, so the first request
-        stays under the eviction-avoidance gate.  A preemption after
-        planning drops the proof (:meth:`_tick`), as does every peer
-        write that drops ``_quiet`` (see :meth:`_run_quiet_window`).
-        """
-        if self.prefix_cache is not None or self.qos is not None:
-            return False
-        if any(instance.is_idle for instance in self.instances.values()):
-            return False
-        batches = self.decode_batches
-        if not any(
-            r.max_total_len >= r.input_len + r.output_len
-            for batch in batches
-            for r in batch.requests
-        ):
-            return False
-        if not tipped:
-            return True
-        if not self._decode_latency_count:
-            return False
-        now = self.sim.now
-        return all(
-            wait_estimate(batch, avg_decode_latency, now) == 0.0
-            for batch in batches
-        )
 
     def _drop_impossible_requests(self) -> None:
         """Abort requests that could never fit even on an empty cluster.
@@ -1037,8 +996,8 @@ class LoongServeServer:
         posted head passes these checks (the run loop just popped it),
         so it is the first end the loop runs.  Each run of quiet ends
         shares one window (see :meth:`_run_quiet_window`), the head's
-        included when the last tick's proof still holds; every other
-        end takes the full path.
+        included while the last tick's bound covers it; every other end
+        takes the full path.
         """
         ends = self._decode_ends
         self._posted_ends.remove(ends[0][1])
@@ -1070,18 +1029,18 @@ class LoongServeServer:
 
         Called with the calendar's head due under ``key`` (the clock's
         horizon) and ``until``.  On a quiet replica (no tick queued,
-        nothing unvetted, the last full tick enacted nothing, and any
-        queue it left provably blocked — see
-        :meth:`_stays_blocked`), the tick at each end of a batch that
-        owns its whole group only restarts it: every other idle batch
-        keeps the inputs that tick found no scale-up for.  The proof
-        lasts across events.  Everything the replica runs itself either
+        nothing unvetted, and the last full tick's empty plan saying how
+        long it holds, :attr:`~repro.core.global_manager.SchedulePlan.holds`),
+        the tick at each end of a batch that owns its whole group, up to
+        the batch's bound, only restarts it: every other idle batch keeps
+        the inputs that tick found no scale-up for.  The bound lasts
+        across events.  Everything the replica runs itself either
         re-plans (a prefill completion queues a tick, a full-path end
         ticks) or, like a window, only appends decode KV; a peer reaches
         the replica only through its contract, where :meth:`submit`
         leaves work unvetted with a tick queued, and :meth:`withdraw`,
         :meth:`crash`, :meth:`import_prefix` and
-        :meth:`clear_prefix_cache` drop the proof.  So a wake's posted
+        :meth:`clear_prefix_cache` drop the bound.  So a wake's posted
         head joins a window like any later end.  Nothing posts to any
         calendar while only such ends run, and nothing ``key`` does not
         bound can touch the replica, so these checks, the idle instances
@@ -1091,8 +1050,9 @@ class LoongServeServer:
         later ends pick up from that state.  At each end the batch runs
         its consecutive iterations while the next one's end still comes
         before every other event and own end (equal times go to the full
-        path), within ``until``, before its first completion, while the
-        next start finds master KV, and before step 4b would fire.  Then
+        path), within ``until``, before its first completion and its
+        bound, while the next start finds master KV, and before step 4b
+        would fire.  Then
         it hands off, drawing its calendar seq in
         :meth:`_schedule_decode_end` as a full-path start would.  Each
         iteration is priced from a running context total
@@ -1107,12 +1067,7 @@ class LoongServeServer:
         the calendar, or None once no own end is due.
         """
         ends = self._decode_ends
-        if (
-            not self._quiet
-            or self._tick_pending
-            or self._unvetted
-            or (self.pending and not self._blocked)
-        ):
+        if self._holds is None or self._tick_pending or self._unvetted:
             return heapq.heappop(ends)
         heappop = heapq.heappop
         scheduler = self.config.scheduler
@@ -1213,9 +1168,10 @@ class LoongServeServer:
         co-opting prefill holds an instance under its own task id (the
         tick would pause the batch), and a batch merged away no longer
         owns them.  ``cap`` counts the iterations it may run: up to the
-        one before its first completion, and (one instance) the last
-        whose next start still finds master KV — a group checks that
-        start by start, and ``cap`` bounds it by the group's free slots.
+        one before its first completion and the one before its bound
+        (``_holds``), and (one instance) the last whose next start still
+        finds master KV — a group checks that start by start, and
+        ``cap`` bounds it by the group's free slots.
         """
         ids = group.instance_ids
         requests = batch.requests
@@ -1236,6 +1192,7 @@ class LoongServeServer:
         cap = min(
             min(r.output_len - r.generated for r in requests) - 1,
             free // bs - 1,
+            self._holds.get(batch.batch_id, math.inf) - requests[0].generated,
         )
         if cap <= 0:
             return None

@@ -81,14 +81,15 @@ class Observability:
         for cls, slacks in by_class.items():
             self.metrics.gauge(f"slack.{cls}").set(sum(slacks) / len(slacks))
 
-    def _observe_latencies(self, server, prefix: str) -> None:
+    def observe_latencies(self, server, prefix: str) -> None:
         """Feed newly finished requests into the latency histograms.
 
         Each ``finished`` ledger is append-only (it even survives a
         replica crash), so a cursor per ledger owner makes each tick
         O(newly finished): TTFT as first-token minus arrival, and the
         mean per-token decode latency for requests that decoded past
-        their first token.
+        their first token.  The serving loop calls it once more when
+        the run ends, for the finishes after the last sample.
         """
         for part in server.ledgers():
             finished = part.finished
@@ -127,7 +128,7 @@ class Observability:
             kv_frac += handle.kv_used_fraction()
             batch += server.decode_batch_size()
             tokens += server.generated_tokens()
-            self._observe_latencies(server, "fleet")
+            self.observe_latencies(server, "fleet")
         n = len(replicas) or 1
         metrics.gauge("fleet.queue_depth").set(queued)
         metrics.gauge("fleet.outstanding").set(outstanding)
@@ -167,7 +168,7 @@ class Observability:
         for decode_batch in server.decode_batches:
             live.extend(decode_batch.requests)
         self._sample_slack(live, now)
-        self._observe_latencies(server, "server")
+        self.observe_latencies(server, "server")
         if self.health is not None:
             self.health.observe(
                 server.ledgers(), now, tracer=self.tracer, metrics=metrics

@@ -102,6 +102,13 @@ def serve(
     else:
         sim.run(max_events=max_events)
     if obs is not None:
+        # Sampler ticks are weak events, so the finishes after the last
+        # sample enter the latency histograms here.
+        if fleet:
+            for handle in replica.replicas:
+                obs.observe_latencies(handle.server, "fleet")
+        else:
+            obs.observe_latencies(replica, "server")
         obs.tracer.finalize(sim.now)
     if fleet:
         return replica.result(submitted)

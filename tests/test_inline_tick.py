@@ -11,10 +11,11 @@ inline when nothing else is due at the same instant.  Each of these is
 the program the event-per-iteration scheduling runs, so only the event
 count may fall.
 
-Windows open with work queued when the last tick provably leaves it
-blocked, and multi-instance groups join them, crediting each token to
+Windows open with work queued for as long as the last tick's refusal
+provably holds (``SchedulePlan.holds``: each batch's ends up to its
+bound), and multi-instance groups join them, crediting each token to
 the most-free master and re-picking masters every iteration.  The last
-tick's proof lasts across events, so a wake's posted end joins a window
+tick's bound lasts across events, so a wake's posted end joins a window
 too, until a peer writes through the replica contract (``withdraw``,
 ``crash``, ``import_prefix``, ``clear_prefix_cache``).
 
@@ -31,10 +32,10 @@ tick queued — and must match it on per-request outcomes, iteration
 stats, scaling events and makespan; the group cases also compare every
 request's KV placement at stops inside windows, which no outcome
 record holds.  :class:`WindowSpy` records which batches each window ran,
-whether work was queued, how many ends took the full path, whether
-each wake's posted end ran in a window, and how many windows ran past
-another replica's event, so the cases built to reach a window can show
-they did.
+whether work was queued, which ends took the full path, each queued
+tick's bound, whether each wake's posted end ran in a window, and how
+many windows ran past another replica's event, so the cases built to
+reach a window can show they did.
 """
 
 import pytest
@@ -43,7 +44,7 @@ from hypothesis import strategies as st
 
 from repro.config import SchedulerConfig, default_config
 from repro.core.batch import DecodeBatch, PrefillTask, next_batch_id
-from repro.core.dispatching import wait_estimate
+from repro.core.dispatching import select_prefill_requests, wait_estimate
 from repro.core.elastic_instance import InstanceRole
 from repro.core.global_manager import PlannedPrefill
 from repro.core.scaling_plan import (
@@ -86,15 +87,31 @@ def _all_calendars(sim):
     return sim._sim if isinstance(sim, ShardClock) else sim
 
 
+def _dispatch(server):
+    """Dispatching's decision on the server's state, as its next tick
+    would take it."""
+    return select_prefill_requests(
+        server.pending,
+        [i for i, instance in server.instances.items() if instance.is_idle],
+        server.pool.free_map(), server.decode_batches, server.manager.predictor,
+        server.config.tensor_parallel, server._avg_decode_latency(), server.sim.now,
+        list(server._prefilling.values()),
+    )
+
+
 class WindowSpy(LoongServeServer):
     """The windowed server, recording each quiet window's hand-offs (the
     ids of the batches it ran, in order), those of the windows that ran
     with work queued, how many hand-offs were of multi-instance groups,
     how many decode ends took the full path (and how many of those with
-    work queued), for each wake its time and whether its posted end ran
-    in a window, how many windows ran past an event on another
-    replica's calendar, and how many prefix imports landed while decode
-    iterations were in flight."""
+    work queued), each queued full-path end as ``(time, batch id,
+    generated of its first request before the credit)``, each tick's
+    bound with work queued as ``(time, marks)`` (``_holds``, None when
+    none) and how many of them a co-opt refusal bounded, each prefill
+    launch as ``(time, group)``, for each wake its time and whether its
+    posted end ran in a window, how many windows ran past an event on
+    another replica's calendar, and how many prefix imports landed
+    while decode iterations were in flight."""
 
     _window = None
     _wake = None
@@ -103,9 +120,24 @@ class WindowSpy(LoongServeServer):
     group_hand_offs = 0
     full_path_ends = 0
     queued_ends = 0
+    hand_backs: tuple = ()
+    bounds: tuple = ()
+    coopt_bounds = 0
+    launches: tuple = ()
     wakes: tuple = ()
     past_peers = 0
     imports_in_flight = 0
+
+    def _tick(self) -> None:
+        super()._tick()
+        if self.pending:
+            marks = None if self._holds is None else dict(self._holds)
+            self.bounds += ((self.sim.now, marks),)
+            self.coopt_bounds += bool(marks) and _dispatch(self).tipped
+
+    def _launch_prefill(self, planned) -> None:
+        self.launches += ((self.sim.now, planned.task.group.instance_ids),)
+        super()._launch_prefill(planned)
 
     def import_prefix(self, token_ids, now) -> int:
         placed = super().import_prefix(token_ids, now)
@@ -141,6 +173,10 @@ class WindowSpy(LoongServeServer):
         self._note_wake(False)
         self.full_path_ends += 1
         self.queued_ends += bool(self.pending)
+        if self.pending and batch.requests:
+            self.hand_backs += (
+                (self.sim.now, batch.batch_id, batch.requests[0].generated),
+            )
         super()._on_decode_done(batch, masters, group)
 
     def _schedule_decode_end(self, end, batch, masters, group) -> None:
@@ -274,7 +310,7 @@ def _decoding_batches(server, shapes) -> tuple[list[Request], list[int]]:
     return requests, batch_ids
 
 
-def _serve_both(build, stops=(), **scheduler):
+def _serve_both(build, stops=(), mixin=None, **scheduler):
     """Serve the state ``build(server)`` sets up windowed and windowless.
 
     ``build`` returns the requests to record and what the caller wants
@@ -282,11 +318,16 @@ def _serve_both(build, stops=(), **scheduler):
     run stops at every time in ``stops``, where the clock, the iteration
     count and each request's progress and KV placement must agree too;
     the windowed server's ``stop_spans`` lists, per stop, the batches
-    windowed since the previous one.  Returns the windowed server, its
-    record (request ids dropped) and ``build``'s second value.
+    windowed since the previous one.  A ``mixin`` class goes in front of
+    both servers.  Returns the windowed server, its record (request ids
+    dropped) and ``build``'s second value; with a ``mixin``, the
+    windowless server too.
     """
     runs = {}
-    for server_cls in (WindowSpy, WindowlessServer):
+    classes = (WindowSpy, WindowlessServer)
+    if mixin is not None:
+        classes = tuple(type(c.__name__, (mixin, c), {}) for c in classes)
+    for server_cls in classes:
         server = server_cls(default_config(scheduler=SchedulerConfig(**scheduler)))
         requests, info = build(server)
         server._tick()
@@ -310,6 +351,8 @@ def _serve_both(build, stops=(), **scheduler):
     _assert_same(windowed, expected)
     assert seen == expected_seen
     assert server.sim.events_processed < reference.sim.events_processed
+    if mixin is not None:
+        return server, windowed, info, reference
     return server, windowed, info
 
 
@@ -576,18 +619,26 @@ class TestDecodeWindowsMatchTheWindowlessReference:
             for windows in (sharded, unsharded):
                 assert max(len(set(window)) for window in windows) >= 2
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
-        rate=st.sampled_from([0.3, 2.0, 12.0]),
-        num_requests=st.integers(min_value=2, max_value=24),
+        shape=st.one_of(
+            st.tuples(
+                st.sampled_from(["ShareGPT", "Mixed"]),
+                st.sampled_from([0.3, 2.0, 12.0]),
+                st.integers(min_value=2, max_value=24),
+            ),
+            # Overloaded Mixed: the queue outlasts many decode ends.
+            st.tuples(st.just("Mixed"), st.just(4.0), st.integers(min_value=20, max_value=40)),
+        ),
         switch=st.sampled_from(sorted(SWITCHES)),
-        dataset=st.sampled_from(["ShareGPT", "Mixed"]),
     )
-    def test_random_traces_match(self, seed, rate, num_requests, switch, dataset):
+    def test_random_traces_match(self, seed, shape, switch):
         """Mixed's long prompts queue behind busy instances and decode on
         multi-instance groups, so its examples reach windows with work
-        queued and group windows (counted in the hypothesis statistics)."""
+        queued, group windows and, overloaded, co-opt refusals that bound
+        a window (counted in the hypothesis statistics)."""
+        dataset, rate, num_requests = shape
         lengths = {"ShareGPT": SHAREGPT, "Mixed": MIXED}[dataset]
         trace = make_trace(lengths, rate=rate, num_requests=num_requests, seed=seed)
         config = default_config(scheduler=SchedulerConfig(**SWITCHES[switch]))
@@ -600,6 +651,8 @@ class TestDecodeWindowsMatchTheWindowlessReference:
             event("a window ran with work queued")
         if server.group_hand_offs:
             event("a multi-instance group ran in a window")
+        if server.coopt_bounds:
+            event("a co-opt refusal bounded a window")
 
 
 def _filled_batches(server, used, output_len=400) -> list[Request]:
@@ -633,20 +686,50 @@ def _two_instance_group(server, free, output_lens) -> tuple[list[Request], int]:
 
 
 class ProofSpy(LoongServeServer):
-    """The windowed server, recording each blocked-queue proof it tried:
-    ``(phase 1 tipped, AvgLat_d, held)``."""
+    """The windowed server, recording each scheduler pass with work
+    queued as ``(phase 1 tipped, AvgLat_d, SchedulePlan.holds)``."""
 
     proofs: tuple = ()
 
-    def _stays_blocked(self, tipped, avg_decode_latency):
-        held = super()._stays_blocked(tipped, avg_decode_latency)
-        self.proofs += ((tipped, avg_decode_latency, held),)
-        return held
+    def __init__(self, config) -> None:
+        super().__init__(config)
+        schedule = self.manager.schedule
+
+        def spy(**kwargs):
+            plan = schedule(**kwargs)
+            if kwargs["pending"]:
+                self.proofs += (
+                    (_dispatch(self).tipped, kwargs["avg_decode_latency"], plan.holds),
+                )
+            return plan
+
+        self.manager.schedule = spy
+
+
+class PhaseOneSpy:
+    """Put in front of a server: records, at each tick with work queued
+    and nothing unvetted, ``(time, requests phase 1 admits)``."""
+
+    phase_one: tuple = ()
+
+    def _tick(self) -> None:
+        if self.pending and not self._unvetted:
+            self.phase_one += ((self.sim.now, len(_dispatch(self).requests)),)
+        super()._tick()
+
+
+def _over_cap(requests):
+    """Declare a one-token output cap on each of ``requests``, which
+    decode past it: they reserve no eviction-avoidance growth, so each
+    token they append takes a slot from that reserve too."""
+    for request in requests:
+        request.max_tokens = 1
+    return requests
 
 
 class TestQueuedAndGroupWindows:
-    """Windows open with work queued where the last tick provably left
-    it blocked, and run multi-instance groups, exactly."""
+    """Windows open with work queued up to where the last tick's refusal
+    provably holds, and run multi-instance groups, exactly."""
 
     def test_a_blocked_queue_runs_in_windows(self):
         """A head needing nearly the whole cluster waits while every
@@ -681,8 +764,12 @@ class TestQueuedAndGroupWindows:
         """Phase 1 stops at the tipping point with a measured AvgLat_d
         far above the batches' decode time: Eq. 2 gains, and Eq. 1's
         cost falls as the outputs grow, so the co-opt the first tick
-        refuses fires a few ends later.  No window opens with the queue,
-        and the prefill starts long before any decode completes."""
+        refuses fires some ends later.  That tick bounds every batch at
+        the same end (same progress, same wait), and here the bound is
+        exact: queued windows run every earlier end, and the most-free
+        batch, the first to reach it, takes the full path there.  The
+        co-opt fires at that end, the only queued one off the windows,
+        long before any decode completes."""
 
         def build(server):
             # Each instance holds more than the others have free, so
@@ -696,15 +783,124 @@ class TestQueuedAndGroupWindows:
             return requests + queued, None
 
         server, record, _ = _serve_both(build)
-        assert not server.queued_windows
+        (_, marks), *_ = server.bounds
+        (mark,) = set(marks.values())  # each first request's last windowed count
+        assert mark > 10
+        assert server.queued_windows and server.queued_ends == 1
+        ((time, batch_id, generated),) = server.hand_backs
+        assert generated == mark  # its end at the bound
+        ((launched, group),) = server.launches
+        assert launched == time and group == (2,)  # the most free
         coopted_start = min(row[1] for row in record["requests"][4:])
         assert coopted_start < 0.2 * min(row[3] for row in record["requests"][:4])
+
+    def test_a_coopt_through_a_shrunken_extra_set_fires_k_ends_in(self):
+        """The co-opt candidate's extra set is ``[small, large]``, the
+        small one alone the better Eq. 2 gain per Eq. 1 second.  The
+        most-free batch's one request decodes past its declared cap, so
+        each of its tokens takes a slot of the eviction-avoidance
+        reserve, and a few ends in the large request no longer fits:
+        the co-opt fires with the small one alone, k ends in, about half
+        as many as the whole set would need.  Every bound the ticks give
+        hands that batch over at end k or before, the last one at k, and
+        the co-opted prefill runs the small request without the large
+        one."""
+        capacity = default_config().kv_slots_per_instance
+        sizes = (8_000, 500, 7_800)
+        # The reserve phase 1 leaves fits both extras with 6 slots to
+        # spare; each request reserves its input, output and one slot.
+        reserve = sizes[1] + sizes[2] + 2 * 51 + 6
+        growth = 1 + 3 * 400  # the capped request's one token, the others' outputs
+        free = [1_000, 1_100, 1_200]
+        free.insert(0, reserve + growth + sizes[0] + 51 - sum(free))
+
+        def build(server):
+            requests = _filled_batches(server, [capacity - f for f in free])
+            _over_cap(requests[:1])
+            server._decode_latency_sum, server._decode_latency_count = 6.4, 1
+            queued = [make_request(input_len=n, output_len=50) for n in sizes]
+            for request in queued:
+                server.submit(request)
+            decision = _dispatch(server)
+            assert decision.tipped and decision.room[1] == reserve
+            return requests + queued, server.decode_batches[0].batch_id
+
+        server, record, first = _serve_both(build)
+        (launched, group), *_ = server.launches
+        assert group == (0,)
+        (k,) = [g for time, _, g in server.hand_backs if time == launched]
+        assert 10 < k < 50
+        marks = [m[first] for time, m in server.bounds if m and time < launched]
+        assert marks[0] < k and max(marks) == marks[-1] == k
+        assert first in set().union(*server.queued_windows)
+        head, small, large = (row[1] for row in record["requests"][4:])
+        assert launched < head == small < large
+
+    def test_an_idle_instance_with_a_head_that_does_not_fit(self):
+        """Instance 3 idles, and the queued head needs more KV than it
+        has: allocation can drain no decode instance (none's KV fits on
+        the others) and the batching DP places nothing.  Queued windows
+        run every batch until step 4b fires for the one whose instance
+        fills up, whose full-path end scales it onto the idle instance."""
+        capacity = default_config().kv_slots_per_instance
+
+        def build(server):
+            requests = _filled_batches(
+                server, (capacity - 60, 160_000, 161_000), output_len=2_000
+            )
+            head = make_request(input_len=capacity + 1_000, output_len=400)
+            server.submit(head)
+            return requests + [head], server.decode_batches[0].batch_id
+
+        server, record, first = _serve_both(build)
+        grown, *_ = record["scaling"]
+        assert grown[1:] == ("scale_up", (0,), (0, 3), 1)
+        (_, marks), *_ = server.bounds
+        assert min(marks.values()) > 1_000  # the memory slack is no limit
+        hand_back, *_ = server.hand_backs
+        assert hand_back[:2] == (grown[0], first)
+        assert {first, first + 1, first + 2} in map(set, server.queued_windows)
+
+    def test_the_memory_slack_runs_out_mid_window(self):
+        """As the idle-instance case, but phase 1 admits the head with 40
+        slots of eviction-avoidance reserve to spare, and two of the
+        three decode requests run past their declared caps, taking two
+        slots of it per round of ends.  The bound lets every batch's
+        appends use at most the reserve, so windows stop before the end
+        at which phase 1 would stop admitting the head: the windowed run
+        ticks at that end as the event-per-iteration one does."""
+        capacity = default_config().kv_slots_per_instance
+        spare = (5_000, 5_100, 5_200)  # staggered, so the ends do not coincide
+
+        def build(server):
+            requests = _filled_batches(
+                server, [capacity - f for f in spare], output_len=2_000
+            )
+            _over_cap(requests[1:])
+            growth = 2_000 + 1 + 1
+            head = make_request(output_len=400)
+            head.input_len = capacity + sum(spare) - growth - 400 - 1 - 40
+            server.submit(head)
+            assert _dispatch(server).room[1] == 40
+            return requests + [head], None
+
+        server, _, _, reference = _serve_both(build, mixin=PhaseOneSpy)
+        shrunk = next(time for time, admitted in reference.phase_one if not admitted)
+        windowed = dict(server.phase_one)
+        assert windowed[shrunk] == 0
+        assert all(
+            admitted for time, admitted in server.phase_one if time < shrunk
+        )
+        assert any(
+            marks for time, marks in server.bounds if time < shrunk
+        )
+        assert server.queued_windows
 
     def test_a_warm_up_tick_never_uses_the_gain_0_proof(self):
         """The AvgLat_d seed reads the contexts a window grows.  Halfway
         through the outputs every seeded Eq. 2 wait is 0, yet a tick
-        whose phase 1 tipped leaves no proof; with a measured AvgLat_d,
-        equally spent, the same tick does."""
+        whose phase 1 tipped gives no bound; with a measured AvgLat_d,
+        equally spent, the same tick leaves every batch unbounded."""
 
         def build(server, measured=False):
             requests = _filled_batches(server, (165_000, 163_000, 161_000, 167_000))
@@ -723,13 +919,13 @@ class TestQueuedAndGroupWindows:
             build(server, measured)
             server._tick()
             server.sim.run(until=8.0)
-            tipped, avg, held = server.proofs[-1]
+            tipped, avg, holds = server.proofs[-1]
             assert tipped
             assert all(
                 wait_estimate(batch, avg, 8.0) == 0.0
                 for batch in server.decode_batches
             )
-            assert held is measured
+            assert holds == ({} if measured else None)
         _serve_both(build)
 
     @pytest.mark.parametrize("switch", sorted(SWITCHES))
@@ -823,19 +1019,30 @@ class TestQueuedAndGroupWindows:
             "scale_down", (3,), (),
         )
         assert server.pool.pools[3].free == capacity < request.kv_demand
-        assert not server._quiet
+        assert server._holds is None
 
     def test_full_path_ends_on_a_fixed_trace(self):
         """The quiet Mixed trace runs 9,877 decode iterations, of which
         56 end on the full path.  It was 100 while every wake's first
         end took the full path, and 193 with windows open only on an
         empty queue and for one-instance batches (46 with work queued,
-        51 of multi-instance groups).  A change that stops a kind of
-        window from opening moves this count."""
+        51 of multi-instance groups).  Its queue is empty at every
+        decode end, so bounding refusals left it at 56.  The golden
+        Mixed trace (8 req/s) keeps a queue: of its 8,828 decode
+        iterations 205 end on the full path, 195 with work queued.  They
+        were 6,261 and 6,251 while a queue stayed out of windows unless
+        the tick proved it blocked at every end, since phase 1 mostly
+        tips with Eq. 2's wait still positive; each tick now bounds
+        how long its refusal holds.  A change that stops a kind of
+        window from opening moves these counts."""
         server = WindowSpy(default_config())
         result = server.run(clone_requests(QUIET_MIXED))
         assert sum(s.phase is Phase.DECODE for s in result.iteration_stats) == 9_877
         assert server.full_path_ends == 56
+        server = WindowSpy(default_config())
+        result = server.run(clone_requests(GOLDEN_MIXED))
+        assert sum(s.phase is Phase.DECODE for s in result.iteration_stats) == 8_828
+        assert (server.full_path_ends, server.queued_ends) == (205, 195)
 
 
 class TestWakesStartInWindows:

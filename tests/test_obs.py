@@ -243,6 +243,29 @@ class TestObservabilityGolden:
         deltas = [b - a for a, b in zip(times, times[1:])]
         assert all(d == pytest.approx(0.25) for d in deltas)
 
+    @pytest.mark.parametrize("fleet", [False, True])
+    def test_every_finish_enters_the_latency_histograms(self, fleet):
+        """The sampler's ticks are weak events, so a run can end with
+        finishes after its last sample; the serving loop feeds them into
+        the latency histograms when the run ends, adding no sample."""
+        if fleet:
+            system = make_fleet(
+                "loongserve", replicas=2, router="round-robin",
+                requests=TRACE, num_gpus=4,
+            )
+        else:
+            system = LoongServeServer(default_config())
+        obs = Observability()
+        system.observe(obs)
+        result = system.run(clone_requests(TRACE))
+        finished = result.finished_requests
+        assert max(r.finish_time for r in finished) > obs.metrics.sample_times[-1]
+        prefix = "fleet" if fleet else "server"
+        assert obs.metrics.get(f"{prefix}.ttft").count == len(finished)
+        assert obs.metrics.get(f"{prefix}.per_token_latency").count == sum(
+            r.generated > 1 for r in finished
+        )
+
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
             Observability(telemetry_interval=0.0)
