@@ -27,7 +27,7 @@ from typing import Sequence
 from repro.core.batch import DecodeBatch
 from repro.costmodel.comm import CollectiveModel
 from repro.costmodel.latency import IterationCostModel
-from repro.kvcache.migration import MigrationPlan, plan_eviction_migration
+from repro.kvcache.migration import plan_eviction_migration
 from repro.kvcache.unified import UnifiedKVPool
 from repro.model.spec import ModelSpec
 from repro.types import Request
@@ -35,12 +35,11 @@ from repro.types import Request
 
 @dataclass
 class AllocationDecision:
-    """Final instance set for the prefill, plus any migration it required."""
+    """Final instance set for the prefill, the time of the KV migrations
+    it required, and each decode batch it took an instance from."""
 
     instances: list[int] = field(default_factory=list)
-    migrations: list[MigrationPlan] = field(default_factory=list)
     migration_time: float = 0.0
-    drained_batches: list[DecodeBatch] = field(default_factory=list)
     shrunk: list[tuple[DecodeBatch, int]] = field(default_factory=list)
 
 
@@ -230,7 +229,6 @@ def _drain_instance(
             return False
         if not migration.is_empty():
             migration.apply(pool)
-            decision.migrations.append(migration)
             decision.migration_time += migration.cost(
                 collectives, model, tensor_parallel
             )
@@ -238,8 +236,6 @@ def _drain_instance(
     if batch is not None:
         _shrink_batch_group(batch, instance_id)
         decision.shrunk.append((batch, instance_id))
-        if not batch.instance_ids:
-            decision.drained_batches.append(batch)
     decision.instances = sorted(decision.instances + [instance_id])
     return True
 

@@ -341,12 +341,7 @@ class LoongServeServer:
     # -- event handlers ----------------------------------------------------------
 
     def _post(
-        self,
-        time: float,
-        action,
-        label: str,
-        priority: int = 0,
-        seq: int | None = None,
+        self, time: float, action, priority: int = 0, seq: int | None = None
     ) -> None:
         """Post ``action`` on the calendar at ``time``, for :meth:`crash`
         to cancel.
@@ -363,16 +358,14 @@ class LoongServeServer:
             if self._epoch == epoch:
                 action()
 
-        timer = self.sim.call_at(
-            time, _run, priority=priority, label=label, seq=seq
-        )
+        timer = self.sim.call_at(time, _run, priority=priority, seq=seq)
         timers.add(timer)
 
     def _request_tick(self) -> None:
         if self._tick_pending:
             return
         self._tick_pending = True
-        self._post(self.sim.now, self._tick, "tick", priority=_TICK_PRIORITY)
+        self._post(self.sim.now, self._tick, priority=_TICK_PRIORITY)
 
     def _tick(self) -> None:
         self._tick_pending = False
@@ -792,7 +785,6 @@ class LoongServeServer:
         self._post(
             self.sim.now + (planned.start_delay + duration),
             lambda: self._on_prefill_done(planned),
-            "prefill_done",
         )
 
     def _on_prefill_done(self, planned: PlannedPrefill) -> None:
@@ -976,7 +968,7 @@ class LoongServeServer:
         end, seq = self._decode_ends[0][:2]
         if seq not in self._posted_ends:
             self._posted_ends.add(seq)
-            self._post(end, self._on_decode_wake, "decode_done", seq=seq)
+            self._post(end, self._on_decode_wake, seq=seq)
 
     def _on_decode_wake(self) -> None:
         """The decode calendar's posted head is due: run it, then every
@@ -987,10 +979,10 @@ class LoongServeServer:
         clock's horizon (:meth:`~repro.sim.engine.ShardClock.horizon_key`:
         the global key on a standalone server, an unsharded fleet or a
         replica holding hooked requests; else its own shard's, the
-        control plane's and the hooked replicas' heads), within the
-        run's ``until`` and with no stop requested, runs here in the
-        order the run loop would run it relative to everything that can
-        write to this replica, so every outcome is the discrete one.
+        control plane's and the hooked replicas' heads) and within the
+        run's ``until`` runs here in the order the run loop would run it
+        relative to everything that can write to this replica, so every
+        outcome is the discrete one.
         Other replicas' events may come first in the run loop; they
         cannot touch this replica, and it runs ahead of them.  The
         posted head passes these checks (the run loop just popped it),
@@ -1004,7 +996,7 @@ class LoongServeServer:
         sim = self.sim
         self._in_wake = True
         until = sim.until
-        while ends and not sim.stopped:
+        while ends:
             end, seq = ends[0][:2]
             if until is not None and end > until:
                 break

@@ -235,10 +235,11 @@ def make_fleet(
     autoscaler promotes with zero warm-up (requires ``autoscale`` or
     ``autoscale_predictive``).
 
-    ``sharded=False`` funnels every replica through one shared event
-    heap, whose horizon is global.  The sharded default serves identical
-    outcomes in fewer events, and faster; the shared heap is kept as the
-    reference layout the sharded fleets are checked against.
+    ``sharded=False`` puts every replica on the simulator's shard 0,
+    whose horizon is global.  The sharded default gives each replica a
+    shard of its own and serves identical outcomes in fewer events, and
+    faster; ``sharded=False`` is kept as the reference layout the
+    sharded fleets are checked against.
     """
     from repro.fleet import (
         DEFAULT_CONTROL_INTERVAL,

@@ -219,16 +219,12 @@ class FleetController:
                     max(fault.time, self.sim.now),
                     (lambda f=fault: self._inject(f)),
                     priority=_FAULT_PRIORITY,
-                    label=f"fault:{fault.replica_id}",
                 )
                 self._fault_timers.append(timer)
         self._arm()
 
     def _arm(self) -> None:
-        self.sim.call_after(
-            self.interval, self._tick,
-            priority=_CONTROL_PRIORITY, label="fleet-control-tick",
-        )
+        self.sim.call_after(self.interval, self._tick, priority=_CONTROL_PRIORITY)
 
     def _tick(self) -> None:
         self.stats.control_ticks += 1
@@ -382,9 +378,7 @@ class FleetController:
                 record = _Delivery(request=move.request, src=move.src,
                                    dst=move.dst, timer=None)
                 record.timer = self.sim.call_after(
-                    delay,
-                    (lambda r=record: self._deliver(r)),
-                    label=f"kv-migrate:{move.request.request_id}",
+                    delay, (lambda r=record: self._deliver(r))
                 )
                 self._deliveries.append(record)
             else:
@@ -432,7 +426,6 @@ class FleetController:
             fault.downtime_s,
             (lambda h=handle: self._begin_warmup(h, "recover")),
             priority=_FAULT_PRIORITY,
-            label=f"recover:{handle.replica_id}",
         )
         self._lifecycle_timers.append(timer)
 
@@ -576,7 +569,6 @@ class FleetController:
             warmup,
             (lambda h=handle: self._complete_warmup(h)),
             priority=_FAULT_PRIORITY,
-            label=f"warmup:{handle.replica_id}",
         )
         self._lifecycle_timers.append(timer)
 

@@ -246,11 +246,7 @@ class DisaggDispatcher:
             )
         if delay > 0.0:
             self.riding[request.request_id] = dst
-            self.sim.call_after(
-                delay,
-                (lambda: self._deliver(request, dst)),
-                label=f"disagg-handoff:{request.request_id}",
-            )
+            self.sim.call_after(delay, (lambda: self._deliver(request, dst)))
         else:
             self._deliver(request, dst)
 

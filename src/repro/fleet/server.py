@@ -430,8 +430,8 @@ class FleetServer(Fleet):
         self.control_interval = control_interval
         # Sharded calendars: each replica schedules on its own event
         # queue and runs ahead to its own horizon (the same outcomes as
-        # the shared heap, in fewer events); the control plane keeps the
-        # simulator's own queue.
+        # every replica on shard 0, in fewer events); the control plane
+        # keeps shard 0, the simulator's own queue.
         self.sharded = sharded
         self.name = f"{replicas[0].name} x{len(replicas)} [{policy.name}]"
         self.obs = None

@@ -195,12 +195,7 @@ class Observability:
             sample(sim.now)
             if sim.next_event_time() is not None:
                 sim.call_after(
-                    interval, _tick,
-                    priority=_SAMPLE_PRIORITY, label="telemetry-sample",
-                    weak=True,
+                    interval, _tick, priority=_SAMPLE_PRIORITY, weak=True
                 )
 
-        sim.call_after(
-            interval, _tick, priority=_SAMPLE_PRIORITY,
-            label="telemetry-sample", weak=True,
-        )
+        sim.call_after(interval, _tick, priority=_SAMPLE_PRIORITY, weak=True)

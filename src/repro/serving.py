@@ -83,7 +83,7 @@ def serve(
     replica.use_simulator(sim)
     submitted = list(requests)
     for time, group in groupby(submitted, key=_arrival_time):
-        sim.call_at(time, partial(_arrive, replica, list(group)), label="arrival")
+        sim.call_at(time, partial(_arrive, replica, list(group)))
     if driver is not None:
 
         def _submit(request: Request) -> None:

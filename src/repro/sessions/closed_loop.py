@@ -61,7 +61,6 @@ class ClosedLoopDriver:
             sim.call_at(
                 plan.start_time,
                 (lambda p=plan: self._submit_turn(sim, submit, p, 0)),
-                label=f"session-open:{plan.session_id}",
             )
 
     def _submit_turn(self, sim, submit, plan: SessionPlan, index: int) -> None:
@@ -83,7 +82,6 @@ class ClosedLoopDriver:
                 sim.call_at(
                     finish_time + turn.think_gap,
                     (lambda: self._submit_turn(sim, submit, plan, index + 1)),
-                    label=f"session-think:{plan.session_id}:{index + 1}",
                 )
 
             request.on_finish = _chain

@@ -1,27 +1,26 @@
 """The simulation run loop.
 
-Two layouts share one clock discipline:
+Every event sits on one of the simulator's calendars (*shards*), each
+an :class:`~repro.sim.events.EventQueue`.  Shard 0 is the simulator's
+own queue: a standalone server, the fleet control plane (arrivals,
+control ticks, faults, steal deliveries, telemetry) and every replica
+of an unsharded fleet post there.  A sharded fleet opens one more shard
+per replica (:meth:`Simulator.create_shard`), so each replica's events
+sift in a heap of their own: a pop costs O(log own-shard events) +
+O(log shards), and each replica's calendar stays cache-local.  One run
+loop pops the smallest live head across the shards through a small
+top-level heap of posted shard heads.
 
-* **Single calendar** (default): one :class:`~repro.sim.events.EventQueue`
-  holds every event — the layout every single-server run uses, kept as
-  the fast path with zero new work on its hot loop.
-* **Sharded calendars** (:meth:`Simulator.create_shard`): each shard —
-  one per fleet replica, with the simulator's own queue as shard 0 for
-  the control plane — owns its events, and the run loop coordinates
-  through a small top-level heap of per-shard head keys.  Pop cost
-  drops from O(log total-events) to O(log own-shard events) +
-  O(log shards), and each replica's calendar stays cache-local.
-
-Every shard queue draws seq numbers from one shared counter, so the run
-loop pops in the single heap's ``(time, priority, seq)`` order.  What a
-sharded run keeps is every **outcome**, not every event: a replica's
-server may run work of its own ahead of other replicas' events, up to
-its horizon (:meth:`ShardClock.horizon_key`), the earliest event that
-can touch it.  Work that cannot be touched runs in the order it would
-have run, so per-request records, iteration stats, scaling events and
-makespan are those of the single calendar, and only the number of
-events falls (golden-gated in ``tests/test_sim_sharded.py`` and
-``tests/test_perfbench_goldens.py``).
+Every shard queue draws seq numbers from one shared counter, so the
+loop pops in one ``(time, priority, seq)`` order whatever the layout.
+What a sharded fleet keeps is every **outcome**, not every event: a
+replica's server may run work of its own ahead of other replicas'
+events, up to its horizon (:meth:`ShardClock.horizon_key`), the
+earliest event that can touch it.  Work that cannot be touched runs in
+the order it would have run, so per-request records, iteration stats,
+scaling events and makespan are those of the unsharded fleet, and only
+the number of events falls (golden-gated in
+``tests/test_sim_sharded.py`` and ``tests/test_perfbench_goldens.py``).
 """
 
 from __future__ import annotations
@@ -33,33 +32,31 @@ from repro.sim.events import EventQueue, Timer
 
 
 class Simulator:
-    """A virtual clock plus one or more event calendars.
+    """A virtual clock plus its event calendars.
 
     Serving systems schedule callbacks with :meth:`call_at` /
-    :meth:`call_after`; :meth:`run` drains the calendars in timestamp
-    order.  Scheduling in the past raises.  On one calendar the clock
-    never goes backwards; with shards it can step back between
-    replicas that run ahead of each other (see :class:`ShardClock`).
+    :meth:`call_after`; :meth:`run` drains the calendars in
+    ``(time, priority, seq)`` order.  Scheduling in the past raises.
+    With shard 0 alone the clock never goes backwards; with replica
+    shards it can step back between replicas that run ahead of each
+    other (see :class:`ShardClock`).
     """
 
     def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
-        self._stopped = False
         self._until: float | None = None
         self._events_processed = 0
-        # Sharded layout (armed lazily by create_shard): _shards[0] is
-        # the simulator's own queue; _top is a heap of posted per-shard
-        # head entries and _posted[s] is the entry this loop believes is
-        # shard s's minimum.  Entries are the shard heaps' own
-        # (time, priority, seq, event) tuples, shared by identity — the
-        # top heap allocates nothing per event, and staleness checks are
-        # single pointer compares.  Invariant: whenever shard s is
-        # non-empty, _posted[s] is set and sorts <= its live head — so
-        # the smallest posted entry that still *is* its shard's live
-        # head is the global minimum.
+        # _shards[0] is the simulator's own queue; _top is a heap of
+        # posted per-shard head entries and _posted[s] is the entry this
+        # loop believes is shard s's minimum.  Entries are the shard
+        # heaps' own (time, priority, seq, event) tuples, shared by
+        # identity — the top heap allocates nothing per event, and
+        # staleness checks are single pointer compares.  Invariant:
+        # whenever shard s is non-empty, _posted[s] is set and sorts <=
+        # its live head — so the smallest posted entry that still *is*
+        # its shard's live head is the global minimum.
         self._shards: list[EventQueue] = [self._queue]
-        self._multi = False
         self._top: list[tuple] = []
         self._posted: list[tuple | None] = [None]
         # Which shards' events may write to other replicas: shard 0
@@ -72,8 +69,7 @@ class Simulator:
         self._running = 0
         # The latest time any event reached with advance_to: a replica
         # running ahead of its peers' events leaves the clock behind it
-        # when the loop pops their earlier events, and a sharded run
-        # ends here.
+        # when the loop pops their earlier events, and a run ends here.
         self._high = 0.0
 
     @property
@@ -93,22 +89,15 @@ class Simulator:
         """
         return self._until
 
-    @property
-    def stopped(self) -> bool:
-        """True once :meth:`stop` asked the run in progress to exit."""
-        return self._stopped
-
     def next_event_time(self) -> float | None:
-        """Timestamp of the next live scheduled event (None when idle).
+        """Timestamp of the next live scheduled event on any shard (None
+        when idle).
 
         The idle test: the serving loop reads a run that ends with
         nothing queued as one that ran out of work, not out of its event
         budget, and the telemetry sampler stops re-arming once nothing
-        else is queued.  In sharded mode this is the minimum over every
-        shard.
+        else is queued.
         """
-        if not self._multi:
-            return self._queue.peek_time()
         head = self._top_head()
         return None if head is None else head[0]
 
@@ -122,8 +111,6 @@ class Simulator:
         sorts below this: it is then what the loop would run next.
         :meth:`ShardClock.horizon_key` answers for a replica on a shard.
         """
-        if not self._multi:
-            return self._queue.peek_key()
         head = self._top_head()
         return None if head is None else head[:3]
 
@@ -151,41 +138,20 @@ class Simulator:
             self._high = time
 
     # ------------------------------------------------------------------
-    # Sharded calendars
+    # Shards
     # ------------------------------------------------------------------
 
     def create_shard(self) -> "ShardClock":
-        """Open a new event calendar and return its clock facade.
+        """Open a new, empty event calendar and return its clock facade.
 
-        Fleet runs give each replica a shard so its events sift in a
-        heap of its own; the simulator's original queue becomes shard 0
-        and keeps the control plane (arrivals, control ticks, faults,
-        steal deliveries).  Call before scheduling replica work.
+        A sharded fleet gives each replica one, so its events sift in a
+        heap of their own; shard 0 keeps the control plane.
         """
-        if not self._multi:
-            self._multi = True
-            self._top = []
-            self._posted = [None]
-            self._repost(0)
         queue = EventQueue(counter=self._queue._counter)
         self._shards.append(queue)
         self._posted.append(None)
         self._reaches.append(False)
-        shard_id = len(self._shards) - 1
-        self._repost(shard_id)
-        return ShardClock(self, shard_id, queue)
-
-    def _repost(self, shard_id: int) -> None:
-        """Post shard's live head entry to the top heap if not covered."""
-        queue = self._shards[shard_id]
-        queue.peek_time()  # clear lazily-cancelled heads first
-        heap = queue._heap
-        if heap:
-            entry = heap[0]
-            posted = self._posted[shard_id]
-            if posted is None or entry < posted:
-                self._posted[shard_id] = entry
-                heapq.heappush(self._top, entry)
+        return ShardClock(self, len(self._shards) - 1, queue)
 
     def _notify(self, shard_id: int, entry: tuple) -> None:
         """A push landed on ``shard_id``; ``entry`` is its heap tuple."""
@@ -202,38 +168,31 @@ class Simulator:
         when it (a) still matches ``_posted`` for its shard — a smaller
         key posted later supersedes it — and (b) still is the shard's
         live head — a cancelled head leaves a stale posted key, which is
-        replaced by re-posting the live head.  Every non-empty shard
+        replaced by posting the live head.  Every non-empty shard
         always has a posted entry at or below its live head, so the
         first entry passing both checks is the global minimum under the
-        exact single-heap (time, priority, seq) order.
+        (time, priority, seq) order.
         """
         top = self._top
         posted = self._posted
-        heappop, heappush = heapq.heappop, heapq.heappush
         while top:
             entry = top[0]
             sid = entry[3].shard
             if posted[sid] is not entry:
-                heappop(top)  # superseded by a smaller post
+                heapq.heappop(top)  # superseded by a smaller post
                 continue
-            # Validate against the shard's live head: clear lazily-
-            # cancelled heads, then one identity compare (the top heap
-            # shares the shard heaps' tuples) decides staleness.
-            queue = self._shards[sid]
-            sheap = queue._heap
-            while sheap and sheap[0][3].cancelled:
-                heappop(sheap)[3].popped = True
-                queue._cancelled -= 1
-            if sheap and sheap[0] is entry:
+            # One identity compare (the top heap shares the shard heaps'
+            # tuples) against the live head decides staleness.
+            live = self._shards[sid].head()
+            if live is entry:
                 return entry
-            # Head was cancelled; drop the stale entry and re-post the
-            # live head so the shard stays covered.
-            heappop(top)
-            posted[sid] = None
-            if sheap:
-                live = sheap[0]
-                posted[sid] = live
-                heappush(top, live)
+            # The head was cancelled: post the live one in its place so
+            # the shard stays covered.
+            posted[sid] = live
+            if live is None:
+                heapq.heappop(top)
+            else:
+                heapq.heapreplace(top, live)
         return None
 
     # ------------------------------------------------------------------
@@ -245,11 +204,10 @@ class Simulator:
         time: float,
         action: Callable[[], None],
         priority: int = 0,
-        label: str = "",
         weak: bool = False,
         seq: int | None = None,
     ) -> Timer:
-        """Schedule ``action`` at absolute virtual time ``time``.
+        """Schedule ``action`` on shard 0 at absolute virtual time ``time``.
 
         ``weak`` events are pure observers: one popped with no other
         live event remaining is discarded instead of run, so it neither
@@ -259,105 +217,53 @@ class Simulator:
         """
         if time < self._now:
             raise ValueError(f"cannot schedule at {time:.6f}, clock is at {self._now:.6f}")
-        if self._multi:
-            if not self._reaches[self._running]:
-                _unreachable_post(self._running, 0)
-            entry = self._queue.push_entry(
-                time, action, priority=priority, label=label, weak=weak, seq=seq
-            )
-            self._notify(0, entry)
-            return Timer(event=entry[3], queue=self._queue)
-        event = self._queue.push(
-            time, action, priority=priority, label=label, weak=weak, seq=seq
-        )
-        return Timer(event=event, queue=self._queue)
+        if not self._reaches[self._running]:
+            _unreachable_post(self._running, 0)
+        entry = self._queue.push_entry(time, action, priority, weak, seq)
+        self._notify(0, entry)
+        return Timer(event=entry[3], queue=self._queue)
 
     def call_after(
         self,
         delay: float,
         action: Callable[[], None],
         priority: int = 0,
-        label: str = "",
         weak: bool = False,
     ) -> Timer:
         """Schedule ``action`` after a relative delay."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.call_at(
-            self._now + delay, action, priority=priority, label=label, weak=weak
-        )
-
-    def stop(self) -> None:
-        """Request the run loop to exit after the current event."""
-        self._stopped = True
+        return self.call_at(self._now + delay, action, priority=priority, weak=weak)
 
     # ------------------------------------------------------------------
-    # Run loops
+    # Run loop
     # ------------------------------------------------------------------
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
-        """Process events until the queues drain, ``until`` passes, or
-        ``max_events`` fire.  Returns the final clock value.
+        """Process events until the calendars drain, ``until`` passes,
+        or ``max_events`` fire.  Returns the final clock value.
 
-        ``peek_time`` skips lazily-cancelled heads, so the ``until``
-        comparison only ever sees live events: a dead timer beyond the
-        bound can neither leave phantom work in the queue nor make the
-        loop break on a timestamp that will never fire.  ``until`` also
-        bounds work an event runs past its own timestamp (a server's
-        decode window reads it as :attr:`until`); ``max_events`` counts
-        events, and one event may carry many decode iterations.
-        """
-        self._until = until
-        if self._multi:
-            return self._run_sharded(until, max_events)
-        self._stopped = False
-        processed = 0
-        queue = self._queue
-        while not self._stopped:
-            next_time = queue.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                self._now = until
-                break
-            event = queue.pop()
-            if event.cancelled:
-                # Cancelled timers are lazily discarded: they neither run
-                # nor consume the caller's event budget, so a timer-heavy
-                # trace cannot exhaust ``run_until_idle`` on no-ops.
-                continue
-            if event.weak and queue.peek_time() is None:
-                # A trailing weak event (pure observer with nothing left
-                # to observe) is discarded like a cancelled one: the
-                # clock stays at the last real event.
-                continue
-            self._now = event.time
-            event.action()
-            self._events_processed += 1
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                break
-        if until is not None and self._now < until and queue.peek_time() is None:
-            self._now = until
-        return self._now
-
-    def _run_sharded(self, until: float | None, max_events: int | None) -> float:
-        """Sharded run loop: pop the globally-minimal head across shards
-        (:meth:`_top_head`), noting whose event runs.
+        Each step pops the globally minimal live head (:meth:`_top_head`)
+        and notes whose event runs.  Cancelled timers are skipped lazily
+        and never count, so a dead timer beyond the bound can neither
+        leave phantom work queued nor make the loop break on a timestamp
+        that will never fire.  ``until`` also bounds work an event runs
+        past its own timestamp (a server's decode window reads it as
+        :attr:`until`); ``max_events`` counts events, and one event may
+        carry many decode iterations.
 
         Popped times never fall, but the clock can step back: an event
         whose replica ran ahead (:meth:`advance_to`) leaves it past the
         head the loop pops next.  The run ends at the latest time any
-        event reached, so a ``stop()`` or ``max_events`` cut leaves the
-        replicas that ran ahead where they are.
+        event reached, so a ``max_events`` cut leaves the replicas that
+        ran ahead where they are.
         """
-        self._stopped = False
+        self._until = until
         processed = 0
         top = self._top
         posted = self._posted
         shards = self._shards
-        heappop, heappush = heapq.heappop, heapq.heappush
-        while not self._stopped:
+        while True:
             entry = self._top_head()
             if entry is None:
                 break  # every shard drained
@@ -367,20 +273,19 @@ class Simulator:
             event = entry[3]
             shard_id = event.shard
             queue = shards[shard_id]
-            heappop(top)
-            posted[shard_id] = None
             queue.pop()  # pops this same entry; marks the event popped
             # Cover the shard's next head before running the event: an
             # action that schedules nothing here must not strand it.
-            sheap = queue._heap
-            while sheap and sheap[0][3].cancelled:
-                heappop(sheap)[3].popped = True
-                queue._cancelled -= 1
-            if sheap:
-                live = sheap[0]
-                posted[shard_id] = live
-                heappush(top, live)
+            live = queue.head()
+            posted[shard_id] = live
+            if live is None:
+                heapq.heappop(top)
+            else:
+                heapq.heapreplace(top, live)
             if event.weak and self._top_head() is None:
+                # A trailing weak event (pure observer with nothing left
+                # to observe) is discarded: the clock stays at the last
+                # real event.
                 continue
             self._now = event.time
             self._running = shard_id
@@ -405,8 +310,8 @@ class ShardClock:
     """One shard's view of a sharded :class:`Simulator`.
 
     Quacks like the simulator for the APIs a replica server uses
-    (``now`` / ``call_at`` / ``call_after`` / ``stop`` / ``stopped`` /
-    ``until`` / ``advance_to`` / ``next_seq`` / ``events_processed`` /
+    (``now`` / ``call_at`` / ``call_after`` / ``until`` /
+    ``advance_to`` / ``next_seq`` / ``events_processed`` /
     ``horizon_key``), but schedules onto its own calendar.
 
     :meth:`horizon_key` is the replica's horizon: the earliest event
@@ -433,8 +338,8 @@ class ShardClock:
     Because a replica runs ahead of its peers' events, the clock can
     step back between shards: the loop pops a peer's earlier event
     after a replica advanced past it.  Each replica's own clock never
-    does, and a run ends at the latest time reached; ``stop()`` and
-    ``max_events`` leave the replicas that ran ahead where they are.
+    does, and a run ends at the latest time reached; a ``max_events``
+    cut leaves the replicas that ran ahead where they are.
     """
 
     __slots__ = ("_sim", "shard_id", "_queue")
@@ -455,10 +360,6 @@ class ShardClock:
     @property
     def until(self) -> float | None:
         return self._sim._until
-
-    @property
-    def stopped(self) -> bool:
-        return self._sim._stopped
 
     def horizon_key(self) -> tuple | None:
         """The ``(time, priority, seq)`` key of the earliest live event
@@ -497,7 +398,6 @@ class ShardClock:
         time: float,
         action: Callable[[], None],
         priority: int = 0,
-        label: str = "",
         weak: bool = False,
         seq: int | None = None,
     ) -> Timer:
@@ -507,9 +407,7 @@ class ShardClock:
         running = sim._running
         if running != self.shard_id and not sim._reaches[running]:
             _unreachable_post(running, self.shard_id)
-        entry = self._queue.push_entry(
-            time, action, priority=priority, label=label, weak=weak, seq=seq
-        )
+        entry = self._queue.push_entry(time, action, priority, weak, seq)
         event = entry[3]
         event.shard = self.shard_id
         sim._notify(self.shard_id, entry)
@@ -520,17 +418,11 @@ class ShardClock:
         delay: float,
         action: Callable[[], None],
         priority: int = 0,
-        label: str = "",
         weak: bool = False,
     ) -> Timer:
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.call_at(
-            self._sim._now + delay, action, priority=priority, label=label, weak=weak
-        )
-
-    def stop(self) -> None:
-        self._sim.stop()
+        return self.call_at(self._sim._now + delay, action, priority=priority, weak=weak)
 
 
 def _unreachable_post(running: int, target: int) -> None:

@@ -27,8 +27,8 @@ class Event:
     """
 
     __slots__ = (
-        "time", "priority", "seq", "action", "label", "cancelled", "popped",
-        "weak", "shard",
+        "time", "priority", "seq", "action", "cancelled", "popped", "weak",
+        "shard",
     )
 
     def __init__(
@@ -37,14 +37,12 @@ class Event:
         priority: int,
         seq: int,
         action: Callable[[], None],
-        label: str = "",
         weak: bool = False,
     ) -> None:
         self.time = time
         self.priority = priority
         self.seq = seq
         self.action = action
-        self.label = label
         self.cancelled = False
         self.popped = False
         # A weak event runs only if another live event remains queued:
@@ -52,11 +50,11 @@ class Event:
         # pure observers (telemetry samplers) never stretch a run's
         # makespan past its final real event.
         self.weak = weak
-        # Which calendar holds this event in a sharded simulator (0 =
-        # the simulator's own queue).  The sharded run loop shares the
-        # heap-entry tuples between the shard heaps and its top-level
-        # heap — allocation-free coordination — and reads the owning
-        # shard back off the event.
+        # Which of the simulator's calendars holds this event (0 = the
+        # simulator's own queue).  The run loop shares the heap-entry
+        # tuples between the shard heaps and its top-level heap —
+        # allocation-free coordination — and reads the owning shard
+        # back off the event.
         self.shard = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -68,7 +66,7 @@ class EventQueue:
     """A monotonic min-heap of events.
 
     Cancelled events are flagged in place (heap removal is O(n)) and
-    lazily discarded on pop or peek; once they outnumber the live events
+    lazily discarded on pop or at the :meth:`head`; once they outnumber the live events
     the heap is compacted in one O(n) rebuild, so long timer-heavy runs
     keep their pop cost at O(log live) instead of O(log total-ever-
     cancelled).
@@ -81,10 +79,10 @@ class EventQueue:
 
     def __init__(self, counter: "itertools.count | None" = None) -> None:
         self._heap: list[_HeapEntry] = []
-        # Sharded simulators pass one shared counter to every shard's
-        # queue: seq numbers are then allocated in global program order,
-        # so the (time, priority, seq) total order — and therefore the
-        # pop order — is identical to a single queue holding all events.
+        # A simulator passes one shared counter to every shard's queue:
+        # seq numbers are then allocated in global program order, so the
+        # (time, priority, seq) total order — and therefore the pop
+        # order — is one across shards, whichever shard holds an event.
         self._counter = counter if counter is not None else itertools.count()
         self._cancelled = 0
 
@@ -93,42 +91,33 @@ class EventQueue:
         time: float,
         action: Callable[[], None],
         priority: int = 0,
-        label: str = "",
         weak: bool = False,
         seq: int | None = None,
     ) -> Event:
-        """Schedule ``action``; ``seq`` reuses a number drawn earlier
-        with :meth:`next_seq` instead of drawing a fresh one."""
-        if time < 0:
-            raise ValueError(f"event time must be non-negative, got {time}")
-        if seq is None:
-            seq = next(self._counter)
-        event = Event(time, priority, seq, action, label, weak)
-        heapq.heappush(self._heap, (time, priority, seq, event))
-        return event
+        """Schedule ``action`` and return its event (see :meth:`push_entry`)."""
+        return self.push_entry(time, action, priority, weak, seq)[3]
 
     def push_entry(
         self,
         time: float,
         action: Callable[[], None],
         priority: int = 0,
-        label: str = "",
         weak: bool = False,
         seq: int | None = None,
     ) -> _HeapEntry:
-        """:meth:`push`, but returns the heap entry tuple itself.
+        """Schedule ``action`` and return its heap entry tuple; ``seq``
+        reuses a number drawn earlier with :meth:`next_seq` instead of
+        drawing a fresh one.
 
-        The sharded run loop re-posts this exact tuple into its
-        top-level heap, so cross-calendar coordination allocates nothing
-        beyond what a single-heap push already would — per-event
-        allocation parity keeps GC pressure (a measurable fleet-scale
-        cost) identical to the unsharded engine.
+        The run loop posts this exact tuple into its top-level heap of
+        shard heads, so coordinating the calendars allocates nothing
+        beyond the push itself.
         """
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
         if seq is None:
             seq = next(self._counter)
-        event = Event(time, priority, seq, action, label, weak)
+        event = Event(time, priority, seq, action, weak)
         entry = (time, priority, seq, event)
         heapq.heappush(self._heap, entry)
         return entry
@@ -174,37 +163,16 @@ class EventQueue:
             self._cancelled -= 1
         return event
 
-    def peek_time(self) -> float | None:
-        """Timestamp of the next *live* event (None when none remain).
-
-        Lazily-cancelled heads are dropped on the way: a dead timer's
-        timestamp must never leak into ``Simulator.run``'s ``until``
-        comparison (or any other consumer's horizon decision), so the
-        head this reports is always a live event.
-        """
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)[3].popped = True
-            self._cancelled -= 1
-        return heap[0][0] if heap else None
-
-    def peek_key(self) -> tuple | None:
-        """Full ``(time, priority, seq)`` key of the next live event.
-
-        Same lazy-cancelled-head cleanup as :meth:`peek_time`; the
-        sharded run loop needs the whole key so per-shard heads compare
-        under the exact single-heap tie-break order.
-        """
-        head = self.head()
-        return None if head is None else head[:3]
-
     def head(self) -> _HeapEntry | None:
-        """The next live event's heap entry, ``(time, priority, seq,
-        event)`` (None when none remain), after the same cleanup.
+        """The next *live* event's heap entry, ``(time, priority, seq,
+        event)`` (None when none remain).
 
-        Entries compare by key alone (seq numbers are unique), so a
-        replica's horizon takes the minimum of several calendars' heads
-        without building a key for each.
+        Lazily-cancelled heads are dropped on the way: a dead timer must
+        never leak into the run loop's ``until`` comparison or any
+        horizon decision, so the head this reports is always a live
+        event.  Entries compare by key alone (seq numbers are unique),
+        so a replica's horizon takes the minimum of several calendars'
+        heads without building a key for each.
         """
         heap = self._heap
         while heap and heap[0][3].cancelled:

@@ -74,9 +74,7 @@ class WindowlessServer(LoongServeServer):
     """
 
     def _schedule_decode_end(self, end, batch, masters, group) -> None:
-        self._post(
-            end, lambda: self._on_decode_done(batch, masters, group), "decode_done"
-        )
+        self._post(end, lambda: self._on_decode_done(batch, masters, group))
 
     def _can_tick_inline(self, now: float) -> bool:
         return False

@@ -22,6 +22,7 @@ from repro.core.server import LoongServeServer
 from repro.experiments.systems import CRASHABLE_SYSTEMS, make_fleet, make_system
 from repro.fleet import CLONE_ID_OFFSET
 from repro.obs import Observability
+from repro.serving import serve
 from repro.types import Request, next_request_id
 from repro.workloads.datasets import LEVAL, LVEVAL, MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
@@ -137,6 +138,27 @@ class TestFleetLiveness:
         result = fleet.run(trace)
         assert result.stranded == [held]
         assert len(result.finished_requests) == len(trace) - 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: cached prefixes fill a 2-GPU decode "
+        "replica's pool behind a preempted head",
+    )
+    @pytest.mark.parametrize("steal", [False, True])
+    def test_overloaded_disagg_decode_pool_ends_every_request(self, steal):
+        # Without steal the run goes idle at t = 53.0 s with 7 of 16
+        # requests stranded on decode replica 3, behind preempted request
+        # 6 (a 145,625-token prompt), while cached prefixes hold 65,756
+        # of the pool's 211,382 slots.  With steal the control loop never
+        # lets the run go idle, so nothing is reported stranded.
+        fleet = make_fleet(
+            "loongserve", replicas=4, disagg=3, num_gpus=2,
+            router="round-robin", prefix_cache=True, steal=steal,
+        )
+        trace = clone_requests(make_trace(MIXED, rate=2.0, num_requests=16, seed=4))
+        serve(fleet, trace, max_events=20_000)
+        assert all(request.finished for request in trace)
+        assert fleet.sim.next_event_time() is None
 
 
 class NeverPlans(EnginePolicy):

@@ -249,8 +249,13 @@ class TestAllocation:
             [request], [0, 3], pool, [batch], predictor,
             cost_model.collectives, LWM_7B_1M, 2,
         )
-        if decision.migrations:
-            assert decision.migration_time > 0
+        # Instance 2's 100 tokens move to instance 1, and the move is
+        # charged.
+        assert decision.shrunk == [(batch, 2)]
+        assert decision.instances == [0, 2, 3]
+        assert pool.pools[2].used == 0
+        assert pool.pools[1].used == 5_100
+        assert decision.migration_time > 0
 
 
 class TestScaleDownPlanning:

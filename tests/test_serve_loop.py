@@ -177,9 +177,7 @@ class PerRequestArrivals:
 
     def install(self, sim, submit):
         for request in self.requests:
-            sim.call_at(
-                request.arrival_time, partial(submit, request), label="arrival"
-            )
+            sim.call_at(request.arrival_time, partial(submit, request))
 
 
 # Fleets the serving loop drives: route-once placement, disagg pools

@@ -117,15 +117,14 @@ class TestSimulator:
         sim.run_until_idle()
         assert log == ["drawn first", "pushed"]
 
-    def test_the_running_event_sees_the_run_bound_and_stop(self):
+    def test_the_running_event_sees_the_run_bound(self):
         sim = Simulator()
         seen = []
-        sim.call_at(1.0, lambda: seen.append((sim.until, sim.stopped)))
-        sim.call_at(2.0, lambda: (sim.stop(), seen.append(sim.stopped)))
+        sim.call_at(1.0, lambda: seen.append(sim.until))
         sim.run(until=5.0)
-        assert seen == [(5.0, False), True]
+        assert seen == [5.0]
         sim.run_until_idle()
-        assert sim.until is None and not sim.stopped
+        assert sim.until is None
 
     def test_advance_to_moves_forward_only(self):
         sim = Simulator()
@@ -133,14 +132,6 @@ class TestSimulator:
         assert sim.now == 2.0
         with pytest.raises(ValueError):
             sim.advance_to(1.0)
-
-    def test_stop_exits_loop(self):
-        sim = Simulator()
-        seen = []
-        sim.call_at(1.0, lambda: (seen.append(1), sim.stop()))
-        sim.call_at(2.0, lambda: seen.append(2))
-        sim.run_until_idle()
-        assert seen == [(1, None)] or len(seen) == 1
 
     def test_deterministic_replay(self):
         def run_once() -> list[float]:

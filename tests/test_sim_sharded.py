@@ -1,18 +1,19 @@
-"""Sharded event calendars serve exactly what the single heap serves.
+"""Sharded event calendars serve exactly what one calendar serves.
 
-The sharded engine (``Simulator.create_shard`` + ``ShardClock``) pops in
-the single heap's order — same ``(time, priority, seq)`` tie-breaks,
-same weak/cancelled handling — while each replica's events sift in a
-heap of their own.  A replica's server may also run its own work ahead
-of other replicas' events, up to its horizon
-(``ShardClock.horizon_key``): the earliest event on its own shard, on
-shard 0 (the control plane) or on a shard whose replica holds a request
-with a completion hook.  So a sharded fleet keeps every outcome, not
-every event.  This module pins both promises: unit tests on the
-coordination machinery and the horizon rules, a hypothesis differential
-harness replaying random programs on both layouts, golden-signature
-gates on elastic fleets (observability on and off), and a hypothesis
-property serving random fleet compositions on both layouts.
+The run loop pops the shards ``Simulator.create_shard`` opens (each
+behind a ``ShardClock``) in one order — the same ``(time, priority,
+seq)`` tie-breaks, the same weak/cancelled handling as shard 0 alone —
+while each replica's events sift in a heap of their own.  A replica's
+server may also run its own work ahead of other replicas' events, up to
+its horizon (``ShardClock.horizon_key``): the earliest event on its own
+shard, on shard 0 (the control plane) or on a shard whose replica holds
+a request with a completion hook.  So a sharded fleet keeps every
+outcome, not every event.  This module pins both promises: unit tests
+on the coordination machinery and the horizon rules, a hypothesis
+differential harness replaying random programs on both layouts against
+a key-order oracle, golden-signature gates on elastic fleets
+(observability on and off), and a hypothesis property serving random
+fleet compositions on both layouts.
 """
 
 import hashlib
@@ -108,16 +109,6 @@ class TestShardClock:
         for clock in (sim, clock_a, clock_b):
             assert clock.horizon_key() == (3.0, 0, 1)
 
-    def test_stop_from_a_shard_action_halts_the_run(self):
-        sim = Simulator()
-        clock = sim.create_shard()
-        log = []
-        clock.call_at(1.0, lambda: (log.append(1), clock.stop()))
-        clock.call_at(2.0, lambda: log.append(2))
-        sim.run()
-        assert log == [1]
-        assert sim.now == 1.0
-
 
 class TestHorizons:
     """Who reaches whom, where the run ends, and the loud violation."""
@@ -155,14 +146,14 @@ class TestHorizons:
         assert seen == [2.0]  # the clock stepped back for B's event
         assert sim.now == 5.0
 
-    @pytest.mark.parametrize("cut", ["stop", "max_events"])
+    @pytest.mark.parametrize("cut", ["max_events"])
     def test_a_cut_leaves_a_replica_that_ran_ahead_where_it_is(self, cut):
         sim = Simulator()
         clock_a, clock_b = sim.create_shard(), sim.create_shard()
         clock_a.call_at(1.0, lambda: clock_a.advance_to(5.0))
-        clock_b.call_at(2.0, (sim.stop if cut == "stop" else lambda: None))
+        clock_b.call_at(2.0, lambda: None)
         clock_b.call_at(3.0, lambda: None)
-        assert sim.run(max_events=2 if cut == "max_events" else None) == 5.0
+        assert sim.run(**{cut: 2}) == 5.0
         assert sim.run() == 5.0  # B's later event runs behind the clock
 
     def test_a_non_reaching_shards_post_to_another_calendar_raises(self):
@@ -298,14 +289,31 @@ _program = st.lists(
 
 def _replay(program, shards: int):
     """Run ``program`` on a simulator with ``shards`` extra calendars
-    (0 = plain single heap) and return the execution log + final clock.
-    Every shard's events post across calendars, so every shard reaches,
-    and every horizon is the global key."""
+    (0 = shard 0 alone) and return the execution log, the final clock,
+    the event count, the ``(time, priority, seq)`` key of each event
+    that ran, in run order, and every posted key that was not cancelled
+    (mapped to its ``weak`` flag).  Every shard's events post across
+    calendars, so every shard reaches, and every horizon is the global
+    key."""
     sim = Simulator()
     clocks = [sim] + [sim.create_shard() for _ in range(shards)]
     for clock in clocks:
         clock.mark_reaching()
     log = []
+    executed = []
+    live = {}
+
+    def post(schedule, when, action, priority, weak=False, cancel=False):
+        def run():
+            executed.append(key)
+            action()
+
+        timer = schedule(when, run, priority=priority, weak=weak)
+        key = (timer.event.time, timer.event.priority, timer.event.seq)
+        if cancel:
+            timer.cancel()
+        else:
+            live[key] = weak
 
     def schedule(index, target, time, priority, cancel, weak, children):
         clock = clocks[target % len(clocks)]
@@ -315,20 +323,19 @@ def _replay(program, shards: int):
             log.append((index, sim.now, clock.horizon_key()))
             for child in range(children):
                 child_clock = clocks[(target + child + 1) % len(clocks)]
-                child_clock.call_after(
+                post(
+                    child_clock.call_after,
                     0.25 * (child + 1),
-                    lambda: log.append((f"{index}.{child}", sim.now)),
+                    lambda child=child: log.append((f"{index}.{child}", sim.now)),
                     priority=child,
                 )
 
-        timer = clock.call_at(time, action, priority=priority, weak=weak)
-        if cancel:
-            timer.cancel()
+        post(clock.call_at, time, action, priority, weak=weak, cancel=cancel)
 
     for index, step in enumerate(program):
         schedule(index, *step)
     final = sim.run()
-    return log, final, sim.events_processed
+    return log, final, sim.events_processed, executed, live
 
 
 class TestDifferential:
@@ -338,6 +345,16 @@ class TestDifferential:
         single = _replay(program, shards=0)
         for shards in (1, 3):
             assert _replay(program, shards) == single
+        # The oracle every layout answers to, independent of the run
+        # loop: events run in key order, and exactly the posted events
+        # that were not cancelled run, except a weak event popped last.
+        _, _, processed, executed, live = single
+        assert executed == sorted(executed)
+        expected = sorted(live)
+        if expected and live[expected[-1]]:
+            expected.pop()
+        assert executed == expected
+        assert processed == len(executed)
 
     def test_run_until_then_resume_matches(self):
         program = [
@@ -362,7 +379,7 @@ class TestDifferential:
         assert split_run(3) == split_run(0)
 
 
-# -- golden gates: elastic fleet, sharded vs shared heap -------------------
+# -- golden gates: elastic fleet, sharded vs shard 0 alone ----------------
 
 
 def _fleet_signature(requests):
@@ -402,7 +419,7 @@ class TestFleetGoldenGates:
         assert sharded.makespan == unsharded.makespan
         # Replicas run ahead of each other's events: fewer events.
         assert sf.sim.events_processed < uf.sim.events_processed
-        assert sf.sim._multi and not uf.sim._multi
+        assert len(uf.sim._shards) == 1 and len(sf.sim._shards) == 5
 
     def test_elastic_fleet_bit_identical_obs_on(self):
         unsharded, _, uobs = _run_fleet(sharded=False, observe=True)
@@ -422,14 +439,6 @@ class TestFleetGoldenGates:
         assert _fleet_signature(observed.requests) == _fleet_signature(
             plain.requests
         )
-
-    def test_single_server_keeps_the_single_heap_fast_path(self):
-        from repro.config import default_config
-        from repro.core.server import LoongServeServer
-
-        server = LoongServeServer(default_config())
-        server.run(clone_requests(make_trace(MIXED, rate=4.0, num_requests=10, seed=7)))
-        assert not server.sim._multi
 
 
 # -- random fleet compositions, both layouts --------------------------------
@@ -541,7 +550,7 @@ class TestRandomFleets:
         """Closed-loop sessions, disagg pools, steal, autoscale, KV
         migration, faults, KV tiers, QoS and obs, in random compositions:
         replicas that run ahead of each other's events serve exactly
-        what the single heap serves."""
+        what the fleet with every replica on shard 0 serves."""
         kwargs, observe, workload = run
         unsharded = _serve_composition(kwargs, observe, workload, sharded=False)
         sharded = _serve_composition(kwargs, observe, workload, sharded=True)
