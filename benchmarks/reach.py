@@ -57,11 +57,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 # Unreached functions at the last audit; a change to it is a deliberate edit.
-# At 99 of 871 since the simulator has one run loop: ``Simulator.stop``
-# and ``ShardClock.stop`` are deleted, and ``EventQueue.push`` is no
-# longer reached (every post goes through ``push_entry``) but stays, as
-# ``perfbench/layers.py`` wraps it.
-RECORDED_UNREACHED = 99
+# At 98 of 870 since ``ElasticInstance.free_slots`` is deleted.
+# ``EventQueue.push`` is no longer reached (every post goes through
+# ``push_entry``) but stays, as ``perfbench/layers.py`` wraps it.
+RECORDED_UNREACHED = 98
 
 QOS_MIX = "interactive:0.3,standard:0.5,batch:0.2"
 
@@ -184,6 +183,13 @@ def ci_runs(tmp: Path) -> list[tuple[str, list[str], int]]:
         ("repro", ["gen-trace", "--dataset", "sharegpt", "--rate", "1", "-n", "4",
                    "-o", qos_trace], 0),
         ("repro", ["serve", "--trace", qos_trace, "--qos-mix", "interactive:1.0"], 2),
+        ("repro", ["serve", "--dataset", "sharegpt", "-n", "4", "--rate", "nan"], 2),
+        ("repro", ["serve", "--dataset", "sharegpt", "-n", "4",
+                   "--telemetry-interval", "nan"], 2),
+        ("repro", ["serve", "--dataset", "sharegpt", "-n", "4", "--replicas", "2",
+                   "--steal", "--control-interval", "nan"], 2),
+        ("repro", ["gen-trace", "--dataset", "sharegpt", "-n", "4", "--qos-mix",
+                   "bogus:1", "-o", str(tmp / "bogus-trace.jsonl")], 2),
         ("repro.experiments", ["all", "--scale", "0.05"], 0),
     ]
 

@@ -382,7 +382,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
-    trace = _sample_trace(args)
+    """Write a sampled trace; exits 2 on an option the samplers reject."""
+    try:
+        trace = _sample_trace(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     save_trace(trace, args.output)
     tokens = sum(r.input_len + r.output_len for r in trace)
     print(f"wrote {len(trace)} requests ({tokens:,} tokens) to {args.output}")

@@ -34,10 +34,6 @@ class ElasticInstance:
     def is_idle(self) -> bool:
         return self.role == InstanceRole.IDLE
 
-    @property
-    def free_slots(self) -> int:
-        return self.pool.free
-
     def assign(self, role: InstanceRole, group_id: int) -> None:
         if role == InstanceRole.IDLE:
             raise ValueError("use release() to idle an instance")
@@ -51,5 +47,5 @@ class ElasticInstance:
     def __repr__(self) -> str:  # concise for traces
         return (
             f"Instance({self.instance_id}, {self.role.value}, "
-            f"free={self.free_slots}, group={self.group_id})"
+            f"free={self.pool.free}, group={self.group_id})"
         )

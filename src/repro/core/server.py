@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from typing import Callable
 
 from repro.config import SystemConfig
 from repro.core.batch import DecodeBatch, next_batch_id
@@ -1017,7 +1018,7 @@ class LoongServeServer:
         self, key: tuple | None, until: float | None
     ) -> tuple | None:
         """Run the due own ends, across the replica's decode batches, in
-        one tight loop.
+        one loop.
 
         Called with the calendar's head due under ``key`` (the clock's
         horizon) and ``until``.  On a quiet replica (no tick queued,
@@ -1038,22 +1039,20 @@ class LoongServeServer:
         bound can touch the replica, so these checks, the idle instances
         and ``key`` hold for the whole window.
 
-        A batch joins at its first end here (:meth:`_join_window`); its
-        later ends pick up from that state.  At each end the batch runs
-        its consecutive iterations while the next one's end still comes
-        before every other event and own end (equal times go to the full
-        path), within ``until``, before its first completion and its
-        bound, while the next start finds master KV, and before step 4b
-        would fire.  Then
-        it hands off, drawing its calendar seq in
-        :meth:`_schedule_decode_end` as a full-path start would.  Each
-        iteration is priced from a running context total
+        A batch joins at its first end here (:meth:`_join_window`, which
+        builds its :class:`_Window`); its later ends pick up from that
+        state.  At each end the batch runs its consecutive iterations
+        while the next one's end still comes before every other event
+        and own end (equal times go to the full path), within ``until``,
+        before its first completion and its bound, while the next start
+        finds master KV, and before step 4b would fire.  Then it hands
+        off, drawing its calendar seq in :meth:`_schedule_decode_end` as
+        a full-path start would.  Each iteration is priced from a running
+        context total
         (:meth:`~repro.costmodel.latency.RooflineCostModel.decode_pricer`)
         and recorded as a ``BatchStats``; the token credits and KV
-        appends land in bulk when the window closes, before any
-        full-path end runs.  A one-instance batch runs in the loop
-        below; a multi-instance group re-picks its masters every
-        iteration (:class:`_GroupWindow`).
+        appends land in bulk when the window closes
+        (:meth:`_Window.land`), before any full-path end runs.
 
         Returns the first due end that needs the full path, popped from
         the calendar, or None once no own end is due.
@@ -1069,8 +1068,7 @@ class LoongServeServer:
         bound = math.inf if until is None else until
         stats = self.iteration_stats
         decode = Phase.DECODE
-        joined: dict[int, list] = {}
-        groups: dict[int, _GroupWindow] = {}
+        joined: dict[int, _Window] = {}
         last = None
         due = None
         while ends:
@@ -1078,33 +1076,19 @@ class LoongServeServer:
             end, seq, batch, masters, group = entry
             if end > bound or (key is not None and not (end, 0, seq) < key):
                 break
-            batch_id = batch.batch_id
-            state = joined.get(batch_id)
-            if state is None and batch_id not in groups:
+            window = joined.get(batch.batch_id)
+            if window is None:
                 if idle is None:
                     idle = [i for i, inst in self.instances.items() if inst.is_idle]
-                state = self._join_window(batch, masters, group, idle)
-                if state is None:
+                window = self._join_window(batch, masters, group, idle)
+                if window is None:
                     due = heappop(ends)
                     break
-                if state.__class__ is list:
-                    joined[batch_id] = state
-                else:
-                    groups[batch_id] = state
-                    state = None
+                joined[batch.batch_id] = window
             heappop(ends)
             limit = ends[0][0] if ends and ends[0][0] < horizon else horizon
-            if state is None:
-                window = groups[batch_id]
-                first = window.n
-                t = window.run(end, limit, bound)
-                if window.n == first:
-                    due = entry
-                    break
-                last = window.last
-                self._schedule_decode_end(t, batch, window.masters, group)
-                continue
-            n, total, _, _, bs, cap, free, check_4b, price, dop = state
+            bs, cap, free, check_4b, dop, repicks = window.fixed
+            n, total, price = window.n, window.total, window.price
             t = end
             first = n
             while (
@@ -1118,6 +1102,10 @@ class LoongServeServer:
                 )
             ):
                 # Credit the iteration ending at t, then start the next.
+                if repicks:
+                    price = window.repick()
+                    if price is None:
+                        break
                 n += 1
                 total += bs
                 duration = price(total + bs)
@@ -1127,17 +1115,10 @@ class LoongServeServer:
             if n == first:
                 due = entry
                 break
-            state[0] = n
-            state[1] = total
-            self._schedule_decode_end(t, batch, masters, group)
-        extend = self.pool.extend
-        for n, _, batch, instance_id, bs, *_ in joined.values():
-            if n:
-                for request in batch.requests:
-                    request.generated += n
-                    extend(request.request_id, instance_id, n)
-                self._generated_total += n * bs
-        for window in groups.values():
+            window.n = n
+            window.total = total
+            self._schedule_decode_end(t, batch, window.masters, group)
+        for window in joined.values():
             self._generated_total += window.land(self.pool)
         if last is not None:
             self.sim.advance_to(last)
@@ -1149,37 +1130,31 @@ class LoongServeServer:
         masters: tuple[int, ...],
         group: ParallelGroup,
         idle: list[int],
-    ) -> list | _GroupWindow | None:
-        """A batch's state in a quiet window, or None when its end must
-        take the full path.  A one-instance batch's is ``[iterations run,
-        context total, batch, instance, batch size, cap, free slots,
-        step-4b flag, pricer, DoP]``; a multi-instance group's is a
-        :class:`_GroupWindow`.
+    ) -> _Window | None:
+        """A batch's :class:`_Window` in a quiet window, or None when its
+        end must take the full path.
 
         Only a batch that still owns every instance of its group joins: a
         co-opting prefill holds an instance under its own task id (the
         tick would pause the batch), and a batch merged away no longer
         owns them.  ``cap`` counts the iterations it may run: up to the
         one before its first completion and the one before its bound
-        (``_holds``), and (one instance) the last whose next start still
-        finds master KV — a group checks that start by start, and
-        ``cap`` bounds it by the group's free slots.
+        (``_holds``), and the last whose next start the group's free
+        slots could still give master KV; a larger group checks each
+        start's masters as it picks them.
         """
         ids = group.instance_ids
         requests = batch.requests
         if batch.group is not group or not requests:
             return None
-        if len(ids) == 1:
-            instance = self.instances[ids[0]]
+        instances = self.instances
+        frees = {}
+        for i in ids:
+            instance = instances[i]
             if instance.group_id != batch.batch_id:
                 return None
-            free = instance.pool.free
-        else:
-            instances = self.instances
-            if any(instances[i].group_id != batch.batch_id for i in ids):
-                return None
-            pools = self.pool.pools
-            free = sum(pools[i].free for i in ids)
+            frees[i] = instance.pool.free
+        free = sum(frees.values())
         bs = len(requests)
         cap = min(
             min(r.output_len - r.generated for r in requests) - 1,
@@ -1195,16 +1170,9 @@ class LoongServeServer:
             scale_up_reason(batch, idle, free - cap * bs, self.config.scheduler)
             is not None
         )
-        total = sum(r.current_len for r in requests)
-        if len(ids) == 1:
-            price = self.cost_model.decode_pricer(
-                bs, ids, self.config.tensor_parallel, len(masters)
-            )
-            return [0, total, batch, ids[0], bs, cap, free, check_4b, price, group.dop]
-        frees = {i: pools[i].free for i in ids}
-        if sum(frees[i] for i in masters) < bs:
+        if sum(map(frees.__getitem__, masters)) < bs:
             return None  # its own appends would spill off the masters
-        return _GroupWindow(self, batch, masters, frees, free, total, cap, check_4b, idle)
+        return _Window(self, batch, masters, frees, free, cap, check_4b)
 
     def _ensure_decode_memory(self, batch: DecodeBatch) -> tuple[int, ...] | None:
         """Pick masters; merge with a sibling batch or preempt if short.
@@ -1509,23 +1477,23 @@ class LoongServeServer:
         return total / count if count else 0.0
 
 
-class _GroupWindow:
-    """A multi-instance decode group's run in a quiet window.
+class _Window:
+    """A decode batch's run in a quiet window
+    (:meth:`LoongServeServer._run_quiet_window`).
 
-    The batch owns every instance of its group.  Each end credits one
-    token per request, in batch order, to the most-free master (the
-    first on ties), as :meth:`LoongServeServer._on_decode_done` does;
-    each start re-picks the masters as
-    :func:`~repro.core.scaling_plan.assign_masters` would and is priced
-    at that master count.  Both read the window's own free-slot counts,
-    since the appends reach the pool only when the window closes
-    (:meth:`land`).
+    The batch owns every instance of its group.  ``fixed`` holds what
+    each hand-off reads and no iteration changes: the batch size, its
+    iteration cap, the group's free slots at the join, the step-4b flag,
+    the DoP and whether the masters are re-picked.  A group of one
+    instance masters every token on it, so its iterations only count.
+    A larger group's iterations credit and re-pick its masters
+    (:meth:`repick`) from the window's own free-slot counts, since the
+    appends reach the pool only when the window closes (:meth:`land`).
     """
 
     __slots__ = (
-        "batch", "ids", "bs", "masters", "free", "group_free", "total",
-        "cap", "check_4b", "idle", "scheduler", "stats", "dop",
-        "cost_model", "tp", "patterns", "n", "last",
+        "fixed", "n", "total", "price", "masters", "server", "batch", "free",
+        "patterns",
     )
 
     def __init__(
@@ -1535,81 +1503,66 @@ class _GroupWindow:
         masters: tuple[int, ...],
         free: dict[int, int],
         group_free: int,
-        total: int,
         cap: int,
         check_4b: bool,
-        idle: list[int],
     ) -> None:
-        self.batch = batch
-        self.ids = batch.group.instance_ids
-        self.bs = len(batch.requests)
+        requests = batch.requests
+        bs = len(requests)
+        ids = batch.group.instance_ids
+        self.fixed = (bs, cap, group_free, check_4b, batch.group.dop, len(ids) > 1)
+        self.n = 0
+        self.total = sum(r.current_len for r in requests)
+        # The pricer of the iteration in flight: its master count's.
+        self.price = server.cost_model.decode_pricer(
+            bs, ids, server.config.tensor_parallel, len(masters)
+        )
         self.masters = masters  # of the iteration in flight
+        self.server = server
+        self.batch = batch
         self.free = free
-        self.group_free = group_free
-        self.total = total
-        self.cap = cap
-        self.check_4b = check_4b
-        self.idle = idle
-        self.scheduler = server.config.scheduler
-        self.stats = server.iteration_stats
-        self.dop = batch.group.dop
-        self.cost_model = server.cost_model
-        self.tp = server.config.tensor_parallel
         # Each iteration's masters in request order, with how many
         # iterations credited it: distinct patterns in first-use order.
         self.patterns: dict[tuple[int, ...], int] = {}
-        self.n = 0
-        self.last = None
 
-    def run(self, t: float, limit: float, bound: float) -> float:
-        """Run the group's consecutive iterations from its end at ``t``
-        (see :meth:`LoongServeServer._run_quiet_window`); returns the end
-        of the last one started."""
-        batch, ids, bs = self.batch, self.ids, self.bs
-        free, masters, patterns = self.free, self.masters, self.patterns
-        n, total = self.n, self.total
-        scheduler, idle = self.scheduler, self.idle
-        while (
-            t < limit
-            and t <= bound
-            and n < self.cap
-            and not (
-                self.check_4b
-                and scale_up_reason(batch, idle, self.group_free - (n + 1) * bs, scheduler)
-                is not None
+    def repick(self) -> Callable[[int], float] | None:
+        """Credit the iteration ending now and pick the next start's
+        masters; returns the next iteration's pricer, or None when that
+        start lacks master KV (the credit undone: the full path merges,
+        reclaims or preempts there).
+
+        Each token goes, in batch order, to the most-free master (the
+        first on ties), as :meth:`LoongServeServer._on_decode_done`
+        credits it, and the next masters are picked as
+        :func:`~repro.core.scaling_plan.assign_masters` would.  The
+        pricer is looked up again only when the master count changes.
+        """
+        bs = self.fixed[0]
+        free, masters = self.free, self.masters
+        if len(masters) == 1:
+            free[masters[0]] -= bs
+            targets = masters * bs
+        else:
+            targets = []
+            for _ in range(bs):
+                target = max(masters, key=free.__getitem__)
+                free[target] -= 1
+                targets.append(target)
+            targets = tuple(targets)
+        server = self.server
+        ids = self.batch.group.instance_ids
+        following = masters_by_free(ids, free, bs, server.config.scheduler)
+        if sum(free[i] for i in following) < bs:
+            for target in targets:
+                free[target] += 1
+            return None
+        patterns = self.patterns
+        patterns[targets] = patterns.get(targets, 0) + 1
+        if len(following) != len(masters):
+            self.price = server.cost_model.decode_pricer(
+                bs, ids, server.config.tensor_parallel, len(following)
             )
-        ):
-            # Credit the iteration ending at t, token by token.
-            if len(masters) == 1:
-                free[masters[0]] -= bs
-                targets = masters * bs
-            else:
-                targets = []
-                for _ in range(bs):
-                    target = max(masters, key=free.__getitem__)
-                    free[target] -= 1
-                    targets.append(target)
-                targets = tuple(targets)
-            following = masters_by_free(ids, free, bs, scheduler)
-            if sum(free[i] for i in following) < bs:
-                # The next start lacks master KV: the full path merges,
-                # reclaims or preempts there.
-                for target in targets:
-                    free[target] += 1
-                break
-            patterns[targets] = patterns.get(targets, 0) + 1
-            n += 1
-            total += bs
-            masters = following
-            price = self.cost_model.decode_pricer(bs, ids, self.tp, len(masters))
-            duration = price(total + bs)
-            self.stats.append(
-                BatchStats(len(self.stats), Phase.DECODE, bs, total, self.dop, duration, t)
-            )
-            self.last = t
-            t += duration
-        self.n, self.total, self.masters = n, total, masters
-        return t
+        self.masters = following
+        return self.price
 
     def land(self, pool: UnifiedKVPool) -> int:
         """Apply the window's credits to the requests and the pool;
@@ -1619,7 +1572,8 @@ class _GroupWindow:
         the pairs are appended in the order the iterations first touched
         them (patterns in first-use order, requests in batch order), so
         every placement, down to the order of its instances, is the one
-        the event-per-iteration program leaves.
+        the event-per-iteration program leaves.  A group of one instance
+        records no pattern: every token lands on its master.
         """
         n = self.n
         if not n:
@@ -1628,7 +1582,12 @@ class _GroupWindow:
         for request in requests:
             request.generated += n
         extend = pool.extend
-        for targets, count in self.patterns.items():
-            for request, target in zip(requests, targets):
-                extend(request.request_id, target, count)
-        return n * self.bs
+        if not self.patterns:
+            (target,) = self.masters
+            for request in requests:
+                extend(request.request_id, target, n)
+        else:
+            for targets, count in self.patterns.items():
+                for request, target in zip(requests, targets):
+                    extend(request.request_id, target, count)
+        return n * len(requests)

@@ -23,7 +23,7 @@ from repro.fleet.control import (
     ClusterPolicy,
     FleetController,
 )
-from repro.fleet.disagg import CLONE_ID_OFFSET, DisaggDispatcher
+from repro.fleet.disagg import DisaggDispatcher
 from repro.fleet.faults import (
     DEFAULT_DOWNTIME_S,
     FaultInjector,
@@ -52,7 +52,6 @@ __all__ = [
     "DEFAULT_DOWNTIME_S",
     "LONG_INPUT_THRESHOLD",
     "ROUTERS",
-    "CLONE_ID_OFFSET",
     "CacheAffinityRouter",
     "ClusterPolicy",
     "DisaggDispatcher",

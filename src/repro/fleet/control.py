@@ -22,12 +22,14 @@ pattern as the prefix cache's ``enable_prefix_cache`` flag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.fleet.faults import ReplicaFault, reset_for_failover
 from repro.fleet.router import Router
 from repro.metrics.fleet import ElasticStats
+from repro.obs.tracer import SHADOW_REQUEST_OFFSET
 from repro.sim.engine import Simulator
 from repro.sim.events import Timer
 from repro.types import Request
@@ -179,8 +181,10 @@ class FleetController:
         obs=None,
         disagg=None,
     ) -> None:
-        if interval <= 0:
-            raise ValueError(f"control interval must be positive, got {interval}")
+        if not 0 < interval < math.inf:
+            raise ValueError(
+                f"control interval must be finite and positive, got {interval}"
+            )
         self.policy = policy
         self.replicas = list(replicas)
         self.sim = sim
@@ -457,10 +461,8 @@ class FleetController:
         tracer = self._tracer
         tracing = tracer is not None and tracer.enabled
         if self.disagg is not None:
-            from repro.fleet.disagg import CLONE_ID_OFFSET
-
-            clones = [r for r in orphans if r.request_id >= CLONE_ID_OFFSET]
-            orphans = [r for r in orphans if r.request_id < CLONE_ID_OFFSET]
+            clones = [r for r in orphans if r.request_id >= SHADOW_REQUEST_OFFSET]
+            orphans = [r for r in orphans if r.request_id < SHADOW_REQUEST_OFFSET]
             for clone in clones:
                 # The prefill-stage clone died with its replica: fire the
                 # handoff hook in its aborted state so the original falls

@@ -69,11 +69,6 @@ from repro.kvcache.migration import PrefixHandoff
 from repro.obs.tracer import SHADOW_REQUEST_OFFSET
 from repro.types import Request
 
-# Clone ids live far above any workload request id so per-replica
-# bookkeeping (pools, locks, spans) never collides with the original.
-# Aliases the obs-layer shadow offset so every request-facing view
-# (histograms, blame, request listings) agrees on what is internal machinery.
-CLONE_ID_OFFSET = SHADOW_REQUEST_OFFSET
 # Synthetic prompt ids for token-less requests start here, far above
 # real session vocabularies (which are small).
 _SYNTH_TOKEN_BASE = 1 << 60
@@ -173,8 +168,12 @@ class DisaggDispatcher:
             )
             self._deliver(request, dst)
             return
+        # The clone's id lies the shadow offset above the original's, far
+        # above any workload id, so per-replica bookkeeping (pools, locks,
+        # spans) never collides with it and every request-facing view
+        # (histograms, blame, request listings) skips it.
         clone = Request(
-            request_id=request.request_id + CLONE_ID_OFFSET,
+            request_id=request.request_id + SHADOW_REQUEST_OFFSET,
             input_len=request.input_len,
             output_len=1,
             arrival_time=now,

@@ -29,12 +29,13 @@ the load-imbalance metrics read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.fleet.control import DEFAULT_CONTROL_INTERVAL, ClusterPolicy, FleetController
-from repro.fleet.disagg import CLONE_ID_OFFSET
 from repro.metrics.fleet import ElasticStats, merge_serve_results
+from repro.obs.tracer import SHADOW_REQUEST_OFFSET
 from repro.serving import Fleet, collect, serve
 from repro.sim.engine import Simulator
 from repro.types import Request, RequestState, ServeResult
@@ -322,7 +323,7 @@ class ReplicaHandle:
             request.state == RequestState.PENDING
             and request.generated == 0
             and request.preemptions == 0
-            and request.request_id < CLONE_ID_OFFSET
+            and request.request_id < SHADOW_REQUEST_OFFSET
         )
 
     def queued_requests(self) -> list[Request]:
@@ -416,6 +417,10 @@ class FleetServer(Fleet):
     ) -> None:
         if not replicas:
             raise ValueError("need at least one replica")
+        if not 0 < control_interval < math.inf:
+            raise ValueError(
+                f"control interval must be finite and positive, got {control_interval}"
+            )
         self.replicas = [
             ReplicaHandle(i, server) for i, server in enumerate(replicas)
         ]

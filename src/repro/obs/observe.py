@@ -18,6 +18,8 @@ run when comparing.
 
 from __future__ import annotations
 
+import math
+
 from repro.obs.telemetry import MetricsRegistry
 from repro.obs.tracer import SHADOW_REQUEST_OFFSET, Tracer
 
@@ -33,9 +35,10 @@ class Observability:
     """Tracer + metrics registry + sampling glue for one run."""
 
     def __init__(self, telemetry_interval: float = DEFAULT_TELEMETRY_INTERVAL) -> None:
-        if telemetry_interval <= 0:
+        if not 0 < telemetry_interval < math.inf:
             raise ValueError(
-                f"telemetry interval must be positive, got {telemetry_interval}"
+                "telemetry interval must be finite and positive, "
+                f"got {telemetry_interval}"
             )
         self.tracer = Tracer(enabled=True)
         self.metrics = MetricsRegistry()

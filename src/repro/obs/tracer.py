@@ -50,7 +50,6 @@ SPAN_PHASES = (
 #: requests (the disaggregated dispatcher's prefill clones), not to
 #: arrivals.  Request-facing views — latency histograms, blame
 #: attribution, forensics request listings — filter them out.
-#: ``repro.fleet.disagg.CLONE_ID_OFFSET`` aliases this constant.
 SHADOW_REQUEST_OFFSET = 1 << 40
 
 

@@ -25,6 +25,7 @@ downgrade chain terminates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -123,7 +124,7 @@ def resolve_qos_class(name: str | None) -> QoSClass:
 def parse_qos_mix(spec: str) -> dict[str, float]:
     """Parse a ``--qos-mix`` string like ``interactive:0.3,batch:0.7``.
 
-    Weights must be positive; they are normalised to sum to 1, so
+    Weights must be finite and positive; they are normalised to sum to 1, so
     ``interactive:1,batch:3`` is a valid 25/75 split.
     """
     mix: dict[str, float] = {}
@@ -140,8 +141,8 @@ def parse_qos_mix(spec: str) -> dict[str, float]:
             raise ValueError(
                 f"qos mix entry {part!r} wants CLASS:WEIGHT (e.g. interactive:0.3)"
             ) from None
-        if weight <= 0:
-            raise ValueError(f"qos mix weight for {name!r} must be positive")
+        if not 0 < weight < math.inf:
+            raise ValueError(f"qos mix weight for {name!r} must be finite and positive")
         mix[name] = mix.get(name, 0.0) + weight
     if not mix:
         raise ValueError(f"empty qos mix {spec!r}")
@@ -163,8 +164,8 @@ def qos_mix_sampler(mix: Mapping[str, float], seed: int = 0):
     if not names:
         raise ValueError("qos mix must name at least one class")
     weights = np.array([mix[name] for name in names], dtype=float)
-    if np.any(weights <= 0):
-        raise ValueError("qos mix weights must be positive")
+    if not np.all((weights > 0) & np.isfinite(weights)):
+        raise ValueError("qos mix weights must be finite and positive")
     weights = weights / weights.sum()
     for name in names:
         resolve_qos_class(name)

@@ -113,7 +113,7 @@ class EventQueue:
         shard heads, so coordinating the calendars allocates nothing
         beyond the push itself.
         """
-        if time < 0:
+        if not time >= 0:  # NaN fails this too
             raise ValueError(f"event time must be non-negative, got {time}")
         if seq is None:
             seq = next(self._counter)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -106,6 +107,10 @@ class Request:
             raise ValueError(f"input_len must be positive, got {self.input_len}")
         if self.output_len <= 0:
             raise ValueError(f"output_len must be positive, got {self.output_len}")
+        if not 0 <= self.arrival_time < math.inf:
+            raise ValueError(
+                f"arrival_time must be finite and non-negative, got {self.arrival_time}"
+            )
         if self.token_ids is not None and len(self.token_ids) != self.input_len:
             raise ValueError(
                 f"token_ids carries {len(self.token_ids)} tokens but "

@@ -10,6 +10,7 @@ exploits over route-once placement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,10 @@ class PoissonArrivals:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"arrival rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(
+                f"arrival rate must be finite and positive, got {self.rate}"
+            )
 
     def times(self, count: int, rng: np.random.Generator) -> list[float]:
         if count < 0:
@@ -52,8 +55,10 @@ class BurstyArrivals:
     cycle_s: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"arrival rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(
+                f"arrival rate must be finite and positive, got {self.rate}"
+            )
         if self.burst_factor < 1.0:
             raise ValueError(f"burst_factor must be >= 1, got {self.burst_factor}")
         if not 0.0 < self.burst_fraction < 1.0:
@@ -104,8 +109,10 @@ class UniformArrivals:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"arrival rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(
+                f"arrival rate must be finite and positive, got {self.rate}"
+            )
 
     def times(self, count: int, rng: np.random.Generator | None = None) -> list[float]:
         gap = 1.0 / self.rate

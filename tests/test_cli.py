@@ -63,6 +63,45 @@ class TestServeCLI:
         assert "error: --qos-mix tags a generated trace" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--rate", "nan"], "arrival rate must be finite and positive"),
+            (["serve", "--rate", "inf"], "arrival rate must be finite and positive"),
+            (["serve", "--telemetry-interval", "nan"],
+             "telemetry interval must be finite and positive"),
+            (["serve", "--replicas", "2", "--steal", "--control-interval", "nan"],
+             "control interval must be finite and positive"),
+            (["gen-trace", "--rate", "nan"], "arrival rate must be finite and positive"),
+            (["gen-trace", "--qos-mix", "bogus:1"], "unknown QoS class 'bogus'"),
+            (["gen-trace", "--qos-mix", "interactive:nan"],
+             "qos mix weight for 'interactive' must be finite and positive"),
+            (["gen-trace", "--qos-mix", "interactive:inf"],
+             "qos mix weight for 'interactive' must be finite and positive"),
+        ],
+    )
+    def test_bad_rates_intervals_and_mixes_exit_2(self, argv, message, tmp_path, capsys):
+        """A NaN or infinite rate or interval, or a bad QoS mix, is
+        refused before anything is served or written."""
+        out = tmp_path / "trace.jsonl"
+        argv = [*argv, "--dataset", "sharegpt", "-n", "4"]
+        if argv[0] == "gen-trace":
+            argv += ["-o", str(out)]
+        assert repro_main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("arrival", ["NaN", "-5.0"])
+    def test_a_trace_with_a_bad_arrival_time_exits_2(self, arrival, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"request_id": 0, "input_len": 99, "output_len": 30, '
+            f'"arrival_time": {arrival}}}\n'
+        )
+        assert repro_main(["serve", "--trace", str(path)]) == 2
+        message = f"arrival_time must be finite and non-negative, got {float(arrival)}"
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "system",
         ["loongserve", "loongserve-no-scaleup", "distserve", "static-sp",
          "replicated-tp2"],

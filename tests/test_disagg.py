@@ -23,9 +23,10 @@ Contracts pinned here:
 import pytest
 
 from repro.experiments.systems import make_fleet
-from repro.fleet import CLONE_ID_OFFSET, DisaggDispatcher, FaultPlan, ReplicaFault
+from repro.fleet import DisaggDispatcher, FaultPlan, ReplicaFault
 from repro.fleet.stealing import WorkStealer
 from repro.obs import Observability
+from repro.obs.tracer import SHADOW_REQUEST_OFFSET
 from repro.workloads.arrival import BurstyArrivals
 from repro.workloads.datasets import LEVAL, MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
@@ -58,7 +59,7 @@ class TestDisaggDispatch:
         assert not result.aborted
         assert len(result.finished_requests) == len(TRACE)
         # No shadow clone leaks into any ledger.
-        assert all(rid < CLONE_ID_OFFSET for rid in served)
+        assert all(rid < SHADOW_REQUEST_OFFSET for rid in served)
 
     def test_prefill_pool_routes_nothing_in_the_result(self):
         fleet = disagg_fleet()
@@ -177,7 +178,7 @@ class TestDisaggComposition:
         # Steals stay inside one pool and never touch a shadow clone.
         num_prefill = fleet.disagg.num_prefill
         for record in steals:
-            assert record.payload["request"] < CLONE_ID_OFFSET
+            assert record.payload["request"] < SHADOW_REQUEST_OFFSET
             assert (record.payload["src"] < num_prefill) == (
                 record.payload["dst"] < num_prefill
             )
@@ -269,9 +270,9 @@ class TestDisaggComposition:
         # The crash caught clones mid-prefill; each one's original took
         # the fallback path.
         orphaned = {
-            r.payload["request"] - CLONE_ID_OFFSET
+            r.payload["request"] - SHADOW_REQUEST_OFFSET
             for r in obs.tracer.records
-            if r.kind == "crash_orphan" and r.payload["request"] >= CLONE_ID_OFFSET
+            if r.kind == "crash_orphan" and r.payload["request"] >= SHADOW_REQUEST_OFFSET
         }
         assert orphaned, "the crash orphaned no clone"
         assert orphaned <= fallen_back

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.systems import make_fleet
-from repro.fleet import CLONE_ID_OFFSET, FaultPlan, ReplicaFault
+from repro.fleet import FaultPlan, ReplicaFault
 from repro.obs import (
     Observability,
     SLOHealthMonitor,
@@ -175,9 +175,6 @@ class TestBlamePartitionChaos:
         loaded = attribute(load_export(path))
         assert set(loaded.requests) == set(live.requests)
         assert verify_partition(loaded) == []
-
-    def test_clone_offset_aliases_shadow_offset(self):
-        assert CLONE_ID_OFFSET == SHADOW_REQUEST_OFFSET
 
 
 class TestBlameAttributionUnits:

@@ -3,20 +3,21 @@
 A replica keeps its in-flight decode iterations on a private decode
 calendar and posts only the head on the simulator calendar.  A wake
 runs every own iteration end that is the next event of the whole run;
-each run of quiet ends shares one window, which advances every
-one-instance batch of the replica in one tight loop, handing off at
-each end another batch owns and stopping before the first end that
-needs the full path; and a decode completion runs its scheduler tick
-inline when nothing else is due at the same instant.  Each of these is
-the program the event-per-iteration scheduling runs, so only the event
-count may fall.
+each run of quiet ends shares one window, which advances every batch
+of the replica that owns its group, whatever the group's size, in one
+loop, handing off at each end another batch owns and stopping before
+the first end that needs the full path; and a decode completion runs
+its scheduler tick inline when nothing else is due at the same
+instant.  Each of these is the program the event-per-iteration
+scheduling runs, so only the event count may fall.
 
 Windows open with work queued for as long as the last tick's refusal
 provably holds (``SchedulePlan.holds``: each batch's ends up to its
 bound), and multi-instance groups join them, crediting each token to
-the most-free master and re-picking masters every iteration.  The last
-tick's bound lasts across events, so a wake's posted end joins a window
-too, until a peer writes through the replica contract (``withdraw``,
+the most-free master, re-picking masters every iteration and looking a
+decode pricer up only when the master count changes.  The last tick's
+bound lasts across events, so a wake's posted end joins a window too,
+until a peer writes through the replica contract (``withdraw``,
 ``crash``, ``import_prefix``, ``clear_prefix_cache``).
 
 "The next event" is the next event that can touch the replica: on a
@@ -51,8 +52,10 @@ from repro.core.scaling_plan import (
     DECODE_COMPUTE_BOUND_BS,
     DECODE_HEADROOM_ITERATIONS,
     PrefillScaleDown,
+    masters_by_free,
 )
 from repro.core.server import LoongServeServer
+from repro.costmodel.latency import RooflineCostModel
 from repro.experiments.systems import make_fleet, make_system
 from repro.fleet import FaultPlan, ReplicaFault
 from repro.serving import collect
@@ -716,6 +719,40 @@ class PhaseOneSpy:
         super()._tick()
 
 
+class PricerSpy:
+    """Put in front of a server: counts, inside its quiet windows, the
+    multi-instance groups that join (``joins``), their master picks
+    (:meth:`pick`; one per iteration, and one per start that finds no
+    master KV), the times a pick's master count differs from the join's
+    or the last pick's (``changes``), and the decode pricer lookups for
+    a multi-instance group (:meth:`lookup`)."""
+
+    joins = picks = changes = lookups = 0
+    _masters = None  # the group's master count, inside a window
+
+    def _run_quiet_window(self, key, until):
+        self._masters = 0
+        try:
+            return super()._run_quiet_window(key, until)
+        finally:
+            self._masters = None
+
+    def _join_window(self, batch, masters, group, idle):
+        window = super()._join_window(batch, masters, group, idle)
+        if window is not None and len(group.instance_ids) > 1:
+            self.joins += 1
+            self._masters = len(masters)
+        return window
+
+    def pick(self, masters) -> None:
+        self.picks += 1
+        self.changes += len(masters) != self._masters
+        self._masters = len(masters)
+
+    def lookup(self, instances) -> None:
+        self.lookups += self._masters is not None and len(instances) > 1
+
+
 def _over_cap(requests):
     """Declare a one-token output cap on each of ``requests``, which
     decode past it: they reserve no eviction-avoidance growth, so each
@@ -977,6 +1014,53 @@ class TestQueuedAndGroupWindows:
         )
         assert all(group_id in span for span in server.stop_spans)
         assert sum(row[-1] for row in record["requests"]) == 1  # one preemption
+
+    @pytest.mark.parametrize("shape", ["levelling", "filling", "shrinking"])
+    def test_a_group_looks_its_pricer_up_once_per_master_count(self, shape, monkeypatch):
+        """The two group setups above (levelling with an idle instance,
+        filling up without one), and five requests on all four
+        instances with three slots free on each, whose first windowed
+        credit leaves one instance below a master's share: in a window
+        a group looks a decode pricer up when it joins and when its
+        master count changes, not at every iteration."""
+        servers = []
+        decode_pricer = RooflineCostModel.decode_pricer
+
+        def pick(*args):
+            masters = masters_by_free(*args)
+            servers[0].pick(masters)
+            return masters
+
+        def lookup(cost_model, batch_size, instances, *args):
+            servers[0].lookup(instances)
+            return decode_pricer(cost_model, batch_size, instances, *args)
+
+        def build(server):
+            servers.insert(0, server)
+            if shape == "shrinking":
+                used = server.config.kv_slots_per_instance - 3
+                splits = [{i: used // 5 for i in range(4)} for _ in range(5)]
+                for i in range(4):
+                    splits[0][i] += used % 5
+                return _decode_group(server, (0, 1, 2, 3), [(s, 400) for s in splits])
+            if shape == "levelling":
+                requests, group_id = _two_instance_group(
+                    server, (700, 900), [300, 340, 380, 420, 460]
+                )
+            else:
+                requests, group_id = _two_instance_group(
+                    server, (40, 70), [200, 260, 330, 390]
+                )
+                requests += _decode_group(server, (3,), [({3: 9_001}, 250)])[0]
+            requests += _decode_group(server, (2,), [({2: 5_001}, 300)])[0]
+            return requests, group_id
+
+        monkeypatch.setattr("repro.core.server.masters_by_free", pick)
+        monkeypatch.setattr(RooflineCostModel, "decode_pricer", lookup)
+        server, _, _, _ = _serve_both(build, mixin=PricerSpy)
+        assert (server.changes > 0) is (shape == "shrinking")
+        assert 0 < server.lookups <= server.joins + server.changes
+        assert server.joins + server.changes < server.picks
 
     def test_prefix_cache_and_qos_replicas_open_no_window_with_a_queue(self):
         """Prefix-cache replicas re-pin (and may evict) and QoS replicas

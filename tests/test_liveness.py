@@ -20,8 +20,8 @@ from repro.config import default_config
 from repro.core import global_manager
 from repro.core.server import LoongServeServer
 from repro.experiments.systems import CRASHABLE_SYSTEMS, make_fleet, make_system
-from repro.fleet import CLONE_ID_OFFSET
 from repro.obs import Observability
+from repro.obs.tracer import SHADOW_REQUEST_OFFSET
 from repro.serving import serve
 from repro.types import Request, next_request_id
 from repro.workloads.datasets import LEVAL, LVEVAL, MIXED, SHAREGPT
@@ -129,7 +129,7 @@ class TestFleetLiveness:
         held = trace[5]
         # A clone held on the prefill pool leaves its original between
         # the pools, in no replica's ledger; it is stranded all the same.
-        offset = CLONE_ID_OFFSET if stage == "prefill" else 0
+        offset = SHADOW_REQUEST_OFFSET if stage == "prefill" else 0
         never_dispatch(held.request_id + offset)
         fleet = make_fleet(
             "loongserve", replicas=3, router="round-robin", requests=TRACE,

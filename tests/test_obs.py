@@ -267,8 +267,9 @@ class TestObservabilityGolden:
         )
 
     def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            Observability(telemetry_interval=0.0)
+        for interval in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Observability(telemetry_interval=interval)
         assert DEFAULT_TELEMETRY_INTERVAL > 0
 
 

@@ -24,6 +24,7 @@ from repro.qos import (
     parse_qos_mix,
     resolve_qos_class,
 )
+from repro.qos.classes import qos_mix_sampler
 from repro.sessions import (
     ClosedLoopDriver,
     make_session_trace,
@@ -74,6 +75,11 @@ class TestClasses:
             parse_qos_mix("")
         with pytest.raises(ValueError):
             parse_qos_mix("batch:-1")
+        for weight in ("nan", "inf"):
+            with pytest.raises(ValueError):
+                parse_qos_mix(f"interactive:{weight}")
+            with pytest.raises(ValueError):
+                qos_mix_sampler({"interactive": float(weight)})
 
     def test_invalid_class_definitions_rejected(self):
         with pytest.raises(ValueError):

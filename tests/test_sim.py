@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulation core."""
 
+import math
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -28,8 +30,9 @@ class TestEventQueue:
         assert order == ["early", "early2", "late"]
 
     def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            EventQueue().push(-1.0, lambda: None)
+        for time in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                EventQueue().push(time, lambda: None)
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):

@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 
 from repro.experiments.systems import make_fleet
 from repro.fleet import FaultPlan
-from repro.fleet.disagg import CLONE_ID_OFFSET
 from repro.obs import Observability
+from repro.obs.tracer import SHADOW_REQUEST_OFFSET
 from repro.sessions import ClosedLoopDriver, make_session_trace, plan_sessions
 from repro.sim.engine import ShardClock, Simulator
 from repro.types import Request
@@ -533,7 +533,7 @@ def _serve_composition(kwargs, observe, workload, sharded):
             items.pop("batch", None)
             if "request" in items:
                 rid = items["request"]
-                items["request"] = (rid >= CLONE_ID_OFFSET, names.get(rid % CLONE_ID_OFFSET))
+                items["request"] = (rid >= SHADOW_REQUEST_OFFSET, names.get(rid % SHADOW_REQUEST_OFFSET))
             return tuple(sorted((k, repr(v)) for k, v in items.items()))
 
         served["audits"] = Counter(

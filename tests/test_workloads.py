@@ -1,11 +1,13 @@
 """Tests for workload generation: datasets, arrivals, traces."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.arrival import PoissonArrivals, UniformArrivals
+from repro.workloads.arrival import BurstyArrivals, PoissonArrivals, UniformArrivals
 from repro.workloads.datasets import LEVAL, LVEVAL, MIXED, SHAREGPT, ZipfMixed
 from repro.workloads.trace_gen import clone_requests, make_trace
 
@@ -79,8 +81,10 @@ class TestArrivals:
         assert times == pytest.approx([0.25, 0.5, 0.75])
 
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            PoissonArrivals(rate=0.0)
+        for rate in (0.0, math.nan, math.inf):
+            for arrivals in (PoissonArrivals, BurstyArrivals, UniformArrivals):
+                with pytest.raises(ValueError):
+                    arrivals(rate=rate)
 
     @given(rate=st.floats(min_value=0.1, max_value=100.0))
     @settings(max_examples=20, deadline=None)
