@@ -5,11 +5,14 @@ Three measurements, each of complete or fixed-budget runs:
 * the optimised simulator (slotted events, incremental server state,
   memoised cost models, the hoisted batching DP, decode windows) runs
   simulated iterations several times faster than the pre-PR baseline at
-  identical semantics — counted in iterations (``len(iteration_stats)``),
-  not events, since a decode window runs many iterations in one event;
+  identical semantics — counted in iterations (the iteration ledger's
+  ``count``), not events, since a decode window runs many iterations in
+  one event;
 * steady traces (clusters of uniform long-output requests) served to
   completion at 10k and 100k requests: wall time, events, iterations
-  and peak RSS, which the per-iteration records dominate;
+  and peak RSS, which stays flat as the trace grows, since a default
+  run folds its iterations into a ledger and keeps no per-iteration
+  rows;
 * at fleet scale (16 elastic replicas, bursty Mixed + multi-turn
   sessions), sharded event calendars serve the shared-heap layout's
   exact outcomes in fewer events (each replica runs ahead of the events
@@ -28,8 +31,9 @@ and rescaled by the calibration microbenchmark when compared on a
 different machine.
 
 Under pytest the module doubles as the CI perf gate: anchors assert the
-simulator stays ahead of the (calibration-scaled) baseline and that
-sharded fleets serve the shared heap's outcomes; if a committed
+simulator stays ahead of the (calibration-scaled) baseline, that
+sharded fleets serve the shared heap's outcomes, and that a complete
+run's peak RSS stays flat from 1k to 4k steady requests; if a committed
 ``BENCH_sim_speed.json`` is present, a >20% wall-time regression of a
 complete run against it fails (a quiet-dominated single server, and the
 quick fleet scenario).  Every gate times a fixed amount of serving
@@ -63,7 +67,7 @@ RESULT_PATH = REPO_ROOT / "BENCH_sim_speed.json"
 # decode iteration or tick, so events/sec stood for work: 2544.4 events/s
 # over a fixed 300k-event prefix of mixed_10k.  A decode window now runs
 # many iterations in one event, so work is counted in simulated
-# iterations (``len(iteration_stats)``).  Replaying the seed commit over
+# iterations (the iteration ledger's ``count``).  Replaying the seed commit over
 # the same prefix counts 140,003 iterations (0.466677 per event), so its
 # iterations/sec there are 2544.4 x 0.466677.
 BASELINE = {
@@ -105,6 +109,10 @@ GATE_REFERENCE_RUNS = 5
 CALIBRATION_READINGS = 7
 # Tracing on/off pairs behind the overhead figure (the median is kept).
 OBS_OVERHEAD_PAIRS = 5
+# Memory gate: complete steady runs at these two sizes, whose peak RSS
+# may differ by at most MEMORY_GATE_GROWTH_MB.
+MEMORY_GATE_SCALES = (1_000, 4_000)
+MEMORY_GATE_GROWTH_MB = 10.0
 
 
 def calibration_score() -> float:
@@ -232,7 +240,7 @@ def run_fleet_once(sharded: bool, scale: dict) -> dict:
         "replicas": scale["replicas"],
         "num_requests": len(trace),
         "events": events,
-        "iterations": len(result.iteration_stats),
+        "iterations": result.iterations.count,
         "wall_s": round(wall, 3),
         "events_per_sec": round(events / wall, 1),
         "makespan": round(result.makespan, 3),
@@ -269,10 +277,10 @@ def run_once(
     out = {
         "num_requests": len(trace),
         "events": server.sim.events_processed,
-        "iterations": len(result.iteration_stats),
+        "iterations": result.iterations.count,
         "wall_s": round(wall, 3),
         "events_per_sec": round(server.sim.events_processed / wall, 1),
-        "iterations_per_sec": round(len(result.iteration_stats) / wall, 1),
+        "iterations_per_sec": round(result.iterations.count / wall, 1),
         "makespan": round(result.makespan, 3),
         "finished": len(finished),
         "generated_tokens": sum(r.generated for r in finished),
@@ -473,6 +481,23 @@ def test_bench_wall_no_regression_vs_committed():
 def test_bench_fleet_wall_no_regression_vs_committed():
     """Fleet work gate: the complete quick fleet run may not slow down >20%."""
     _assert_wall_within_gate("fleet_wall_gate", "sharded fleet")
+
+
+def test_bench_memory_stays_flat():
+    """Memory gate: four times the trace may not raise a complete run's
+    peak RSS by more than 10 MB.  A default run keeps no record per
+    iteration, so nothing it holds grows with the iterations run."""
+    small, large = (
+        run_forked(lambda n=n: run_once(steady_trace(n))) for n in MEMORY_GATE_SCALES
+    )
+    assert (small["finished"], large["finished"]) == MEMORY_GATE_SCALES
+    growth = large["peak_rss_mb"] - small["peak_rss_mb"]
+    assert growth <= MEMORY_GATE_GROWTH_MB, (
+        f"peak RSS grew {growth:.1f} MB from steady_{MEMORY_GATE_SCALES[0]} "
+        f"({small['peak_rss_mb']} MB, {small['iterations']} iterations) to "
+        f"steady_{MEMORY_GATE_SCALES[1]} ({large['peak_rss_mb']} MB, "
+        f"{large['iterations']} iterations)"
+    )
 
 
 # -- script entry point ----------------------------------------------------

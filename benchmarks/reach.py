@@ -190,6 +190,10 @@ def ci_runs(tmp: Path) -> list[tuple[str, list[str], int]]:
                    "--steal", "--control-interval", "nan"], 2),
         ("repro", ["gen-trace", "--dataset", "sharegpt", "-n", "4", "--qos-mix",
                    "bogus:1", "-o", str(tmp / "bogus-trace.jsonl")], 2),
+        ("repro.experiments", ["figure10", "--scale", "nan", "--datasets",
+                               "sharegpt"], 2),
+        ("repro.experiments", ["figure10", "--scale", "-1", "--datasets",
+                               "sharegpt"], 2),
         ("repro.experiments", ["all", "--scale", "0.05"], 0),
     ]
 

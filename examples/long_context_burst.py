@@ -19,6 +19,7 @@ from repro import (
     summarize_latency,
 )
 from repro.obs import Tracer
+from repro.serving import keep_iteration_rows
 from repro.types import Phase, next_request_id
 from repro.workloads.datasets import SHAREGPT
 
@@ -26,6 +27,7 @@ from repro.workloads.datasets import SHAREGPT
 def main() -> None:
     config = default_config()
     server = LoongServeServer(config, trace=Tracer(enabled=True))
+    keep_iteration_rows(server)  # the iteration trace below reads every row
 
     chat = make_trace(SHAREGPT, rate=8.0, num_requests=120, seed=3)
     bursts = [
@@ -45,7 +47,7 @@ def main() -> None:
               f"prefilled in {burst.prefill_end - burst.prefill_start:.2f}s, "
               f"finished at t={burst.finish_time:.1f}s")
 
-    prefill_stats = [s for s in result.iteration_stats if s.phase == Phase.PREFILL]
+    prefill_stats = [s for s in result.iterations.rows if s.phase == Phase.PREFILL]
     big = [s for s in prefill_stats if s.total_tokens >= 250_000]
     print(f"\nlong prefills ran at DoP {[s.dop for s in big]} "
           f"(cluster max is {config.num_instances})")

@@ -76,6 +76,7 @@ from repro.fleet.router import ROUTERS
 from repro.metrics.fleet import fleet_load_report
 from repro.metrics.latency import summarize_latency
 from repro.metrics.summary import throughput_tokens_per_s
+from repro.serving import keep_iteration_rows
 from repro.viz.timeline import occupancy_timeline, utilization_summary
 from repro.sessions import make_session_trace
 from repro.workloads.datasets import DATASETS
@@ -278,6 +279,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.timeline and args.replicas == 1:
+        keep_iteration_rows(system)  # the Gantt strip reads every row
     if driver is not None:
         result = system.run_driven(driver)
         trace = driver.requests  # realised arrivals, for reporting below

@@ -30,7 +30,7 @@ from repro.obs.tracer import Tracer
 from repro.serving import serve
 from repro.sim.engine import Simulator
 from repro.types import (
-    BatchStats,
+    IterationLedger,
     Phase,
     Request,
     RequestState,
@@ -150,6 +150,9 @@ class EngineServer(EngineGroup):
 
     name = "engine"
     scaling_events = ()  # static parallelism never rescales
+    # Keep a BatchStats row per iteration in ``iterations``
+    # (repro.serving.keep_iteration_rows); survives _reset.
+    keep_rows = False
 
     @property
     def engines(self) -> tuple[EngineServer]:
@@ -197,7 +200,7 @@ class EngineServer(EngineGroup):
         self.prefill_progress: dict[int, int] = {}
         self.finished: list[Request] = []
         self.aborted: list[Request] = []
-        self.iteration_stats: list[BatchStats] = []
+        self.iterations = IterationLedger([] if self.keep_rows else None)
         self.busy = False
         # Output tokens this engine generated (the telemetry
         # throughput read), credited where ``generated`` grows.
@@ -281,16 +284,13 @@ class EngineServer(EngineGroup):
         )
         duration += SCHEDULING_OVERHEAD_S
         total_tokens = sum(t for t, _ in chunks) + len(decode_contexts)
-        self.iteration_stats.append(
-            BatchStats(
-                iteration=len(self.iteration_stats),
-                phase=plan.phase,
-                batch_size=len(plan.prefill_chunks) + len(plan.decode_requests),
-                total_tokens=total_tokens,
-                dop=len(self.instance_ids),
-                duration=duration,
-                start_time=now,
-            )
+        self.iterations.add(
+            phase=plan.phase,
+            batch_size=len(plan.prefill_chunks) + len(plan.decode_requests),
+            total_tokens=total_tokens,
+            dop=len(self.instance_ids),
+            duration=duration,
+            start_time=now,
         )
         self.busy = True
         self.sim.call_after(duration, lambda: self._on_iteration_done(plan))

@@ -39,6 +39,7 @@ from repro.sim.engine import Simulator
 from repro.sim.events import Timer
 from repro.types import (
     BatchStats,
+    IterationLedger,
     Phase,
     Request,
     RequestState,
@@ -53,6 +54,9 @@ class LoongServeServer:
     """LoongServe: ESP scheduling over elastic instances."""
 
     name = "LoongServe"
+    # Keep a BatchStats row per iteration in ``iterations``
+    # (repro.serving.keep_iteration_rows); survives _reset and crash().
+    keep_rows = False
 
     def __init__(
         self,
@@ -103,7 +107,7 @@ class LoongServeServer:
         self.finished: list[Request] = []
         self.aborted: list[Request] = []
         self.scaling_events: list[ScalingEvent] = []
-        self.iteration_stats: list[BatchStats] = []
+        self.iterations = IterationLedger([] if self.keep_rows else None)
         self._decode_latency_sum = 0.0
         self._decode_latency_count = 0
         self._tick_pending = False
@@ -239,8 +243,8 @@ class LoongServeServer:
         so none of them moves the clock; the epoch bump
         keeps any that ran from touching the rebuilt state, a cold,
         empty server on the same shared clock, ready to be recovered.
-        Finished/aborted history and the prefix-cache hit/miss ledger
-        survive — that work happened.
+        Finished/aborted history, the iteration ledger and the
+        prefix-cache hit/miss ledger survive — that work happened.
         """
         lost_tokens = self.pool.total_used
         orphans = [r for r in self._all_requests if not r.finished]
@@ -746,16 +750,13 @@ class LoongServeServer:
         for instance_id in task.group.instance_ids:
             self.instances[instance_id].assign(InstanceRole.PREFILL, task.batch_id)
 
-        self.iteration_stats.append(
-            BatchStats(
-                iteration=len(self.iteration_stats),
-                phase=Phase.PREFILL,
-                batch_size=len(task.requests),
-                total_tokens=task.total_tokens,
-                dop=task.dop,
-                duration=duration,
-                start_time=self.sim.now,
-            )
+        self.iterations.add(
+            phase=Phase.PREFILL,
+            batch_size=len(task.requests),
+            total_tokens=task.total_tokens,
+            dop=task.dop,
+            duration=duration,
+            start_time=self.sim.now,
         )
         if self.trace.enabled:
             now = self.sim.now
@@ -924,16 +925,13 @@ class LoongServeServer:
             num_masters=len(masters),
         )
         batch.running = True
-        self.iteration_stats.append(
-            BatchStats(
-                iteration=len(self.iteration_stats),
-                phase=Phase.DECODE,
-                batch_size=len(contexts),
-                total_tokens=sum(contexts),
-                dop=batch.group.dop,
-                duration=duration,
-                start_time=self.sim.now,
-            )
+        self.iterations.add(
+            phase=Phase.DECODE,
+            batch_size=len(contexts),
+            total_tokens=sum(contexts),
+            dop=batch.group.dop,
+            duration=duration,
+            start_time=self.sim.now,
         )
         self._schedule_decode_end(
             self.sim.now + duration, batch, masters, batch.group
@@ -1050,9 +1048,12 @@ class LoongServeServer:
         a full-path start would.  Each iteration is priced from a running
         context total
         (:meth:`~repro.costmodel.latency.RooflineCostModel.decode_pricer`)
-        and recorded as a ``BatchStats``; the token credits and KV
-        appends land in bulk when the window closes
-        (:meth:`_Window.land`), before any full-path end runs.
+        and folded into locals: its duration into the busy seconds, and a
+        ``BatchStats`` row only when the server keeps rows.  The ledger
+        (:attr:`iterations`) takes the count and the busy seconds at each
+        hand-off; the token credits and KV appends land in bulk when the
+        window closes (:meth:`_Window.land`), before any full-path end
+        runs.
 
         Returns the first due end that needs the full path, popped from
         the calendar, or None once no own end is due.
@@ -1066,7 +1067,9 @@ class LoongServeServer:
         idle = None
         horizon = math.inf if key is None else key[0]
         bound = math.inf if until is None else until
-        stats = self.iteration_stats
+        ledger = self.iterations
+        rows = ledger.rows
+        busy = ledger.busy_seconds
         decode = Phase.DECODE
         joined: dict[int, _Window] = {}
         last = None
@@ -1109,7 +1112,9 @@ class LoongServeServer:
                 n += 1
                 total += bs
                 duration = price(total + bs)
-                stats.append(BatchStats(len(stats), decode, bs, total, dop, duration, t))
+                if rows is not None:
+                    rows.append(BatchStats(len(rows), decode, bs, total, dop, duration, t))
+                busy += duration
                 last = t
                 t += duration
             if n == first:
@@ -1117,6 +1122,8 @@ class LoongServeServer:
                 break
             window.n = n
             window.total = total
+            ledger.count += n - first
+            ledger.busy_seconds = busy
             self._schedule_decode_end(t, batch, window.masters, group)
         for window in joined.values():
             self._generated_total += window.land(self.pool)

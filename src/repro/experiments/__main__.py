@@ -8,6 +8,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -367,6 +368,10 @@ def main(argv: list[str] | None = None) -> int:
         help="figure10 only: subset of sharegpt/leval/lveval/mixed",
     )
     args = parser.parse_args(argv)
+    if not 0 < args.scale < math.inf:
+        print(f"error: --scale must be finite and positive, got {args.scale}",
+              file=sys.stderr)
+        return 2
 
     targets = list(FIGURES) if args.figure == "all" else [args.figure]
     for target in targets:

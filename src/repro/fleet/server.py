@@ -62,10 +62,11 @@ class ServingReplica(Protocol):
     whose telemetry a standalone run (:func:`repro.serving.serve`)
     samples; engine groups only route audits to it.  ``ledgers()``
     returns the objects holding the append-only ``finished``/
-    ``aborted``/``iteration_stats``/``scaling_events`` lists, in result
-    order (the server, or a group's engines), each with the ``trace``
-    its audits go to, tagged ``obs_replica``; observers keep a cursor
-    per list, so no list is ever a fresh concatenation.
+    ``aborted``/``scaling_events`` lists and the ``iterations`` ledger
+    (with its ``keep_rows`` switch), in result order (the server, or a
+    group's engines), each with the ``trace`` its audits go to, tagged
+    ``obs_replica``; observers keep a cursor per list, so no list is
+    ever a fresh concatenation.
     """
 
     name: str
@@ -553,7 +554,7 @@ class FleetServer(Fleet):
             system=merged.system,
             requests=merged.requests,
             scaling_events=merged.scaling_events,
-            iteration_stats=merged.iteration_stats,
+            iterations=merged.iterations,
             makespan=merged.makespan,
             aborted=merged.aborted,
             stranded=stranded,

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.metrics.qos import merge_qos_stats
-from repro.types import ServeResult
+from repro.types import IterationLedger, ServeResult
 
 
 def merge_serve_results(
@@ -30,7 +30,8 @@ def merge_serve_results(
 ) -> ServeResult:
     """Fold per-replica results into one fleet-wide ``ServeResult``.
 
-    Requests, aborts, scaling events, and iteration stats concatenate;
+    Requests, aborts and scaling events concatenate, and the iteration
+    ledgers add together (:meth:`~repro.types.IterationLedger.total`);
     the fleet makespan is the maximum replica makespan (replicas on a
     shared clock all report it; independently-run replicas report their
     own, and the fleet is done only when the last one is).  Prefix-cache
@@ -38,12 +39,11 @@ def merge_serve_results(
     """
     if not per_replica:
         raise ValueError("need at least one replica result")
-    stats = [s for result in per_replica for s in result.iteration_stats]
     return ServeResult(
         system=system,
         requests=[r for result in per_replica for r in result.requests],
         scaling_events=[e for result in per_replica for e in result.scaling_events],
-        iteration_stats=sorted(stats, key=lambda s: s.start_time),
+        iterations=IterationLedger.total([r.iterations for r in per_replica]),
         makespan=max(result.makespan for result in per_replica),
         aborted=[r for result in per_replica for r in result.aborted],
         cache_stats=merge_cache_stats(per_replica),
@@ -378,7 +378,7 @@ def fleet_load_report(
                 aborted=len(result.aborted),
                 input_tokens=sum(r.input_len for r in routed),
                 output_tokens=sum(r.generated for r in routed),
-                busy_seconds=sum(s.duration for s in result.iteration_stats),
+                busy_seconds=result.iterations.busy_seconds,
                 prefix_hit_tokens=int(cache.get("hit_tokens", 0)),
                 prefix_miss_tokens=int(cache.get("miss_tokens", 0)),
                 tier_offloaded_tokens=int(cache.get("tier_offloaded_tokens", 0)),

@@ -7,7 +7,9 @@ static SP, DistServe, replicated engines) — or a :class:`Fleet` of them
 :class:`~repro.sim.engine.Simulator`, fed by a trace or a closed-loop
 driver.  :func:`collect` builds a replica's
 :class:`~repro.types.ServeResult` from its ledgers; a fleet builds each
-of its replicas' results with it.
+of its replicas' results with it.  Each ledger folds its iterations into
+an :class:`~repro.types.IterationLedger` and keeps a row per iteration
+only after :func:`keep_iteration_rows`.
 
 Every run ends with each submitted request finished, aborted, or listed
 in ``ServeResult.stranded``: a run that goes idle with work left says
@@ -26,13 +28,12 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.sim.engine import Simulator
-from repro.types import Request, ServeResult
+from repro.types import IterationLedger, Request, ServeResult
 
 if TYPE_CHECKING:
     from repro.fleet.server import ServingReplica
 
 _arrival_time = attrgetter("arrival_time")
-_start_time = attrgetter("start_time")
 
 
 class Fleet:
@@ -121,6 +122,34 @@ def serve(
     return result
 
 
+def keep_iteration_rows(server: ServingReplica | Fleet) -> None:
+    """Keep a :class:`~repro.types.BatchStats` row per executed iteration
+    on every ledger of ``server``: each engine of a group, each replica
+    of a fleet.
+
+    The servers hold the switch (``keep_rows``), so it lasts across
+    resets (every :meth:`run` starts with one) and crashes.  A ledger
+    that has already counted iterations without rows refuses: its rows
+    could not be whole.
+    """
+    replicas = (
+        [handle.server for handle in server.replicas]
+        if isinstance(server, Fleet)
+        else [server]
+    )
+    for replica in replicas:
+        for ledger in replica.ledgers():
+            iterations = ledger.iterations
+            if iterations.rows is None:
+                if iterations.count:
+                    raise ValueError(
+                        f"{ledger.name} already ran {iterations.count} "
+                        "iterations without rows"
+                    )
+                iterations.rows = []
+            ledger.keep_rows = True
+
+
 def _arrive(replica: ServingReplica, group: list[Request]) -> None:
     for request in group:
         replica.submit(request)
@@ -150,25 +179,20 @@ def collect(
     ``aborted`` keeps only those requests' aborts, in ledger order (a
     disaggregated fleet's shadow prefill clones are never submitted
     through the handle, so their aborts stay out); ``requests`` is the
-    rest.  Each ledger appends its iteration stats in start order; a
-    group's are merged into one stable start-time order.
+    rest.  ``iterations`` adds the ledgers' iteration ledgers together
+    (:meth:`~repro.types.IterationLedger.total`).
     """
     parts = replica.ledgers()
     submitted = {r.request_id for r in requests}
     aborted = [r for part in parts for r in part.aborted if r.request_id in submitted]
     aborted_ids = {r.request_id for r in aborted}
-    if len(parts) == 1:
-        stats = parts[0].iteration_stats
-    else:
-        stats = [s for part in parts for s in part.iteration_stats]
-        stats.sort(key=_start_time)
     cache = replica.prefix_cache
     ledger = replica.qos_ledger
     return ServeResult(
         system=replica.name,
         requests=[r for r in requests if r.request_id not in aborted_ids],
         scaling_events=[e for part in parts for e in part.scaling_events],
-        iteration_stats=stats,
+        iterations=IterationLedger.total([part.iterations for part in parts]),
         makespan=makespan,
         aborted=aborted,
         cache_stats=cache.stats_dict() if cache is not None else None,

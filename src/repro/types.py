@@ -220,7 +220,8 @@ class BatchStats(NamedTuple):
     """Summary of one executed iteration, used for accounting and traces.
 
     A named tuple: immutable, and cheap to build positionally, which a
-    decode window does once per iteration.
+    decode window does once per iteration when its server keeps rows
+    (:class:`IterationLedger`).
     """
 
     iteration: int
@@ -230,6 +231,52 @@ class BatchStats(NamedTuple):
     dop: int
     duration: float
     start_time: float
+
+
+class IterationLedger:
+    """A server's executed iterations, folded as they run.
+
+    ``count`` iterations ran, keeping the server busy for
+    ``busy_seconds``, summed in execution order.  ``rows`` holds one
+    :class:`BatchStats` per iteration, in start order, only on a server
+    asked to keep them (:func:`repro.serving.keep_iteration_rows`); it
+    is None otherwise, so memory stays flat however long a run grows.
+    """
+
+    __slots__ = ("count", "busy_seconds", "rows")
+
+    def __init__(self, rows: list[BatchStats] | None = None) -> None:
+        self.count = 0
+        self.busy_seconds = 0.0
+        self.rows = rows
+
+    def add(
+        self, phase: Phase, batch_size: int, total_tokens: int, dop: int,
+        duration: float, start_time: float,
+    ) -> None:
+        """Fold in one iteration; its row is built only when rows are kept."""
+        rows = self.rows
+        if rows is not None:
+            rows.append(BatchStats(
+                self.count, phase, batch_size, total_tokens, dop, duration, start_time
+            ))
+        self.count += 1
+        self.busy_seconds += duration
+
+    @classmethod
+    def total(cls, ledgers: list[IterationLedger]) -> IterationLedger:
+        """``ledgers`` added together, in order.  Rows are kept when every
+        ledger kept them, merged into one stable start-time order."""
+        total = cls()
+        for ledger in ledgers:
+            total.count += ledger.count
+            total.busy_seconds += ledger.busy_seconds
+        if all(ledger.rows is not None for ledger in ledgers):
+            rows = [row for ledger in ledgers for row in ledger.rows]
+            if len(ledgers) > 1:
+                rows.sort(key=lambda row: row.start_time)
+            total.rows = rows
+        return total
 
 
 @dataclass(slots=True)
@@ -258,8 +305,10 @@ class ServeResult:
     carries the run's :class:`repro.obs.observe.Observability` bundle
     (spans, audit log, telemetry) when one was attached; ``None`` keeps
     observability-off runs byte-identical to prior builds.
-    ``stranded`` lists the submitted requests still unfinished (and not
-    aborted) when the simulator went idle: work that could never finish.
+    ``iterations`` is the run's :class:`IterationLedger`, the server's
+    ledgers added together.  ``stranded`` lists the submitted requests
+    still unfinished (and not aborted) when the simulator went idle:
+    work that could never finish.
     Every run of :func:`repro.serving.serve` fills it, on any server
     shape or fleet; a run cut at an event budget leaves it empty.
     """
@@ -267,7 +316,7 @@ class ServeResult:
     system: str
     requests: list[Request] = field(default_factory=list)
     scaling_events: list[ScalingEvent] = field(default_factory=list)
-    iteration_stats: list[BatchStats] = field(default_factory=list)
+    iterations: IterationLedger = field(default_factory=IterationLedger)
     makespan: float = 0.0
     aborted: list[Request] = field(default_factory=list)
     stranded: list[Request] = field(default_factory=list)

@@ -1,9 +1,10 @@
 """Instance-occupancy timelines rendered as text.
 
-``occupancy_timeline`` turns a run's iteration stats into a per-DoP
-Gantt strip — the visual counterpart of Figure 6's request lifecycle:
-you can see prefills grab wide groups, shrink to narrow decode groups,
-and decode batches widen again on scale-up.
+``occupancy_timeline`` turns a run's iteration rows (kept when the
+run asked for them, :func:`repro.serving.keep_iteration_rows`) into a
+per-DoP Gantt strip — the visual counterpart of Figure 6's request
+lifecycle: you can see prefills grab wide groups, shrink to narrow
+decode groups, and decode batches widen again on scale-up.
 
 Legend: ``P`` = prefill iteration running, ``d`` = decode iteration,
 ``.`` = idle.  One row per concurrency slot, one column per time bucket;
@@ -45,14 +46,13 @@ def occupancy_timeline(
     columns: int = 72,
 ) -> str:
     """Render the run as a stacked text Gantt (one row per instance slot)."""
-    if not result.iteration_stats:
+    stats = result.iterations.rows
+    if not stats:
         return "(no iterations recorded)"
-    horizon = result.makespan or max(
-        s.start_time + s.duration for s in result.iteration_stats
-    )
+    horizon = result.makespan or max(s.start_time + s.duration for s in stats)
     if horizon <= 0:
         return "(empty timeline)"
-    prefill, decode = _bucket_loads(result.iteration_stats, horizon, columns)
+    prefill, decode = _bucket_loads(stats, horizon, columns)
 
     rows = []
     for level in range(num_instances, 0, -1):
@@ -77,16 +77,9 @@ def utilization_summary(result: ServeResult, num_instances: int) -> dict[str, fl
     if horizon <= 0:
         return {"prefill": 0.0, "decode": 0.0, "idle": 1.0}
     total = horizon * num_instances
-    prefill_time = sum(
-        s.duration * s.dop
-        for s in result.iteration_stats
-        if s.phase == Phase.PREFILL
-    )
-    decode_time = sum(
-        s.duration * s.dop
-        for s in result.iteration_stats
-        if s.phase == Phase.DECODE
-    )
+    stats = result.iterations.rows
+    prefill_time = sum(s.duration * s.dop for s in stats if s.phase == Phase.PREFILL)
+    decode_time = sum(s.duration * s.dop for s in stats if s.phase == Phase.DECODE)
     prefill_frac = min(1.0, prefill_time / total)
     decode_frac = min(1.0 - prefill_frac, decode_time / total)
     return {

@@ -21,6 +21,7 @@ from repro.cluster.gpu import A800_80GB, GPUSpec
 from repro.config import KV_MEMORY_FRACTION, SystemConfig, default_config
 from repro.costmodel.latency import RooflineCostModel
 from repro.model.spec import LWM_7B_1M
+from repro.serving import keep_iteration_rows
 from repro.types import Request, next_request_id
 
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -55,6 +56,13 @@ def gpu_with_kv_slots(slots: int, tensor_parallel: int = 2) -> GPUSpec:
     kv_bytes = (slots + 0.5) * model.kv_bytes_per_token / KV_MEMORY_FRACTION
     memory = math.ceil((model.weight_bytes + kv_bytes) / tensor_parallel)
     return replace(A800_80GB, memory_bytes=memory)
+
+
+def with_rows(server):
+    """``server`` (a system or a fleet), keeping a ``BatchStats`` row per
+    iteration (:func:`repro.serving.keep_iteration_rows`)."""
+    keep_iteration_rows(server)
+    return server
 
 
 def make_request(

@@ -18,7 +18,7 @@ from repro.obs import Observability
 from repro.types import Phase
 from repro.workloads.datasets import LEVAL, MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
-from tests.conftest import make_request
+from tests.conftest import make_request, with_rows
 
 
 class TestVLLM:
@@ -28,9 +28,9 @@ class TestVLLM:
         assert len(result.finished_requests) == 30
 
     def test_runs_whole_prompt_prefills(self):
-        server = build_vllm()
+        server = with_rows(build_vllm())
         result = server.run([make_request(input_len=10_000, output_len=3)])
-        prefills = [s for s in result.iteration_stats if s.phase == Phase.PREFILL]
+        prefills = [s for s in result.iterations.rows if s.phase == Phase.PREFILL]
         assert len(prefills) == 1
         assert prefills[0].total_tokens == 10_000
 
@@ -65,9 +65,9 @@ class TestSplitFuse:
         assert len(result.finished_requests) == 15
 
     def test_chunking_splits_prefill(self):
-        server = build_splitfuse(chunk_size=1_000)
+        server = with_rows(build_splitfuse(chunk_size=1_000))
         result = server.run([make_request(input_len=10_000, output_len=3)])
-        prefills = [s for s in result.iteration_stats if s.phase == Phase.PREFILL]
+        prefills = [s for s in result.iterations.rows if s.phase == Phase.PREFILL]
         assert len(prefills) == 10
 
     def test_decode_protected_from_long_prompt(self):
@@ -154,10 +154,10 @@ class TestStaticSP:
         assert len(result.finished_requests) == 30
 
     def test_every_iteration_uses_full_group(self):
-        server = build_static_sp()
+        server = with_rows(build_static_sp())
         trace = make_trace(SHAREGPT, rate=5.0, num_requests=10, seed=7)
         result = server.run(trace)
-        assert all(s.dop == 4 for s in result.iteration_stats)
+        assert all(s.dop == 4 for s in result.iterations.rows)
 
 
 class TestReplicated:

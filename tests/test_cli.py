@@ -173,3 +173,14 @@ class TestExperimentsCLI:
     def test_rejects_unknown_figure(self):
         with pytest.raises(SystemExit):
             experiments_main(["figure99"])
+
+    @pytest.mark.parametrize("scale", ["nan", "-1"])
+    def test_bad_scale_exits_2(self, scale, capsys):
+        """A NaN or non-positive ``--scale`` is refused before any point
+        is served."""
+        code = experiments_main(["figure10", "--scale", scale, "--datasets", "sharegpt"])
+        assert code == 2
+        captured = capsys.readouterr()
+        message = f"--scale must be finite and positive, got {float(scale)}"
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""

@@ -22,7 +22,7 @@ from repro.sim.engine import Simulator
 from repro.types import Request, RequestState, ServeResult
 from repro.workloads.datasets import MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
-from tests.conftest import StubReplica, make_request
+from tests.conftest import StubReplica, make_request, with_rows
 
 
 class TestRouters:
@@ -228,7 +228,7 @@ class TestFleetServer:
 class TestFleetMetrics:
     def _results(self):
         trace = make_trace(SHAREGPT, rate=10.0, num_requests=30, seed=26)
-        fleet = make_fleet("loongserve", replicas=3, requests=trace)
+        fleet = with_rows(make_fleet("loongserve", replicas=3, requests=trace))
         return fleet.run(clone_requests(trace))
 
     def test_merge_preserves_counts_and_makespan(self):
@@ -236,7 +236,7 @@ class TestFleetMetrics:
         merged = merge_serve_results(result.per_replica, system="fleet")
         assert len(merged.requests) == len(result.requests)
         assert merged.makespan == result.makespan
-        starts = [s.start_time for s in merged.iteration_stats]
+        starts = [s.start_time for s in merged.iterations.rows]
         assert starts == sorted(starts)
 
     def test_merge_requires_results(self):

@@ -64,7 +64,7 @@ from repro.sim.engine import ShardClock, Simulator
 from repro.types import Phase, Request, RequestState
 from repro.workloads.datasets import MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
-from tests.conftest import make_request
+from tests.conftest import make_request, with_rows
 from tests.test_serve_loop import _steady_trace as steady_trace
 
 
@@ -198,7 +198,7 @@ def _record(result) -> dict:
         "aborted": sorted(r.request_id for r in result.aborted),
         "iterations": [
             (s.phase, s.batch_size, s.total_tokens, s.dop, s.duration, s.start_time)
-            for s in result.iteration_stats
+            for s in result.iterations.rows
         ],
         "scaling": [
             (e.time, e.kind, e.group_before, e.group_after, e.batch_size)
@@ -229,7 +229,7 @@ def _assert_same(windowed: dict, reference: dict) -> None:
 
 def _serve(server_cls, trace, **scheduler):
     config = default_config(scheduler=SchedulerConfig(**scheduler))
-    server = server_cls(config)
+    server = with_rows(server_cls(config))
     result = server.run(clone_requests(trace))
     return _record(result), server.sim.events_processed
 
@@ -241,7 +241,7 @@ def _run_fleet(server_cls, workload, hooked: bool = False, **fleet_kwargs):
     ``hooked`` gives every trace request a completion hook that does
     nothing.  The closed-loop driver draws request ids from a
     process-wide counter, so its rows go without them."""
-    fleet = make_fleet("loongserve", **fleet_kwargs)
+    fleet = with_rows(make_fleet("loongserve", **fleet_kwargs))
     for handle in fleet.replicas:
         handle.server.__class__ = server_cls
     if isinstance(workload[0], SessionPlan):
@@ -329,7 +329,9 @@ def _serve_both(build, stops=(), mixin=None, **scheduler):
     if mixin is not None:
         classes = tuple(type(c.__name__, (mixin, c), {}) for c in classes)
     for server_cls in classes:
-        server = server_cls(default_config(scheduler=SchedulerConfig(**scheduler)))
+        server = with_rows(
+            server_cls(default_config(scheduler=SchedulerConfig(**scheduler)))
+        )
         requests, info = build(server)
         server._tick()
         seen, spans = [], []
@@ -337,7 +339,7 @@ def _serve_both(build, stops=(), mixin=None, **scheduler):
             before = len(getattr(server, "windows", ()))
             server.sim.run(until=until)
             seen.append((
-                server.sim.now, len(server.iteration_stats),
+                server.sim.now, server.iterations.count,
                 [(r.generated, server.pool.placement_of(r.request_id)) for r in requests],
             ))
             spans.append(set().union(*getattr(server, "windows", ())[before:]))
@@ -468,7 +470,7 @@ class TestDecodeWindowsMatchTheWindowlessReference:
             for until in (1.0, 2.5, 2.5 + 1e-9, 4.0):
                 sim.run(until=until)
                 seen.append((
-                    sim.now, len(server.iteration_stats),
+                    sim.now, server.iterations.count,
                     [r.generated for r in server._all_requests],
                     server.pool.total_used,
                 ))
@@ -492,7 +494,7 @@ class TestDecodeWindowsMatchTheWindowlessReference:
         once the shorter one finishes, the other runs alone."""
         runs = {}
         for server_cls in (LoongServeServer, WindowlessServer):
-            server = server_cls(default_config())
+            server = with_rows(server_cls(default_config()))
             requests = []
             for instance_id, output_len in ((0, 40), (1, 70)):
                 request = make_request(input_len=1_000, output_len=output_len)
@@ -568,7 +570,7 @@ class TestDecodeWindowsMatchTheWindowlessReference:
             for until in (0.5, 1.25, 1.25 + 1e-9, 2.0):
                 sim.run(until=until)
                 seen.append((
-                    sim.now, len(server.iteration_stats),
+                    sim.now, server.iterations.count,
                     [r.generated for r in requests], server.pool.total_used,
                     server.generated_tokens(),
                 ))
@@ -597,9 +599,9 @@ class TestDecodeWindowsMatchTheWindowlessReference:
         runs = {}
         for sharded in (True, False):
             for server_cls in (WindowSpy, WindowlessServer):
-                fleet = make_fleet(
+                fleet = with_rows(make_fleet(
                     "loongserve", replicas=2, router="round-robin", sharded=sharded
-                )
+                ))
                 for handle in fleet.replicas:
                     handle.server.__class__ = server_cls
                 result = fleet.run(clone_requests(trace))
@@ -643,7 +645,7 @@ class TestDecodeWindowsMatchTheWindowlessReference:
         lengths = {"ShareGPT": SHAREGPT, "Mixed": MIXED}[dataset]
         trace = make_trace(lengths, rate=rate, num_requests=num_requests, seed=seed)
         config = default_config(scheduler=SchedulerConfig(**SWITCHES[switch]))
-        server = WindowSpy(config)
+        server = with_rows(WindowSpy(config))
         windowed = _record(server.run(clone_requests(trace)))
         reference, reference_events = _serve(WindowlessServer, trace, **SWITCHES[switch])
         _assert_same(windowed, reference)
@@ -1071,7 +1073,7 @@ class TestQueuedAndGroupWindows:
         for kwargs in ({}, {"prefix_cache": True}, {"qos": True}):
             records = []
             for server_cls in (WindowSpy, WindowlessServer):
-                server = make_system("loongserve", **kwargs)
+                server = with_rows(make_system("loongserve", **kwargs))
                 server.__class__ = server_cls
                 records.append(_record(server.run(clone_requests(trace))))
                 if server_cls is WindowSpy:
@@ -1088,14 +1090,14 @@ class TestQueuedAndGroupWindows:
         episode 5): the request needs 261,122 slots, and the instance
         drained for it, whose 14,269 tokens the others absorb, has
         211,382 free."""
-        server = LoongServeServer(default_config())
+        server = with_rows(LoongServeServer(default_config()))
         capacity = server.config.kv_slots_per_instance
         _filled_batches(server, (150_000, 150_000, 150_000, 14_269), output_len=300)
         request = make_request(input_len=261_121, output_len=100)
         server.submit(request)
         server._tick()
         assert server.pending == [request]
-        assert all(s.phase is Phase.DECODE for s in server.iteration_stats)
+        assert all(s.phase is Phase.DECODE for s in server.iterations.rows)
         (drained,) = server.scaling_events
         assert (drained.kind, drained.group_before, drained.group_after) == (
             "scale_down", (3,), (),
@@ -1117,13 +1119,13 @@ class TestQueuedAndGroupWindows:
         tips with Eq. 2's wait still positive; each tick now bounds
         how long its refusal holds.  A change that stops a kind of
         window from opening moves these counts."""
-        server = WindowSpy(default_config())
+        server = with_rows(WindowSpy(default_config()))
         result = server.run(clone_requests(QUIET_MIXED))
-        assert sum(s.phase is Phase.DECODE for s in result.iteration_stats) == 9_877
+        assert sum(s.phase is Phase.DECODE for s in result.iterations.rows) == 9_877
         assert server.full_path_ends == 56
-        server = WindowSpy(default_config())
+        server = with_rows(WindowSpy(default_config()))
         result = server.run(clone_requests(GOLDEN_MIXED))
-        assert sum(s.phase is Phase.DECODE for s in result.iteration_stats) == 8_828
+        assert sum(s.phase is Phase.DECODE for s in result.iterations.rows) == 8_828
         assert (server.full_path_ends, server.queued_ends) == (205, 195)
 
 
@@ -1137,7 +1139,7 @@ class TestWakesStartInWindows:
         serves what the windowless one does."""
         trace = make_trace(MIXED, rate=2.0, num_requests=20, seed=1)
         kwargs = dict(replicas=2, router="round-robin")
-        fleet = make_fleet("loongserve", **kwargs)
+        fleet = with_rows(make_fleet("loongserve", **kwargs))
         for handle in fleet.replicas:
             handle.server.__class__ = WindowSpy
         windowed = _record(fleet.run(clone_requests(trace)))
@@ -1203,7 +1205,7 @@ class TestWakesStartInWindows:
             replicas=3, requests=trace, router="affinity", prefix_cache=True,
             autoscale=True, steal=True, migrate_kv=True, sharded=sharded,
         )
-        fleet = make_fleet("loongserve", **kwargs)
+        fleet = with_rows(make_fleet("loongserve", **kwargs))
         for handle in fleet.replicas:
             handle.server.__class__ = WindowSpy
         windowed = _record(fleet.run(clone_requests(trace)))

@@ -11,6 +11,7 @@ from repro.metrics.latency import summarize_latency
 from repro.metrics.summary import throughput_tokens_per_s
 from repro.workloads.datasets import LEVAL, MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
+from tests.conftest import with_rows
 
 ALL_SYSTEMS = [
     "loongserve", "vllm", "splitfuse", "distserve", "static-sp", "replicated-tp2",
@@ -71,7 +72,9 @@ class TestInterferenceStory:
     def leval_results(self):
         trace = make_trace(LEVAL, rate=2.5, num_requests=40, seed=32)
         return {
-            name: make_system(name, requests=trace).run(clone_requests(trace))
+            name: with_rows(make_system(name, requests=trace)).run(
+                clone_requests(trace)
+            )
             for name in ("loongserve", "vllm")
         }
 
@@ -83,7 +86,7 @@ class TestInterferenceStory:
     def test_loongserve_overlaps_phases(self, leval_results):
         from repro.types import Phase
 
-        stats = leval_results["loongserve"].iteration_stats
+        stats = leval_results["loongserve"].iterations.rows
         prefill_windows = [
             (s.start_time, s.start_time + s.duration)
             for s in stats if s.phase == Phase.PREFILL

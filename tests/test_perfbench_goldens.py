@@ -23,6 +23,7 @@ import pytest
 
 from perfbench.outcomes import outcome_digest
 from perfbench.workloads import WORKLOADS
+from repro.serving import keep_iteration_rows
 
 SEED = 1
 
@@ -139,6 +140,7 @@ def _hash(rows) -> str:
 def episode_signature(workload: str, episode: int) -> tuple:
     """Serve one episode; returns the values :data:`GOLDENS` pins."""
     system, trace = WORKLOADS[workload].build(SEED, episode)
+    keep_iteration_rows(system)
     result = system.run(trace)
     return (
         outcome_digest(trace),
@@ -146,7 +148,7 @@ def episode_signature(workload: str, episode: int) -> tuple:
         system.sim.events_processed,
         _hash([
             (s.phase.name, s.batch_size, s.total_tokens, s.dop, s.duration, s.start_time)
-            for s in result.iteration_stats
+            for s in result.iterations.rows
         ]),
         _hash([
             (e.time, e.kind, e.group_before, e.group_after, e.batch_size)

@@ -30,7 +30,7 @@ from repro.obs import Observability, load_export
 from repro.sim.engine import Simulator
 from repro.workloads.datasets import MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
-from tests.conftest import make_request
+from tests.conftest import make_request, with_rows
 
 SYSTEMS = (
     "loongserve", "loongserve-no-scaleup", "vllm", "deepspeed-mii",
@@ -81,7 +81,7 @@ def _signature(result, trace) -> str:
               r.finish_time, r.generated, r.preemptions) for r in pr.requests],
             [index[r.request_id] for r in pr.aborted],
             [(s.iteration, s.phase.name, s.batch_size, s.total_tokens, s.dop,
-              s.duration, s.start_time) for s in pr.iteration_stats],
+              s.duration, s.start_time) for s in pr.iterations.rows],
             [(e.time, e.kind, e.group_before, e.group_after, e.batch_size)
              for e in pr.scaling_events],
         ))
@@ -91,10 +91,10 @@ def _signature(result, trace) -> str:
 
 @pytest.mark.parametrize(("system", "steal"), list(GOLDEN))
 def test_shape_matrix_matches_golden(system, steal):
-    fleet = make_fleet(
+    fleet = with_rows(make_fleet(
         system, replicas=3, router="least-kv", requests=MATRIX_TRACE,
         steal=steal,
-    )
+    ))
     result = fleet.run(clone_requests(MATRIX_TRACE))
     if steal:  # queued() and withdraw() ran on this shape
         assert result.elastic.stolen_requests > 0

@@ -29,6 +29,7 @@ from repro.sessions import ClosedLoopDriver, plan_sessions
 from repro.types import Request
 from repro.workloads.datasets import MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
+from tests.conftest import with_rows
 from tests.test_replica_contract import SYSTEMS
 
 SHAREGPT_TRACE = make_trace(SHAREGPT, rate=12.0, num_requests=150, seed=5)
@@ -89,7 +90,7 @@ def _signature(result, trace) -> str:
           r.finish_time, r.generated, r.preemptions) for r in result.requests],
         [index[r.request_id] for r in result.aborted],
         [(s.iteration, s.phase.name, s.batch_size, s.total_tokens, s.dop,
-          s.duration, s.start_time) for s in result.iteration_stats],
+          s.duration, s.start_time) for s in result.iterations.rows],
         [(e.time, e.kind, e.group_before, e.group_after, e.batch_size)
          for e in result.scaling_events],
         result.makespan,
@@ -99,9 +100,11 @@ def _signature(result, trace) -> str:
 @pytest.mark.parametrize(("system", "trace"), list(GOLDEN))
 def test_standalone_matrix_matches_golden(system, trace):
     requests = TRACES[trace]
-    result = make_system(system, requests=requests).run(clone_requests(requests))
+    result = with_rows(make_system(system, requests=requests)).run(
+        clone_requests(requests)
+    )
     assert result.stranded == []
-    starts = [s.start_time for s in result.iteration_stats]
+    starts = [s.start_time for s in result.iterations.rows]
     assert starts == sorted(starts)
     assert _signature(result, requests) == GOLDEN[system, trace]
 
@@ -202,9 +205,9 @@ class TestArrivalGrouping:
     per-request arrival events."""
 
     def _grouped_and_ungrouped(self, trace, system="loongserve"):
-        grouped_server = make_system(system, requests=trace)
+        grouped_server = with_rows(make_system(system, requests=trace))
         grouped = grouped_server.run(clone_requests(trace))
-        ungrouped_server = make_system(system, requests=trace)
+        ungrouped_server = with_rows(make_system(system, requests=trace))
         ungrouped = ungrouped_server.run_driven(
             PerRequestArrivals(clone_requests(trace))
         )
@@ -244,8 +247,8 @@ class TestArrivalGrouping:
                              output_len=4, arrival_time=3.0))  # aborts
         runs = []
         for grouped in (True, False):
-            system = make_fleet("loongserve", requests=trace, num_gpus=4,
-                                **FLEETS[fleet])
+            system = with_rows(make_fleet("loongserve", requests=trace,
+                                          num_gpus=4, **FLEETS[fleet]))
             requests = clone_requests(trace)
             result = (
                 system.run(requests) if grouped
@@ -269,7 +272,7 @@ def _outcomes(result):
           r.finish_time, r.generated, r.preemptions) for r in result.requests],
         [r.request_id for r in result.aborted],
         result.stranded,
-        result.iteration_stats,
+        result.iterations.rows,
         result.scaling_events,
         result.makespan,
     )

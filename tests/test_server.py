@@ -11,7 +11,7 @@ from repro.parallel.groups import ParallelGroup
 from repro.types import Phase, RequestState
 from repro.workloads.datasets import LEVAL, MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
-from tests.conftest import make_request
+from tests.conftest import make_request, with_rows
 
 
 @pytest.fixture(scope="module")
@@ -153,18 +153,18 @@ class TestElasticity:
         assert len(downs[0].group_after) < len(downs[0].group_before)
 
     def test_decode_runs_on_kept_instances_only(self):
-        server = LoongServeServer(default_config())
+        server = with_rows(LoongServeServer(default_config()))
         request = make_request(input_len=200_000, output_len=30)
         result = server.run([request])
-        decode_stats = [s for s in result.iteration_stats if s.phase == Phase.DECODE]
+        decode_stats = [s for s in result.iterations.rows if s.phase == Phase.DECODE]
         assert decode_stats
         assert max(s.dop for s in decode_stats) < 4
 
     def test_prefill_uses_high_dop_for_long_request(self):
-        server = LoongServeServer(default_config())
+        server = with_rows(LoongServeServer(default_config()))
         request = make_request(input_len=300_000, output_len=5)
         result = server.run([request])
-        prefill_stats = [s for s in result.iteration_stats if s.phase == Phase.PREFILL]
+        prefill_stats = [s for s in result.iterations.rows if s.phase == Phase.PREFILL]
         assert prefill_stats[0].dop == 4
 
     def test_scale_up_disabled_honored(self):
@@ -185,11 +185,11 @@ class TestElasticity:
 
     def test_multiple_batches_coexist(self):
         """Prefill and decode proceed concurrently on disjoint groups."""
-        server = LoongServeServer(default_config())
+        server = with_rows(LoongServeServer(default_config()))
         trace = make_trace(LEVAL, rate=2.0, num_requests=20, seed=10)
         result = server.run(trace)
         assert len(result.finished_requests) == 20
-        stats = result.iteration_stats
+        stats = result.iterations.rows
         prefill_windows = [
             (s.start_time, s.start_time + s.duration)
             for s in stats
@@ -291,7 +291,7 @@ class TestIterationGolden:
         stats = [
             (s.phase.value, s.batch_size, s.total_tokens, s.dop,
              round(s.duration, 9), round(s.start_time, 9))
-            for s in server.iteration_stats
+            for s in server.iterations.rows
         ]
         events = [
             (round(e.time, 9), e.kind, e.group_before, e.group_after, e.batch_size)
@@ -311,7 +311,7 @@ class TestIterationGolden:
         preemptions = scale_ups = 0
         for (dataset, rate, count), (digest, events) in expected.items():
             trace = make_trace(dataset, rate=rate, num_requests=count, seed=7)
-            server = LoongServeServer(default_config())
+            server = with_rows(LoongServeServer(default_config()))
             result = server.run(trace)
             assert len(result.finished_requests) == count
             assert self._digest(server) == digest, dataset.name

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.config import default_config
 from repro.core.server import LoongServeServer
 from repro.types import Request, next_request_id
+from tests.conftest import with_rows
 
 CONFIG = default_config()
 
@@ -84,13 +85,13 @@ def test_scaling_events_well_formed(params, seed):
 def test_iteration_stats_cover_all_tokens(params):
     """Prefill iterations process every admitted request's prompt once
     (no request is silently skipped or double-prefilled)."""
-    server = LoongServeServer(CONFIG)
+    server = with_rows(LoongServeServer(CONFIG))
     trace = build_trace(params)
     result = server.run(trace)
     from repro.types import Phase
 
     prefill_tokens = sum(
-        s.total_tokens for s in result.iteration_stats if s.phase == Phase.PREFILL
+        s.total_tokens for s in result.iterations.rows if s.phase == Phase.PREFILL
     )
     expected = sum(r.input_len for r in trace)
     # Preemption-free traces prefill each prompt exactly once.

@@ -32,7 +32,7 @@ from repro.sim.engine import ShardClock, Simulator
 from repro.types import Request
 from repro.workloads.datasets import MIXED, SHAREGPT
 from repro.workloads.trace_gen import clone_requests, make_trace
-from tests.conftest import make_request
+from tests.conftest import make_request, with_rows
 
 
 class TestShardClock:
@@ -488,7 +488,7 @@ def _fleet_runs(draw):
 
 def _serve_composition(kwargs, observe, workload, sharded):
     """Serve one composition; returns what both layouts must agree on."""
-    fleet = make_fleet("loongserve", sharded=sharded, **kwargs)
+    fleet = with_rows(make_fleet("loongserve", sharded=sharded, **kwargs))
     obs = None
     if observe:
         obs = Observability()
@@ -510,7 +510,7 @@ def _serve_composition(kwargs, observe, workload, sharded):
         "stranded": len(result.stranded),
         "iterations": [
             (s.phase, s.batch_size, s.total_tokens, s.dop, s.duration, s.start_time)
-            for s in result.iteration_stats
+            for s in result.iterations.rows
         ],
         "scaling": [
             (e.time, e.kind, e.group_before, e.group_after, e.batch_size)

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.types import BatchStats, Phase, ServeResult
+from repro.types import BatchStats, IterationLedger, Phase, ServeResult
 from repro.viz.timeline import occupancy_timeline, utilization_summary
 
 
 def make_result(stats: list[BatchStats], makespan: float) -> ServeResult:
-    return ServeResult(system="x", iteration_stats=stats, makespan=makespan)
+    return ServeResult(
+        system="x", iterations=IterationLedger(rows=stats), makespan=makespan
+    )
 
 
 def stat(phase: Phase, start: float, duration: float, dop: int) -> BatchStats:
